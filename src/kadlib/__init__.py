@@ -19,7 +19,6 @@ from .algebra import (
     check_test_algebra,
     check_equation,
     eval_term,
-    nat_leq,
     opposite,
     all_hold,
     failures,
@@ -51,8 +50,6 @@ from .domain import (
     check_converse,
     converse_duality_check,
     is_integral,
-    image,
-    preimage,
 )
 from .reach import ReachResult, reach_naive, reach_efficient, check_star_preimage_laws
 from .termination import (

@@ -6,15 +6,22 @@ enumerate the whole structure.  Checkers return ``LawReport`` lists instead
 of raising: deliberately broken structures (counterexample models) are
 first-class inputs here.
 
-Ternary laws are evaluated with numpy, one leading element at a time; the
-enumeration is still exhaustive, it just avoids a Python triple loop so
-that carriers of a few hundred elements stay checkable in seconds.
+Laws are data: a ``Law`` quantifies typed variables over equations,
+inequations and equivalences between ``Term``s, optionally under Horn
+premises.  One scanner (``check_laws``) compiles each law to numpy table
+lookups with one broadcast axis per variable and loops in Python over the
+leading variable, and over more while a chunk would exceed n^2
+assignments.  The scan is exhaustive, and a failure's witness is the
+lexicographically first failing assignment in the declared variable order.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -34,8 +41,16 @@ __all__ = [
     "dom",
     "cod",
     "compl",
-    "nat_leq",
+    "top_term",
     "opposite",
+    "Law",
+    "eq",
+    "leq",
+    "iff",
+    "check_laws",
+    "ISEMIRING_LAWS",
+    "KLEENE_LAWS",
+    "TEST_LAWS",
     "check_isemiring",
     "check_kleene",
     "check_test_algebra",
@@ -179,9 +194,6 @@ class TestAlgebra:
         """The {0, 1} test algebra every i-semiring admits."""
         return cls(owner, (owner.zero, owner.one), {owner.zero: owner.one, owner.one: owner.zero})
 
-    def is_member(self, p: int) -> bool:
-        return p in self.compl
-
     def require(self, p: int):
         if p not in self.compl:
             raise ValueError(f"{self.owner.element_name(p)!r} is not a declared test")
@@ -268,11 +280,6 @@ def format_witness(S: FiniteSemiring, witness: Optional[dict]) -> str:
     return "(" + ", ".join(parts) + ")"
 
 
-def nat_leq(S: FiniteSemiring, a: int, b: int) -> bool:
-    """Natural semilattice order of an i-semiring: a <= b iff a + b = b."""
-    return S.leq(a, b)
-
-
 def opposite(S: FiniteSemiring) -> FiniteSemiring:
     """Same carrier with multiplication arguments swapped; star/conv carry over."""
     name = S.name[:-3] if S.name.endswith("^op") else S.name + "^op"
@@ -287,7 +294,9 @@ def opposite(S: FiniteSemiring) -> FiniteSemiring:
 class Term:
     """Small term AST over semiring signature plus tests, domain and converse.
 
-    op is one of: var, zero, one, add, mul, star, conv, dom, cod, not.
+    op is one of: var, zero, one, top, add, mul, star, conv, dom, cod, not;
+    the atoms of a Law are eq and leq between two terms and iff among two
+    or more atoms.
     Variables whose name starts with p, q or r range over test members by
     default in check_equation; others range over the whole carrier.
     """
@@ -309,6 +318,8 @@ class Term:
             return "0"
         if self.op == "one":
             return "1"
+        if self.op == "top":
+            return "top"
         if self.op == "add":
             return f"({self.args[0]} + {self.args[1]})"
         if self.op == "mul":
@@ -338,6 +349,7 @@ def var(name: str) -> Term:
 
 zero_term = Term("zero")
 one_term = Term("one")
+top_term = Term("top")
 
 
 def add(l: Term, r: Term) -> Term:
@@ -380,6 +392,11 @@ def eval_term(t: Term, env: Mapping[str, int], S: FiniteSemiring, T: Optional[Te
         return S.zero
     if op == "one":
         return S.one
+    if op == "top":
+        top = S.top()
+        if top is None:
+            raise ValueError("term uses top but the semiring has no greatest element")
+        return top
     if op in ("add", "mul"):
         l = eval_term(t.args[0], env, S, T, D)
         r = eval_term(t.args[1], env, S, T, D)
@@ -415,6 +432,219 @@ def _term_vars(t: Term, acc: list[str]):
         _term_vars(a, acc)
 
 
+# ---------------------------------------------------------------------------
+# laws as data
+
+
+def eq(l: Term, r: Term) -> Term:
+    return Term("eq", (l, r))
+
+
+def leq(l: Term, r: Term) -> Term:
+    return Term("leq", (l, r))
+
+
+def iff(*atoms: Term) -> Term:
+    """All the atoms have the same truth value."""
+    return Term("iff", atoms)
+
+
+@dataclass(frozen=True)
+class Law:
+    """A universally quantified law: the premises imply the conclusion.
+
+    vars lists the quantified variables in scan order; the ones also named
+    in tests range over the test members, the others over the carrier
+    (both accept a space-separated string).  A law whose requires flags
+    are not all met is reported as not applicable instead of checked.
+    """
+
+    name: str
+    vars: tuple
+    concl: Term
+    premises: tuple = ()
+    tests: tuple = ()
+    requires: tuple = ()
+
+    def __post_init__(self):
+        if isinstance(self.premises, Term):
+            object.__setattr__(self, "premises", (self.premises,))
+        for f in ("vars", "tests"):
+            if isinstance(getattr(self, f), str):
+                object.__setattr__(self, f, tuple(getattr(self, f).split()))
+
+
+_NOT_APPLICABLE = {"dloc": "no locality", "cdloc": "no locality", "top": "no greatest element"}
+
+
+def _report(name: str, witness: Optional[dict], note: str = "") -> LawReport:
+    return LawReport(name, witness is None, witness, note)
+
+
+def _atom_terms(atom: Term):
+    """The terms an atom compares, in evaluation order."""
+    for x in atom.args:
+        yield from _atom_terms(x) if atom.op == "iff" else (x,)
+
+
+def _rows(x):
+    """Drop the trailing singleton axis of an operand that does not depend on it."""
+    return x[..., 0] if isinstance(x, np.ndarray) else x
+
+
+class _Scanner:
+    """Compiles laws to numpy over one model's tables and finds first failures.
+
+    A compiled term maps an environment to its values: a prefix of the
+    variables is bound to Python ints (the chunk being scanned), the rest
+    are index arrays with one broadcast axis each, in declared order.  The
+    first False of the resulting mask in C order is then the
+    lexicographically first failing assignment.
+    """
+
+    def __init__(self, S: FiniteSemiring, T: Optional[TestAlgebra] = None, D=None):
+        self.S, self.D = S, D
+        self.T = T = D.tests if T is None and D is not None else T
+        ar = np.arange(S.n)
+        self.tables = {"add": S.add, "mul": S.mul, "star": S.star, "conv": S.conv, "leq": S.add == ar}
+        if D is not None:
+            self.tables.update(dom=D.delta, cod=D.rho)
+        if T is not None:
+            # complement maps non-members to themselves; member says where it is defined
+            self.tables["not"] = np.array([T.compl.get(x, x) for x in range(S.n)])
+            self.member = np.isin(ar, T.members)
+
+    @functools.cached_property
+    def top(self) -> Optional[int]:
+        return self.S.top() if self.D is None else self.D.el_top
+
+    def _term(self, t: Term):
+        """(fn, deps): fn(env) evaluates t; deps holds the variable positions it reads."""
+        op = t.op
+        if op == "var":
+            i = self._pos[t.name]
+            return (lambda env: env[i]), {i}
+        if op in ("zero", "one", "top"):
+            v = self.top if op == "top" else (self.S.zero if op == "zero" else self.S.one)
+            return (lambda env: v), set()
+        if op in ("add", "mul"):
+            return self._lookup(op, *t.args)
+        f, deps = self._term(t.args[0])
+        U = self.tables[op]
+        if op != "not":
+            return (lambda env: U[f(env)]), deps
+
+        def complement(env):
+            x = f(env)
+            self._valid.append(self.member[x])
+            return U[x]
+
+        return complement, deps
+
+    def _lookup(self, key: str, l: Term, r: Term):
+        """X[l, r] for a binary table X (add, mul or the order leq)."""
+        (fl, dl), (fr, dr) = self._term(l), self._term(r)
+        X, deps, inner = self.tables[key], dl | dr, self._inner
+        # The innermost variable runs over the whole carrier in order, so
+        # X[x, inner] is row x of X and X[inner, y] is column y: gather whole
+        # rows or columns rather than index pairs.  When x (or y) is the
+        # variable of the axis before, also over the carrier, that is all of
+        # X (or X^T).
+        if self._is_axis(r, inner) and inner not in dl:
+            if self._is_axis(l, inner - 1):
+                return (lambda env: X), deps
+            return (lambda env: X[_rows(fl(env))]), deps
+        if self._is_axis(l, inner) and inner not in dr:
+            if self._is_axis(r, inner - 1):
+                return (lambda env: X.T), deps
+            return (lambda env: np.moveaxis(X[:, _rows(fr(env))], 0, -1)), deps
+
+        def lookup(env):
+            x, y = fl(env), fr(env)
+            return X[x, y] if isinstance(x, np.ndarray) else X[x][y]
+
+        return lookup, deps
+
+    def _is_axis(self, t: Term, i: int) -> bool:
+        """t is the variable at position i, on a broadcast axis and ranging over the carrier."""
+        return i >= self._m and t.op == "var" and self._pos[t.name] == i and t.name not in self._tests
+
+    def _atom(self, atom: Term):
+        if atom.op == "leq":
+            return self._lookup("leq", *atom.args)[0]
+        if atom.op == "eq":
+            fl, fr = (self._term(t)[0] for t in atom.args)
+            return lambda env: np.equal(fl(env), fr(env))
+        fs = [self._atom(a) for a in atom.args]
+
+        def equivalent(env):
+            first, *rest = (f(env) for f in fs)
+            out = True
+            for x in rest:
+                out = out & np.equal(first, x)
+            return out
+
+        return equivalent
+
+    def first_failure(self, law: Law) -> Optional[dict]:
+        n, k = self.S.n, len(law.vars)
+        doms = [self.T.members if v in law.tests else range(n) for v in law.vars]
+        # Loop in Python over the leading variable, and over more of them
+        # while a chunk would exceed n^2 assignments.
+        m = 1 if k > 1 else 0
+        while math.prod(len(d) for d in doms[m:]) > n * n:
+            m += 1
+        shape = tuple(len(d) for d in doms[m:])
+        axes = [
+            np.asarray(d, dtype=np.intp).reshape([-1 if j == i else 1 for j in range(k - m)])
+            for i, d in enumerate(doms[m:])
+        ]
+        self._pos = {v: i for i, v in enumerate(law.vars)}
+        self._m, self._tests, self._inner = m, law.tests, k - 1
+        concl, premises = self._atom(law.concl), [self._atom(a) for a in law.premises]
+        for prefix in itertools.product(*doms[:m]):
+            env, self._valid = [*prefix, *axes], []
+            ok = concl(env)
+            for p in premises:
+                ok = ok | ~p(env)
+            for v in self._valid:
+                ok = ok & v
+            ok = np.broadcast_to(ok, shape)
+            idx = np.unravel_index(int(np.argmin(ok)), shape)
+            if ok[idx]:
+                continue
+            witness = dict(zip(law.vars, [*prefix, *(int(d[i]) for d, i in zip(doms[m:], idx))]))
+            if not all(np.broadcast_to(v, shape)[idx] for v in self._valid):
+                # complement of a non-test: let the scalar evaluator raise
+                for atom in (*law.premises, law.concl):
+                    for t in _atom_terms(atom):
+                        eval_term(t, witness, self.S, self.T, self.D)
+            return witness
+        return None
+
+
+def check_laws(laws, S: FiniteSemiring, T: Optional[TestAlgebra] = None, D=None, hand=()) -> list[LawReport]:
+    """One report per entry of laws, in order.
+
+    A Law is scanned exhaustively over the tables of S (with the tests T and
+    the domain structure D where its terms need them).  A plain name stands
+    for a law kept hand-written; its report is taken from hand.
+    """
+    scanner = _Scanner(S, T, D)
+    given = {r.name: r for r in hand}
+    reports = []
+    for law in laws:
+        if isinstance(law, str):
+            reports.append(given[law])
+            continue
+        missing = [f for f in law.requires if not (scanner.top is not None if f == "top" else D.flags.get(f))]
+        if missing:
+            reports.append(LawReport(law.name, True, None, f"not applicable: {_NOT_APPLICABLE[missing[0]]}"))
+        else:
+            reports.append(_report(law.name, scanner.first_failure(law)))
+    return reports
+
+
 def check_equation(
     lhs: Term,
     rhs: Term,
@@ -443,268 +673,148 @@ def check_equation(
         test_vars = set(test_vars)
     if test_vars & set(vs) and T is None:
         raise ValueError("equation has test variables but no test algebra was given")
-    law = name or f"{lhs} {'=' if rel == 'eq' else '<='} {rhs}"
-
-    domains = [tuple(T.members) if v in test_vars else tuple(range(S.n)) for v in vs]
-    env: dict[str, int] = {}
-
-    def rec(i: int) -> Optional[dict]:
-        if i == len(vs):
-            lv = eval_term(lhs, env, S, T, D)
-            rv = eval_term(rhs, env, S, T, D)
-            ok = lv == rv if rel == "eq" else S.leq(lv, rv)
-            return None if ok else dict(env)
-        for x in domains[i]:
-            env[vs[i]] = x
-            bad = rec(i + 1)
-            if bad is not None:
-                return bad
-        del env[vs[i]]
-        return None
-
-    bad = rec(0)
-    if bad is None:
-        return LawReport(law, True)
-    return LawReport(law, False, witness=bad)
+    law = Law(
+        name or f"{lhs} {'=' if rel == 'eq' else '<='} {rhs}",
+        tuple(vs),
+        Term(rel, (lhs, rhs)),
+        tests=tuple(v for v in vs if v in test_vars),
+    )
+    # The first assignment goes through the scalar evaluator, which raises
+    # for an operation the model lacks (star, converse, dom/cod, complement).
+    first = {v: T.members[0] if v in test_vars else 0 for v in vs}
+    eval_term(lhs, first, S, T, D)
+    eval_term(rhs, first, S, T, D)
+    return check_laws([law], S, T, D)[0]
 
 
 # ---------------------------------------------------------------------------
-# law checkers
+# law tables and checkers
 
 
-def _first_false(mask: np.ndarray, names: Sequence[str]) -> Optional[dict]:
-    """First index tuple where the boolean mask is False, as a witness dict."""
-    flat = np.argmin(mask.reshape(-1)) if mask.size else 0
-    if mask.size == 0 or mask.reshape(-1)[flat]:
-        return None
-    idx = np.unravel_index(int(flat), mask.shape)
-    return {nm: int(i) for nm, i in zip(names, idx)}
+def _law_tables():
+    a, b, c, p, q = var("a"), var("b"), var("c"), var("p"), var("q")
+    zero, one = zero_term, one_term
+    isemiring = (
+        Law("add-commutative", "a b", eq(a + b, b + a)),
+        Law("add-associative", "a b c", eq((a + b) + c, a + (b + c))),
+        Law("add-left-identity", "a", eq(zero + a, a)),
+        Law("add-right-identity", "a", eq(a + zero, a)),
+        Law("add-idempotent", "a", eq(a + a, a)),
+        Law("mul-associative", "a b c", eq((a * b) * c, a * (b * c))),
+        Law("mul-left-identity", "a", eq(one * a, a)),
+        Law("mul-right-identity", "a", eq(a * one, a)),
+        Law("left-distributive", "a b c", eq(a * (b + c), a * b + a * c)),
+        Law("right-distributive", "a b c", eq((a + b) * c, a * c + b * c)),
+        Law("left-annihilation", "a", eq(zero * a, zero)),
+        Law("right-annihilation", "a", eq(a * zero, zero)),
+        "zero-not-one",
+    )
+    kleene = (
+        Law("star-left-unfold", "a", leq(one + a * star(a), star(a))),
+        Law("star-right-unfold", "a", leq(one + star(a) * a, star(a))),
+        Law("star-left-induction", "a b c", leq(star(a) * b, c), leq(b + a * c, c)),
+        Law("star-right-induction", "a b c", leq(b * star(a), c), leq(b + c * a, c)),
+        # derived laws, kept as regression checks
+        Law("one-below-star", "a", leq(one, star(a))),
+        Law("star-mul-star", "a", eq(star(a) * star(a), star(a))),
+        "powers-below-star",
+        Law("star-of-star", "a", eq(star(star(a)), star(a))),
+        Law("star-slide", "a b", eq(star(a * b) * a, a * star(b * a))),
+        Law("star-denesting", "a b", eq(star(a + b), star(a) * star(b * star(a)))),
+        Law("star-unfold-right-product", "a b", eq(star(a) * b, b + (star(a) * a) * b)),
+        Law("star-unfold-left-product", "a b", eq(star(a) * b, b + (a * star(a)) * b)),
+        Law("subidentity-star", "a", eq(star(a), one), leq(a, one)),
+        Law("star-monotone", "a b", leq(star(a), star(b)), leq(a, b)),
+        Law("star-left-simulation", "a c b", leq(star(a) * c, c * star(b)), leq(a * c, c * b)),
+        Law("star-right-simulation", "a c b", leq(c * star(a), star(b) * c), leq(c * a, b * c)),
+    )
+    tests = (
+        Law("members-below-one", "p", leq(p, one), tests="p"),
+        "zero-is-member",
+        "one-is-member",
+        "closed-under-join",
+        "closed-under-meet",
+        Law("complement-involutive", "p", eq(compl(compl(p)), p), tests="p"),
+        Law("complement-join-full", "p", eq(p + compl(p), one), tests="p"),
+        Law("complement-meet-empty", "p", eq(p * compl(p), zero), tests="p"),
+        Law("meet-commutative", "p q", eq(p * q, q * p), tests="p q"),
+        Law("meet-idempotent", "p", eq(p * p, p), tests="p"),
+        "meet-is-greatest-lower-bound",
+        # four equivalent ways of saying "a maps p-states into q-states"
+        Law(
+            "shunting-right",
+            "p q a",
+            iff(
+                leq(p * a, a * q),
+                leq(a * compl(q), compl(p) * a),
+                eq((p * a) * compl(q), zero),
+                eq((p * a) * q, p * a),
+            ),
+            tests="p q",
+        ),
+        Law(
+            "shunting-left",
+            "p q a",
+            iff(
+                leq(a * p, q * a),
+                leq(compl(q) * a, a * compl(p)),
+                eq((compl(q) * a) * p, zero),
+                eq(q * (a * p), a * p),
+            ),
+            tests="p q",
+        ),
+    )
+    return isemiring, kleene, tests
 
 
-def _scan_per_element(n, fn, names):
-    """Run fn(a) -> bool mask for each leading element; first failure wins."""
-    for a in range(n):
-        m = fn(a)
-        bad = _first_false(np.asarray(m), names[1:])
-        if bad is not None:
-            return {names[0]: a, **bad}
-    return None
+ISEMIRING_LAWS, KLEENE_LAWS, TEST_LAWS = _law_tables()
 
 
 def check_isemiring(S: FiniteSemiring) -> list[LawReport]:
     """All idempotent-semiring laws, each exhaustively over the tables."""
-    A, M, n = S.add, S.mul, S.n
-    ar = np.arange(n)
-    reports = []
+    return check_laws(ISEMIRING_LAWS, S, hand=[_report("zero-not-one", None if S.zero != S.one else {})])
 
-    def law(name, witness, note=""):
-        reports.append(LawReport(name, witness is None, witness, note))
 
-    law("add-commutative", _first_false(A == A.T, ("a", "b")))
-    law("add-associative", _scan_per_element(n, lambda a: A[A[a]] == A[a][A], ("a", "b", "c")))
-    law("add-left-identity", _first_false(A[S.zero] == ar, ("a",)))
-    law("add-right-identity", _first_false(A[:, S.zero] == ar, ("a",)))
-    law("add-idempotent", _first_false(A[ar, ar] == ar, ("a",)))
-    law("mul-associative", _scan_per_element(n, lambda a: M[M[a]] == M[a][M], ("a", "b", "c")))
-    law("mul-left-identity", _first_false(M[S.one] == ar, ("a",)))
-    law("mul-right-identity", _first_false(M[:, S.one] == ar, ("a",)))
-    law(
-        "left-distributive",
-        _scan_per_element(n, lambda a: M[a][A] == A[M[a][:, None], M[a][None, :]], ("a", "b", "c")),
-    )
-    law(
-        "right-distributive",
-        _scan_per_element(n, lambda a: M[A[a]] == A[M[a][None, :], M], ("a", "b", "c")),
-    )
-    law("left-annihilation", _first_false(M[S.zero] == S.zero, ("a",)))
-    law("right-annihilation", _first_false(M[:, S.zero] == S.zero, ("a",)))
-    law("zero-not-one", None if S.zero != S.one else {})
-    return reports
+def _powers_below_star(S: FiniteSemiring) -> Optional[dict]:
+    """First a with a^i not below a*, trying i = 1..n in turn."""
+    ar = np.arange(S.n)
+    pw = ar
+    for i in range(1, S.n + 1):
+        bad = np.flatnonzero(S.add[pw, S.star] != S.star)
+        if bad.size:
+            return {"a": int(bad[0]), "power": i}
+        pw = S.mul[pw, ar]
+    return None
 
 
 def check_kleene(S: FiniteSemiring) -> list[LawReport]:
-    """Kleene star axioms plus the standard derived star laws.
-
-    The two Horn axioms quantify over triples; they are evaluated one leading
-    element at a time with vectorized inner pairs.
-    """
+    """Kleene star axioms plus the standard derived star laws."""
     if S.star is None:
         raise ValueError(f"{S.name} declares no star table")
-    A, M, ST, n = S.add, S.mul, S.star, S.n
-    ar = np.arange(n)
-    one = S.one
-    reports = []
+    powers = _report("powers-below-star", _powers_below_star(S), note=f"powers up to {S.n}")
+    return check_laws(KLEENE_LAWS, S, hand=[powers])
 
-    def law(name, witness, note=""):
-        reports.append(LawReport(name, witness is None, witness, note))
 
-    def leq(x, y):
-        # elementwise natural order on index arrays
-        return A[x, y] == y
-
-    # 1 + a a* <= a*
-    law("star-left-unfold", _first_false(leq(A[one][M[ar, ST]], ST), ("a",)))
-    # 1 + a* a <= a*
-    law("star-right-unfold", _first_false(leq(A[one][M[ST, ar]], ST), ("a",)))
-
-    # b + a c <= c  =>  a* b <= c
-    def left_induction(a):
-        prem = leq(A[:, M[a]], ar[None, :])            # [b, c]: b + ac <= c
-        concl = leq(M[ST[a]][:, None], ar[None, :])    # [b, c]: a*b <= c
-        return ~prem | concl
-
-    law("star-left-induction", _scan_per_element(n, left_induction, ("a", "b", "c")))
-
-    # b + c a <= c  =>  b a* <= c
-    def right_induction(a):
-        prem = leq(A[:, M[:, a]], ar[None, :])         # [b, c]: b + ca <= c
-        concl = leq(M[:, ST[a]][:, None], ar[None, :])
-        return ~prem | concl
-
-    law("star-right-induction", _scan_per_element(n, right_induction, ("a", "b", "c")))
-
-    # derived laws, kept as regression checks
-    law("one-below-star", _first_false(leq(np.full(n, one), ST), ("a",)))
-    law("star-mul-star", _first_false(M[ST, ST] == ST, ("a",)))
-
-    pw = ar.copy()
-    bad = None
-    for i in range(1, n + 1):
-        m = leq(pw, ST)
-        w = _first_false(m, ("a",))
-        if w is not None:
-            bad = {**w, "power": i}
-            break
-        pw = M[pw, ar]
-    law("powers-below-star", bad, note=f"powers up to {n}")
-
-    law("star-of-star", _first_false(ST[ST] == ST, ("a",)))
-    law(
-        "star-slide",
-        _scan_per_element(n, lambda a: M[ST[M[a]], a] == M[a, ST[M[:, a]]], ("a", "b")),
-    )
-    law(
-        "star-denesting",
-        _scan_per_element(n, lambda a: ST[A[a]] == M[ST[a], ST[M[:, ST[a]]]], ("a", "b")),
-    )
-    law(
-        "star-unfold-right-product",
-        _scan_per_element(n, lambda a: M[ST[a]] == A[ar, M[M[ST[a], a]]], ("a", "b")),
-    )
-    law(
-        "star-unfold-left-product",
-        _scan_per_element(n, lambda a: M[ST[a]] == A[ar, M[M[a, ST[a]]]], ("a", "b")),
-    )
-
-    sub = leq(ar, np.full(n, one))
-    law("subidentity-star", _first_false(~sub | (ST == one), ("a",)))
-    law("star-monotone", _first_false(~leq(ar[:, None], ar[None, :]) | leq(ST[:, None], ST[None, :]), ("a", "b")))
-
-    # a c <= c b  =>  a* c <= c b*
-    def left_simulation(a):
-        prem = leq(M[a][:, None], M)                 # [c, b]
-        concl = leq(M[ST[a]][:, None], M[:, ST])     # [c, b]
-        return ~prem | concl
-
-    law("star-left-simulation", _scan_per_element(n, left_simulation, ("a", "c", "b")))
-
-    # c a <= b c  =>  c a* <= b* c
-    def right_simulation(a):
-        prem = leq(M[:, a][:, None], M.T)            # [c, b]
-        concl = leq(M[:, ST[a]][:, None], M[ST].T)   # [c, b]
-        return ~prem | concl
-
-    law("star-right-simulation", _scan_per_element(n, right_simulation, ("a", "c", "b")))
-    return reports
+def _first_pair(mem, pred) -> Optional[dict]:
+    return next(({"p": p, "q": q} for p in mem for q in mem if not pred(p, q)), None)
 
 
 def check_test_algebra(T: TestAlgebra) -> list[LawReport]:
     """Boolean-algebra laws for the declared members, plus the four-way
     shunting equivalences that image/preimage reasoning relies on."""
     S = T.owner
-    A, M, n = S.add, S.mul, S.n
     mem = T.members
     memset = set(mem)
-    reports = []
-
-    def law(name, witness, note=""):
-        reports.append(LawReport(name, witness is None, witness, note))
-
-    def first(pred, names, *ranges):
-        def rec(prefix, rest):
-            if not rest:
-                return None if pred(*prefix) else dict(zip(names, prefix))
-            for x in rest[0]:
-                got = rec(prefix + (x,), rest[1:])
-                if got is not None:
-                    return got
-            return None
-
-        return rec((), ranges)
-
-    law("members-below-one", first(lambda p: S.leq(p, S.one), ("p",), mem))
-    law("zero-is-member", None if S.zero in memset else {"p": S.zero})
-    law("one-is-member", None if S.one in memset else {"p": S.one})
-    law("closed-under-join", first(lambda p, q: int(A[p, q]) in memset, ("p", "q"), mem, mem))
-    law("closed-under-meet", first(lambda p, q: int(M[p, q]) in memset, ("p", "q"), mem, mem))
-    law("complement-involutive", first(lambda p: T.compl[T.compl[p]] == p, ("p",), mem))
-    law("complement-join-full", first(lambda p: int(A[p, T.compl[p]]) == S.one, ("p",), mem))
-    law("complement-meet-empty", first(lambda p: int(M[p, T.compl[p]]) == S.zero, ("p",), mem))
-    law("meet-commutative", first(lambda p, q: M[p, q] == M[q, p], ("p", "q"), mem, mem))
-    law("meet-idempotent", first(lambda p: int(M[p, p]) == p, ("p",), mem))
 
     def glb(p, q):
-        m = int(M[p, q])
-        if not (S.leq(m, p) and S.leq(m, q)):
-            return False
-        return all(S.leq(r, m) for r in mem if S.leq(r, p) and S.leq(r, q))
+        m = int(S.mul[p, q])
+        return S.leq(m, p) and S.leq(m, q) and all(S.leq(r, m) for r in mem if S.leq(r, p) and S.leq(r, q))
 
-    law("meet-is-greatest-lower-bound", first(glb, ("p", "q"), mem, mem))
-
-    # four equivalent ways of saying "a maps p-states into q-states"
-    def shunt_right(p, q):
-        comp_p, comp_q = T.compl[p], T.compl[q]
-        pa, aq = M[p], M[:, q]
-        c1 = A[pa, aq] == aq                               # pa <= aq
-        x = M[:, comp_q]
-        y = M[comp_p]
-        c2 = A[x, y] == y                                  # aq' <= p'a
-        c3 = M[M[p], comp_q] == S.zero                     # paq' <= 0
-        c4 = M[M[p], q] == pa                              # pa = paq
-        agree = (c1 == c2) & (c1 == c3) & (c1 == c4)
-        return _first_false(agree, ("a",))
-
-    bad = None
-    for p in mem:
-        for q in mem:
-            w = shunt_right(p, q)
-            if w is not None:
-                bad = {"p": p, "q": q, **w}
-                break
-        if bad:
-            break
-    law("shunting-right", bad)
-
-    def shunt_left(p, q):
-        comp_p, comp_q = T.compl[p], T.compl[q]
-        ap, qa = M[:, p], M[q]
-        c1 = A[ap, qa] == qa                               # ap <= qa
-        x = M[comp_q]
-        y = M[:, comp_p]
-        c2 = A[x, y] == y                                  # q'a <= ap'
-        c3 = M[M[comp_q], p] == S.zero                     # q'ap <= 0
-        c4 = M[q, M[:, p]] == ap                           # ap = qap
-        agree = (c1 == c2) & (c1 == c3) & (c1 == c4)
-        return _first_false(agree, ("a",))
-
-    bad = None
-    for p in mem:
-        for q in mem:
-            w = shunt_left(p, q)
-            if w is not None:
-                bad = {"p": p, "q": q, **w}
-                break
-        if bad:
-            break
-    law("shunting-left", bad)
-    return reports
+    hand = [
+        _report("zero-is-member", None if S.zero in memset else {"p": S.zero}),
+        _report("one-is-member", None if S.one in memset else {"p": S.one}),
+        _report("closed-under-join", _first_pair(mem, lambda p, q: int(S.add[p, q]) in memset)),
+        _report("closed-under-meet", _first_pair(mem, lambda p, q: int(S.mul[p, q]) in memset)),
+        _report("meet-is-greatest-lower-bound", _first_pair(mem, glb)),
+    ]
+    return check_laws(TEST_LAWS, S, T, hand=hand)

@@ -12,11 +12,32 @@ the axioms (independence proofs, locality counterexamples) are data here.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+import itertools
+import math
+from typing import Optional
 
 import numpy as np
 
-from .algebra import FiniteSemiring, LawReport, TestAlgebra, Verdict, opposite
+from .algebra import (
+    FiniteSemiring,
+    Law,
+    LawReport,
+    TestAlgebra,
+    Verdict,
+    check_laws,
+    cod,
+    compl,
+    conv,
+    dom,
+    eq,
+    iff,
+    leq,
+    one_term,
+    opposite,
+    top_term,
+    var,
+    zero_term,
+)
 
 __all__ = [
     "DomainStructure",
@@ -27,8 +48,11 @@ __all__ = [
     "check_converse",
     "converse_duality_check",
     "is_integral",
-    "image",
-    "preimage",
+    "law_runner",
+    "DOMAIN_AXIOMS",
+    "DOMAIN_CALCULUS",
+    "CONVERSE_LAWS",
+    "CONVERSE_DUALITY",
 ]
 
 _FLAG_LAWS = ("d1", "d2", "dloc", "cd1", "cd2", "cdloc")
@@ -213,11 +237,7 @@ def compute_predomain(S: FiniteSemiring, T: TestAlgebra, name: str = "") -> Doma
     """
     ordered = sorted(T.members, key=lambda p: (T.lower_size(p), p))
     delta = [_least_preserver(S, T, a, ordered) for a in range(S.n)]
-    So = opposite(S)
-    To = TestAlgebra(So, T.members, T.compl)
-    ordered_o = sorted(To.members, key=lambda p: (To.lower_size(p), p))
-    rho = [_least_preserver(So, To, a, ordered_o) for a in range(S.n)]
-    return DomainStructure(S, T, delta, rho, flags=None, name=name or S.name)
+    return DomainStructure(S, T, delta, compute_precodomain(S, T), flags=None, name=name or S.name)
 
 
 def compute_precodomain(S: FiniteSemiring, T: TestAlgebra) -> list[int]:
@@ -232,12 +252,55 @@ def compute_precodomain(S: FiniteSemiring, T: TestAlgebra) -> list[int]:
 # axiom and calculus checkers
 
 
-def _first_false(mask: np.ndarray, names) -> Optional[dict]:
-    flat = np.argmin(mask.reshape(-1)) if mask.size else 0
-    if mask.size == 0 or mask.reshape(-1)[flat]:
-        return None
-    idx = np.unravel_index(int(flat), mask.shape)
-    return {nm: int(i) for nm, i in zip(names, idx)}
+def _domain_law_tables():
+    a, b, p, q = var("a"), var("b"), var("p"), var("q")
+    zero, one = zero_term, one_term
+    local = ("dloc", "cdloc")
+    axioms = (
+        Law("d1", "a", leq(a, dom(a) * a)),
+        Law("d2", "p a", leq(dom(p * a), p), tests="p"),
+        Law("dloc", "a b", leq(dom(a * dom(b)), dom(a * b))),
+        Law("llp", "p a", iff(leq(dom(a), p), leq(a, p * a)), tests="p"),
+        Law("gla", "p a", iff(leq(dom(a), p), eq(compl(p) * a, zero)), tests="p"),
+        Law("cd1", "a", leq(a, a * cod(a))),
+        Law("cd2", "p a", leq(cod(a * p), p), tests="p"),
+        Law("cdloc", "a b", leq(cod(cod(a) * b), cod(a * b))),
+        Law("lrp", "p a", iff(leq(cod(a), p), leq(a, a * p)), tests="p"),
+        Law("gra", "p a", iff(leq(cod(a), p), eq(a * compl(p), zero)), tests="p"),
+    )
+    calculus = (
+        Law("dom-strict", "a", iff(leq(dom(a), zero), leq(a, zero))),
+        Law("dom-additive", "a b", eq(dom(a + b), dom(a) + dom(b))),
+        Law("dom-monotone", "a b", leq(dom(a), dom(b)), leq(a, b)),
+        Law("dom-stable-on-tests", "p", eq(dom(p), p), tests="p"),
+        Law("dom-idempotent", "a", eq(dom(dom(a)), dom(a))),
+        # the equational strengthening of d1
+        Law("dom-left-invariant", "a", eq(dom(a) * a, a)),
+        Law("dom-export", "p a", eq(dom(p * a), p * dom(a)), tests="p"),
+        Law("dom-decompose", "a b", leq(dom(a * b), dom(a * dom(b)))),
+        Law("dom-complement", "p", eq(compl(dom(p)), dom(compl(p))), tests="p"),
+        Law("dom-top-galois", "p a", iff(leq(dom(a), p), leq(a, p * top_term)), tests="p", requires=("top",)),
+        Law("preimage-of-one", "a", eq(dom(a * one), dom(a))),
+        Law("image-of-one", "a", eq(cod(one * a), cod(a))),
+        # (51)-(55); a:p is dom(a p) and p:a is cod(p a)
+        Law("preimage-vs-commutation", "p q a", iff(leq(dom(a * p), q), leq(a * p, q * a)), tests="p q"),
+        Law("preimage-vs-annihilation", "p q a", iff(leq(dom(a * p), q), eq((compl(q) * a) * p, zero)), tests="p q"),
+        Law("preimage-import-export", "p q a", eq(p * dom(a * q), dom((p * a) * q)), tests="p q"),
+        Law("preimage-exchange", "p q a", iff(leq(dom(a * p), q), leq(cod(compl(q) * a), compl(p))), tests="p q"),
+        Law("image-preimage-annihilation", "p q a", iff(eq(cod(p * a) * q, zero), eq(p * dom(a * q), zero)), tests="p q"),
+        # (56) p:(a b) <= (p:a):b, with equality under locality
+        Law("image-compose-bound", "p a b", leq(cod((p * a) * b), cod(cod(p * a) * b)), tests="p"),
+        Law("image-compose-exact", "p a b", eq(cod((p * a) * b), cod(cod(p * a) * b)), tests="p", requires=local),
+        # (57)/(58): dom(a b) = a:dom(b); cod(a b) = cod(a):b
+        Law("dom-compose-local", "a b", eq(dom(a * b), dom(a * dom(b))), requires=local),
+        Law("cod-compose-local", "a b", eq(cod(a * b), cod(cod(a) * b)), requires=local),
+        # zero-divisor exchange, locality in equational clothing
+        Law("annihilation-via-dom-cod", "a b", iff(eq(a * b, zero), eq(cod(a) * dom(b), zero)), requires=local),
+    )
+    return axioms, calculus
+
+
+DOMAIN_AXIOMS, DOMAIN_CALCULUS = _domain_law_tables()
 
 
 def check_domain_axioms(D: DomainStructure) -> list[LawReport]:
@@ -249,100 +312,7 @@ def check_domain_axioms(D: DomainStructure) -> list[LawReport]:
     llp/gla (lrp/gra): dom (cod) is the least preserver / the complement of
     the greatest annihilator, stated as equivalences over all (a, p).
     """
-    S = D.owner
-    A, M, n, z = S.add, S.mul, S.n, S.zero
-    DT, RT = D.delta, D.rho
-    ar = np.arange(n)
-    mem = D.tests.members
-    compl = D.tests.compl
-    reports = []
-
-    def law(name, witness):
-        reports.append(LawReport(name, witness is None, witness))
-
-    def leq(x, y):
-        return A[x, y] == y
-
-    law("d1", _first_false(leq(ar, M[DT, ar]), ("a",)))
-
-    bad = None
-    for p in mem:
-        w = _first_false(leq(DT[M[p]], np.full(n, p)), ("a",))
-        if w is not None:
-            bad = {"p": p, **w}
-            break
-    law("d2", bad)
-
-    bad = None
-    for a in range(n):
-        w = _first_false(leq(DT[M[a][DT]], DT[M[a]]), ("b",))
-        if w is not None:
-            bad = {"a": a, **w}
-            break
-    law("dloc", bad)
-
-    # llp: dom(a) <= p  <=>  a <= p a
-    bad = None
-    for p in mem:
-        lhs = leq(DT, np.full(n, p))
-        rhs = leq(ar, M[p])
-        w = _first_false(lhs == rhs, ("a",))
-        if w is not None:
-            bad = {"p": p, **w}
-            break
-    law("llp", bad)
-
-    # gla: dom(a) <= p  <=>  p' a <= 0
-    bad = None
-    for p in mem:
-        lhs = leq(DT, np.full(n, p))
-        rhs = M[compl[p]] == z
-        w = _first_false(lhs == rhs, ("a",))
-        if w is not None:
-            bad = {"p": p, **w}
-            break
-    law("gla", bad)
-
-    law("cd1", _first_false(leq(ar, M[ar, RT]), ("a",)))
-
-    bad = None
-    for p in mem:
-        w = _first_false(leq(RT[M[:, p]], np.full(n, p)), ("a",))
-        if w is not None:
-            bad = {"p": p, **w}
-            break
-    law("cd2", bad)
-
-    bad = None
-    for a in range(n):
-        w = _first_false(leq(RT[M[RT[a]]], RT[M[a]]), ("b",))
-        if w is not None:
-            bad = {"a": a, **w}
-            break
-    law("cdloc", bad)
-
-    # lrp: cod(a) <= p  <=>  a <= a p
-    bad = None
-    for p in mem:
-        lhs = leq(RT, np.full(n, p))
-        rhs = leq(ar, M[:, p])
-        w = _first_false(lhs == rhs, ("a",))
-        if w is not None:
-            bad = {"p": p, **w}
-            break
-    law("lrp", bad)
-
-    # gra: cod(a) <= p  <=>  a p' <= 0
-    bad = None
-    for p in mem:
-        lhs = leq(RT, np.full(n, p))
-        rhs = M[:, compl[p]] == z
-        w = _first_false(lhs == rhs, ("a",))
-        if w is not None:
-            bad = {"p": p, **w}
-            break
-    law("gra", bad)
-    return reports
+    return check_laws(DOMAIN_AXIOMS, D.owner, D=D)
 
 
 def check_domain_calculus(D: DomainStructure) -> list[LawReport]:
@@ -351,212 +321,10 @@ def check_domain_calculus(D: DomainStructure) -> list[LawReport]:
     Everything a computed predomain should satisfy: strictness through
     complement commutation, the top-element Galois connection, and the
     preimage exchange/decomposition laws.  Laws that need locality are
-    checked only when the dloc flag holds and reported as not applicable
-    otherwise.
+    checked only when the dloc and cdloc flags hold and reported as not
+    applicable otherwise.
     """
-    S = D.owner
-    A, M, n, z, one = S.add, S.mul, S.n, S.zero, S.one
-    DT, RT = D.delta, D.rho
-    ar = np.arange(n)
-    mem = D.tests.members
-    compl = D.tests.compl
-    reports = []
-
-    def law(name, witness, note=""):
-        reports.append(LawReport(name, witness is None, witness, note))
-
-    def skip(name):
-        reports.append(LawReport(name, True, None, "not applicable: no locality"))
-
-    def leq(x, y):
-        return A[x, y] == y
-
-    def scan_tests(fn, extra=("a",)):
-        for p in mem:
-            w = _first_false(fn(p), extra)
-            if w is not None:
-                return {"p": p, **w}
-        return None
-
-    # strictness: dom(a) <= 0 iff a <= 0
-    law("dom-strict", _first_false(leq(DT, np.full(n, z)) == leq(ar, np.full(n, z)), ("a",)))
-    # additivity
-    law("dom-additive", _first_false(DT[A] == A[DT[:, None], DT[None, :]], ("a", "b")))
-    # monotonicity
-    law("dom-monotone", _first_false(~leq(ar[:, None], ar[None, :]) | leq(DT[:, None], DT[None, :]), ("a", "b")))
-    # stability on tests
-    bad = None
-    for p in mem:
-        if int(DT[p]) != p:
-            bad = {"p": p}
-            break
-    law("dom-stable-on-tests", bad)
-    law("dom-idempotent", _first_false(DT[DT] == DT, ("a",)))
-    # a = dom(a) a, the equational strengthening of d1
-    law("dom-left-invariant", _first_false(M[DT, ar] == ar, ("a",)))
-    # import/export: dom(p a) = p dom(a)
-    law("dom-export", scan_tests(lambda p: DT[M[p]] == M[p][DT]))
-    # decomposition: dom(a b) <= dom(a dom(b))
-    bad = None
-    for a in range(n):
-        w = _first_false(leq(DT[M[a]], DT[M[a][DT]]), ("b",))
-        if w is not None:
-            bad = {"a": a, **w}
-            break
-    law("dom-decompose", bad)
-    # complement commutation on tests: dom(p)' = dom(p')
-    bad = None
-    for p in mem:
-        if compl[int(DT[p])] != int(DT[compl[p]]):
-            bad = {"p": p}
-            break
-    law("dom-complement", bad)
-
-    # Galois with top: dom(a) <= p iff a <= p top
-    top = D.el_top
-    if top is None:
-        law("dom-top-galois", None, note="not applicable: no greatest element")
-    else:
-        law("dom-top-galois", scan_tests(lambda p: leq(DT, np.full(n, p)) == leq(ar, np.full(n, int(M[p, top])))))
-
-    # preimage of the full test is the domain; image dually
-    law("preimage-of-one", _first_false(DT[M[:, one]] == DT, ("a",)))
-    law("image-of-one", _first_false(RT[M[one]] == RT, ("a",)))
-
-    # (51) a:p <= q  <=>  a p <= q a
-    bad = None
-    for p in mem:
-        for q in mem:
-            lhs = leq(DT[M[:, p]], np.full(n, q))
-            rhs = leq(M[:, p], M[q])
-            w = _first_false(lhs == rhs, ("a",))
-            if w is not None:
-                bad = {"p": p, "q": q, **w}
-                break
-        if bad:
-            break
-    law("preimage-vs-commutation", bad)
-
-    # (52) a:p <= q  <=>  q' a p <= 0
-    bad = None
-    for p in mem:
-        for q in mem:
-            lhs = leq(DT[M[:, p]], np.full(n, q))
-            rhs = M[M[compl[q]], p] == z
-            w = _first_false(lhs == rhs, ("a",))
-            if w is not None:
-                bad = {"p": p, "q": q, **w}
-                break
-        if bad:
-            break
-    law("preimage-vs-annihilation", bad)
-
-    # (53) p (a:q) = (p a) : q
-    bad = None
-    for p in mem:
-        for q in mem:
-            lhs = M[p][DT[M[:, q]]]
-            rhs = DT[M[M[p], q]]
-            w = _first_false(lhs == rhs, ("a",))
-            if w is not None:
-                bad = {"p": p, "q": q, **w}
-                break
-        if bad:
-            break
-    law("preimage-import-export", bad)
-
-    # (54) a:p <= q  <=>  q':a <= p'
-    bad = None
-    for p in mem:
-        for q in mem:
-            lhs = leq(DT[M[:, p]], np.full(n, q))
-            rhs = leq(RT[M[compl[q]]], np.full(n, compl[p]))
-            w = _first_false(lhs == rhs, ("a",))
-            if w is not None:
-                bad = {"p": p, "q": q, **w}
-                break
-        if bad:
-            break
-    law("preimage-exchange", bad)
-
-    # (55) (p:a) q <= 0  <=>  p (a:q) <= 0
-    bad = None
-    for p in mem:
-        for q in mem:
-            lhs = M[RT[M[p]], q] == z
-            rhs = M[p, DT[M[:, q]]] == z
-            w = _first_false(lhs == rhs, ("a",))
-            if w is not None:
-                bad = {"p": p, "q": q, **w}
-                break
-        if bad:
-            break
-    law("image-preimage-annihilation", bad)
-
-    # (56) p:(a b) <= (p:a):b, with equality under locality
-    local = bool(D.flags.get("cdloc")) and bool(D.flags.get("dloc"))
-    bad = None
-    bad_eq = None
-    for p in mem:
-        pa_img = RT[M[p]]
-        lhs = RT[M[M[p][:, None], ar[None, :]]]
-        rhs = RT[M[pa_img[:, None], ar[None, :]]]
-        w = _first_false(leq(lhs, rhs), ("a", "b"))
-        if w is not None and bad is None:
-            bad = {"p": p, **w}
-        if local and bad_eq is None:
-            w = _first_false(lhs == rhs, ("a", "b"))
-            if w is not None:
-                bad_eq = {"p": p, **w}
-    law("image-compose-bound", bad)
-    if local:
-        law("image-compose-exact", bad_eq)
-    else:
-        skip("image-compose-exact")
-
-    # (57)/(58) under locality: dom(a b) = a : dom(b); cod(a b) = cod(a) : b
-    if local:
-        bad = None
-        for a in range(n):
-            w = _first_false(DT[M[a]] == DT[M[a][DT]], ("b",))
-            if w is not None:
-                bad = {"a": a, **w}
-                break
-        law("dom-compose-local", bad)
-        bad = None
-        for a in range(n):
-            w = _first_false(RT[M[a]] == RT[M[RT[a]]], ("b",))
-            if w is not None:
-                bad = {"a": a, **w}
-                break
-        law("cod-compose-local", bad)
-    else:
-        skip("dom-compose-local")
-        skip("cod-compose-local")
-
-    # zero-divisor exchange (locality in equational clothing):
-    # a b <= 0  <=>  cod(a) dom(b) <= 0
-    if local:
-        bad = None
-        for a in range(n):
-            lhs = M[a] == z
-            rhs = M[RT[a], DT] == z
-            w = _first_false(lhs == rhs, ("b",))
-            if w is not None:
-                bad = {"a": a, **w}
-                break
-        law("annihilation-via-dom-cod", bad)
-    else:
-        skip("annihilation-via-dom-cod")
-    return reports
-
-
-def preimage(D: DomainStructure, a: int, p: int) -> int:
-    return D.preimage(a, p)
-
-
-def image(D: DomainStructure, p: int, a: int) -> int:
-    return D.image(p, a)
+    return check_laws(DOMAIN_CALCULUS, D.owner, D=D)
 
 
 def is_integral(S: FiniteSemiring) -> Verdict:
@@ -579,74 +347,90 @@ def is_integral(S: FiniteSemiring) -> Verdict:
 # converse
 
 
+def _converse_law_tables():
+    a, b, p = var("a"), var("b"), var("p")
+    zero, one = zero_term, one_term
+    converse = (
+        Law("conv-involutive", "a", eq(conv(conv(a)), a)),
+        Law("conv-additive", "a b", eq(conv(a + b), conv(a) + conv(b))),
+        Law("conv-contravariant", "a b", eq(conv(a * b), conv(b) * conv(a))),
+        Law("conv-shrinks-subidentities", "p", leq(conv(p), p), leq(p, one)),
+        Law("conv-self-embedding", "a", leq(a, (a * conv(a)) * a)),
+        Law("conv-fixes-one", "a", eq(conv(a), a), eq(a, one)),
+        Law("conv-fixes-zero", "a", eq(conv(a), a), eq(a, zero)),
+        Law("conv-order-embedding", "a b", iff(leq(a, b), leq(conv(a), conv(b)))),
+        Law("conv-fixes-subidentities", "p", eq(conv(p), p), leq(p, one)),
+    )
+    duality = (
+        Law("dom-of-converse", "a", eq(dom(conv(a)), cod(a))),
+        Law("cod-of-converse", "a", eq(cod(conv(a)), dom(a))),
+        Law("preimage-via-converse", "p a", eq(dom(conv(a) * p), cod(p * a)), tests="p"),
+        Law("image-via-converse", "p a", eq(cod(conv(a) * p), dom(p * a)), tests="p"),
+    )
+    return converse, duality
+
+
+CONVERSE_LAWS, CONVERSE_DUALITY = _converse_law_tables()
+
+
 def check_converse(S: FiniteSemiring) -> list[LawReport]:
     """Involution, additivity, contravariance, subidentity weakening and
     the modular self-embedding a <= a a° a, plus their small consequences."""
     if S.conv is None:
         raise ValueError(f"{S.name} declares no converse table")
-    A, M, n = S.add, S.mul, S.n
-    CV = S.conv
-    ar = np.arange(n)
-    reports = []
-
-    def law(name, witness):
-        reports.append(LawReport(name, witness is None, witness))
-
-    def leq(x, y):
-        return A[x, y] == y
-
-    law("conv-involutive", _first_false(CV[CV] == ar, ("a",)))
-    law("conv-additive", _first_false(CV[A] == A[CV[:, None], CV[None, :]], ("a", "b")))
-    law("conv-contravariant", _first_false(CV[M] == M[CV[None, :], CV[:, None]], ("a", "b")))
-
-    subs = np.array([x for x in range(n) if S.leq(x, S.one)])
-
-    def sub_witness(mask):
-        w = _first_false(mask, ("i",))
-        return None if w is None else {"p": int(subs[w["i"]])}
-
-    law("conv-shrinks-subidentities", sub_witness(leq(CV[subs], subs)))
-    law("conv-self-embedding", _first_false(leq(ar, M[M[ar, CV], ar]), ("a",)))
-
-    law("conv-fixes-one", None if int(CV[S.one]) == S.one else {"a": S.one})
-    law("conv-fixes-zero", None if int(CV[S.zero]) == S.zero else {"a": S.zero})
-    law(
-        "conv-order-embedding",
-        _first_false(leq(ar[:, None], ar[None, :]) == leq(CV[:, None], CV[None, :]), ("a", "b")),
-    )
-    law("conv-fixes-subidentities", sub_witness(CV[subs] == subs))
-    return reports
+    return check_laws(CONVERSE_LAWS, S)
 
 
 def converse_duality_check(D: DomainStructure) -> list[LawReport]:
     """dom/cod swap under converse: dom(a°) = cod(a) and friends."""
-    S = D.owner
-    if S.conv is None:
+    if D.owner.conv is None:
         return [LawReport("converse-duality", True, None, "not applicable: no converse declared")]
-    M, n = S.mul, S.n
-    CV, DT, RT = S.conv, D.delta, D.rho
-    mem = D.tests.members
-    reports = []
+    return check_laws(CONVERSE_DUALITY, D.owner, D=D)
 
-    def law(name, witness):
-        reports.append(LawReport(name, witness is None, witness))
 
-    law("dom-of-converse", _first_false(DT[CV] == RT, ("a",)))
-    law("cod-of-converse", _first_false(RT[CV] == DT, ("a",)))
+# ---------------------------------------------------------------------------
+# laws over the domain surface, exhaustive or sampled
 
-    bad = None
-    for p in mem:
-        w = _first_false(DT[M[CV, p]] == RT[M[p]], ("a",))
-        if w is not None:
-            bad = {"p": p, **w}
-            break
-    law("preimage-via-converse", bad)
 
-    bad = None
-    for p in mem:
-        w = _first_false(RT[M[CV, p]] == DT[M[p]], ("a",))
-        if w is not None:
-            bad = {"p": p, **w}
-            break
-    law("image-via-converse", bad)
-    return reports
+def law_runner(D, budget: int, samples: int, rng):
+    """run(name, kinds, pred, names) -> LawReport for any model with the domain surface.
+
+    kinds has one letter per argument of pred: e (element) or t (test).
+    The law is checked on every assignment when their number is within
+    budget and on `samples` random ones drawn from rng otherwise; the note
+    says which.  Witnesses map names to the model's element and test names.
+    """
+    members = D.test_members()
+    n_el = D.size() if callable(getattr(D, "size", None)) else None
+    if n_el is None:
+        n_el = len(list(D.elements()))
+    els: list = []
+
+    def elements():
+        if not els:
+            els.extend(D.elements())
+        return els
+
+    def draw(kind):
+        if kind == "t":
+            return members[rng.randrange(len(members))]
+        if hasattr(D, "sample"):
+            return D.sample(rng)
+        return elements()[rng.randrange(len(elements()))]
+
+    def run(name, kinds, pred, names) -> LawReport:
+        if math.prod(n_el if k == "e" else len(members) for k in kinds) <= budget:
+            note = "exhaustive"
+            combos = itertools.product(*(elements() if k == "e" else members for k in kinds))
+        else:
+            note = f"sampled ({samples})"
+            combos = (tuple(draw(k) for k in kinds) for _ in range(samples))
+        for combo in combos:
+            if not pred(*combo):
+                witness = {
+                    nm: D.el_name(v) if k == "e" else D.test_name(v) for nm, k, v in zip(names, kinds, combo)
+                }
+                return LawReport(name, False, witness, note)
+        return LawReport(name, True, None, note)
+
+    return run

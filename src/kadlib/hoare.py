@@ -14,12 +14,12 @@ weakening, plus semantically checked axioms) are validated node by node.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 from .algebra import LawReport, Verdict
+from .domain import law_runner
 
 __all__ = [
     "Prim",
@@ -324,96 +324,51 @@ def check_hoare_rules(D, budget: int = 300_000, samples: int = 1000, rng=None) -
     while:       (pq):a <= q implies q:((pa)* p') <= p'q
     weakening:   p1 <= p, p:a <= q, q <= q1 imply p1:a <= q1
     """
-    rng = rng or random.Random(0)
-    reports = []
-    members = D.test_members()
-    n_t = len(members)
-    n_el = D.size() if callable(getattr(D, "size", None)) else None
-    if n_el is None:
-        n_el = len(list(D.elements()))
-    _els: list = []
-
-    def els():
-        if not _els:
-            _els.extend(D.elements())
-        return _els
-
-    def sample_el():
-        if hasattr(D, "sample"):
-            return D.sample(rng)
-        pool = els()
-        return pool[rng.randrange(len(pool))]
-
-    def run(name, kinds, pred, names):
-        size = 1
-        for k in kinds:
-            size *= n_el if k == "e" else n_t
-        if size <= budget:
-            pools = [els() if k == "e" else members for k in kinds]
-            for combo in itertools.product(*pools):
-                if not pred(*combo):
-                    witness = {
-                        nm: (D.el_name(v) if k == "e" else D.test_name(v))
-                        for nm, k, v in zip(names, kinds, combo)
-                    }
-                    reports.append(LawReport(name, False, witness, "exhaustive"))
-                    return
-            reports.append(LawReport(name, True, None, "exhaustive"))
-            return
-        for _ in range(samples):
-            combo = tuple(sample_el() if k == "e" else members[rng.randrange(n_t)] for k in kinds)
-            if not pred(*combo):
-                witness = {
-                    nm: (D.el_name(v) if k == "e" else D.test_name(v))
-                    for nm, k, v in zip(names, kinds, combo)
-                }
-                reports.append(LawReport(name, False, witness, f"sampled ({samples})"))
-                return
-        reports.append(LawReport(name, True, None, f"sampled ({samples})"))
-
+    run = law_runner(D, budget, samples, rng or random.Random(0))
     img = D.image
     meet, compl, leq = D.test_meet, D.test_compl, D.test_leq
 
-    run(
-        "rule-composition",
-        "eettt",
-        lambda a, b, p, q, r: not (leq(img(p, a), q) and leq(img(q, b), r))
-        or leq(img(p, D.el_mul(a, b)), r),
-        ("a", "b", "p", "q", "r"),
-    )
-    run(
-        "rule-conditional",
-        "eettt",
-        lambda a, b, p, q, r: not (
-            leq(img(meet(p, q), a), r) and leq(img(meet(compl(p), q), b), r)
-        )
-        or leq(
-            img(
-                q,
-                D.el_add(
-                    D.el_mul(D.embed(p), a),
-                    D.el_mul(D.embed(compl(p)), b),
+    return [
+        run(
+            "rule-composition",
+            "eettt",
+            lambda a, b, p, q, r: not (leq(img(p, a), q) and leq(img(q, b), r))
+            or leq(img(p, D.el_mul(a, b)), r),
+            ("a", "b", "p", "q", "r"),
+        ),
+        run(
+            "rule-conditional",
+            "eettt",
+            lambda a, b, p, q, r: not (
+                leq(img(meet(p, q), a), r) and leq(img(meet(compl(p), q), b), r)
+            )
+            or leq(
+                img(
+                    q,
+                    D.el_add(
+                        D.el_mul(D.embed(p), a),
+                        D.el_mul(D.embed(compl(p)), b),
+                    ),
                 ),
+                r,
             ),
-            r,
+            ("a", "b", "p", "q", "r"),
         ),
-        ("a", "b", "p", "q", "r"),
-    )
-    run(
-        "rule-while",
-        "ett",
-        lambda a, p, q: not leq(img(meet(p, q), a), q)
-        or leq(
-            img(q, D.el_mul(D.el_star(D.el_mul(D.embed(p), a)), D.embed(compl(p)))),
-            meet(compl(p), q),
+        run(
+            "rule-while",
+            "ett",
+            lambda a, p, q: not leq(img(meet(p, q), a), q)
+            or leq(
+                img(q, D.el_mul(D.el_star(D.el_mul(D.embed(p), a)), D.embed(compl(p)))),
+                meet(compl(p), q),
+            ),
+            ("a", "p", "q"),
         ),
-        ("a", "p", "q"),
-    )
-    run(
-        "rule-weakening",
-        "etttt",
-        lambda a, p1, p, q, q1: not (leq(p1, p) and leq(img(p, a), q) and leq(q, q1))
-        or leq(img(p1, a), q1),
-        ("a", "p1", "p", "q", "q1"),
-    )
-    return reports
+        run(
+            "rule-weakening",
+            "etttt",
+            lambda a, p1, p, q, q1: not (leq(p1, p) and leq(img(p, a), q) and leq(q, q1))
+            or leq(img(p1, a), q1),
+            ("a", "p1", "p", "q", "q1"),
+        ),
+    ]

@@ -13,12 +13,12 @@ DomainStructure or a direct relational model.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import LawReport
+from .domain import law_runner
 
 __all__ = ["ReachResult", "reach_naive", "reach_efficient", "check_star_preimage_laws"]
 
@@ -109,13 +109,6 @@ def reach_efficient(D, a, p, order: str = "asc", rng=None) -> ReachResult:
 # the star-preimage law suite
 
 
-def _space(*sizes) -> int:
-    total = 1
-    for s in sizes:
-        total *= s
-    return total
-
-
 def check_star_preimage_laws(D, samples: int = 1000, rng=None, budget: int = 200_000) -> list[LawReport]:
     """Star/domain interaction laws, exhaustive if the space fits the budget.
 
@@ -126,79 +119,32 @@ def check_star_preimage_laws(D, samples: int = 1000, rng=None, budget: int = 200
     past the invariant rule are stated for local models and are skipped
     without locality.
     """
-    rng = rng or random.Random(0)
-    reports = []
-
-    n_el = D.size() if callable(getattr(D, "size", None)) else None
-    if n_el is None:
-        n_el = len(list(D.elements()))
-    members = D.test_members()
-    n_t = len(members)
-    _els: list = []
-
-    def elements_list():
-        if not _els:
-            _els.extend(D.elements())
-        return _els
-
-    def sample_el():
-        if hasattr(D, "sample"):
-            return D.sample(rng)
-        els = elements_list()
-        return els[rng.randrange(len(els))]
-
-    def run(name, kinds, pred, names):
-        """kinds: 'e' element, 't' test; pred returns True/False."""
-        size = _space(*[n_el if k == "e" else n_t for k in kinds])
-        if size <= budget:
-            pools = [elements_list() if k == "e" else members for k in kinds]
-            for combo in itertools.product(*pools):
-                if not pred(*combo):
-                    witness = {
-                        nm: (D.el_name(v) if k == "e" else D.test_name(v))
-                        for nm, k, v in zip(names, kinds, combo)
-                    }
-                    reports.append(LawReport(name, False, witness, "exhaustive"))
-                    return
-            reports.append(LawReport(name, True, None, "exhaustive"))
-            return
-        for _ in range(samples):
-            combo = tuple(
-                sample_el() if k == "e" else members[rng.randrange(n_t)] for k in kinds
-            )
-            if not pred(*combo):
-                witness = {
-                    nm: (D.el_name(v) if k == "e" else D.test_name(v))
-                    for nm, k, v in zip(names, kinds, combo)
-                }
-                reports.append(LawReport(name, False, witness, f"sampled ({samples})"))
-                return
-        reports.append(LawReport(name, True, None, f"sampled ({samples})"))
-
+    run = law_runner(D, budget, samples, rng or random.Random(0))
     one_t = D.test_one
-
-    # star of a domain element collapses to the unit
-    run(
-        "star-of-domain",
-        "e",
-        lambda a: D.el_star(D.embed(D.dom(a))) == D.el_one,
-        ("a",),
-    )
-    # every starred element is total
-    run(
-        "domain-of-star",
-        "e",
-        lambda a: D.dom(D.el_star(a)) == one_t,
-        ("a",),
-    )
-    # an invariant of a is an invariant of a*
-    run(
-        "invariant-star",
-        "et",
-        lambda a, p: not D.test_leq(D.preimage(a, p), p)
-        or D.test_leq(D.preimage(D.el_star(a), p), p),
-        ("a", "p"),
-    )
+    reports = [
+        # star of a domain element collapses to the unit
+        run(
+            "star-of-domain",
+            "e",
+            lambda a: D.el_star(D.embed(D.dom(a))) == D.el_one,
+            ("a",),
+        ),
+        # every starred element is total
+        run(
+            "domain-of-star",
+            "e",
+            lambda a: D.dom(D.el_star(a)) == one_t,
+            ("a",),
+        ),
+        # an invariant of a is an invariant of a*
+        run(
+            "invariant-star",
+            "et",
+            lambda a, p: not D.test_leq(D.preimage(a, p), p)
+            or D.test_leq(D.preimage(D.el_star(a), p), p),
+            ("a", "p"),
+        ),
+    ]
 
     if not D.flags.get("dloc", False):
         note = "not applicable: no locality"
@@ -206,53 +152,54 @@ def check_star_preimage_laws(D, samples: int = 1000, rng=None, budget: int = 200
             reports.append(LawReport(name, True, None, note))
         return reports
 
-    # b + ac <= c for preimages: a:p + q <= p  =>  a*:q <= p
-    run(
-        "preimage-star-induction",
-        "ett",
-        lambda a, p, q: not D.test_leq(D.test_join(D.preimage(a, p), q), p)
-        or D.test_leq(D.preimage(D.el_star(a), q), p),
-        ("a", "p", "q"),
-    )
-    # a*:p <= p + a*:(p' (a:p))
-    run(
-        "frontier-bound",
-        "et",
-        lambda a, p: D.test_leq(
-            D.preimage(D.el_star(a), p),
-            D.test_join(
+    return reports + [
+        # b + ac <= c for preimages: a:p + q <= p  =>  a*:q <= p
+        run(
+            "preimage-star-induction",
+            "ett",
+            lambda a, p, q: not D.test_leq(D.test_join(D.preimage(a, p), q), p)
+            or D.test_leq(D.preimage(D.el_star(a), q), p),
+            ("a", "p", "q"),
+        ),
+        # a*:p <= p + a*:(p' (a:p))
+        run(
+            "frontier-bound",
+            "et",
+            lambda a, p: D.test_leq(
+                D.preimage(D.el_star(a), p),
+                D.test_join(
+                    p,
+                    D.preimage(D.el_star(a), D.test_meet(D.test_compl(p), D.preimage(a, p))),
+                ),
+            ),
+            ("a", "p"),
+        ),
+        # a*:p = p + (a p')*:(a:p), the worklist decomposition
+        run(
+            "frontier-decomposition",
+            "et",
+            lambda a, p: D.preimage(D.el_star(a), p)
+            == D.test_join(
                 p,
-                D.preimage(D.el_star(a), D.test_meet(D.test_compl(p), D.preimage(a, p))),
+                D.preimage(
+                    D.el_star(D.el_mul(a, D.embed(D.test_compl(p)))),
+                    D.preimage(a, p),
+                ),
             ),
+            ("a", "p"),
         ),
-        ("a", "p"),
-    )
-    # a*:p = p + (a p')*:(a:p), the worklist decomposition
-    run(
-        "frontier-decomposition",
-        "et",
-        lambda a, p: D.preimage(D.el_star(a), p)
-        == D.test_join(
-            p,
-            D.preimage(
-                D.el_star(D.el_mul(a, D.embed(D.test_compl(p)))),
-                D.preimage(a, p),
+        # (ac):p + b:q <= c:p  =>  (a*b):q <= c:p
+        run(
+            "preimage-horn-induction",
+            "eeett",
+            lambda a, b, c, p, q: not D.test_leq(
+                D.test_join(D.preimage(D.el_mul(a, c), p), D.preimage(b, q)),
+                D.preimage(c, p),
+            )
+            or D.test_leq(
+                D.preimage(D.el_mul(D.el_star(a), b), q),
+                D.preimage(c, p),
             ),
+            ("a", "b", "c", "p", "q"),
         ),
-        ("a", "p"),
-    )
-    # (ac):p + b:q <= c:p  =>  (a*b):q <= c:p
-    run(
-        "preimage-horn-induction",
-        "eeett",
-        lambda a, b, c, p, q: not D.test_leq(
-            D.test_join(D.preimage(D.el_mul(a, c), p), D.preimage(b, q)),
-            D.preimage(c, p),
-        )
-        or D.test_leq(
-            D.preimage(D.el_mul(D.el_star(a), b), q),
-            D.preimage(c, p),
-        ),
-        ("a", "b", "c", "p", "q"),
-    )
-    return reports
+    ]

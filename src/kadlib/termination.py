@@ -41,7 +41,7 @@ class TerminationReport:
     def __str__(self):
         def cell(v: Verdict, label):
             if v.holds:
-                return f"{label}=true"
+                return f"{label}=true (sampled)" if v.note == "sampled" else f"{label}=true"
             w = f" (witness {v.note})" if v.note else ""
             return f"{label}=false{w}"
 

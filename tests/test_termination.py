@@ -312,3 +312,9 @@ def test_sampling_fallback_reports_itself():
     assert v.holds and v.note == "sampled"
     w = is_loebian(D, D.zero, budget=4, samples=50, rng=random.Random(1))
     assert w.holds and w.note == "sampled"
+
+
+def test_sampled_verdicts_say_so_in_the_report():
+    D = rel_model(5)
+    rep = termination_report(D, D.zero, budget=4, samples=50, rng=random.Random(1))
+    assert str(rep) == "{}: noetherian=true (sampled) well_founded=true (sampled) loebian=true (sampled)"
