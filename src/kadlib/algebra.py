@@ -131,9 +131,6 @@ class FiniteSemiring:
     def subidentities(self) -> list[int]:
         return [x for x in range(self.n) if self.leq(x, self.one)]
 
-    def has_star(self) -> bool:
-        return self.star is not None
-
     def top(self) -> Optional[int]:
         """Greatest element in the natural order, if one exists."""
         for t in range(self.n):
@@ -477,6 +474,15 @@ class Law:
 _NOT_APPLICABLE = {"dloc": "no locality", "cdloc": "no locality", "top": "no greatest element"}
 
 
+def _not_applicable(law: Law, top, model) -> Optional[LawReport]:
+    """The report for a law whose requires flags are unmet (top() or model.flags), else None."""
+    flags = getattr(model, "flags", {})
+    for f in law.requires:
+        if (top() is None) if f == "top" else not flags.get(f):
+            return LawReport(law.name, True, None, f"not applicable: {_NOT_APPLICABLE[f]}")
+    return None
+
+
 def _report(name: str, witness: Optional[dict], note: str = "") -> LawReport:
     return LawReport(name, witness is None, witness, note)
 
@@ -516,7 +522,7 @@ class _Scanner:
 
     @functools.cached_property
     def top(self) -> Optional[int]:
-        return self.S.top() if self.D is None else self.D.el_top
+        return self.S.top() if self.D is None else self.D.top
 
     def _term(self, t: Term):
         """(fn, deps): fn(env) evaluates t; deps holds the variable positions it reads."""
@@ -637,11 +643,8 @@ def check_laws(laws, S: FiniteSemiring, T: Optional[TestAlgebra] = None, D=None,
         if isinstance(law, str):
             reports.append(given[law])
             continue
-        missing = [f for f in law.requires if not (scanner.top is not None if f == "top" else D.flags.get(f))]
-        if missing:
-            reports.append(LawReport(law.name, True, None, f"not applicable: {_NOT_APPLICABLE[missing[0]]}"))
-        else:
-            reports.append(_report(law.name, scanner.first_failure(law)))
+        skipped = _not_applicable(law, lambda: scanner.top, D)
+        reports.append(skipped or _report(law.name, scanner.first_failure(law)))
     return reports
 
 

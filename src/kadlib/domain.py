@@ -12,8 +12,10 @@ the axioms (independence proofs, locality counterexamples) are data here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import random
 from typing import Optional
 
 import numpy as np
@@ -22,8 +24,11 @@ from .algebra import (
     FiniteSemiring,
     Law,
     LawReport,
+    Term,
     TestAlgebra,
     Verdict,
+    _not_applicable,
+    _Scanner,
     check_laws,
     cod,
     compl,
@@ -48,7 +53,7 @@ __all__ = [
     "check_converse",
     "converse_duality_check",
     "is_integral",
-    "law_runner",
+    "run_laws",
     "DOMAIN_AXIOMS",
     "DOMAIN_CALCULUS",
     "CONVERSE_LAWS",
@@ -91,10 +96,14 @@ class DomainStructure:
         self.name = name or f"domain({owner.name})"
         self._top = owner.top()
         if flags is None:
-            reports = check_domain_axioms(self)
-            flags = {r.name: r.holds for r in reports if r.name in _FLAG_LAWS}
+            flags = {r.name: r.holds for r in self._axiom_reports if r.name in _FLAG_LAWS}
             flags["integral"] = is_integral(owner).holds
         self.flags = dict(flags)
+
+    @functools.cached_property
+    def _axiom_reports(self) -> list[LawReport]:
+        """The DOMAIN_AXIOMS reports, scanned once per structure (the tables are read-only)."""
+        return check_laws(DOMAIN_AXIOMS, self.owner, D=self)
 
     # -- the operators -------------------------------------------------
 
@@ -114,36 +123,36 @@ class DomainStructure:
         self.tests.require(p)
         return int(self.rho[self.owner.mul[p, a]])
 
-    # -- element surface (shared shape with RelModel) -------------------
+    # -- element surface (the ModelHandle names) -------------------------
 
     @property
     def has_star(self) -> bool:
         return self.owner.star is not None
 
-    def el_add(self, x: int, y: int) -> int:
+    def add(self, x: int, y: int) -> int:
         return int(self.owner.add[x, y])
 
-    def el_mul(self, x: int, y: int) -> int:
+    def mul(self, x: int, y: int) -> int:
         return int(self.owner.mul[x, y])
 
-    def el_star(self, x: int) -> int:
+    def star(self, x: int) -> int:
         if self.owner.star is None:
             raise ValueError(f"{self.owner.name} has no star operation")
         return int(self.owner.star[x])
 
-    def el_leq(self, x: int, y: int) -> bool:
+    def leq(self, x: int, y: int) -> bool:
         return self.owner.leq(x, y)
 
     @property
-    def el_zero(self) -> int:
+    def zero(self) -> int:
         return self.owner.zero
 
     @property
-    def el_one(self) -> int:
+    def one(self) -> int:
         return self.owner.one
 
     @property
-    def el_top(self) -> Optional[int]:
+    def top(self) -> Optional[int]:
         return self._top
 
     def el_name(self, x: int) -> str:
@@ -180,9 +189,6 @@ class DomainStructure:
 
     def sample_test(self, rng) -> int:
         return self.tests.members[rng.randrange(len(self.tests.members))]
-
-    def test_atoms(self) -> list[int]:
-        return self.tests.atoms()
 
     def atoms_below(self, p: int) -> list[int]:
         return self.tests.atoms_below(p)
@@ -311,8 +317,9 @@ def check_domain_axioms(D: DomainStructure) -> list[LawReport]:
     dloc: dom(a dom(b)) <= dom(a b)   and cdloc dually
     llp/gla (lrp/gra): dom (cod) is the least preserver / the complement of
     the greatest annihilator, stated as equivalences over all (a, p).
+    The scan is made once per structure and its reports are kept.
     """
-    return check_laws(DOMAIN_AXIOMS, D.owner, D=D)
+    return list(D._axiom_reports)
 
 
 def check_domain_calculus(D: DomainStructure) -> list[LawReport]:
@@ -392,45 +399,123 @@ def converse_duality_check(D: DomainStructure) -> list[LawReport]:
 # laws over the domain surface, exhaustive or sampled
 
 
-def law_runner(D, budget: int, samples: int, rng):
-    """run(name, kinds, pred, names) -> LawReport for any model with the domain surface.
+def _kind(t: Term, tests) -> Optional[str]:
+    """'t' if t denotes a test, 'e' if an element, None if it is built from 0 and 1 alone."""
+    if t.op == "var":
+        return "t" if t.name in tests else "e"
+    if t.op in ("zero", "one"):
+        return None
+    if t.op in ("dom", "cod", "not"):
+        return "t"
+    if t.op in ("add", "mul"):
+        kinds = {_kind(x, tests) for x in t.args}
+        return "e" if "e" in kinds else ("t" if "t" in kinds else None)
+    return "e"
 
-    kinds has one letter per argument of pred: e (element) or t (test).
-    The law is checked on every assignment when their number is within
-    budget and on `samples` random ones drawn from rng otherwise; the note
-    says which.  Witnesses map names to the model's element and test names.
+
+class _Evaluator:
+    """A law compiled to closures over one model's methods; env is a tuple of values.
+
+    Tests stay tests while they meet only tests (join, meet and complement
+    of the test algebra) and are embedded when they meet an element.
+    dom(x p) is evaluated as preimage(x, p) and cod(p x) as image(p, x).
     """
-    members = D.test_members()
-    n_el = D.size() if callable(getattr(D, "size", None)) else None
-    if n_el is None:
-        n_el = len(list(D.elements()))
-    els: list = []
 
-    def elements():
-        if not els:
-            els.extend(D.elements())
-        return els
+    def __init__(self, D, law: Law):
+        self.D, self.tests = D, set(law.tests)
+        self.pos = {v: i for i, v in enumerate(law.vars)}
+        self.concl, self.premises = self.atom(law.concl), [self.atom(p) for p in law.premises]
 
-    def draw(kind):
-        if kind == "t":
-            return members[rng.randrange(len(members))]
-        if hasattr(D, "sample"):
-            return D.sample(rng)
-        return elements()[rng.randrange(len(elements()))]
+    def __call__(self, env) -> bool:
+        """The premises (checked in order, stopping at a false one) imply the conclusion."""
+        for p in self.premises:
+            if not p(env):
+                return True
+        return self.concl(env)
 
-    def run(name, kinds, pred, names) -> LawReport:
-        if math.prod(n_el if k == "e" else len(members) for k in kinds) <= budget:
-            note = "exhaustive"
-            combos = itertools.product(*(elements() if k == "e" else members for k in kinds))
+    def term(self, t: Term, as_test: bool):
+        D, kind = self.D, _kind(t, self.tests)
+        if kind == "t" and not as_test:
+            f = self.term(t, True)
+            return lambda env: D.embed(f(env))
+        if kind == "e" and as_test:
+            raise ValueError(f"{t} is not a test")
+        op = t.op
+        if op == "var":
+            i = self.pos[t.name]
+            return lambda env: env[i]
+        if op in ("zero", "one", "top"):
+            v = getattr(D, f"test_{op}" if as_test else op)
+            return lambda env: v
+        if op in ("add", "mul"):
+            fl, fr = (self.term(x, as_test) for x in t.args)
+            g = getattr(D, {"add": "test_join", "mul": "test_meet"}[op] if as_test else op)
+            return lambda env: g(fl(env), fr(env))
+        (x,) = t.args
+        if op in ("dom", "cod") and x.op == "mul" and _kind(x, self.tests) == "e":
+            # the test operand is on the right of dom and on the left of cod
+            a, p = x.args if op == "dom" else x.args[::-1]
+            if _kind(p, self.tests) == "t":
+                fa, fp = self.term(a, False), self.term(p, True)
+                if op == "dom":
+                    return lambda env: D.preimage(fa(env), fp(env))
+                return lambda env: D.image(fp(env), fa(env))
+        f = self.term(x, op == "not")
+        g = D.test_compl if op == "not" else getattr(D, op)
+        return lambda env: g(f(env))
+
+    def atom(self, atom: Term):
+        if atom.op == "iff":
+            fs = [self.atom(x) for x in atom.args]
+            return lambda env: len({f(env) for f in fs}) == 1
+        as_test = "e" not in {_kind(x, self.tests) for x in atom.args}
+        fl, fr = (self.term(x, as_test) for x in atom.args)
+        if atom.op == "eq":
+            return lambda env: fl(env) == fr(env)
+        le = self.D.test_leq if as_test else self.D.leq
+        return lambda env: le(fl(env), fr(env))
+
+
+def run_laws(laws, D, budget: int, samples: int, rng=None) -> list[LawReport]:
+    """One report per law, for any model with the domain surface.
+
+    A law whose instances number at most budget is checked on all of them,
+    by check_laws' scanner when D is a DomainStructure and through D's
+    methods otherwise.  Past the budget, or over an infinite carrier, it is
+    checked on `samples` assignments drawn from rng (default: seeded 0),
+    one draw per variable in declared order.  The note says which;
+    witnesses hold element and test names.
+    """
+    rng = rng or random.Random(0)
+    members = functools.cache(lambda: D.test_members())
+    elements = functools.cache(lambda: list(D.elements()))
+    scanner = functools.cache(lambda: _Scanner(D.owner, D=D))
+
+    def draw(is_test):
+        return members()[rng.randrange(len(members()))] if is_test else D.sample(rng)
+
+    reports = []
+    for law in laws:
+        skipped = _not_applicable(law, lambda: D.top, D)
+        if skipped is not None:
+            reports.append(skipped)
+            continue
+        is_test = [v in law.tests for v in law.vars]
+        sizes = [len(members()) if t else D.size() for t in is_test]
+        exhaustive = None not in sizes and math.prod(sizes) <= budget
+        if exhaustive and isinstance(D, DomainStructure):
+            found = scanner().first_failure(law)
+            values = None if found is None else tuple(found.values())
         else:
-            note = f"sampled ({samples})"
-            combos = (tuple(draw(k) for k in kinds) for _ in range(samples))
-        for combo in combos:
-            if not pred(*combo):
-                witness = {
-                    nm: D.el_name(v) if k == "e" else D.test_name(v) for nm, k, v in zip(names, kinds, combo)
-                }
-                return LawReport(name, False, witness, note)
-        return LawReport(name, True, None, note)
-
-    return run
+            if exhaustive:
+                envs = itertools.product(*(members() if t else elements() for t in is_test))
+            else:
+                envs = (tuple(draw(t) for t in is_test) for _ in range(samples))
+            holds = _Evaluator(D, law)
+            values = next((env for env in envs if not holds(env)), None)
+        note = "exhaustive" if exhaustive else f"sampled ({samples})"
+        witness = None
+        if values is not None:
+            witness = {v: D.test_name(x) if t else D.el_name(x) for v, t, x in zip(law.vars, is_test, values)}
+        reports.append(LawReport(law.name, witness is None, witness, note))
+    return reports

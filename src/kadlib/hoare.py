@@ -14,12 +14,11 @@ weakening, plus semantically checked axioms) are validated node by node.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .algebra import LawReport, Verdict
-from .domain import law_runner
+from .algebra import Law, LawReport, Verdict, cod, compl, leq, star, var
+from .domain import run_laws
 
 __all__ = [
     "Prim",
@@ -41,6 +40,7 @@ __all__ = [
     "validate_proof",
     "wlp",
     "check_hoare_rules",
+    "HOARE_RULES",
 ]
 
 
@@ -153,23 +153,23 @@ def denote(prog: Program, env: dict, D, tenv: Optional[dict] = None):
         if prog.name in env:
             return env[prog.name]
         if prog.name == "skip":
-            return D.el_one
+            return D.one
         if prog.name == "abort":
-            return D.el_zero
+            return D.zero
         raise ValueError(f"unresolved primitive action {prog.name!r}")
     if isinstance(prog, Seq):
-        return D.el_mul(denote(prog.first, env, D, tenv), denote(prog.second, env, D, tenv))
+        return D.mul(denote(prog.first, env, D, tenv), denote(prog.second, env, D, tenv))
     if isinstance(prog, Cond):
         p = D.embed(eval_test(prog.test, D, tenv))
         np_ = D.embed(D.test_compl(eval_test(prog.test, D, tenv)))
         a = denote(prog.then, env, D, tenv)
         b = denote(prog.orelse, env, D, tenv)
-        return D.el_add(D.el_mul(p, a), D.el_mul(np_, b))
+        return D.add(D.mul(p, a), D.mul(np_, b))
     if isinstance(prog, While):
         p = eval_test(prog.test, D, tenv)
         body = denote(prog.body, env, D, tenv)
-        looped = D.el_star(D.el_mul(D.embed(p), body))
-        return D.el_mul(looped, D.embed(D.test_compl(p)))
+        looped = D.star(D.mul(D.embed(p), body))
+        return D.mul(looped, D.embed(D.test_compl(p)))
     raise ValueError(f"not a program node: {prog!r}")
 
 
@@ -316,6 +316,36 @@ def wlp(D, a, p):
 # -- the encoded rules as algebraic Horn implications ------------------------
 
 
+def _hoare_rules():
+    a, b, p, q, r, p1, q1 = (var(v) for v in ("a", "b", "p", "q", "r", "p1", "q1"))
+
+    def img(t, x):
+        """t:x, the states x reaches from t"""
+        return cod(t * x)
+
+    return (
+        Law("rule-composition", "a b p q r", leq(img(p, a * b), r), (leq(img(p, a), q), leq(img(q, b), r)), tests="p q r"),
+        Law(
+            "rule-conditional",
+            "a b p q r",
+            leq(img(q, p * a + compl(p) * b), r),
+            (leq(img(p * q, a), r), leq(img(compl(p) * q, b), r)),
+            tests="p q r",
+        ),
+        Law("rule-while", "a p q", leq(img(q, star(p * a) * compl(p)), compl(p) * q), leq(img(p * q, a), q), tests="p q"),
+        Law(
+            "rule-weakening",
+            "a p1 p q q1",
+            leq(img(p1, a), q1),
+            (leq(p1, p), leq(img(p, a), q), leq(q, q1)),
+            tests="p1 p q q1",
+        ),
+    )
+
+
+HOARE_RULES = _hoare_rules()
+
+
 def check_hoare_rules(D, budget: int = 300_000, samples: int = 1000, rng=None) -> list[LawReport]:
     """Each inference rule, read as an implication between triples.
 
@@ -324,51 +354,4 @@ def check_hoare_rules(D, budget: int = 300_000, samples: int = 1000, rng=None) -
     while:       (pq):a <= q implies q:((pa)* p') <= p'q
     weakening:   p1 <= p, p:a <= q, q <= q1 imply p1:a <= q1
     """
-    run = law_runner(D, budget, samples, rng or random.Random(0))
-    img = D.image
-    meet, compl, leq = D.test_meet, D.test_compl, D.test_leq
-
-    return [
-        run(
-            "rule-composition",
-            "eettt",
-            lambda a, b, p, q, r: not (leq(img(p, a), q) and leq(img(q, b), r))
-            or leq(img(p, D.el_mul(a, b)), r),
-            ("a", "b", "p", "q", "r"),
-        ),
-        run(
-            "rule-conditional",
-            "eettt",
-            lambda a, b, p, q, r: not (
-                leq(img(meet(p, q), a), r) and leq(img(meet(compl(p), q), b), r)
-            )
-            or leq(
-                img(
-                    q,
-                    D.el_add(
-                        D.el_mul(D.embed(p), a),
-                        D.el_mul(D.embed(compl(p)), b),
-                    ),
-                ),
-                r,
-            ),
-            ("a", "b", "p", "q", "r"),
-        ),
-        run(
-            "rule-while",
-            "ett",
-            lambda a, p, q: not leq(img(meet(p, q), a), q)
-            or leq(
-                img(q, D.el_mul(D.el_star(D.el_mul(D.embed(p), a)), D.embed(compl(p)))),
-                meet(compl(p), q),
-            ),
-            ("a", "p", "q"),
-        ),
-        run(
-            "rule-weakening",
-            "etttt",
-            lambda a, p1, p, q, q1: not (leq(p1, p) and leq(img(p, a), q) and leq(q, q1))
-            or leq(img(p1, a), q1),
-            ("a", "p1", "p", "q", "q1"),
-        ),
-    ]
+    return run_laws(HOARE_RULES, D, budget, samples, rng)

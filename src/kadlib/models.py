@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import FiniteSemiring, TestAlgebra, LawReport
+from .algebra import ISEMIRING_LAWS, KLEENE_LAWS, FiniteSemiring, Law, LawReport, TestAlgebra
+from .domain import run_laws
 
 __all__ = [
     "StarUnsupportedError",
@@ -56,9 +56,12 @@ class StarUnsupportedError(ValueError):
 class ModelHandle:
     """Uniform interface over computable models.
 
-    Subclasses provide add/mul/leq/zero/one and optionally star, top,
-    element enumeration and sampling.  Elements are opaque values; el_name
-    renders them for reports.
+    Subclasses provide add/mul/zero/one and optionally star, top, element
+    enumeration (elements, size) and sampling.  Elements are opaque values;
+    el_name renders them for reports.  A model with domain adds the test
+    surface (test_members, test_join/meet/compl/leq, test_name, embed) and
+    dom/cod/preimage/image.  DomainStructure has the same names over its
+    tables, so one checker takes either.
     """
 
     name = "model"
@@ -104,32 +107,6 @@ class ModelHandle:
 
     def el_name(self, x) -> str:
         return str(x)
-
-    # aliases so domain-generic code can treat handles and table-backed
-    # domain structures uniformly
-    def el_add(self, x, y):
-        return self.add(x, y)
-
-    def el_mul(self, x, y):
-        return self.mul(x, y)
-
-    def el_star(self, x):
-        return self.star(x)
-
-    def el_leq(self, x, y):
-        return self.leq(x, y)
-
-    @property
-    def el_zero(self):
-        return self.zero
-
-    @property
-    def el_one(self):
-        return self.one
-
-    @property
-    def el_top(self):
-        return self.top
 
     def declared_tests(self):
         """(members, compl) in model representation, or None if undeclared."""
@@ -324,7 +301,6 @@ class RelModel(ModelHandle):
     (state bitmasks), with image/preimage computed directly on edges.
     """
 
-    finite = True
     has_star = True
 
     def __init__(self, n: int):
@@ -392,9 +368,6 @@ class RelModel(ModelHandle):
 
     def sample(self, rng) -> Relation:
         return self._from_mask(rng.getrandbits(self.n * self.n))
-
-    def el_name(self, x: Relation) -> str:
-        return str(x)
 
     # -- the test algebra: subsets of the base set ----------------------
 
@@ -620,8 +593,6 @@ def matrix_star(base: FiniteSemiring, mat, split: Optional[int] = None):
 class MatrixModel(ModelHandle):
     """q x q matrices over a finite base semiring, as a ModelHandle."""
 
-    has_star = True
-
     def __init__(self, base: FiniteSemiring, q: int):
         if q < 1:
             raise ValueError("need at least 1x1 matrices")
@@ -640,13 +611,7 @@ class MatrixModel(ModelHandle):
         return _mat_mul(self.base, x, y)
 
     def star(self, x):
-        if self.base.star is None:
-            raise StarUnsupportedError(f"{self.base.name} has no star operation")
         return matrix_star(self.base, x)
-
-    def leq(self, x, y) -> bool:
-        # natural order is componentwise
-        return self.add(x, y) == y
 
     @property
     def zero(self):
@@ -751,7 +716,6 @@ class MaxPlusModel(ModelHandle):
 
     name = "maxplus"
     finite = False
-    has_star = False
 
     def __init__(self, sample_bound: int = 10**6):
         self.sample_bound = sample_bound
@@ -800,39 +764,14 @@ def maxplus_model(sample_bound: int = 10**6) -> MaxPlusModel:
 # bounded language and path models
 
 
-class LanguageModel(ModelHandle):
-    """Sets of words of length <= maxlen; concatenation discards overlong words.
+class _SubsetModel(ModelHandle):
+    """Subsets of a finite universe under union; star is the stabilized
+    union of powers.  Subclasses set universe and give mul and one."""
 
-    Truncation is a quotient of the full language semiring, so the finite
-    structure still satisfies all i-semiring laws; the true unbounded star
-    is not represented, star here is the stabilized union of truncated powers.
-    """
-
-    finite = True
     has_star = True
-
-    def __init__(self, alphabet: Sequence[str], maxlen: int):
-        letters = tuple(str(c) for c in alphabet)
-        if any(len(c) != 1 for c in letters):
-            raise ValueError("alphabet must consist of single characters")
-        if len(set(letters)) != len(letters):
-            raise ValueError("alphabet letters must be distinct")
-        if maxlen < 0:
-            raise ValueError("maxlen must be >= 0")
-        self.alphabet = letters
-        self.maxlen = maxlen
-        self.name = f"lang({''.join(letters)},{maxlen})"
-        self.words = tuple(
-            "".join(w)
-            for k in range(maxlen + 1)
-            for w in itertools.product(letters, repeat=k)
-        )
 
     def add(self, x: frozenset, y: frozenset) -> frozenset:
         return x | y
-
-    def mul(self, x: frozenset, y: frozenset) -> frozenset:
-        return frozenset(u + v for u in x for v in y if len(u) + len(v) <= self.maxlen)
 
     def star(self, x: frozenset) -> frozenset:
         acc = self.one
@@ -850,26 +789,55 @@ class LanguageModel(ModelHandle):
         return frozenset()
 
     @property
-    def one(self) -> frozenset:
-        return frozenset({""})
-
-    @property
     def top(self) -> frozenset:
-        return frozenset(self.words)
+        return frozenset(self.universe)
 
     def elements(self):
-        if len(self.words) > 16:
-            raise ValueError(f"{self.name} has 2^{len(self.words)} elements; too many")
+        if len(self.universe) > 16:
+            raise ValueError(f"{self.name} has 2^{len(self.universe)} elements; too many")
         for combo in itertools.chain.from_iterable(
-            itertools.combinations(self.words, k) for k in range(len(self.words) + 1)
+            itertools.combinations(self.universe, k) for k in range(len(self.universe) + 1)
         ):
             yield frozenset(combo)
 
     def size(self) -> int:
-        return 1 << len(self.words)
+        return 1 << len(self.universe)
 
     def sample(self, rng) -> frozenset:
-        return frozenset(w for w in self.words if rng.random() < 0.5)
+        return frozenset(w for w in self.universe if rng.random() < 0.5)
+
+
+class LanguageModel(_SubsetModel):
+    """Sets of words of length <= maxlen; concatenation discards overlong words.
+
+    Truncation is a quotient of the full language semiring, so the finite
+    structure still satisfies all i-semiring laws; the true unbounded star
+    is not represented, star here is the stabilized union of truncated powers.
+    """
+
+    def __init__(self, alphabet: Sequence[str], maxlen: int):
+        letters = tuple(str(c) for c in alphabet)
+        if any(len(c) != 1 for c in letters):
+            raise ValueError("alphabet must consist of single characters")
+        if len(set(letters)) != len(letters):
+            raise ValueError("alphabet letters must be distinct")
+        if maxlen < 0:
+            raise ValueError("maxlen must be >= 0")
+        self.alphabet = letters
+        self.maxlen = maxlen
+        self.name = f"lang({''.join(letters)},{maxlen})"
+        self.words = self.universe = tuple(
+            "".join(w)
+            for k in range(maxlen + 1)
+            for w in itertools.product(letters, repeat=k)
+        )
+
+    def mul(self, x: frozenset, y: frozenset) -> frozenset:
+        return frozenset(u + v for u in x for v in y if len(u) + len(v) <= self.maxlen)
+
+    @property
+    def one(self) -> frozenset:
+        return frozenset({""})
 
     def el_name(self, x) -> str:
         return "{" + ",".join("eps" if w == "" else w for w in sorted(x)) + "}"
@@ -884,16 +852,13 @@ def bounded_language_model(alphabet, maxlen: int) -> LanguageModel:
     return LanguageModel(alphabet, maxlen)
 
 
-class PathModel(ModelHandle):
+class PathModel(_SubsetModel):
     """Sets of vertex sequences of length <= maxlen under the fusion product.
 
     Fusing s.x with y.t yields s.x.t when x = y and nothing otherwise; the
     empty sequence fuses only with itself.  The unit is all single vertices
     together with the empty sequence.
     """
-
-    finite = True
-    has_star = True
 
     def __init__(self, vertices: Sequence[str], maxlen: int):
         vs = tuple(str(v) for v in vertices)
@@ -906,7 +871,7 @@ class PathModel(ModelHandle):
         self.vertices = vs
         self.maxlen = maxlen
         self.name = f"path({''.join(vs)},{maxlen})"
-        self.paths = tuple(
+        self.paths = self.universe = tuple(
             p for k in range(maxlen + 1) for p in itertools.product(vs, repeat=k)
         )
 
@@ -920,9 +885,6 @@ class PathModel(ModelHandle):
         out = s + t[1:]
         return out if len(out) <= self.maxlen else None
 
-    def add(self, x: frozenset, y: frozenset) -> frozenset:
-        return x | y
-
     def mul(self, x: frozenset, y: frozenset) -> frozenset:
         acc = set()
         for s in x:
@@ -932,42 +894,9 @@ class PathModel(ModelHandle):
                     acc.add(f)
         return frozenset(acc)
 
-    def star(self, x: frozenset) -> frozenset:
-        acc = self.one
-        while True:
-            nxt = acc | self.mul(acc, x)
-            if nxt == acc:
-                return acc
-            acc = nxt
-
-    def leq(self, x, y) -> bool:
-        return x <= y
-
-    @property
-    def zero(self) -> frozenset:
-        return frozenset()
-
     @property
     def one(self) -> frozenset:
         return frozenset({()} | {(v,) for v in self.vertices})
-
-    @property
-    def top(self) -> frozenset:
-        return frozenset(self.paths)
-
-    def elements(self):
-        if len(self.paths) > 16:
-            raise ValueError(f"{self.name} has 2^{len(self.paths)} elements; too many")
-        for combo in itertools.chain.from_iterable(
-            itertools.combinations(self.paths, k) for k in range(len(self.paths) + 1)
-        ):
-            yield frozenset(combo)
-
-    def size(self) -> int:
-        return 1 << len(self.paths)
-
-    def sample(self, rng) -> frozenset:
-        return frozenset(p for p in self.paths if rng.random() < 0.5)
 
     def el_name(self, x) -> str:
         return "{" + ",".join("eps" if not p else ".".join(p) for p in sorted(x)) + "}"
@@ -996,7 +925,6 @@ class TransformerModel(ModelHandle):
     the transformer of a star of any source element inducing it.
     """
 
-    finite = True
     has_star = True
 
     def __init__(self, D):
@@ -1043,18 +971,15 @@ class TransformerModel(ModelHandle):
 
     def star(self, f):
         a = self.source[self._index[f]]
-        return self.transformer_of(self.D.el_star(a))
-
-    def leq(self, f, g) -> bool:
-        return self.add(f, g) == g
+        return self.transformer_of(self.D.star(a))
 
     @property
     def zero(self):
-        return self.transformer_of(self.D.el_zero)
+        return self.transformer_of(self.D.zero)
 
     @property
     def one(self):
-        return self.transformer_of(self.D.el_one)
+        return self.transformer_of(self.D.one)
 
     def elements(self):
         return iter(self.maps)
@@ -1152,46 +1077,12 @@ def materialize(handle: ModelHandle, max_size: int = 4096) -> MaterializedModel:
 
 
 def check_sampled_laws(handle: ModelHandle, samples: int = 1000, rng=None, include_star: bool = False) -> list[LawReport]:
-    """i-semiring laws on random triples; the only option for infinite models."""
-    rng = rng or random.Random(0)
-    reports = []
-    fails: dict[str, Optional[dict]] = {}
+    """The i-semiring laws (and with include_star the two star unfoldings).
 
-    def note(law, ok, a, b, c):
-        if law not in fails:
-            fails[law] = None
-        if not ok and fails[law] is None:
-            fails[law] = {
-                "a": handle.el_name(a),
-                "b": handle.el_name(b),
-                "c": handle.el_name(c),
-            }
-
-    z, o = handle.zero, handle.one
-    for _ in range(samples):
-        a, b, c = handle.sample(rng), handle.sample(rng), handle.sample(rng)
-        note("add-commutative", handle.add(a, b) == handle.add(b, a), a, b, c)
-        note("add-associative", handle.add(handle.add(a, b), c) == handle.add(a, handle.add(b, c)), a, b, c)
-        note("add-idempotent", handle.add(a, a) == a, a, b, c)
-        note("add-identity", handle.add(a, z) == a, a, b, c)
-        note("mul-associative", handle.mul(handle.mul(a, b), c) == handle.mul(a, handle.mul(b, c)), a, b, c)
-        note("mul-identity", handle.mul(a, o) == a and handle.mul(o, a) == a, a, b, c)
-        note(
-            "left-distributive",
-            handle.mul(a, handle.add(b, c)) == handle.add(handle.mul(a, b), handle.mul(a, c)),
-            a, b, c,
-        )
-        note(
-            "right-distributive",
-            handle.mul(handle.add(a, b), c) == handle.add(handle.mul(a, c), handle.mul(b, c)),
-            a, b, c,
-        )
-        note("annihilation", handle.mul(a, z) == z and handle.mul(z, a) == z, a, b, c)
-        if include_star and handle.has_star:
-            st = handle.star(a)
-            note("star-left-unfold", handle.leq(handle.add(o, handle.mul(a, st)), st), a, b, c)
-            note("star-right-unfold", handle.leq(handle.add(o, handle.mul(st, a)), st), a, b, c)
-
-    for law, witness in fails.items():
-        reports.append(LawReport(law, witness is None, witness, note=f"sampled ({samples})"))
-    return reports
+    Exhaustive when a law has at most 2^16 instances (the most a subset
+    model enumerates), else sampled: the only option for infinite models.
+    """
+    laws = [law for law in ISEMIRING_LAWS if isinstance(law, Law)]
+    if include_star and handle.has_star:
+        laws += KLEENE_LAWS[:2]  # star-left-unfold, star-right-unfold
+    return run_laws(laws, handle, 1 << 16, samples, rng)

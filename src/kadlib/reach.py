@@ -17,10 +17,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import LawReport
-from .domain import law_runner
+from .algebra import Law, LawReport, compl, dom, eq, leq, one_term, star, var
+from .domain import run_laws
 
-__all__ = ["ReachResult", "reach_naive", "reach_efficient", "check_star_preimage_laws"]
+__all__ = ["ReachResult", "reach_naive", "reach_efficient", "check_star_preimage_laws", "STAR_PREIMAGE_LAWS"]
 
 
 @dataclass(frozen=True)
@@ -109,6 +109,48 @@ def reach_efficient(D, a, p, order: str = "asc", rng=None) -> ReachResult:
 # the star-preimage law suite
 
 
+def _star_preimage_laws():
+    a, b, c, p, q = var("a"), var("b"), var("c"), var("p"), var("q")
+    local = ("dloc",)
+
+    def pre(x, t):
+        """x:t, the states from which x can enter t"""
+        return dom(x * t)
+
+    return (
+        # star of a domain element collapses to the unit
+        Law("star-of-domain", "a", eq(star(dom(a)), one_term)),
+        # every starred element is total
+        Law("domain-of-star", "a", eq(dom(star(a)), one_term)),
+        # an invariant of a is an invariant of a*
+        Law("invariant-star", "a p", leq(pre(star(a), p), p), leq(pre(a, p), p), tests="p"),
+        # b + ac <= c for preimages: a:p + q <= p  =>  a*:q <= p
+        Law("preimage-star-induction", "a p q", leq(pre(star(a), q), p), leq(pre(a, p) + q, p), tests="p q", requires=local),
+        # a*:p <= p + a*:(p' (a:p))
+        Law("frontier-bound", "a p", leq(pre(star(a), p), p + pre(star(a), compl(p) * pre(a, p))), tests="p", requires=local),
+        # a*:p = p + (a p')*:(a:p), the worklist decomposition
+        Law(
+            "frontier-decomposition",
+            "a p",
+            eq(pre(star(a), p), p + pre(star(a * compl(p)), pre(a, p))),
+            tests="p",
+            requires=local,
+        ),
+        # (ac):p + b:q <= c:p  =>  (a*b):q <= c:p
+        Law(
+            "preimage-horn-induction",
+            "a b c p q",
+            leq(pre(star(a) * b, q), pre(c, p)),
+            leq(pre(a * c, p) + pre(b, q), pre(c, p)),
+            tests="p q",
+            requires=local,
+        ),
+    )
+
+
+STAR_PREIMAGE_LAWS = _star_preimage_laws()
+
+
 def check_star_preimage_laws(D, samples: int = 1000, rng=None, budget: int = 200_000) -> list[LawReport]:
     """Star/domain interaction laws, exhaustive if the space fits the budget.
 
@@ -119,87 +161,4 @@ def check_star_preimage_laws(D, samples: int = 1000, rng=None, budget: int = 200
     past the invariant rule are stated for local models and are skipped
     without locality.
     """
-    run = law_runner(D, budget, samples, rng or random.Random(0))
-    one_t = D.test_one
-    reports = [
-        # star of a domain element collapses to the unit
-        run(
-            "star-of-domain",
-            "e",
-            lambda a: D.el_star(D.embed(D.dom(a))) == D.el_one,
-            ("a",),
-        ),
-        # every starred element is total
-        run(
-            "domain-of-star",
-            "e",
-            lambda a: D.dom(D.el_star(a)) == one_t,
-            ("a",),
-        ),
-        # an invariant of a is an invariant of a*
-        run(
-            "invariant-star",
-            "et",
-            lambda a, p: not D.test_leq(D.preimage(a, p), p)
-            or D.test_leq(D.preimage(D.el_star(a), p), p),
-            ("a", "p"),
-        ),
-    ]
-
-    if not D.flags.get("dloc", False):
-        note = "not applicable: no locality"
-        for name in ("preimage-star-induction", "frontier-bound", "frontier-decomposition", "preimage-horn-induction"):
-            reports.append(LawReport(name, True, None, note))
-        return reports
-
-    return reports + [
-        # b + ac <= c for preimages: a:p + q <= p  =>  a*:q <= p
-        run(
-            "preimage-star-induction",
-            "ett",
-            lambda a, p, q: not D.test_leq(D.test_join(D.preimage(a, p), q), p)
-            or D.test_leq(D.preimage(D.el_star(a), q), p),
-            ("a", "p", "q"),
-        ),
-        # a*:p <= p + a*:(p' (a:p))
-        run(
-            "frontier-bound",
-            "et",
-            lambda a, p: D.test_leq(
-                D.preimage(D.el_star(a), p),
-                D.test_join(
-                    p,
-                    D.preimage(D.el_star(a), D.test_meet(D.test_compl(p), D.preimage(a, p))),
-                ),
-            ),
-            ("a", "p"),
-        ),
-        # a*:p = p + (a p')*:(a:p), the worklist decomposition
-        run(
-            "frontier-decomposition",
-            "et",
-            lambda a, p: D.preimage(D.el_star(a), p)
-            == D.test_join(
-                p,
-                D.preimage(
-                    D.el_star(D.el_mul(a, D.embed(D.test_compl(p)))),
-                    D.preimage(a, p),
-                ),
-            ),
-            ("a", "p"),
-        ),
-        # (ac):p + b:q <= c:p  =>  (a*b):q <= c:p
-        run(
-            "preimage-horn-induction",
-            "eeett",
-            lambda a, b, c, p, q: not D.test_leq(
-                D.test_join(D.preimage(D.el_mul(a, c), p), D.preimage(b, q)),
-                D.preimage(c, p),
-            )
-            or D.test_leq(
-                D.preimage(D.el_mul(D.el_star(a), b), q),
-                D.preimage(c, p),
-            ),
-            ("a", "b", "c", "p", "q"),
-        ),
-    ]
+    return run_laws(STAR_PREIMAGE_LAWS, D, budget, samples, rng)

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import Verdict
+from .algebra import FiniteSemiring, Verdict
 
 __all__ = [
     "TerminationReport",
@@ -110,9 +110,8 @@ def is_loebian(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None) -
 
 def transitive_closure(D, a):
     """a+ = a a*, the least transitive element above a."""
-    if hasattr(D, "el_mul"):
-        return D.el_mul(a, D.el_star(a))
-    # plain FiniteSemiring
+    if not isinstance(D, FiniteSemiring):
+        return D.mul(a, D.star(a))
     if D.star is None:
         raise ValueError(f"{D.name} has no star operation")
     return int(D.mul[a, D.star[a]])

@@ -9,10 +9,17 @@ add, mul, star and conv tables and of the domain tables.
 
 The golden files under data/check hold the stdout and exit code of
 `kad check` as printed by the hand-written checkers the scanner replaced.
+
+The star/preimage laws and the Hoare rules are checked against the
+per-law predicates they were written as before they became Law tables,
+run by the exhaustive-or-sampled loop that ran them then (same budget
+test, draw order, notes and witnesses).  check_sampled_laws is checked
+against check_isemiring/check_kleene on the same finite model.
 """
 
 import itertools
 import json
+import math
 import random
 from pathlib import Path
 
@@ -38,6 +45,7 @@ from kadlib.algebra import (
     star,
     var,
 )
+import kadlib.domain
 from kadlib.cli import main
 from kadlib.domain import (
     CONVERSE_DUALITY,
@@ -47,7 +55,20 @@ from kadlib.domain import (
     DomainStructure,
     compute_predomain,
 )
-from kadlib.models import conway_model, conway_names, rel_semiring, rel_tests
+from kadlib.algebra import check_isemiring, check_kleene
+from kadlib.hoare import check_hoare_rules
+from kadlib.models import (
+    ModelHandle,
+    bounded_language_model,
+    check_sampled_laws,
+    materialize,
+    conway_model,
+    conway_names,
+    rel_model,
+    rel_semiring,
+    rel_tests,
+)
+from kadlib.reach import check_star_preimage_laws
 
 NOT_APPLICABLE = {"dloc": "no locality", "cdloc": "no locality", "top": "no greatest element"}
 
@@ -261,3 +282,261 @@ def test_kad_check_output_is_unchanged(case, capsys):
     assert main(["check", target]) == CASES[case]["exit"]
     out, _ = capsys.readouterr()
     assert out.encode() == (GOLDEN / f"{case}.stdout").read_bytes()
+
+
+def test_kad_check_scans_the_domain_axioms_once(monkeypatch, capsys):
+    scans = []
+    scan = kadlib.domain.check_laws
+
+    def counting(laws, *args, **kwargs):
+        scans.append(laws is DOMAIN_AXIOMS)
+        return scan(laws, *args, **kwargs)
+
+    monkeypatch.setattr(kadlib.domain, "check_laws", counting)
+    assert main(["check", "rel:2"]) == 0
+    assert "d1 holds" in capsys.readouterr().out
+    assert sum(scans) == 1
+
+
+# -- star/preimage laws and Hoare rules against their per-law predicates -----------
+
+
+def reference_runner(D, budget, samples, rng):
+    """run(name, kinds, pred, names): kinds has one letter per argument, e (element) or t (test)."""
+    members = D.test_members()
+    n_el = D.size()
+    els = []
+
+    def elements():
+        if not els:
+            els.extend(D.elements())
+        return els
+
+    def draw(kind):
+        return members[rng.randrange(len(members))] if kind == "t" else D.sample(rng)
+
+    def run(name, kinds, pred, names):
+        if math.prod(n_el if k == "e" else len(members) for k in kinds) <= budget:
+            note = "exhaustive"
+            combos = itertools.product(*(elements() if k == "e" else members for k in kinds))
+        else:
+            note = f"sampled ({samples})"
+            combos = (tuple(draw(k) for k in kinds) for _ in range(samples))
+        for combo in combos:
+            if not pred(*combo):
+                witness = {nm: D.el_name(v) if k == "e" else D.test_name(v) for nm, k, v in zip(names, kinds, combo)}
+                return LawReport(name, False, witness, note)
+        return LawReport(name, True, None, note)
+
+    return run
+
+
+def reference_star_preimage(D, samples=1000, rng=None, budget=200_000):
+    run = reference_runner(D, budget, samples, rng or random.Random(0))
+    pre, star, mul, embed = D.preimage, D.star, D.mul, D.embed
+    join, meet, compl, leq = D.test_join, D.test_meet, D.test_compl, D.test_leq
+    reports = [
+        run("star-of-domain", "e", lambda a: star(embed(D.dom(a))) == D.one, ("a",)),
+        run("domain-of-star", "e", lambda a: D.dom(star(a)) == D.test_one, ("a",)),
+        run(
+            "invariant-star",
+            "et",
+            lambda a, p: not leq(pre(a, p), p) or leq(pre(star(a), p), p),
+            ("a", "p"),
+        ),
+    ]
+    if not D.flags.get("dloc", False):
+        note = "not applicable: no locality"
+        for name in ("preimage-star-induction", "frontier-bound", "frontier-decomposition", "preimage-horn-induction"):
+            reports.append(LawReport(name, True, None, note))
+        return reports
+    return reports + [
+        run(
+            "preimage-star-induction",
+            "ett",
+            lambda a, p, q: not leq(join(pre(a, p), q), p) or leq(pre(star(a), q), p),
+            ("a", "p", "q"),
+        ),
+        run(
+            "frontier-bound",
+            "et",
+            lambda a, p: leq(pre(star(a), p), join(p, pre(star(a), meet(compl(p), pre(a, p))))),
+            ("a", "p"),
+        ),
+        run(
+            "frontier-decomposition",
+            "et",
+            lambda a, p: pre(star(a), p) == join(p, pre(star(mul(a, embed(compl(p)))), pre(a, p))),
+            ("a", "p"),
+        ),
+        run(
+            "preimage-horn-induction",
+            "eeett",
+            lambda a, b, c, p, q: not leq(join(pre(mul(a, c), p), pre(b, q)), pre(c, p))
+            or leq(pre(mul(star(a), b), q), pre(c, p)),
+            ("a", "b", "c", "p", "q"),
+        ),
+    ]
+
+
+def reference_hoare_rules(D, budget=300_000, samples=1000, rng=None):
+    run = reference_runner(D, budget, samples, rng or random.Random(0))
+    img, embed = D.image, D.embed
+    meet, compl, leq = D.test_meet, D.test_compl, D.test_leq
+    return [
+        run(
+            "rule-composition",
+            "eettt",
+            lambda a, b, p, q, r: not (leq(img(p, a), q) and leq(img(q, b), r)) or leq(img(p, D.mul(a, b)), r),
+            ("a", "b", "p", "q", "r"),
+        ),
+        run(
+            "rule-conditional",
+            "eettt",
+            lambda a, b, p, q, r: not (leq(img(meet(p, q), a), r) and leq(img(meet(compl(p), q), b), r))
+            or leq(img(q, D.add(D.mul(embed(p), a), D.mul(embed(compl(p)), b))), r),
+            ("a", "b", "p", "q", "r"),
+        ),
+        run(
+            "rule-while",
+            "ett",
+            lambda a, p, q: not leq(img(meet(p, q), a), q)
+            or leq(img(q, D.mul(D.star(D.mul(embed(p), a)), embed(compl(p)))), meet(compl(p), q)),
+            ("a", "p", "q"),
+        ),
+        run(
+            "rule-weakening",
+            "etttt",
+            lambda a, p1, p, q, q1: not (leq(p1, p) and leq(img(p, a), q) and leq(q, q1)) or leq(img(p1, a), q1),
+            ("a", "p1", "p", "q", "q1"),
+        ),
+    ]
+
+
+def rows(reports):
+    return [(r.name, r.holds, r.witness, r.note) for r in reports]
+
+
+def domain_targets():
+    for n in (1, 2, 3):
+        yield f"rel_model({n})", lambda n=n: rel_model(n)
+    for name in conway_names():
+        S = conway_model(name)
+        yield f"predomain-{name}", lambda S=S: compute_predomain(S, TestAlgebra.discrete(S))
+    for n in (2, 3):
+        yield f"rel{n}-table", lambda n=n: compute_predomain(rel_semiring(n), rel_tests(n))
+    A2 = conway_model("A2")
+    yield "zero-domain", lambda: DomainStructure(A2, TestAlgebra.discrete(A2), delta=[0, 0], rho=[0, 0])
+    for seed in range(6):
+        yield f"rel2-corrupt-{seed}", lambda seed=seed: corrupt_domain(seed)
+
+
+def corrupt_domain(seed):
+    """rel(2)'s predomain with one cell of delta or rho moved to another test."""
+    S, T = rel_semiring(2), rel_tests(2)
+    D = compute_predomain(S, T)
+    rng = random.Random(f"rel2-domain:{seed}")
+    delta, rho = np.array(D.delta), np.array(D.rho)
+    t = delta if rng.random() < 0.5 else rho
+    i = rng.randrange(S.n)
+    t[i] = rng.choice([p for p in T.members if p != t[i]])
+    return DomainStructure(S, T, delta, rho)
+
+
+TARGETS = list(domain_targets())
+
+
+@pytest.mark.parametrize("make", [t[1] for t in TARGETS], ids=[t[0] for t in TARGETS])
+def test_law_tables_match_the_per_law_predicates(make):
+    D = make()
+    assert rows(check_star_preimage_laws(D)) == rows(reference_star_preimage(D))
+    assert rows(check_hoare_rules(D)) == rows(reference_hoare_rules(D))
+
+
+def test_corruptions_are_seen():
+    domains = [corrupt_domain(seed) for seed in range(6)]
+    assert not all(r.holds for D in domains for r in check_star_preimage_laws(D) + check_hoare_rules(D))
+
+
+@pytest.mark.parametrize("D", [rel_model(2), rel_model(3), corrupt_domain(0)], ids=["rel2", "rel3", "corrupt0"])
+def test_small_budget_sampling_matches_the_per_law_predicates(D):
+    got = check_star_preimage_laws(D, samples=40, rng=random.Random(3), budget=30)
+    assert rows(got) == rows(reference_star_preimage(D, samples=40, rng=random.Random(3), budget=30))
+    assert {r.note for r in got} >= {"sampled (40)"}
+    got = check_hoare_rules(D, samples=40, rng=random.Random(4), budget=30)
+    assert rows(got) == rows(reference_hoare_rules(D, samples=40, rng=random.Random(4), budget=30))
+
+
+# -- check_sampled_laws against the table checkers ----------------------------------
+
+
+class TableHandle(ModelHandle):
+    """A FiniteSemiring seen through the handle surface, elements in carrier order."""
+
+    def __init__(self, S):
+        self.S, self.name, self.has_star = S, S.name, S.star is not None
+
+    def add(self, x, y):
+        return int(self.S.add[x, y])
+
+    def mul(self, x, y):
+        return int(self.S.mul[x, y])
+
+    def star(self, x):
+        return int(self.S.star[x])
+
+    @property
+    def zero(self):
+        return self.S.zero
+
+    @property
+    def one(self):
+        return self.S.one
+
+    def elements(self):
+        return range(self.S.n)
+
+    def size(self):
+        return self.S.n
+
+    def el_name(self, x):
+        return self.S.element_name(x)
+
+
+HANDLE_LAWS = {law.name for law in ISEMIRING_LAWS + KLEENE_LAWS[:2] if isinstance(law, Law)}
+
+
+def table_rows(S, reports):
+    """Rows of table-checker reports with witnesses named, for the laws check_sampled_laws checks."""
+    return [
+        (r.name, r.holds, None if r.witness is None else {k: S.element_name(v) for k, v in r.witness.items()})
+        for r in reports
+        if r.name in HANDLE_LAWS
+    ]
+
+
+def test_sampled_laws_agree_with_check_isemiring_on_rel2():
+    got = check_sampled_laws(rel_model(2), include_star=True)
+    S = materialize(rel_model(2)).semiring
+    want = table_rows(S, check_isemiring(S) + check_kleene(S))
+    assert [(r.name, r.holds, r.witness) for r in got] == want
+    assert {r.note for r in got} == {"exhaustive"}
+
+
+@pytest.mark.parametrize("name,table,seed", CORRUPTIONS, ids=[f"{n}-{t}-{s}" for n, t, s in CORRUPTIONS])
+def test_sampled_laws_agree_with_check_isemiring_on_corrupted_tables(name, table, seed):
+    _, S, _ = next(m for m in MODELS if m[0] == name)
+    S2 = corrupt_semiring(S, table, random.Random(f"{name}:{table}:{seed}"))
+    handle = TableHandle(S2)
+    got = check_sampled_laws(handle, include_star=True)
+    want = table_rows(S2, check_isemiring(S2) + (check_kleene(S2) if S2.star is not None else []))
+    assert [(r.name, r.holds, r.witness) for r in got] == want
+    assert {r.note for r in got} == {"exhaustive"}
+
+
+def test_sampled_laws_enumerate_only_what_a_handle_can():
+    small = check_sampled_laws(bounded_language_model("ab", 1), include_star=True)
+    assert all(r.holds and r.note == "exhaustive" for r in small)
+    # 17 words: 2^17 languages, past what the subset model enumerates
+    big = check_sampled_laws(bounded_language_model("abcdefghijklmnop", 1), samples=20)
+    assert all(r.holds and r.note == "sampled (20)" for r in big)
