@@ -633,30 +633,26 @@ def cmd_hoare(path: str, triple: Optional[str] = None, proof: Optional[str] = No
 
 
 def _has_cycle(rel: Relation) -> bool:
-    n = rel.n
-    color = [0] * n
-    for start in range(n):
-        if color[start]:
-            continue
-        stack = [(start, iter(range(n)))]
-        color[start] = 1
-        while stack:
-            v, succ = stack[-1]
-            advanced = False
-            for w in succ:
-                if not rel.rows[v] >> w & 1:
-                    continue
-                if color[w] == 1:
-                    return True
-                if color[w] == 0:
-                    color[w] = 1
-                    stack.append((w, iter(range(n))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = 2
-                stack.pop()
-    return False
+    """Kahn's algorithm: a cycle remains once no state without predecessors is left."""
+    indegree = [0] * rel.n
+    for row in rel.rows:
+        while row:
+            low = row & -row
+            indegree[low.bit_length() - 1] += 1
+            row ^= low
+    ready = [i for i, d in enumerate(indegree) if d == 0]
+    removed = 0
+    while ready:
+        row = rel.rows[ready.pop()]
+        removed += 1
+        while row:
+            low = row & -row
+            j = low.bit_length() - 1
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                ready.append(j)
+            row ^= low
+    return removed < rel.n
 
 
 def cmd_termination(path: str, relation: str) -> int:

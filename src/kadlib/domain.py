@@ -413,6 +413,15 @@ def _kind(t: Term, tests) -> Optional[str]:
     return "e"
 
 
+def _uses_tests(law: Law) -> bool:
+    """Whether law quantifies over tests or applies dom, cod or complement."""
+
+    def walk(t: Term) -> bool:
+        return t.op in ("dom", "cod", "not") or any(walk(x) for x in t.args)
+
+    return bool(law.tests) or any(walk(t) for t in (law.concl, *law.premises))
+
+
 class _Evaluator:
     """A law compiled to closures over one model's methods; env is a tuple of values.
 
@@ -486,6 +495,10 @@ def run_laws(laws, D, budget: int, samples: int, rng=None) -> list[LawReport]:
     one draw per variable in declared order.  The note says which;
     witnesses hold element and test names.
     """
+    if not hasattr(D, "test_members"):
+        needy = [law.name for law in laws if _uses_tests(law)]
+        if needy:
+            raise ValueError(f"{D.name} has no test algebra, which {needy[0]} needs")
     rng = rng or random.Random(0)
     members = functools.cache(lambda: D.test_members())
     elements = functools.cache(lambda: list(D.elements()))

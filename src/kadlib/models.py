@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -199,6 +200,32 @@ def conway_model(name: str) -> FiniteSemiring:
 # finite binary relations
 
 
+def _bit_positions(mask: int):
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _predecessor_index(a: "Relation") -> tuple:
+    """(start, sources): the sources of a's edges into state j are
+    sources[start[j]:start[j + 1]], in increasing order."""
+    start = array("l", [0]) * (a.n + 1)
+    for row in a.rows:
+        for j in _bit_positions(row):
+            start[j + 1] += 1
+    for j in range(a.n):
+        start[j + 1] += start[j]
+    free = start[:-1]
+    sources = array("l", [0]) * start[-1]
+    for i, row in enumerate(a.rows):
+        for j in _bit_positions(row):
+            sources[free[j]] = i
+            free[j] += 1
+    return start, sources
+
+
 @dataclass(frozen=True)
 class Relation:
     """Binary relation on {1..n}, stored as per-row successor bitmasks.
@@ -232,15 +259,7 @@ class Relation:
         return cls(n, (m,) * n)
 
     def pairs(self) -> frozenset:
-        out = []
-        for i, row in enumerate(self.rows):
-            j = 0
-            while row:
-                if row & 1:
-                    out.append((i + 1, j + 1))
-                row >>= 1
-                j += 1
-        return frozenset(out)
+        return frozenset((i + 1, j + 1) for i, row in enumerate(self.rows) for j in _bit_positions(row))
 
     def union(self, other: "Relation") -> "Relation":
         self._check(other)
@@ -249,27 +268,23 @@ class Relation:
     def compose(self, other: "Relation") -> "Relation":
         self._check(other)
         rows = []
-        for row in self.rows:
+        for r in self.rows:
             acc = 0
-            j = 0
-            r = row
             while r:
-                if r & 1:
-                    acc |= other.rows[j]
-                r >>= 1
-                j += 1
+                low = r & -r
+                acc |= other.rows[low.bit_length() - 1]
+                r ^= low
             rows.append(acc)
         return Relation(self.n, tuple(rows))
 
     def transpose(self) -> "Relation":
         rows = [0] * self.n
         for i, row in enumerate(self.rows):
-            j = 0
+            bit = 1 << i
             while row:
-                if row & 1:
-                    rows[j] |= 1 << i
-                row >>= 1
-                j += 1
+                low = row & -row
+                rows[low.bit_length() - 1] |= bit
+                row ^= low
         return Relation(self.n, tuple(rows))
 
     def star(self) -> "Relation":
@@ -312,6 +327,10 @@ class RelModel(ModelHandle):
         self._one = Relation.identity(n)
         self._top = Relation.full(n)
         self._full_mask = (1 << n) - 1
+        # the relation of the last single-state preimage, and its
+        # predecessor index once it is asked about twice in a row
+        self._indexed: Optional[Relation] = None
+        self._index: Optional[tuple] = None
         # every relation model is a Kleene algebra with a local domain
         self.flags = {
             "d1": True,
@@ -394,7 +413,12 @@ class RelModel(ModelHandle):
         return [1 << i for i in range(self.n)]
 
     def atoms_below(self, p: int) -> list[int]:
-        return [1 << i for i in range(self.n) if p >> i & 1]
+        out = []
+        while p:
+            low = p & -p
+            out.append(low)
+            p ^= low
+        return out
 
     def test_join(self, p: int, q: int) -> int:
         return p | q
@@ -409,7 +433,7 @@ class RelModel(ModelHandle):
         return p | q == q
 
     def test_name(self, p: int) -> str:
-        return "{" + ",".join(str(i + 1) for i in range(self.n) if p >> i & 1) + "}"
+        return "{" + ",".join(str(i + 1) for i in _bit_positions(p)) + "}"
 
     def test_from_states(self, states: Iterable[int]) -> int:
         mask = 0
@@ -420,7 +444,7 @@ class RelModel(ModelHandle):
         return mask
 
     def test_states(self, p: int) -> list[int]:
-        return [i + 1 for i in range(self.n) if p >> i & 1]
+        return [i + 1 for i in _bit_positions(p)]
 
     def embed(self, p: int) -> Relation:
         """The subidentity relation {(i,i) : i in p}."""
@@ -442,8 +466,26 @@ class RelModel(ModelHandle):
         return mask
 
     def preimage(self, a: Relation, p: int) -> int:
-        """States with at least one a-edge into p."""
+        """States with at least one a-edge into p.
+
+        From the second single-state query about the same relation on, a
+        predecessor index answers it at the cost of the state's in-degree;
+        any other query scans the rows.
+        """
         mask = 0
+        single = p and not p & (p - 1)
+        if single and a is self._indexed:
+            if self._index is None:
+                self._index = _predecessor_index(a)
+            start, sources = self._index
+            j = p.bit_length() - 1
+            for k in range(start[j], start[j + 1]):
+                mask |= 1 << sources[k]
+            return mask
+        if single:
+            # the index is kept for the last relation asked about only, so
+            # it lives no longer than the loop that queries that relation
+            self._indexed, self._index = a, None
         for i, row in enumerate(a.rows):
             if row & p:
                 mask |= 1 << i
@@ -452,9 +494,10 @@ class RelModel(ModelHandle):
     def image(self, p: int, a: Relation) -> int:
         """States reachable from p by one a-edge."""
         mask = 0
-        for i, row in enumerate(a.rows):
-            if p >> i & 1:
-                mask |= row
+        while p:
+            low = p & -p
+            mask |= a.rows[low.bit_length() - 1]
+            p ^= low
         return mask
 
     def declared_tests(self):

@@ -13,6 +13,7 @@ DomainStructure or a direct relational model.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -68,32 +69,43 @@ def reach_efficient(D, a, p, order: str = "asc", rng=None) -> ReachResult:
         raise ValueError("reach_efficient requires locality (dloc); use reach_naive")
     if order not in ("asc", "desc", "random"):
         raise ValueError("order must be asc, desc or random")
+
+    # the frontier may hold an atom more than once; asc and desc keep it as
+    # a heap (of negated atoms for desc) and expand the least (greatest)
+    # atom first
+    frontier: list = []
     if order == "random":
         rng = rng or random.Random(0)
+        push = frontier.append
+
+        def pop():
+            return frontier.pop(rng.randrange(len(frontier)))
+
+    else:
+        sign = 1 if order == "asc" else -1
+
+        def push(b):
+            heapq.heappush(frontier, sign * b)
+
+        def pop():
+            return sign * heapq.heappop(frontier)
 
     reached = p
     evals = 0
     expansions = 0
     trace = [p]
-    frontier: list = []
 
     def push_new(pre):
         for b in D.atoms_below(pre):
             if not D.test_leq(b, reached):
-                frontier.append(b)
+                push(b)
 
     for atom in D.atoms_below(p):
         evals += 1
         push_new(D.preimage(a, atom))
 
     while frontier:
-        if order == "asc":
-            i = min(range(len(frontier)), key=lambda k: frontier[k])
-        elif order == "desc":
-            i = max(range(len(frontier)), key=lambda k: frontier[k])
-        else:
-            i = rng.randrange(len(frontier))
-        atom = frontier.pop(i)
+        atom = pop()
         if D.test_leq(atom, reached):
             continue
         reached = D.test_join(reached, atom)

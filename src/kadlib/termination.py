@@ -7,23 +7,37 @@ Noethericity of the converse.  The Löb property is the preimage form of
 the modal axiom: every step lands in states whose further steps leave the
 already-reached part, here p - q means p q'.
 
-All checks quantify over the test algebra; they enumerate it exhaustively
-while it is small and fall back to random sampling past a budget.
+How a verdict is decided:
+
+- While the test algebra has at most `budget` members, all of them are
+  enumerated in order, and a failing verdict names the first failing test.
+- Past the budget, Noethericity is decided exactly wherever preimage is
+  monotone (every relation model, and every structure whose d1 and d2
+  flags hold): the greatest test p with p <= a:p, the stuck set, is
+  computed by an atom worklist, and a is Noetherian iff it is 0;
+  otherwise it is the witness.  Well-foundedness is the same with image
+  in place of preimage, where the cd1 and cd2 flags hold.  On relations,
+  a is Löbian iff it is transitive and Noetherian.
+- Everything else is checked on random tests, and the verdict says
+  "sampled".
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import FiniteSemiring, Verdict
+from .models import Relation, RelModel
 
 __all__ = [
     "TerminationReport",
     "is_noetherian",
     "is_well_founded",
     "is_loebian",
+    "stuck_set",
     "transitive_closure",
     "termination_report",
 ]
@@ -73,8 +87,56 @@ def _verdict(D, bad_p, exhaustive: bool, what: str) -> Verdict:
     return Verdict(False, witness=bad_p, note=f"{what} at p = {D.test_name(bad_p)}")
 
 
+def _exact(D, budget: int, flags) -> bool:
+    """Past the enumeration budget, with the operator monotone by D's flags."""
+    return D.test_count() > budget and all(getattr(D, "flags", {}).get(f, False) for f in flags)
+
+
+def stuck_set(D, a, forward: bool = False):
+    """The greatest test p with p <= a:p (p <= p:a when forward).
+
+    An atom worklist for the greatest post-fixpoint of x -> x (a:x): every
+    atom starts in x, and an atom leaves once no atom left in x steps into
+    it.  Each atom's preimage (image when forward) is evaluated once, and
+    each atom is removed at most once.  Exact when a:x is the join of a:t
+    over the atoms t below x, as in every relation model and, by d1 and d2
+    (cd1 and cd2 for image), in every domain structure.
+    """
+    pos = {t: k for k, t in enumerate(D.atoms_below(D.test_one))}
+    # atom k keeps alive the atoms kept[start[k]:start[k + 1]]
+    start, kept = array("l", [0]), array("l")
+    support = [0] * len(pos)  # support[k]: atoms in x that keep atom k alive
+    for t in pos:
+        for u in D.atoms_below(D.image(t, a) if forward else D.preimage(a, t)):
+            kept.append(pos[u])
+            support[pos[u]] += 1
+        start.append(len(kept))
+    alive = [True] * len(pos)
+    work = [k for k, c in enumerate(support) if c == 0]
+    while work:
+        k = work.pop()
+        alive[k] = False
+        for i in range(start[k], start[k + 1]):
+            j = kept[i]
+            support[j] -= 1
+            if support[j] == 0:
+                work.append(j)
+    x = D.test_zero
+    for t, live in zip(pos, alive):
+        if live:
+            x = D.test_join(x, t)
+    return x
+
+
+def _stuck_verdict(D, a, forward: bool, what: str) -> Verdict:
+    stuck = stuck_set(D, a, forward)
+    return _verdict(D, None if stuck == D.test_zero else stuck, True, what)
+
+
 def is_noetherian(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None) -> Verdict:
     """No nonzero test p satisfies p <= a:p (no backward-closed cycle)."""
+    if _exact(D, budget, ("d1", "d2")):
+        return _stuck_verdict(D, a, False, "p <= a:p")
     pool, exhaustive = _tests(D, budget, samples, rng)
     zero = D.test_zero
     for p in pool:
@@ -87,6 +149,8 @@ def is_noetherian(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None
 
 def is_well_founded(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None) -> Verdict:
     """No nonzero test p satisfies p <= p:a (no forward-closed cycle)."""
+    if _exact(D, budget, ("cd1", "cd2")):
+        return _stuck_verdict(D, a, True, "p <= p:a")
     pool, exhaustive = _tests(D, budget, samples, rng)
     zero = D.test_zero
     for p in pool:
@@ -97,14 +161,41 @@ def is_well_founded(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=No
     return _verdict(D, None, exhaustive, "")
 
 
+def _intransitive_step(a: Relation):
+    """A test {j,k} for the first i -> j -> k (least i, then j, then k) without i -> k, or None."""
+    rows = a.rows
+    for i, row in enumerate(rows):
+        rest = row
+        while rest:
+            low = rest & -rest
+            j = low.bit_length() - 1
+            missing = rows[j] & ~row
+            if missing:
+                return low | (missing & -missing)
+            rest ^= low
+    return None
+
+
 def is_loebian(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None) -> Verdict:
-    """a:p <= a:(p - a:p) for all tests p, with p - q meaning p q'."""
+    """a:p <= a:(p - a:p) for all tests p, with p - q meaning p q'.
+
+    Past the budget a relation is Löbian iff it is transitive and
+    Noetherian.  A nonzero stuck set p fails the law (a:p >= p and
+    p - a:p = 0); on an acyclic relation so does p = {j,k} for a step
+    i -> j -> k without i -> k (p - a:p = {k}, and i lies in a:p but
+    not in a:{k}).
+    """
+    what = "a:p not below a:(p - a:p)"
+    if isinstance(D, RelModel) and D.test_count() > budget:
+        stuck = stuck_set(D, a)
+        bad = stuck if stuck != D.test_zero else _intransitive_step(a)
+        return _verdict(D, bad, True, what)
     pool, exhaustive = _tests(D, budget, samples, rng)
     for p in pool:
         pre = D.preimage(a, p)
         rest = D.test_meet(p, D.test_compl(pre))
         if not D.test_leq(pre, D.preimage(a, rest)):
-            return _verdict(D, p, exhaustive, "a:p not below a:(p - a:p)")
+            return _verdict(D, p, exhaustive, what)
     return _verdict(D, None, exhaustive, "")
 
 

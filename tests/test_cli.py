@@ -5,6 +5,7 @@ import json
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -292,6 +293,36 @@ def test_termination_unknown_relation(tmp_path, capsys):
     path = write_ws(tmp_path, CHAIN)
     assert main(["termination", path, "--relation", "zzz"]) == 2
     capsys.readouterr()
+
+
+def test_termination_past_the_budget_is_exact(tmp_path, capsys):
+    # 20 states: past the enumeration budget; the chain ends in a 2-cycle
+    n = 20
+    edges = [[i, i + 1] for i in range(1, n)] + [[n, n - 1]]
+    path = write_ws(tmp_path, {"n": n, "relations": {"R": edges}})
+    assert main(["termination", path, "--relation", "R"]) == 0
+    out, _ = capsys.readouterr()
+    lines = out.splitlines()
+    everything = "{" + ",".join(str(i) for i in range(1, n + 1)) + "}"
+    assert lines[0].startswith(f"R: noetherian=false (witness p <= a:p at p = {everything})")
+    assert "well_founded=false (witness p <= p:a at p = {19,20})" in lines[0]
+    assert "sampled" not in lines[0]
+    assert lines[1] == "oracle-agree"
+
+
+# golden stdout and exit codes of kad termination and kad reach --algo both on
+# small workspaces, where the tests are enumerated and the text must not move
+GRAPHS = Path(__file__).parent / "data" / "graphs"
+GRAPH_CASES = json.loads((GRAPHS / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(GRAPH_CASES))
+def test_graph_command_output_is_unchanged(case, capsys):
+    argv = list(GRAPH_CASES[case]["argv"])
+    argv[1] = str(GRAPHS / argv[1])
+    assert main(argv) == GRAPH_CASES[case]["exit"]
+    out, _ = capsys.readouterr()
+    assert out.encode() == (GRAPHS / f"{case}.stdout").read_bytes()
 
 
 # -- hoare command ------------------------------------------------------------------------------

@@ -16,6 +16,8 @@ from kadlib.algebra import (
     check_test_algebra,
     failures,
 )
+from kadlib.domain import run_laws
+from kadlib.hoare import check_hoare_rules
 from kadlib.models import (
     Relation,
     StarUnsupportedError,
@@ -34,6 +36,7 @@ from kadlib.models import (
     rel_tests,
     tropical_model,
 )
+from kadlib.reach import STAR_PREIMAGE_LAWS, check_star_preimage_laws
 
 
 # -- naming and lookup --------------------------------------------------------
@@ -302,6 +305,17 @@ def test_tropical_basics():
 def test_tropical_sampled_laws():
     rep = check_sampled_laws(tropical_model(), samples=800, rng=random.Random(2), include_star=True)
     assert all_hold(rep), [str(r) for r in failures(rep)]
+
+
+def test_tropical_has_no_test_algebra_for_domain_laws():
+    T = tropical_model()
+    with pytest.raises(ValueError, match="tropical has no test algebra"):
+        check_star_preimage_laws(T)
+    with pytest.raises(ValueError, match="tropical has no test algebra"):
+        check_hoare_rules(T)
+    # star-of-domain has no test variable, but dom(a) is a test
+    with pytest.raises(ValueError, match="tropical has no test algebra, which star-of-domain needs"):
+        run_laws(STAR_PREIMAGE_LAWS[:1], T, budget=10, samples=10)
 
 
 def test_maxplus_has_no_star():

@@ -4,6 +4,8 @@ cost accounting, order independence, and the star-preimage law suite."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kadlib.algebra import TestAlgebra, all_hold, failures
 from kadlib.domain import DomainStructure, compute_predomain
@@ -140,6 +142,55 @@ def test_order_independence():
         # each state is expanded once regardless of order, so costs agree too
         assert len({r.preimage_evals for r in runs}) == 1
         assert len({r.iterations for r in runs}) == 1
+
+
+def reach_by_scan(D, a, p, order):
+    """reach_efficient as it was written with a list frontier, scanned for
+    its first least (asc) or greatest (desc) atom on every step."""
+    reached, evals, expansions, trace, frontier = p, 0, 0, [p], []
+
+    def push_new(pre):
+        frontier.extend(b for b in D.atoms_below(pre) if not D.test_leq(b, reached))
+
+    for atom in D.atoms_below(p):
+        evals += 1
+        push_new(D.preimage(a, atom))
+    while frontier:
+        pick = min if order == "asc" else max
+        atom = frontier.pop(pick(range(len(frontier)), key=lambda k: frontier[k]))
+        if D.test_leq(atom, reached):
+            continue
+        reached = D.test_join(reached, atom)
+        expansions += 1
+        evals += 1
+        trace.append(reached)
+        push_new(D.preimage(a, atom))
+    return reached, expansions, evals, tuple(trace)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 30),
+    st.sampled_from([0.05, 0.15, 0.4]),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["asc", "desc"]),
+)
+def test_heap_frontier_matches_the_scanned_list(n, density, seed, order):
+    rng = random.Random(seed)
+    D = rel_model(n)
+    a = Relation.from_pairs(n, random_pairs(rng, n, density))
+    p = D.test_from_states({s for s in range(1, n + 1) if rng.random() < 0.2})
+    res = reach_efficient(D, a, p, order=order)
+    assert (res.result, res.iterations, res.preimage_evals, res.trace) == reach_by_scan(D, a, p, order)
+
+
+def test_heap_frontier_matches_the_scanned_list_on_tables():
+    D = compute_predomain(rel_semiring(2), rel_tests(2))
+    for a in D.elements():
+        for p in D.test_members():
+            for order in ("asc", "desc"):
+                res = reach_efficient(D, a, p, order=order)
+                assert (res.result, res.iterations, res.preimage_evals, res.trace) == reach_by_scan(D, a, p, order)
 
 
 def test_trace_is_an_ascending_chain():

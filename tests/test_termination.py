@@ -1,16 +1,24 @@
 """Termination: Noethericity is relational acyclicity, the Löb property,
-their implications, and the subtraction laws for preimages."""
+their implications, and the subtraction laws for preimages.  The exact
+fixpoint decisions past the enumeration budget are cross-checked against
+enumeration, graph search and the validity of their witnesses, and their
+cost is pinned by counting atom preimages and images."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kadlib.algebra import TestAlgebra
-from kadlib.domain import compute_predomain
+from kadlib.domain import DomainStructure, compute_predomain
+from kadlib.cli import _has_cycle
 from kadlib.models import (
     Relation,
+    RelModel,
     _rel_mask,
     conway_model,
+    conway_names,
     rel_model,
     rel_semiring,
     rel_tests,
@@ -20,6 +28,7 @@ from kadlib.termination import (
     is_loebian,
     is_noetherian,
     is_well_founded,
+    stuck_set,
     termination_report,
     transitive_closure,
 )
@@ -306,15 +315,161 @@ def test_transitive_closure_on_plain_tables():
         transitive_closure(starless, r)
 
 
+def zero_domain():
+    """The constant-zero domain on A2: d1 fails, so preimage gives no exact fixpoint."""
+    A2 = conway_model("A2")
+    return DomainStructure(A2, TestAlgebra.discrete(A2), delta=[0, 0], rho=[0, 0])
+
+
 def test_sampling_fallback_reports_itself():
-    D = rel_model(5)
-    v = is_noetherian(D, D.zero, budget=4, samples=50, rng=random.Random(1))
+    D = zero_domain()
+    assert not D.flags["d1"] and not D.flags["cd1"]
+    v = is_noetherian(D, D.zero, budget=1, samples=50, rng=random.Random(1))
     assert v.holds and v.note == "sampled"
-    w = is_loebian(D, D.zero, budget=4, samples=50, rng=random.Random(1))
+    w = is_loebian(D, D.zero, budget=1, samples=50, rng=random.Random(1))
     assert w.holds and w.note == "sampled"
 
 
 def test_sampled_verdicts_say_so_in_the_report():
+    D = zero_domain()
+    rep = termination_report(D, D.zero, budget=1, samples=50, rng=random.Random(1))
+    assert str(rep) == "0: noetherian=true (sampled) well_founded=true (sampled) loebian=true (sampled)"
+
+
+def test_past_the_budget_relations_are_decided_exactly():
+    D = rel_model(5)
+    for check in (is_noetherian, is_well_founded, is_loebian):
+        v = check(D, D.zero, budget=4, samples=50, rng=random.Random(1))
+        assert v.holds and v.note == ""
+
+
+def test_exact_verdicts_read_as_exhaustive_in_the_report():
     D = rel_model(5)
     rep = termination_report(D, D.zero, budget=4, samples=50, rng=random.Random(1))
-    assert str(rep) == "{}: noetherian=true (sampled) well_founded=true (sampled) loebian=true (sampled)"
+    assert str(rep) == "{}: noetherian=true well_founded=true loebian=true"
+
+
+# -- exact decisions past the budget against enumeration and graph search --------------
+
+CHECKS = (is_noetherian, is_well_founded, is_loebian)
+
+
+def assert_valid_witness(D, check, a, v):
+    """A failing verdict's witness is a nonzero test that breaks the law."""
+    p = v.witness
+    if check is is_loebian:
+        pre = D.preimage(a, p)
+        assert not D.test_leq(pre, D.preimage(a, D.test_meet(p, D.test_compl(pre))))
+        return
+    assert p != D.test_zero
+    step = D.preimage(a, p) if check is is_noetherian else D.image(p, a)
+    assert D.test_leq(p, step)
+
+
+def assert_exact_matches_enumeration(D, a, checks=CHECKS):
+    for check in checks:
+        enumerated, exact = check(D, a), check(D, a, budget=1)
+        assert enumerated.note != "sampled" and exact.note != "sampled"
+        assert exact.holds == enumerated.holds, (check.__name__, D.el_name(a))
+        if not exact.holds:
+            assert_valid_witness(D, check, a, exact)
+
+
+@st.composite
+def relations(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    density = draw(st.sampled_from([0.05, 0.15, 0.3, 0.6]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, random_pairs(random.Random(seed), n, density)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relations())
+def test_exact_relation_verdicts_match_enumeration(case):
+    n, pairs = case
+    assert_exact_matches_enumeration(rel_model(n), Relation.from_pairs(n, pairs))
+
+
+@pytest.mark.parametrize("name", [*conway_names(), "rel2", "rel3"])
+def test_exact_predomain_verdicts_match_enumeration(name):
+    if name.startswith("rel"):
+        n = int(name[3:])
+        D = compute_predomain(rel_semiring(n), rel_tests(n))
+    else:
+        S = conway_model(name)
+        D = compute_predomain(S, TestAlgebra.discrete(S))
+    assert all(D.flags[f] for f in ("d1", "d2", "cd1", "cd2"))
+    # the Löb property is decided exactly on relation models only
+    for a in D.elements():
+        assert_exact_matches_enumeration(D, a, (is_noetherian, is_well_founded))
+
+
+@settings(max_examples=60, deadline=None)
+@given(relations(max_n=200))
+def test_exact_noethericity_is_acyclicity(case):
+    n, pairs = case
+    D = rel_model(n)
+    a = Relation.from_pairs(n, pairs)
+    acyclic = not has_cycle(n, pairs)
+    assert is_noetherian(D, a, budget=1).holds == acyclic
+    assert is_well_founded(D, a, budget=1).holds == acyclic
+    assert (stuck_set(D, a) == 0) == acyclic
+
+
+@settings(max_examples=100, deadline=None)
+@given(relations(max_n=200))
+def test_cli_cycle_oracle_agrees(case):
+    n, pairs = case
+    assert _has_cycle(Relation.from_pairs(n, pairs)) == has_cycle(n, pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(relations(max_n=40))
+def test_exact_loeb_is_transitive_and_noetherian_with_valid_witnesses(case):
+    n, pairs = case
+    D = rel_model(n)
+    a = Relation.from_pairs(n, pairs)
+    transitive = all((i, k) in pairs for i, j in pairs for j2, k in pairs if j == j2)
+    v = is_loebian(D, a, budget=1)
+    assert v.note != "sampled"
+    assert v.holds == (transitive and not has_cycle(n, pairs))
+    if not v.holds:
+        assert_valid_witness(D, is_loebian, a, v)
+
+
+# -- cost of the exact decisions ---------------------------------------------------------
+
+
+class CountingRelModel(RelModel):
+    """RelModel that counts preimages and images of single states."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.atom_steps = 0
+
+    def _count(self, p):
+        assert p and p & (p - 1) == 0, "the fixpoint asks only about single states"
+        self.atom_steps += 1
+
+    def preimage(self, a, p):
+        self._count(p)
+        return super().preimage(a, p)
+
+    def image(self, p, a):
+        self._count(p)
+        return super().image(p, a)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+@pytest.mark.parametrize("check", [is_noetherian, is_well_founded])
+def test_exact_decisions_take_at_most_n_atom_steps(check, cyclic):
+    n = 2000
+    pairs = [(i, i + 1) for i in range(1, n)] + ([(n, n - 1)] if cyclic else [])
+    D = CountingRelModel(n)
+    v = check(D, Relation.from_pairs(n, pairs))
+    assert v.holds == (not cyclic) and v.note != "sampled"
+    assert 0 < D.atom_steps <= n
+    if cyclic:
+        # every state of the chain reaches the 2-cycle (is reached from it, forwards)
+        expect = D.test_one if check is is_noetherian else D.test_from_states([n - 1, n])
+        assert v.witness == expect
