@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
@@ -208,24 +207,6 @@ def _bit_positions(mask: int):
         mask ^= low
 
 
-def _predecessor_index(a: "Relation") -> tuple:
-    """(start, sources): the sources of a's edges into state j are
-    sources[start[j]:start[j + 1]], in increasing order."""
-    start = array("l", [0]) * (a.n + 1)
-    for row in a.rows:
-        for j in _bit_positions(row):
-            start[j + 1] += 1
-    for j in range(a.n):
-        start[j + 1] += start[j]
-    free = start[:-1]
-    sources = array("l", [0]) * start[-1]
-    for i, row in enumerate(a.rows):
-        for j in _bit_positions(row):
-            sources[free[j]] = i
-            free[j] += 1
-    return start, sources
-
-
 @dataclass(frozen=True)
 class Relation:
     """Binary relation on {1..n}, stored as per-row successor bitmasks.
@@ -327,10 +308,9 @@ class RelModel(ModelHandle):
         self._one = Relation.identity(n)
         self._top = Relation.full(n)
         self._full_mask = (1 << n) - 1
-        # the relation of the last single-state preimage, and its
-        # predecessor index once it is asked about twice in a row
-        self._indexed: Optional[Relation] = None
-        self._index: Optional[tuple] = None
+        # the relation of the last single-state preimage and its transpose
+        self._transposed_of: Optional[Relation] = None
+        self._transposed: Optional[Relation] = None
         # every relation model is a Kleene algebra with a local domain
         self.flags = {
             "d1": True,
@@ -468,24 +448,15 @@ class RelModel(ModelHandle):
     def preimage(self, a: Relation, p: int) -> int:
         """States with at least one a-edge into p.
 
-        From the second single-state query about the same relation on, a
-        predecessor index answers it at the cost of the state's in-degree;
-        any other query scans the rows.
+        The preimage of a single state is a row of a's transpose, which is
+        kept for the last relation asked about; any other query scans the
+        rows.
         """
+        if p and not p & (p - 1):
+            if a is not self._transposed_of:
+                self._transposed_of, self._transposed = a, a.transpose()
+            return self._transposed.rows[p.bit_length() - 1]
         mask = 0
-        single = p and not p & (p - 1)
-        if single and a is self._indexed:
-            if self._index is None:
-                self._index = _predecessor_index(a)
-            start, sources = self._index
-            j = p.bit_length() - 1
-            for k in range(start[j], start[j + 1]):
-                mask |= 1 << sources[k]
-            return mask
-        if single:
-            # the index is kept for the last relation asked about only, so
-            # it lives no longer than the loop that queries that relation
-            self._indexed, self._index = a, None
         for i, row in enumerate(a.rows):
             if row & p:
                 mask |= 1 << i

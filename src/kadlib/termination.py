@@ -128,15 +128,14 @@ def stuck_set(D, a, forward: bool = False):
     return x
 
 
-def _stuck_verdict(D, a, forward: bool, what: str) -> Verdict:
-    stuck = stuck_set(D, a, forward)
+def _stuck_verdict(D, stuck, what: str) -> Verdict:
     return _verdict(D, None if stuck == D.test_zero else stuck, True, what)
 
 
 def is_noetherian(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None) -> Verdict:
     """No nonzero test p satisfies p <= a:p (no backward-closed cycle)."""
     if _exact(D, budget, ("d1", "d2")):
-        return _stuck_verdict(D, a, False, "p <= a:p")
+        return _stuck_verdict(D, stuck_set(D, a), "p <= a:p")
     pool, exhaustive = _tests(D, budget, samples, rng)
     zero = D.test_zero
     for p in pool:
@@ -150,7 +149,7 @@ def is_noetherian(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None
 def is_well_founded(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None) -> Verdict:
     """No nonzero test p satisfies p <= p:a (no forward-closed cycle)."""
     if _exact(D, budget, ("cd1", "cd2")):
-        return _stuck_verdict(D, a, True, "p <= p:a")
+        return _stuck_verdict(D, stuck_set(D, a, forward=True), "p <= p:a")
     pool, exhaustive = _tests(D, budget, samples, rng)
     zero = D.test_zero
     for p in pool:
@@ -176,26 +175,39 @@ def _intransitive_step(a: Relation):
     return None
 
 
+_LOEB_FAILS = "a:p not below a:(p - a:p)"
+
+
+def _relation_loeb(D, a, stuck) -> Verdict:
+    """The Löb verdict of a relation with the given stuck set.
+
+    A relation is Löbian iff it is transitive and Noetherian.  A nonzero
+    stuck set p fails the law (a:p >= p and p - a:p = 0); on an acyclic
+    relation so does p = {j,k} for a step i -> j -> k without i -> k
+    (p - a:p = {k}, and i lies in a:p but not in a:{k}).
+    """
+    bad = stuck if stuck != D.test_zero else _intransitive_step(a)
+    return _verdict(D, bad, True, _LOEB_FAILS)
+
+
+def _exact_relation(D, budget: int) -> bool:
+    return isinstance(D, RelModel) and D.test_count() > budget
+
+
 def is_loebian(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None) -> Verdict:
     """a:p <= a:(p - a:p) for all tests p, with p - q meaning p q'.
 
-    Past the budget a relation is Löbian iff it is transitive and
-    Noetherian.  A nonzero stuck set p fails the law (a:p >= p and
-    p - a:p = 0); on an acyclic relation so does p = {j,k} for a step
-    i -> j -> k without i -> k (p - a:p = {k}, and i lies in a:p but
-    not in a:{k}).
+    Past the budget a relation is decided exactly, as transitive and
+    Noetherian.
     """
-    what = "a:p not below a:(p - a:p)"
-    if isinstance(D, RelModel) and D.test_count() > budget:
-        stuck = stuck_set(D, a)
-        bad = stuck if stuck != D.test_zero else _intransitive_step(a)
-        return _verdict(D, bad, True, what)
+    if _exact_relation(D, budget):
+        return _relation_loeb(D, a, stuck_set(D, a))
     pool, exhaustive = _tests(D, budget, samples, rng)
     for p in pool:
         pre = D.preimage(a, p)
         rest = D.test_meet(p, D.test_compl(pre))
         if not D.test_leq(pre, D.preimage(a, rest)):
-            return _verdict(D, p, exhaustive, what)
+            return _verdict(D, p, exhaustive, _LOEB_FAILS)
     return _verdict(D, None, exhaustive, "")
 
 
@@ -209,6 +221,15 @@ def transitive_closure(D, a):
 
 
 def termination_report(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None) -> TerminationReport:
+    if _exact_relation(D, budget):
+        # one stuck set decides both Noethericity and the Löb property
+        stuck = stuck_set(D, a)
+        return TerminationReport(
+            subject=D.el_name(a),
+            noetherian=_stuck_verdict(D, stuck, "p <= a:p"),
+            well_founded=is_well_founded(D, a, budget, samples, rng),
+            loebian=_relation_loeb(D, a, stuck),
+        )
     return TerminationReport(
         subject=D.el_name(a),
         noetherian=is_noetherian(D, a, budget, samples, rng),

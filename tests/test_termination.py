@@ -473,3 +473,17 @@ def test_exact_decisions_take_at_most_n_atom_steps(check, cyclic):
         # every state of the chain reaches the 2-cycle (is reached from it, forwards)
         expect = D.test_one if check is is_noetherian else D.test_from_states([n - 1, n])
         assert v.witness == expect
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_exact_report_takes_at_most_2n_atom_steps(cyclic):
+    # the report shares one stuck set between Noethericity and the Löb property
+    n = 2000
+    pairs = [(i, i + 1) for i in range(1, n)] + ([(n, n - 1)] if cyclic else [])
+    a = Relation.from_pairs(n, pairs)
+    D = CountingRelModel(n)
+    rep = termination_report(D, a)
+    assert 0 < D.atom_steps <= 2 * n
+    E = RelModel(n)
+    assert rep == TerminationReport(E.el_name(a), is_noetherian(E, a), is_well_founded(E, a), is_loebian(E, a))
+    assert not rep.loebian.holds
