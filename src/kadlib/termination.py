@@ -25,7 +25,6 @@ How a verdict is decided:
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -104,7 +103,7 @@ def stuck_set(D, a, forward: bool = False):
     """
     pos = {t: k for k, t in enumerate(D.atoms_below(D.test_one))}
     # atom k keeps alive the atoms kept[start[k]:start[k + 1]]
-    start, kept = array("l", [0]), array("l")
+    start, kept = [0], []
     support = [0] * len(pos)  # support[k]: atoms in x that keep atom k alive
     for t in pos:
         for u in D.atoms_below(D.image(t, a) if forward else D.preimage(a, t)):
