@@ -13,7 +13,6 @@ DomainStructure or a direct relational model.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -82,6 +81,10 @@ def reach_efficient(D, a, p, order: str = "asc", rng=None) -> ReachResult:
             return frontier.pop(rng.randrange(len(frontier)))
 
     else:
+        # imported here, so that processes which never expand a frontier
+        # do not load the extension module
+        import heapq
+
         sign = 1 if order == "asc" else -1
 
         def push(b):
