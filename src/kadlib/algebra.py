@@ -10,9 +10,9 @@ Laws are data: a ``Law`` quantifies typed variables over equations,
 inequations and equivalences between ``Term``s, optionally under Horn
 premises.  One scanner (``check_laws``) compiles each law to numpy table
 lookups with one broadcast axis per variable and loops in Python over the
-leading variable, and over more while a chunk would exceed n^2
-assignments.  The scan is exhaustive, and a failure's witness is the
-lexicographically first failing assignment in the declared variable order.
+leading variable, in chunks of at most 2^17 assignments.  The scan is
+exhaustive, and a failure's witness is the lexicographically first failing
+assignment in the declared variable order.
 """
 
 from __future__ import annotations
@@ -498,14 +498,33 @@ def _rows(x):
     return x[..., 0] if isinstance(x, np.ndarray) else x
 
 
+# A chunk of a scan holds at most this many assignments.
+_CHUNK = 1 << 17
+
+
 class _Scanner:
     """Compiles laws to numpy over one model's tables and finds first failures.
 
     A compiled term maps an environment to its values: a prefix of the
-    variables is bound to Python ints (the chunk being scanned), the rest
-    are index arrays with one broadcast axis each, in declared order.  The
-    first False of the resulting mask in C order is then the
-    lexicographically first failing assignment.
+    variables is bound to Python ints, the rest are index arrays with one
+    broadcast axis each, in declared order.  The scan loops in Python over
+    the leading variable, and over more while one row of the first
+    broadcast axis would hold more than _CHUNK assignments, and cuts that
+    axis into blocks of rows so that no chunk holds more.  The first False
+    of a chunk's mask in C order, in the first chunk that has one, is then
+    the lexicographically first failing assignment.
+
+    A lookup X[l, r] picks its gather from the broadcast axes its operands
+    read.  When r reads only the innermost one and l does not read it, it
+    gathers whole rows X[l] and takes the columns r from them along the
+    last axis; when l is the variable of the axis before, it takes them
+    from X itself (the block's rows), with no row copy.  Every other lookup
+    is one flat X.ravel().take(off) with off = l * n + r written into one
+    index buffer that the scanner owns and reuses for every lookup and
+    chunk, so that take casts nothing and no chunk allocates an index
+    array.  A term or atom that reads no looped-over variable is evaluated
+    once per block of the law and reused for every prefix, with the
+    complement-validity masks it records.
     """
 
     def __init__(self, S: FiniteSemiring, T: Optional[TestAlgebra] = None, D=None):
@@ -519,13 +538,14 @@ class _Scanner:
             # complement maps non-members to themselves; member says where it is defined
             self.tables["not"] = np.array([T.compl.get(x, x) for x in range(S.n)])
             self.member = np.isin(ar, T.members)
+        self._off = np.empty(_CHUNK, dtype=np.intp)
 
     @functools.cached_property
     def top(self) -> Optional[int]:
         return self.S.top() if self.D is None else self.D.top
 
-    def _term(self, t: Term):
-        """(fn, deps): fn(env) evaluates t; deps holds the variable positions it reads."""
+    def _term(self, t: Term, loop: bool = True):
+        """(fn, deps): fn(env) evaluates the term or atom t; deps holds the variable positions it reads."""
         op = t.op
         if op == "var":
             i = self._pos[t.name]
@@ -533,10 +553,30 @@ class _Scanner:
         if op in ("zero", "one", "top"):
             v = self.top if op == "top" else (self.S.zero if op == "zero" else self.S.one)
             return (lambda env: v), set()
-        if op in ("add", "mul"):
-            return self._lookup(op, *t.args)
-        f, deps = self._term(t.args[0])
-        U = self.tables[op]
+        if loop and self._m:
+            vs = []
+            _term_vars(t, vs)
+            if all(self._pos[v] >= self._m for v in vs):
+                return self._hoisted(t)
+        if op in ("add", "mul", "leq"):
+            return self._lookup(op, *t.args, loop)
+        fs, deps = [], set()
+        for a in t.args:
+            f, d = self._term(a, loop)
+            fs.append(f)
+            deps |= d
+        if op in ("eq", "iff"):
+
+            def equal(env):
+                # all the terms (eq) or atoms (iff) have the same value
+                first, *rest = (f(env) for f in fs)
+                out = np.equal(first, rest[0])
+                for x in rest[1:]:
+                    out = out & np.equal(first, x)
+                return out
+
+            return equal, deps
+        f, U = fs[0], self.tables[op]
         if op != "not":
             return (lambda env: U[f(env)]), deps
 
@@ -547,27 +587,53 @@ class _Scanner:
 
         return complement, deps
 
-    def _lookup(self, key: str, l: Term, r: Term):
+    def _hoisted(self, t: Term):
+        """t reads no looped-over variable: evaluate it once per block and keep it for the law."""
+        f, deps = self._term(t, loop=False)
+        blocked, cache = self._m in deps, {}
+
+        def hoisted(env):
+            key = self._block.start if blocked else 0
+            if key not in cache:
+                outer, self._valid = self._valid, []
+                cache[key] = f(env), self._valid
+                self._valid = outer
+            value, valid = cache[key]
+            self._valid += valid
+            return value
+
+        return hoisted, deps
+
+    def _lookup(self, key: str, l: Term, r: Term, loop: bool):
         """X[l, r] for a binary table X (add, mul or the order leq)."""
-        (fl, dl), (fr, dr) = self._term(l), self._term(r)
+        (fl, dl), (fr, dr) = self._term(l, loop), self._term(r, loop)
         X, deps, inner = self.tables[key], dl | dr, self._inner
-        # The innermost variable runs over the whole carrier in order, so
-        # X[x, inner] is row x of X and X[inner, y] is column y: gather whole
-        # rows or columns rather than index pairs.  When x (or y) is the
-        # variable of the axis before, also over the carrier, that is all of
-        # X (or X^T).
-        if self._is_axis(r, inner) and inner not in dl:
+        # the broadcast axes each operand reads
+        bl, br = {i for i in dl if i >= self._m}, {i for i in dr if i >= self._m}
+        if br == {inner} and inner not in bl:
+            # rows X[l], columns r; r the innermost variable itself takes them all
+            whole = self._is_axis(r, inner)
             if self._is_axis(l, inner - 1):
-                return (lambda env: X), deps
-            return (lambda env: X[_rows(fl(env))]), deps
-        if self._is_axis(l, inner) and inner not in dr:
-            if self._is_axis(r, inner - 1):
-                return (lambda env: X.T), deps
-            return (lambda env: np.moveaxis(X[:, _rows(fr(env))], 0, -1)), deps
+                if whole:
+                    return (lambda env: X[self._span(inner - 1)]), deps
+                return (lambda env: X[self._span(inner - 1)].take(fr(env).ravel(), axis=1)), deps
+            if whole:
+                return (lambda env: X[_rows(fl(env)), self._span(inner)]), deps
+            return (lambda env: X[_rows(fl(env))].take(fr(env).ravel(), axis=-1)), deps
+        flat, n = X.ravel(), X.shape[1]
 
         def lookup(env):
             x, y = fl(env), fr(env)
-            return X[x, y] if isinstance(x, np.ndarray) else X[x][y]
+            if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
+                return X[x, y]
+            shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+            off = self._off[: math.prod(shape)].reshape(shape)
+            if np.size(x) < off.size:
+                np.add(y, x * n, out=off)
+            else:
+                np.multiply(x, n, out=off)
+                np.add(off, y, out=off)
+            return flat.take(off)
 
         return lookup, deps
 
@@ -575,57 +641,49 @@ class _Scanner:
         """t is the variable at position i, on a broadcast axis and ranging over the carrier."""
         return i >= self._m and t.op == "var" and self._pos[t.name] == i and t.name not in self._tests
 
-    def _atom(self, atom: Term):
-        if atom.op == "leq":
-            return self._lookup("leq", *atom.args)[0]
-        if atom.op == "eq":
-            fl, fr = (self._term(t)[0] for t in atom.args)
-            return lambda env: np.equal(fl(env), fr(env))
-        fs = [self._atom(a) for a in atom.args]
-
-        def equivalent(env):
-            first, *rest = (f(env) for f in fs)
-            out = True
-            for x in rest:
-                out = out & np.equal(first, x)
-            return out
-
-        return equivalent
+    def _span(self, i: int) -> slice:
+        """The part of the carrier that broadcast axis i covers in the current chunk."""
+        return self._block if i == self._m else slice(None)
 
     def first_failure(self, law: Law) -> Optional[dict]:
-        n, k = self.S.n, len(law.vars)
-        doms = [self.T.members if v in law.tests else range(n) for v in law.vars]
-        # Loop in Python over the leading variable, and over more of them
-        # while a chunk would exceed n^2 assignments.
+        k = len(law.vars)
+        doms = [self.T.members if v in law.tests else range(self.S.n) for v in law.vars]
         m = 1 if k > 1 else 0
-        while math.prod(len(d) for d in doms[m:]) > n * n:
+        while math.prod(len(d) for d in doms[m + 1 :]) > _CHUNK:
             m += 1
-        shape = tuple(len(d) for d in doms[m:])
+        shape = [len(d) for d in doms[m:]]
+        size, rows = (shape[0] if shape else 1), _CHUNK // math.prod(shape[1:])
         axes = [
             np.asarray(d, dtype=np.intp).reshape([-1 if j == i else 1 for j in range(k - m)])
             for i, d in enumerate(doms[m:])
         ]
         self._pos = {v: i for i, v in enumerate(law.vars)}
         self._m, self._tests, self._inner = m, law.tests, k - 1
-        concl, premises = self._atom(law.concl), [self._atom(a) for a in law.premises]
+        concl, premises = self._term(law.concl)[0], [self._term(a)[0] for a in law.premises]
         for prefix in itertools.product(*doms[:m]):
-            env, self._valid = [*prefix, *axes], []
-            ok = concl(env)
-            for p in premises:
-                ok = ok | ~p(env)
-            for v in self._valid:
-                ok = ok & v
-            ok = np.broadcast_to(ok, shape)
-            idx = np.unravel_index(int(np.argmin(ok)), shape)
-            if ok[idx]:
-                continue
-            witness = dict(zip(law.vars, [*prefix, *(int(d[i]) for d, i in zip(doms[m:], idx))]))
-            if not all(np.broadcast_to(v, shape)[idx] for v in self._valid):
-                # complement of a non-test: let the scalar evaluator raise
-                for atom in (*law.premises, law.concl):
-                    for t in _atom_terms(atom):
-                        eval_term(t, witness, self.S, self.T, self.D)
-            return witness
+            for lo in range(0, size, rows):
+                self._block = block = slice(lo, min(lo + rows, size))
+                env, self._valid = [*prefix, *axes], []
+                if axes:
+                    env[m] = axes[0][block]
+                ok = concl(env)
+                for p in premises:
+                    ok = ok | ~p(env)
+                for v in self._valid:
+                    ok = ok & v
+                chunk = (block.stop - lo, *shape[1:])
+                ok = np.broadcast_to(ok, chunk)
+                idx = np.unravel_index(int(np.argmin(ok)), chunk)
+                if ok[idx]:
+                    continue
+                at = (lo + idx[0], *idx[1:])
+                witness = dict(zip(law.vars, [*prefix, *(int(d[i]) for d, i in zip(doms[m:], at))]))
+                if not all(np.broadcast_to(v, chunk)[idx] for v in self._valid):
+                    # complement of a non-test: let the scalar evaluator raise
+                    for atom in (*law.premises, law.concl):
+                        for t in _atom_terms(atom):
+                            eval_term(t, witness, self.S, self.T, self.D)
+                return witness
         return None
 
 

@@ -36,7 +36,7 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -325,23 +325,46 @@ def semiring_to_doc(S: FiniteSemiring, T: Optional[TestAlgebra] = None) -> dict:
     return doc
 
 
+_JSON_TYPES = {
+    dict: "an object",
+    list: "an array",
+    str: "a string",
+    int: "a number",
+    float: "a number",
+    bool: "a boolean",
+}
+
+
+def _expect(value, kind: type, what: str):
+    """value, which must be a JSON object, array or string (kind dict, list or str)."""
+    if not isinstance(value, kind):
+        got = "null" if value is None else _JSON_TYPES.get(type(value), f"a {type(value).__name__}")
+        raise CliParseError(f"{what} must be {_JSON_TYPES[kind]}, not {got}")
+    return value
+
+
+def _state_number(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def semiring_from_doc(doc: dict) -> tuple[FiniteSemiring, TestAlgebra]:
     spec = doc.get("semiring")
     if spec is None:
         raise CliParseError("workspace declares no semiring")
+    _expect(spec, dict, '"semiring"')
     try:
-        carrier = list(spec["carrier"])
+        carrier = _expect(spec["carrier"], list, "the carrier")
         idx = {nm: i for i, nm in enumerate(carrier)}
         if len(idx) != len(carrier):
             raise CliParseError("carrier names are not distinct")
 
         def row(names):
-            return [idx[x] for x in names]
+            return [idx[x] for x in _expect(names, list, "a table row")]
 
         S = FiniteSemiring(
             carrier,
-            [row(r) for r in spec["add"]],
-            [row(r) for r in spec["mul"]],
+            [row(r) for r in _expect(spec["add"], list, "the add table")],
+            [row(r) for r in _expect(spec["mul"], list, "the mul table")],
             idx[spec["zero"]],
             idx[spec["one"]],
             star=row(spec["star"]) if spec.get("star") is not None else None,
@@ -356,9 +379,10 @@ def semiring_from_doc(doc: dict) -> tuple[FiniteSemiring, TestAlgebra]:
     if tdoc is None:
         T = TestAlgebra.discrete(S)
     else:
+        _expect(tdoc, dict, '"tests"')
         try:
-            members = [idx[x] for x in tdoc["members"]]
-            compl = {idx[k]: idx[v] for k, v in tdoc["compl"].items()}
+            members = [idx[x] for x in _expect(tdoc["members"], list, "the test members")]
+            compl = {idx[k]: idx[v] for k, v in _expect(tdoc["compl"], dict, "the test complement").items()}
             T = TestAlgebra(S, members, compl)
         except KeyError as e:
             raise CliParseError(f"tests reference unknown name {e.args[0]!r}") from e
@@ -368,14 +392,13 @@ def semiring_from_doc(doc: dict) -> tuple[FiniteSemiring, TestAlgebra]:
 
 
 def _relation_from_doc(n: int, name: str, edges) -> Relation:
-    try:
-        pairs = [(int(i), int(j)) for i, j in edges]
-    except (TypeError, ValueError) as e:
-        raise CliParseError(f"relation {name!r} is not an edge list: {e}") from e
-    for i, j in pairs:
+    _expect(edges, list, f"relation {name!r}")
+    if not all(isinstance(e, list) and len(e) == 2 and all(map(_state_number, e)) for e in edges):
+        raise CliParseError(f"relation {name!r} is not an edge list of [i, j] state pairs")
+    for i, j in edges:
         if not (1 <= i <= n and 1 <= j <= n):
             raise CliParseError(f"relation {name!r} has edge ({i}, {j}) outside 1..{n}")
-    return Relation.from_pairs(n, pairs)
+    return Relation.from_pairs(n, edges)
 
 
 def workspace_from_doc(doc: dict) -> Workspace:
@@ -385,8 +408,9 @@ def workspace_from_doc(doc: dict) -> Workspace:
     if "semiring" in doc:
         ws.semiring, ws.tests = semiring_from_doc(doc)
     relational_keys = [k for k in ("relations", "sets", "programs", "env", "triples", "proofs") if k in doc]
+    section = {k: _expect(doc[k], dict, f'"{k}"') for k in relational_keys}
     if "n" in doc:
-        if not isinstance(doc["n"], int) or doc["n"] < 1:
+        if not _state_number(doc["n"]) or doc["n"] < 1:
             raise CliParseError('"n" must be a positive state count')
         ws.n = doc["n"]
     elif relational_keys:
@@ -395,24 +419,42 @@ def workspace_from_doc(doc: dict) -> Workspace:
         return ws
 
     D = rel_model(ws.n)
-    for name, edges in doc.get("relations", {}).items():
+    for name, edges in section.get("relations", {}).items():
         ws.relations[name] = _relation_from_doc(ws.n, name, edges)
-    for name, states in doc.get("sets", {}).items():
+    for name, states in section.get("sets", {}).items():
+        if not all(map(_state_number, _expect(states, list, f"set {name!r}"))):
+            raise CliParseError(f"set {name!r} must list state numbers")
         try:
             ws.sets[name] = D.test_from_states(states)
-        except (TypeError, ValueError) as e:
+        except ValueError as e:
             raise CliParseError(f"set {name!r}: {e}") from e
-    for name, text in doc.get("programs", {}).items():
-        ws.programs[name] = parse_program(text)
-    for prim, rel in doc.get("env", {}).items():
-        if rel not in ws.relations:
+    for name, text in section.get("programs", {}).items():
+        ws.programs[name] = parse_program(_expect(text, str, f"program {name!r}"))
+    for prim, rel in section.get("env", {}).items():
+        if _expect(rel, str, f"env entry {prim!r}") not in ws.relations:
             raise CliParseError(f"env binds {prim!r} to unknown relation {rel!r}")
         ws.env[prim] = ws.relations[rel]
-    for name, tdoc in doc.get("triples", {}).items():
+    for name, tdoc in section.get("triples", {}).items():
         ws.triples[name] = _triple_from_doc(tdoc, ws, name)
-    for name, pdoc in doc.get("proofs", {}).items():
+    for name, pdoc in section.get("proofs", {}).items():
         ws.proofs[name] = _proof_from_doc(pdoc, ws, name)
     return ws
+
+
+def _check_names(node, ws: Workspace, where: str):
+    """Refuse a set, action or state in a test or program that the workspace does not declare."""
+    if isinstance(node, TRef) and node.name not in ws.sets:
+        raise CliParseError(f"{where}: unknown set {node.name!r}")
+    if isinstance(node, Prim) and node.name not in ws.env and node.name not in ("skip", "abort"):
+        raise CliParseError(f"{where}: unbound action {node.name!r}")
+    if isinstance(node, TStates):
+        bad = [s for s in node.states if not 1 <= s <= ws.n]
+        if bad:
+            raise CliParseError(f"{where}: state {bad[0]} outside 1..{ws.n}")
+    for f in fields(node):
+        child = getattr(node, f.name)
+        if is_dataclass(child):
+            _check_names(child, ws, where)
 
 
 def _triple_from_doc(tdoc, ws: Workspace, where: str) -> HoareTriple:
@@ -424,8 +466,13 @@ def _triple_from_doc(tdoc, ws: Workspace, where: str) -> HoareTriple:
         pre, prog, post = tdoc["pre"], tdoc["prog"], tdoc["post"]
     except (KeyError, TypeError) as e:
         raise CliParseError(f"{where}: a triple needs pre, prog and post") from e
+    if not all(isinstance(x, str) for x in (pre, prog, post)):
+        raise CliParseError(f"{where}: a triple's pre, prog and post must be strings")
     program = ws.programs[prog] if prog in ws.programs else parse_program(prog)
-    return HoareTriple(parse_test(pre), program, parse_test(post))
+    triple = HoareTriple(parse_test(pre), program, parse_test(post))
+    for part in (triple.pre, triple.prog, triple.post):
+        _check_names(part, ws, where)
+    return triple
 
 
 def _proof_from_doc(pdoc, ws: Workspace, where: str) -> ProofTree:
@@ -436,7 +483,7 @@ def _proof_from_doc(pdoc, ws: Workspace, where: str) -> ProofTree:
         raise CliParseError(f"{where}: a proof node needs rule and conclusion") from e
     premises = tuple(
         _proof_from_doc(sub, ws, f"{where}.premise[{i}]")
-        for i, sub in enumerate(pdoc.get("premises", []))
+        for i, sub in enumerate(_expect(pdoc.get("premises", []), list, f"{where}: premises"))
     )
     return ProofTree(rule, conclusion, premises)
 

@@ -493,27 +493,32 @@ def rel_semiring(n: int) -> FiniteSemiring:
     model = RelModel(n)
     size = 1 << (n * n)
     full = (1 << n) - 1
-    masks = np.arange(size, dtype=np.int64)
+    # int32 throughout, the dtype FiniteSemiring keeps, so that no table is
+    # built twice and the 512 x 512 temporaries of rel(3) stay at 1 MB each
+    masks = np.arange(size, dtype=np.int32)
 
     # per-relation successor rows: rows[m, i] = successors of state i
-    rows = np.empty((size, n), dtype=np.int64)
+    rows = np.empty((size, n), dtype=np.int32)
     for i in range(n):
         rows[:, i] = (masks >> (i * n)) & full
 
     # ors[m, s] = union of rows[m, j] over j in subset s
-    ors = np.zeros((size, 1 << n), dtype=np.int64)
+    ors = np.zeros((size, 1 << n), dtype=np.int32)
     for s in range(1, 1 << n):
         low = s & -s
         ors[:, s] = ors[:, s ^ low] | rows[:, low.bit_length() - 1]
 
     add = np.bitwise_or.outer(masks, masks)
-    mul = np.zeros((size, size), dtype=np.int64)
+    mul = np.zeros((size, size), dtype=np.int32)
     for i in range(n):
         # row i of x;y is the union of y's rows over x's successors of i
-        mul |= ors[:, rows[:, i]].T << (i * n)
+        part = ors[:, rows[:, i]]
+        part <<= i * n
+        mul |= part.T
+    del part
 
-    star = np.empty(size, dtype=np.int64)
-    conv = np.empty(size, dtype=np.int64)
+    star = np.empty(size, dtype=np.int32)
+    conv = np.empty(size, dtype=np.int32)
     for m in range(size):
         r = model._from_mask(int(m))
         star[m] = _rel_mask(r.star())

@@ -144,6 +144,36 @@ def test_workspace_validates_edges_and_sets(tmp_path):
         load_workspace(path)
 
 
+REL = {"n": 2, "relations": {"R": []}}
+
+MALFORMED = {
+    "relations-not-an-object": ({"n": 3, "relations": [[1, 2]]}, '"relations" must be an object, not an array'),
+    "n-is-a-boolean": ({"n": True, "relations": {"R": [[1, 1]]}}, '"n" must be a positive state count'),
+    "edges-not-an-array": ({"n": 2, "relations": {"R": {"12": 0}}}, "relation 'R' must be an array, not an object"),
+    "edge-not-a-pair": (
+        {"n": 2, "relations": {"R": [[1, 2, 1]]}},
+        "relation 'R' is not an edge list of [i, j] state pairs",
+    ),
+    "set-not-an-array": ({**REL, "sets": {"p": "12"}}, "set 'p' must be an array, not a string"),
+    "program-not-a-string": ({**REL, "programs": {"p": 5}}, "program 'p' must be a string, not a number"),
+    "env-not-a-string": ({**REL, "env": {"a": ["R"]}}, "env entry 'a' must be a string, not an array"),
+    "compl-not-an-object": (
+        {**semiring_to_doc(conway_model("A2")), "tests": {"members": ["0", "1"], "compl": [["0", "1"]]}},
+        "the test complement must be an object, not an array",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_workspace_is_a_one_line_parse_error(case, tmp_path, capsys):
+    doc, message = MALFORMED[case]
+    path = write_ws(tmp_path, doc)
+    argv = ["check", path] if "semiring" in doc else ["termination", path, "--relation", "R"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
 # -- check command -------------------------------------------------------------------
 
 
@@ -355,6 +385,27 @@ def test_hoare_unknown_names(tmp_path, capsys):
     assert main(["hoare", path, "--triple", "zzz"]) == 2
     assert main(["hoare", path, "--proof", "zzz"]) == 2
     capsys.readouterr()
+
+
+UNRESOLVED = {
+    "undeclared-set": ({"pre": "undeclared", "prog": "step", "post": "atEnd"}, "unknown set 'undeclared'"),
+    "set-in-the-program": (
+        {"pre": "true", "prog": "while nowhere do step od", "post": "true"},
+        "unknown set 'nowhere'",
+    ),
+    "unbound-action": ({"pre": "true", "prog": "jump", "post": "true"}, "unbound action 'jump'"),
+    "state-out-of-range": ({"pre": "{4}", "prog": "step", "post": "true"}, "state 4 outside 1..3"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNRESOLVED))
+def test_hoare_names_are_resolved_when_the_workspace_loads(case, tmp_path, capsys):
+    triple, message = UNRESOLVED[case]
+    doc = {**CHAIN, "triples": {"t": triple}, "proofs": {}}
+    path = write_ws(tmp_path, doc)
+    assert main(["hoare", path, "--triple", "t"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: t: {message}\n")
 
 
 # -- installed entry point -----------------------------------------------------------------------

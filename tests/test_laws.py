@@ -45,6 +45,7 @@ from kadlib.algebra import (
     star,
     var,
 )
+import kadlib.algebra
 import kadlib.domain
 from kadlib.cli import main
 from kadlib.domain import (
@@ -181,6 +182,106 @@ def test_scanner_matches_brute_force_on_corrupted_domain_tables(name):
         compare_domain(DomainStructure(S, T, delta, rho))
 
 
+# -- chunks of at most _CHUNK assignments -------------------------------------------
+
+# No model above reaches the default _CHUNK of 2^17 assignments, so these rerun
+# the cross-checks with it lowered.  At 2^5 rel(2)'s three-variable laws run
+# in eight blocks of two rows and its "p q a" laws in two blocks; at 2^2 the
+# three-variable laws of the builtins on three and four elements run in
+# blocks of one row, and rel(2)'s one-variable laws in four blocks.
+
+SMALL_CHUNKS = [1 << 2, 1 << 5]
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+@pytest.mark.parametrize("name,S,T", MODELS, ids=[m[0] for m in MODELS])
+def test_scanner_matches_brute_force_in_small_chunks(monkeypatch, chunk, name, S, T):
+    monkeypatch.setattr(kadlib.algebra, "_CHUNK", chunk)
+    assert compare_all(S, T) is not None
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+@pytest.mark.parametrize("name,table,seed", CORRUPTIONS, ids=[f"{n}-{t}-{s}" for n, t, s in CORRUPTIONS])
+def test_scanner_matches_brute_force_on_corrupted_tables_in_small_chunks(monkeypatch, chunk, name, table, seed):
+    monkeypatch.setattr(kadlib.algebra, "_CHUNK", chunk)
+    test_scanner_matches_brute_force_on_corrupted_tables(name, table, seed)
+
+
+def reference_first_failure(law, S):
+    """First failure of a law in three carrier variables, by a plain scan.
+
+    One n-by-n grid of (second, third) values per value of the first
+    variable, every binary table read by fancy indexing X[x, y].
+    """
+    n = S.n
+    tables = {"add": S.add, "mul": S.mul, "leq": S.add == np.arange(n)}
+    first, *rest = law.vars
+    grid = dict(zip(rest, np.ix_(range(n), range(n))))
+
+    def ev(t, env):
+        if t.op == "var":
+            return env[t.name]
+        if t.op in ("zero", "one"):
+            return S.zero if t.op == "zero" else S.one
+        args = [ev(a, env) for a in t.args]
+        if t.op == "star":
+            return S.star[args[0]]
+        if t.op == "eq":
+            return np.equal(*args)
+        return tables[t.op][args[0], args[1]]
+
+    for x in range(n):
+        env = {first: x, **grid}
+        ok = ev(law.concl, env)
+        for p in law.premises:
+            ok = ok | ~ev(p, env)
+        ok = np.broadcast_to(ok, (n, n))
+        if not ok.all():
+            i, j = np.unravel_index(int(np.argmin(ok)), (n, n))
+            return {first: x, rest[0]: int(i), rest[1]: int(j)}
+    return None
+
+
+REL3 = rel_semiring(3)
+REL3_LAWS = {law.name: law for law in ISEMIRING_LAWS + KLEENE_LAWS if isinstance(law, Law)}
+
+# One cell of rel(3)'s add or mul table moved to the next element, and the
+# three-variable laws that this breaks.  rel(3)'s 512 x 512 chunks are cut
+# into two blocks of 256 rows of the second variable, and the witnesses
+# marked * lie in the second block.
+REL3_CORRUPTIONS = {
+    ("mul", 300, 400): ["mul-associative*", "left-distributive", "right-distributive*", "star-left-simulation*"],
+    ("add", 5, 480): ["add-associative", "left-distributive", "right-distributive", "star-left-induction"],
+    ("mul", 0, 511): ["mul-associative", "left-distributive", "right-distributive", "star-right-induction"],
+    ("add", 260, 3): ["add-associative*", "left-distributive*", "star-left-induction*", "star-right-induction*"],
+}
+
+
+@pytest.mark.parametrize("table,i,j", sorted(REL3_CORRUPTIONS), ids=str)
+def test_rel3_witnesses_match_a_plain_scan(table, i, j):
+    tables = {"add": np.array(REL3.add), "mul": np.array(REL3.mul)}
+    tables[table][i, j] = (tables[table][i, j] + 1) % REL3.n
+    S = FiniteSemiring(REL3.carrier, tables["add"], tables["mul"], REL3.zero, REL3.one, REL3.star, REL3.conv)
+    for name in REL3_CORRUPTIONS[table, i, j]:
+        law = REL3_LAWS[name.rstrip("*")]
+        got = check_laws([law], S)[0].witness
+        assert got is not None and got == reference_first_failure(law, S), name
+        assert (got[law.vars[1]] >= 256) == name.endswith("*"), name
+
+
+@pytest.mark.parametrize("chunk", [None, 1 << 10])
+@pytest.mark.parametrize("p,q", [(272, 256), (16, 272)])
+def test_rel3_shunting_with_a_corrupted_complement(monkeypatch, chunk, p, q):
+    """The complemented terms a(q') and (q')a read no looped-over variable and are evaluated once per law."""
+    if chunk is not None:
+        monkeypatch.setattr(kadlib.algebra, "_CHUNK", chunk)  # four blocks of two q rows
+    T = rel_tests(3)
+    T2 = TestAlgebra(REL3, T.members, {**T.compl, p: q})
+    laws = [law for law in TEST_LAWS if isinstance(law, Law) and law.name.startswith("shunting")]
+    got = compare(laws, REL3, T2)
+    assert [r.witness for r in got] == [{"p": 1, "q": p, "a": 1}] * 2
+
+
 # -- check_equation ---------------------------------------------------------------
 
 
@@ -239,6 +340,12 @@ def test_check_equation_matches_the_scalar_scan():
             raised += want[0] == "raises"
             failed += want[0] is False
     assert raised and failed
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+def test_check_equation_matches_the_scalar_scan_in_small_chunks(monkeypatch, chunk):
+    monkeypatch.setattr(kadlib.algebra, "_CHUNK", chunk)
+    test_check_equation_matches_the_scalar_scan()
 
 
 def test_check_equation_complement_of_a_non_test():
