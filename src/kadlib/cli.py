@@ -343,7 +343,8 @@ def _expect(value, kind: type, what: str):
     return value
 
 
-def _state_number(x) -> bool:
+def _is_int(x) -> bool:
+    """x is a JSON integer; true and false are not."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
@@ -393,7 +394,7 @@ def semiring_from_doc(doc: dict) -> tuple[FiniteSemiring, TestAlgebra]:
 
 def _relation_from_doc(n: int, name: str, edges) -> Relation:
     _expect(edges, list, f"relation {name!r}")
-    if not all(isinstance(e, list) and len(e) == 2 and all(map(_state_number, e)) for e in edges):
+    if not all(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges):
         raise CliParseError(f"relation {name!r} is not an edge list of [i, j] state pairs")
     for i, j in edges:
         if not (1 <= i <= n and 1 <= j <= n):
@@ -410,7 +411,7 @@ def workspace_from_doc(doc: dict) -> Workspace:
     relational_keys = [k for k in ("relations", "sets", "programs", "env", "triples", "proofs") if k in doc]
     section = {k: _expect(doc[k], dict, f'"{k}"') for k in relational_keys}
     if "n" in doc:
-        if not _state_number(doc["n"]) or doc["n"] < 1:
+        if not _is_int(doc["n"]) or doc["n"] < 1:
             raise CliParseError('"n" must be a positive state count')
         ws.n = doc["n"]
     elif relational_keys:
@@ -422,7 +423,7 @@ def workspace_from_doc(doc: dict) -> Workspace:
     for name, edges in section.get("relations", {}).items():
         ws.relations[name] = _relation_from_doc(ws.n, name, edges)
     for name, states in section.get("sets", {}).items():
-        if not all(map(_state_number, _expect(states, list, f"set {name!r}"))):
+        if not all(map(_is_int, _expect(states, list, f"set {name!r}"))):
             raise CliParseError(f"set {name!r} must list state numbers")
         try:
             ws.sets[name] = D.test_from_states(states)
