@@ -611,13 +611,10 @@ class _Scanner:
         # the broadcast axes each operand reads
         bl, br = {i for i in dl if i >= self._m}, {i for i in dr if i >= self._m}
         if br == {inner} and inner not in bl:
-            # rows X[l], columns r; r the innermost variable itself takes them all
-            whole = self._is_axis(r, inner)
+            # whole rows X[l], from which r takes the columns
             if self._is_axis(l, inner - 1):
-                if whole:
-                    return (lambda env: X[self._span(inner - 1)]), deps
                 return (lambda env: X[self._span(inner - 1)].take(fr(env).ravel(), axis=1)), deps
-            if whole:
+            if self._is_axis(r, inner):
                 return (lambda env: X[_rows(fl(env)), self._span(inner)]), deps
             return (lambda env: X[_rows(fl(env))].take(fr(env).ravel(), axis=-1)), deps
         flat, n = X.ravel(), X.shape[1]
