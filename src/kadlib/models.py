@@ -515,7 +515,6 @@ def rel_semiring(n: int) -> FiniteSemiring:
         part = ors[:, rows[:, i]]
         part <<= i * n
         mul |= part.T
-    del part
 
     star = np.empty(size, dtype=np.int32)
     conv = np.empty(size, dtype=np.int32)
