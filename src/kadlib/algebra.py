@@ -268,12 +268,18 @@ def failures(reports: Iterable[LawReport]) -> list[LawReport]:
     return [r for r in reports if not r.holds]
 
 
-def format_witness(S: FiniteSemiring, witness: Optional[dict]) -> str:
-    if not witness:
-        return ""
+def format_witness(S: FiniteSemiring, witness) -> str:
+    """The witness values in parentheses, element indices of S by name ("power" stays a number)."""
+    if witness is None:
+        return "()"
+    if not isinstance(witness, dict):
+        return f"({witness})"
     parts = []
     for k, v in witness.items():
-        parts.append(f"{k}={S.element_name(v)}" if isinstance(v, (int, np.integer)) and 0 <= v < S.n else f"{k}={v}")
+        if isinstance(v, (int, np.integer)) and k != "power" and 0 <= int(v) < S.n:
+            parts.append(S.element_name(int(v)))
+        else:
+            parts.append(str(v))
     return "(" + ", ".join(parts) + ")"
 
 

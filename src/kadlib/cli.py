@@ -39,14 +39,13 @@ import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
-import numpy as np
-
 from .algebra import (
     FiniteSemiring,
     TestAlgebra,
     check_isemiring,
     check_kleene,
     check_test_algebra,
+    format_witness,
 )
 from .domain import (
     check_converse,
@@ -532,20 +531,6 @@ def _load_algebra(path: str) -> tuple[FiniteSemiring, TestAlgebra]:
 # -- reports ------------------------------------------------------------------
 
 
-def _witness_str(S: FiniteSemiring, witness) -> str:
-    if witness is None:
-        return "()"
-    if not isinstance(witness, dict):
-        return f"({witness})"
-    parts = []
-    for k, v in witness.items():
-        if isinstance(v, (int, np.integer)) and k != "power" and 0 <= int(v) < S.n:
-            parts.append(S.element_name(int(v)))
-        else:
-            parts.append(str(v))
-    return "(" + ", ".join(parts) + ")"
-
-
 def _print_reports(S: FiniteSemiring, reports) -> bool:
     ok = True
     for r in reports:
@@ -554,7 +539,7 @@ def _print_reports(S: FiniteSemiring, reports) -> bool:
             print(f"{r.name} holds{suffix}")
         else:
             ok = False
-            print(f"{r.name} FAILS with witness {_witness_str(S, r.witness)}")
+            print(f"{r.name} FAILS with witness {format_witness(S, r.witness)}")
     return ok
 
 

@@ -485,28 +485,39 @@ class _Evaluator:
         return lambda env: le(fl(env), fr(env))
 
 
+def _instances(D, is_test, budget: int, samples: int, rng):
+    """(assignments, exhaustive) for variables that are tests where is_test says so.
+
+    While the variables have at most budget joint values (D.test_count() per
+    test, D.size() per element), every assignment is listed in lexicographic
+    order over test_members() and elements().  Past the budget, or over an
+    infinite carrier, `samples` assignments are drawn from rng, one
+    sample_test or sample per variable in declared order (rng defaults to
+    one seeded 0).
+    """
+    sizes = [D.test_count() if t else D.size() for t in is_test]
+    if None not in sizes and math.prod(sizes) <= budget:
+        return itertools.product(*(D.test_members() if t else D.elements() for t in is_test)), True
+    rng = rng or random.Random(0)
+    draws = [D.sample_test if t else D.sample for t in is_test]
+    return (tuple(draw(rng) for draw in draws) for _ in range(samples)), False
+
+
 def run_laws(laws, D, budget: int, samples: int, rng=None) -> list[LawReport]:
     """One report per law, for any model with the domain surface.
 
-    A law whose instances number at most budget is checked on all of them,
-    by check_laws' scanner when D is a DomainStructure and through D's
-    methods otherwise.  Past the budget, or over an infinite carrier, it is
-    checked on `samples` assignments drawn from rng (default: seeded 0),
-    one draw per variable in declared order.  The note says which;
-    witnesses hold element and test names.
+    A law's instances come from _instances: when they are all listed, a
+    DomainStructure is scanned by check_laws' scanner and any other model is
+    checked through its methods; sampled instances are drawn from rng
+    (default: seeded 0).  The note says which; witnesses hold element and
+    test names.
     """
     if not hasattr(D, "test_members"):
         needy = [law.name for law in laws if _uses_tests(law)]
         if needy:
             raise ValueError(f"{D.name} has no test algebra, which {needy[0]} needs")
     rng = rng or random.Random(0)
-    members = functools.cache(lambda: D.test_members())
-    elements = functools.cache(lambda: list(D.elements()))
     scanner = functools.cache(lambda: _Scanner(D.owner, D=D))
-
-    def draw(is_test):
-        return members()[rng.randrange(len(members()))] if is_test else D.sample(rng)
-
     reports = []
     for law in laws:
         skipped = _not_applicable(law, lambda: D.top, D)
@@ -514,16 +525,11 @@ def run_laws(laws, D, budget: int, samples: int, rng=None) -> list[LawReport]:
             reports.append(skipped)
             continue
         is_test = [v in law.tests for v in law.vars]
-        sizes = [len(members()) if t else D.size() for t in is_test]
-        exhaustive = None not in sizes and math.prod(sizes) <= budget
+        envs, exhaustive = _instances(D, is_test, budget, samples, rng)
         if exhaustive and isinstance(D, DomainStructure):
             found = scanner().first_failure(law)
             values = None if found is None else tuple(found.values())
         else:
-            if exhaustive:
-                envs = itertools.product(*(members() if t else elements() for t in is_test))
-            else:
-                envs = (tuple(draw(t) for t in is_test) for _ in range(samples))
             holds = _Evaluator(D, law)
             values = next((env for env in envs if not holds(env)), None)
         note = "exhaustive" if exhaustive else f"sampled ({samples})"

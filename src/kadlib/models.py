@@ -57,15 +57,15 @@ class ModelHandle:
     """Uniform interface over computable models.
 
     Subclasses provide add/mul/zero/one and optionally star, top, element
-    enumeration (elements, size) and sampling.  Elements are opaque values;
-    el_name renders them for reports.  A model with domain adds the test
-    surface (test_members, test_join/meet/compl/leq, test_name, embed) and
-    dom/cod/preimage/image.  DomainStructure has the same names over its
-    tables, so one checker takes either.
+    enumeration (elements, and size, which is None for an infinite model)
+    and sampling.  Elements are opaque values; el_name renders them for
+    reports.  A model with domain adds the test surface (test_members,
+    test_join/meet/compl/leq, test_name, embed) and dom/cod/preimage/image.
+    DomainStructure has the same names over its tables, so one checker
+    takes either.
     """
 
     name = "model"
-    finite = True
     has_star = False
 
     # -- required ops --------------------------------------------------
@@ -387,7 +387,7 @@ class RelModel(ModelHandle):
         return 1 << self.n
 
     def sample_test(self, rng) -> int:
-        return rng.getrandbits(self.n)
+        return rng.randrange(1 << self.n)
 
     def test_atoms(self) -> list[int]:
         return [1 << i for i in range(self.n)]
@@ -672,6 +672,9 @@ def matrix_semiring(base: FiniteSemiring, q: int) -> MatrixModel:
 # ---------------------------------------------------------------------------
 # numeric models
 
+# the tropical and max-plus models sample their finite values below this
+_SAMPLE_BOUND = 10**6
+
 
 class TropicalModel(ModelHandle):
     """Naturals with infinity; add = min, mul = +, star constantly 0.
@@ -681,11 +684,9 @@ class TropicalModel(ModelHandle):
     """
 
     name = "tropical"
-    finite = False
     has_star = True
 
-    def __init__(self, sample_bound: int = 10**6):
-        self.sample_bound = sample_bound
+    def __init__(self):
         self.flags = {"d1": True, "d2": True, "dloc": True}
 
     def add(self, x, y):
@@ -712,7 +713,7 @@ class TropicalModel(ModelHandle):
     def sample(self, rng):
         if rng.random() < 0.1:
             return math.inf
-        return rng.randrange(self.sample_bound)
+        return rng.randrange(_SAMPLE_BOUND)
 
     def el_name(self, x) -> str:
         return "inf" if x == math.inf else str(x)
@@ -733,10 +734,6 @@ class MaxPlusModel(ModelHandle):
     """Naturals with minus infinity; add = max, mul = +; no star exists."""
 
     name = "maxplus"
-    finite = False
-
-    def __init__(self, sample_bound: int = 10**6):
-        self.sample_bound = sample_bound
 
     def add(self, x, y):
         return max(x, y)
@@ -760,7 +757,7 @@ class MaxPlusModel(ModelHandle):
     def sample(self, rng):
         if rng.random() < 0.1:
             return -math.inf
-        return rng.randrange(self.sample_bound)
+        return rng.randrange(_SAMPLE_BOUND)
 
     def el_name(self, x) -> str:
         return "-inf" if x == -math.inf else str(x)
@@ -770,12 +767,12 @@ class MaxPlusModel(ModelHandle):
         return members, {-math.inf: 0, 0: -math.inf}
 
 
-def tropical_model(sample_bound: int = 10**6) -> TropicalModel:
-    return TropicalModel(sample_bound)
+def tropical_model() -> TropicalModel:
+    return TropicalModel()
 
 
-def maxplus_model(sample_bound: int = 10**6) -> MaxPlusModel:
-    return MaxPlusModel(sample_bound)
+def maxplus_model() -> MaxPlusModel:
+    return MaxPlusModel()
 
 
 # ---------------------------------------------------------------------------
@@ -1047,14 +1044,12 @@ class MaterializedModel:
 
 def materialize(handle: ModelHandle, max_size: int = 4096) -> MaterializedModel:
     """Dense-table snapshot of a finite handle, for exhaustive checking."""
-    if not handle.finite:
-        raise ValueError(f"{handle.name} is infinite; cannot materialize")
     size = handle.size()
-    if size is not None and size > max_size:
+    if size is None:
+        raise ValueError(f"{handle.name} is infinite; cannot materialize")
+    if size > max_size:
         raise ValueError(f"{handle.name} has {size} elements, above the budget of {max_size}")
     elems = list(handle.elements())
-    if len(elems) > max_size:
-        raise ValueError(f"{handle.name} has {len(elems)} elements, above the budget of {max_size}")
     index = {e: i for i, e in enumerate(elems)}
     n = len(elems)
 

@@ -9,26 +9,29 @@ already-reached part, here p - q means p q'.
 
 How a verdict is decided:
 
-- While the test algebra has at most `budget` members, all of them are
-  enumerated in order, and a failing verdict names the first failing test.
 - Past the budget, Noethericity is decided exactly wherever preimage is
   monotone (every relation model, and every structure whose d1 and d2
   flags hold): the greatest test p with p <= a:p, the stuck set, is
   computed by an atom worklist, and a is Noetherian iff it is 0;
   otherwise it is the witness.  Well-foundedness is the same with image
   in place of preimage, where the cd1 and cd2 flags hold.  On relations,
-  a is Löbian iff it is transitive and Noetherian.
-- Everything else is checked on random tests, and the verdict says
-  "sampled".
+  a is Löbian iff it is transitive and Noetherian, and the Noetherian
+  verdict supplies the stuck set.
+- Every other verdict is one search for the first failing test over
+  domain._instances, the enumerate-or-sample rule that run_laws also
+  uses: while the test algebra has at most `budget` members all of them
+  are tried in order, and a failing verdict names the first failing
+  test; past it, `samples` random tests are tried, and a verdict that
+  holds says "sampled".
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import FiniteSemiring, Verdict
+from .domain import _instances
 from .models import Relation, RelModel
 
 __all__ = [
@@ -70,15 +73,6 @@ class TerminationReport:
         )
 
 
-def _tests(D, budget: int, samples: int, rng):
-    """All tests if the algebra is small, a random stream otherwise."""
-    count = D.test_count()
-    if count <= budget:
-        return D.test_members(), True
-    rng = rng or random.Random(0)
-    return (D.sample_test(rng) for _ in range(samples)), False
-
-
 def _verdict(D, bad_p, exhaustive: bool, what: str) -> Verdict:
     if bad_p is None:
         note = "" if exhaustive else "sampled"
@@ -86,9 +80,10 @@ def _verdict(D, bad_p, exhaustive: bool, what: str) -> Verdict:
     return Verdict(False, witness=bad_p, note=f"{what} at p = {D.test_name(bad_p)}")
 
 
-def _exact(D, budget: int, flags) -> bool:
-    """Past the enumeration budget, with the operator monotone by D's flags."""
-    return D.test_count() > budget and all(getattr(D, "flags", {}).get(f, False) for f in flags)
+def _search(D, bad, budget: int, samples: int, rng, what: str) -> Verdict:
+    """The verdict of the first test p with bad(p), over domain._instances."""
+    pool, exhaustive = _instances(D, (True,), budget, samples, rng)
+    return _verdict(D, next((p for (p,) in pool if bad(p)), None), exhaustive, what)
 
 
 def stuck_set(D, a, forward: bool = False):
@@ -127,36 +122,25 @@ def stuck_set(D, a, forward: bool = False):
     return x
 
 
-def _stuck_verdict(D, stuck, what: str) -> Verdict:
-    return _verdict(D, None if stuck == D.test_zero else stuck, True, what)
+def _terminates(D, a, forward: bool, budget: int, samples: int, rng) -> Verdict:
+    """No nonzero test p satisfies p <= a:p (p <= p:a when forward)."""
+    what = "p <= p:a" if forward else "p <= a:p"
+    monotone = ("cd1", "cd2") if forward else ("d1", "d2")
+    if D.test_count() > budget and all(getattr(D, "flags", {}).get(f, False) for f in monotone):
+        stuck = stuck_set(D, a, forward)
+        return _verdict(D, None if stuck == D.test_zero else stuck, True, what)
+    step = (lambda p: D.image(p, a)) if forward else (lambda p: D.preimage(a, p))
+    return _search(D, lambda p: p != D.test_zero and D.test_leq(p, step(p)), budget, samples, rng, what)
 
 
 def is_noetherian(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None) -> Verdict:
     """No nonzero test p satisfies p <= a:p (no backward-closed cycle)."""
-    if _exact(D, budget, ("d1", "d2")):
-        return _stuck_verdict(D, stuck_set(D, a), "p <= a:p")
-    pool, exhaustive = _tests(D, budget, samples, rng)
-    zero = D.test_zero
-    for p in pool:
-        if p == zero:
-            continue
-        if D.test_leq(p, D.preimage(a, p)):
-            return _verdict(D, p, exhaustive, "p <= a:p")
-    return _verdict(D, None, exhaustive, "")
+    return _terminates(D, a, False, budget, samples, rng)
 
 
 def is_well_founded(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None) -> Verdict:
     """No nonzero test p satisfies p <= p:a (no forward-closed cycle)."""
-    if _exact(D, budget, ("cd1", "cd2")):
-        return _stuck_verdict(D, stuck_set(D, a, forward=True), "p <= p:a")
-    pool, exhaustive = _tests(D, budget, samples, rng)
-    zero = D.test_zero
-    for p in pool:
-        if p == zero:
-            continue
-        if D.test_leq(p, D.image(p, a)):
-            return _verdict(D, p, exhaustive, "p <= p:a")
-    return _verdict(D, None, exhaustive, "")
+    return _terminates(D, a, True, budget, samples, rng)
 
 
 def _intransitive_step(a: Relation):
@@ -177,20 +161,26 @@ def _intransitive_step(a: Relation):
 _LOEB_FAILS = "a:p not below a:(p - a:p)"
 
 
-def _relation_loeb(D, a, stuck) -> Verdict:
-    """The Löb verdict of a relation with the given stuck set.
+def _loeb(D, a, noetherian: Optional[Verdict], budget: int, samples: int, rng) -> Verdict:
+    """a:p <= a:(p - a:p) for all tests p, given a's Noetherian verdict if known.
 
-    A relation is Löbian iff it is transitive and Noetherian.  A nonzero
-    stuck set p fails the law (a:p >= p and p - a:p = 0); on an acyclic
-    relation so does p = {j,k} for a step i -> j -> k without i -> k
-    (p - a:p = {k}, and i lies in a:p but not in a:{k}).
+    Past the budget a relation is Löbian iff it is transitive and
+    Noetherian, and its Noetherian verdict is exact there, its witness the
+    stuck set.  A nonzero stuck set p fails the law (a:p >= p and
+    p - a:p = 0); on an acyclic relation so does p = {j,k} for a step
+    i -> j -> k without i -> k (p - a:p = {k}, and i lies in a:p but not
+    in a:{k}).
     """
-    bad = stuck if stuck != D.test_zero else _intransitive_step(a)
-    return _verdict(D, bad, True, _LOEB_FAILS)
+    if isinstance(D, RelModel) and D.test_count() > budget:
+        if noetherian is None:
+            noetherian = is_noetherian(D, a, budget, samples, rng)
+        return _verdict(D, noetherian.witness if not noetherian.holds else _intransitive_step(a), True, _LOEB_FAILS)
 
+    def bad(p):
+        pre = D.preimage(a, p)
+        return not D.test_leq(pre, D.preimage(a, D.test_meet(p, D.test_compl(pre))))
 
-def _exact_relation(D, budget: int) -> bool:
-    return isinstance(D, RelModel) and D.test_count() > budget
+    return _search(D, bad, budget, samples, rng, _LOEB_FAILS)
 
 
 def is_loebian(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None) -> Verdict:
@@ -199,15 +189,7 @@ def is_loebian(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None) -
     Past the budget a relation is decided exactly, as transitive and
     Noetherian.
     """
-    if _exact_relation(D, budget):
-        return _relation_loeb(D, a, stuck_set(D, a))
-    pool, exhaustive = _tests(D, budget, samples, rng)
-    for p in pool:
-        pre = D.preimage(a, p)
-        rest = D.test_meet(p, D.test_compl(pre))
-        if not D.test_leq(pre, D.preimage(a, rest)):
-            return _verdict(D, p, exhaustive, _LOEB_FAILS)
-    return _verdict(D, None, exhaustive, "")
+    return _loeb(D, a, None, budget, samples, rng)
 
 
 def transitive_closure(D, a):
@@ -220,18 +202,11 @@ def transitive_closure(D, a):
 
 
 def termination_report(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None) -> TerminationReport:
-    if _exact_relation(D, budget):
-        # one stuck set decides both Noethericity and the Löb property
-        stuck = stuck_set(D, a)
-        return TerminationReport(
-            subject=D.el_name(a),
-            noetherian=_stuck_verdict(D, stuck, "p <= a:p"),
-            well_founded=is_well_founded(D, a, budget, samples, rng),
-            loebian=_relation_loeb(D, a, stuck),
-        )
+    # past the budget on a relation, the Noetherian witness is the stuck set the Löb verdict needs
+    noetherian = is_noetherian(D, a, budget, samples, rng)
     return TerminationReport(
         subject=D.el_name(a),
-        noetherian=is_noetherian(D, a, budget, samples, rng),
+        noetherian=noetherian,
         well_founded=is_well_founded(D, a, budget, samples, rng),
-        loebian=is_loebian(D, a, budget, samples, rng),
+        loebian=_loeb(D, a, noetherian, budget, samples, rng),
     )

@@ -574,6 +574,28 @@ def test_small_budget_sampling_matches_the_per_law_predicates(D):
     assert rows(got) == rows(reference_hoare_rules(D, samples=40, rng=random.Random(4), budget=30))
 
 
+@pytest.mark.parametrize("check", [check_star_preimage_laws, check_hoare_rules])
+def test_law_suites_sample_past_the_enumerable_tests(check):
+    # rel(17) has 2^17 tests, more than RelModel lists
+    reports = check(rel_model(17), samples=20, rng=random.Random(5))
+    assert len(reports) > 1
+    assert all(r.holds and r.note == "sampled (20)" for r in reports)
+
+
+SAMPLED_TEST_MODELS = [(f"rel_model({n})", lambda n=n: rel_model(n)) for n in range(1, 9)] + [
+    (f"rel{n}-table", lambda n=n: compute_predomain(rel_semiring(n), rel_tests(n))) for n in (2, 3)
+]
+
+
+@pytest.mark.parametrize("make", [m[1] for m in SAMPLED_TEST_MODELS], ids=[m[0] for m in SAMPLED_TEST_MODELS])
+def test_sample_test_is_the_reference_runners_draw(make):
+    D = make()
+    members = D.test_members()
+    for seed in range(4):
+        got, want = random.Random(seed), random.Random(seed)
+        assert [D.sample_test(got) for _ in range(50)] == [members[want.randrange(len(members))] for _ in range(50)]
+
+
 # -- check_sampled_laws against the table checkers ----------------------------------
 
 

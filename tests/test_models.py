@@ -440,6 +440,12 @@ def test_materialize_size_guard():
         materialize(rel_model(4), max_size=100)
 
 
+@pytest.mark.parametrize("make", [tropical_model, maxplus_model])
+def test_materialize_refuses_infinite_models(make):
+    with pytest.raises(ValueError, match="is infinite; cannot materialize"):
+        materialize(make())
+
+
 def test_materialize_round_trips_operations():
     D = rel_model(2)
     M = materialize(D)

@@ -336,6 +336,28 @@ def test_sampled_verdicts_say_so_in_the_report():
     assert str(rep) == "0: noetherian=true (sampled) well_founded=true (sampled) loebian=true (sampled)"
 
 
+def builtin_predomain(name):
+    S = conway_model(name)
+    return compute_predomain(S, TestAlgebra.discrete(S))
+
+
+REPORT_TARGETS = [
+    *((name, lambda name=name: builtin_predomain(name)) for name in conway_names()),
+    *((f"rel{n}", lambda n=n: compute_predomain(rel_semiring(n), rel_tests(n))) for n in (2, 3)),
+    ("zero-domain", zero_domain),
+]
+
+
+@pytest.mark.parametrize("make", [t[1] for t in REPORT_TARGETS], ids=[t[0] for t in REPORT_TARGETS])
+@pytest.mark.parametrize("budget", [1, 4096])
+def test_report_equals_its_three_verdicts(make, budget):
+    D = make()
+    for a in D.elements():
+        rep = termination_report(D, a, budget=budget, samples=30)
+        verdicts = (check(D, a, budget=budget, samples=30) for check in (is_noetherian, is_well_founded, is_loebian))
+        assert rep == TerminationReport(D.el_name(a), *verdicts)
+
+
 def test_past_the_budget_relations_are_decided_exactly():
     D = rel_model(5)
     for check in (is_noetherian, is_well_founded, is_loebian):
