@@ -13,6 +13,24 @@ lookups with one broadcast axis per variable and loops in Python over the
 leading variable, in chunks of at most 2^17 assignments.  The scan is
 exhaustive, and a failure's witness is the lexicographically first failing
 assignment in the declared variable order.
+
+check_isemiring and check_kleene decide their eight three-variable laws
+exactly by reduction, each once the laws its guard names have held on the
+same tables:
+
+- add-/mul-associative: Light's test over a greedy generating set of
+  (carrier, +) or (carrier, ·) (Clifford and Preston, The Algebraic Theory
+  of Semigroups I, §1.2); no guard.
+- left-/right-distributive: the multiplying element over the generators
+  of ·, one summand over those of +; guard: add- and mul-associative.
+- star-left-/star-right-induction: a*b <= mu(a, b) (b a* <= mu), where
+  mu is the least solution of the premise, iterated from 0; guard: the
+  isemiring laws.
+- star-left-/star-right-simulation: theorems of the axioms (Kozen 1994);
+  guard: the isemiring laws and the matching unfold and induction laws.
+
+A law whose guard has not held, or that its reduction refutes, is
+scanned, so every report and witness is the scanner's.
 """
 
 from __future__ import annotations
@@ -109,6 +127,17 @@ class FiniteSemiring:
         self.star = None if star is None else _as_unary(star, n, "star")
         self.conv = None if conv is None else _as_unary(conv, n, "conv")
         self.name = name or f"semiring({n})"
+
+    @functools.cached_property
+    def _isemiring_reports(self) -> tuple:
+        """check_isemiring's reports, decided once: the tables are read-only."""
+        zero_not_one = _report("zero-not-one", None if self.zero != self.one else {})
+        return tuple(_check(ISEMIRING_LAWS, _Scanner(self), [zero_not_one], _decided))
+
+    @functools.cached_property
+    def _gens(self) -> dict:
+        """Generating sets of (carrier, +) and (carrier, ·), for the law reductions."""
+        return {"add": _generators(self.add), "mul": _generators(self.mul)}
 
     # -- basic views -------------------------------------------------
 
@@ -697,15 +726,30 @@ def check_laws(laws, S: FiniteSemiring, T: Optional[TestAlgebra] = None, D=None,
     the domain structure D where its terms need them).  A plain name stands
     for a law kept hand-written; its report is taken from hand.
     """
-    scanner = _Scanner(S, T, D)
+    return _check(laws, _Scanner(S, T, D), hand)
+
+
+def _check(laws, scanner: _Scanner, hand, decided=None, held=()) -> list[LawReport]:
+    """check_laws' loop, where a law for which decided(scanner.S, law, held) is true holds unscanned.
+
+    held holds the names of the laws that have held so far, starting from
+    the given ones.
+    """
     given = {r.name: r for r in hand}
+    held = set(held)
     reports = []
     for law in laws:
         if isinstance(law, str):
-            reports.append(given[law])
-            continue
-        skipped = _not_applicable(law, lambda: scanner.top, D)
-        reports.append(skipped or _report(law.name, scanner.first_failure(law)))
+            report = given[law]
+        else:
+            report = _not_applicable(law, lambda: scanner.top, scanner.D)
+            if report is None and decided is not None and decided(scanner.S, law, held):
+                report = LawReport(law.name, True)
+            if report is None:
+                report = _report(law.name, scanner.first_failure(law))
+        reports.append(report)
+        if report.holds:
+            held.add(report.name)
     return reports
 
 
@@ -834,9 +878,124 @@ def _law_tables():
 ISEMIRING_LAWS, KLEENE_LAWS, TEST_LAWS = _law_tables()
 
 
+# ---------------------------------------------------------------------------
+# three-variable laws decided by reduction
+
+
+def _row_blocks(n: int, cols: int):
+    """Slices of range(n) that cut an n-row grid of cols columns into blocks of at most _CHUNK cells."""
+    rows = max(1, _CHUNK // cols)
+    return [slice(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
+
+
+def _generators(X) -> list[int]:
+    """A generating set of the magma (carrier, X), found greedily.
+
+    Each element in index order that is not yet in the closure of the set
+    under X joins it, and the closure grows by the products of its new
+    elements with all of it, until it is the whole carrier.
+    """
+    n = len(X)
+    inside = np.zeros(n, dtype=bool)
+    gens = []
+    for g in range(n):
+        if inside[g]:
+            continue
+        gens.append(g)
+        new = np.array([g])
+        inside[g] = True
+        while new.size:
+            hit = np.zeros(n, dtype=bool)
+            closure = np.flatnonzero(inside)
+            hit[X[np.ix_(new, closure)]] = True
+            hit[X[np.ix_(closure, new)]] = True
+            new = np.flatnonzero(hit & ~inside)
+            inside[new] = True
+    return gens
+
+
+def _associative(X, gens) -> bool:
+    """Light's test: (x g) y = x (g y) for all x, y and every generator g.
+
+    The elements g for which this holds are closed under X, so checking it
+    for the generators of (carrier, X) decides associativity.
+    """
+    blocks = _row_blocks(len(X), len(X))
+    return all(
+        np.array_equal(X[X[rows, g]], X[rows].take(X[g], axis=1)) for g in gens for rows in blocks
+    )
+
+
+def _distributive(S: FiniteSemiring, left: bool) -> bool:
+    """Left (right) distributivity, given add-associative and mul-associative.
+
+    With · associative the a for which a(b + c) = ab + ac for all b, c are
+    closed under ·, and with + associative, for a fixed a, so are the b for
+    which this holds for all c.  So the law holds iff it holds for a over
+    the generators of (carrier, ·), b over those of (carrier, +) and all c.
+    The right law is the same with u[x] = xa for u[x] = ax.
+    """
+    A, b = S.add, np.array(S._gens["add"])
+    for g in S._gens["mul"]:
+        u = S.mul[g] if left else S.mul[:, g]
+        for rows in _row_blocks(len(b), S.n):
+            if not np.array_equal(u.take(A[b[rows]]), A[u[b[rows]]].take(u, axis=1)):
+                return False
+    return True
+
+
+def _induction(S: FiniteSemiring, left: bool) -> bool:
+    """star-left-induction (star-right-induction), given the isemiring laws.
+
+    Then c -> b + ac is monotone on a finite semilattice with least element
+    0, so iterating it from 0 reaches mu(a, b), the least c that satisfies
+    the premise; the law holds iff a*b <= mu(a, b) for all a, b.  The right
+    law is the left one with the arguments of · swapped.
+    """
+    A, M, n = S.add, S.mul if left else S.mul.T, S.n
+    b = np.arange(n)
+    for rows in _row_blocks(n, n):
+        a = np.arange(n)[rows, None]
+        mu = np.full((a.size, n), S.zero, dtype=A.dtype)
+        for _ in range(n):
+            nxt = A[b, M[a, mu]]
+            if np.array_equal(nxt, mu):
+                break
+            mu = nxt
+        else:
+            return False
+        lhs = M[S.star[a], b]
+        if not np.array_equal(A[lhs, mu], mu):
+            return False
+    return True
+
+
+_ISEMIRING_NAMES = tuple(law if isinstance(law, str) else law.name for law in ISEMIRING_LAWS)
+
+# law: (the laws that must have held first, the reduction)
+_REDUCTIONS = {
+    "add-associative": ((), lambda S: _associative(S.add, S._gens["add"])),
+    "mul-associative": ((), lambda S: _associative(S.mul, S._gens["mul"])),
+    "left-distributive": (("add-associative", "mul-associative"), lambda S: _distributive(S, True)),
+    "right-distributive": (("add-associative", "mul-associative"), lambda S: _distributive(S, False)),
+    "star-left-induction": (_ISEMIRING_NAMES, lambda S: _induction(S, True)),
+    "star-right-induction": (_ISEMIRING_NAMES, lambda S: _induction(S, False)),
+    # theorems of the axioms (Kozen 1994): from ac <= cb, star-left-induction
+    # with c b* for c gives a*c <= c b*, and the right law is its mirror
+    "star-left-simulation": (_ISEMIRING_NAMES + ("star-left-unfold", "star-left-induction"), lambda S: True),
+    "star-right-simulation": (_ISEMIRING_NAMES + ("star-right-unfold", "star-right-induction"), lambda S: True),
+}
+
+
+def _decided(S: FiniteSemiring, law: Law, held: set) -> bool:
+    """Whether law has a reduction, the laws it needs have held, and it finds law true."""
+    needs, holds = _REDUCTIONS.get(law.name, (None, None))
+    return holds is not None and held.issuperset(needs) and holds(S)
+
+
 def check_isemiring(S: FiniteSemiring) -> list[LawReport]:
-    """All idempotent-semiring laws, each exhaustively over the tables."""
-    return check_laws(ISEMIRING_LAWS, S, hand=[_report("zero-not-one", None if S.zero != S.one else {})])
+    """All idempotent-semiring laws, each decided exactly: by reduction where one applies, else by a scan."""
+    return list(S._isemiring_reports)
 
 
 def _powers_below_star(S: FiniteSemiring) -> Optional[dict]:
@@ -856,7 +1015,8 @@ def check_kleene(S: FiniteSemiring) -> list[LawReport]:
     if S.star is None:
         raise ValueError(f"{S.name} declares no star table")
     powers = _report("powers-below-star", _powers_below_star(S), note=f"powers up to {S.n}")
-    return check_laws(KLEENE_LAWS, S, hand=[powers])
+    held = [r.name for r in S._isemiring_reports if r.holds]
+    return _check(KLEENE_LAWS, _Scanner(S), [powers], _decided, held)
 
 
 def _first_pair(mem, pred) -> Optional[dict]:

@@ -489,15 +489,20 @@ def _instances(D, is_test, budget: int, samples: int, rng):
     """(assignments, exhaustive) for variables that are tests where is_test says so.
 
     While the variables have at most budget joint values (D.test_count() per
-    test, D.size() per element), every assignment is listed in lexicographic
-    order over test_members() and elements().  Past the budget, or over an
-    infinite carrier, `samples` assignments are drawn from rng, one
-    sample_test or sample per variable in declared order (rng defaults to
-    one seeded 0).
+    test, D.size() per element) and the model can list them, every
+    assignment is listed in lexicographic order over test_members() and
+    elements().  Past the budget, over an infinite carrier, or where the
+    model refuses to list its tests or elements (a RelModel lists at most
+    2^16 of each), `samples` assignments are drawn from rng, one sample_test
+    or sample per variable in declared order (rng defaults to one seeded 0).
     """
     sizes = [D.test_count() if t else D.size() for t in is_test]
     if None not in sizes and math.prod(sizes) <= budget:
-        return itertools.product(*(D.test_members() if t else D.elements() for t in is_test)), True
+        try:
+            # product lists its factors here, so a model's refusal raises now
+            return itertools.product(*(D.test_members() if t else D.elements() for t in is_test)), True
+        except ValueError:
+            pass
     rng = rng or random.Random(0)
     draws = [D.sample_test if t else D.sample for t in is_test]
     return (tuple(draw(rng) for draw in draws) for _ in range(samples)), False

@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import ISEMIRING_LAWS, KLEENE_LAWS, FiniteSemiring, Law, LawReport, TestAlgebra
+from .algebra import _CHUNK, ISEMIRING_LAWS, KLEENE_LAWS, FiniteSemiring, Law, LawReport, TestAlgebra
 from .domain import run_laws
 
 __all__ = [
@@ -110,6 +110,10 @@ class ModelHandle:
 
     def declared_tests(self):
         """(members, compl) in model representation, or None if undeclared."""
+        return None
+
+    def index_tables(self):
+        """The add and mul tables over the order of elements(), or None to build them from add and mul."""
         return None
 
     def __repr__(self):
@@ -937,7 +941,9 @@ class TransformerModel(ModelHandle):
 
     Transformers are stored as tuples over test positions; join is
     pointwise, composition is map composition, star of a transformer is
-    the transformer of a star of any source element inducing it.
+    the transformer of a star of any source element inducing it.  The
+    same maps, one row each, make up the array `table`, from which
+    index_tables builds the dense tables.
     """
 
     has_star = True
@@ -969,6 +975,7 @@ class TransformerModel(ModelHandle):
         self._joinpos = tuple(
             tuple(pos[D.test_join(members[i], members[j])] for j in range(t)) for i in range(t)
         )
+        self.table = np.array(maps, dtype=np.min_scalar_type(t - 1)).reshape(len(maps), t)
 
     def transformer_of(self, a) -> tuple[int, ...]:
         pos = self._pos
@@ -1009,6 +1016,39 @@ class TransformerModel(ModelHandle):
         if f in self._index:
             return f"f[{self.D.el_name(self.source[self._index[f]])}]"
         return "f" + str(f)
+
+    def index_tables(self):
+        """add[x, y] is the index of the row joinpos[F[x], F[y]] and mul[x, y] that of F[x][F[y]].
+
+        A map is keyed by its digits in base t (the number of tests), and a
+        row goes back to its index through the sorted keys.  The rows are
+        built for blocks of x of at most _CHUNK digits; past t = 15 the keys
+        would overflow int64 and the tables are left to add and mul.
+        """
+        F = self.table
+        m, t = F.shape
+        if t > 15:
+            return None
+        weights = t ** np.arange(t, dtype=np.int64)
+        keys = F @ weights
+        order = np.argsort(keys)
+        ranked = keys[order]
+
+        def index(rows):
+            k = rows @ weights
+            found = order[np.minimum(np.searchsorted(ranked, k), m - 1)]
+            if not np.array_equal(keys[found], k):
+                raise ValueError(f"{self.name} is not closed under + and ·")
+            return found
+
+        join = np.array(self._joinpos, dtype=F.dtype)
+        add, mul = np.empty((m, m), dtype=np.int32), np.empty((m, m), dtype=np.int32)
+        step = max(1, _CHUNK // (m * t))
+        for lo in range(0, m, step):
+            Fx = F[lo : lo + step, None, :]
+            add[lo : lo + step] = index(join[Fx, F])
+            mul[lo : lo + step] = index(np.take_along_axis(Fx, F[None], axis=2))
+        return add, mul
 
     def declared_tests(self):
         D = self.D
@@ -1053,8 +1093,12 @@ def materialize(handle: ModelHandle, max_size: int = 4096) -> MaterializedModel:
     index = {e: i for i, e in enumerate(elems)}
     n = len(elems)
 
-    add = [[index[handle.add(x, y)] for y in elems] for x in elems]
-    mul = [[index[handle.mul(x, y)] for y in elems] for x in elems]
+    tables = handle.index_tables()
+    if tables is None:
+        add = [[index[handle.add(x, y)] for y in elems] for x in elems]
+        mul = [[index[handle.mul(x, y)] for y in elems] for x in elems]
+    else:
+        add, mul = tables
     star = None
     if handle.has_star:
         star = [index[handle.star(x)] for x in elems]

@@ -7,6 +7,10 @@ must agree on (name, holds, witness, note) for the five builtins, rel(1)
 and rel(2), their predomains, and seeded single-cell corruptions of the
 add, mul, star and conv tables and of the domain tables.
 
+check_isemiring and check_kleene decide their three-variable laws by
+reduction where the laws a reduction needs have held; on every model here,
+including the corrupted ones, their reports must equal the scanner's.
+
 The golden files under data/check hold the stdout and exit code of
 `kad check` as printed by the hand-written checkers the scanner replaced.
 
@@ -64,6 +68,7 @@ from kadlib.models import (
     check_sampled_laws,
     materialize,
     conway_model,
+    predicate_transformer_model,
     conway_names,
     rel_model,
     rel_semiring,
@@ -106,9 +111,10 @@ def compare(laws, S, T=None, D=None):
 
 
 def compare_all(S, T):
-    compare(ISEMIRING_LAWS, S)
+    reports = compare(ISEMIRING_LAWS, S)
     if S.star is not None:
-        compare(KLEENE_LAWS, S)
+        reports += compare(KLEENE_LAWS, S)
+    assert decided(S) == [(r.name, r.holds, r.witness, r.note) for r in reports]
     compare(TEST_LAWS, S, T)
     if S.conv is not None:
         compare(CONVERSE_LAWS, S)
@@ -118,6 +124,26 @@ def compare_all(S, T):
         return None
     compare_domain(D)
     return D
+
+
+LAW_NAMES = {law.name for law in ISEMIRING_LAWS + KLEENE_LAWS if isinstance(law, Law)}
+
+
+def decided(S):
+    """check_isemiring's and check_kleene's reports on the Law entries, for a fresh copy of S.
+
+    The copy makes the reductions run again: check_isemiring keeps its
+    reports on the semiring.
+    """
+    S = FiniteSemiring(S.carrier, S.add, S.mul, S.zero, S.one, S.star, S.conv, S.name)
+    reports = check_isemiring(S) + (check_kleene(S) if S.star is not None else [])
+    return [(r.name, r.holds, r.witness, r.note) for r in reports if r.name in LAW_NAMES]
+
+
+def scanned(S):
+    """check_laws' reports on the isemiring and Kleene Law entries."""
+    laws = [law for law in ISEMIRING_LAWS + (KLEENE_LAWS if S.star is not None else ()) if isinstance(law, Law)]
+    return [(r.name, r.holds, r.witness, r.note) for r in check_laws(laws, S)]
 
 
 def compare_domain(D):
@@ -259,14 +285,135 @@ REL3_CORRUPTIONS = {
 
 @pytest.mark.parametrize("table,i,j", sorted(REL3_CORRUPTIONS), ids=str)
 def test_rel3_witnesses_match_a_plain_scan(table, i, j):
+    """The scanner's witnesses against the plain scan, and the reductions' reports against the scanner's."""
     tables = {"add": np.array(REL3.add), "mul": np.array(REL3.mul)}
     tables[table][i, j] = (tables[table][i, j] + 1) % REL3.n
     S = FiniteSemiring(REL3.carrier, tables["add"], tables["mul"], REL3.zero, REL3.one, REL3.star, REL3.conv)
+    want = scanned(S)
+    witnesses = {name: witness for name, _, witness, _ in want}
     for name in REL3_CORRUPTIONS[table, i, j]:
         law = REL3_LAWS[name.rstrip("*")]
-        got = check_laws([law], S)[0].witness
+        got = witnesses[law.name]
         assert got is not None and got == reference_first_failure(law, S), name
         assert (got[law.vars[1]] >= 256) == name.endswith("*"), name
+    assert decided(S) == want
+
+
+# -- the reductions of check_isemiring and check_kleene -----------------------------
+
+
+def transformer_semiring(n):
+    return materialize(predicate_transformer_model(rel_model(n))).semiring
+
+
+LARGE_MODELS = {
+    "rel3": lambda: REL3,
+    "transformers-rel2": lambda: transformer_semiring(2),
+    "transformers-rel3": lambda: transformer_semiring(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_MODELS))
+def test_reductions_match_the_scanner(name):
+    """Where every law holds; MODELS and CORRUPTIONS are cross-checked in compare_all."""
+    S = LARGE_MODELS[name]()
+    want = scanned(S)
+    assert all(holds for _, holds, _, _ in want)
+    assert decided(S) == want
+
+
+# One mul cell of a builtin changed so that exactly one law fails, a law
+# that some reductions need: the laws it guards are left to the scanner,
+# and hold.
+GUARD_CORRUPTIONS = {
+    ("A4_1", 1, 3, 2): ("mul-associative", ["left-distributive", "right-distributive"]),
+    ("A3_1", 0, 1, 1): (
+        "left-annihilation",
+        ["star-left-induction", "star-right-induction", "star-left-simulation", "star-right-simulation"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name,i,j,v", sorted(GUARD_CORRUPTIONS), ids=str)
+def test_a_failed_guard_leaves_its_laws_to_the_scanner(monkeypatch, name, i, j, v):
+    S = conway_model(name)
+    mul = np.array(S.mul)
+    mul[i, j] = v
+    S2 = FiniteSemiring(S.carrier, S.add, mul, S.zero, S.one, S.star)
+    broken, guarded = GUARD_CORRUPTIONS[name, i, j, v]
+    want = scanned(S2)
+    assert [law for law, holds, _, _ in want if not holds] == [broken]
+    scans = []
+    scan = kadlib.algebra._Scanner.first_failure
+
+    def counting(self, law):
+        scans.append(law.name)
+        return scan(self, law)
+
+    monkeypatch.setattr(kadlib.algebra._Scanner, "first_failure", counting)
+    assert decided(S2) == want
+    assert set(guarded) <= set(scans)
+
+
+def test_check_kleene_reads_the_isemiring_reports_kept_on_the_semiring(monkeypatch):
+    S = rel_semiring(2)
+    S = FiniteSemiring(S.carrier, S.add, S.mul, S.zero, S.one, S.star, S.conv, S.name)
+    scans = []
+    scan = kadlib.algebra._Scanner.first_failure
+
+    def counting(self, law):
+        scans.append(law.name)
+        return scan(self, law)
+
+    monkeypatch.setattr(kadlib.algebra._Scanner, "first_failure", counting)
+    check_kleene(S)
+    check_isemiring(S)
+    check_kleene(S)
+    reduced = set(kadlib.algebra._REDUCTIONS)
+    # the isemiring laws once, for the first check_kleene; the Kleene laws twice
+    laws = [law.name for law in ISEMIRING_LAWS + KLEENE_LAWS + KLEENE_LAWS if isinstance(law, Law)]
+    assert scans == [name for name in laws if name not in reduced]
+
+
+def closure(X, gens):
+    """The closure of gens under the table X, by squaring the set until it stops growing."""
+    inside = sorted(set(gens))
+    while True:
+        grown = sorted(set(inside) | set(np.asarray(X)[np.ix_(inside, inside)].ravel().tolist()))
+        if grown == inside:
+            return inside
+        inside = grown
+
+
+def non_associative_rel3_add():
+    add = np.array(REL3.add)
+    add[260, 3] = (add[260, 3] + 1) % REL3.n
+    return add
+
+
+GENERATED = {
+    **{f"{name}-{op}": (lambda S=S, op=op: getattr(S, op)) for name, S, _ in MODELS for op in ("add", "mul")},
+    **{f"rel3-{op}": (lambda op=op: getattr(REL3, op)) for op in ("add", "mul")},
+    "rel3-corrupted-add": non_associative_rel3_add,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_greedy_generators_generate_the_carrier(name):
+    X = GENERATED[name]()
+    gens = kadlib.algebra._generators(X)
+    assert gens == sorted(set(gens))
+    assert closure(X, gens) == list(range(len(X)))
+
+
+def test_lights_test_refutes_a_non_associative_table():
+    X = non_associative_rel3_add()
+    assert not kadlib.algebra._associative(X, kadlib.algebra._generators(X))
+
+
+def test_rel3_add_generators_are_zero_and_the_single_pairs():
+    # an element's index is its adjacency mask, so a single pair is a power of two
+    assert kadlib.algebra._generators(REL3.add) == [0] + [1 << k for k in range(9)]
 
 
 @pytest.mark.parametrize("chunk", [None, 1 << 10])

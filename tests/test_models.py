@@ -435,6 +435,62 @@ def test_transformer_semiring_laws(transformers3):
 # -- materialization and sampled checking -----------------------------------------
 
 
+def reference_materialize(handle):
+    """materialize's tables, names, constants and tests, built by calling the handle on every cell."""
+    elems = list(handle.elements())
+    index = {e: i for i, e in enumerate(elems)}
+    out = {
+        "names": [handle.el_name(e) for e in elems],
+        "add": [[index[handle.add(x, y)] for y in elems] for x in elems],
+        "mul": [[index[handle.mul(x, y)] for y in elems] for x in elems],
+        "star": [index[handle.star(x)] for x in elems] if handle.has_star else None,
+        "zero": index[handle.zero],
+        "one": index[handle.one],
+        "tests": None,
+    }
+    declared = handle.declared_tests()
+    if declared is not None:
+        members, compl = declared
+        out["tests"] = (sorted(index[m] for m in members), {index[k]: index[v] for k, v in compl.items()})
+    return out
+
+
+def materialized(handle, max_size=4096):
+    mat = materialize(handle, max_size=max_size)
+    S = mat.semiring
+    return {
+        "names": list(S.carrier),
+        "add": S.add.tolist(),
+        "mul": S.mul.tolist(),
+        "star": None if S.star is None else S.star.tolist(),
+        "zero": S.zero,
+        "one": S.one,
+        "tests": None if mat.tests is None else (list(mat.tests.members), mat.tests.compl),
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_transformer_tables_match_the_model_cell_for_cell(n):
+    TM = predicate_transformer_model(rel_model(n))
+    assert TM.index_tables() is not None
+    assert materialized(TM) == reference_materialize(TM)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: matrix_semiring(conway_model("A3_1"), 2),
+        lambda: bounded_language_model("ab", 2),
+        lambda: bounded_path_model("xy", 2),
+    ],
+    ids=["matrix", "language", "path"],
+)
+def test_materialize_of_other_handles_calls_add_and_mul(make):
+    handle = make()
+    assert handle.index_tables() is None
+    assert materialized(handle, max_size=200) == reference_materialize(handle)
+
+
 def test_materialize_size_guard():
     with pytest.raises(ValueError):
         materialize(rel_model(4), max_size=100)

@@ -293,6 +293,13 @@ def test_star_preimage_laws_catch_a_broken_domain():
     assert rep["domain-of-star"].witness == {"a": "0"}
 
 
+def test_a_budget_past_what_a_relation_model_lists_samples():
+    # rel(5) has 2^25 elements; RelModel lists them only for n <= 4
+    rep = check_star_preimage_laws(rel_model(5), budget=10**9)
+    assert all_hold(rep)
+    assert all(r.note == "sampled (1000)" for r in rep)
+
+
 def test_small_budget_falls_back_to_sampling():
     rep = check_star_preimage_laws(rel_model(2), samples=50, rng=random.Random(3), budget=4)
     assert all_hold(rep)

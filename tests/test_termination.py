@@ -358,6 +358,13 @@ def test_report_equals_its_three_verdicts(make, budget):
         assert rep == TerminationReport(D.el_name(a), *verdicts)
 
 
+def test_within_the_budget_but_past_what_a_relation_model_lists_samples():
+    # 2^17 tests fit the budget, but RelModel lists at most 2^16
+    D = rel_model(17)
+    v = is_loebian(D, D.zero, budget=200_000)
+    assert v.holds and v.note == "sampled"
+
+
 def test_past_the_budget_relations_are_decided_exactly():
     D = rel_model(5)
     for check in (is_noetherian, is_well_founded, is_loebian):
