@@ -9,8 +9,10 @@ first-class inputs here.
 Laws are data: a ``Law`` quantifies typed variables over equations,
 inequations and equivalences between ``Term``s, optionally under Horn
 premises.  One scanner (``check_laws``) compiles each law to numpy table
-lookups with one broadcast axis per variable and loops in Python over the
-leading variable, in chunks of at most 2^17 assignments.  The scan is
+lookups with one broadcast axis per variable, in chunks of at most 2^17
+assignments: it loops in Python over the leading variables only while one
+value of the first broadcast variable would span more than a chunk, and
+no table gather copies more cells than the chunk holds.  The scan is
 exhaustive, and a failure's witness is the lexicographically first failing
 assignment in the declared variable order.
 
@@ -542,24 +544,27 @@ class _Scanner:
 
     A compiled term maps an environment to its values: a prefix of the
     variables is bound to Python ints, the rest are index arrays with one
-    broadcast axis each, in declared order.  The scan loops in Python over
-    the leading variable, and over more while one row of the first
-    broadcast axis would hold more than _CHUNK assignments, and cuts that
-    axis into blocks of rows so that no chunk holds more.  The first False
-    of a chunk's mask in C order, in the first chunk that has one, is then
-    the lexicographically first failing assignment.
+    broadcast axis each, in declared order.  There is one chunk rule: the
+    prefix is the shortest one after which one row of the first broadcast
+    axis holds at most _CHUNK assignments (no variable for a law of at most
+    _CHUNK assignments per value of its first variable, the first variable
+    for a three-variable law over 512 elements), and that axis is cut into
+    blocks of rows so that no chunk holds more.  The first False of a
+    chunk's mask in C order, in the first chunk that has one, is then the
+    lexicographically first failing assignment.
 
     A lookup X[l, r] picks its gather from the broadcast axes its operands
-    read.  When r reads only the innermost one and l does not read it, it
-    gathers whole rows X[l] and takes the columns r from them along the
-    last axis; when l is the variable of the axis before, it takes them
-    from X itself (the block's rows), with no row copy.  Every other lookup
-    is one flat X.ravel().take(off) with off = l * n + r written into one
-    index buffer that the scanner owns and reuses for every lookup and
-    chunk, so that take casts nothing and no chunk allocates an index
-    array.  A term or atom that reads no looped-over variable is evaluated
-    once per block of the law and reused for every prefix, with the
-    complement-validity masks it records.
+    read, and no gather copies more cells than it returns.  When r reads
+    only the innermost axis and l is the variable of the axis before, it
+    takes the columns r from the block's rows of X itself, with no row
+    copy; when r is the innermost variable, ranging over the carrier, and
+    l does not read it, it slices the rows l of X with all their columns.
+    Every other lookup is one flat X.ravel().take(off) with off = l * n + r
+    written into one index buffer that the scanner owns and reuses for
+    every lookup and chunk, so that take casts nothing and no chunk
+    allocates an index array.  A term or atom that reads no looped-over
+    variable is evaluated once per block of the law and reused for every
+    prefix, with the complement-validity masks it records.
     """
 
     def __init__(self, S: FiniteSemiring, T: Optional[TestAlgebra] = None, D=None):
@@ -646,21 +651,20 @@ class _Scanner:
         # the broadcast axes each operand reads
         bl, br = {i for i in dl if i >= self._m}, {i for i in dr if i >= self._m}
         if br == {inner} and inner not in bl:
-            # whole rows X[l], from which r takes the columns
+            # the rows of X that l reads, from which r takes the columns
             if self._is_axis(l, inner - 1):
                 return (lambda env: X[self._span(inner - 1)].take(fr(env).ravel(), axis=1)), deps
             if self._is_axis(r, inner):
                 return (lambda env: X[_rows(fl(env)), self._span(inner)]), deps
-            return (lambda env: X[_rows(fl(env))].take(fr(env).ravel(), axis=-1)), deps
         flat, n = X.ravel(), X.shape[1]
 
         def lookup(env):
             x, y = fl(env), fr(env)
             if not (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)):
                 return X[x, y]
-            shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-            off = self._off[: math.prod(shape)].reshape(shape)
-            if np.size(x) < off.size:
+            both = np.broadcast(x, y)
+            off = self._off[: both.size].reshape(both.shape)
+            if np.size(x) < both.size:
                 np.add(y, x * n, out=off)
             else:
                 np.multiply(x, n, out=off)
@@ -680,7 +684,7 @@ class _Scanner:
     def first_failure(self, law: Law) -> Optional[dict]:
         k = len(law.vars)
         doms = [self.T.members if v in law.tests else range(self.S.n) for v in law.vars]
-        m = 1 if k > 1 else 0
+        m = 0
         while math.prod(len(d) for d in doms[m + 1 :]) > _CHUNK:
             m += 1
         shape = [len(d) for d in doms[m:]]
@@ -704,7 +708,8 @@ class _Scanner:
                 for v in self._valid:
                     ok = ok & v
                 chunk = (block.stop - lo, *shape[1:])
-                ok = np.broadcast_to(ok, chunk)
+                if np.shape(ok) != chunk:
+                    ok = np.broadcast_to(ok, chunk)
                 idx = np.unravel_index(int(np.argmin(ok)), chunk)
                 if ok[idx]:
                     continue

@@ -434,6 +434,8 @@ def workspace_from_doc(doc: dict) -> Workspace:
         if _expect(rel, str, f"env entry {prim!r}") not in ws.relations:
             raise CliParseError(f"env binds {prim!r} to unknown relation {rel!r}")
         ws.env[prim] = ws.relations[rel]
+    for name, program in ws.programs.items():
+        _check_names(program, ws, f"program {name!r}")
     for name, tdoc in section.get("triples", {}).items():
         ws.triples[name] = _triple_from_doc(tdoc, ws, name)
     for name, pdoc in section.get("proofs", {}).items():

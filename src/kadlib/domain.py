@@ -1,10 +1,10 @@
 """Domain and codomain operators on finite test semirings.
 
 The domain of a is the least test p that preserves a on the left (a <= pa);
-codomain is the same computation in the opposite semiring.  Both are stored
-as unary tables inside a DomainStructure, which also exposes the image and
-preimage operators and the flags (d1, d2, locality, ...) that downstream
-reachability and termination analyses key on.
+codomain is the same computation with the product reversed (a <= ap).  Both
+are stored as unary tables inside a DomainStructure, which also exposes the
+image and preimage operators and the flags (d1, d2, locality, ...) that
+downstream reachability and termination analyses key on.
 
 As in algebra, checkers report rather than raise: structures that violate
 the axioms (independence proofs, locality counterexamples) are data here.
@@ -38,7 +38,6 @@ from .algebra import (
     iff,
     leq,
     one_term,
-    opposite,
     top_term,
     var,
     zero_term,
@@ -67,19 +66,12 @@ class DomainStructure:
     """A semiring with test algebra plus domain and codomain tables.
 
     delta/rho map each carrier index to a test; they may be any maps (the
-    axioms are checked, not assumed).  flags caches which axioms hold; pass
-    flags=None to have them computed on construction.
+    axioms are checked, not assumed).  flags records which of d1, d2, dloc,
+    cd1, cd2 and cdloc hold, from one DOMAIN_AXIOMS scan on construction,
+    and whether the semiring is integral.
     """
 
-    def __init__(
-        self,
-        owner: FiniteSemiring,
-        tests: TestAlgebra,
-        delta,
-        rho,
-        flags: Optional[dict] = None,
-        name: str = "",
-    ):
+    def __init__(self, owner: FiniteSemiring, tests: TestAlgebra, delta, rho, name: str = ""):
         if tests.owner is not owner and tests.owner != owner:
             raise ValueError("test algebra belongs to a different semiring")
         self.owner = owner
@@ -95,10 +87,8 @@ class DomainStructure:
         self.rho.setflags(write=False)
         self.name = name or f"domain({owner.name})"
         self._top = owner.top()
-        if flags is None:
-            flags = {r.name: r.holds for r in self._axiom_reports if r.name in _FLAG_LAWS}
-            flags["integral"] = is_integral(owner).holds
-        self.flags = dict(flags)
+        self.flags = {r.name: r.holds for r in self._axiom_reports if r.name in _FLAG_LAWS}
+        self.flags["integral"] = is_integral(owner).holds
 
     @functools.cached_property
     def _axiom_reports(self) -> list[LawReport]:
@@ -212,46 +202,53 @@ class DomainStructure:
         return f"DomainStructure({self.name!r})"
 
 
-def _least_preserver(S: FiniteSemiring, T: TestAlgebra, a: int, ordered) -> int:
-    preservers = [p for p in T.members if S.leq(a, int(S.mul[p, a]))]
-    if not preservers:
-        raise ValueError(
-            f"{S.element_name(a)!r} has no left-preserving test; "
-            "the test algebra is too small or the laws fail"
-        )
-    for p in ordered:
-        if S.leq(a, int(S.mul[p, a])):
-            first = p
-            break
-    m = preservers[0]
-    for p in preservers[1:]:
-        m = T.meet(m, p)
-    if m != first or m not in T.compl or not S.leq(a, int(S.mul[m, a])):
+def _least_preservers(S: FiniteSemiring, T: TestAlgebra, M) -> list[int]:
+    """For each element a, the least test p with a <= M[p, a].
+
+    M = S.mul gives the domain (a <= p a), M = S.mul.T the codomain
+    (a <= a p).  Tests are tried smallest-first, so the first preserver is
+    the least one; the meet of all preservers, folded in member order with
+    meet M[m, p], must equal it, be a test and preserve a.  The first
+    element for which either fails raises.
+    """
+    members = np.asarray(T.members)
+    ar = np.arange(S.n)
+    P = M[members]
+    preserves = S.add[ar, P] == P
+    # smallest-first: by the number of tests below, then by index
+    smallest = np.lexsort((members, (S.add[np.ix_(members, members)] == members).sum(axis=0)))
+    first = members[smallest][np.argmax(preserves[smallest], axis=0)]
+    # -1 until a preserver is met
+    meet = np.full(S.n, -1)
+    for p, row in zip(members, preserves):
+        meet = np.where(row, np.where(meet < 0, p, M[meet, p]), meet)
+    Pm = M[meet, ar]
+    bad = (meet != first) | ~np.isin(meet, members) | (S.add[ar, Pm] != Pm)
+    if bad.any():
+        a = int(np.argmax(bad))
+        if meet[a] < 0:
+            raise ValueError(
+                f"{S.element_name(a)!r} has no left-preserving test; "
+                "the test algebra is too small or the laws fail"
+            )
         raise ValueError(
             f"left preservers of {S.element_name(a)!r} have no least element; "
             "the declared tests do not form a lattice under the semiring order"
         )
-    return m
+    return meet.tolist()
 
 
 def compute_predomain(S: FiniteSemiring, T: TestAlgebra, name: str = "") -> DomainStructure:
     """Domain and codomain tables for S: least left/right preservers.
 
-    Tests are scanned smallest-first, so the first preserver found is the
-    least one; a meet-of-all-preservers cross-check guards the claim.
-    Codomain is the same computation with multiplication reversed.
+    Codomain is the same pass as domain with the product reversed.
     """
-    ordered = sorted(T.members, key=lambda p: (T.lower_size(p), p))
-    delta = [_least_preserver(S, T, a, ordered) for a in range(S.n)]
-    return DomainStructure(S, T, delta, compute_precodomain(S, T), flags=None, name=name or S.name)
+    return DomainStructure(S, T, _least_preservers(S, T, S.mul), compute_precodomain(S, T), name=name or S.name)
 
 
 def compute_precodomain(S: FiniteSemiring, T: TestAlgebra) -> list[int]:
-    """Just the codomain table: predomain of the opposite semiring."""
-    So = opposite(S)
-    To = TestAlgebra(So, T.members, T.compl)
-    ordered = sorted(To.members, key=lambda p: (To.lower_size(p), p))
-    return [_least_preserver(So, To, a, ordered) for a in range(S.n)]
+    """Just the codomain table: the least right preservers."""
+    return _least_preservers(S, T, S.mul.T)
 
 
 # ---------------------------------------------------------------------------

@@ -299,6 +299,9 @@ class RelModel(ModelHandle):
 
     Doubles as a domain structure: tests are subsets of the base set
     (state bitmasks), with image/preimage computed directly on edges.
+    elements() lists the relations by their n*n-bit row-major adjacency
+    mask, so a relation's index in materialize (and rel_semiring) is its
+    mask.
     """
 
     has_star = True
@@ -480,76 +483,52 @@ class RelModel(ModelHandle):
         members = [self.embed(p) for p in masks]
         return members, {self.embed(p): self.embed(self.test_compl(p)) for p in masks}
 
+    def index_tables(self):
+        """add and mul over elements(), where an element's index is its adjacency mask.
+
+        add is a bitwise or; row i of x;y is the union of y's rows over x's
+        successors of i.  All in int32, the dtype FiniteSemiring keeps, so
+        that no table is copied and the 512 x 512 temporaries of rel(3)
+        stay at 1 MB each.
+        """
+        n, size = self.n, self.size()
+        masks = np.arange(size, dtype=np.int32)
+        # rows[m, i] = successors of state i in relation m
+        rows = np.empty((size, n), dtype=np.int32)
+        for i in range(n):
+            rows[:, i] = (masks >> (i * n)) & self._full_mask
+        # ors[m, s] = union of rows[m, j] over j in subset s
+        ors = np.zeros((size, 1 << n), dtype=np.int32)
+        for s in range(1, 1 << n):
+            low = s & -s
+            ors[:, s] = ors[:, s ^ low] | rows[:, low.bit_length() - 1]
+        mul = np.zeros((size, size), dtype=np.int32)
+        for i in range(n):
+            part = ors[:, rows[:, i]]
+            part <<= i * n
+            mul |= part.T
+        return np.bitwise_or.outer(masks, masks), mul
+
 
 def rel_model(n: int) -> RelModel:
     return RelModel(n)
 
 
 @lru_cache(maxsize=None)
-def rel_semiring(n: int) -> FiniteSemiring:
-    """All relations on {1..n} as one dense-table semiring (n <= 3).
-
-    Element index equals the n*n-bit adjacency mask, row-major; this keeps
-    add a plain bitwise-or table.
-    """
+def _rel_materialized(n: int) -> MaterializedModel:
     if not 1 <= n <= 3:
         raise ValueError("rel_semiring materializes 2^(n^2) elements; supported for n <= 3")
-    model = RelModel(n)
-    size = 1 << (n * n)
-    full = (1 << n) - 1
-    # int32 throughout, the dtype FiniteSemiring keeps, so that no table is
-    # built twice and the 512 x 512 temporaries of rel(3) stay at 1 MB each
-    masks = np.arange(size, dtype=np.int32)
-
-    # per-relation successor rows: rows[m, i] = successors of state i
-    rows = np.empty((size, n), dtype=np.int32)
-    for i in range(n):
-        rows[:, i] = (masks >> (i * n)) & full
-
-    # ors[m, s] = union of rows[m, j] over j in subset s
-    ors = np.zeros((size, 1 << n), dtype=np.int32)
-    for s in range(1, 1 << n):
-        low = s & -s
-        ors[:, s] = ors[:, s ^ low] | rows[:, low.bit_length() - 1]
-
-    add = np.bitwise_or.outer(masks, masks)
-    mul = np.zeros((size, size), dtype=np.int32)
-    for i in range(n):
-        # row i of x;y is the union of y's rows over x's successors of i
-        part = ors[:, rows[:, i]]
-        part <<= i * n
-        mul |= part.T
-
-    star = np.empty(size, dtype=np.int32)
-    conv = np.empty(size, dtype=np.int32)
-    for m in range(size):
-        r = model._from_mask(int(m))
-        star[m] = _rel_mask(r.star())
-        conv[m] = _rel_mask(r.transpose())
-
-    names = [str(model._from_mask(int(m))) for m in range(size)]
-    return FiniteSemiring(
-        names, add, mul, zero=0, one=_rel_mask(model.one), star=star, conv=conv, name=f"rel({n})"
-    )
+    return materialize(RelModel(n))
 
 
-def _rel_mask(r: Relation) -> int:
-    mask = 0
-    for i, row in enumerate(r.rows):
-        mask |= row << (i * r.n)
-    return mask
+def rel_semiring(n: int) -> FiniteSemiring:
+    """All relations on {1..n} as one dense-table semiring (n <= 3): materialize(RelModel(n))."""
+    return _rel_materialized(n).semiring
 
 
 def rel_tests(n: int) -> TestAlgebra:
     """The full powerset test algebra of rel_semiring(n): subidentities."""
-    S = rel_semiring(n)
-    model = RelModel(n)
-    members = [_rel_mask(model.embed(p)) for p in range(1 << n)]
-    compl = {
-        _rel_mask(model.embed(p)): _rel_mask(model.embed(p ^ ((1 << n) - 1)))
-        for p in range(1 << n)
-    }
-    return TestAlgebra(S, members, compl)
+    return _rel_materialized(n).tests
 
 
 # ---------------------------------------------------------------------------

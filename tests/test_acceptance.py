@@ -32,7 +32,6 @@ from kadlib.hoare import check_hoare_rules, check_triple, denote, validate_proof
 from kadlib.models import (
     Relation,
     StarUnsupportedError,
-    _rel_mask,
     check_sampled_laws,
     conway_model,
     conway_names,
@@ -46,6 +45,12 @@ from kadlib.models import (
 )
 from kadlib.reach import check_star_preimage_laws, reach_efficient, reach_naive
 from kadlib.termination import is_loebian, is_noetherian, is_well_founded, transitive_closure
+
+
+def _rel_mask(r):
+    """The row-major adjacency mask of r, which is its index in rel_semiring(r.n)."""
+    return sum(row << (i * r.n) for i, row in enumerate(r.rows))
+
 
 KAD_BUILTINS = ("A2", "A3_1", "A3_3")  # the builtins whose predomain is local
 

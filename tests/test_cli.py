@@ -157,6 +157,11 @@ MALFORMED = {
     "set-not-an-array": ({**REL, "sets": {"p": "12"}}, "set 'p' must be an array, not a string"),
     "program-not-a-string": ({**REL, "programs": {"p": 5}}, "program 'p' must be a string, not a number"),
     "env-not-a-string": ({**REL, "env": {"a": ["R"]}}, "env entry 'a' must be a string, not an array"),
+    "program-unbound-action": ({**REL, "programs": {"p": "skip; jump"}}, "program 'p': unbound action 'jump'"),
+    "program-unknown-set": (
+        {**REL, "programs": {"p": "while nowhere do skip od"}},
+        "program 'p': unknown set 'nowhere'",
+    ),
     "compl-not-an-object": (
         {**semiring_to_doc(conway_model("A2")), "tests": {"members": ["0", "1"], "compl": [["0", "1"]]}},
         "the test complement must be an object, not an array",

@@ -25,6 +25,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,7 @@ from kadlib.algebra import (
     dom,
     eval_term,
     one_term,
+    opposite,
     star,
     var,
 )
@@ -58,6 +60,8 @@ from kadlib.domain import (
     DOMAIN_AXIOMS,
     DOMAIN_CALCULUS,
     DomainStructure,
+    check_converse,
+    check_domain_calculus,
     compute_predomain,
 )
 from kadlib.algebra import check_isemiring, check_kleene
@@ -187,12 +191,16 @@ CORRUPTIONS = [
 ]
 
 
-@pytest.mark.parametrize("name,table,seed", CORRUPTIONS, ids=[f"{n}-{t}-{s}" for n, t, s in CORRUPTIONS])
-def test_scanner_matches_brute_force_on_corrupted_tables(name, table, seed):
+def corrupted(name, table, seed):
+    """A CORRUPTIONS entry: the model with one cell of one table changed, and its tests."""
     _, S, T = next(m for m in MODELS if m[0] == name)
     S2 = corrupt_semiring(S, table, random.Random(f"{name}:{table}:{seed}"))
-    T2 = TestAlgebra(S2, T.members, T.compl)
-    compare_all(S2, T2)
+    return S2, TestAlgebra(S2, T.members, T.compl)
+
+
+@pytest.mark.parametrize("name,table,seed", CORRUPTIONS, ids=[f"{n}-{t}-{s}" for n, t, s in CORRUPTIONS])
+def test_scanner_matches_brute_force_on_corrupted_tables(name, table, seed):
+    compare_all(*corrupted(name, table, seed))
 
 
 @pytest.mark.parametrize("name", ["A3_2", "A4_1", "rel2"])
@@ -208,13 +216,72 @@ def test_scanner_matches_brute_force_on_corrupted_domain_tables(name):
         compare_domain(DomainStructure(S, T, delta, rho))
 
 
+# -- the least-preserver pass against a per-element search ----------------------------
+
+
+def least_preserver(S, T, a, ordered):
+    """The smallest-first least preserver of a, cross-checked by the meet of all preservers."""
+    preservers = [p for p in T.members if S.leq(a, int(S.mul[p, a]))]
+    if not preservers:
+        raise ValueError(
+            f"{S.element_name(a)!r} has no left-preserving test; "
+            "the test algebra is too small or the laws fail"
+        )
+    first = next(p for p in ordered if S.leq(a, int(S.mul[p, a])))
+    m = preservers[0]
+    for p in preservers[1:]:
+        m = T.meet(m, p)
+    if m != first or m not in T.compl or not S.leq(a, int(S.mul[m, a])):
+        raise ValueError(
+            f"left preservers of {S.element_name(a)!r} have no least element; "
+            "the declared tests do not form a lattice under the semiring order"
+        )
+    return m
+
+
+def reference_predomain(S, T):
+    """delta, then rho as the predomain of opposite(S), element by element."""
+
+    def least(S, T):
+        ordered = sorted(T.members, key=lambda p: (T.lower_size(p), p))
+        return [least_preserver(S, T, a, ordered) for a in range(S.n)]
+
+    So = opposite(S)
+    return least(S, T), least(So, TestAlgebra(So, T.members, T.compl))
+
+
+def predomain_or_error(find, S, T):
+    try:
+        return find(S, T)
+    except ValueError as e:
+        return str(e)
+
+
+def predomain_tables(S, T):
+    D = compute_predomain(S, T)
+    return D.delta.tolist(), D.rho.tolist()
+
+
+PREDOMAIN_CASES = [(name, lambda S=S, T=T: (S, T)) for name, S, T in MODELS] + [
+    ("rel3", lambda: (rel_semiring(3), rel_tests(3)))
+] + [(f"{n}-{t}-{s}", lambda c=(n, t, s): corrupted(*c)) for n, t, s in CORRUPTIONS]
+
+
+@pytest.mark.parametrize("name,make", PREDOMAIN_CASES, ids=[c[0] for c in PREDOMAIN_CASES])
+def test_predomain_matches_a_per_element_least_preserver_search(name, make):
+    S, T = make()
+    assert predomain_or_error(predomain_tables, S, T) == predomain_or_error(reference_predomain, S, T)
+
+
 # -- chunks of at most _CHUNK assignments -------------------------------------------
 
 # No model above reaches the default _CHUNK of 2^17 assignments, so these rerun
 # the cross-checks with it lowered.  At 2^5 rel(2)'s three-variable laws run
-# in eight blocks of two rows and its "p q a" laws in two blocks; at 2^2 the
-# three-variable laws of the builtins on three and four elements run in
-# blocks of one row, and rel(2)'s one-variable laws in four blocks.
+# in eight blocks of two rows and its "p q a" laws in two blocks, for each
+# value of the first variable, and its two-variable laws, which loop over no
+# variable, in eight blocks of two rows; at 2^2 the three-variable laws of
+# the builtins on three and four elements run in blocks of one row, and
+# rel(2)'s one-variable laws in four blocks.
 
 SMALL_CHUNKS = [1 << 2, 1 << 5]
 
@@ -231,6 +298,23 @@ def test_scanner_matches_brute_force_in_small_chunks(monkeypatch, chunk, name, S
 def test_scanner_matches_brute_force_on_corrupted_tables_in_small_chunks(monkeypatch, chunk, name, table, seed):
     monkeypatch.setattr(kadlib.algebra, "_CHUNK", chunk)
     test_scanner_matches_brute_force_on_corrupted_tables(name, table, seed)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [check_star_preimage_laws, check_hoare_rules, check_domain_calculus, lambda D: check_converse(D.owner)],
+    ids=["star-preimage", "hoare-rules", "domain-calculus", "converse"],
+)
+def test_scans_of_the_rel3_predomain_stay_within_a_few_chunks(check):
+    """No gather copies more than a chunk: a chunk of 2^17 int32 cells is 0.5 MB, its index buffer 1 MB."""
+    D = compute_predomain(rel_semiring(3), rel_tests(3))
+    tracemalloc.start()
+    try:
+        check(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def reference_first_failure(law, S):

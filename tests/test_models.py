@@ -39,6 +39,11 @@ from kadlib.models import (
 from kadlib.reach import STAR_PREIMAGE_LAWS, check_star_preimage_laws
 
 
+def _rel_mask(r):
+    """The row-major adjacency mask of r, which is its index in rel_semiring(r.n)."""
+    return sum(row << (i * r.n) for i, row in enumerate(r.rows))
+
+
 # -- naming and lookup --------------------------------------------------------
 
 
@@ -123,8 +128,6 @@ def test_rel_semiring_tables_match_relation_ops():
         S = rel_semiring(n)
         D = rel_model(n)
         rels = list(D.elements())
-        from kadlib.models import _rel_mask
-
         for x in rels:
             i = _rel_mask(x)
             assert S.element_name(i) == str(x)
@@ -138,8 +141,6 @@ def test_rel_semiring_tables_match_relation_ops():
 
 def test_rel_semiring_3_spot_checks():
     S = rel_semiring(3)
-    from kadlib.models import _rel_mask
-
     rng = random.Random(9)
     D = rel_model(3)
     for _ in range(60):
@@ -444,6 +445,7 @@ def reference_materialize(handle):
         "add": [[index[handle.add(x, y)] for y in elems] for x in elems],
         "mul": [[index[handle.mul(x, y)] for y in elems] for x in elems],
         "star": [index[handle.star(x)] for x in elems] if handle.has_star else None,
+        "conv": [index[handle.conv(x)] for x in elems] if hasattr(handle, "conv") else None,
         "zero": index[handle.zero],
         "one": index[handle.one],
         "tests": None,
@@ -463,6 +465,7 @@ def materialized(handle, max_size=4096):
         "add": S.add.tolist(),
         "mul": S.mul.tolist(),
         "star": None if S.star is None else S.star.tolist(),
+        "conv": None if S.conv is None else S.conv.tolist(),
         "zero": S.zero,
         "one": S.one,
         "tests": None if mat.tests is None else (list(mat.tests.members), mat.tests.compl),
@@ -474,6 +477,13 @@ def test_transformer_tables_match_the_model_cell_for_cell(n):
     TM = predicate_transformer_model(rel_model(n))
     assert TM.index_tables() is not None
     assert materialized(TM) == reference_materialize(TM)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_relation_tables_match_the_model_cell_for_cell(n):
+    R = rel_model(n)
+    assert R.index_tables() is not None
+    assert materialized(R) == reference_materialize(R)
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,6 @@ from kadlib.cli import _has_cycle
 from kadlib.models import (
     Relation,
     RelModel,
-    _rel_mask,
     conway_model,
     conway_names,
     rel_model,
@@ -32,6 +31,11 @@ from kadlib.termination import (
     termination_report,
     transitive_closure,
 )
+
+
+def _rel_mask(r):
+    """The row-major adjacency mask of r, which is its index in rel_semiring(r.n)."""
+    return sum(row << (i * r.n) for i, row in enumerate(r.rows))
 
 
 def has_cycle(n, pairs):
