@@ -71,7 +71,7 @@ from .hoare import (
     check_triple,
     validate_proof,
 )
-from .models import Relation, conway_model, conway_names, rel_model, rel_semiring, rel_tests
+from .models import Relation, _bit_positions, conway_model, conway_names, rel_model, rel_semiring, rel_tests
 from .reach import reach_efficient, reach_naive
 from .termination import TerminationReport, termination_report
 
@@ -392,13 +392,20 @@ def semiring_from_doc(doc: dict) -> tuple[FiniteSemiring, TestAlgebra]:
 
 
 def _relation_from_doc(n: int, name: str, edges) -> Relation:
+    """The relation of an edge list, in one pass; a malformed edge anywhere is reported before one out of range."""
     _expect(edges, list, f"relation {name!r}")
-    if not all(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e)) for e in edges):
-        raise CliParseError(f"relation {name!r} is not an edge list of [i, j] state pairs")
-    for i, j in edges:
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise CliParseError(f"relation {name!r} has edge ({i}, {j}) outside 1..{n}")
-    return Relation.from_pairs(n, edges)
+    rows, outside = [0] * n, None
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])):
+            raise CliParseError(f"relation {name!r} is not an edge list of [i, j] state pairs")
+        i, j = e
+        if 1 <= i <= n and 1 <= j <= n:
+            rows[i - 1] |= 1 << (j - 1)
+        else:
+            outside = outside or e
+    if outside is not None:
+        raise CliParseError(f"relation {name!r} has edge ({outside[0]}, {outside[1]}) outside 1..{n}")
+    return Relation(n, tuple(rows))
 
 
 def workspace_from_doc(doc: dict) -> Workspace:
@@ -669,24 +676,19 @@ def cmd_hoare(path: str, triple: Optional[str] = None, proof: Optional[str] = No
 
 def _has_cycle(rel: Relation) -> bool:
     """Kahn's algorithm: a cycle remains once no state without predecessors is left."""
+    succ = [_bit_positions(row) for row in rel.rows]
     indegree = [0] * rel.n
-    for row in rel.rows:
-        while row:
-            low = row & -row
-            indegree[low.bit_length() - 1] += 1
-            row ^= low
+    for js in succ:
+        for j in js:
+            indegree[j] += 1
     ready = [i for i, d in enumerate(indegree) if d == 0]
     removed = 0
     while ready:
-        row = rel.rows[ready.pop()]
         removed += 1
-        while row:
-            low = row & -row
-            j = low.bit_length() - 1
+        for j in succ[ready.pop()]:
             indegree[j] -= 1
             if indegree[j] == 0:
                 ready.append(j)
-            row ^= low
     return removed < rel.n
 
 

@@ -86,6 +86,8 @@ class DomainStructure:
         self.delta.setflags(write=False)
         self.rho.setflags(write=False)
         self.name = name or f"domain({owner.name})"
+        # the atoms in ascending element order; an atom's position is its index here
+        self._atoms = sorted(tests.atoms())
         self._top = owner.top()
         self.flags = {r.name: r.holds for r in self._axiom_reports if r.name in _FLAG_LAWS}
         self.flags["integral"] = is_integral(owner).holds
@@ -182,6 +184,18 @@ class DomainStructure:
 
     def atoms_below(self, p: int) -> list[int]:
         return self.tests.atoms_below(p)
+
+    def atom_positions(self, p: int) -> list[int]:
+        return [k for k, t in enumerate(self._atoms) if self.owner.leq(t, p)]
+
+    def test_from_positions(self, ks) -> int:
+        return functools.reduce(self.test_join, (self._atoms[k] for k in ks), self.test_zero)
+
+    def preimage_positions(self, a: int, k: int) -> list[int]:
+        return self.atom_positions(self.preimage(a, self._atoms[k]))
+
+    def image_positions(self, k: int, a: int) -> list[int]:
+        return self.atom_positions(self.image(self._atoms[k], a))
 
     def test_join(self, p: int, q: int) -> int:
         return self.tests.join(p, q)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -60,9 +60,10 @@ class ModelHandle:
     enumeration (elements, and size, which is None for an infinite model)
     and sampling.  Elements are opaque values; el_name renders them for
     reports.  A model with domain adds the test surface (test_members,
-    test_join/meet/compl/leq, test_name, embed) and dom/cod/preimage/image.
-    DomainStructure has the same names over its tables, so one checker
-    takes either.
+    test_join/meet/compl/leq, test_name, embed), dom/cod/preimage/image
+    and the atom surface over atoms numbered 0..m-1 (atom_positions,
+    test_from_positions, preimage_positions, image_positions); DomainStructure
+    has the same names over its tables, so one checker takes either.
     """
 
     name = "model"
@@ -203,12 +204,22 @@ def conway_model(name: str) -> FiniteSemiring:
 # finite binary relations
 
 
-def _bit_positions(mask: int):
-    """Positions of the set bits of mask, lowest first."""
+def _bit_positions(mask: int) -> list[int]:
+    """Positions of the set bits of mask, lowest first, in time linear in its length.
+
+    Up to 32 bits are stripped one at a time from the top, each strip a
+    pass over mask; more are read off its bytes, unpacked by numpy.
+    """
+    if mask.bit_count() > 32:
+        octets = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
+        return np.flatnonzero(np.unpackbits(octets, bitorder="little")).tolist()
+    out = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        k = mask.bit_length() - 1
+        out.append(k)
+        mask ^= 1 << k
+    out.reverse()
+    return out
 
 
 @dataclass(frozen=True)
@@ -290,15 +301,16 @@ class Relation:
             raise ValueError("relations over different base sets")
 
     def __str__(self):
-        ps = sorted(self.pairs())
-        return "{" + ",".join(f"({i},{j})" for i, j in ps) + "}"
+        # row-major order is sorted order
+        return "{" + ",".join(f"({i + 1},{j + 1})" for i, row in enumerate(self.rows) for j in _bit_positions(row)) + "}"
 
 
 class RelModel(ModelHandle):
     """Relations on {1..n} with union, composition, closure and transpose.
 
     Doubles as a domain structure: tests are subsets of the base set
-    (state bitmasks), with image/preimage computed directly on edges.
+    (state bitmasks), with image/preimage computed directly on edges.  The
+    atom at position k is state k + 1, the mask 1 << k.
     elements() lists the relations by their n*n-bit row-major adjacency
     mask, so a relation's index in materialize (and rel_semiring) is its
     mask.
@@ -312,12 +324,12 @@ class RelModel(ModelHandle):
         self.n = n
         self.name = f"rel({n})"
         self._zero = Relation.empty(n)
-        self._one = Relation.identity(n)
         self._top = Relation.full(n)
         self._full_mask = (1 << n) - 1
-        # the relation of the last single-state preimage and its transpose
+        # the relation of the last preimage_positions query and its
+        # predecessor position lists
         self._transposed_of: Optional[Relation] = None
-        self._transposed: Optional[Relation] = None
+        self._predecessors: list[list[int]] = []
         # every relation model is a Kleene algebra with a local domain
         self.flags = {
             "d1": True,
@@ -350,9 +362,9 @@ class RelModel(ModelHandle):
     def zero(self) -> Relation:
         return self._zero
 
-    @property
+    @cached_property
     def one(self) -> Relation:
-        return self._one
+        return Relation.identity(self.n)
 
     @property
     def top(self) -> Relation:
@@ -400,12 +412,16 @@ class RelModel(ModelHandle):
         return [1 << i for i in range(self.n)]
 
     def atoms_below(self, p: int) -> list[int]:
-        out = []
-        while p:
-            low = p & -p
-            out.append(low)
-            p ^= low
-        return out
+        return [1 << k for k in _bit_positions(p)]
+
+    def atom_positions(self, p: int) -> list[int]:
+        return _bit_positions(p)
+
+    def test_from_positions(self, ks: Iterable[int]) -> int:
+        bits = bytearray(b"0" * self.n)
+        for k in ks:
+            bits[~k] = 49  # ord("1"); position k is the k-th digit from the right
+        return int(bits, 2)
 
     def test_join(self, p: int, q: int) -> int:
         return p | q
@@ -453,16 +469,7 @@ class RelModel(ModelHandle):
         return mask
 
     def preimage(self, a: Relation, p: int) -> int:
-        """States with at least one a-edge into p.
-
-        The preimage of a single state is a row of a's transpose, which is
-        kept for the last relation asked about; any other query scans the
-        rows.
-        """
-        if p and not p & (p - 1):
-            if a is not self._transposed_of:
-                self._transposed_of, self._transposed = a, a.transpose()
-            return self._transposed.rows[p.bit_length() - 1]
+        """States with at least one a-edge into p."""
         mask = 0
         for i, row in enumerate(a.rows):
             if row & p:
@@ -477,6 +484,24 @@ class RelModel(ModelHandle):
             mask |= a.rows[low.bit_length() - 1]
             p ^= low
         return mask
+
+    def preimage_positions(self, a: Relation, k: int) -> list[int]:
+        """The states with an a-edge into state k + 1, as positions; a shared list, not to be changed.
+
+        The lists of all states are built in one walk of a's rows and kept
+        for the last relation asked about.
+        """
+        if a is not self._transposed_of:
+            pred: list[list[int]] = [[] for _ in a.rows]
+            for i, row in enumerate(a.rows):
+                for j in _bit_positions(row):
+                    pred[j].append(i)
+            self._transposed_of, self._predecessors = a, pred
+        return self._predecessors[k]
+
+    def image_positions(self, k: int, a: Relation) -> list[int]:
+        """The states state k + 1 has an a-edge to, as positions: a walk of row k."""
+        return _bit_positions(a.rows[k])
 
     def declared_tests(self):
         masks = self.test_members()

@@ -7,15 +7,17 @@ the efficient version keeps a worklist of unexpanded atoms so every state
 is expanded at most once.  Costs are reported as preimage evaluations at
 atom granularity, which is what makes the difference observable.
 
-Works over any object exposing the domain surface: table-backed
-DomainStructure or a direct relational model.
+Works over any object exposing the atom surface (atom_positions,
+test_from_positions, preimage_positions): table-backed DomainStructure or
+a direct relational model.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Sequence
 
 from .algebra import Law, LawReport, compl, dom, eq, leq, one_term, star, var
 from .domain import run_laws
@@ -25,34 +27,61 @@ __all__ = ["ReachResult", "reach_naive", "reach_efficient", "check_star_preimage
 
 @dataclass(frozen=True)
 class ReachResult:
+    """A reachability fixpoint and what it cost.
+
+    trace, the ascending chain of tests from the target p to the result, is
+    built on first read: step i + 1 joins onto p the first _ends[i] of the
+    atom positions in _added, the order in which they were reached.
+    """
+
     result: object
     iterations: int
     preimage_evals: int
-    trace: tuple
+    _start: object = field(repr=False)
+    _added: tuple = field(repr=False)
+    _ends: Sequence[int] = field(repr=False)
+    _model: object = field(repr=False, compare=False)
+
+    @cached_property
+    def trace(self) -> tuple:
+        D, x, done = self._model, self._start, 0
+        out = [x]
+        for end in self._ends:
+            x = D.test_join(x, D.test_from_positions(self._added[done:end]))
+            out.append(x)
+            done = end
+        return tuple(out)
+
+
+def _start(D, p):
+    """The positions of p's atoms, and a bytearray marking them among all atoms."""
+    ks = D.atom_positions(p)
+    seen = bytearray(len(D.atom_positions(D.test_one)))
+    for k in ks:
+        seen[k] = 1
+    return ks, seen
 
 
 def reach_naive(D, a, p) -> ReachResult:
     """Ascending fixpoint iteration of x -> p + a:x, one full sweep at a time.
 
-    Each sweep decomposes the current test into atoms and evaluates one
-    preimage per atom, so the cost of a sweep grows with what has been
-    collected already.
+    Each sweep evaluates one preimage per atom of the current test, so the
+    cost of a sweep grows with what has been collected already.
     """
-    x = p
-    evals = 0
-    iterations = 0
-    trace = [x]
+    x, seen = _start(D, p)
+    first, evals, ends = len(x), 0, []
     while True:
-        iterations += 1
-        y = x
-        for atom in D.atoms_below(x):
-            y = D.test_join(y, D.preimage(a, atom))
-            evals += 1
-        if y == x:
+        size = len(x)
+        evals += size
+        for k in x[:size]:
+            for j in D.preimage_positions(a, k):
+                if not seen[j]:
+                    seen[j] = 1
+                    x.append(j)
+        if len(x) == size:
             break
-        x = y
-        trace.append(x)
-    return ReachResult(x, iterations, evals, tuple(trace))
+        ends.append(len(x) - first)
+    return ReachResult(D.test_from_positions(x), len(ends) + 1, evals, p, tuple(x[first:]), tuple(ends), D)
 
 
 def reach_efficient(D, a, p, order: str = "asc", rng=None) -> ReachResult:
@@ -69,9 +98,9 @@ def reach_efficient(D, a, p, order: str = "asc", rng=None) -> ReachResult:
     if order not in ("asc", "desc", "random"):
         raise ValueError("order must be asc, desc or random")
 
-    # the frontier may hold an atom more than once; asc and desc keep it as
-    # a heap (of negated atoms for desc) and expand the least (greatest)
-    # atom first
+    # the frontier holds atom positions, an atom maybe more than once; asc
+    # and desc keep it as a heap (of negated positions for desc) and expand
+    # the least (greatest) atom first
     frontier: list = []
     if order == "random":
         rng = rng or random.Random(0)
@@ -87,37 +116,32 @@ def reach_efficient(D, a, p, order: str = "asc", rng=None) -> ReachResult:
 
         sign = 1 if order == "asc" else -1
 
-        def push(b):
-            heapq.heappush(frontier, sign * b)
+        def push(k):
+            heapq.heappush(frontier, sign * k)
 
         def pop():
             return sign * heapq.heappop(frontier)
 
-    reached = p
-    evals = 0
-    expansions = 0
-    trace = [p]
+    start, seen = _start(D, p)
+    expanded = []
 
-    def push_new(pre):
-        for b in D.atoms_below(pre):
-            if not D.test_leq(b, reached):
-                push(b)
+    def push_new(k):
+        for j in D.preimage_positions(a, k):
+            if not seen[j]:
+                push(j)
 
-    for atom in D.atoms_below(p):
-        evals += 1
-        push_new(D.preimage(a, atom))
-
+    for k in start:
+        push_new(k)
     while frontier:
-        atom = pop()
-        if D.test_leq(atom, reached):
+        k = pop()
+        if seen[k]:
             continue
-        reached = D.test_join(reached, atom)
-        expansions += 1
-        evals += 1
-        trace.append(reached)
-        push_new(D.preimage(a, atom))
+        seen[k] = 1
+        expanded.append(k)
+        push_new(k)
 
-    return ReachResult(reached, expansions, evals, tuple(trace))
+    n = len(expanded)
+    return ReachResult(D.test_join(p, D.test_from_positions(expanded)), n, len(start) + n, p, tuple(expanded), range(1, n + 1), D)
 
 
 # ---------------------------------------------------------------------------

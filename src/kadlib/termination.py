@@ -32,7 +32,7 @@ from typing import Optional
 
 from .algebra import FiniteSemiring, Verdict
 from .domain import _instances
-from .models import Relation, RelModel
+from .models import Relation, RelModel, _bit_positions
 
 __all__ = [
     "TerminationReport",
@@ -91,35 +91,28 @@ def stuck_set(D, a, forward: bool = False):
 
     An atom worklist for the greatest post-fixpoint of x -> x (a:x): every
     atom starts in x, and an atom leaves once no atom left in x steps into
-    it.  Each atom's preimage (image when forward) is evaluated once, and
-    each atom is removed at most once.  Exact when a:x is the join of a:t
-    over the atoms t below x, as in every relation model and, by d1 and d2
-    (cd1 and cd2 for image), in every domain structure.
+    it.  Each atom's preimage (image when forward) is read once, as atom
+    positions, and each atom is removed at most once.  Exact when a:x is
+    the join of a:t over the atoms t below x, as in every relation model
+    and, by d1 and d2 (cd1 and cd2 for image), in every domain structure.
     """
-    pos = {t: k for k, t in enumerate(D.atoms_below(D.test_one))}
-    # atom k keeps alive the atoms kept[start[k]:start[k + 1]]
-    start, kept = [0], []
-    support = [0] * len(pos)  # support[k]: atoms in x that keep atom k alive
-    for t in pos:
-        for u in D.atoms_below(D.image(t, a) if forward else D.preimage(a, t)):
-            kept.append(pos[u])
-            support[pos[u]] += 1
-        start.append(len(kept))
-    alive = [True] * len(pos)
+    m = len(D.atom_positions(D.test_one))
+    # atom k keeps alive the atoms in kept[k]
+    kept = [D.image_positions(k, a) if forward else D.preimage_positions(a, k) for k in range(m)]
+    support = [0] * m  # support[j]: atoms in x that keep atom j alive
+    for js in kept:
+        for j in js:
+            support[j] += 1
+    alive = bytearray(b"\x01" * m)
     work = [k for k, c in enumerate(support) if c == 0]
     while work:
         k = work.pop()
-        alive[k] = False
-        for i in range(start[k], start[k + 1]):
-            j = kept[i]
+        alive[k] = 0
+        for j in kept[k]:
             support[j] -= 1
             if support[j] == 0:
                 work.append(j)
-    x = D.test_zero
-    for t, live in zip(pos, alive):
-        if live:
-            x = D.test_join(x, t)
-    return x
+    return D.test_from_positions(k for k in range(m) if alive[k])
 
 
 def _terminates(D, a, forward: bool, budget: int, samples: int, rng) -> Verdict:
@@ -146,15 +139,11 @@ def is_well_founded(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=No
 def _intransitive_step(a: Relation):
     """A test {j,k} for the first i -> j -> k (least i, then j, then k) without i -> k, or None."""
     rows = a.rows
-    for i, row in enumerate(rows):
-        rest = row
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
+    for row in rows:
+        for j in _bit_positions(row):
             missing = rows[j] & ~row
             if missing:
-                return low | (missing & -missing)
-            rest ^= low
+                return (1 << j) | (missing & -missing)
     return None
 
 

@@ -154,6 +154,15 @@ MALFORMED = {
         {"n": 2, "relations": {"R": [[1, 2, 1]]}},
         "relation 'R' is not an edge list of [i, j] state pairs",
     ),
+    "edge-out-of-range": (
+        {"n": 2, "relations": {"R": [[1, 1], [0, 1], [3, 1]]}},
+        "relation 'R' has edge (0, 1) outside 1..2",
+    ),
+    # a malformed edge is reported even after an edge out of range
+    "edge-malformed-after-out-of-range": (
+        {"n": 2, "relations": {"R": [[0, 1], "x"]}},
+        "relation 'R' is not an edge list of [i, j] state pairs",
+    ),
     "set-not-an-array": ({**REL, "sets": {"p": "12"}}, "set 'p' must be an array, not a string"),
     "program-not-a-string": ({**REL, "programs": {"p": 5}}, "program 'p' must be a string, not a number"),
     "env-not-a-string": ({**REL, "env": {"a": ["R"]}}, "env entry 'a' must be a string, not an array"),

@@ -16,7 +16,7 @@ from kadlib.domain import (
     converse_duality_check,
     is_integral,
 )
-from kadlib.models import conway_model, conway_names, rel_semiring, rel_tests
+from kadlib.models import conway_model, conway_names, rel_model, rel_semiring, rel_tests
 
 LOCAL = {"A2", "A3_1", "A3_3"}
 
@@ -266,3 +266,36 @@ def test_preservers_without_least_element_are_reported():
     T = TestAlgebra(S, [e1, e2, full_t], {e1: e2, e2: e1, full_t: full_t})
     with pytest.raises(ValueError, match="no least element"):
         compute_predomain(S, T)
+
+
+# -- the atom surface ------------------------------------------------------------------
+
+
+def assert_atom_surface_agrees(D):
+    """atom_positions, test_from_positions, preimage_positions and image_positions
+    name by position the atoms that atoms_below, preimage and image give."""
+    atoms = D.atoms_below(D.test_one)
+    assert [D.test_from_positions([k]) for k in range(len(atoms))] == atoms
+    assert D.test_from_positions([]) == D.test_zero
+    for p in D.test_members():
+        ks = D.atom_positions(p)
+        assert [atoms[k] for k in ks] == D.atoms_below(p)
+        assert D.test_from_positions(ks) == p
+    for a in D.elements():
+        for k, t in enumerate(atoms):
+            assert [atoms[j] for j in D.preimage_positions(a, k)] == D.atoms_below(D.preimage(a, t))
+            assert [atoms[j] for j in D.image_positions(k, a)] == D.atoms_below(D.image(t, a))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_atom_surface_on_every_relation(n):
+    assert_atom_surface_agrees(rel_model(n))
+
+
+@pytest.mark.parametrize("name", [*conway_names(), "rel2"])
+def test_atom_surface_on_predomains(name):
+    if name == "rel2":
+        D = compute_predomain(rel_semiring(2), rel_tests(2))
+    else:
+        _, D = predomain_of(name)
+    assert_atom_surface_agrees(D)

@@ -20,6 +20,7 @@ from kadlib.domain import run_laws
 from kadlib.hoare import check_hoare_rules
 from kadlib.models import (
     Relation,
+    _bit_positions,
     StarUnsupportedError,
     bounded_language_model,
     bounded_path_model,
@@ -204,6 +205,24 @@ def test_rel_test_algebra_atoms():
         D.test_from_states([1]),
         D.test_from_states([3]),
     ]
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(
+    strat.integers(0, 3000),
+    strat.sampled_from([0.0, 0.002, 0.01, 0.05, 0.5, 1.0]),
+    strat.integers(0, 2**32 - 1),
+)
+def test_bit_positions_and_relation_text_match_bit_by_bit_reads(n, density, seed):
+    # densities on both sides of the 32 bits that _bit_positions strips one at a time
+    rng = random.Random(seed)
+    mask = sum(1 << k for k in range(n) if rng.random() < density)
+    assert _bit_positions(mask) == [k for k in range(n) if mask >> k & 1]
+    size = min(n, 60) or 1
+    pairs = [(i, j) for i in range(1, size + 1) for j in range(1, size + 1) if rng.random() < density]
+    rel = Relation.from_pairs(size, pairs)
+    assert rel.pairs() == frozenset(pairs)
+    assert str(rel) == "{" + ",".join(f"({i},{j})" for i, j in sorted(pairs)) + "}"
 
 
 # -- matrices ------------------------------------------------------------------

@@ -470,27 +470,68 @@ def test_exact_loeb_is_transitive_and_noetherian_with_valid_witnesses(case):
         assert_valid_witness(D, is_loebian, a, v)
 
 
+def stuck_set_by_masks(D, a, forward=False):
+    """stuck_set as it was written over atom masks, a dict keyed by atom giving its position."""
+    pos = {t: k for k, t in enumerate(D.atoms_below(D.test_one))}
+    start, kept = [0], []
+    support = [0] * len(pos)
+    for t in pos:
+        for u in D.atoms_below(D.image(t, a) if forward else D.preimage(a, t)):
+            kept.append(pos[u])
+            support[pos[u]] += 1
+        start.append(len(kept))
+    alive = [True] * len(pos)
+    work = [k for k, c in enumerate(support) if c == 0]
+    while work:
+        k = work.pop()
+        alive[k] = False
+        for i in range(start[k], start[k + 1]):
+            j = kept[i]
+            support[j] -= 1
+            if support[j] == 0:
+                work.append(j)
+    x = D.test_zero
+    for t, live in zip(pos, alive):
+        if live:
+            x = D.test_join(x, t)
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(relations(max_n=30), st.booleans())
+def test_stuck_set_matches_the_mask_worklist(case, forward):
+    n, pairs = case
+    D = rel_model(n)
+    a = Relation.from_pairs(n, pairs)
+    assert stuck_set(D, a, forward) == stuck_set_by_masks(D, a, forward)
+
+
 # -- cost of the exact decisions ---------------------------------------------------------
 
 
 class CountingRelModel(RelModel):
-    """RelModel that counts preimages and images of single states."""
+    """RelModel that counts reads of single-state preimages and images.
+
+    The fixpoint reads them by atom position; it must not fall back to the
+    mask-level preimage and image."""
 
     def __init__(self, n):
         super().__init__(n)
         self.atom_steps = 0
 
-    def _count(self, p):
-        assert p and p & (p - 1) == 0, "the fixpoint asks only about single states"
+    def preimage_positions(self, a, k):
         self.atom_steps += 1
+        return super().preimage_positions(a, k)
+
+    def image_positions(self, k, a):
+        self.atom_steps += 1
+        return super().image_positions(k, a)
 
     def preimage(self, a, p):
-        self._count(p)
-        return super().preimage(a, p)
+        raise AssertionError("the fixpoint asks only about single states")
 
     def image(self, p, a):
-        self._count(p)
-        return super().image(p, a)
+        raise AssertionError("the fixpoint asks only about single states")
 
 
 @pytest.mark.parametrize("cyclic", [False, True])
