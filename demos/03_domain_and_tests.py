@@ -41,7 +41,7 @@ for name in ("A3_2", "A3_3"):
 
 # the induced operators satisfy a stack of derived laws; over relations
 # the checker runs them against all 512 relations on 3 states
-D = compute_predomain(rel_semiring(3), rel_tests(3), name="rel(3)")
+D = compute_predomain(rel_semiring(3), rel_tests(3))
 reports = check_domain_calculus(D)
 print()
 print(f"{D.name}: {len(reports)} derived laws,",

@@ -82,20 +82,12 @@ __all__ = [
 ]
 
 
-def _as_table(values, n, what):
+def _as_table(values, n, what, unary=False):
+    """values as a read-only n x n table of element indices (length n when unary)."""
     t = np.asarray(values, dtype=np.int32)
-    if t.shape != (n, n):
-        raise ValueError(f"{what} table must be {n}x{n}, got {t.shape}")
-    if t.min() < 0 or t.max() >= n:
-        raise ValueError(f"{what} table entries must be element indices < {n}")
-    t.setflags(write=False)
-    return t
-
-
-def _as_unary(values, n, what):
-    t = np.asarray(values, dtype=np.int32)
-    if t.shape != (n,):
-        raise ValueError(f"{what} table must have length {n}, got {t.shape}")
+    if t.shape != ((n,) if unary else (n, n)):
+        size = f"have length {n}" if unary else f"be {n}x{n}"
+        raise ValueError(f"{what} table must {size}, got {t.shape}")
     if t.min() < 0 or t.max() >= n:
         raise ValueError(f"{what} table entries must be element indices < {n}")
     t.setflags(write=False)
@@ -126,8 +118,8 @@ class FiniteSemiring:
             raise ValueError("zero/one must be carrier indices")
         if self.zero == self.one:
             raise ValueError("trivial semiring (0 = 1) is excluded")
-        self.star = None if star is None else _as_unary(star, n, "star")
-        self.conv = None if conv is None else _as_unary(conv, n, "conv")
+        self.star = None if star is None else _as_table(star, n, "star", unary=True)
+        self.conv = None if conv is None else _as_table(conv, n, "conv", unary=True)
         self.name = name or f"semiring({n})"
 
     @functools.cached_property

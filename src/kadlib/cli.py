@@ -73,7 +73,7 @@ from .hoare import (
 )
 from .models import Relation, _bit_positions, conway_model, conway_names, rel_model, rel_semiring, rel_tests
 from .reach import reach_efficient, reach_naive
-from .termination import TerminationReport, termination_report
+from .termination import termination_report
 
 __all__ = [
     "CliParseError",
@@ -522,19 +522,27 @@ def _load_algebra(path: str) -> tuple[FiniteSemiring, TestAlgebra]:
             n = int(path[len("rel:") :])
         except ValueError as e:
             raise CliParseError(f"bad relation model spec {path!r}") from e
-        try:
-            return rel_semiring(n), rel_tests(n)
-        except ValueError as e:
-            raise MissingCapability(str(e)) from e
+    else:
+        ws = load_workspace(path)
+        if ws.semiring is not None:
+            return ws.semiring, ws.tests
+        if ws.n is None:
+            raise CliParseError("workspace declares neither a semiring nor a relational state space")
+        n = ws.n
+    try:
+        return rel_semiring(n), rel_tests(n)
+    except ValueError as e:
+        raise MissingCapability(str(e)) from e
+
+
+def _load_relational(path: str, relation: Optional[str] = None):
+    """(workspace, rel(n) model, the named relation or None) for a workspace with n states."""
     ws = load_workspace(path)
-    if ws.semiring is not None:
-        return ws.semiring, ws.tests
-    if ws.n is not None:
-        try:
-            return rel_semiring(ws.n), rel_tests(ws.n)
-        except ValueError as e:
-            raise MissingCapability(str(e)) from e
-    raise CliParseError("workspace declares neither a semiring nor a relational state space")
+    if ws.n is None:
+        raise MissingCapability("workspace declares no relational state space")
+    if relation is not None and relation not in ws.relations:
+        raise CliParseError(f"unknown relation {relation!r}")
+    return ws, rel_model(ws.n), ws.relations.get(relation)
 
 
 # -- reports ------------------------------------------------------------------
@@ -620,13 +628,7 @@ def _parse_targets(D, text: str) -> int:
 
 
 def cmd_reach(path: str, relation: str, targets: str = "", algo: str = "both") -> int:
-    ws = load_workspace(path)
-    if ws.n is None:
-        raise MissingCapability("workspace declares no relational state space")
-    if relation not in ws.relations:
-        raise CliParseError(f"unknown relation {relation!r}")
-    D = rel_model(ws.n)
-    a = ws.relations[relation]
+    _, D, a = _load_relational(path, relation)
     p = _parse_targets(D, targets)
     results = {}
     for kind in ("naive", "efficient"):
@@ -649,10 +651,7 @@ def cmd_reach(path: str, relation: str, targets: str = "", algo: str = "both") -
 
 
 def cmd_hoare(path: str, triple: Optional[str] = None, proof: Optional[str] = None) -> int:
-    ws = load_workspace(path)
-    if ws.n is None:
-        raise MissingCapability("workspace declares no relational state space")
-    D = rel_model(ws.n)
+    ws, D, _ = _load_relational(path)
     if triple is not None:
         if triple not in ws.triples:
             raise CliParseError(f"unknown triple {triple!r}")
@@ -693,15 +692,9 @@ def _has_cycle(rel: Relation) -> bool:
 
 
 def cmd_termination(path: str, relation: str) -> int:
-    ws = load_workspace(path)
-    if ws.n is None:
-        raise MissingCapability("workspace declares no relational state space")
-    if relation not in ws.relations:
-        raise CliParseError(f"unknown relation {relation!r}")
-    D = rel_model(ws.n)
-    a = ws.relations[relation]
-    rep = termination_report(D, a)
-    print(TerminationReport(relation, rep.noetherian, rep.well_founded, rep.loebian))
+    _, D, a = _load_relational(path, relation)
+    rep = termination_report(D, a, subject=relation)
+    print(rep)
     acyclic = not _has_cycle(a)
     if rep.noetherian.holds == acyclic:
         print("oracle-agree")

@@ -252,12 +252,12 @@ def _least_preservers(S: FiniteSemiring, T: TestAlgebra, M) -> list[int]:
     return meet.tolist()
 
 
-def compute_predomain(S: FiniteSemiring, T: TestAlgebra, name: str = "") -> DomainStructure:
+def compute_predomain(S: FiniteSemiring, T: TestAlgebra) -> DomainStructure:
     """Domain and codomain tables for S: least left/right preservers.
 
     Codomain is the same pass as domain with the product reversed.
     """
-    return DomainStructure(S, T, _least_preservers(S, T, S.mul), compute_precodomain(S, T), name=name or S.name)
+    return DomainStructure(S, T, _least_preservers(S, T, S.mul), compute_precodomain(S, T), name=S.name)
 
 
 def compute_precodomain(S: FiniteSemiring, T: TestAlgebra) -> list[int]:

@@ -456,17 +456,10 @@ class RelModel(ModelHandle):
     # -- domain surface --------------------------------------------------
 
     def dom(self, a: Relation) -> int:
-        mask = 0
-        for i, row in enumerate(a.rows):
-            if row:
-                mask |= 1 << i
-        return mask
+        return self.preimage(a, self._full_mask)
 
     def cod(self, a: Relation) -> int:
-        mask = 0
-        for row in a.rows:
-            mask |= row
-        return mask
+        return self.image(self._full_mask, a)
 
     def preimage(self, a: Relation, p: int) -> int:
         """States with at least one a-edge into p."""
@@ -684,7 +677,30 @@ def matrix_semiring(base: FiniteSemiring, q: int) -> MatrixModel:
 _SAMPLE_BOUND = 10**6
 
 
-class TropicalModel(ModelHandle):
+class _NumberModel(ModelHandle):
+    """Naturals with one infinite zero; mul = +, one is 0.
+
+    Subclasses give the zero and add (min or max).  Sampled values are the
+    zero one time in ten, else a natural below _SAMPLE_BOUND.
+    """
+
+    def mul(self, x, y):
+        return x + y
+
+    @property
+    def one(self):
+        return 0
+
+    def sample(self, rng):
+        if rng.random() < 0.1:
+            return self.zero
+        return rng.randrange(_SAMPLE_BOUND)
+
+    def declared_tests(self):
+        return [self.zero, 0], {self.zero: 0, 0: self.zero}
+
+
+class TropicalModel(_NumberModel):
     """Naturals with infinity; add = min, mul = +, star constantly 0.
 
     The natural order is reversed numeric order: smaller costs are larger
@@ -693,38 +709,18 @@ class TropicalModel(ModelHandle):
 
     name = "tropical"
     has_star = True
+    zero = math.inf
+    add = staticmethod(min)
 
     def __init__(self):
         self.flags = {"d1": True, "d2": True, "dloc": True}
-
-    def add(self, x, y):
-        return min(x, y)
-
-    def mul(self, x, y):
-        return x + y
 
     def star(self, x):
         return 0
 
     @property
-    def zero(self):
-        return math.inf
-
-    @property
-    def one(self):
-        return 0
-
-    @property
     def top(self):
         return 0
-
-    def sample(self, rng):
-        if rng.random() < 0.1:
-            return math.inf
-        return rng.randrange(_SAMPLE_BOUND)
-
-    def el_name(self, x) -> str:
-        return "inf" if x == math.inf else str(x)
 
     # closed-form domain: everything except the zero is total
     def dom(self, a):
@@ -733,46 +729,18 @@ class TropicalModel(ModelHandle):
     def cod(self, a):
         return self.dom(a)
 
-    def declared_tests(self):
-        members = [math.inf, 0]
-        return members, {math.inf: 0, 0: math.inf}
 
-
-class MaxPlusModel(ModelHandle):
+class MaxPlusModel(_NumberModel):
     """Naturals with minus infinity; add = max, mul = +; no star exists."""
 
     name = "maxplus"
-
-    def add(self, x, y):
-        return max(x, y)
-
-    def mul(self, x, y):
-        return x + y
+    zero = -math.inf
+    add = staticmethod(max)
 
     def star(self, x):
         raise StarUnsupportedError(
             "max-plus has no star: the powers of any positive element are unbounded"
         )
-
-    @property
-    def zero(self):
-        return -math.inf
-
-    @property
-    def one(self):
-        return 0
-
-    def sample(self, rng):
-        if rng.random() < 0.1:
-            return -math.inf
-        return rng.randrange(_SAMPLE_BOUND)
-
-    def el_name(self, x) -> str:
-        return "-inf" if x == -math.inf else str(x)
-
-    def declared_tests(self):
-        members = [-math.inf, 0]
-        return members, {-math.inf: 0, 0: -math.inf}
 
 
 def tropical_model() -> TropicalModel:
@@ -1086,13 +1054,17 @@ class MaterializedModel:
     from_index: list
 
 
-def materialize(handle: ModelHandle, max_size: int = 4096) -> MaterializedModel:
+# the most elements materialize builds tables for
+_MATERIALIZE_BUDGET = 4096
+
+
+def materialize(handle: ModelHandle) -> MaterializedModel:
     """Dense-table snapshot of a finite handle, for exhaustive checking."""
     size = handle.size()
     if size is None:
         raise ValueError(f"{handle.name} is infinite; cannot materialize")
-    if size > max_size:
-        raise ValueError(f"{handle.name} has {size} elements, above the budget of {max_size}")
+    if size > _MATERIALIZE_BUDGET:
+        raise ValueError(f"{handle.name} has {size} elements, above the budget of {_MATERIALIZE_BUDGET}")
     elems = list(handle.elements())
     index = {e: i for i, e in enumerate(elems)}
     n = len(elems)
@@ -1140,8 +1112,9 @@ def materialize(handle: ModelHandle, max_size: int = 4096) -> MaterializedModel:
 def check_sampled_laws(handle: ModelHandle, samples: int = 1000, rng=None, include_star: bool = False) -> list[LawReport]:
     """The i-semiring laws (and with include_star the two star unfoldings).
 
-    Exhaustive when a law has at most 2^16 instances (the most a subset
-    model enumerates), else sampled: the only option for infinite models.
+    Exhaustive when a law has at most 2^16 instances and the model lists
+    its elements, else sampled (see domain._instances): always so on
+    infinite models.
     """
     laws = [law for law in ISEMIRING_LAWS if isinstance(law, Law)]
     if include_star and handle.has_star:

@@ -190,11 +190,14 @@ def transitive_closure(D, a):
     return int(D.mul[a, D.star[a]])
 
 
-def termination_report(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None) -> TerminationReport:
+def termination_report(
+    D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None, subject: Optional[str] = None
+) -> TerminationReport:
+    """The three verdicts on a, reported under subject (default: a's element name)."""
     # past the budget on a relation, the Noetherian witness is the stuck set the Löb verdict needs
     noetherian = is_noetherian(D, a, budget, samples, rng)
     return TerminationReport(
-        subject=D.el_name(a),
+        subject=D.el_name(a) if subject is None else subject,
         noetherian=noetherian,
         well_founded=is_well_founded(D, a, budget, samples, rng),
         loebian=_loeb(D, a, noetherian, budget, samples, rng),

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import kadlib.cli
 from kadlib.algebra import TestAlgebra
 from kadlib.cli import (
     _ASSIGN_MSG,
@@ -21,7 +22,7 @@ from kadlib.cli import (
     semiring_to_doc,
 )
 from kadlib.hoare import Cond, Prim, Seq, TAnd, TFalse, TNot, TOr, TRef, TStates, TTrue, While
-from kadlib.models import conway_model, conway_names, rel_semiring, rel_tests
+from kadlib.models import Relation, conway_model, conway_names, rel_semiring, rel_tests
 
 
 def write_ws(tmp_path, doc, name="ws.json"):
@@ -369,6 +370,16 @@ def test_graph_command_output_is_unchanged(case, capsys):
     assert out.encode() == (GRAPHS / f"{case}.stdout").read_bytes()
 
 
+@pytest.mark.parametrize("case", sorted(c for c in GRAPH_CASES if GRAPH_CASES[c]["argv"][0] == "termination"))
+def test_termination_never_formats_the_relation(case, monkeypatch, capsys):
+    # the report is printed under the relation's workspace name, so its text is never needed
+    def refuse(self):
+        raise AssertionError("kad termination formatted the whole relation")
+
+    monkeypatch.setattr(Relation, "__str__", refuse)
+    test_graph_command_output_is_unchanged(case, capsys)
+
+
 # -- hoare command ------------------------------------------------------------------------------
 
 
@@ -420,6 +431,48 @@ def test_hoare_names_are_resolved_when_the_workspace_loads(case, tmp_path, capsy
     assert main(["hoare", path, "--triple", "t"]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: t: {message}\n")
+
+
+# -- dispatch ------------------------------------------------------------------------------------
+
+# the checkers each command reaches through a name bound in kadlib.cli; code
+# that rebinds those names (to time or record them) must see every call
+CLI_CHECKERS = (
+    "check_isemiring",
+    "check_kleene",
+    "check_test_algebra",
+    "check_domain_axioms",
+    "check_domain_calculus",
+    "check_converse",
+    "converse_duality_check",
+    "reach_naive",
+    "reach_efficient",
+    "check_triple",
+    "validate_proof",
+    "termination_report",
+)
+
+
+def test_commands_call_checkers_through_the_names_cli_binds(tmp_path, monkeypatch, capsys):
+    calls = dict.fromkeys(CLI_CHECKERS, 0)
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name in CLI_CHECKERS:
+        monkeypatch.setattr(kadlib.cli, name, counting(name, getattr(kadlib.cli, name)))
+    path = write_ws(tmp_path, CHAIN)
+    assert main(["check", "rel:2"]) == 0
+    assert main(["reach", path, "--relation", "R", "--targets", "3"]) == 0
+    assert main(["hoare", path, "--triple", "good"]) == 0
+    assert main(["hoare", path, "--proof", "pf"]) == 0
+    assert main(["termination", path, "--relation", "R"]) == 0
+    capsys.readouterr()
+    assert calls == dict.fromkeys(CLI_CHECKERS, 1)
 
 
 # -- installed entry point -----------------------------------------------------------------------

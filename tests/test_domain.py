@@ -144,7 +144,7 @@ def test_calculus_holds_on_all_builtins():
 
 def test_calculus_holds_on_relations():
     for n in (1, 2, 3):
-        D = compute_predomain(rel_semiring(n), rel_tests(n), name=f"rel({n})")
+        D = compute_predomain(rel_semiring(n), rel_tests(n))
         for rep in (check_domain_axioms(D), check_domain_calculus(D)):
             assert all_hold(rep), (n, [str(r) for r in failures(rep)])
         # relations are local, so nothing is skipped

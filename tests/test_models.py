@@ -366,7 +366,7 @@ def test_language_model_basics():
 
 
 def test_language_model_materialized_laws():
-    M = materialize(bounded_language_model("ab", 2), max_size=200)
+    M = materialize(bounded_language_model("ab", 2))
     assert all_hold(check_isemiring(M.semiring))
     assert all_hold(check_kleene(M.semiring))
     assert all_hold(check_test_algebra(M.tests))
@@ -385,7 +385,7 @@ def test_path_model_fusion():
 
 
 def test_path_model_materialized_laws():
-    M = materialize(bounded_path_model("xy", 2), max_size=200)
+    M = materialize(bounded_path_model("xy", 2))
     assert all_hold(check_isemiring(M.semiring))
     assert all_hold(check_test_algebra(M.tests))
 
@@ -476,8 +476,8 @@ def reference_materialize(handle):
     return out
 
 
-def materialized(handle, max_size=4096):
-    mat = materialize(handle, max_size=max_size)
+def materialized(handle):
+    mat = materialize(handle)
     S = mat.semiring
     return {
         "names": list(S.carrier),
@@ -517,12 +517,12 @@ def test_relation_tables_match_the_model_cell_for_cell(n):
 def test_materialize_of_other_handles_calls_add_and_mul(make):
     handle = make()
     assert handle.index_tables() is None
-    assert materialized(handle, max_size=200) == reference_materialize(handle)
+    assert materialized(handle) == reference_materialize(handle)
 
 
 def test_materialize_size_guard():
     with pytest.raises(ValueError):
-        materialize(rel_model(4), max_size=100)
+        materialize(rel_model(4))
 
 
 @pytest.mark.parametrize("make", [tropical_model, maxplus_model])
