@@ -25,18 +25,22 @@ same tables:
   of Semigroups I, §1.2); no guard.
 - left-/right-distributive: the multiplying element over the generators
   of ·, one summand over those of +; guard: add- and mul-associative.
-- star-left-/star-right-induction: a*b <= mu(a, b) (b a* <= mu), where
-  mu is the least solution of the premise, iterated from 0; guard: the
-  isemiring laws.
+- star-left-/star-right-induction: a* <= mu(a, 1), where mu(a, b) =
+  mu(a, 1) b is the least solution of the premise, iterated from 0;
+  guard: the isemiring laws.
 - star-left-/star-right-simulation: theorems of the axioms (Kozen 1994);
   guard: the isemiring laws and the matching unfold and induction laws.
 
-A law whose guard has not held, or that its reduction refutes, is
-scanned, so every report and witness is the scanner's.
+A law whose variables occur only inside copies of one subterm is first
+decided with that subterm generalized to a fresh variable over the
+carrier, where that has fewer instances (_generalized).  A law whose guard
+has not held, or that its reduction or general form refutes, is scanned,
+so every report and witness is the scanner's.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -127,6 +131,11 @@ class FiniteSemiring:
         """check_isemiring's reports, decided once: the tables are read-only."""
         zero_not_one = _report("zero-not-one", None if self.zero != self.one else {})
         return tuple(_check(ISEMIRING_LAWS, _Scanner(self), [zero_not_one], _decided))
+
+    @functools.cached_property
+    def _predomains(self) -> dict:
+        """The domain structures built over these tables, by test algebra (domain.compute_predomain)."""
+        return {}
 
     @functools.cached_property
     def _gens(self) -> dict:
@@ -727,7 +736,7 @@ def check_laws(laws, S: FiniteSemiring, T: Optional[TestAlgebra] = None, D=None,
 
 
 def _check(laws, scanner: _Scanner, hand, decided=None, held=()) -> list[LawReport]:
-    """check_laws' loop, where a law for which decided(scanner.S, law, held) is true holds unscanned.
+    """check_laws' loop, where a law for which decided(scanner, law, held) is true holds unscanned.
 
     held holds the names of the laws that have held so far, starting from
     the given ones.
@@ -740,7 +749,7 @@ def _check(laws, scanner: _Scanner, hand, decided=None, held=()) -> list[LawRepo
             report = given[law]
         else:
             report = _not_applicable(law, lambda: scanner.top, scanner.D)
-            if report is None and decided is not None and decided(scanner.S, law, held):
+            if report is None and decided is not None and decided(scanner, law, held):
                 report = LawReport(law.name, True)
             if report is None:
                 report = _report(law.name, scanner.first_failure(law))
@@ -876,7 +885,7 @@ ISEMIRING_LAWS, KLEENE_LAWS, TEST_LAWS = _law_tables()
 
 
 # ---------------------------------------------------------------------------
-# three-variable laws decided by reduction
+# laws decided by reduction or in a general form
 
 
 def _row_blocks(n: int, cols: int):
@@ -946,25 +955,69 @@ def _induction(S: FiniteSemiring, left: bool) -> bool:
 
     Then c -> b + ac is monotone on a finite semilattice with least element
     0, so iterating it from 0 reaches mu(a, b), the least c that satisfies
-    the premise; the law holds iff a*b <= mu(a, b) for all a, b.  The right
-    law is the left one with the arguments of · swapped.
+    the premise, and the law holds iff a*b <= mu(a, b) for all a, b.  By
+    distributivity and associativity the k-th iterate is mu_k(a, 1) b, so
+    mu(a, b) = mu(a, 1) b, and the law holds iff a* <= mu(a, 1) for all a:
+    b = 1 is one instance, and right multiplication by b is monotone.  The
+    right law is the left one with the arguments of · swapped.
     """
-    A, M, n = S.add, S.mul if left else S.mul.T, S.n
-    b = np.arange(n)
-    for rows in _row_blocks(n, n):
-        a = np.arange(n)[rows, None]
-        mu = np.full((a.size, n), S.zero, dtype=A.dtype)
-        for _ in range(n):
-            nxt = A[b, M[a, mu]]
-            if np.array_equal(nxt, mu):
-                break
-            mu = nxt
-        else:
-            return False
-        lhs = M[S.star[a], b]
-        if not np.array_equal(A[lhs, mu], mu):
-            return False
-    return True
+    A, M = S.add, S.mul if left else S.mul.T
+    a = np.arange(S.n)
+    mu = np.full(S.n, S.zero, dtype=A.dtype)
+    for _ in range(S.n):
+        nxt = A[S.one, M[a, mu]]
+        if np.array_equal(nxt, mu):
+            return np.array_equal(A[S.star, mu], mu)
+        mu = nxt
+    return False
+
+
+@functools.lru_cache(maxsize=None)
+def _generalized(law: Law, tests: Optional[int], n: int) -> Optional[Law]:
+    """law with one subterm t replaced by a fresh variable over the carrier, or None.
+
+    tests and n are the sizes of the test algebra and the carrier.  law
+    must take no complement, every variable of t must occur only inside
+    copies of t, and t's variables must have more joint values than the
+    carrier.  Each instance of law is then an instance of the result, with
+    t's value for the fresh variable, so if the result holds so does law.
+    Of the subterms that qualify the first in a pre-order walk of the atoms
+    is taken; the fresh variable is named after t and takes the place of
+    t's first variable in law.vars.
+    """
+    atoms = (law.concl, *law.premises)
+    nodes = [u for a in atoms for u in _walk(a)]
+    if any(u.op == "not" for u in nodes):
+        return None
+    sizes = {v: tests if v in law.tests else n for v in law.vars}
+    total = collections.Counter(u.name for u in nodes if u.op == "var")
+
+    def replace(u: Term, x: Term) -> Term:
+        return x if u == t else Term(u.op, tuple(replace(a, x) for a in u.args), u.name)
+
+    for t in nodes:
+        if t.op in ("var", "eq", "leq", "iff"):
+            continue
+        inner = collections.Counter(u.name for u in _walk(t) if u.op == "var")
+        if math.prod(sizes[v] for v in inner) <= n:
+            continue
+        # copies of t never nest, so t's variables occur nowhere else iff the counts match
+        copies = nodes.count(t)
+        if all(total[v] == copies * k for v, k in inner.items()):
+            x = var(str(t))
+            first = next(v for v in law.vars if v in inner)
+            order = tuple(x.name if v == first else v for v in law.vars if v == first or v not in inner)
+            tests_left = tuple(v for v in law.tests if v not in inner)
+            concl, *premises = (replace(a, x) for a in atoms)
+            return Law(law.name, order, concl, tuple(premises), tests_left, law.requires)
+    return None
+
+
+def _walk(t: Term):
+    """The subterms of t, t first, in pre-order."""
+    yield t
+    for x in t.args:
+        yield from _walk(x)
 
 
 _ISEMIRING_NAMES = tuple(law if isinstance(law, str) else law.name for law in ISEMIRING_LAWS)
@@ -984,10 +1037,19 @@ _REDUCTIONS = {
 }
 
 
-def _decided(S: FiniteSemiring, law: Law, held: set) -> bool:
-    """Whether law has a reduction, the laws it needs have held, and it finds law true."""
-    needs, holds = _REDUCTIONS.get(law.name, (None, None))
-    return holds is not None and held.issuperset(needs) and holds(S)
+def _decided(scanner: _Scanner, law: Law, held: set) -> bool:
+    """Whether law is found true without its own scan.
+
+    A law with a reduction holds if the laws the reduction needs have held
+    and the reduction finds it true; any other law holds if _generalized
+    finds a general form of it and the scanner finds no failure of that.
+    """
+    if law.name in _REDUCTIONS:
+        needs, holds = _REDUCTIONS[law.name]
+        return held.issuperset(needs) and holds(scanner.S)
+    T = scanner.T
+    general = _generalized(law, None if T is None else len(T.members), scanner.S.n)
+    return general is not None and scanner.first_failure(general) is None
 
 
 def check_isemiring(S: FiniteSemiring) -> list[LawReport]:
@@ -996,14 +1058,22 @@ def check_isemiring(S: FiniteSemiring) -> list[LawReport]:
 
 
 def _powers_below_star(S: FiniteSemiring) -> Optional[dict]:
-    """First a with a^i not below a*, trying i = 1..n in turn."""
+    """First a with a^i not below a*, trying i = 1..n in turn.
+
+    The vector of i-th powers of all elements determines the next one, so
+    once it repeats an earlier vector no power after it is new, and the
+    search stops.
+    """
     ar = np.arange(S.n)
-    pw = ar
+    pw, seen = ar, set()
     for i in range(1, S.n + 1):
         bad = np.flatnonzero(S.add[pw, S.star] != S.star)
         if bad.size:
             return {"a": int(bad[0]), "power": i}
+        seen.add(pw.tobytes())
         pw = S.mul[pw, ar]
+        if pw.tobytes() in seen:
+            return None
     return None
 
 

@@ -32,7 +32,6 @@ Exit codes: 0 all checks pass, 1 law or triple failure, 2 parse error,
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import re
 import sys
@@ -569,9 +568,8 @@ def cmd_check(path: str, laws: str = "all") -> int:
     wanted = [laws] if explicit else ["isemiring", "kleene", "tests", "domain", "converse"]
     ok = True
 
-    @functools.cache
     def domain_structure():
-        """The predomain of S, or the ValueError that prevents one."""
+        """The predomain of S (built once and kept on S), or the ValueError that prevents one."""
         try:
             return compute_predomain(S, T)
         except ValueError as e:

@@ -27,6 +27,8 @@ from .algebra import (
     Term,
     TestAlgebra,
     Verdict,
+    _check,
+    _decided,
     _not_applicable,
     _Scanner,
     check_laws,
@@ -255,9 +257,15 @@ def _least_preservers(S: FiniteSemiring, T: TestAlgebra, M) -> list[int]:
 def compute_predomain(S: FiniteSemiring, T: TestAlgebra) -> DomainStructure:
     """Domain and codomain tables for S: least left/right preservers.
 
-    Codomain is the same pass as domain with the product reversed.
+    Codomain is the same pass as domain with the product reversed.  The
+    structure is built once per semiring and test algebra (its members and
+    complements) and kept on S, whose tables are read-only.
     """
-    return DomainStructure(S, T, _least_preservers(S, T, S.mul), compute_precodomain(S, T), name=S.name)
+    key = (T.members, tuple(sorted(T.compl.items())))
+    if key not in S._predomains:
+        delta = _least_preservers(S, T, S.mul)
+        S._predomains[key] = DomainStructure(S, T, delta, compute_precodomain(S, T), name=S.name)
+    return S._predomains[key]
 
 
 def compute_precodomain(S: FiniteSemiring, T: TestAlgebra) -> list[int]:
@@ -340,9 +348,11 @@ def check_domain_calculus(D: DomainStructure) -> list[LawReport]:
     complement commutation, the top-element Galois connection, and the
     preimage exchange/decomposition laws.  Laws that need locality are
     checked only when the dloc and cdloc flags hold and reported as not
-    applicable otherwise.
+    applicable otherwise.  A law is first decided in a general form where
+    algebra._generalized finds one (image-compose-bound and -exact over
+    x = p a), and scanned only if that fails.
     """
-    return check_laws(DOMAIN_CALCULUS, D.owner, D=D)
+    return _check(DOMAIN_CALCULUS, _Scanner(D.owner, D=D), (), _decided)
 
 
 def is_integral(S: FiniteSemiring) -> Verdict:

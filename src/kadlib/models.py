@@ -1013,13 +1013,14 @@ class TransformerModel(ModelHandle):
                 raise ValueError(f"{self.name} is not closed under + and ·")
             return found
 
-        join = np.array(self._joinpos, dtype=F.dtype)
+        join = np.array(self._joinpos, dtype=F.dtype).ravel()
         add, mul = np.empty((m, m), dtype=np.int32), np.empty((m, m), dtype=np.int32)
         step = max(1, _CHUNK // (m * t))
         for lo in range(0, m, step):
-            Fx = F[lo : lo + step, None, :]
-            add[lo : lo + step] = index(join[Fx, F])
-            mul[lo : lo + step] = index(np.take_along_axis(Fx, F[None], axis=2))
+            Fx = F[lo : lo + step]
+            # joinpos[Fx[i, k], F[j, k]] by one flat take, Fx[i, F[j, k]] by a take along the rows
+            add[lo : lo + step] = index(join.take(np.add(np.multiply(Fx[:, None], t, dtype=np.intp), F)))
+            mul[lo : lo + step] = index(Fx.take(F, axis=1))
         return add, mul
 
     def declared_tests(self):

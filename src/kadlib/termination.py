@@ -27,7 +27,6 @@ How a verdict is decided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import FiniteSemiring, Verdict
@@ -47,12 +46,37 @@ __all__ = [
 ENUM_BUDGET = 4096
 
 
-@dataclass(frozen=True)
 class TerminationReport:
-    subject: str
-    noetherian: Verdict
-    well_founded: Verdict
-    loebian: Verdict
+    """The three verdicts on one element, headed by its subject.
+
+    subject is a string, or a no-argument callable that formats it when it
+    is first read (by .subject, str() or ==), so a report that is never
+    printed never formats it.
+    """
+
+    __slots__ = ("_subject", "noetherian", "well_founded", "loebian")
+
+    def __init__(self, subject, noetherian: Verdict, well_founded: Verdict, loebian: Verdict):
+        self._subject = subject
+        self.noetherian, self.well_founded, self.loebian = noetherian, well_founded, loebian
+
+    @property
+    def subject(self) -> str:
+        if callable(self._subject):
+            self._subject = self._subject()
+        return self._subject
+
+    def _fields(self) -> tuple:
+        return self.subject, self.noetherian, self.well_founded, self.loebian
+
+    def __eq__(self, other):
+        if not isinstance(other, TerminationReport):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        names = ("subject", *self.__slots__[1:])
+        return "TerminationReport(" + ", ".join(f"{k}={v!r}" for k, v in zip(names, self._fields())) + ")"
 
     def __str__(self):
         def cell(v: Verdict, label):
@@ -193,11 +217,11 @@ def transitive_closure(D, a):
 def termination_report(
     D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None, subject: Optional[str] = None
 ) -> TerminationReport:
-    """The three verdicts on a, reported under subject (default: a's element name)."""
+    """The three verdicts on a, reported under subject (default: a's element name, formatted when first read)."""
     # past the budget on a relation, the Noetherian witness is the stuck set the Löb verdict needs
     noetherian = is_noetherian(D, a, budget, samples, rng)
     return TerminationReport(
-        subject=D.el_name(a) if subject is None else subject,
+        subject=(lambda: D.el_name(a)) if subject is None else subject,
         noetherian=noetherian,
         well_founded=is_well_founded(D, a, budget, samples, rng),
         loebian=_loeb(D, a, noetherian, budget, samples, rng),

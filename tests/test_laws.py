@@ -11,6 +11,12 @@ check_isemiring and check_kleene decide their three-variable laws by
 reduction where the laws a reduction needs have held; on every model here,
 including the corrupted ones, their reports must equal the scanner's.
 
+The shortcuts are checked against the forms they replace: the one-variable
+induction test against the two-variable mu(a, b) iteration, the
+early-stopping powers-below-star search against the full n-step loop, and
+check_domain_calculus, which decides some laws in a general form first,
+against the plain scan.
+
 The golden files under data/check hold the stdout and exit code of
 `kad check` as printed by the hand-written checkers the scanner replaced.
 
@@ -39,6 +45,7 @@ from kadlib.algebra import (
     Law,
     LawReport,
     TestAlgebra,
+    all_hold,
     check_equation,
     check_laws,
     compl,
@@ -53,7 +60,8 @@ from kadlib.algebra import (
 )
 import kadlib.algebra
 import kadlib.domain
-from kadlib.cli import main
+import kadlib.models
+from kadlib.cli import load_workspace, main
 from kadlib.domain import (
     CONVERSE_DUALITY,
     CONVERSE_LAWS,
@@ -203,8 +211,11 @@ def test_scanner_matches_brute_force_on_corrupted_tables(name, table, seed):
     compare_all(*corrupted(name, table, seed))
 
 
-@pytest.mark.parametrize("name", ["A3_2", "A4_1", "rel2"])
-def test_scanner_matches_brute_force_on_corrupted_domain_tables(name):
+DOMAIN_CORRUPTIONS = ["A3_2", "A4_1", "rel2"]
+
+
+def corrupted_domains(name):
+    """Four predomains of a MODELS entry, each with one cell of delta or rho changed."""
     _, S, T = next(m for m in MODELS if m[0] == name)
     D = compute_predomain(S, T)
     rng = random.Random(name)
@@ -213,7 +224,13 @@ def test_scanner_matches_brute_force_on_corrupted_domain_tables(name):
         t = delta if rng.random() < 0.5 else rho
         i = rng.randrange(S.n)
         t[i] = rng.choice([p for p in T.members if p != t[i]])
-        compare_domain(DomainStructure(S, T, delta, rho))
+        yield DomainStructure(S, T, delta, rho)
+
+
+@pytest.mark.parametrize("name", DOMAIN_CORRUPTIONS)
+def test_scanner_matches_brute_force_on_corrupted_domain_tables(name):
+    for D in corrupted_domains(name):
+        compare_domain(D)
 
 
 # -- the least-preserver pass against a per-element search ----------------------------
@@ -513,6 +530,140 @@ def test_rel3_shunting_with_a_corrupted_complement(monkeypatch, chunk, p, q):
     assert [r.witness for r in got] == [{"p": 1, "q": p, "a": 1}] * 2
 
 
+# -- the shortcuts against the forms they replace ------------------------------------
+
+
+def two_variable_induction(S, left):
+    """star-left-induction (star-right-induction) as a*b <= mu(a, b) (b a* <= mu) for all a, b.
+
+    mu(a, b) is iterated from 0 by c <- b + ac (c <- b + ca) for every pair.
+    """
+    A, M, n = S.add, S.mul if left else S.mul.T, S.n
+    a, b = np.arange(n)[:, None], np.arange(n)
+    mu = np.full((n, n), S.zero)
+    for _ in range(n):
+        nxt = A[b, M[a, mu]]
+        if np.array_equal(nxt, mu):
+            return bool(np.array_equal(A[M[S.star[a], b], mu], mu))
+        mu = nxt
+    return False
+
+
+def all_powers_below_star(S):
+    """First a with a^i not below a*, for i = 1..n with no early stop."""
+    ar = np.arange(S.n)
+    pw = ar
+    for i in range(1, S.n + 1):
+        bad = np.flatnonzero(S.add[pw, S.star] != S.star)
+        if bad.size:
+            return {"a": int(bad[0]), "power": i}
+        pw = S.mul[pw, ar]
+    return None
+
+
+def shortcut_cases():
+    """The MODELS, every CORRUPTIONS entry, rel(3) and the broken_A3_3_star workspace: (name, S, T)."""
+    yield from MODELS
+    for c in CORRUPTIONS:
+        yield ("-".join(map(str, c)), *corrupted(*c))
+    yield "rel3", REL3, rel_tests(3)
+    ws = load_workspace(str(GOLDEN / "broken_A3_3_star.json"))
+    yield "broken_A3_3_star", ws.semiring, ws.tests
+
+
+def test_one_variable_induction_matches_the_two_variable_form():
+    """Wherever the guard of the reduction (every isemiring law) holds."""
+    outcomes = set()
+    for name, S, _ in shortcut_cases():
+        if S.star is None or not all(r.holds for r in check_isemiring(S)):
+            continue
+        for left in (True, False):
+            got = kadlib.algebra._induction(S, left)
+            assert got == two_variable_induction(S, left), (name, left)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+def test_powers_below_star_stops_early_with_the_full_loops_verdict():
+    witnesses = []
+    for name, S, _ in shortcut_cases():
+        if S.star is not None:
+            want = all_powers_below_star(S)
+            assert kadlib.algebra._powers_below_star(S) == want, name
+            witnesses.append((name, want))
+    assert ("broken_A3_3_star", {"a": 2, "power": 1}) in witnesses  # the element 1
+    assert sum(w is None for _, w in witnesses) > len(witnesses) // 2
+
+
+def generalization_cases():
+    """Predomains of the MODELS and of the CORRUPTIONS that have one, and the corrupted domain tables."""
+    for name, S, T in shortcut_cases():
+        if name not in ("rel3", "broken_A3_3_star"):
+            try:
+                yield name, compute_predomain(S, T)
+            except ValueError:
+                pass
+    for name in DOMAIN_CORRUPTIONS:
+        for k, D in enumerate(corrupted_domains(name)):
+            yield f"{name}-domain-{k}", D
+
+
+def test_generalized_domain_laws_match_the_plain_scan():
+    generalized = 0
+    for name, D in generalization_cases():
+        sizes = len(D.tests.members), D.owner.n
+        generalized += sum(kadlib.algebra._generalized(law, *sizes) is not None for law in DOMAIN_CALCULUS)
+        got = [(r.name, r.holds, r.witness, r.note) for r in check_domain_calculus(D)]
+        want = [(r.name, r.holds, r.witness, r.note) for r in check_laws(DOMAIN_CALCULUS, D.owner, D=D)]
+        assert got == want, name
+    assert generalized
+
+
+def test_a_failing_general_form_falls_back_to_the_scan(monkeypatch):
+    """With one a test and 1 a = a every element is some p a, so the general
+    form of image-compose-bound fails only where the law does.  Here one mul
+    cell sets 1 a = 0 in A3_1, over the domain tables of the intact model:
+    x = a is no p a, and the general form fails at x = a while the law
+    holds, which only the scan of the law itself can tell."""
+    S = conway_model("A3_1")
+    D = compute_predomain(S, TestAlgebra.discrete(S))
+    mul = np.array(S.mul)
+    mul[S.one, S.index("a")] = S.zero
+    S2 = FiniteSemiring(S.carrier, S.add, mul, S.zero, S.one, S.star)
+    D2 = DomainStructure(S2, TestAlgebra.discrete(S2), D.delta, D.rho)
+    scans = []
+    scan = kadlib.algebra._Scanner.first_failure
+
+    def counting(self, law):
+        found = scan(self, law)
+        scans.append((law.name, law.vars, found))
+        return found
+
+    monkeypatch.setattr(kadlib.algebra._Scanner, "first_failure", counting)
+    reports = {r.name: r for r in check_domain_calculus(D2)}
+    assert reports["image-compose-bound"] == LawReport("image-compose-bound", True)
+    compose = [(vs, found) for name, vs, found in scans if name == "image-compose-bound"]
+    assert compose == [(("(pa)", "b"), {"(pa)": S.index("a"), "b": S.index("a")}), (("p", "a", "b"), None)]
+
+
+def test_the_rel3_predomain_is_built_once_per_cold_start(monkeypatch, capsys):
+    """kad check rel:3, then the star/preimage laws and the Hoare rules on the rel(3) predomain."""
+    kadlib.models._rel_materialized.cache_clear()
+    built = []
+    init = DomainStructure.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DomainStructure, "__init__", counting)
+    assert main(["check", "rel:3"]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / "rel_3.stdout").read_bytes()
+    assert all_hold(check_star_preimage_laws(compute_predomain(rel_semiring(3), rel_tests(3))))
+    assert all_hold(check_hoare_rules(compute_predomain(rel_semiring(3), rel_tests(3))))
+    assert len(built) == 1
+
+
 # -- check_equation ---------------------------------------------------------------
 
 
@@ -623,6 +774,8 @@ def test_kad_check_output_is_unchanged(case, capsys):
 
 
 def test_kad_check_scans_the_domain_axioms_once(monkeypatch, capsys):
+    # from cold caches: a predomain built by an earlier test is kept on its semiring
+    kadlib.models._rel_materialized.cache_clear()
     scans = []
     scan = kadlib.domain.check_laws
 

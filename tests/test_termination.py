@@ -561,3 +561,14 @@ def test_exact_report_takes_at_most_2n_atom_steps(cyclic):
     E = RelModel(n)
     assert rep == TerminationReport(E.el_name(a), is_noetherian(E, a), is_well_founded(E, a), is_loebian(E, a))
     assert not rep.loebian.holds
+
+
+def test_default_subject_is_formatted_when_first_read(monkeypatch):
+    names = []
+    monkeypatch.setattr(RelModel, "el_name", lambda self, a: names.append(a) or "R")
+    a = Relation.from_pairs(3, [(1, 2), (2, 3)])
+    rep = termination_report(rel_model(3), a)
+    assert names == []
+    assert str(rep) == "R: noetherian=true well_founded=true loebian=false (witness a:p not below a:(p - a:p) at p = {2,3})"
+    assert rep.subject == "R" and names == [a]
+    assert termination_report(rel_model(3), a, subject="step").subject == "step" and names == [a]
