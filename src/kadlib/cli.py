@@ -500,11 +500,13 @@ def load_workspace(path: str) -> Workspace:
     try:
         with open(path) as fh:
             doc = json.load(fh)
+        return workspace_from_doc(doc)
     except OSError as e:
         raise CliParseError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise CliParseError(f"{path} is not valid JSON: {e}") from e
-    return workspace_from_doc(doc)
+    except RecursionError as e:
+        raise CliParseError("workspace nests too deeply to read") from e
 
 
 def _load_algebra(path: str) -> tuple[FiniteSemiring, TestAlgebra]:

@@ -283,6 +283,15 @@ class Relation:
                 row ^= low
         return Relation(self.n, tuple(rows))
 
+    @cached_property
+    def predecessors(self) -> list[list[int]]:
+        """The states with an edge into each state, as positions, from one walk of the rows; not to be changed."""
+        pred: list[list[int]] = [[] for _ in self.rows]
+        for i, row in enumerate(self.rows):
+            for j in _bit_positions(row):
+                pred[j].append(i)
+        return pred
+
     def star(self) -> "Relation":
         """Reflexive-transitive closure by repeated squaring."""
         acc = self.union(Relation.identity(self.n))
@@ -326,10 +335,6 @@ class RelModel(ModelHandle):
         self._zero = Relation.empty(n)
         self._top = Relation.full(n)
         self._full_mask = (1 << n) - 1
-        # the relation of the last preimage_positions query and its
-        # predecessor position lists
-        self._transposed_of: Optional[Relation] = None
-        self._predecessors: list[list[int]] = []
         # every relation model is a Kleene algebra with a local domain
         self.flags = {
             "d1": True,
@@ -479,18 +484,8 @@ class RelModel(ModelHandle):
         return mask
 
     def preimage_positions(self, a: Relation, k: int) -> list[int]:
-        """The states with an a-edge into state k + 1, as positions; a shared list, not to be changed.
-
-        The lists of all states are built in one walk of a's rows and kept
-        for the last relation asked about.
-        """
-        if a is not self._transposed_of:
-            pred: list[list[int]] = [[] for _ in a.rows]
-            for i, row in enumerate(a.rows):
-                for j in _bit_positions(row):
-                    pred[j].append(i)
-            self._transposed_of, self._predecessors = a, pred
-        return self._predecessors[k]
+        """The states with an a-edge into state k + 1, as positions; a's own list, not to be changed."""
+        return a.predecessors[k]
 
     def image_positions(self, k: int, a: Relation) -> list[int]:
         """The states state k + 1 has an a-edge to, as positions: a walk of row k."""

@@ -3,9 +3,14 @@
 Both algorithms compute the least test x with p + a:x <= x, which in a
 Kleene model equals a-star applied backwards to p.  The naive version
 re-evaluates the preimage of everything collected so far on every sweep;
-the efficient version keeps a worklist of unexpanded atoms so every state
-is expanded at most once.  Costs are reported as preimage evaluations at
-atom granularity, which is what makes the difference observable.
+the efficient version grows the result one atom at a time, reading each
+atom's preimage once, when it joins.  Costs are reported as preimage
+evaluations at atom granularity, which is what makes the difference
+observable.
+
+_grow, the counting worklist behind reach_efficient, also computes the
+complement of termination's stuck set: both are least sets of atoms
+closed under "joins once enough of what feeds it has joined".
 
 Works over any object exposing the atom surface (atom_positions,
 test_from_positions, preimage_positions): table-backed DomainStructure or
@@ -14,9 +19,8 @@ a direct relational model.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Sequence
 
 from .algebra import Law, LawReport, compl, dom, eq, leq, one_term, star, var
@@ -53,13 +57,24 @@ class ReachResult:
         return tuple(out)
 
 
-def _start(D, p):
-    """The positions of p's atoms, and a bytearray marking them among all atoms."""
-    ks = D.atom_positions(p)
-    seen = bytearray(len(D.atom_positions(D.test_one)))
-    for k in ks:
-        seen[k] = 1
-    return ks, seen
+def _grow(start, feeds, need: list) -> list:
+    """Atom positions in the order they join: start first, then each j once need[j] of its feeders have.
+
+    Position k feeds the positions in feeds(k), read once, when k joins;
+    start joins whatever its need.  need is counted down in place, and a
+    position outside start whose need is 0 never joins.
+    """
+    joined = list(start)
+    for k in joined:
+        need[k] = 0
+    # joined grows while it is walked, a first-in first-out worklist; once
+    # a position has joined its need only falls below 0, so it joins once
+    for k in joined:
+        for j in feeds(k):
+            need[j] -= 1
+            if need[j] == 0:
+                joined.append(j)
+    return joined
 
 
 def reach_naive(D, a, p) -> ReachResult:
@@ -68,7 +83,10 @@ def reach_naive(D, a, p) -> ReachResult:
     Each sweep evaluates one preimage per atom of the current test, so the
     cost of a sweep grows with what has been collected already.
     """
-    x, seen = _start(D, p)
+    x = D.atom_positions(p)
+    seen = bytearray(len(D.atom_positions(D.test_one)))
+    for k in x:
+        seen[k] = 1
     first, evals, ends = len(x), 0, []
     while True:
         size = len(x)
@@ -84,64 +102,21 @@ def reach_naive(D, a, p) -> ReachResult:
     return ReachResult(D.test_from_positions(x), len(ends) + 1, evals, p, tuple(x[first:]), tuple(ends), D)
 
 
-def reach_efficient(D, a, p, order: str = "asc", rng=None) -> ReachResult:
-    """Worklist reachability: expand each newly discovered atom exactly once.
+def reach_efficient(D, a, p) -> ReachResult:
+    """Worklist reachability: expand each atom of the result exactly once.
 
     Implements the decomposition a*:p = p + (a p')*:(a:p): the iteration
-    proceeds only from states not yet known to reach p.  The result does not
-    depend on the expansion order; `order` (asc/desc/random) exists so tests
-    can demonstrate that.  Requires a local (dloc) model, where the
-    decomposition is valid.
+    proceeds only from states not yet known to reach p, and a state joins
+    on its first step into what has joined.  Requires a local (dloc) model,
+    where the decomposition is valid.
     """
     if not D.flags.get("dloc", False):
         raise ValueError("reach_efficient requires locality (dloc); use reach_naive")
-    if order not in ("asc", "desc", "random"):
-        raise ValueError("order must be asc, desc or random")
-
-    # the frontier holds atom positions, an atom maybe more than once; asc
-    # and desc keep it as a heap (of negated positions for desc) and expand
-    # the least (greatest) atom first
-    frontier: list = []
-    if order == "random":
-        rng = rng or random.Random(0)
-        push = frontier.append
-
-        def pop():
-            return frontier.pop(rng.randrange(len(frontier)))
-
-    else:
-        # imported here, so that processes which never expand a frontier
-        # do not load the extension module
-        import heapq
-
-        sign = 1 if order == "asc" else -1
-
-        def push(k):
-            heapq.heappush(frontier, sign * k)
-
-        def pop():
-            return sign * heapq.heappop(frontier)
-
-    start, seen = _start(D, p)
-    expanded = []
-
-    def push_new(k):
-        for j in D.preimage_positions(a, k):
-            if not seen[j]:
-                push(j)
-
-    for k in start:
-        push_new(k)
-    while frontier:
-        k = pop()
-        if seen[k]:
-            continue
-        seen[k] = 1
-        expanded.append(k)
-        push_new(k)
-
-    n = len(expanded)
-    return ReachResult(D.test_join(p, D.test_from_positions(expanded)), n, len(start) + n, p, tuple(expanded), range(1, n + 1), D)
+    start = D.atom_positions(p)
+    joined = _grow(start, partial(D.preimage_positions, a), [1] * len(D.atom_positions(D.test_one)))
+    added = tuple(joined[len(start) :])
+    n = len(added)
+    return ReachResult(D.test_join(p, D.test_from_positions(added)), n, len(joined), p, added, range(1, n + 1), D)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ How a verdict is decided:
 - Past the budget, Noethericity is decided exactly wherever preimage is
   monotone (every relation model, and every structure whose d1 and d2
   flags hold): the greatest test p with p <= a:p, the stuck set, is
-  computed by an atom worklist, and a is Noetherian iff it is 0;
+  the complement of what reach's counting worklist grows from the atoms
+  that step nowhere, and a is Noetherian iff it is 0;
   otherwise it is the witness.  Well-foundedness is the same with image
   in place of preimage, where the cd1 and cd2 flags hold.  On relations,
   a is Löbian iff it is transitive and Noetherian, and the Noetherian
@@ -32,6 +33,7 @@ from typing import Optional
 from .algebra import FiniteSemiring, Verdict
 from .domain import _instances
 from .models import Relation, RelModel, _bit_positions
+from .reach import _grow
 
 __all__ = [
     "TerminationReport",
@@ -113,30 +115,23 @@ def _search(D, bad, budget: int, samples: int, rng, what: str) -> Verdict:
 def stuck_set(D, a, forward: bool = False):
     """The greatest test p with p <= a:p (p <= p:a when forward).
 
-    An atom worklist for the greatest post-fixpoint of x -> x (a:x): every
-    atom starts in x, and an atom leaves once no atom left in x steps into
-    it.  Each atom's preimage (image when forward) is read once, as atom
-    positions, and each atom is removed at most once.  Exact when a:x is
-    the join of a:t over the atoms t below x, as in every relation model
-    and, by d1 and d2 (cd1 and cd2 for image), in every domain structure.
+    Its complement is a least fixpoint, grown by reach's counting worklist
+    from the atoms that step nowhere: an atom joins once every atom it
+    steps into (is stepped into from, when forward) has joined.  Each
+    atom's preimage (image when forward) is read once, as atom positions.
+    Exact when a:x is the join of a:t over the atoms t below x, as in every
+    relation model and, by d1 and d2 (cd1 and cd2 for image), in every
+    domain structure.
     """
     m = len(D.atom_positions(D.test_one))
-    # atom k keeps alive the atoms in kept[k]
-    kept = [D.image_positions(k, a) if forward else D.preimage_positions(a, k) for k in range(m)]
-    support = [0] * m  # support[j]: atoms in x that keep atom j alive
-    for js in kept:
+    # atom k feeds the atoms that step into it (that it steps into, when forward)
+    feeds = [D.image_positions(k, a) if forward else D.preimage_positions(a, k) for k in range(m)]
+    need = [0] * m  # need[j]: how many of the lists hold j
+    for js in feeds:
         for j in js:
-            support[j] += 1
-    alive = bytearray(b"\x01" * m)
-    work = [k for k, c in enumerate(support) if c == 0]
-    while work:
-        k = work.pop()
-        alive[k] = 0
-        for j in kept[k]:
-            support[j] -= 1
-            if support[j] == 0:
-                work.append(j)
-    return D.test_from_positions(k for k in range(m) if alive[k])
+            need[j] += 1
+    gone = _grow([k for k, c in enumerate(need) if c == 0], feeds.__getitem__, need)
+    return D.test_compl(D.test_from_positions(gone))
 
 
 def _terminates(D, a, forward: bool, budget: int, samples: int, rng) -> Verdict:

@@ -172,6 +172,15 @@ MALFORMED = {
         {**REL, "programs": {"p": "while nowhere do skip od"}},
         "program 'p': unknown set 'nowhere'",
     ),
+    # deeper than the recursive-descent parser can go
+    "program-nested-too-deeply": (
+        {**REL, "programs": {"p": "(" * 3000 + "skip" + ")" * 3000}},
+        "workspace nests too deeply to read",
+    ),
+    "test-nested-too-deeply": (
+        {**REL, "triples": {"t": {"pre": "not " * 3000 + "true", "prog": "skip", "post": "true"}}},
+        "workspace nests too deeply to read",
+    ),
     "compl-not-an-object": (
         {**semiring_to_doc(conway_model("A2")), "tests": {"members": ["0", "1"], "compl": [["0", "1"]]}},
         "the test complement must be an object, not an array",
@@ -187,6 +196,14 @@ def test_malformed_workspace_is_a_one_line_parse_error(case, tmp_path, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {message}\n")
+
+
+def test_json_nested_too_deeply_is_a_one_line_parse_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["hoare", str(path), "--triple", "t"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: workspace nests too deeply to read\n")
 
 
 # -- check command -------------------------------------------------------------------

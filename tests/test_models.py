@@ -8,6 +8,7 @@ import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
+from kadlib import models
 from kadlib.algebra import (
     TestAlgebra,
     all_hold,
@@ -205,6 +206,23 @@ def test_rel_test_algebra_atoms():
         D.test_from_states([1]),
         D.test_from_states([3]),
     ]
+
+
+def test_each_relation_keeps_its_own_predecessor_lists(monkeypatch):
+    n = 5
+    D = rel_model(n)
+    a = Relation.from_pairs(n, [(1, 2), (2, 3), (3, 3), (5, 1), (5, 3)])
+    b = Relation.from_pairs(n, [(2, 1), (4, 4), (4, 5), (1, 5)])
+    want = {r: [[i - 1 for i, j in sorted(r.pairs()) if j == k + 1] for k in range(n)] for r in (a, b)}
+    # the predecessor lists are built from the rows' bit positions
+    walks = []
+    monkeypatch.setattr(models, "_bit_positions", lambda mask: walks.append(mask) or _bit_positions(mask))
+    for _ in range(3):
+        for k in range(n):
+            for r in (a, b):
+                assert D.preimage_positions(r, k) == want[r][k]
+    # each relation's rows are walked once, however the queries alternate
+    assert sorted(walks) == sorted(a.rows + b.rows)
 
 
 @hypothesis.settings(max_examples=300, deadline=None)

@@ -22,6 +22,7 @@ from kadlib.models import (
     rel_semiring,
     rel_tests,
 )
+from kadlib.reach import reach_efficient, reach_naive
 from kadlib.termination import (
     TerminationReport,
     is_loebian,
@@ -561,6 +562,18 @@ def test_exact_report_takes_at_most_2n_atom_steps(cyclic):
     E = RelModel(n)
     assert rep == TerminationReport(E.el_name(a), is_noetherian(E, a), is_well_founded(E, a), is_loebian(E, a))
     assert not rep.loebian.holds
+
+
+@pytest.mark.parametrize("run", [reach_naive, reach_efficient])
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_reach_preimage_evals_count_the_preimage_reads(run, cyclic):
+    # reach grows its result with the stuck set's worklist; its cost is what it reads
+    n = 300
+    pairs = [(i, i + 1) for i in range(1, n)] + ([(n, n - 1)] if cyclic else [])
+    D = CountingRelModel(n)
+    res = run(D, Relation.from_pairs(n, pairs), D.test_from_states([n - 1]))
+    assert res.result == (D.test_one if cyclic else D.test_from_states(range(1, n)))
+    assert res.preimage_evals == D.atom_steps
 
 
 def test_default_subject_is_formatted_when_first_read(monkeypatch):
