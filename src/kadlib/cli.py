@@ -70,7 +70,7 @@ from .hoare import (
     check_triple,
     validate_proof,
 )
-from .models import Relation, _bit_positions, conway_model, conway_names, rel_model, rel_semiring, rel_tests
+from .models import Relation, conway_model, conway_names, rel_model, rel_semiring, rel_tests
 from .reach import reach_efficient, reach_naive
 from .termination import termination_report
 
@@ -391,20 +391,16 @@ def semiring_from_doc(doc: dict) -> tuple[FiniteSemiring, TestAlgebra]:
 
 
 def _relation_from_doc(n: int, name: str, edges) -> Relation:
-    """The relation of an edge list, in one pass; a malformed edge anywhere is reported before one out of range."""
+    """The relation of an edge list; a malformed edge anywhere is reported before one out of range."""
     _expect(edges, list, f"relation {name!r}")
-    rows, outside = [0] * n, None
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])):
             raise CliParseError(f"relation {name!r} is not an edge list of [i, j] state pairs")
-        i, j = e
-        if 1 <= i <= n and 1 <= j <= n:
-            rows[i - 1] |= 1 << (j - 1)
-        else:
-            outside = outside or e
-    if outside is not None:
-        raise CliParseError(f"relation {name!r} has edge ({outside[0]}, {outside[1]}) outside 1..{n}")
-    return Relation(n, tuple(rows))
+    try:
+        return Relation.from_pairs(n, edges)
+    except ValueError as e:
+        i, j = next(edge for edge in edges if not (1 <= edge[0] <= n and 1 <= edge[1] <= n))
+        raise CliParseError(f"relation {name!r} has edge ({i}, {j}) outside 1..{n}") from e
 
 
 def workspace_from_doc(doc: dict) -> Workspace:
@@ -451,18 +447,20 @@ def workspace_from_doc(doc: dict) -> Workspace:
 
 def _check_names(node, ws: Workspace, where: str):
     """Refuse a set, action or state in a test or program that the workspace does not declare."""
-    if isinstance(node, TRef) and node.name not in ws.sets:
-        raise CliParseError(f"{where}: unknown set {node.name!r}")
-    if isinstance(node, Prim) and node.name not in ws.env and node.name not in ("skip", "abort"):
-        raise CliParseError(f"{where}: unbound action {node.name!r}")
-    if isinstance(node, TStates):
-        bad = [s for s in node.states if not 1 <= s <= ws.n]
-        if bad:
-            raise CliParseError(f"{where}: state {bad[0]} outside 1..{ws.n}")
-    for f in fields(node):
-        child = getattr(node, f.name)
-        if is_dataclass(child):
-            _check_names(child, ws, where)
+    # left to right by an explicit stack: a long ; chain parses as a deep left-nested Seq
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, TRef) and node.name not in ws.sets:
+            raise CliParseError(f"{where}: unknown set {node.name!r}")
+        if isinstance(node, Prim) and node.name not in ws.env and node.name not in ("skip", "abort"):
+            raise CliParseError(f"{where}: unbound action {node.name!r}")
+        if isinstance(node, TStates):
+            bad = [s for s in node.states if not 1 <= s <= ws.n]
+            if bad:
+                raise CliParseError(f"{where}: state {bad[0]} outside 1..{ws.n}")
+        children = [getattr(node, f.name) for f in fields(node)]
+        stack.extend(child for child in reversed(children) if is_dataclass(child))
 
 
 def _triple_from_doc(tdoc, ws: Workspace, where: str) -> HoareTriple:
@@ -673,10 +671,10 @@ def cmd_hoare(path: str, triple: Optional[str] = None, proof: Optional[str] = No
     raise CliParseError("hoare needs --triple or --proof")
 
 
-def _has_cycle(rel: Relation) -> bool:
-    """Kahn's algorithm: a cycle remains once no state without predecessors is left."""
-    succ = [_bit_positions(row) for row in rel.rows]
-    indegree = [0] * rel.n
+def _has_cycle(D, rel) -> bool:
+    """Kahn's algorithm over D's successor positions: a cycle remains once no state without predecessors is left."""
+    succ = [D.image_positions(k, rel) for k in D.atom_positions(D.test_one)]
+    indegree = [0] * len(succ)
     for js in succ:
         for j in js:
             indegree[j] += 1
@@ -688,14 +686,14 @@ def _has_cycle(rel: Relation) -> bool:
             indegree[j] -= 1
             if indegree[j] == 0:
                 ready.append(j)
-    return removed < rel.n
+    return removed < len(succ)
 
 
 def cmd_termination(path: str, relation: str) -> int:
     _, D, a = _load_relational(path, relation)
     rep = termination_report(D, a, subject=relation)
     print(rep)
-    acyclic = not _has_cycle(a)
+    acyclic = not _has_cycle(D, a)
     if rep.noetherian.holds == acyclic:
         print("oracle-agree")
         return 0

@@ -158,7 +158,15 @@ def denote(prog: Program, env: dict, D, tenv: Optional[dict] = None):
             return D.zero
         raise ValueError(f"unresolved primitive action {prog.name!r}")
     if isinstance(prog, Seq):
-        return D.mul(denote(prog.first, env, D, tenv), denote(prog.second, env, D, tenv))
+        # a ; chain parses left-nested, so it is folded in a loop, not by recursion
+        parts = []
+        while isinstance(prog, Seq):
+            parts.append(prog.second)
+            prog = prog.first
+        acc = denote(prog, env, D, tenv)
+        for part in reversed(parts):
+            acc = D.mul(acc, denote(part, env, D, tenv))
+        return acc
     if isinstance(prog, Cond):
         p = D.embed(eval_test(prog.test, D, tenv))
         np_ = D.embed(D.test_compl(eval_test(prog.test, D, tenv)))

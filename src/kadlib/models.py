@@ -21,6 +21,7 @@ import numpy as np
 
 from .algebra import _CHUNK, ISEMIRING_LAWS, KLEENE_LAWS, FiniteSemiring, Law, LawReport, TestAlgebra
 from .domain import run_laws
+from .reach import _grow
 
 __all__ = [
     "StarUnsupportedError",
@@ -222,6 +223,14 @@ def _bit_positions(mask: int) -> list[int]:
     return out
 
 
+def _union_of_rows(rows: Sequence[int], mask: int) -> int:
+    """The union of rows[k] over the set bits k of mask: the states one step from mask."""
+    out = 0
+    for k in _bit_positions(mask):
+        out |= rows[k]
+    return out
+
+
 @dataclass(frozen=True)
 class Relation:
     """Binary relation on {1..n}, stored as per-row successor bitmasks.
@@ -263,25 +272,11 @@ class Relation:
 
     def compose(self, other: "Relation") -> "Relation":
         self._check(other)
-        rows = []
-        for r in self.rows:
-            acc = 0
-            while r:
-                low = r & -r
-                acc |= other.rows[low.bit_length() - 1]
-                r ^= low
-            rows.append(acc)
-        return Relation(self.n, tuple(rows))
+        return Relation(self.n, tuple(_union_of_rows(other.rows, row) for row in self.rows))
 
     def transpose(self) -> "Relation":
-        rows = [0] * self.n
-        for i, row in enumerate(self.rows):
-            bit = 1 << i
-            while row:
-                low = row & -row
-                rows[low.bit_length() - 1] |= bit
-                row ^= low
-        return Relation(self.n, tuple(rows))
+        # row j of the transpose is the set of j's predecessors
+        return Relation(self.n, tuple(sum(1 << i for i in pred) for pred in self.predecessors))
 
     @cached_property
     def predecessors(self) -> list[list[int]]:
@@ -293,13 +288,15 @@ class Relation:
         return pred
 
     def star(self) -> "Relation":
-        """Reflexive-transitive closure by repeated squaring."""
-        acc = self.union(Relation.identity(self.n))
-        while True:
-            nxt = acc.compose(acc)
-            if nxt == acc:
-                return acc
-            acc = nxt
+        """Reflexive-transitive closure: row i is what reach's counting worklist grows from i."""
+        succ = [_bit_positions(row) for row in self.rows]
+        rows = []
+        for i in range(self.n):
+            row = 0
+            for k in _grow([i], succ.__getitem__, [1] * self.n):
+                row |= 1 << k
+            rows.append(row)
+        return Relation(self.n, tuple(rows))
 
     def leq(self, other: "Relation") -> bool:
         self._check(other)
@@ -476,12 +473,7 @@ class RelModel(ModelHandle):
 
     def image(self, p: int, a: Relation) -> int:
         """States reachable from p by one a-edge."""
-        mask = 0
-        while p:
-            low = p & -p
-            mask |= a.rows[low.bit_length() - 1]
-            p ^= low
-        return mask
+        return _union_of_rows(a.rows, p)
 
     def preimage_positions(self, a: Relation, k: int) -> list[int]:
         """The states with an a-edge into state k + 1, as positions; a's own list, not to be changed."""
@@ -490,6 +482,16 @@ class RelModel(ModelHandle):
     def image_positions(self, k: int, a: Relation) -> list[int]:
         """The states state k + 1 has an a-edge to, as positions: a walk of row k."""
         return _bit_positions(a.rows[k])
+
+    def intransitive_step(self, a: Relation) -> Optional[int]:
+        """A test {j,k} for the first i -> j -> k (least i, then j, then k) without i -> k, or None."""
+        rows = a.rows
+        for row in rows:
+            for j in _bit_positions(row):
+                missing = rows[j] & ~row
+                if missing:
+                    return (1 << j) | (missing & -missing)
+        return None
 
     def declared_tests(self):
         masks = self.test_members()

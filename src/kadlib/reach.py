@@ -9,8 +9,9 @@ evaluations at atom granularity, which is what makes the difference
 observable.
 
 _grow, the counting worklist behind reach_efficient, also computes the
-complement of termination's stuck set: both are least sets of atoms
-closed under "joins once enough of what feeds it has joined".
+complement of termination's stuck set and each row of Relation.star: all
+are least sets of atoms closed under "joins once enough of what feeds it
+has joined".
 
 Works over any object exposing the atom surface (atom_positions,
 test_from_positions, preimage_positions): table-backed DomainStructure or

@@ -32,7 +32,7 @@ from typing import Optional
 
 from .algebra import FiniteSemiring, Verdict
 from .domain import _instances
-from .models import Relation, RelModel, _bit_positions
+from .models import RelModel
 from .reach import _grow
 
 __all__ = [
@@ -155,17 +155,6 @@ def is_well_founded(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=No
     return _terminates(D, a, True, budget, samples, rng)
 
 
-def _intransitive_step(a: Relation):
-    """A test {j,k} for the first i -> j -> k (least i, then j, then k) without i -> k, or None."""
-    rows = a.rows
-    for row in rows:
-        for j in _bit_positions(row):
-            missing = rows[j] & ~row
-            if missing:
-                return (1 << j) | (missing & -missing)
-    return None
-
-
 _LOEB_FAILS = "a:p not below a:(p - a:p)"
 
 
@@ -182,7 +171,7 @@ def _loeb(D, a, noetherian: Optional[Verdict], budget: int, samples: int, rng) -
     if isinstance(D, RelModel) and D.test_count() > budget:
         if noetherian is None:
             noetherian = is_noetherian(D, a, budget, samples, rng)
-        return _verdict(D, noetherian.witness if not noetherian.holds else _intransitive_step(a), True, _LOEB_FAILS)
+        return _verdict(D, noetherian.witness if not noetherian.holds else D.intransitive_step(a), True, _LOEB_FAILS)
 
     def bad(p):
         pre = D.preimage(a, p)

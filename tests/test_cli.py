@@ -372,22 +372,28 @@ def test_termination_past_the_budget_is_exact(tmp_path, capsys):
     assert lines[1] == "oracle-agree"
 
 
-# golden stdout and exit codes of kad termination and kad reach --algo both on
-# small workspaces, where the tests are enumerated and the text must not move
-GRAPHS = Path(__file__).parent / "data" / "graphs"
-GRAPH_CASES = json.loads((GRAPHS / "cases.json").read_text())
+# golden stdout and exit codes of kad termination, kad reach --algo both and
+# kad hoare on small workspaces, where the tests are enumerated and the text
+# must not move; each case's workspace and stdout sit in its cases.json's directory
+DATA = Path(__file__).parent / "data"
+GOLDEN_CASES = {
+    case: (where, spec)
+    for where in (DATA / "graphs", DATA / "hoare")
+    for case, spec in json.loads((where / "cases.json").read_text()).items()
+}
 
 
-@pytest.mark.parametrize("case", sorted(GRAPH_CASES))
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_graph_command_output_is_unchanged(case, capsys):
-    argv = list(GRAPH_CASES[case]["argv"])
-    argv[1] = str(GRAPHS / argv[1])
-    assert main(argv) == GRAPH_CASES[case]["exit"]
+    where, spec = GOLDEN_CASES[case]
+    argv = list(spec["argv"])
+    argv[1] = str(where / argv[1])
+    assert main(argv) == spec["exit"]
     out, _ = capsys.readouterr()
-    assert out.encode() == (GRAPHS / f"{case}.stdout").read_bytes()
+    assert out.encode() == (where / f"{case}.stdout").read_bytes()
 
 
-@pytest.mark.parametrize("case", sorted(c for c in GRAPH_CASES if GRAPH_CASES[c]["argv"][0] == "termination"))
+@pytest.mark.parametrize("case", sorted(c for c, (_, spec) in GOLDEN_CASES.items() if spec["argv"][0] == "termination"))
 def test_termination_never_formats_the_relation(case, monkeypatch, capsys):
     # the report is printed under the relation's workspace name, so its text is never needed
     def refuse(self):
@@ -448,6 +454,28 @@ def test_hoare_names_are_resolved_when_the_workspace_loads(case, tmp_path, capsy
     assert main(["hoare", path, "--triple", "t"]) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: t: {message}\n")
+
+
+@pytest.mark.parametrize("count", [1000, 3000])
+def test_straight_line_programs_of_any_length_load_and_check(count, tmp_path, capsys):
+    # a ; chain parses as a left-nested Seq as deep as the chain is long, though it nests nothing
+    prog = "; ".join(["rot"] * count)
+    end = count % 3 + 1  # rot steps 1 -> 2 -> 3 -> 1
+    doc = {
+        "n": 3,
+        "relations": {"R": [[1, 2], [2, 3], [3, 1]]},
+        "env": {"rot": "R"},
+        "triples": {
+            "lands": {"pre": "{1}", "prog": prog, "post": f"{{{end}}}"},
+            "misses": {"pre": "{1}", "prog": prog, "post": f"{{{end % 3 + 1}}}"},
+        },
+    }
+    path = write_ws(tmp_path, doc)
+    assert main(["hoare", path, "--triple", "lands"]) == 0
+    assert main(["hoare", path, "--triple", "misses"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == f"triple lands holds\ntriple misses FAILS: reachable state {{{end}}} escapes the postcondition\n"
 
 
 # -- dispatch ------------------------------------------------------------------------------------

@@ -113,6 +113,19 @@ def test_relation_ops_against_set_oracle():
         assert pairs_of(x.union(y)) == xp | yp
         assert pairs_of(x.transpose()) == {(j, i) for i, j in xp}
         assert pairs_of(x.star()) == star_oracle(n, xp)
+    # star on up to 40 states: long chains, cycles, self-loops, and rows left empty
+    for n in (1, 2, 9, 25, 40):
+        chain = {(i, i + 1) for i in range(1, n)}
+        shapes = [
+            set(),
+            chain,
+            chain | {(n, 1)},
+            {(i, i) for i in range(1, n + 1, 2)} | {(i, i + 2) for i in range(1, n - 1, 3)},
+            {(i, rng.randrange(1, n + 1)) for i in range(1, n + 1) if rng.random() < 0.3},
+            random_pairs(rng, n, 0.08),
+        ]
+        for xp in shapes:
+            assert pairs_of(Relation.from_pairs(n, xp).star()) == star_oracle(n, xp)
 
 
 def test_mismatched_sizes_rejected():

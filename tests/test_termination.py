@@ -454,21 +454,27 @@ def test_exact_noethericity_is_acyclicity(case):
 @given(relations(max_n=200))
 def test_cli_cycle_oracle_agrees(case):
     n, pairs = case
-    assert _has_cycle(Relation.from_pairs(n, pairs)) == has_cycle(n, pairs)
+    assert _has_cycle(rel_model(n), Relation.from_pairs(n, pairs)) == has_cycle(n, pairs)
 
 
 @settings(max_examples=100, deadline=None)
 @given(relations(max_n=40))
 def test_exact_loeb_is_transitive_and_noetherian_with_valid_witnesses(case):
-    n, pairs = case
+    n, drawn = case
     D = rel_model(n)
-    a = Relation.from_pairs(n, pairs)
-    transitive = all((i, k) in pairs for i, j in pairs for j2, k in pairs if j == j2)
-    v = is_loebian(D, a, budget=1)
-    assert v.note != "sampled"
-    assert v.holds == (transitive and not has_cycle(n, pairs))
-    if not v.holds:
-        assert_valid_witness(D, is_loebian, a, v)
+    # the drawn relation, and its forward edges, which are acyclic
+    for pairs in (drawn, {(i, j) for i, j in drawn if i < j}):
+        a = Relation.from_pairs(n, pairs)
+        transitive = all((i, k) in pairs for i, j in pairs for j2, k in pairs if j == j2)
+        v = is_loebian(D, a, budget=1)
+        assert v.note != "sampled"
+        assert v.holds == (transitive and not has_cycle(n, pairs))
+        if not v.holds:
+            assert_valid_witness(D, is_loebian, a, v)
+        if not (v.holds or has_cycle(n, pairs)):
+            # the first i -> j -> k (least i, then j, then k) without i -> k
+            i, j, k = min((i, j, k) for i, j in pairs for j2, k in pairs if j == j2 and (i, k) not in pairs)
+            assert v.witness == D.test_from_states([j, k])
 
 
 def stuck_set_by_masks(D, a, forward=False):
