@@ -35,7 +35,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import (
@@ -67,6 +67,7 @@ from .hoare import (
     TStates,
     TTrue,
     While,
+    _preorder,
     check_triple,
     validate_proof,
 )
@@ -447,10 +448,7 @@ def workspace_from_doc(doc: dict) -> Workspace:
 
 def _check_names(node, ws: Workspace, where: str):
     """Refuse a set, action or state in a test or program that the workspace does not declare."""
-    # left to right by an explicit stack: a long ; chain parses as a deep left-nested Seq
-    stack = [node]
-    while stack:
-        node = stack.pop()
+    for node in _preorder(node):
         if isinstance(node, TRef) and node.name not in ws.sets:
             raise CliParseError(f"{where}: unknown set {node.name!r}")
         if isinstance(node, Prim) and node.name not in ws.env and node.name not in ("skip", "abort"):
@@ -459,8 +457,6 @@ def _check_names(node, ws: Workspace, where: str):
             bad = [s for s in node.states if not 1 <= s <= ws.n]
             if bad:
                 raise CliParseError(f"{where}: state {bad[0]} outside 1..{ws.n}")
-        children = [getattr(node, f.name) for f in fields(node)]
-        stack.extend(child for child in reversed(children) if is_dataclass(child))
 
 
 def _triple_from_doc(tdoc, ws: Workspace, where: str) -> HoareTriple:

@@ -14,7 +14,8 @@ weakening, plus semantically checked axioms) are validated node by node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from itertools import zip_longest
 from typing import Optional, Union
 
 from .algebra import Law, LawReport, Verdict, cod, compl, leq, star, var
@@ -120,6 +121,26 @@ class TStates:
 TestExpr = Union[TTrue, TFalse, TRef, TAnd, TOr, TNot, TStates]
 
 _EXPR_TYPES = (TTrue, TFalse, TRef, TAnd, TOr, TNot, TStates)
+
+
+def _preorder(node):
+    """The nodes of a program or test expression, parent before children, left to right."""
+    # by an explicit stack: a long ; chain parses as a left-nested Seq as deep as the chain is long
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = [getattr(node, f.name) for f in fields(node)]
+        stack.extend(child for child in reversed(children) if is_dataclass(child))
+
+
+def _same_program(x, y) -> bool:
+    """x == y, compared node by node over a pre-order walk of each: the dataclass == recurses once per ;."""
+    def label(node):
+        # a child stands in as ..., so that the labels in walk order spell out one tree
+        return type(node), [... if is_dataclass(v) else v for v in (getattr(node, f.name) for f in fields(node))]
+
+    return all(a == b for a, b in zip_longest(map(label, _preorder(x)), map(label, _preorder(y))))
 
 
 def eval_test(expr, D, tenv: Optional[dict] = None):
@@ -259,7 +280,7 @@ def _validate(node: ProofTree, env, D, tenv, path):
         t1, t2 = node.premises[0].conclusion, node.premises[1].conclusion
         if not isinstance(t.prog, Seq):
             return path, "composition concludes a sequence"
-        if t1.prog != t.prog.first or t2.prog != t.prog.second:
+        if not (_same_program(t1.prog, t.prog.first) and _same_program(t2.prog, t.prog.second)):
             return path, "premise programs do not match the sequence parts"
         if ev(t1.pre) != ev(t.pre):
             return path, "first premise precondition differs from the conclusion's"
@@ -272,7 +293,7 @@ def _validate(node: ProofTree, env, D, tenv, path):
         t1, t2 = node.premises[0].conclusion, node.premises[1].conclusion
         if not isinstance(t.prog, Cond):
             return path, "conditional concludes an if-then-else"
-        if t1.prog != t.prog.then or t2.prog != t.prog.orelse:
+        if not (_same_program(t1.prog, t.prog.then) and _same_program(t2.prog, t.prog.orelse)):
             return path, "premise programs do not match the branches"
         pv, qv, rv = ev(t.prog.test), ev(t.pre), ev(t.post)
         if ev(t1.pre) != D.test_meet(pv, qv):
@@ -286,7 +307,7 @@ def _validate(node: ProofTree, env, D, tenv, path):
         (t1,) = (node.premises[0].conclusion,)
         if not isinstance(t.prog, While):
             return path, "while rule concludes a loop"
-        if t1.prog != t.prog.body:
+        if not _same_program(t1.prog, t.prog.body):
             return path, "premise program is not the loop body"
         pv, qv = ev(t.prog.test), ev(t.pre)
         if ev(t1.pre) != D.test_meet(pv, qv):
@@ -298,7 +319,7 @@ def _validate(node: ProofTree, env, D, tenv, path):
 
     elif rule == "weakening":
         t1 = node.premises[0].conclusion
-        if t1.prog != t.prog:
+        if not _same_program(t1.prog, t.prog):
             return path, "weakening does not change the program"
         if not D.test_leq(ev(t.pre), ev(t1.pre)):
             return path, "conclusion precondition is not below the premise's"

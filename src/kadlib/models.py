@@ -223,84 +223,70 @@ def _bit_positions(mask: int) -> list[int]:
     return out
 
 
-def _union_of_rows(rows: Sequence[int], mask: int) -> int:
-    """The union of rows[k] over the set bits k of mask: the states one step from mask."""
-    out = 0
-    for k in _bit_positions(mask):
-        out |= rows[k]
-    return out
-
-
 @dataclass(frozen=True)
 class Relation:
-    """Binary relation on {1..n}, stored as per-row successor bitmasks.
+    """Binary relation on {1..n}, stored as each state's successor positions.
 
-    Rows are 0-based internally; the public pair interface is 1-based.
+    Positions are 0-based and each row is ascending without duplicates, so
+    equal relations are equal values; the public pair interface is 1-based.
     """
 
     n: int
-    rows: tuple[int, ...]
+    succ: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
-        rows = [0] * n
+        rows: list[list[int]] = [[] for _ in range(n)]
         for i, j in pairs:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"pair ({i},{j}) outside 1..{n}")
-            rows[i - 1] |= 1 << (j - 1)
-        return cls(n, tuple(rows))
+            rows[i - 1].append(j - 1)
+        return cls(n, tuple(tuple(sorted(set(row))) for row in rows))
 
     @classmethod
     def empty(cls, n: int) -> "Relation":
-        return cls(n, (0,) * n)
+        return cls(n, ((),) * n)
 
     @classmethod
     def identity(cls, n: int) -> "Relation":
-        return cls(n, tuple(1 << i for i in range(n)))
+        return cls(n, tuple((i,) for i in range(n)))
 
     @classmethod
     def full(cls, n: int) -> "Relation":
-        m = (1 << n) - 1
-        return cls(n, (m,) * n)
+        return cls(n, (tuple(range(n)),) * n)
 
     def pairs(self) -> frozenset:
-        return frozenset((i + 1, j + 1) for i, row in enumerate(self.rows) for j in _bit_positions(row))
+        return frozenset((i + 1, j + 1) for i, row in enumerate(self.succ) for j in row)
 
     def union(self, other: "Relation") -> "Relation":
         self._check(other)
-        return Relation(self.n, tuple(a | b for a, b in zip(self.rows, other.rows)))
+        return Relation(self.n, tuple(tuple(sorted({*a, *b})) for a, b in zip(self.succ, other.succ)))
 
     def compose(self, other: "Relation") -> "Relation":
         self._check(other)
-        return Relation(self.n, tuple(_union_of_rows(other.rows, row) for row in self.rows))
+        return Relation(self.n, tuple(tuple(sorted({j for k in row for j in other.succ[k]})) for row in self.succ))
 
     def transpose(self) -> "Relation":
-        # row j of the transpose is the set of j's predecessors
-        return Relation(self.n, tuple(sum(1 << i for i in pred) for pred in self.predecessors))
+        # row j of the transpose is the set of j's predecessors, built ascending
+        return Relation(self.n, tuple(map(tuple, self.predecessors)))
 
     @cached_property
     def predecessors(self) -> list[list[int]]:
-        """The states with an edge into each state, as positions, from one walk of the rows; not to be changed."""
-        pred: list[list[int]] = [[] for _ in self.rows]
-        for i, row in enumerate(self.rows):
-            for j in _bit_positions(row):
+        """The states with an edge into each state, as ascending positions, from one walk of succ; not to be changed."""
+        pred: list[list[int]] = [[] for _ in self.succ]
+        for i, row in enumerate(self.succ):
+            for j in row:
                 pred[j].append(i)
         return pred
 
     def star(self) -> "Relation":
         """Reflexive-transitive closure: row i is what reach's counting worklist grows from i."""
-        succ = [_bit_positions(row) for row in self.rows]
-        rows = []
-        for i in range(self.n):
-            row = 0
-            for k in _grow([i], succ.__getitem__, [1] * self.n):
-                row |= 1 << k
-            rows.append(row)
-        return Relation(self.n, tuple(rows))
+        n, succ = self.n, self.succ
+        return Relation(n, tuple(tuple(sorted(_grow([i], succ.__getitem__, [1] * n))) for i in range(n)))
 
     def leq(self, other: "Relation") -> bool:
         self._check(other)
-        return all(a | b == b for a, b in zip(self.rows, other.rows))
+        return all(set(a).issubset(b) for a, b in zip(self.succ, other.succ))
 
     def _check(self, other: "Relation"):
         if self.n != other.n:
@@ -308,18 +294,18 @@ class Relation:
 
     def __str__(self):
         # row-major order is sorted order
-        return "{" + ",".join(f"({i + 1},{j + 1})" for i, row in enumerate(self.rows) for j in _bit_positions(row)) + "}"
+        return "{" + ",".join(f"({i + 1},{j + 1})" for i, row in enumerate(self.succ) for j in row) + "}"
 
 
 class RelModel(ModelHandle):
     """Relations on {1..n} with union, composition, closure and transpose.
 
     Doubles as a domain structure: tests are subsets of the base set
-    (state bitmasks), with image/preimage computed directly on edges.  The
-    atom at position k is state k + 1, the mask 1 << k.
-    elements() lists the relations by their n*n-bit row-major adjacency
-    mask, so a relation's index in materialize (and rel_semiring) is its
-    mask.
+    (state bitmasks), with image/preimage read off each relation's
+    successor and predecessor lists.  The atom at position k is state
+    k + 1, the mask 1 << k.  elements() lists the relations by their
+    n*n-bit row-major adjacency mask, so a relation's index in materialize
+    (and rel_semiring) is its mask.
     """
 
     has_star = True
@@ -383,8 +369,11 @@ class RelModel(ModelHandle):
         return 1 << (self.n * self.n)
 
     def _from_mask(self, mask: int) -> Relation:
-        full = self._full_mask
-        return Relation(self.n, tuple((mask >> (i * self.n)) & full for i in range(self.n)))
+        rows: list[list[int]] = [[] for _ in range(self.n)]
+        for k in _bit_positions(mask):
+            i, j = divmod(k, self.n)
+            rows[i].append(j)
+        return Relation(self.n, tuple(map(tuple, rows)))
 
     def sample(self, rng) -> Relation:
         return self._from_mask(rng.getrandbits(self.n * self.n))
@@ -453,7 +442,8 @@ class RelModel(ModelHandle):
 
     def embed(self, p: int) -> Relation:
         """The subidentity relation {(i,i) : i in p}."""
-        return Relation(self.n, tuple((1 << i) if p >> i & 1 else 0 for i in range(self.n)))
+        members = set(_bit_positions(p))
+        return Relation(self.n, tuple((i,) if i in members else () for i in range(self.n)))
 
     # -- domain surface --------------------------------------------------
 
@@ -465,32 +455,37 @@ class RelModel(ModelHandle):
 
     def preimage(self, a: Relation, p: int) -> int:
         """States with at least one a-edge into p."""
-        mask = 0
-        for i, row in enumerate(a.rows):
-            if row & p:
+        pred, mask = a.predecessors, 0
+        for k in _bit_positions(p):
+            for i in pred[k]:
                 mask |= 1 << i
         return mask
 
     def image(self, p: int, a: Relation) -> int:
         """States reachable from p by one a-edge."""
-        return _union_of_rows(a.rows, p)
+        succ, mask = a.succ, 0
+        for k in _bit_positions(p):
+            for j in succ[k]:
+                mask |= 1 << j
+        return mask
 
     def preimage_positions(self, a: Relation, k: int) -> list[int]:
         """The states with an a-edge into state k + 1, as positions; a's own list, not to be changed."""
         return a.predecessors[k]
 
-    def image_positions(self, k: int, a: Relation) -> list[int]:
-        """The states state k + 1 has an a-edge to, as positions: a walk of row k."""
-        return _bit_positions(a.rows[k])
+    def image_positions(self, k: int, a: Relation) -> tuple[int, ...]:
+        """The states state k + 1 has an a-edge to, as ascending positions: a's own row."""
+        return a.succ[k]
 
     def intransitive_step(self, a: Relation) -> Optional[int]:
         """A test {j,k} for the first i -> j -> k (least i, then j, then k) without i -> k, or None."""
-        rows = a.rows
-        for row in rows:
-            for j in _bit_positions(row):
-                missing = rows[j] & ~row
-                if missing:
-                    return (1 << j) | (missing & -missing)
+        succ = a.succ
+        for row in succ:
+            have = set(row)
+            for j in row:
+                for k in succ[j]:
+                    if k not in have:
+                        return (1 << j) | (1 << k)
         return None
 
     def declared_tests(self):

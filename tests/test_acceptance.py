@@ -48,8 +48,8 @@ from kadlib.termination import is_loebian, is_noetherian, is_well_founded, trans
 
 
 def _rel_mask(r):
-    """The row-major adjacency mask of r, which is its index in rel_semiring(r.n)."""
-    return sum(row << (i * r.n) for i, row in enumerate(r.rows))
+    """The row-major adjacency mask of r, which is its index in rel_semiring(r.n): (i, j) is bit (i-1)*n + j-1."""
+    return sum(1 << ((i - 1) * r.n + j - 1) for i, j in r.pairs())
 
 
 KAD_BUILTINS = ("A2", "A3_1", "A3_3")  # the builtins whose predomain is local

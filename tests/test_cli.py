@@ -478,6 +478,38 @@ def test_straight_line_programs_of_any_length_load_and_check(count, tmp_path, ca
     assert out == f"triple lands holds\ntriple misses FAILS: reachable state {{{end}}} escapes the postcondition\n"
 
 
+@pytest.mark.parametrize("count", [1000, 3000])
+def test_composition_proofs_over_long_programs_are_checked(count, tmp_path, capsys):
+    # the premise programs are compared with the sequence parts node by node, never by recursion
+    mid, end = (count - 1) % 3 + 1, count % 3 + 1
+
+    def proof(first):
+        return {
+            "rule": "composition",
+            "conclusion": {"pre": "{1}", "prog": "; ".join(["rot"] * count), "post": f"{{{end}}}"},
+            "premises": [
+                {"rule": "axiom", "conclusion": {"pre": "{1}", "prog": first, "post": f"{{{mid}}}"}},
+                {"rule": "axiom", "conclusion": {"pre": f"{{{mid}}}", "prog": "rot", "post": f"{{{end}}}"}},
+            ],
+        }
+
+    doc = {
+        "n": 3,
+        "relations": {"R": [[1, 2], [2, 3], [3, 1]]},
+        "env": {"rot": "R"},
+        "proofs": {
+            "good": proof("; ".join(["rot"] * (count - 1))),
+            "lastDiffers": proof("; ".join(["rot"] * (count - 2) + ["skip"])),
+        },
+    }
+    path = write_ws(tmp_path, doc)
+    assert main(["hoare", path, "--proof", "good"]) == 0
+    assert main(["hoare", path, "--proof", "lastDiffers"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == "proof good is valid\nproof lastDiffers INVALID: root: premise programs do not match the sequence parts\n"
+
+
 # -- dispatch ------------------------------------------------------------------------------------
 
 # the checkers each command reaches through a name bound in kadlib.cli; code

@@ -2,6 +2,7 @@
 proof tree validation with a soundness fuzz, and weakest liberal
 preconditions."""
 
+import copy
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from kadlib.hoare import (
     TStates,
     TTrue,
     While,
+    _same_program,
     check_hoare_rules,
     check_triple,
     denote,
@@ -261,6 +263,34 @@ def test_conditional_and_while_side_conditions(chain3):
         D,
     )
     assert not v.holds and "premise postcondition is not the invariant" in v.note
+
+
+
+def random_program(rng, depth):
+    """A small program with leaves from two actions, two set names and two raw tests."""
+    if depth == 0 or rng.random() < 0.3:
+        return Prim(rng.choice("ab"))
+    kind = rng.randrange(3)
+    test = rng.choice([TRef("p"), TNot(TRef("q")), 1, 2])
+    if kind == 0:
+        return Seq(random_program(rng, depth - 1), random_program(rng, depth - 1))
+    if kind == 1:
+        return Cond(test, random_program(rng, depth - 1), random_program(rng, depth - 1))
+    return While(test, random_program(rng, depth - 1))
+
+
+def test_programs_are_compared_as_the_dataclass_equality_does():
+    rng = random.Random(8)
+    programs = [random_program(rng, 3) for _ in range(300)]
+    # ; regrouped, and a test moved between a loop and a branch, are different trees
+    a, b, c = Prim("a"), Prim("b"), Prim("a")
+    programs += [Seq(Seq(a, b), c), Seq(a, Seq(b, c)), While(1, a), Cond(1, a, a)]
+    seen = set()
+    for x in programs:
+        for y in rng.sample(programs, 20) + [copy.deepcopy(x)]:
+            assert _same_program(x, y) == (x == y)
+            seen.add(x == y)
+    assert seen == {True, False}
 
 
 # -- soundness fuzz -----------------------------------------------------------------

@@ -1,14 +1,15 @@
 """Model zoo: relations, matrices, tropical/max-plus, languages, paths,
 predicate transformers, and the materialization bridge."""
 
+import itertools
 import math
 import random
+from functools import cached_property
 
 import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
-from kadlib import models
 from kadlib.algebra import (
     TestAlgebra,
     all_hold,
@@ -42,8 +43,8 @@ from kadlib.reach import STAR_PREIMAGE_LAWS, check_star_preimage_laws
 
 
 def _rel_mask(r):
-    """The row-major adjacency mask of r, which is its index in rel_semiring(r.n)."""
-    return sum(row << (i * r.n) for i, row in enumerate(r.rows))
+    """The row-major adjacency mask of r, which is its index in rel_semiring(r.n): (i, j) is bit (i-1)*n + j-1."""
+    return sum(1 << ((i - 1) * r.n + j - 1) for i, j in r.pairs())
 
 
 # -- naming and lookup --------------------------------------------------------
@@ -103,17 +104,50 @@ def test_relation_bounds_checked():
         Relation.from_pairs(2, [(1, 3)])
 
 
+def first_intransitive_step(n, xp):
+    """{j, k} for the first i -> j -> k without i -> k, least i, then j, then k, or None."""
+    for i, j, k in itertools.product(range(1, n + 1), repeat=3):
+        if (i, j) in xp and (j, k) in xp and (i, k) not in xp:
+            return sorted({j, k})
+    return None
+
+
+def check_relation_against_sets(rng, n, xp, yp):
+    D = rel_model(n)
+    x, y = Relation.from_pairs(n, xp), Relation.from_pairs(n, yp)
+    # one canonical form: the pairs in any order, repeated, give an equal relation with an equal hash
+    shuffled = [*xp, *xp]
+    rng.shuffle(shuffled)
+    again = Relation.from_pairs(n, shuffled)
+    assert again == x and hash(again) == hash(x)
+    assert x.pairs() == frozenset(xp)
+    assert str(x) == "{" + ",".join(f"({i},{j})" for i, j in sorted(xp)) + "}"
+    assert x.leq(y) == (xp <= yp)
+    assert Relation.from_pairs(n, xp & yp).leq(x) and x.leq(x.union(y))
+    assert pairs_of(x.compose(y)) == compose_oracle(n, xp, yp)
+    assert pairs_of(x.union(y)) == xp | yp
+    assert pairs_of(x.transpose()) == {(j, i) for i, j in xp}
+    assert pairs_of(x.star()) == star_oracle(n, xp)
+    states = range(1, n + 1)
+    for tgt in ({s for s in states if rng.random() < 0.5}, set(states)):
+        p = D.test_from_states(tgt)
+        assert pairs_of(D.embed(p)) == {(s, s) for s in tgt}
+        assert D.test_states(D.preimage(x, p)) == sorted({i for i, j in xp if j in tgt})
+        assert D.test_states(D.image(p, x)) == sorted({j for i, j in xp if i in tgt})
+    for k in range(n):
+        assert list(D.preimage_positions(x, k)) == [i - 1 for i in states if (i, k + 1) in xp]
+        assert list(D.image_positions(k, x)) == [j - 1 for j in states if (k + 1, j) in xp]
+    step, want = D.intransitive_step(x), first_intransitive_step(n, xp)
+    assert (step is None) if want is None else D.test_states(step) == want
+
+
 def test_relation_ops_against_set_oracle():
     rng = random.Random(42)
     for _ in range(50):
         n = rng.randrange(1, 7)
-        xp, yp = random_pairs(rng, n), random_pairs(rng, n)
-        x, y = Relation.from_pairs(n, xp), Relation.from_pairs(n, yp)
-        assert pairs_of(x.compose(y)) == compose_oracle(n, xp, yp)
-        assert pairs_of(x.union(y)) == xp | yp
-        assert pairs_of(x.transpose()) == {(j, i) for i, j in xp}
-        assert pairs_of(x.star()) == star_oracle(n, xp)
-    # star on up to 40 states: long chains, cycles, self-loops, and rows left empty
+        check_relation_against_sets(rng, n, random_pairs(rng, n), random_pairs(rng, n))
+    # up to 40 states: long chains, cycles, self-loops, rows left empty, and rows
+    # of more than 32 successors, whose tests _bit_positions reads off their bytes
     for n in (1, 2, 9, 25, 40):
         chain = {(i, i + 1) for i in range(1, n)}
         shapes = [
@@ -123,9 +157,10 @@ def test_relation_ops_against_set_oracle():
             {(i, i) for i in range(1, n + 1, 2)} | {(i, i + 2) for i in range(1, n - 1, 3)},
             {(i, rng.randrange(1, n + 1)) for i in range(1, n + 1) if rng.random() < 0.3},
             random_pairs(rng, n, 0.08),
+            random_pairs(rng, n, 0.9),
         ]
         for xp in shapes:
-            assert pairs_of(Relation.from_pairs(n, xp).star()) == star_oracle(n, xp)
+            check_relation_against_sets(rng, n, xp, rng.choice(shapes))
 
 
 def test_mismatched_sizes_rejected():
@@ -227,15 +262,17 @@ def test_each_relation_keeps_its_own_predecessor_lists(monkeypatch):
     a = Relation.from_pairs(n, [(1, 2), (2, 3), (3, 3), (5, 1), (5, 3)])
     b = Relation.from_pairs(n, [(2, 1), (4, 4), (4, 5), (1, 5)])
     want = {r: [[i - 1 for i, j in sorted(r.pairs()) if j == k + 1] for k in range(n)] for r in (a, b)}
-    # the predecessor lists are built from the rows' bit positions
-    walks = []
-    monkeypatch.setattr(models, "_bit_positions", lambda mask: walks.append(mask) or _bit_positions(mask))
+    builds = []
+    build = Relation.predecessors.func
+    counted = cached_property(lambda r: builds.append(r) or build(r))
+    counted.__set_name__(Relation, "predecessors")
+    monkeypatch.setattr(Relation, "predecessors", counted)
     for _ in range(3):
         for k in range(n):
             for r in (a, b):
                 assert D.preimage_positions(r, k) == want[r][k]
-    # each relation's rows are walked once, however the queries alternate
-    assert sorted(walks) == sorted(a.rows + b.rows)
+    # each relation builds its lists once, however the queries alternate
+    assert builds == [a, b]
 
 
 @hypothesis.settings(max_examples=300, deadline=None)
