@@ -460,13 +460,6 @@ def eval_term(t: Term, env: Mapping[str, int], S: FiniteSemiring, T: Optional[Te
     raise ValueError(f"unknown term op {op!r}")
 
 
-def _term_vars(t: Term, acc: list[str]):
-    if t.op == "var" and t.name not in acc:
-        acc.append(t.name)
-    for a in t.args:
-        _term_vars(a, acc)
-
-
 # ---------------------------------------------------------------------------
 # laws as data
 
@@ -594,11 +587,8 @@ class _Scanner:
         if op in ("zero", "one", "top"):
             v = self.top if op == "top" else (self.S.zero if op == "zero" else self.S.one)
             return (lambda env: v), set()
-        if loop and self._m:
-            vs = []
-            _term_vars(t, vs)
-            if all(self._pos[v] >= self._m for v in vs):
-                return self._hoisted(t)
+        if loop and self._m and all(self._pos[u.name] >= self._m for u in _walk(t) if u.op == "var"):
+            return self._hoisted(t)
         if op in ("add", "mul", "leq"):
             return self._lookup(op, *t.args, loop)
         fs, deps = [], set()
@@ -778,9 +768,7 @@ def check_equation(
         raise ValueError("rel must be 'eq' or 'leq'")
     if S is None:
         raise ValueError("a semiring is required")
-    vs: list[str] = []
-    _term_vars(lhs, vs)
-    _term_vars(rhs, vs)
+    vs = list(dict.fromkeys(u.name for side in (lhs, rhs) for u in _walk(side) if u.op == "var"))
     if test_vars is None:
         test_vars = {v for v in vs if v[:1] in ("p", "q", "r")}
     else:

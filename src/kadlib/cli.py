@@ -342,11 +342,6 @@ def _expect(value, kind: type, what: str):
     return value
 
 
-def _is_int(x) -> bool:
-    """x is a JSON integer; true and false are not."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def semiring_from_doc(doc: dict) -> tuple[FiniteSemiring, TestAlgebra]:
     spec = doc.get("semiring")
     if spec is None:
@@ -395,7 +390,7 @@ def _relation_from_doc(n: int, name: str, edges) -> Relation:
     """The relation of an edge list; a malformed edge anywhere is reported before one out of range."""
     _expect(edges, list, f"relation {name!r}")
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_int(e[1])):
+        if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
             raise CliParseError(f"relation {name!r} is not an edge list of [i, j] state pairs")
     try:
         return Relation.from_pairs(n, edges)
@@ -413,7 +408,7 @@ def workspace_from_doc(doc: dict) -> Workspace:
     relational_keys = [k for k in ("relations", "sets", "programs", "env", "triples", "proofs") if k in doc]
     section = {k: _expect(doc[k], dict, f'"{k}"') for k in relational_keys}
     if "n" in doc:
-        if not _is_int(doc["n"]) or doc["n"] < 1:
+        if type(doc["n"]) is not int or doc["n"] < 1:
             raise CliParseError('"n" must be a positive state count')
         ws.n = doc["n"]
     elif relational_keys:
@@ -425,7 +420,7 @@ def workspace_from_doc(doc: dict) -> Workspace:
     for name, edges in section.get("relations", {}).items():
         ws.relations[name] = _relation_from_doc(ws.n, name, edges)
     for name, states in section.get("sets", {}).items():
-        if not all(map(_is_int, _expect(states, list, f"set {name!r}"))):
+        if not all(type(s) is int for s in _expect(states, list, f"set {name!r}")):
             raise CliParseError(f"set {name!r} must list state numbers")
         try:
             ws.sets[name] = D.test_from_states(states)
@@ -470,9 +465,10 @@ def _triple_from_doc(tdoc, ws: Workspace, where: str) -> HoareTriple:
         raise CliParseError(f"{where}: a triple needs pre, prog and post") from e
     if not all(isinstance(x, str) for x in (pre, prog, post)):
         raise CliParseError(f"{where}: a triple's pre, prog and post must be strings")
+    # a named program was checked when the programs section loaded
     program = ws.programs[prog] if prog in ws.programs else parse_program(prog)
     triple = HoareTriple(parse_test(pre), program, parse_test(post))
-    for part in (triple.pre, triple.prog, triple.post):
+    for part in (triple.pre, triple.post) if prog in ws.programs else (triple.pre, triple.prog, triple.post):
         _check_names(part, ws, where)
     return triple
 

@@ -31,6 +31,7 @@ from .algebra import (
     _decided,
     _not_applicable,
     _Scanner,
+    _walk,
     check_laws,
     cod,
     compl,
@@ -436,11 +437,7 @@ def _kind(t: Term, tests) -> Optional[str]:
 
 def _uses_tests(law: Law) -> bool:
     """Whether law quantifies over tests or applies dom, cod or complement."""
-
-    def walk(t: Term) -> bool:
-        return t.op in ("dom", "cod", "not") or any(walk(x) for x in t.args)
-
-    return bool(law.tests) or any(walk(t) for t in (law.concl, *law.premises))
+    return bool(law.tests) or any(u.op in ("dom", "cod", "not") for t in (law.concl, *law.premises) for u in _walk(t))
 
 
 class _Evaluator:

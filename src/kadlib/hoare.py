@@ -2,11 +2,12 @@
 
 Programs are built from named primitive actions with sequencing,
 conditionals and while loops; tests come from a small Boolean expression
-grammar.  A program denotes a single element: seq is multiplication,
-if p then a else b is pa + p'b, while p do a is (pa)* p'.  A triple
-{p} prog {q} is valid when the image of p under the denotation stays
-inside q.  There is no assignment rule: state change is modeled by
-primitive actions bound in the environment.
+grammar.  A program denotes a single element: seq is multiplication, if p
+then a else b is pa + p'b, while p do a is (pa)* p'.  Programs and tests are
+evaluated in one pass over _preorder, an explicit-stack walk, so chains of
+any length need no recursion.  A triple {p} prog {q} is valid when the image
+of p under the denotation stays inside q.  There is no assignment rule:
+state change is modeled by primitive actions bound in the environment.
 
 Proof trees for the encoded rules (composition, conditional, while,
 weakening, plus semantically checked axioms) are validated node by node.
@@ -73,6 +74,9 @@ class While:
 
 
 Program = Union[Prim, Seq, Cond, While]
+
+_PROGRAM_TYPES = (Prim, Seq, Cond, While)
+_PROGRAM_SLOTS = {Seq: ("first", "second"), Cond: ("then", "orelse"), While: ("body",)}
 
 
 # -- test expressions -------------------------------------------------------
@@ -145,61 +149,57 @@ def _same_program(x, y) -> bool:
 
 def eval_test(expr, D, tenv: Optional[dict] = None):
     """Evaluate a test expression to a test of D; raw test values pass through."""
-    if not isinstance(expr, _EXPR_TYPES):
-        return expr
-    if isinstance(expr, TTrue):
-        return D.test_one
-    if isinstance(expr, TFalse):
-        return D.test_zero
-    if isinstance(expr, TRef):
-        if not tenv or expr.name not in tenv:
-            raise ValueError(f"unresolved test name {expr.name!r}")
-        return tenv[expr.name]
-    if isinstance(expr, TAnd):
-        return D.test_meet(eval_test(expr.left, D, tenv), eval_test(expr.right, D, tenv))
-    if isinstance(expr, TOr):
-        return D.test_join(eval_test(expr.left, D, tenv), eval_test(expr.right, D, tenv))
-    if isinstance(expr, TNot):
-        return D.test_compl(eval_test(expr.arg, D, tenv))
-    if isinstance(expr, TStates):
-        if not hasattr(D, "test_from_states"):
-            raise ValueError("state-set literals need a relational model")
-        return D.test_from_states(expr.states)
-    raise ValueError(f"unknown test expression {expr!r}")
+    return _evaluate(expr, D, {}, tenv) if isinstance(expr, _EXPR_TYPES) else expr
 
 
 def denote(prog: Program, env: dict, D, tenv: Optional[dict] = None):
     """The element a program stands for."""
-    if isinstance(prog, Prim):
-        if prog.name in env:
-            return env[prog.name]
-        if prog.name == "skip":
-            return D.one
-        if prog.name == "abort":
-            return D.zero
-        raise ValueError(f"unresolved primitive action {prog.name!r}")
-    if isinstance(prog, Seq):
-        # a ; chain parses left-nested, so it is folded in a loop, not by recursion
-        parts = []
-        while isinstance(prog, Seq):
-            parts.append(prog.second)
-            prog = prog.first
-        acc = denote(prog, env, D, tenv)
-        for part in reversed(parts):
-            acc = D.mul(acc, denote(part, env, D, tenv))
-        return acc
-    if isinstance(prog, Cond):
-        p = D.embed(eval_test(prog.test, D, tenv))
-        np_ = D.embed(D.test_compl(eval_test(prog.test, D, tenv)))
-        a = denote(prog.then, env, D, tenv)
-        b = denote(prog.orelse, env, D, tenv)
-        return D.add(D.mul(p, a), D.mul(np_, b))
-    if isinstance(prog, While):
-        p = eval_test(prog.test, D, tenv)
-        body = denote(prog.body, env, D, tenv)
-        looped = D.star(D.mul(D.embed(p), body))
-        return D.mul(looped, D.embed(D.test_compl(p)))
-    raise ValueError(f"not a program node: {prog!r}")
+    if not isinstance(prog, _PROGRAM_TYPES):
+        raise ValueError(f"not a program node: {prog!r}")
+    return _evaluate(prog, D, env, tenv)
+
+
+def _evaluate(root, D, env: dict, tenv: Optional[dict]):
+    """The value of a program or test expression: one pass over _preorder(root) in reverse.
+
+    Each node follows its children and pops their values left to right; a field
+    that is not a node (a raw test, a name, a state tuple) stands for itself.
+    """
+    values = []
+    for node in reversed(list(_preorder(root))):
+        args = [values.pop() if is_dataclass(v) else v for v in (getattr(node, f.name) for f in fields(node))]
+        for part in (getattr(node, name) for name in _PROGRAM_SLOTS.get(type(node), ())):
+            if not isinstance(part, _PROGRAM_TYPES):
+                raise ValueError(f"not a program node: {part!r}")
+        if isinstance(node, Prim):
+            if args[0] not in env and args[0] not in ("skip", "abort"):
+                raise ValueError(f"unresolved primitive action {args[0]!r}")
+            values.append(env[args[0]] if args[0] in env else D.one if args[0] == "skip" else D.zero)
+        elif isinstance(node, Seq):
+            values.append(D.mul(*args))
+        elif isinstance(node, Cond):
+            p, a, b = args
+            values.append(D.add(D.mul(D.embed(p), a), D.mul(D.embed(D.test_compl(p)), b)))
+        elif isinstance(node, While):
+            p, a = args
+            values.append(D.mul(D.star(D.mul(D.embed(p), a)), D.embed(D.test_compl(p))))
+        elif isinstance(node, (TTrue, TFalse)):
+            values.append(D.test_one if isinstance(node, TTrue) else D.test_zero)
+        elif isinstance(node, TRef):
+            if not tenv or args[0] not in tenv:
+                raise ValueError(f"unresolved test name {args[0]!r}")
+            values.append(tenv[args[0]])
+        elif isinstance(node, (TAnd, TOr)):
+            values.append(D.test_meet(*args) if isinstance(node, TAnd) else D.test_join(*args))
+        elif isinstance(node, TNot):
+            values.append(D.test_compl(*args))
+        elif isinstance(node, TStates):
+            if not hasattr(D, "test_from_states"):
+                raise ValueError("state-set literals need a relational model")
+            values.append(D.test_from_states(*args))
+        else:
+            raise ValueError(f"not a program node: {node!r}")
+    return values.pop()
 
 
 # -- triples and proofs -----------------------------------------------------

@@ -456,6 +456,18 @@ def test_hoare_names_are_resolved_when_the_workspace_loads(case, tmp_path, capsy
     assert (out, err) == ("", f"error: t: {message}\n")
 
 
+def test_each_named_program_is_checked_once(tmp_path, monkeypatch):
+    checked = []
+    check_names = kadlib.cli._check_names
+    monkeypatch.setattr(kadlib.cli, "_check_names", lambda node, *rest: checked.append(node) or check_names(node, *rest))
+    more = {f"t{i}": {"pre": "true", "prog": "main", "post": "atEnd"} for i in range(3)}
+    ws = load_workspace(write_ws(tmp_path, {**CHAIN, "triples": {**CHAIN["triples"], **more}}))
+    # main, named by four triples and a proof, is checked with the programs section only
+    assert sum(node is ws.programs["main"] for node in checked) == 1
+    # step is inline in the triple bad and in pf's premise
+    assert sum(node == Prim("step") for node in checked) == 2
+
+
 @pytest.mark.parametrize("count", [1000, 3000])
 def test_straight_line_programs_of_any_length_load_and_check(count, tmp_path, capsys):
     # a ; chain parses as a left-nested Seq as deep as the chain is long, though it nests nothing
@@ -508,6 +520,37 @@ def test_composition_proofs_over_long_programs_are_checked(count, tmp_path, caps
     out, err = capsys.readouterr()
     assert err == ""
     assert out == "proof good is valid\nproof lastDiffers INVALID: root: premise programs do not match the sequence parts\n"
+
+
+def long_test(connective, count):
+    """A test of count terms joined by connective that holds exactly at state 1."""
+    filler = "{1,2}" if connective == "and" else "{}"
+    return f" {connective} ".join([filler] * (count - 1) + ["{1}"])
+
+
+# where the test stands: a triple that holds and one that fails, with TEST for the test
+LONG_TEST_PLACES = {
+    "precondition": (("TEST", "rot", "{2}"), ("TEST", "rot", "{3}")),
+    "postcondition": (("{3}", "rot", "TEST"), ("{1}", "rot", "TEST")),
+    "if-test": (("{1,2}", "if TEST then rot else skip fi", "{2}"), ("{1,2}", "if TEST then rot else skip fi", "{1}")),
+    "while-test": (("true", "while TEST do rot od", "{2,3}"), ("true", "while TEST do rot od", "{3}")),
+}
+
+
+@pytest.mark.parametrize("count", [1000, 3000])
+@pytest.mark.parametrize("connective", ["and", "or"])
+@pytest.mark.parametrize("place", sorted(LONG_TEST_PLACES))
+def test_long_and_or_chains_are_evaluated_wherever_a_test_stands(place, connective, count, tmp_path, capsys):
+    # an and or an or chain parses as a left-nested TAnd or TOr as deep as the chain is long
+    test = long_test(connective, count)
+    holds, fails = ({k: x.replace("TEST", test) for k, x in zip(("pre", "prog", "post"), t)} for t in LONG_TEST_PLACES[place])
+    doc = {"n": 3, "relations": {"R": [[1, 2], [2, 3], [3, 1]]}, "env": {"rot": "R"}, "triples": {"holds": holds, "fails": fails}}
+    path = write_ws(tmp_path, doc)
+    assert main(["hoare", path, "--triple", "holds"]) == 0
+    assert main(["hoare", path, "--triple", "fails"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == "triple holds holds\ntriple fails FAILS: reachable state {2} escapes the postcondition\n"
 
 
 # -- dispatch ------------------------------------------------------------------------------------

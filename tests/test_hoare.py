@@ -5,6 +5,8 @@ preconditions."""
 import copy
 import random
 
+import hypothesis
+import hypothesis.strategies as strat
 import pytest
 
 from kadlib.algebra import TestAlgebra, all_hold, failures
@@ -291,6 +293,145 @@ def test_programs_are_compared_as_the_dataclass_equality_does():
             assert _same_program(x, y) == (x == y)
             seen.add(x == y)
     assert seen == {True, False}
+
+
+# -- the evaluator against a recursive reference ---------------------------------------------
+
+
+def ref_eval_test(expr, D, tenv=None):
+    """The recursive reference for eval_test: one call per child."""
+    if not isinstance(expr, (TTrue, TFalse, TRef, TAnd, TOr, TNot, TStates)):
+        return expr
+    if isinstance(expr, TTrue):
+        return D.test_one
+    if isinstance(expr, TFalse):
+        return D.test_zero
+    if isinstance(expr, TRef):
+        if not tenv or expr.name not in tenv:
+            raise ValueError(f"unresolved test name {expr.name!r}")
+        return tenv[expr.name]
+    if isinstance(expr, TAnd):
+        return D.test_meet(ref_eval_test(expr.left, D, tenv), ref_eval_test(expr.right, D, tenv))
+    if isinstance(expr, TOr):
+        return D.test_join(ref_eval_test(expr.left, D, tenv), ref_eval_test(expr.right, D, tenv))
+    if isinstance(expr, TNot):
+        return D.test_compl(ref_eval_test(expr.arg, D, tenv))
+    if isinstance(expr, TStates):
+        if not hasattr(D, "test_from_states"):
+            raise ValueError("state-set literals need a relational model")
+        return D.test_from_states(expr.states)
+    raise ValueError(f"unknown test expression {expr!r}")
+
+
+def ref_denote(prog, env, D, tenv=None):
+    """The recursive reference for denote: one call per child, and a loop down a left-nested ; chain."""
+    if isinstance(prog, Prim):
+        if prog.name in env:
+            return env[prog.name]
+        if prog.name == "skip":
+            return D.one
+        if prog.name == "abort":
+            return D.zero
+        raise ValueError(f"unresolved primitive action {prog.name!r}")
+    if isinstance(prog, Seq):
+        parts = []
+        while isinstance(prog, Seq):
+            parts.append(prog.second)
+            prog = prog.first
+        acc = ref_denote(prog, env, D, tenv)
+        for part in reversed(parts):
+            acc = D.mul(acc, ref_denote(part, env, D, tenv))
+        return acc
+    if isinstance(prog, Cond):
+        p = D.embed(ref_eval_test(prog.test, D, tenv))
+        np_ = D.embed(D.test_compl(ref_eval_test(prog.test, D, tenv)))
+        a = ref_denote(prog.then, env, D, tenv)
+        b = ref_denote(prog.orelse, env, D, tenv)
+        return D.add(D.mul(p, a), D.mul(np_, b))
+    if isinstance(prog, While):
+        p = ref_eval_test(prog.test, D, tenv)
+        body = ref_denote(prog.body, env, D, tenv)
+        looped = D.star(D.mul(D.embed(p), body))
+        return D.mul(looped, D.embed(D.test_compl(p)))
+    raise ValueError(f"not a program node: {prog!r}")
+
+
+def expressions_up_to(leaves, depth):
+    """Tests up to depth connectives deep over the given leaves."""
+    if depth == 0:
+        return leaves
+    sub = expressions_up_to(leaves, depth - 1)
+    return strat.one_of(leaves, strat.builds(TAnd, sub, sub), strat.builds(TOr, sub, sub), strat.builds(TNot, sub))
+
+
+def programs_up_to(prims, tests, depth):
+    """Programs up to depth constructs deep over the given actions and tests."""
+    if depth == 0:
+        return prims
+    sub = programs_up_to(prims, tests, depth - 1)
+    return strat.one_of(
+        prims, strat.builds(Seq, sub, sub), strat.builds(Cond, tests, sub, sub), strat.builds(While, tests, sub)
+    )
+
+
+@hypothesis.settings(max_examples=200, deadline=None)
+@hypothesis.given(strat.data())
+def test_evaluator_matches_the_recursive_one(data):
+    n = data.draw(strat.sampled_from([0, 1, 2, 3, 4, 5, 6]), label="n (0 for the A4_1 predomain)")
+    if n:
+        D = rel_model(n)
+        relations = strat.lists(strat.tuples(strat.integers(1, n), strat.integers(1, n)), max_size=2 * n)
+        actions = [Relation.from_pairs(n, data.draw(relations)) for _ in "ab"]
+        raw = [D.test_from_states(data.draw(strat.sets(strat.integers(1, n)))) for _ in range(3)]
+        states = [strat.builds(TStates, strat.sets(strat.integers(1, n)).map(sorted))]
+    else:
+        S = conway_model("A4_1")
+        D = compute_predomain(S, TestAlgebra.discrete(S))
+        actions = [data.draw(strat.integers(0, S.n - 1)) for _ in "ab"]
+        raw, states = D.test_members(), []
+    env = dict(zip("ab", actions))
+    tenv = {name: data.draw(strat.sampled_from(raw)) for name in "pq"}
+    # raw test values stand as leaves of and, or and not, and as the tests of if and while;
+    # in half the cases the test name r and the action c, which are never bound, join in
+    unbound = data.draw(strat.booleans(), label="unbound names")
+    leaves = strat.one_of(
+        strat.sampled_from([TTrue(), TFalse(), TRef("p"), TRef("q")] + [TRef("r")] * unbound + raw), *states
+    )
+    prims = strat.sampled_from([Prim("a"), Prim("b"), Prim("skip"), Prim("abort")] + [Prim("c")] * unbound)
+    tests = expressions_up_to(leaves, 3)
+    test, prog = data.draw(tests, label="test"), data.draw(programs_up_to(prims, tests, 3), label="program")
+    for evaluate, reference, args in ((eval_test, ref_eval_test, (test, D, tenv)), (denote, ref_denote, (prog, env, D, tenv))):
+        try:
+            want = reference(*args)
+        except ValueError:
+            # with several unresolved names the two may name different ones
+            with pytest.raises(ValueError, match="^unresolved (primitive action 'c'|test name 'r')$"):
+                evaluate(*args)
+        else:
+            assert evaluate(*args) == want
+
+
+def test_evaluation_never_recurses(chain3):
+    D, env = chain3
+    deep = 5000
+    tests = {"not": TNot(TTrue()), "left-and": TAnd(TTrue(), TTrue()), "right-or": TOr(TFalse(), TFalse())}
+    for _ in range(deep):
+        tests = {"not": TNot(tests["not"]), "left-and": TAnd(tests["left-and"], TTrue()), "right-or": TOr(TFalse(), tests["right-or"])}
+    assert [eval_test(t, D) for t in tests.values()] == [D.test_zero, D.test_one, D.test_zero]
+    # a ; chain nested to the right, and loops and branches nested in each other
+    prog, nested = Prim("step"), Prim("skip")
+    for i in range(deep):
+        prog = Seq(Prim("skip"), prog)
+        nested = While(TFalse(), nested) if i % 2 else Cond(TTrue(), nested, Prim("abort"))
+    assert denote(prog, env, D) == env["step"]
+    assert denote(nested, env, D) == D.one
+
+
+def test_non_programs_in_program_slots_are_refused(chain3):
+    D, env = chain3
+    for prog in (TTrue(), 1, Seq(Prim("step"), TTrue()), Cond(TTrue(), 1, Prim("step")), While(TFalse(), TRef("p"))):
+        with pytest.raises(ValueError, match="not a program node"):
+            denote(prog, env, D, {"p": D.test_one})
 
 
 # -- soundness fuzz -----------------------------------------------------------------
