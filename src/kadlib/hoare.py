@@ -3,21 +3,23 @@
 Programs are built from named primitive actions with sequencing,
 conditionals and while loops; tests come from a small Boolean expression
 grammar.  A program denotes a single element: seq is multiplication, if p
-then a else b is pa + p'b, while p do a is (pa)* p'.  Programs and tests are
-evaluated in one pass over _preorder, an explicit-stack walk, so chains of
-any length need no recursion.  A triple {p} prog {q} is valid when the image
-of p under the denotation stays inside q.  There is no assignment rule:
-state change is modeled by primitive actions bound in the environment.
+then a else b is pa + p'b, while p do a is (pa)* p'.  A triple {p} prog {q}
+is valid when the image of p under the denotation stays inside q.  There is
+no assignment rule: state change is modeled by primitive actions bound in the
+environment.
 
 Proof trees for the encoded rules (composition, conditional, while,
 weakening, plus semantically checked axioms) are validated node by node.
+
+Programs, tests, triples and proofs are walked only by _preorder, an explicit
+stack: their ==, hash and repr read it, programs and tests are evaluated in one
+fold over it and proofs are validated in its order, so any depth is fine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
-from itertools import zip_longest
-from typing import Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
 from .algebra import Law, LawReport, Verdict, cod, compl, leq, star, var
 from .domain import run_laws
@@ -46,167 +48,190 @@ __all__ = [
 ]
 
 
+class _Node:
+    """A program, test, triple or proof node: ==, hash and repr read _preorder; == is the dataclass one."""
+
+    def __eq__(self, other):
+        return _labels(self) == _labels(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(_labels(self))
+
+    def __repr__(self):
+        def text(node, args):  # the dataclass repr, each child standing as its own repr
+            return _Text(f"{node.__class__.__qualname__}({', '.join(f'{f.name}={v!r}' for f, v in zip(fields(node), args))})")
+
+        return str(_fold(self, text))
+
+
+class _Text(str):
+    __repr__ = str.__str__  # a child's repr inside its parent's is the text itself
+
+
+def _args(node, child):
+    """node's field values, each node among them or in a tuple field replaced by child(node), left to right."""
+    def take(v):
+        return child(v) if isinstance(v, _Node) else v
+
+    return [tuple(map(take, v)) if isinstance(v, tuple) else take(v) for v in (getattr(node, f.name) for f in fields(node))]
+
+
+def _preorder(node):
+    """The nodes of a tree, parent before children, left to right; a proof's premises are its children."""
+    # by an explicit stack: a long ; chain parses as a left-nested Seq as deep as the chain is long
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = []
+        _args(node, children.append)
+        stack.extend(reversed(children))
+
+
+def _labels(root) -> tuple:
+    """Each node's type and fields in pre-order, a child standing as _Node: they spell root's tree and no other."""
+    return tuple((node.__class__, *_args(node, lambda child: _Node)) for node in _preorder(root))
+
+
+def _fold(root, step):
+    """step(node, args) for each node, children first: args are its fields, each child popped as its value."""
+    values = []
+    for node in reversed(list(_preorder(root))):
+        values.append(step(node, _args(node, lambda child: values.pop())))
+    return values.pop()
+
+
 # -- program syntax ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Prim:
+@dataclass(frozen=True, eq=False, repr=False)
+class Prim(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Seq:
+@dataclass(frozen=True, eq=False, repr=False)
+class Seq(_Node):
     first: "Program"
     second: "Program"
 
 
-@dataclass(frozen=True)
-class Cond:
+@dataclass(frozen=True, eq=False, repr=False)
+class Cond(_Node):
     test: "TestExpr"
     then: "Program"
     orelse: "Program"
 
 
-@dataclass(frozen=True)
-class While:
+@dataclass(frozen=True, eq=False, repr=False)
+class While(_Node):
     test: "TestExpr"
     body: "Program"
 
 
-Program = Union[Prim, Seq, Cond, While]
-
-_PROGRAM_TYPES = (Prim, Seq, Cond, While)
+Program = Prim | Seq | Cond | While
 _PROGRAM_SLOTS = {Seq: ("first", "second"), Cond: ("then", "orelse"), While: ("body",)}
 
 
 # -- test expressions -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TTrue:
+@dataclass(frozen=True, eq=False, repr=False)
+class TTrue(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class TFalse:
+@dataclass(frozen=True, eq=False, repr=False)
+class TFalse(_Node):
     pass
 
 
-@dataclass(frozen=True)
-class TRef:
+@dataclass(frozen=True, eq=False, repr=False)
+class TRef(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class TAnd:
+@dataclass(frozen=True, eq=False, repr=False)
+class TAnd(_Node):
     left: "TestExpr"
     right: "TestExpr"
 
 
-@dataclass(frozen=True)
-class TOr:
+@dataclass(frozen=True, eq=False, repr=False)
+class TOr(_Node):
     left: "TestExpr"
     right: "TestExpr"
 
 
-@dataclass(frozen=True)
-class TNot:
+@dataclass(frozen=True, eq=False, repr=False)
+class TNot(_Node):
     arg: "TestExpr"
 
 
-@dataclass(frozen=True)
-class TStates:
+@dataclass(frozen=True, eq=False, repr=False)
+class TStates(_Node):
     states: tuple
 
     def __init__(self, states):
         object.__setattr__(self, "states", tuple(states))
 
 
-TestExpr = Union[TTrue, TFalse, TRef, TAnd, TOr, TNot, TStates]
-
-_EXPR_TYPES = (TTrue, TFalse, TRef, TAnd, TOr, TNot, TStates)
-
-
-def _preorder(node):
-    """The nodes of a program or test expression, parent before children, left to right."""
-    # by an explicit stack: a long ; chain parses as a left-nested Seq as deep as the chain is long
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        yield node
-        children = [getattr(node, f.name) for f in fields(node)]
-        stack.extend(child for child in reversed(children) if is_dataclass(child))
-
-
-def _same_program(x, y) -> bool:
-    """x == y, compared node by node over a pre-order walk of each: the dataclass == recurses once per ;."""
-    def label(node):
-        # a child stands in as ..., so that the labels in walk order spell out one tree
-        return type(node), [... if is_dataclass(v) else v for v in (getattr(node, f.name) for f in fields(node))]
-
-    return all(a == b for a, b in zip_longest(map(label, _preorder(x)), map(label, _preorder(y))))
+TestExpr = TTrue | TFalse | TRef | TAnd | TOr | TNot | TStates
 
 
 def eval_test(expr, D, tenv: Optional[dict] = None):
     """Evaluate a test expression to a test of D; raw test values pass through."""
-    return _evaluate(expr, D, {}, tenv) if isinstance(expr, _EXPR_TYPES) else expr
+    return _evaluate(expr, D, {}, tenv) if isinstance(expr, TestExpr) else expr
 
 
 def denote(prog: Program, env: dict, D, tenv: Optional[dict] = None):
     """The element a program stands for."""
-    if not isinstance(prog, _PROGRAM_TYPES):
+    if not isinstance(prog, Program):
         raise ValueError(f"not a program node: {prog!r}")
     return _evaluate(prog, D, env, tenv)
 
 
 def _evaluate(root, D, env: dict, tenv: Optional[dict]):
-    """The value of a program or test expression: one pass over _preorder(root) in reverse.
-
-    Each node follows its children and pops their values left to right; a field
-    that is not a node (a raw test, a name, a state tuple) stands for itself.
-    """
-    values = []
-    for node in reversed(list(_preorder(root))):
-        args = [values.pop() if is_dataclass(v) else v for v in (getattr(node, f.name) for f in fields(node))]
+    """The value of a program or test expression; a field that is not a node (a raw test, a name) stands for itself."""
+    def step(node, args):
         for part in (getattr(node, name) for name in _PROGRAM_SLOTS.get(type(node), ())):
-            if not isinstance(part, _PROGRAM_TYPES):
+            if not isinstance(part, Program):
                 raise ValueError(f"not a program node: {part!r}")
         if isinstance(node, Prim):
             if args[0] not in env and args[0] not in ("skip", "abort"):
                 raise ValueError(f"unresolved primitive action {args[0]!r}")
-            values.append(env[args[0]] if args[0] in env else D.one if args[0] == "skip" else D.zero)
-        elif isinstance(node, Seq):
-            values.append(D.mul(*args))
-        elif isinstance(node, Cond):
+            return env[args[0]] if args[0] in env else D.one if args[0] == "skip" else D.zero
+        if isinstance(node, Seq):
+            return D.mul(*args)
+        if isinstance(node, Cond):
             p, a, b = args
-            values.append(D.add(D.mul(D.embed(p), a), D.mul(D.embed(D.test_compl(p)), b)))
-        elif isinstance(node, While):
+            return D.add(D.mul(D.embed(p), a), D.mul(D.embed(D.test_compl(p)), b))
+        if isinstance(node, While):
             p, a = args
-            values.append(D.mul(D.star(D.mul(D.embed(p), a)), D.embed(D.test_compl(p))))
-        elif isinstance(node, (TTrue, TFalse)):
-            values.append(D.test_one if isinstance(node, TTrue) else D.test_zero)
-        elif isinstance(node, TRef):
+            return D.mul(D.star(D.mul(D.embed(p), a)), D.embed(D.test_compl(p)))
+        if isinstance(node, (TTrue, TFalse)):
+            return D.test_one if isinstance(node, TTrue) else D.test_zero
+        if isinstance(node, TRef):
             if not tenv or args[0] not in tenv:
                 raise ValueError(f"unresolved test name {args[0]!r}")
-            values.append(tenv[args[0]])
-        elif isinstance(node, (TAnd, TOr)):
-            values.append(D.test_meet(*args) if isinstance(node, TAnd) else D.test_join(*args))
-        elif isinstance(node, TNot):
-            values.append(D.test_compl(*args))
-        elif isinstance(node, TStates):
+            return tenv[args[0]]
+        if isinstance(node, (TAnd, TOr)):
+            return D.test_meet(*args) if isinstance(node, TAnd) else D.test_join(*args)
+        if isinstance(node, TNot):
+            return D.test_compl(*args)
+        if isinstance(node, TStates):
             if not hasattr(D, "test_from_states"):
                 raise ValueError("state-set literals need a relational model")
-            values.append(D.test_from_states(*args))
-        else:
-            raise ValueError(f"not a program node: {node!r}")
-    return values.pop()
+            return D.test_from_states(*args)
+        raise ValueError(f"not a program node: {node!r}")
+
+    return _fold(root, step)
 
 
 # -- triples and proofs -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HoareTriple:
+@dataclass(frozen=True, eq=False, repr=False)
+class HoareTriple(_Node):
     pre: object
     prog: Program
     post: object
@@ -215,8 +240,8 @@ class HoareTriple:
         return f"{{{self.pre}}} {self.prog} {{{self.post}}}"
 
 
-@dataclass(frozen=True)
-class ProofTree:
+@dataclass(frozen=True, eq=False, repr=False)
+class ProofTree(_Node):
     rule: str
     conclusion: HoareTriple
     premises: tuple = field(default_factory=tuple)
@@ -252,19 +277,23 @@ def validate_proof(tree: ProofTree, env: dict, D, tenv: Optional[dict] = None) -
     The witness of a failing verdict is the path of the offending node
     (root, root.premise[0], ...).
     """
-    problem = _validate(tree, env, D, tenv, "root")
-    if problem is None:
-        return Verdict(True)
-    path, msg = problem
-    return Verdict(False, witness=path, note=f"{path}: {msg}")
+    # by an explicit (node, path) stack in pre-order: a proof nests as deep as its longest branch
+    stack = [(tree, "root")]
+    while stack:
+        node, path = stack.pop()
+        if (msg := _validate(node, env, D, tenv)) is not None:
+            return Verdict(False, witness=path, note=f"{path}: {msg}")
+        stack.extend((child, f"{path}.premise[{i}]") for i, child in reversed(list(enumerate(node.premises))))
+    return Verdict(True)
 
 
-def _validate(node: ProofTree, env, D, tenv, path):
+def _validate(node: ProofTree, env, D, tenv) -> Optional[str]:
+    """What is wrong with one proof node's side conditions, or None; its premises are not visited."""
     rule = node.rule
     if rule not in _ARITY:
-        return path, f"unknown rule {rule!r}"
+        return f"unknown rule {rule!r}"
     if len(node.premises) != _ARITY[rule]:
-        return path, f"{rule} takes {_ARITY[rule]} premises, got {len(node.premises)}"
+        return f"{rule} takes {_ARITY[rule]} premises, got {len(node.premises)}"
     t = node.conclusion
 
     def ev(x):
@@ -273,63 +302,58 @@ def _validate(node: ProofTree, env, D, tenv, path):
     if rule == "axiom":
         v = check_triple(t, env, D, tenv)
         if not v:
-            return path, f"axiom triple does not hold: {v.note}"
-        return None
+            return f"axiom triple does not hold: {v.note}"
 
-    if rule == "composition":
+    elif rule == "composition":
         t1, t2 = node.premises[0].conclusion, node.premises[1].conclusion
         if not isinstance(t.prog, Seq):
-            return path, "composition concludes a sequence"
-        if not (_same_program(t1.prog, t.prog.first) and _same_program(t2.prog, t.prog.second)):
-            return path, "premise programs do not match the sequence parts"
+            return "composition concludes a sequence"
+        if t1.prog != t.prog.first or t2.prog != t.prog.second:
+            return "premise programs do not match the sequence parts"
         if ev(t1.pre) != ev(t.pre):
-            return path, "first premise precondition differs from the conclusion's"
+            return "first premise precondition differs from the conclusion's"
         if ev(t2.post) != ev(t.post):
-            return path, "second premise postcondition differs from the conclusion's"
+            return "second premise postcondition differs from the conclusion's"
         if ev(t1.post) != ev(t2.pre):
-            return path, "intermediate tests of the premises do not agree"
+            return "intermediate tests of the premises do not agree"
 
     elif rule == "conditional":
         t1, t2 = node.premises[0].conclusion, node.premises[1].conclusion
         if not isinstance(t.prog, Cond):
-            return path, "conditional concludes an if-then-else"
-        if not (_same_program(t1.prog, t.prog.then) and _same_program(t2.prog, t.prog.orelse)):
-            return path, "premise programs do not match the branches"
+            return "conditional concludes an if-then-else"
+        if t1.prog != t.prog.then or t2.prog != t.prog.orelse:
+            return "premise programs do not match the branches"
         pv, qv, rv = ev(t.prog.test), ev(t.pre), ev(t.post)
         if ev(t1.pre) != D.test_meet(pv, qv):
-            return path, "then-premise precondition is not (test and pre)"
+            return "then-premise precondition is not (test and pre)"
         if ev(t2.pre) != D.test_meet(D.test_compl(pv), qv):
-            return path, "else-premise precondition is not (not test and pre)"
+            return "else-premise precondition is not (not test and pre)"
         if ev(t1.post) != rv or ev(t2.post) != rv:
-            return path, "branch postconditions differ from the conclusion's"
+            return "branch postconditions differ from the conclusion's"
 
     elif rule == "while":
         (t1,) = (node.premises[0].conclusion,)
         if not isinstance(t.prog, While):
-            return path, "while rule concludes a loop"
-        if not _same_program(t1.prog, t.prog.body):
-            return path, "premise program is not the loop body"
+            return "while rule concludes a loop"
+        if t1.prog != t.prog.body:
+            return "premise program is not the loop body"
         pv, qv = ev(t.prog.test), ev(t.pre)
         if ev(t1.pre) != D.test_meet(pv, qv):
-            return path, "premise precondition is not (test and invariant)"
+            return "premise precondition is not (test and invariant)"
         if ev(t1.post) != qv:
-            return path, "premise postcondition is not the invariant"
+            return "premise postcondition is not the invariant"
         if ev(t.post) != D.test_meet(D.test_compl(pv), qv):
-            return path, "conclusion postcondition is not (not test and invariant)"
+            return "conclusion postcondition is not (not test and invariant)"
 
     elif rule == "weakening":
         t1 = node.premises[0].conclusion
-        if not _same_program(t1.prog, t.prog):
-            return path, "weakening does not change the program"
+        if t1.prog != t.prog:
+            return "weakening does not change the program"
         if not D.test_leq(ev(t.pre), ev(t1.pre)):
-            return path, "conclusion precondition is not below the premise's"
+            return "conclusion precondition is not below the premise's"
         if not D.test_leq(ev(t1.post), ev(t.post)):
-            return path, "premise postcondition is not below the conclusion's"
+            return "premise postcondition is not below the conclusion's"
 
-    for i, child in enumerate(node.premises):
-        problem = _validate(child, env, D, tenv, f"{path}.premise[{i}]")
-        if problem is not None:
-            return problem
     return None
 
 

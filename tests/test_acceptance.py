@@ -238,19 +238,23 @@ def test_criterion_09_predicate_transformers():
     members = D.test_members()
     rels = list(D.elements())
     trans = [TM.transformer_of(r) for r in rels]
-    by_mask = {_rel_mask(r): f for r, f in zip(rels, trans)}
+    # relations are canonical values, so a transformer is looked up by its source relation;
+    # a union of sources is looked up by mask, each element's mask computed once
+    by_rel = dict(zip(rels, trans))
+    masks = [_rel_mask(r) for r in rels]
+    by_mask = dict(zip(masks, trans))
     for r, f in zip(rels, trans):
         if any(TM.apply(f, p) != D.preimage(r, p) for p in members):
             problems.append(f"{D.el_name(r)}: transformer does not apply as preimage")
             break
-        if TM.star(f) != by_mask[_rel_mask(D.star(r))]:
+        if TM.star(f) != by_rel[D.star(r)]:
             problems.append(f"{D.el_name(r)}: star does not commute with the embedding")
             break
-    for (x, fx), (y, fy) in itertools.product(zip(rels, trans), repeat=2):
-        if TM.add(fx, fy) != by_mask[_rel_mask(x) | _rel_mask(y)]:
+    for (x, mx, fx), (y, my, fy) in itertools.product(zip(rels, masks, trans), repeat=2):
+        if TM.add(fx, fy) != by_mask[mx | my]:
             problems.append("join does not track union of sources")
             break
-        if TM.mul(fx, fy) != by_mask[_rel_mask(x.compose(y))]:
+        if TM.mul(fx, fy) != by_rel[x.compose(y)]:
             problems.append("composition does not track relational composition")
             break
 

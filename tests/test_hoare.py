@@ -4,12 +4,14 @@ preconditions."""
 
 import copy
 import random
+from dataclasses import fields, is_dataclass
 
 import hypothesis
 import hypothesis.strategies as strat
 import pytest
 
 from kadlib.algebra import TestAlgebra, all_hold, failures
+from kadlib.cli import parse_program, parse_test
 from kadlib.domain import compute_predomain
 from kadlib.hoare import (
     Cond,
@@ -25,7 +27,6 @@ from kadlib.hoare import (
     TStates,
     TTrue,
     While,
-    _same_program,
     check_hoare_rules,
     check_triple,
     denote,
@@ -138,6 +139,13 @@ def test_check_triple_through_a_loop(chain3):
 def test_triple_str_is_readable():
     t = HoareTriple("p", Prim("act"), "q")
     assert str(t) == "{p} Prim(name='act') {q}"
+    # every tree prints as its dataclass repr would, a one-premise tuple with its comma
+    axiom = ProofTree("axiom", HoareTriple(TStates([1]), Prim("act"), 2))
+    assert repr(axiom) == (
+        "ProofTree(rule='axiom', conclusion=HoareTriple(pre=TStates(states=(1,)), prog=Prim(name='act'), post=2), premises=())"
+    )
+    assert repr(ProofTree("weakening", axiom.conclusion, [axiom])).endswith(f", premises=({axiom!r},))")
+    assert repr(TAnd(TTrue(), TNot(TRef("p")))) == "TAnd(left=TTrue(), right=TNot(arg=TRef(name='p')))"
 
 
 def test_triple_reduces_to_annihilation():
@@ -281,6 +289,24 @@ def random_program(rng, depth):
     return While(test, random_program(rng, depth - 1))
 
 
+def ref_eq(x, y):
+    """The recursive reference for ==, as the dataclass == works: the same type and equal fields."""
+    if is_dataclass(x) or is_dataclass(y):
+        return type(x) is type(y) and all(ref_eq(getattr(x, f.name), getattr(y, f.name)) for f in fields(x))
+    if isinstance(x, tuple) and isinstance(y, tuple):
+        return len(x) == len(y) and all(map(ref_eq, x, y))
+    return x == y
+
+
+def ref_repr(x):
+    """The recursive reference for repr, as the dataclass repr works: Name(field=value, ...)."""
+    if is_dataclass(x):
+        return f"{type(x).__qualname__}({', '.join(f'{f.name}={ref_repr(getattr(x, f.name))}' for f in fields(x))})"
+    if isinstance(x, tuple):
+        return "(" + ", ".join(map(ref_repr, x)) + ("," if len(x) == 1 else "") + ")"
+    return repr(x)
+
+
 def test_programs_are_compared_as_the_dataclass_equality_does():
     rng = random.Random(8)
     programs = [random_program(rng, 3) for _ in range(300)]
@@ -290,9 +316,43 @@ def test_programs_are_compared_as_the_dataclass_equality_does():
     seen = set()
     for x in programs:
         for y in rng.sample(programs, 20) + [copy.deepcopy(x)]:
-            assert _same_program(x, y) == (x == y)
+            assert (x == y) == ref_eq(x, y)
             seen.add(x == y)
     assert seen == {True, False}
+
+
+def test_deep_trees_compare_hash_print_and_validate_without_recursion(chain3, capfd):
+    deep = 3000
+
+    def chain_to(last):
+        return parse_program("; ".join(["step"] * (deep - 1) + [last]))
+
+    def conj_to(last):
+        return parse_test(" and ".join(["{1,2}"] * (deep - 1) + [last]))
+
+    chain, conj = chain_to("step"), conj_to("{1}")
+    assert chain == chain_to("step") and hash(chain) == hash(chain_to("step"))
+    assert conj == conj_to("{1}") and hash(conj) == hash(conj_to("{1}"))
+    # a different last leaf makes a different tree
+    assert chain != chain_to("skip") and conj != conj_to("{2}")
+    chain_text, conj_text = "Prim(name='step')", "TStates(states=(1, 2))"
+    for right in ["TStates(states=(1, 2))"] * (deep - 2) + ["TStates(states=(1,))"]:
+        chain_text = f"Seq(first={chain_text}, second=Prim(name='step'))"
+        conj_text = f"TAnd(left={conj_text}, right={right})"
+    assert str(HoareTriple(conj, chain, conj)) == f"{{{conj_text}}} {chain_text} {{{conj_text}}}"
+
+    D, env = chain3
+    s1, s2 = TStates((1,)), TStates((2,))
+    for axiom, holds in ((HoareTriple(s1, Prim("step"), s2), True), (HoareTriple(s2, Prim("step"), s2), False)):
+        proof = ProofTree("axiom", axiom)
+        for _ in range(deep):
+            proof = ProofTree("weakening", axiom, (proof,))
+        v = validate_proof(proof, env, D)
+        assert v.holds == holds
+        if not holds:
+            assert v.witness == "root" + ".premise[0]" * deep
+            assert v.note == f"{v.witness}: axiom triple does not hold: reachable state {{3}} escapes the postcondition"
+    assert capfd.readouterr().err == ""
 
 
 # -- the evaluator against a recursive reference ---------------------------------------------
@@ -372,6 +432,38 @@ def programs_up_to(prims, tests, depth):
     return strat.one_of(
         prims, strat.builds(Seq, sub, sub), strat.builds(Cond, tests, sub, sub), strat.builds(While, tests, sub)
     )
+
+
+def trees_up_to(depth):
+    """Tests, programs, triples and proofs up to depth deep, over few leaves so that equal trees are often drawn."""
+    raw = strat.sampled_from([1, 2])
+    leaves = strat.one_of(
+        raw, strat.sampled_from([TTrue(), TFalse(), TRef("p")]), strat.builds(TStates, strat.lists(raw, max_size=2))
+    )
+    tests = expressions_up_to(leaves, depth)
+    programs = programs_up_to(strat.sampled_from([Prim("a"), Prim("b")]), tests, depth)
+    triples = strat.builds(HoareTriple, tests, programs, tests)
+    proofs = strat.builds(ProofTree, strat.sampled_from(["axiom", "weakening"]), triples)
+    for _ in range(depth):
+        proofs = strat.builds(
+            ProofTree, strat.sampled_from(["axiom", "weakening"]), triples, strat.lists(proofs, max_size=2).map(tuple)
+        )
+    return strat.one_of(tests, programs, triples, proofs)
+
+
+TREES = trees_up_to(3)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(strat.data())
+def test_eq_hash_and_repr_match_the_recursive_ones(data):
+    x = data.draw(TREES, label="x")
+    y = data.draw(strat.one_of(strat.just(copy.deepcopy(x)), TREES), label="y")
+    assert (x == y) == ref_eq(x, y)
+    assert (x != y) == (not ref_eq(x, y))
+    if ref_eq(x, y):
+        assert hash(x) == hash(y)
+    assert repr(x) == ref_repr(x)
 
 
 @hypothesis.settings(max_examples=200, deadline=None)
