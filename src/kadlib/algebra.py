@@ -31,11 +31,15 @@ same tables:
 - star-left-/star-right-simulation: theorems of the axioms (Kozen 1994);
   guard: the isemiring laws and the matching unfold and induction laws.
 
-A law whose variables occur only inside copies of one subterm is first
-decided with that subterm generalized to a fresh variable over the
-carrier, where that has fewer instances (_generalized).  A law whose guard
-has not held, or that its reduction or general form refutes, is scanned,
-so every report and witness is the scanner's.
+Every other law goes through _rewrite, the one law-rewrite step, which
+domain.run_laws uses too.  Here it finds a law whose variables occur only
+inside copies of one subterm and decides it with that subterm generalized
+to a fresh variable over the carrier, where that has fewer instances
+(_generalized).  Its other rewrites, Horn elimination and join-irreducible
+ranges, run behind guards that these checkers do not pass, and a
+certificate names a law of the star/preimage suite.  A law whose guard has
+not held, or that its reduction or general form refutes, is scanned, so
+every report and witness is the scanner's.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -141,6 +145,22 @@ class FiniteSemiring:
     def _gens(self) -> dict:
         """Generating sets of (carrier, +) and (carrier, ·), for the law reductions."""
         return {"add": _generators(self.add), "mul": _generators(self.mul)}
+
+    @functools.cached_property
+    def _join_irreducibles(self) -> list[int]:
+        """The elements other than 0 that are the sum of no two elements other than themselves, ascending.
+
+        Where + is a semilattice with least element 0 (the isemiring laws)
+        these are its join-irreducibles, and every element is the sum of
+        those below it.
+        """
+        ar = np.arange(self.n)
+        split = np.zeros(self.n, dtype=bool)
+        # in blocks of a quarter of a scan chunk, to keep the heap's high-water mark down
+        for rows in _row_blocks(self.n, self.n << 2):
+            sums = self.add[rows]
+            split[sums[(sums != ar[rows, None]) & (sums != ar)]] = True
+        return [j for j in range(self.n) if j != self.zero and not split[j]]
 
     # -- basic views -------------------------------------------------
 
@@ -665,16 +685,21 @@ class _Scanner:
         return lookup, deps
 
     def _is_axis(self, t: Term, i: int) -> bool:
-        """t is the variable at position i, on a broadcast axis and ranging over the carrier."""
-        return i >= self._m and t.op == "var" and self._pos[t.name] == i and t.name not in self._tests
+        """t is the variable at position i, on a broadcast axis and ranging over the whole carrier in order."""
+        return i >= self._m and t.op == "var" and self._pos[t.name] == i and i in self._carrier
 
     def _span(self, i: int) -> slice:
         """The part of the carrier that broadcast axis i covers in the current chunk."""
         return self._block if i == self._m else slice(None)
 
-    def first_failure(self, law: Law) -> Optional[dict]:
+    def first_failure(self, law: Law, ranges=None) -> Optional[dict]:
+        """The first failing assignment of law, or None; ranges gives, per variable, its values in scan
+        order or None for all of them (the test members or the carrier)."""
         k = len(law.vars)
-        doms = [self.T.members if v in law.tests else range(self.S.n) for v in law.vars]
+        doms = [
+            r if r is not None else self.T.members if v in law.tests else range(self.S.n)
+            for v, r in zip(law.vars, ranges or [None] * k)
+        ]
         m = 0
         while math.prod(len(d) for d in doms[m + 1 :]) > _CHUNK:
             m += 1
@@ -685,7 +710,8 @@ class _Scanner:
             for i, d in enumerate(doms[m:])
         ]
         self._pos = {v: i for i, v in enumerate(law.vars)}
-        self._m, self._tests, self._inner = m, law.tests, k - 1
+        self._m, self._inner = m, k - 1
+        self._carrier = {i for i, d in enumerate(doms) if isinstance(d, range)}
         concl, premises = self._term(law.concl)[0], [self._term(a)[0] for a in law.premises]
         for prefix in itertools.product(*doms[:m]):
             for lo in range(0, size, rows):
@@ -873,7 +899,7 @@ ISEMIRING_LAWS, KLEENE_LAWS, TEST_LAWS = _law_tables()
 
 
 # ---------------------------------------------------------------------------
-# laws decided by reduction or in a general form
+# laws decided by reduction, in a general form or through the rewrite step
 
 
 def _row_blocks(n: int, cols: int):
@@ -979,10 +1005,6 @@ def _generalized(law: Law, tests: Optional[int], n: int) -> Optional[Law]:
         return None
     sizes = {v: tests if v in law.tests else n for v in law.vars}
     total = collections.Counter(u.name for u in nodes if u.op == "var")
-
-    def replace(u: Term, x: Term) -> Term:
-        return x if u == t else Term(u.op, tuple(replace(a, x) for a in u.args), u.name)
-
     for t in nodes:
         if t.op in ("var", "eq", "leq", "iff"):
             continue
@@ -996,7 +1018,7 @@ def _generalized(law: Law, tests: Optional[int], n: int) -> Optional[Law]:
             first = next(v for v in law.vars if v in inner)
             order = tuple(x.name if v == first else v for v in law.vars if v == first or v not in inner)
             tests_left = tuple(v for v in law.tests if v not in inner)
-            concl, *premises = (replace(a, x) for a in atoms)
+            concl, *premises = (_replace(a, t, x) for a in atoms)
             return Law(law.name, order, concl, tuple(premises), tests_left, law.requires)
     return None
 
@@ -1006,6 +1028,24 @@ def _walk(t: Term):
     yield t
     for x in t.args:
         yield from _walk(x)
+
+
+def _replace(t: Term, old: Term, new: Term) -> Term:
+    """t with each copy of the subterm old replaced by new."""
+    return new if t == old else Term(t.op, tuple(_replace(a, old, new) for a in t.args), t.name)
+
+
+def _occurs(t: Term, v: str) -> bool:
+    return any(u.op == "var" and u.name == v for u in _walk(t))
+
+
+# With the guards of _rewrite these are monotone, and preserve binary joins, in each argument.
+_ADDITIVE_OPS = frozenset({"add", "mul", "dom", "cod"})
+
+
+def _monotone(t: Term, v: str) -> bool:
+    """Every subterm of t that contains the variable v applies an operation of _ADDITIVE_OPS."""
+    return all(u.op in _ADDITIVE_OPS for u in _walk(t) if u.args and _occurs(u, v))
 
 
 _ISEMIRING_NAMES = tuple(law if isinstance(law, str) else law.name for law in ISEMIRING_LAWS)
@@ -1024,20 +1064,154 @@ _REDUCTIONS = {
     "star-right-simulation": (_ISEMIRING_NAMES + ("star-right-unfold", "star-right-induction"), lambda S: True),
 }
 
+# With these + is a join and the operations of _ADDITIVE_OPS preserve binary
+# joins; cod-additive is dom-additive's mirror, checked outside the printed calculus.
+_REWRITE_GUARDS = _ISEMIRING_NAMES + ("dom-additive", "cod-additive")
+
+# law: (the law that certifies it, the other laws that must have held)
+_CERTIFICATES = {
+    # (ac):p + b:q <= c:p => (a*b):q <= c:p is preimage-star-induction at p := c:p
+    # and q := b:q: a:(c:p) <= (ac):p by dloc and associativity, and
+    # (a*b):q <= a*:(b:q) by d1, d2 and monotone dom
+    "preimage-horn-induction": ("preimage-star-induction", ("dloc", "d1", "d2", "dom-additive", *_ISEMIRING_NAMES)),
+}
+
+
+class _Rewrite(NamedTuple):
+    """What _rewrite made of a law."""
+
+    law: Law
+    # per variable of law its values in scan order, None for all of them; None if none is narrowed
+    ranges: Optional[tuple]
+    # "reduced", or "certified by <law>" (law is then the given one, to be taken as holding)
+    mode: str
+    # (variable, value) for each Horn-eliminated variable, in the order of elimination
+    bounds: tuple = ()
+
+
+def _rewrite(law: Law, model, held, budget: int = 0) -> Optional[_Rewrite]:
+    """law certified or made smaller for model, or None where no rewrite applies.
+
+    model has the domain surface (size, test_count; join_irreducibles and the
+    atom surface for narrowed ranges), and held names the laws known to hold
+    on every instance in it.  A law whose certificate (_CERTIFICATES) and the
+    laws it needs have held is certified.  Otherwise these rewrites run in
+    turn, each only while the law has more instances than budget:
+
+    1. generalization of a repeated subterm (_generalized);
+    2. Horn elimination, behind _REWRITE_GUARDS (_eliminated): v := t1+...+tk;
+    3. join-irreducible ranges, behind _REWRITE_GUARDS (_narrowed).
+
+    2 and 3 are equivalences, so a failure of their result is a failure of
+    law, lifted by giving each eliminated variable its bound's value.  1 is
+    one way: its result holding proves law, its failing refutes nothing.
+    """
+    by, needs = _CERTIFICATES.get(law.name, (None, ()))
+    if by is not None and held.issuperset((by, *needs)):
+        return _Rewrite(law, None, f"certified by {by}")
+
+    n = model.size() or math.inf
+
+    def size(v: str, law: Law):
+        return model.test_count() if v in law.tests else n
+
+    def space(law: Law):
+        return math.prod(size(v, law) for v in law.vars)
+
+    given, bounds, ranges = law, (), None
+    guarded = held.issuperset(_REWRITE_GUARDS)
+    if space(law) > budget:
+        law = _generalized(law, model.test_count() if law.tests else None, n) or law
+    if guarded and space(law) > budget:
+        law, bounds = _eliminated(law)
+    if guarded and space(law) > budget:
+        ranges = _narrowed(law, model, held, size)
+    return None if law is given and ranges is None else _Rewrite(law, ranges, "reduced", bounds)
+
+
+@functools.lru_cache(maxsize=None)
+def _eliminated(law: Law) -> tuple:
+    """(law', bounds): law with its Horn test variables eliminated one at a time, and each one's value.
+
+    A test variable v qualifies when it is the bare right side of premises
+    t1 <= v, ..., tk <= v whose ti are free of v, and occurs elsewhere only
+    where a larger v can only falsify a premise or satisfy the conclusion:
+    monotonically on the left of another premise's <=, or on the right of
+    the conclusion's.  Then the least v that satisfies those premises,
+    t1 + ... + tk, is the one instance that decides law (Kozen 2000), and
+    the premises ti <= v go.
+    """
+    def grows(a: Term, v: str, side: int) -> bool:
+        # v is not in a, or a is l <= r with v only in the side given (0: l, 1: r), monotonically
+        return not _occurs(a, v) or (a.op == "leq" and not _occurs(a.args[1 - side], v) and _monotone(a.args[side], v))
+
+    bounds = []
+    while True:
+        for v in law.tests:
+            x = var(v)
+            below = [a.args[0] for a in law.premises if a.op == "leq" and a.args[1] == x]
+            rest = [a for a in law.premises if not (a.op == "leq" and a.args[1] == x)]
+            if (
+                below
+                and not any(_occurs(t, v) for t in below)
+                and all(grows(a, v, 0) for a in rest)
+                and grows(law.concl, v, 1)
+            ):
+                t = functools.reduce(add, below)
+                law = Law(
+                    law.name,
+                    tuple(u for u in law.vars if u != v),
+                    _replace(law.concl, x, t),
+                    tuple(_replace(a, x, t) for a in rest),
+                    tuple(u for u in law.tests if u != v),
+                    law.requires,
+                )
+                bounds.append((v, t))
+                break
+        else:
+            return law, tuple(bounds)
+
+
+def _narrowed(law: Law, model, held, size) -> Optional[tuple]:
+    """Per variable of a premise-free f <= g, 0 and the join-irreducibles where they decide it, else None.
+
+    They decide a variable x that occurs once in f and, in f and g, only
+    under +, ·, dom and cod: f preserves binary joins in x and g is monotone
+    in x, so f(x) = f(j1) + ... + f(jk) <= g(j1) + ... + g(jk) <= g(x) for
+    x = j1 + ... + jk (Jónsson and Tarski 1951), and each variable can be
+    narrowed with the others ranging freely.  The join-irreducibles of the
+    carrier are model.join_irreducibles(); those of the tests are the atoms,
+    when every test is the join of the atoms below it (atomic-tests).  The
+    result is None if no variable is narrowed.
+    """
+    if law.premises or law.concl.op != "leq" or not hasattr(model, "join_irreducibles"):
+        return None
+    f, g = law.concl.args
+    ranges = []
+    for v in law.vars:
+        test, values = v in law.tests, None
+        if sum(u == var(v) for u in _walk(f)) == 1 and _monotone(f, v) and _monotone(g, v):
+            if not test:
+                values = [model.zero, *model.join_irreducibles()]
+            elif "atomic-tests" in held:
+                values = [model.test_zero, *(model.test_from_positions((k,)) for k in model.atom_positions(model.test_one))]
+        ranges.append(values if values is not None and len(values) < size(v, law) else None)
+    return tuple(ranges) if any(r is not None for r in ranges) else None
+
 
 def _decided(scanner: _Scanner, law: Law, held: set) -> bool:
     """Whether law is found true without its own scan.
 
     A law with a reduction holds if the laws the reduction needs have held
-    and the reduction finds it true; any other law holds if _generalized
-    finds a general form of it and the scanner finds no failure of that.
+    and the reduction finds it true.  Any other law checked with a domain
+    structure holds if _rewrite certifies it, or rewrites it to a form the
+    scanner finds no failure of.
     """
     if law.name in _REDUCTIONS:
         needs, holds = _REDUCTIONS[law.name]
         return held.issuperset(needs) and holds(scanner.S)
-    T = scanner.T
-    general = _generalized(law, None if T is None else len(T.members), scanner.S.n)
-    return general is not None and scanner.first_failure(general) is None
+    rw = None if scanner.D is None else _rewrite(law, scanner.D, held)
+    return rw is not None and (rw.mode != "reduced" or scanner.first_failure(rw.law, rw.ranges) is None)
 
 
 def check_isemiring(S: FiniteSemiring) -> list[LawReport]:

@@ -27,9 +27,11 @@ from .algebra import (
     Term,
     TestAlgebra,
     Verdict,
+    _ISEMIRING_NAMES,
     _check,
     _decided,
     _not_applicable,
+    _rewrite,
     _Scanner,
     _walk,
     check_laws,
@@ -100,6 +102,25 @@ class DomainStructure:
         """The DOMAIN_AXIOMS reports, scanned once per structure (the tables are read-only)."""
         return check_laws(DOMAIN_AXIOMS, self.owner, D=self)
 
+    @functools.cached_property
+    def _exact_laws(self) -> frozenset:
+        """The laws found to hold on every instance, for the guards of algebra._rewrite, found once.
+
+        These are the owner's isemiring laws and the flags that held, dom- and
+        cod-additive (scanned here, outside the printed calculus), and
+        atomic-tests: every test is the join of the atoms below it.  Once the
+        isemiring laws hold every element is a join of join-irreducibles, so
+        a map d is additive iff d(a + j) = d(a) + d(j) for every a and every
+        join-irreducible j: the additivity laws are scanned with b over those.
+        """
+        held = {r.name for r in self.owner._isemiring_reports if r.holds} | {f for f, v in self.flags.items() if v}
+        if held.issuperset(_ISEMIRING_NAMES):
+            scanner = _Scanner(self.owner, D=self)
+            held |= {law.name for law in _ADDITIVITY if scanner.first_failure(law, (None, self.join_irreducibles())) is None}
+        if all(self.test_from_positions(self.atom_positions(p)) == p for p in self.tests.members):
+            held.add("atomic-tests")
+        return frozenset(held)
+
     # -- the operators -------------------------------------------------
 
     def dom(self, a: int) -> int:
@@ -158,6 +179,10 @@ class DomainStructure:
 
     def size(self) -> int:
         return self.owner.n
+
+    def join_irreducibles(self) -> list[int]:
+        """The elements other than 0 that are the sum of no two others, read off the + table."""
+        return self.owner._join_irreducibles
 
     def sample(self, rng) -> int:
         return rng.randrange(self.owner.n)
@@ -328,6 +353,12 @@ def _domain_law_tables():
 
 DOMAIN_AXIOMS, DOMAIN_CALCULUS = _domain_law_tables()
 
+# guards of algebra._rewrite; cod-additive stays out of the printed calculus
+_ADDITIVITY = (
+    next(law for law in DOMAIN_CALCULUS if law.name == "dom-additive"),
+    Law("cod-additive", "a b", eq(cod(var("a") + var("b")), cod(var("a")) + cod(var("b")))),
+)
+
 
 def check_domain_axioms(D: DomainStructure) -> list[LawReport]:
     """The domain/codomain axioms and their least/greatest characterizations.
@@ -349,9 +380,9 @@ def check_domain_calculus(D: DomainStructure) -> list[LawReport]:
     complement commutation, the top-element Galois connection, and the
     preimage exchange/decomposition laws.  Laws that need locality are
     checked only when the dloc and cdloc flags hold and reported as not
-    applicable otherwise.  A law is first decided in a general form where
-    algebra._generalized finds one (image-compose-bound and -exact over
-    x = p a), and scanned only if that fails.
+    applicable otherwise.  A law is first decided in the form
+    algebra._rewrite gives it, where it gives one (image-compose-bound and
+    -exact generalized over x = p a), and scanned only if that fails.
     """
     return _check(DOMAIN_CALCULUS, _Scanner(D.owner, D=D), (), _decided)
 
@@ -503,22 +534,30 @@ class _Evaluator:
         return lambda env: le(fl(env), fr(env))
 
 
-def _instances(D, is_test, budget: int, samples: int, rng):
+def _sizes(D, is_test, ranges=None) -> list:
+    """The number of values of each variable: its range's, else D.test_count() per test and D.size() per element."""
+    return [len(r) if r is not None else D.test_count() if t else D.size() for t, r in zip(is_test, ranges or [None] * len(is_test))]
+
+
+def _instances(D, is_test, budget: int, samples: int, rng, ranges=None):
     """(assignments, exhaustive) for variables that are tests where is_test says so.
 
-    While the variables have at most budget joint values (D.test_count() per
-    test, D.size() per element) and the model can list them, every
-    assignment is listed in lexicographic order over test_members() and
-    elements().  Past the budget, over an infinite carrier, or where the
+    ranges gives, per variable, the values it ranges over, or None for all
+    of them: test_members() for a test, elements() for an element.  While
+    the variables have at most budget joint values (see _sizes) and the
+    model can list them, every assignment is listed in lexicographic order
+    over those.  Past the budget, over an infinite carrier, or where the
     model refuses to list its tests or elements (a RelModel lists at most
     2^16 of each), `samples` assignments are drawn from rng, one sample_test
     or sample per variable in declared order (rng defaults to one seeded 0).
     """
-    sizes = [D.test_count() if t else D.size() for t in is_test]
+    sizes = _sizes(D, is_test, ranges)
     if None not in sizes and math.prod(sizes) <= budget:
+        ranges = ranges or [None] * len(is_test)
         try:
             # product lists its factors here, so a model's refusal raises now
-            return itertools.product(*(D.test_members() if t else D.elements() for t in is_test)), True
+            listed = (r if r is not None else D.test_members() if t else D.elements() for t, r in zip(is_test, ranges))
+            return itertools.product(*listed), True
         except ValueError:
             pass
     rng = rng or random.Random(0)
@@ -531,9 +570,13 @@ def run_laws(laws, D, budget: int, samples: int, rng=None) -> list[LawReport]:
 
     A law's instances come from _instances: when they are all listed, a
     DomainStructure is scanned by check_laws' scanner and any other model is
-    checked through its methods; sampled instances are drawn from rng
-    (default: seeded 0).  The note says which; witnesses hold element and
-    test names.
+    checked through its methods.  Where they are not, the law is first
+    decided through algebra._rewrite (_by_rewrite), behind the laws the
+    model is known to satisfy (its _exact_laws) and those decided exactly
+    earlier in the run; failing that, sampled instances are drawn from rng
+    (default: seeded 0).  The note says which: exhaustive, reduced (k) for k
+    instances of the rewritten law, certified by <law>, or sampled (n).
+    Witnesses hold element and test names.
     """
     if not hasattr(D, "test_members"):
         needy = [law.name for law in laws if _uses_tests(law)]
@@ -541,23 +584,76 @@ def run_laws(laws, D, budget: int, samples: int, rng=None) -> list[LawReport]:
             raise ValueError(f"{D.name} has no test algebra, which {needy[0]} needs")
     rng = rng or random.Random(0)
     scanner = functools.cache(lambda: _Scanner(D.owner, D=D))
+    exact = set()
     reports = []
     for law in laws:
-        skipped = _not_applicable(law, lambda: D.top, D)
-        if skipped is not None:
-            reports.append(skipped)
-            continue
-        is_test = [v in law.tests for v in law.vars]
-        envs, exhaustive = _instances(D, is_test, budget, samples, rng)
-        if exhaustive and isinstance(D, DomainStructure):
-            found = scanner().first_failure(law)
-            values = None if found is None else tuple(found.values())
-        else:
-            holds = _Evaluator(D, law)
-            values = next((env for env in envs if not holds(env)), None)
-        note = "exhaustive" if exhaustive else f"sampled ({samples})"
-        witness = None
-        if values is not None:
-            witness = {v: D.test_name(x) if t else D.el_name(x) for v, t, x in zip(law.vars, is_test, values)}
-        reports.append(LawReport(law.name, witness is None, witness, note))
+        report = _not_applicable(law, lambda: D.top, D)
+        if report is None:
+            envs, exhaustive = _instances(D, [v in law.tests for v in law.vars], budget, samples, rng)
+            if not exhaustive:
+                report = _by_rewrite(law, D, exact.union(getattr(D, "_exact_laws", ())), budget, scanner)
+            if report is None:
+                values = _first_failure(law, D, scanner if exhaustive else None, envs)
+                report = _named_report(law, D, values, "exhaustive" if exhaustive else f"sampled ({samples})")
+            if report.holds and not report.note.startswith("sampled"):
+                exact.add(law.name)
+        reports.append(report)
     return reports
+
+
+def _first_failure(law: Law, D, scanner, envs, ranges=None) -> Optional[tuple]:
+    """The values of law's first failing instance among envs, or None; a DomainStructure given a scanner is scanned."""
+    if scanner is not None and isinstance(D, DomainStructure):
+        found = scanner().first_failure(law, ranges)
+        return None if found is None else tuple(found.values())
+    holds = _Evaluator(D, law)
+    return next((env for env in envs if not holds(env)), None)
+
+
+def _named_report(law: Law, D, values, note: str) -> LawReport:
+    """law's report, failing at values (in law.vars order) unless they are None, with their names as its witness."""
+    witness = None
+    if values is not None:
+        witness = {v: D.test_name(x) if v in law.tests else D.el_name(x) for v, x in zip(law.vars, values)}
+    return LawReport(law.name, witness is None, witness, note)
+
+
+def _by_rewrite(law: Law, D, held, budget: int, scanner) -> Optional[LawReport]:
+    """law decided through algebra._rewrite(law, D, held, budget), or None.
+
+    A certified law holds.  A rewritten one is decided by an exhaustive
+    scan of its instances when they fit the budget: if they all hold, so
+    does law; the first that fails is lifted to an instance of law, each
+    eliminated variable taking its bound's value, and reported once
+    _Evaluator confirms that law fails there.  None where the rewritten
+    law does not fit, or its failure does not lift to one of law.
+    """
+    rw = _rewrite(law, D, held, budget)
+    if rw is None or rw.mode != "reduced":
+        return rw and LawReport(law.name, True, None, rw.mode)
+    is_test = [v in rw.law.tests for v in rw.law.vars]
+    envs, exhaustive = _instances(D, is_test, budget, 0, None, rw.ranges)
+    if not exhaustive:
+        return None
+    values = _first_failure(rw.law, D, scanner, envs, rw.ranges)
+    if values is not None:
+        values = _lift(law, rw, D, values)
+        if values is None:
+            return None
+    return _named_report(law, D, values, f"reduced ({math.prod(_sizes(D, is_test, rw.ranges))})")
+
+
+def _lift(law: Law, rw, D, values) -> Optional[tuple]:
+    """The instance of law for the failing instance values of rw.law, if law fails there; else None."""
+    holds = _Evaluator(D, law)
+    found = dict(zip(rw.law.vars, values))
+    if not found.keys() <= holds.pos.keys():
+        return None  # a generalized variable stands for no one instance of law
+    env = [found.get(v) for v in law.vars]
+    try:
+        # a bound reads only variables that were still there when it was taken
+        for v, t in reversed(rw.bounds):
+            env[holds.pos[v]] = holds.term(t, True)(env)
+        return None if holds(env) else tuple(env)
+    except ValueError:
+        return None

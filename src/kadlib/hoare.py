@@ -58,14 +58,31 @@ class _Node:
         return hash(_labels(self))
 
     def __repr__(self):
-        def text(node, args):  # the dataclass repr, each child standing as its own repr
-            return _Text(f"{node.__class__.__qualname__}({', '.join(f'{f.name}={v!r}' for f, v in zip(fields(node), args))})")
+        # the dataclass repr, emitted in pre-order: a node's text up to its first child when it is
+        # reached, and the text after each child once that child's subtree is done
+        out, tails = [], []
+        for node in _preorder(self):
+            first, *rest = _segments(node)
+            out.append(first)
+            tails.append(rest[::-1])
+            while tails and not tails[-1]:
+                tails.pop()
+                if tails:
+                    out.append(tails[-1].pop())
+        return "".join(out)
 
-        return str(_fold(self, text))
+
+class _Cut:
+    """Where a child stands in its parent's text: a raw NUL, which the reprs of strings, numbers and tuples never hold."""
+
+    def __repr__(self):
+        return "\0"
 
 
-class _Text(str):
-    __repr__ = str.__str__  # a child's repr inside its parent's is the text itself
+def _segments(node) -> list:
+    """node's dataclass repr cut at the children _args finds, which _preorder visits in this order: one piece more than children."""
+    args = _args(node, lambda child: _Cut())
+    return f"{node.__class__.__qualname__}({', '.join(f'{f.name}={v!r}' for f, v in zip(fields(node), args))})".split("\0")
 
 
 def _args(node, child):
@@ -91,14 +108,6 @@ def _preorder(node):
 def _labels(root) -> tuple:
     """Each node's type and fields in pre-order, a child standing as _Node: they spell root's tree and no other."""
     return tuple((node.__class__, *_args(node, lambda child: _Node)) for node in _preorder(root))
-
-
-def _fold(root, step):
-    """step(node, args) for each node, children first: args are its fields, each child popped as its value."""
-    values = []
-    for node in reversed(list(_preorder(root))):
-        values.append(step(node, _args(node, lambda child: values.pop())))
-    return values.pop()
 
 
 # -- program syntax ---------------------------------------------------------
@@ -224,7 +233,10 @@ def _evaluate(root, D, env: dict, tenv: Optional[dict]):
             return D.test_from_states(*args)
         raise ValueError(f"not a program node: {node!r}")
 
-    return _fold(root, step)
+    values = []  # children first: each node's children are the last values pushed, popped as its fields
+    for node in reversed(list(_preorder(root))):
+        values.append(step(node, _args(node, lambda child: values.pop())))
+    return values.pop()
 
 
 # -- triples and proofs -----------------------------------------------------

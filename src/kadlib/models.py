@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import _CHUNK, ISEMIRING_LAWS, KLEENE_LAWS, FiniteSemiring, Law, LawReport, TestAlgebra
+from .algebra import _CHUNK, _ISEMIRING_NAMES, ISEMIRING_LAWS, KLEENE_LAWS, FiniteSemiring, Law, LawReport, TestAlgebra
 from .domain import run_laws
 from .reach import _grow
 
@@ -233,6 +233,8 @@ class Relation:
 
     n: int
     succ: tuple[tuple[int, ...], ...]
+    # predecessors, filled on first read; a plain slot, as cached_property locks on its first read
+    _pred: Optional[list] = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
@@ -270,14 +272,16 @@ class Relation:
         # row j of the transpose is the set of j's predecessors, built ascending
         return Relation(self.n, tuple(map(tuple, self.predecessors)))
 
-    @cached_property
+    @property
     def predecessors(self) -> list[list[int]]:
         """The states with an edge into each state, as ascending positions, from one walk of succ; not to be changed."""
-        pred: list[list[int]] = [[] for _ in self.succ]
-        for i, row in enumerate(self.succ):
-            for j in row:
-                pred[j].append(i)
-        return pred
+        if self._pred is None:
+            pred: list[list[int]] = [[] for _ in self.succ]
+            for i, row in enumerate(self.succ):
+                for j in row:
+                    pred[j].append(i)
+            object.__setattr__(self, "_pred", pred)
+        return self._pred
 
     def star(self) -> "Relation":
         """Reflexive-transitive closure: row i is what reach's counting worklist grows from i."""
@@ -368,6 +372,15 @@ class RelModel(ModelHandle):
     def size(self) -> int:
         return 1 << (self.n * self.n)
 
+    def join_irreducibles(self) -> list[Relation]:
+        """The single pairs, in the order of their masks."""
+        return [self._from_mask(1 << k) for k in range(self.n * self.n)]
+
+    @cached_property
+    def _exact_laws(self) -> frozenset:
+        """The laws that relations satisfy by construction, for the guards of algebra._rewrite (see DomainStructure)."""
+        return frozenset({*_ISEMIRING_NAMES, "dom-additive", "cod-additive", "atomic-tests"} | {f for f, v in self.flags.items() if v})
+
     def _from_mask(self, mask: int) -> Relation:
         rows: list[list[int]] = [[] for _ in range(self.n)]
         for k in _bit_positions(mask):
@@ -409,6 +422,16 @@ class RelModel(ModelHandle):
         return _bit_positions(p)
 
     def test_from_positions(self, ks: Iterable[int]) -> int:
+        """The test of the states at positions ks (repeats allowed), in time linear in n and the number of ks.
+
+        Or-ing 1 << k into a mask copies the mask, so past a machine word the
+        digits are set in one buffer of n characters, read as one int.
+        """
+        if self.n <= 64:
+            mask = 0
+            for k in ks:
+                mask |= 1 << k
+            return mask
         bits = bytearray(b"0" * self.n)
         for k in ks:
             bits[~k] = 49  # ord("1"); position k is the k-th digit from the right
@@ -455,23 +478,20 @@ class RelModel(ModelHandle):
 
     def preimage(self, a: Relation, p: int) -> int:
         """States with at least one a-edge into p."""
-        pred, mask = a.predecessors, 0
-        for k in _bit_positions(p):
-            for i in pred[k]:
-                mask |= 1 << i
-        return mask
+        pred = a.predecessors
+        return self.test_from_positions(i for k in _bit_positions(p) for i in pred[k])
 
     def image(self, p: int, a: Relation) -> int:
         """States reachable from p by one a-edge."""
-        succ, mask = a.succ, 0
-        for k in _bit_positions(p):
-            for j in succ[k]:
-                mask |= 1 << j
-        return mask
+        succ = a.succ
+        return self.test_from_positions(j for k in _bit_positions(p) for j in succ[k])
 
     def preimage_positions(self, a: Relation, k: int) -> list[int]:
         """The states with an a-edge into state k + 1, as positions; a's own list, not to be changed."""
-        return a.predecessors[k]
+        # the worklists call this once per atom visited (about 53,000 times in a graph-queries
+        # pass), and a property call doubles its cost: read the slot, and the property only to fill it
+        pred = a._pred
+        return (a.predecessors if pred is None else pred)[k]
 
     def image_positions(self, k: int, a: Relation) -> tuple[int, ...]:
         """The states state k + 1 has an a-edge to, as ascending positions: a's own row."""

@@ -34,7 +34,7 @@ from kadlib.hoare import (
     validate_proof,
     wlp,
 )
-from kadlib.models import Relation, conway_model, rel_model
+from kadlib.models import Relation, conway_model, rel_model, rel_semiring, rel_tests
 
 
 @pytest.fixture
@@ -146,6 +146,40 @@ def test_triple_str_is_readable():
     )
     assert repr(ProofTree("weakening", axiom.conclusion, [axiom])).endswith(f", premises=({axiom!r},))")
     assert repr(TAnd(TTrue(), TNot(TRef("p")))) == "TAnd(left=TTrue(), right=TNot(arg=TRef(name='p')))"
+
+
+def test_reprs_of_small_trees_are_pinned():
+    pre = TAnd(TRef("p"), TNot(TStates((1, 2))))
+    prog = Seq(Prim("a"), Cond(TOr(TTrue(), TFalse()), Prim("b"), While(TRef("q"), Prim("skip"))))
+    assert repr(HoareTriple(pre, prog, 5)) == (
+        "HoareTriple(pre=TAnd(left=TRef(name='p'), right=TNot(arg=TStates(states=(1, 2)))), "
+        "prog=Seq(first=Prim(name='a'), second=Cond(test=TOr(left=TTrue(), right=TFalse()), then=Prim(name='b'), "
+        "orelse=While(test=TRef(name='q'), body=Prim(name='skip')))), post=5)"
+    )
+    axiom = HoareTriple(TStates((1,)), Prim("step"), TStates((2,)))
+    axiom_text = "HoareTriple(pre=TStates(states=(1,)), prog=Prim(name='step'), post=TStates(states=(2,)))"
+    proof = ProofTree(
+        "composition",
+        HoareTriple(TTrue(), Seq(Prim("step"), Prim("step")), TFalse()),
+        (ProofTree("axiom", axiom), ProofTree("weakening", axiom, (ProofTree("axiom", axiom),))),
+    )
+    assert repr(proof) == (
+        "ProofTree(rule='composition', conclusion=HoareTriple(pre=TTrue(), "
+        "prog=Seq(first=Prim(name='step'), second=Prim(name='step')), post=TFalse()), "
+        f"premises=(ProofTree(rule='axiom', conclusion={axiom_text}, premises=()), "
+        f"ProofTree(rule='weakening', conclusion={axiom_text}, "
+        f"premises=(ProofTree(rule='axiom', conclusion={axiom_text}, premises=()),))))"
+    )
+    assert repr(parse_program("a; b; c")) == (
+        "Seq(first=Seq(first=Prim(name='a'), second=Prim(name='b')), second=Prim(name='c'))"
+    )
+
+
+def test_a_long_chain_prints_in_linear_time():
+    # each step of a fold that copied its children's text took 20 s here at 3 * 10^4 actions
+    n = 3 * 10**4
+    text = "Seq(first=" * (n - 1) + "Prim(name='step')" + ", second=Prim(name='step'))" * (n - 1)
+    assert repr(parse_program("; ".join(["step"] * n))) == text
 
 
 def test_triple_reduces_to_annihilation():
@@ -650,6 +684,26 @@ def test_hoare_rules_on_table_backed_models():
         rep = check_hoare_rules(D)
         assert all_hold(rep), (nm, [str(r) for r in failures(rep)])
         assert all(r.note == "exhaustive" for r in rep)
+
+
+@pytest.mark.parametrize("table", [True, False], ids=["predomain", "relations"])
+def test_hoare_rules_on_rel3_are_decided_exactly(table):
+    D = compute_predomain(rel_semiring(3), rel_tests(3)) if table else rel_model(3)
+    notes = {r.name: r.note for r in check_hoare_rules(D) if r.holds}
+    assert notes == {
+        "rule-composition": "reduced (400)",
+        "rule-conditional": "reduced (3200)",
+        "rule-while": "exhaustive",
+        "rule-weakening": "reduced (4096)",
+    }
+
+
+def test_hoare_rules_on_rel10_reduce_composition_and_weakening():
+    notes = {r.name: r.note for r in check_hoare_rules(rel_model(10)) if r.holds}
+    assert notes["rule-composition"] == "reduced (112211)"  # (10^2 + 1)^2 (10 + 1)
+    assert notes["rule-weakening"] == "reduced (1111)"
+    # p stays under compl: 101^2 * 2^10 * 11 instances, past the budget
+    assert notes["rule-conditional"] == "sampled (1000)"
 
 
 def test_hoare_rules_fall_back_to_sampling():

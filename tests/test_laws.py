@@ -23,10 +23,16 @@ The golden files under data/check hold the stdout and exit code of
 The star/preimage laws and the Hoare rules are checked against the
 per-law predicates they were written as before they became Law tables,
 run by the exhaustive-or-sampled loop that ran them then (same budget
-test, draw order, notes and witnesses).  check_sampled_laws is checked
-against check_isemiring/check_kleene on the same finite model.
+test, draw order, notes and witnesses), except that a law the reference
+samples may now be decided exactly by run_laws' rewrite step.  That step,
+algebra._rewrite, is checked against the full scan of every law it
+rewrites, and each failure it lifts against eval_term.  check_sampled_laws
+is checked against check_isemiring/check_kleene on the same finite model.
 """
 
+import ast
+import collections
+import functools
 import itertools
 import json
 import math
@@ -71,11 +77,13 @@ from kadlib.domain import (
     check_converse,
     check_domain_calculus,
     compute_predomain,
+    run_laws,
 )
 from kadlib.algebra import check_isemiring, check_kleene
-from kadlib.hoare import check_hoare_rules
+from kadlib.hoare import HOARE_RULES, check_hoare_rules
 from kadlib.models import (
     ModelHandle,
+    Relation,
     bounded_language_model,
     check_sampled_laws,
     materialize,
@@ -86,7 +94,7 @@ from kadlib.models import (
     rel_semiring,
     rel_tests,
 )
-from kadlib.reach import check_star_preimage_laws
+from kadlib.reach import STAR_PREIMAGE_LAWS, check_star_preimage_laws
 
 NOT_APPLICABLE = {"dloc": "no locality", "cdloc": "no locality", "top": "no greatest element"}
 
@@ -634,8 +642,8 @@ def test_a_failing_general_form_falls_back_to_the_scan(monkeypatch):
     scans = []
     scan = kadlib.algebra._Scanner.first_failure
 
-    def counting(self, law):
-        found = scan(self, law)
+    def counting(self, law, ranges=None):
+        found = scan(self, law, ranges)
         scans.append((law.name, law.vars, found))
         return found
 
@@ -908,6 +916,18 @@ def rows(reports):
     return [(r.name, r.holds, r.witness, r.note) for r in reports]
 
 
+def assert_rows_agree(got, want):
+    """got's rows equal the reference's, except where the reference samples a law
+    that run_laws decides exactly through algebra._rewrite: there, the verdicts are
+    equal and the note says reduced or certified."""
+    assert [r.name for r in got] == [r.name for r in want]
+    for g, w in zip(rows(got), rows(want)):
+        if w[3].startswith("sampled") and not g[3].startswith("sampled"):
+            assert g[3].startswith(("reduced (", "certified by ")) and g[1] == w[1], (g, w)
+        else:
+            assert g == w
+
+
 def domain_targets():
     for n in (1, 2, 3):
         yield f"rel_model({n})", lambda n=n: rel_model(n)
@@ -940,8 +960,137 @@ TARGETS = list(domain_targets())
 @pytest.mark.parametrize("make", [t[1] for t in TARGETS], ids=[t[0] for t in TARGETS])
 def test_law_tables_match_the_per_law_predicates(make):
     D = make()
-    assert rows(check_star_preimage_laws(D)) == rows(reference_star_preimage(D))
-    assert rows(check_hoare_rules(D)) == rows(reference_hoare_rules(D))
+    assert_rows_agree(check_star_preimage_laws(D), reference_star_preimage(D))
+    assert_rows_agree(check_hoare_rules(D), reference_hoare_rules(D))
+
+
+# -- the rewrite step against the full scan ----------------------------------------
+
+
+def rewrite_targets():
+    """rel(1) and rel(2) as relations, the predomains of generalization_cases (the
+    builtins, the rel(1) and rel(2) tables, every seeded corruption that has one and
+    the corrupted domain tables), the corrupted rel(2) domains of domain_targets, and
+    each intact predomain with its dom and cod swapped: both stay additive, so the
+    rewrites run there, and the image laws fail."""
+    for n in (1, 2):
+        yield f"rel_model({n})", rel_model(n)
+    yield from generalization_cases()
+    for seed in range(6):
+        yield f"rel2-corrupt-{seed}", corrupt_domain(seed)
+    for name, S, T in MODELS:
+        D = compute_predomain(S, T)
+        yield f"{name}-swapped", DomainStructure(S, T, D.rho, D.delta)
+    for seed in range(8):
+        yield f"rel2-additive-{seed}", random_additive_domain(seed)
+
+
+def random_additive_domain(seed):
+    """rel(2)'s predomain with dom or cod replaced by a random additive map: the join
+    of random tests, one for each single pair of the element (its mask's bits)."""
+    S, T = rel_semiring(2), rel_tests(2)
+    D = compute_predomain(S, T)
+    rng = random.Random(f"rel2-additive:{seed}")
+    at = [rng.choice(T.members) for _ in range(4)]
+    table = [functools.reduce(lambda x, k: int(S.add[x, at[k]]), (k for k in range(4) if x >> k & 1), S.zero) for x in range(S.n)]
+    return DomainStructure(S, T, D.delta, table) if seed % 2 else DomainStructure(S, T, table, D.rho)
+
+
+def witness_values(D, law, witness):
+    """The values a report's witness names, in law.vars order."""
+    if isinstance(D, DomainStructure):
+        return [D.owner.index(witness[v]) for v in law.vars]
+    # a RelModel names a test {1,3} and a relation {(1,2),(2,3)}
+    listed = {v: ast.literal_eval("[" + witness[v][1:-1] + "]") for v in law.vars}
+    return [D.test_from_states(listed[v]) if v in law.tests else Relation.from_pairs(D.n, listed[v]) for v in law.vars]
+
+
+def fails_at(D, law, values):
+    """law fails at values, by the scalar evaluator: eval_term on tables, the model's methods otherwise."""
+    if not isinstance(D, DomainStructure):
+        return not kadlib.domain._Evaluator(D, law)(values)
+    env = dict(zip(law.vars, values))
+    return all(holds(p, env, D.owner, D.tests, D) for p in law.premises) and not holds(law.concl, env, D.owner, D.tests, D)
+
+
+def test_rewrites_give_the_full_scans_verdicts():
+    """Each Hoare rule and star/preimage law that algebra._rewrite rewrites (with no
+    budget, so with every rewrite that applies) has the verdict of its full scan, and a
+    failure it finds is lifted to an instance at which the law itself fails."""
+    seen = collections.Counter()
+    for name, D in rewrite_targets():
+        scanner = functools.cache(lambda D=D: kadlib.algebra._Scanner(D.owner, D=D))
+        for suite in (HOARE_RULES, STAR_PREIMAGE_LAWS):
+            full = run_laws(suite, D, budget=10**9, samples=0)
+            held = {r.name for r in full if r.holds and r.note == "exhaustive"} | D._exact_laws
+            for law, want in zip(suite, full):
+                rw = kadlib.algebra._rewrite(law, D, held)
+                if want.note != "exhaustive" or rw is None:
+                    continue
+                is_test = [v in rw.law.tests for v in rw.law.vars]
+                k = math.prod(kadlib.domain._sizes(D, is_test, rw.ranges))
+                got = kadlib.domain._by_rewrite(law, D, held, k, scanner)
+                if got is None:
+                    # only a failure that does not lift falls back to the scan
+                    assert not want.holds, (name, law.name)
+                    seen["fallback"] += 1
+                    continue
+                assert got.holds == want.holds, (name, law.name, got, want)
+                assert got.note == (rw.mode if rw.mode != "reduced" else f"reduced ({k})")
+                if not got.holds:
+                    assert fails_at(D, law, witness_values(D, law, got.witness)), (name, got)
+                seen[rw.mode.split()[0], got.holds] += 1
+    assert seen["reduced", True] and seen["reduced", False] and seen["certified", True], seen
+
+
+def test_a_rewritten_law_takes_no_draws():
+    """A law decided through the rewrite step takes no draws from the run's rng, so
+    the laws sampled after it draw what they would draw without it: here rule-while's
+    failing sample differs from the one found when rule-composition was sampled too.
+    rel(2)'s predomain with dom and cod swapped fails both rules."""
+    P = compute_predomain(rel_semiring(2), rel_tests(2))
+    D = DomainStructure(P.owner, P.tests, P.rho, P.delta)
+    got = run_laws(HOARE_RULES, D, budget=100, samples=40, rng=random.Random(1))
+    assert [r.note for r in got] == ["reduced (75)", "sampled (40)", "sampled (40)", "reduced (64)"]
+    assert got[0].witness == {"a": "{(1,2)}", "b": "{(2,1)}", "p": "{(1,1)}", "q": "{(1,1)}", "r": "{}"}
+    assert got[2].witness == {"a": "{(1,2),(2,1)}", "p": "{(2,2)}", "q": "{(2,2)}"}
+    assert got[1:3] == run_laws(HOARE_RULES[1:3], D, budget=100, samples=40, rng=random.Random(1))
+    sampled_all = reference_hoare_rules(D, budget=100, samples=40, rng=random.Random(1))
+    assert sampled_all[2].witness == {"a": "{(2,1)}", "p": "{(2,2)}", "q": "{(1,1),(2,2)}"}
+
+
+def test_join_irreducibles_are_what_the_order_says():
+    """Each element other than 0 that is not the join of the elements strictly below it."""
+    for name, S, _ in [*MODELS, ("rel3", REL3, None)]:
+        leq = S.add == np.arange(S.n)
+        want = []
+        for j in range(S.n):
+            below = (x for x in np.flatnonzero(leq[:, j]) if x != j)
+            if j != S.zero and functools.reduce(lambda x, y: int(S.add[x, y]), below, S.zero) != j:
+                want.append(j)
+        assert S._join_irreducibles == want, name
+    for n in (1, 2, 3):
+        S = rel_semiring(n)
+        assert [str(r) for r in rel_model(n).join_irreducibles()] == [S.element_name(j) for j in S._join_irreducibles]
+
+
+def test_additivity_guards_match_their_full_scans():
+    """DomainStructure._exact_laws scans dom- and cod-additivity with b over the join-irreducibles only."""
+    failed = 0
+    for name, D in rewrite_targets():
+        if isinstance(D, DomainStructure) and D._exact_laws.issuperset(kadlib.algebra._ISEMIRING_NAMES):
+            full = {r.name for r in check_laws(kadlib.domain._ADDITIVITY, D.owner, D=D) if r.holds}
+            assert D._exact_laws & {"dom-additive", "cod-additive"} == full, name
+            failed += len(full) < 2
+    assert failed
+
+
+def test_rel3_weakening_rewrite_matches_its_full_scan():
+    """The one full-cube rel(3) cross-check: rule-weakening, 512 * 8^4 instances."""
+    D = compute_predomain(rel_semiring(3), rel_tests(3))
+    weakening = next(law for law in HOARE_RULES if law.name == "rule-weakening")
+    assert kadlib.algebra._Scanner(D.owner, D=D).first_failure(weakening) is None
+    assert run_laws([weakening], D, budget=300_000, samples=0) == [LawReport("rule-weakening", True, None, "reduced (4096)")]
 
 
 def test_corruptions_are_seen():
@@ -954,16 +1103,20 @@ def test_small_budget_sampling_matches_the_per_law_predicates(D):
     got = check_star_preimage_laws(D, samples=40, rng=random.Random(3), budget=30)
     assert rows(got) == rows(reference_star_preimage(D, samples=40, rng=random.Random(3), budget=30))
     assert {r.note for r in got} >= {"sampled (40)"}
-    got = check_hoare_rules(D, samples=40, rng=random.Random(4), budget=30)
-    assert rows(got) == rows(reference_hoare_rules(D, samples=40, rng=random.Random(4), budget=30))
+    # budget 14 is below every Hoare rule's reduced space here (rel(2)'s rule-weakening has 15), so all four still sample
+    got = check_hoare_rules(D, samples=40, rng=random.Random(4), budget=14)
+    assert rows(got) == rows(reference_hoare_rules(D, samples=40, rng=random.Random(4), budget=14))
+    assert {r.note for r in got} == {"sampled (40)"}
 
 
 @pytest.mark.parametrize("check", [check_star_preimage_laws, check_hoare_rules])
 def test_law_suites_sample_past_the_enumerable_tests(check):
-    # rel(17) has 2^17 tests, more than RelModel lists
+    # rel(17) has 2^17 tests, more than RelModel lists; only rule-weakening's
+    # rewrite, over 17^2 + 1 relations and 17 + 1 tests, needs no list of them
     reports = check(rel_model(17), samples=20, rng=random.Random(5))
     assert len(reports) > 1
-    assert all(r.holds and r.note == "sampled (20)" for r in reports)
+    exact = {"rule-weakening": "reduced (5220)"}
+    assert all(r.holds and r.note == exact.get(r.name, "sampled (20)") for r in reports)
 
 
 SAMPLED_TEST_MODELS = [(f"rel_model({n})", lambda n=n: rel_model(n)) for n in range(1, 9)] + [

@@ -4,7 +4,6 @@ predicate transformers, and the materialization bridge."""
 import itertools
 import math
 import random
-from functools import cached_property
 
 import hypothesis
 import hypothesis.strategies as strat
@@ -256,6 +255,41 @@ def test_rel_test_algebra_atoms():
     ]
 
 
+def per_bit_images(a, p):
+    """(a:p, p:a) built one bit at a time from a's pairs."""
+    pre = img = 0
+    for i, j in a.pairs():
+        if p >> (j - 1) & 1:
+            pre |= 1 << (i - 1)
+        if p >> (i - 1) & 1:
+            img |= 1 << (j - 1)
+    return pre, img
+
+
+def test_preimage_and_image_match_the_per_bit_build():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        D = rel_model(n)
+        a = Relation.from_pairs(n, [(rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 2 * n * n))])
+        p = rng.getrandbits(n)
+        assert (D.preimage(a, p), D.image(p, a)) == per_bit_images(a, p)
+    n = 10**5
+    D = rel_model(n)
+    chain = Relation.from_pairs(n, [(i, i + 1) for i in range(1, n)])
+    for p in (D.test_one, D.test_from_states([1, 2, n])):
+        assert (D.preimage(chain, p), D.image(p, chain)) == per_bit_images(chain, p)
+
+
+def test_predecessors_leave_equality_hash_and_repr_alone():
+    a = Relation.from_pairs(3, [(1, 2), (3, 1)])
+    b = Relation.from_pairs(3, [(3, 1), (1, 2)])
+    text = repr(b)
+    assert a.predecessors == [[2], [0], []]
+    assert a == b and hash(a) == hash(b) and repr(a) == text
+    assert a != Relation.from_pairs(3, [(1, 2)])
+
+
 def test_each_relation_keeps_its_own_predecessor_lists(monkeypatch):
     n = 5
     D = rel_model(n)
@@ -263,10 +297,14 @@ def test_each_relation_keeps_its_own_predecessor_lists(monkeypatch):
     b = Relation.from_pairs(n, [(2, 1), (4, 4), (4, 5), (1, 5)])
     want = {r: [[i - 1 for i, j in sorted(r.pairs()) if j == k + 1] for k in range(n)] for r in (a, b)}
     builds = []
-    build = Relation.predecessors.func
-    counted = cached_property(lambda r: builds.append(r) or build(r))
-    counted.__set_name__(Relation, "predecessors")
-    monkeypatch.setattr(Relation, "predecessors", counted)
+    build = Relation.predecessors.fget
+
+    def counted(r):
+        if r._pred is None:
+            builds.append(r)
+        return build(r)
+
+    monkeypatch.setattr(Relation, "predecessors", property(counted))
     for _ in range(3):
         for k in range(n):
             for r in (a, b):

@@ -235,9 +235,12 @@ def test_star_preimage_laws_exhaustive_on_relations():
     for n in (2, 3):
         rep = check_star_preimage_laws(rel_model(n))
         assert all_hold(rep), (n, [str(r) for r in failures(rep)])
-        # rel(3) pushes the four-variable horn law over the budget
-        expected_notes = {"exhaustive"} if n == 2 else {"exhaustive", "sampled (1000)"}
+        # rel(3) pushes the four-variable horn law over the budget; it is
+        # certified by preimage-star-induction, which was scanned in full
+        expected_notes = {"exhaustive"} if n == 2 else {"exhaustive", "certified by preimage-star-induction"}
         assert {r.note for r in rep} == expected_notes
+        if n == 3:
+            assert {r.name for r in rep if r.note != "exhaustive"} == {"preimage-horn-induction"}
         assert {r.name for r in rep} == {
             "star-of-domain",
             "domain-of-star",
@@ -247,6 +250,14 @@ def test_star_preimage_laws_exhaustive_on_relations():
             "frontier-decomposition",
             "preimage-horn-induction",
         }
+
+
+def test_horn_induction_on_the_rel3_predomain_is_certified():
+    rep = check_star_preimage_laws(compute_predomain(rel_semiring(3), rel_tests(3)))
+    assert all_hold(rep)
+    assert {r.name: r.note for r in rep if r.note != "exhaustive"} == {
+        "preimage-horn-induction": "certified by preimage-star-induction"
+    }
 
 
 def test_star_preimage_laws_gate_on_locality():
