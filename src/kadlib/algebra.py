@@ -20,9 +20,9 @@ check_isemiring and check_kleene decide their eight three-variable laws
 exactly by reduction, each once the laws its guard names have held on the
 same tables:
 
-- add-/mul-associative: Light's test over a greedy generating set of
-  (carrier, +) or (carrier, ·) (Clifford and Preston, The Algebraic Theory
-  of Semigroups I, §1.2); no guard.
+- add-/mul-associative: Light's test over a generating set of (carrier, +)
+  or (carrier, ·), found greedily rarest first (Clifford and Preston, The
+  Algebraic Theory of Semigroups I, §1.2); no guard.
 - left-/right-distributive: the multiplying element over the generators
   of ·, one summand over those of +; guard: add- and mul-associative.
 - star-left-/star-right-induction: a* <= mu(a, 1), where mu(a, b) =
@@ -909,16 +909,19 @@ def _row_blocks(n: int, cols: int):
 
 
 def _generators(X) -> list[int]:
-    """A generating set of the magma (carrier, X), found greedily.
+    """A generating set of the magma (carrier, X), found greedily, rarest first; ascending.
 
-    Each element in index order that is not yet in the closure of the set
-    under X joins it, and the closure grows by the products of its new
-    elements with all of it, until it is the whole carrier.
+    Candidates are visited by how few cells of X hold them, ties by index:
+    an element few products reach is one the others seldom generate.  Each
+    candidate not yet in the closure of the set joins it, and the closure
+    grows by the products of its new elements with all of it, in blocks of
+    at most _CHUNK cells, until it is the whole carrier.
     """
     n = len(X)
+    counts = sum(np.bincount(X[rows].ravel(), minlength=n) for rows in _row_blocks(n, n))
     inside = np.zeros(n, dtype=bool)
     gens = []
-    for g in range(n):
+    for g in np.argsort(counts, kind="stable").tolist():
         if inside[g]:
             continue
         gens.append(g)
@@ -927,11 +930,12 @@ def _generators(X) -> list[int]:
         while new.size:
             hit = np.zeros(n, dtype=bool)
             closure = np.flatnonzero(inside)
-            hit[X[np.ix_(new, closure)]] = True
-            hit[X[np.ix_(closure, new)]] = True
+            for rows in _row_blocks(len(new), len(closure)):
+                hit[X[np.ix_(new[rows], closure)]] = True
+                hit[X[np.ix_(closure, new[rows])]] = True
             new = np.flatnonzero(hit & ~inside)
             inside[new] = True
-    return gens
+    return sorted(gens)
 
 
 def _associative(X, gens) -> bool:

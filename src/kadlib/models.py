@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebra import _CHUNK, _ISEMIRING_NAMES, ISEMIRING_LAWS, KLEENE_LAWS, FiniteSemiring, Law, LawReport, TestAlgebra
+from .algebra import _CHUNK, _ISEMIRING_NAMES, _row_blocks, ISEMIRING_LAWS, KLEENE_LAWS, FiniteSemiring, Law, LawReport, TestAlgebra
 from .domain import run_laws
 from .reach import _grow
 
@@ -126,60 +126,49 @@ class ModelHandle:
 # the five printed finite semirings
 
 
-def _tables(carrier, add_rows, mul_rows, star_row, zero, one):
-    return dict(
-        carrier=carrier,
-        add=add_rows,
-        mul=mul_rows,
-        star=star_row,
-        zero=zero,
-        one=one,
-    )
-
-
 _CONWAY = {
     # two-element Boolean semiring
-    "A2": _tables(
-        ("0", "1"),
-        [[0, 1], [1, 1]],
-        [[0, 0], [0, 1]],
-        [1, 1],
+    "A2": dict(
+        carrier=("0", "1"),
+        add=[[0, 1], [1, 1]],
+        mul=[[0, 0], [0, 1]],
+        star=[1, 1],
         zero=0,
         one=1,
     ),
     # three elements ordered 0 <= 1 <= a; a absorbs under +
-    "A3_1": _tables(
-        ("0", "a", "1"),
-        [[0, 1, 2], [1, 1, 1], [2, 1, 2]],
-        [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
-        [2, 1, 2],
+    "A3_1": dict(
+        carrier=("0", "a", "1"),
+        add=[[0, 1, 2], [1, 1, 1], [2, 1, 2]],
+        mul=[[0, 0, 0], [0, 1, 1], [0, 1, 2]],
+        star=[2, 1, 2],
         zero=0,
         one=2,
     ),
     # chain 0 <= a <= 1 with a nilpotent: a.a = 0
-    "A3_2": _tables(
-        ("0", "a", "1"),
-        [[0, 1, 2], [1, 1, 2], [2, 2, 2]],
-        [[0, 0, 0], [0, 0, 1], [0, 1, 2]],
-        [2, 2, 2],
+    "A3_2": dict(
+        carrier=("0", "a", "1"),
+        add=[[0, 1, 2], [1, 1, 2], [2, 2, 2]],
+        mul=[[0, 0, 0], [0, 0, 1], [0, 1, 2]],
+        star=[2, 2, 2],
         zero=0,
         one=2,
     ),
     # like A3_2 except a.a = a
-    "A3_3": _tables(
-        ("0", "a", "1"),
-        [[0, 1, 2], [1, 1, 2], [2, 2, 2]],
-        [[0, 0, 0], [0, 1, 1], [0, 1, 2]],
-        [2, 2, 2],
+    "A3_3": dict(
+        carrier=("0", "a", "1"),
+        add=[[0, 1, 2], [1, 1, 2], [2, 2, 2]],
+        mul=[[0, 0, 0], [0, 1, 1], [0, 1, 2]],
+        star=[2, 2, 2],
         zero=0,
         one=2,
     ),
     # chain 0 <= a <= 1 <= b with top b and a.a = 0
-    "A4_1": _tables(
-        ("0", "a", "1", "b"),
-        [[0, 1, 2, 3], [1, 1, 2, 3], [2, 2, 2, 3], [3, 3, 3, 3]],
-        [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 2, 3], [0, 1, 3, 3]],
-        [2, 2, 2, 3],
+    "A4_1": dict(
+        carrier=("0", "a", "1", "b"),
+        add=[[0, 1, 2, 3], [1, 1, 2, 3], [2, 2, 2, 3], [3, 3, 3, 3]],
+        mul=[[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 2, 3], [0, 1, 3, 3]],
+        star=[2, 2, 2, 3],
         zero=0,
         one=2,
     ),
@@ -195,10 +184,7 @@ def conway_model(name: str) -> FiniteSemiring:
     key = name.strip().upper()
     if key not in _CONWAY:
         raise ValueError(f"unknown builtin model {name!r}; choose from {', '.join(_CONWAY)}")
-    t = _CONWAY[key]
-    return FiniteSemiring(
-        t["carrier"], t["add"], t["mul"], t["zero"], t["one"], star=t["star"], name=key
-    )
+    return FiniteSemiring(**_CONWAY[key], name=key)
 
 
 # ---------------------------------------------------------------------------
@@ -920,14 +906,25 @@ def bounded_path_model(vertices, maxlen: int) -> PathModel:
 # predicate transformers
 
 
-class TransformerModel(ModelHandle):
-    """The maps p -> (a : p) induced by a domain structure's elements.
+# The source laws under which a map is fixed by its values on the atoms: then
+# a:p = dom(a (k1 + ... + kr)) for the atoms k below p (atomic-tests), which is
+# dom(a k1 + ... + a kr) = a:k1 + ... + a:kr (distributivity, dom-additive); for
+# p = 0, dom(a 0) = dom(0 0) <= 0 (annihilation, d2).  So every map, and every
+# pointwise join and composite of maps, is additive (Jonsson and Tarski, 1951).
+_ATOM_KEY_LAWS = frozenset({*_ISEMIRING_NAMES, "d2", "dom-additive", "atomic-tests"})
 
-    Transformers are stored as tuples over test positions; join is
-    pointwise, composition is map composition, star of a transformer is
-    the transformer of a star of any source element inducing it.  The
-    same maps, one row each, make up the array `table`, from which
-    index_tables builds the dense tables.
+
+class TransformerModel(ModelHandle):
+    """The maps p -> (a : p) = dom(a p) induced by a domain structure's elements.
+
+    Transformers are tuples over test positions, one row each of the array
+    `table`; join is pointwise, composition is map composition, and star
+    is the transformer of a star of a source element inducing the map.
+    Where the source's _exact_laws hold _ATOM_KEY_LAWS and the t tests over
+    m atoms give t^m <= _CHUNK keys, the model is atom-keyed: a map is
+    computed from the preimages of the atoms alone and keyed by its values
+    there, in base t.  Elsewhere a map is computed at every test,
+    index_tables returns None and the name says "not atom-keyed".
     """
 
     has_star = True
@@ -936,34 +933,48 @@ class TransformerModel(ModelHandle):
         if not getattr(D, "has_star", False):
             raise StarUnsupportedError("predicate transformers need a star on the source")
         self.D = D
-        self.name = f"transformers({getattr(D, 'name', '')})"
-        members = list(D.test_members())
-        self.members = members
-        pos = {p: i for i, p in enumerate(members)}
-        self._pos = pos
-
-        maps: list[tuple[int, ...]] = []
-        source: list = []
-        seen: dict[tuple[int, ...], int] = {}
-        for a in D.elements():
-            f = tuple(pos[D.preimage(a, p)] for p in members)
-            if f not in seen:
-                seen[f] = len(maps)
-                maps.append(f)
-                source.append(a)
-        self.maps = tuple(maps)
-        self.source = tuple(source)
-        self._index = seen
-
+        members = self.members = list(D.test_members())
+        pos = self._pos = {p: i for i, p in enumerate(members)}
         t = len(members)
-        self._joinpos = tuple(
-            tuple(pos[D.test_join(members[i], members[j])] for j in range(t)) for i in range(t)
-        )
-        self.table = np.array(maps, dtype=np.min_scalar_type(t - 1)).reshape(len(maps), t)
+        self._joinpos = tuple(tuple(pos[D.test_join(p, q)] for q in members) for p in members)
+        # the column of each atom where atom-keyed, else None
+        self._atoms = None
+        if _ATOM_KEY_LAWS <= getattr(D, "_exact_laws", frozenset()):
+            m = len(D.atom_positions(D.test_one))
+            if t**m <= _CHUNK:
+                self._atoms = [pos[D.test_from_positions([k])] for k in range(m)]
+        self.name = f"transformers({getattr(D, 'name', '')}{', not atom-keyed' if self._atoms is None else ''})"
+
+        first: dict[tuple[int, ...], object] = {}
+        for a in D.elements():
+            first.setdefault(self._values(a), a)
+        self.source = tuple(first.values())
+        F = np.array(list(first), dtype=np.min_scalar_type(t - 1)).reshape(len(first), -1)
+        self._by_values = {v: i for i, v in enumerate(first)}
+        if self._atoms is not None:
+            # a key is the values on the atoms as base-t digits; an unknown key reads len(F), one past the last map
+            self._key_of = np.full(t ** len(self._atoms), len(F), dtype=np.int32)
+            self._key_of[np.ravel_multi_index(F.T, (t,) * len(self._atoms))] = np.arange(len(F))
+            J, cols = np.array(self._joinpos, dtype=F.dtype), []
+            for p in members:  # p maps to the join of the values of the atoms below it
+                col = np.full(len(F), pos[D.test_zero], dtype=F.dtype)
+                for k in D.atom_positions(p):
+                    col = J[col, F[:, k]]
+                cols.append(col)
+            F = np.stack(cols, axis=1)
+        self.table = F
+        self.maps = tuple(map(tuple, F.tolist()))
+        self._index = {f: i for i, f in enumerate(self.maps)}
+
+    def _values(self, a) -> tuple[int, ...]:
+        """a's transformer on the atoms where the model is atom-keyed, else at every test."""
+        D, pos = self.D, self._pos
+        if self._atoms is None:
+            return tuple(pos[D.preimage(a, p)] for p in self.members)
+        return tuple(pos[D.test_from_positions(D.preimage_positions(a, k))] for k in range(len(self._atoms)))
 
     def transformer_of(self, a) -> tuple[int, ...]:
-        pos = self._pos
-        return tuple(pos[self.D.preimage(a, p)] for p in self.members)
+        return self.maps[self._by_values[self._values(a)]]
 
     def apply(self, f: tuple[int, ...], p: int) -> int:
         return self.members[f[self._pos[p]]]
@@ -1002,53 +1013,38 @@ class TransformerModel(ModelHandle):
         return "f" + str(f)
 
     def index_tables(self):
-        """add[x, y] is the index of the row joinpos[F[x], F[y]] and mul[x, y] that of F[x][F[y]].
+        """add[x, y] is the index of the map with values joinpos[F[x, k], F[y, k]] on the atoms k, mul[x, y] that of F[x, F[y, k]].
 
-        A map is keyed by its digits in base t (the number of tests), and a
-        row goes back to its index through the sorted keys.  The rows are
-        built for blocks of x of at most _CHUNK digits; past t = 15 the keys
-        would overflow int64 and the tables are left to add and mul.
+        Both maps are additive, so these values fix them: their keys are
+        read back through the dense key array, in blocks of x of at most
+        _CHUNK cells.  None where the model is not atom-keyed.
         """
-        F = self.table
-        m, t = F.shape
-        if t > 15:
+        if self._atoms is None:
             return None
-        weights = t ** np.arange(t, dtype=np.int64)
-        keys = F @ weights
-        order = np.argsort(keys)
-        ranked = keys[order]
-
-        def index(rows):
-            k = rows @ weights
-            found = order[np.minimum(np.searchsorted(ranked, k), m - 1)]
-            if not np.array_equal(keys[found], k):
-                raise ValueError(f"{self.name} is not closed under + and ·")
-            return found
-
+        F, t, size = self.table, len(self.members), len(self.table)
         join = np.array(self._joinpos, dtype=F.dtype).ravel()
-        add, mul = np.empty((m, m), dtype=np.int32), np.empty((m, m), dtype=np.int32)
-        step = max(1, _CHUNK // (m * t))
-        for lo in range(0, m, step):
-            Fx = F[lo : lo + step]
-            # joinpos[Fx[i, k], F[j, k]] by one flat take, Fx[i, F[j, k]] by a take along the rows
-            add[lo : lo + step] = index(join.take(np.add(np.multiply(Fx[:, None], t, dtype=np.intp), F)))
-            mul[lo : lo + step] = index(Fx.take(F, axis=1))
+        add, mul = tables = np.empty((2, size, size), dtype=np.int32)
+        for rows in _row_blocks(size, size * len(self._atoms)):
+            Fx = F[rows]
+            keys = np.zeros((2, len(Fx), size), dtype=np.int32)
+            for c in self._atoms:  # the base-t digits, highest first
+                keys *= t
+                # joinpos[Fx[i, c], F[j, c]] by one flat take, Fx[i, F[j, c]] by a take along the rows
+                keys[0] += join.take(np.add(np.multiply(Fx[:, c, None], t, dtype=np.int32), F[:, c]))
+                keys[1] += Fx.take(F[:, c], axis=1)
+            tables[:, rows] = self._key_of.take(keys)
+            if tables[:, rows].max() == size:
+                raise ValueError(f"{self.name} is not closed under + and ·")
         return add, mul
 
     def declared_tests(self):
-        D = self.D
-        members = [self.transformer_of(D.embed(p)) for p in self.members]
-        compl = {
-            self.transformer_of(D.embed(p)): self.transformer_of(D.embed(D.test_compl(p)))
-            for p in self.members
-        }
-        return members, compl
+        embedded = {p: self.transformer_of(self.D.embed(p)) for p in self.members}
+        return list(embedded.values()), {f: embedded[self.D.test_compl(p)] for p, f in embedded.items()}
 
     def as_semiring(self) -> tuple[FiniteSemiring, TestAlgebra, tuple[int, ...]]:
         """Materialize to dense tables; returns (semiring, tests, source map)."""
         mat = materialize(self)
-        src = tuple(self.source[i] for i in range(len(self.maps)))
-        return mat.semiring, mat.tests, src
+        return mat.semiring, mat.tests, self.source
 
 
 def predicate_transformer_model(D) -> TransformerModel:

@@ -520,6 +520,13 @@ def test_lights_test_refutes_a_non_associative_table():
     assert not kadlib.algebra._associative(X, kadlib.algebra._generators(X))
 
 
+def test_rel3_mul_generators_are_few_and_generate_the_carrier():
+    # rarest first: the greedy pass over index order took 37
+    gens = kadlib.algebra._generators(REL3.mul)
+    assert len(gens) <= 8
+    assert closure(REL3.mul, gens) == list(range(REL3.n))
+
+
 def test_rel3_add_generators_are_zero_and_the_single_pairs():
     # an element's index is its adjacency mask, so a single pair is a power of two
     assert kadlib.algebra._generators(REL3.add) == [0] + [1 << k for k in range(9)]

@@ -17,7 +17,7 @@ from kadlib.algebra import (
     check_test_algebra,
     failures,
 )
-from kadlib.domain import run_laws
+from kadlib.domain import DomainStructure, compute_predomain, run_laws
 from kadlib.hoare import check_hoare_rules
 from kadlib.models import (
     Relation,
@@ -602,6 +602,44 @@ def test_transformer_tables_match_the_model_cell_for_cell(n):
     TM = predicate_transformer_model(rel_model(n))
     assert TM.index_tables() is not None
     assert materialized(TM) == reference_materialize(TM)
+
+
+def dom_additive_broken():
+    """rel(2)'s tables with dom(a) the states whose one successor is themselves: d2 and atomic-tests hold, dom-additive fails."""
+    S, T, R = rel_semiring(2), rel_tests(2), rel_model(2)
+    delta = [_rel_mask(R.embed(R.test_from_states(i + 1 for i, row in enumerate(a.succ) if row == (i,)))) for a in R.elements()]
+    return DomainStructure(S, T, delta, compute_predomain(S, T).rho)
+
+
+TRANSFORMER_SOURCES = {
+    **{f"rel{n}-table": (lambda n=n: compute_predomain(rel_semiring(n), rel_tests(n))) for n in (2, 3)},
+    **{name: (lambda name=name: compute_predomain(conway_model(name), TestAlgebra.discrete(conway_model(name)))) for name in conway_names()},
+    "dom-additive-broken": dom_additive_broken,
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSFORMER_SOURCES))
+def test_transformer_tables_of_domain_structures_match_the_model_cell_for_cell(name):
+    D = TRANSFORMER_SOURCES[name]()
+    TM = predicate_transformer_model(D)
+    atom_keyed = "dom-additive" in D._exact_laws
+    assert atom_keyed == (name != "dom-additive-broken")
+    assert (TM.index_tables() is not None) == atom_keyed
+    assert TM.name.endswith(", not atom-keyed)") != atom_keyed
+    assert materialized(TM) == reference_materialize(TM)
+    members = D.test_members()
+    for a in D.elements():
+        assert [TM.apply(TM.transformer_of(a), p) for p in members] == [D.preimage(a, p) for p in members]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_transformer_of_is_the_preimage_at_every_test(n):
+    D = rel_model(n)
+    TM = predicate_transformer_model(D)
+    members = D.test_members()
+    for a in D.elements():
+        f = TM.transformer_of(a)
+        assert [TM.apply(f, p) for p in members] == [D.preimage(a, p) for p in members]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
