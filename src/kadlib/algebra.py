@@ -17,8 +17,7 @@ exhaustive, and a failure's witness is the lexicographically first failing
 assignment in the declared variable order.
 
 check_isemiring and check_kleene decide their eight three-variable laws
-exactly by reduction, each once the laws its guard names have held on the
-same tables:
+exactly, each once the laws its guard names have held on the same tables:
 
 - add-/mul-associative: Light's test over a generating set of (carrier, +)
   or (carrier, ·), found greedily rarest first (Clifford and Preston, The
@@ -28,23 +27,21 @@ same tables:
 - star-left-/star-right-induction: a* <= mu(a, 1), where mu(a, b) =
   mu(a, 1) b is the least solution of the premise, iterated from 0;
   guard: the isemiring laws.
-- star-left-/star-right-simulation: theorems of the axioms (Kozen 1994);
-  guard: the isemiring laws and the matching unfold and induction laws.
+- star-left-/star-right-simulation: certified by star-left-/star-right-
+  induction (Kozen 1994); guard: the isemiring laws and the matching
+  unfold law.
 
 Every other law goes through _rewrite, the one law-rewrite step, which
-domain.run_laws uses too.  Here it finds a law whose variables occur only
-inside copies of one subterm and decides it with that subterm generalized
-to a fresh variable over the carrier, where that has fewer instances
-(_generalized).  Its other rewrites, Horn elimination and join-irreducible
-ranges, run behind guards that these checkers do not pass, and a
-certificate names a law of the star/preimage suite.  A law whose guard has
-not held, or that its reduction or general form refutes, is scanned, so
-every report and witness is the scanner's.
+domain.run_laws uses too.  It certifies a law by another that has held
+(_CERTIFICATES), or rewrites it to an equivalent law with fewer instances:
+Horn elimination and join-irreducible ranges, behind guard laws that held
+on every instance (the isemiring laws and dom- and cod-additivity).  A law
+whose guard has not held, or that its reduction or rewrite refutes, is
+scanned, so every report and witness is the scanner's.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -899,7 +896,7 @@ ISEMIRING_LAWS, KLEENE_LAWS, TEST_LAWS = _law_tables()
 
 
 # ---------------------------------------------------------------------------
-# laws decided by reduction, in a general form or through the rewrite step
+# laws decided by reduction or through the rewrite step
 
 
 def _row_blocks(n: int, cols: int):
@@ -990,43 +987,6 @@ def _induction(S: FiniteSemiring, left: bool) -> bool:
     return False
 
 
-@functools.lru_cache(maxsize=None)
-def _generalized(law: Law, tests: Optional[int], n: int) -> Optional[Law]:
-    """law with one subterm t replaced by a fresh variable over the carrier, or None.
-
-    tests and n are the sizes of the test algebra and the carrier.  law
-    must take no complement, every variable of t must occur only inside
-    copies of t, and t's variables must have more joint values than the
-    carrier.  Each instance of law is then an instance of the result, with
-    t's value for the fresh variable, so if the result holds so does law.
-    Of the subterms that qualify the first in a pre-order walk of the atoms
-    is taken; the fresh variable is named after t and takes the place of
-    t's first variable in law.vars.
-    """
-    atoms = (law.concl, *law.premises)
-    nodes = [u for a in atoms for u in _walk(a)]
-    if any(u.op == "not" for u in nodes):
-        return None
-    sizes = {v: tests if v in law.tests else n for v in law.vars}
-    total = collections.Counter(u.name for u in nodes if u.op == "var")
-    for t in nodes:
-        if t.op in ("var", "eq", "leq", "iff"):
-            continue
-        inner = collections.Counter(u.name for u in _walk(t) if u.op == "var")
-        if math.prod(sizes[v] for v in inner) <= n:
-            continue
-        # copies of t never nest, so t's variables occur nowhere else iff the counts match
-        copies = nodes.count(t)
-        if all(total[v] == copies * k for v, k in inner.items()):
-            x = var(str(t))
-            first = next(v for v in law.vars if v in inner)
-            order = tuple(x.name if v == first else v for v in law.vars if v == first or v not in inner)
-            tests_left = tuple(v for v in law.tests if v not in inner)
-            concl, *premises = (_replace(a, t, x) for a in atoms)
-            return Law(law.name, order, concl, tuple(premises), tests_left, law.requires)
-    return None
-
-
 def _walk(t: Term):
     """The subterms of t, t first, in pre-order."""
     yield t
@@ -1062,10 +1022,6 @@ _REDUCTIONS = {
     "right-distributive": (("add-associative", "mul-associative"), lambda S: _distributive(S, False)),
     "star-left-induction": (_ISEMIRING_NAMES, lambda S: _induction(S, True)),
     "star-right-induction": (_ISEMIRING_NAMES, lambda S: _induction(S, False)),
-    # theorems of the axioms (Kozen 1994): from ac <= cb, star-left-induction
-    # with c b* for c gives a*c <= c b*, and the right law is its mirror
-    "star-left-simulation": (_ISEMIRING_NAMES + ("star-left-unfold", "star-left-induction"), lambda S: True),
-    "star-right-simulation": (_ISEMIRING_NAMES + ("star-right-unfold", "star-right-induction"), lambda S: True),
 }
 
 # With these + is a join and the operations of _ADDITIVE_OPS preserve binary
@@ -1078,6 +1034,10 @@ _CERTIFICATES = {
     # and q := b:q: a:(c:p) <= (ac):p by dloc and associativity, and
     # (a*b):q <= a*:(b:q) by d1, d2 and monotone dom
     "preimage-horn-induction": ("preimage-star-induction", ("dloc", "d1", "d2", "dom-additive", *_ISEMIRING_NAMES)),
+    # theorems of the axioms (Kozen 1994): from ac <= cb, star-left-induction
+    # with c b* for c gives a*c <= c b*, and the right law is its mirror
+    "star-left-simulation": ("star-left-induction", (*_ISEMIRING_NAMES, "star-left-unfold")),
+    "star-right-simulation": ("star-right-induction", (*_ISEMIRING_NAMES, "star-right-unfold")),
 }
 
 
@@ -1094,26 +1054,24 @@ class _Rewrite(NamedTuple):
 
 
 def _rewrite(law: Law, model, held, budget: int = 0) -> Optional[_Rewrite]:
-    """law certified or made smaller for model, or None where no rewrite applies.
+    """law certified, or rewritten to an equivalent law with fewer instances, or None where neither applies.
 
-    model has the domain surface (size, test_count; join_irreducibles and the
-    atom surface for narrowed ranges), and held names the laws known to hold
-    on every instance in it.  A law whose certificate (_CERTIFICATES) and the
-    laws it needs have held is certified.  Otherwise these rewrites run in
-    turn, each only while the law has more instances than budget:
-
-    1. generalization of a repeated subterm (_generalized);
-    2. Horn elimination, behind _REWRITE_GUARDS (_eliminated): v := t1+...+tk;
-    3. join-irreducible ranges, behind _REWRITE_GUARDS (_narrowed).
-
-    2 and 3 are equivalences, so a failure of their result is a failure of
-    law, lifted by giving each eliminated variable its bound's value.  1 is
-    one way: its result holding proves law, its failing refutes nothing.
+    held names the laws known to hold on every instance in model.  A law
+    whose certificate (_CERTIFICATES) and the laws it needs have held is
+    certified.  Otherwise, once the guards _REWRITE_GUARDS have held, Horn
+    elimination (_eliminated: v := t1 + ... + tk) and then join-irreducible
+    ranges (_narrowed) run, each only while the law has more instances than
+    budget.  Both are equivalences, so a failure of the result is one of law,
+    lifted by giving each eliminated variable its bound's value.  A guard
+    is never rewritten, as its rewrite would rest on itself.  model has
+    the domain surface (size, test_count; join_irreducibles and the atom
+    surface for narrowed ranges) and is read only past the guards.
     """
     by, needs = _CERTIFICATES.get(law.name, (None, ()))
     if by is not None and held.issuperset((by, *needs)):
         return _Rewrite(law, None, f"certified by {by}")
-
+    if law.name in _REWRITE_GUARDS or not held.issuperset(_REWRITE_GUARDS):
+        return None
     n = model.size() or math.inf
 
     def size(v: str, law: Law):
@@ -1123,12 +1081,9 @@ def _rewrite(law: Law, model, held, budget: int = 0) -> Optional[_Rewrite]:
         return math.prod(size(v, law) for v in law.vars)
 
     given, bounds, ranges = law, (), None
-    guarded = held.issuperset(_REWRITE_GUARDS)
     if space(law) > budget:
-        law = _generalized(law, model.test_count() if law.tests else None, n) or law
-    if guarded and space(law) > budget:
         law, bounds = _eliminated(law)
-    if guarded and space(law) > budget:
+    if space(law) > budget:
         ranges = _narrowed(law, model, held, size)
     return None if law is given and ranges is None else _Rewrite(law, ranges, "reduced", bounds)
 
@@ -1177,24 +1132,26 @@ def _eliminated(law: Law) -> tuple:
 
 
 def _narrowed(law: Law, model, held, size) -> Optional[tuple]:
-    """Per variable of a premise-free f <= g, 0 and the join-irreducibles where they decide it, else None.
+    """Per variable of a premise-free f <= g or f = g, 0 and the join-irreducibles where they decide it, else None.
 
-    They decide a variable x that occurs once in f and, in f and g, only
-    under +, ·, dom and cod: f preserves binary joins in x and g is monotone
-    in x, so f(x) = f(j1) + ... + f(jk) <= g(j1) + ... + g(jk) <= g(x) for
+    They decide a variable x that occurs once in f, once in g too for
+    f = g (read as f <= g and g <= f), and in f and g only under +, ·, dom
+    and cod: f preserves binary joins in x and g is monotone in x, so
+    f(x) = f(j1) + ... + f(jk) <= g(j1) + ... + g(jk) <= g(x) for
     x = j1 + ... + jk (Jónsson and Tarski 1951), and each variable can be
     narrowed with the others ranging freely.  The join-irreducibles of the
     carrier are model.join_irreducibles(); those of the tests are the atoms,
     when every test is the join of the atoms below it (atomic-tests).  The
     result is None if no variable is narrowed.
     """
-    if law.premises or law.concl.op != "leq" or not hasattr(model, "join_irreducibles"):
+    if law.premises or law.concl.op not in ("leq", "eq") or not hasattr(model, "join_irreducibles"):
         return None
     f, g = law.concl.args
+    sides = (f, g) if law.concl.op == "eq" else (f,)
     ranges = []
     for v in law.vars:
         test, values = v in law.tests, None
-        if sum(u == var(v) for u in _walk(f)) == 1 and _monotone(f, v) and _monotone(g, v):
+        if all(sum(u == var(v) for u in _walk(t)) == 1 for t in sides) and _monotone(f, v) and _monotone(g, v):
             if not test:
                 values = [model.zero, *model.join_irreducibles()]
             elif "atomic-tests" in held:
@@ -1207,14 +1164,14 @@ def _decided(scanner: _Scanner, law: Law, held: set) -> bool:
     """Whether law is found true without its own scan.
 
     A law with a reduction holds if the laws the reduction needs have held
-    and the reduction finds it true.  Any other law checked with a domain
-    structure holds if _rewrite certifies it, or rewrites it to a form the
-    scanner finds no failure of.
+    and the reduction finds it true.  Any other law holds if _rewrite
+    certifies it, or rewrites it to an equivalent law that the scanner
+    finds no failure of.
     """
     if law.name in _REDUCTIONS:
         needs, holds = _REDUCTIONS[law.name]
         return held.issuperset(needs) and holds(scanner.S)
-    rw = None if scanner.D is None else _rewrite(law, scanner.D, held)
+    rw = _rewrite(law, scanner.D, held)
     return rw is not None and (rw.mode != "reduced" or scanner.first_failure(rw.law, rw.ranges) is None)
 
 

@@ -71,7 +71,7 @@ from .hoare import (
     check_triple,
     validate_proof,
 )
-from .models import Relation, conway_model, conway_names, rel_model, rel_semiring, rel_tests
+from .models import Relation, conway_model, rel_model, rel_semiring, rel_tests
 from .reach import reach_efficient, reach_naive
 from .termination import termination_report
 
@@ -511,8 +511,10 @@ def _load_algebra(path: str) -> tuple[FiniteSemiring, TestAlgebra]:
     if path.startswith("rel:"):
         try:
             n = int(path[len("rel:") :])
-        except ValueError as e:
-            raise CliParseError(f"bad relation model spec {path!r}") from e
+        except ValueError:
+            n = 0
+        if n < 1:
+            raise CliParseError(f"bad relation model spec {path!r}")
     else:
         ws = load_workspace(path)
         if ws.semiring is not None:

@@ -380,11 +380,13 @@ def check_domain_calculus(D: DomainStructure) -> list[LawReport]:
     complement commutation, the top-element Galois connection, and the
     preimage exchange/decomposition laws.  Laws that need locality are
     checked only when the dloc and cdloc flags hold and reported as not
-    applicable otherwise.  A law is first decided in the form
-    algebra._rewrite gives it, where it gives one (image-compose-bound and
-    -exact generalized over x = p a), and scanned only if that fails.
+    applicable otherwise.  Behind the laws D is known to satisfy (its
+    _exact_laws), a law that algebra._rewrite rewrites is first decided in
+    that equivalent form (image-compose-bound and -exact with p over 0 and
+    the atoms, a and b over 0 and the join-irreducibles), and scanned only
+    if that fails, so every witness is the scanner's.
     """
-    return _check(DOMAIN_CALCULUS, _Scanner(D.owner, D=D), (), _decided)
+    return _check(DOMAIN_CALCULUS, _Scanner(D.owner, D=D), (), _decided, D._exact_laws)
 
 
 def is_integral(S: FiniteSemiring) -> Verdict:
@@ -571,9 +573,10 @@ def run_laws(laws, D, budget: int, samples: int, rng=None) -> list[LawReport]:
     A law's instances come from _instances: when they are all listed, a
     DomainStructure is scanned by check_laws' scanner and any other model is
     checked through its methods.  Where they are not, the law is first
-    decided through algebra._rewrite (_by_rewrite), behind the laws the
-    model is known to satisfy (its _exact_laws) and those decided exactly
-    earlier in the run; failing that, sampled instances are drawn from rng
+    decided through algebra._rewrite (_by_rewrite): certified, or
+    rewritten to an equivalent law behind the laws the model is known to
+    satisfy (its _exact_laws) and those decided exactly earlier in the
+    run; failing that, sampled instances are drawn from rng
     (default: seeded 0).  The note says which: exhaustive, reduced (k) for k
     instances of the rewritten law, certified by <law>, or sampled (n).
     Witnesses hold element and test names.
@@ -647,8 +650,6 @@ def _lift(law: Law, rw, D, values) -> Optional[tuple]:
     """The instance of law for the failing instance values of rw.law, if law fails there; else None."""
     holds = _Evaluator(D, law)
     found = dict(zip(rw.law.vars, values))
-    if not found.keys() <= holds.pos.keys():
-        return None  # a generalized variable stands for no one instance of law
     env = [found.get(v) for v in law.vars]
     try:
         # a bound reads only variables that were still there when it was taken

@@ -1,12 +1,17 @@
 """Command-line front end: the program/test grammar, workspace round-trips,
 every exit code, and the printed report formats."""
 
+import contextlib
+import copy
+import io
 import json
 import random
 import subprocess
 import sys
 from pathlib import Path
 
+import hypothesis
+import hypothesis.strategies as strat
 import pytest
 
 import kadlib.cli
@@ -185,17 +190,78 @@ MALFORMED = {
         {**semiring_to_doc(conway_model("A2")), "tests": {"members": ["0", "1"], "compl": [["0", "1"]]}},
         "the test complement must be an object, not an array",
     ),
+    # relation model specs in place of a workspace path; "n": 0 in a workspace exits 2 too
+    "rel-zero": ("rel:0", "bad relation model spec 'rel:0'"),
+    "rel-negative": ("rel:-1", "bad relation model spec 'rel:-1'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_workspace_is_a_one_line_parse_error(case, tmp_path, capsys):
     doc, message = MALFORMED[case]
-    path = write_ws(tmp_path, doc)
-    argv = ["check", path] if "semiring" in doc else ["termination", path, "--relation", "R"]
+    if isinstance(doc, str):
+        argv = ["check", doc]
+    else:
+        path = write_ws(tmp_path, doc)
+        argv = ["check", path] if "semiring" in doc else ["termination", path, "--relation", "R"]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert (out, err) == ("", f"error: {message}\n")
+
+
+WORKSPACE_KEYS = ("n", "relations", "sets", "programs", "env", "triples", "proofs", "semiring", "tests", "R", "t", "p")
+json_values = strat.recursive(
+    strat.one_of(
+        strat.none(),
+        strat.booleans(),
+        strat.integers(-1, 4),
+        strat.sampled_from(["", "R", "t", "0", "1", "a", "x", "step", "{1}", "true", "skip; step", "while {1} do R od"]),
+    ),
+    lambda kids: strat.one_of(strat.lists(kids, max_size=3), strat.dictionaries(strat.sampled_from(WORKSPACE_KEYS), kids, max_size=3)),
+    max_leaves=6,
+)
+
+
+def slots(node):
+    """(container, key) for every entry of every object and array in a JSON document."""
+    entries = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, v in entries:
+        yield node, k
+        yield from slots(v)
+
+
+@strat.composite
+def mutated_workspaces(draw):
+    """A MALFORMED document with one to three entries replaced, dropped or added."""
+    doc = copy.deepcopy(draw(strat.sampled_from([doc for doc, _ in MALFORMED.values() if isinstance(doc, dict)])))
+    for _ in range(draw(strat.integers(1, 3))):
+        node, key = draw(strat.sampled_from([(doc, draw(strat.sampled_from(WORKSPACE_KEYS))), *slots(doc)]))
+        if draw(strat.booleans()) or isinstance(node, list):
+            node[key] = draw(json_values)
+        else:
+            node.pop(key, None)
+    return doc
+
+
+@hypothesis.settings(max_examples=100, deadline=None)
+@hypothesis.given(
+    mutated_workspaces(),
+    strat.sampled_from(
+        [["check"], ["reach", "--relation", "R", "--targets", "1"], ["termination", "--relation", "R"], ["hoare", "--triple", "t"], ["hoare", "--proof", "p"]]
+    ),
+)
+def test_mutated_workspaces_end_in_an_exit_code_never_a_traceback(tmp_path_factory, doc, command):
+    """Exit 2 or 3 with a one-line message, or a verdict: exit 1 only where one failed."""
+    path = write_ws(tmp_path_factory.getbasetemp(), doc, "mutated.json")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command[0], path, *command[1:]])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert any(word in out.getvalue() for word in ("FAILS", "DISAGREE", "INVALID")), out.getvalue()
+    if code in (2, 3):
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
 
 
 def test_json_nested_too_deeply_is_a_one_line_parse_error(tmp_path, capsys):

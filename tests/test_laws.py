@@ -14,7 +14,7 @@ including the corrupted ones, their reports must equal the scanner's.
 The shortcuts are checked against the forms they replace: the one-variable
 induction test against the two-variable mu(a, b) iteration, the
 early-stopping powers-below-star search against the full n-step loop, and
-check_domain_calculus, which decides some laws in a general form first,
+check_domain_calculus, which decides some laws in a rewritten form first,
 against the plain scan.
 
 The golden files under data/check hold the stdout and exit code of
@@ -58,6 +58,7 @@ from kadlib.algebra import (
     conv,
     cod,
     dom,
+    eq,
     eval_term,
     one_term,
     opposite,
@@ -478,7 +479,7 @@ def test_check_kleene_reads_the_isemiring_reports_kept_on_the_semiring(monkeypat
     check_kleene(S)
     check_isemiring(S)
     check_kleene(S)
-    reduced = set(kadlib.algebra._REDUCTIONS)
+    reduced = set(kadlib.algebra._REDUCTIONS | kadlib.algebra._CERTIFICATES)
     # the isemiring laws once, for the first check_kleene; the Kleene laws twice
     laws = [law.name for law in ISEMIRING_LAWS + KLEENE_LAWS + KLEENE_LAWS if isinstance(law, Law)]
     assert scans == [name for name in laws if name not in reduced]
@@ -610,7 +611,7 @@ def test_powers_below_star_stops_early_with_the_full_loops_verdict():
     assert sum(w is None for _, w in witnesses) > len(witnesses) // 2
 
 
-def generalization_cases():
+def predomain_cases():
     """Predomains of the MODELS and of the CORRUPTIONS that have one, and the corrupted domain tables."""
     for name, S, T in shortcut_cases():
         if name not in ("rel3", "broken_A3_3_star"):
@@ -623,42 +624,64 @@ def generalization_cases():
             yield f"{name}-domain-{k}", D
 
 
-def test_generalized_domain_laws_match_the_plain_scan():
-    generalized = 0
-    for name, D in generalization_cases():
-        sizes = len(D.tests.members), D.owner.n
-        generalized += sum(kadlib.algebra._generalized(law, *sizes) is not None for law in DOMAIN_CALCULUS)
-        got = [(r.name, r.holds, r.witness, r.note) for r in check_domain_calculus(D)]
-        want = [(r.name, r.holds, r.witness, r.note) for r in check_laws(DOMAIN_CALCULUS, D.owner, D=D)]
-        assert got == want, name
-    assert generalized
-
-
-def test_a_failing_general_form_falls_back_to_the_scan(monkeypatch):
-    """With one a test and 1 a = a every element is some p a, so the general
-    form of image-compose-bound fails only where the law does.  Here one mul
-    cell sets 1 a = 0 in A3_1, over the domain tables of the intact model:
-    x = a is no p a, and the general form fails at x = a while the law
-    holds, which only the scan of the law itself can tell."""
-    S = conway_model("A3_1")
-    D = compute_predomain(S, TestAlgebra.discrete(S))
-    mul = np.array(S.mul)
-    mul[S.one, S.index("a")] = S.zero
-    S2 = FiniteSemiring(S.carrier, S.add, mul, S.zero, S.one, S.star)
-    D2 = DomainStructure(S2, TestAlgebra.discrete(S2), D.delta, D.rho)
+def counting_scans(monkeypatch):
+    """A list that records (law name, the number of values of each variable or None for a plain scan,
+    first failure) for each scan from now on."""
     scans = []
     scan = kadlib.algebra._Scanner.first_failure
 
     def counting(self, law, ranges=None):
         found = scan(self, law, ranges)
-        scans.append((law.name, law.vars, found))
+        scans.append((law.name, ranges and [None if r is None else len(r) for r in ranges], found))
         return found
 
     monkeypatch.setattr(kadlib.algebra._Scanner, "first_failure", counting)
-    reports = {r.name: r for r in check_domain_calculus(D2)}
-    assert reports["image-compose-bound"] == LawReport("image-compose-bound", True)
-    compose = [(vs, found) for name, vs, found in scans if name == "image-compose-bound"]
-    assert compose == [(("(pa)", "b"), {"(pa)": S.index("a"), "b": S.index("a")}), (("p", "a", "b"), None)]
+    return scans
+
+
+def test_the_domain_calculus_matches_the_plain_scan(monkeypatch):
+    """check_domain_calculus, which decides a law in its rewritten form first, gives the
+    plain scan's reports; the random additive domains refute rewritten laws, which then
+    fall back to the scan of the law itself."""
+    cases = [
+        *predomain_cases(),
+        *((f"rel2-additive-{seed}", random_additive_domain(seed)) for seed in range(8)),
+        ("rel3", compute_predomain(rel_semiring(3), rel_tests(3))),
+    ]
+    for _, D in cases:
+        D._exact_laws  # the guard scans, which are not rewrites
+    scans = counting_scans(monkeypatch)
+    for name, D in cases:
+        got = [(r.name, r.holds, r.witness, r.note) for r in check_domain_calculus(D)]
+        want = [(r.name, r.holds, r.witness, r.note) for r in check_laws(DOMAIN_CALCULUS, D.owner, D=D)]
+        assert got == want, name
+    rewritten = [found for _, sizes, found in scans if sizes]
+    assert len(rewritten) > 24 and sum(found is not None for found in rewritten) == 24
+
+
+def test_a_refuted_rewrite_falls_back_to_the_scan(monkeypatch):
+    """image-compose-bound on an additive rel(2) domain is scanned first with p over 0
+    and the atoms, a and b over 0 and the single pairs; that fails, and the scan of the
+    law itself gives the witness."""
+    D = random_additive_domain(5)
+    D._exact_laws
+    scans = counting_scans(monkeypatch)
+    reports = {r.name: r for r in check_domain_calculus(D)}
+    witness = {"p": 1, "a": 2, "b": 8}
+    assert reports["image-compose-bound"] == LawReport("image-compose-bound", False, witness)
+    compose = [(sizes, found) for name, sizes, found in scans if name == "image-compose-bound"]
+    assert compose == [([3, 5, 5], witness), (None, witness)]
+
+
+def test_rel3_image_compose_laws_are_decided_by_400_instances(monkeypatch):
+    """On the rel(3) predomain image-compose-bound and -exact each scan 4 * 10 * 10
+    instances, never the 8 * 512 * 512 of the law itself."""
+    D = compute_predomain(rel_semiring(3), rel_tests(3))
+    D._exact_laws
+    scans = counting_scans(monkeypatch)
+    assert all_hold(check_domain_calculus(D))
+    compose = [(name, sizes, found) for name, sizes, found in scans if name.startswith("image-compose")]
+    assert compose == [("image-compose-bound", [4, 10, 10], None), ("image-compose-exact", [4, 10, 10], None)]
 
 
 def test_the_rel3_predomain_is_built_once_per_cold_start(monkeypatch, capsys):
@@ -975,14 +998,14 @@ def test_law_tables_match_the_per_law_predicates(make):
 
 
 def rewrite_targets():
-    """rel(1) and rel(2) as relations, the predomains of generalization_cases (the
+    """rel(1) and rel(2) as relations, the predomains of predomain_cases (the
     builtins, the rel(1) and rel(2) tables, every seeded corruption that has one and
     the corrupted domain tables), the corrupted rel(2) domains of domain_targets, and
     each intact predomain with its dom and cod swapped: both stay additive, so the
     rewrites run there, and the image laws fail."""
     for n in (1, 2):
         yield f"rel_model({n})", rel_model(n)
-    yield from generalization_cases()
+    yield from predomain_cases()
     for seed in range(6):
         yield f"rel2-corrupt-{seed}", corrupt_domain(seed)
     for name, S, T in MODELS:
@@ -1064,6 +1087,19 @@ def test_a_rewritten_law_takes_no_draws():
     assert got[1:3] == run_laws(HOARE_RULES[1:3], D, budget=100, samples=40, rng=random.Random(1))
     sampled_all = reference_hoare_rules(D, budget=100, samples=40, rng=random.Random(1))
     assert sampled_all[2].witness == {"a": "{(2,1)}", "p": "{(2,2)}", "q": "{(1,1),(2,2)}"}
+
+
+def test_an_equation_is_narrowed_only_where_both_sides_are_additive():
+    """f = g is narrowed in a variable that occurs once on each side, under only +, ·, dom and cod."""
+    D = compute_predomain(rel_semiring(2), rel_tests(2))
+    a, p = var("a"), var("p")
+
+    def narrowed(law):
+        return kadlib.algebra._rewrite(law, D, D._exact_laws) is not None
+
+    assert narrowed(Law("once-on-each-side", "a", eq(dom(a), dom(a * one_term))))
+    assert not narrowed(Law("twice-on-the-right", "a", eq(dom(a), dom(a) * dom(a))))
+    assert not narrowed(Law("under-complement-on-the-right", "p", eq(p, compl(compl(p))), tests="p"))
 
 
 def test_join_irreducibles_are_what_the_order_says():
@@ -1205,6 +1241,17 @@ def test_sampled_laws_agree_with_check_isemiring_on_corrupted_tables(name, table
     want = table_rows(S2, check_isemiring(S2) + (check_kleene(S2) if S2.star is not None else []))
     assert [(r.name, r.holds, r.witness) for r in got] == want
     assert {r.note for r in got} == {"exhaustive"}
+
+
+@pytest.mark.parametrize("n", [3, 5, 10])
+def test_the_isemiring_laws_of_a_relation_model_are_not_rewritten(n):
+    """RelModel._exact_laws asserts the isemiring laws, which guard the rewrite step; a
+    guard is never rewritten, as that would rest on itself, so every law past the 2^16
+    budget is sampled: on rel(3) each law of two or three variables."""
+    laws = [law for law in ISEMIRING_LAWS if isinstance(law, Law)] + list(KLEENE_LAWS[:2])
+    got = check_sampled_laws(rel_model(n), include_star=True)
+    assert [r.name for r in got] == [law.name for law in laws]
+    assert [r.note for r in got] == ["exhaustive" if n == 3 and len(law.vars) == 1 else "sampled (1000)" for law in laws]
 
 
 def test_sampled_laws_enumerate_only_what_a_handle_can():
