@@ -38,6 +38,13 @@ Horn elimination and join-irreducible ranges, behind guard laws that held
 on every instance (the isemiring laws and dom- and cod-additivity).  A law
 whose guard has not held, or that its reduction or rewrite refutes, is
 scanned, so every report and witness is the scanner's.
+
+Only the table layer needs numpy; relations, reachability, termination and
+Hoare triples work on ints and lists, and importing numpy is most of a `kad`
+start-up.  So np is bound lazily here, and domain and models import it from
+here.  A module __getattr__ never sees a module's own global lookups, so the
+first attribute read imports numpy and rebinds np to it in each kadlib module
+that holds the stand-in: the table kernels then pay no indirection.
 """
 
 from __future__ import annotations
@@ -45,10 +52,24 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Optional
 
-import numpy as np
+
+class _LazyNumpy:
+    """Stands in for numpy until its first attribute read (see the module docstring)."""
+
+    def __getattr__(self, name):
+        import numpy
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith(__package__ + ".") and vars(module).get("np") is self:
+                module.np = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy()
 
 __all__ = [
     "FiniteSemiring",

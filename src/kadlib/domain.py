@@ -18,8 +18,6 @@ import math
 import random
 from typing import Optional
 
-import numpy as np
-
 from .algebra import (
     FiniteSemiring,
     Law,
@@ -42,6 +40,7 @@ from .algebra import (
     eq,
     iff,
     leq,
+    np,
     one_term,
     top_term,
     var,
@@ -386,7 +385,8 @@ def check_domain_calculus(D: DomainStructure) -> list[LawReport]:
     the atoms, a and b over 0 and the join-irreducibles), and scanned only
     if that fails, so every witness is the scanner's.
     """
-    return _check(DOMAIN_CALCULUS, _Scanner(D.owner, D=D), (), _decided, D._exact_laws)
+    held = D._exact_laws  # read first, so its scans end before this scanner's chunk buffers exist
+    return _check(DOMAIN_CALCULUS, _Scanner(D.owner, D=D), (), _decided, held)
 
 
 def is_integral(S: FiniteSemiring) -> Verdict:

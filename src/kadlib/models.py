@@ -17,9 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
-from .algebra import _CHUNK, _ISEMIRING_NAMES, _row_blocks, ISEMIRING_LAWS, KLEENE_LAWS, FiniteSemiring, Law, LawReport, TestAlgebra
+from .algebra import _CHUNK, _ISEMIRING_NAMES, _row_blocks, ISEMIRING_LAWS, KLEENE_LAWS, FiniteSemiring, Law, LawReport, TestAlgebra, np
 from .domain import run_laws
 from .reach import _grow
 
@@ -191,15 +189,20 @@ def conway_model(name: str) -> FiniteSemiring:
 # finite binary relations
 
 
+# the digits of bin() as the bytes 0 and 1, which itertools.compress reads as flags
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
 def _bit_positions(mask: int) -> list[int]:
     """Positions of the set bits of mask, lowest first, in time linear in its length.
 
     Up to 32 bits are stripped one at a time from the top, each strip a
-    pass over mask; more are read off its bytes, unpacked by numpy.
+    pass over mask; more are read off its binary digits, lowest first, as
+    one byte per bit, so relations and tests never load numpy.
     """
     if mask.bit_count() > 32:
-        octets = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
-        return np.flatnonzero(np.unpackbits(octets, bitorder="little")).tolist()
+        bits = bin(mask)[:1:-1].encode().translate(_BIT_BYTES)
+        return list(itertools.compress(range(len(bits)), bits))
     out = []
     while mask:
         k = mask.bit_length() - 1

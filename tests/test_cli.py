@@ -5,6 +5,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -230,10 +231,22 @@ def slots(node):
         yield from slots(v)
 
 
+# well-formed documents beside MALFORMED, so that mutants reach verdicts too: a
+# triple t and a proof p that hold, the same that fail, and a table workspace
+# whose laws fail
+def step_ws(post):
+    triple = {"pre": "{1}", "prog": "step", "post": post}
+    return {"n": 2, "relations": {"R": [[1, 2]]}, "env": {"step": "R"}, "triples": {"t": triple}, "proofs": {"p": {"rule": "axiom", "conclusion": "t"}}}
+
+
+WELL_FORMED = [step_ws("{2}"), step_ws("{1}"), semiring_to_doc(conway_model("A4_1"))]
+
+
 @strat.composite
 def mutated_workspaces(draw):
-    """A MALFORMED document with one to three entries replaced, dropped or added."""
-    doc = copy.deepcopy(draw(strat.sampled_from([doc for doc, _ in MALFORMED.values() if isinstance(doc, dict)])))
+    """A MALFORMED or WELL_FORMED document with one to three entries replaced, dropped or added."""
+    malformed = [doc for doc, _ in MALFORMED.values() if isinstance(doc, dict)]
+    doc = copy.deepcopy(draw(strat.one_of(strat.sampled_from(WELL_FORMED), strat.sampled_from(malformed))))
     for _ in range(draw(strat.integers(1, 3))):
         node, key = draw(strat.sampled_from([(doc, draw(strat.sampled_from(WORKSPACE_KEYS))), *slots(doc)]))
         if draw(strat.booleans()) or isinstance(node, list):
@@ -467,6 +480,42 @@ def test_termination_never_formats_the_relation(case, monkeypatch, capsys):
 
     monkeypatch.setattr(Relation, "__str__", refuse)
     test_graph_command_output_is_unchanged(case, capsys)
+
+
+# -- numpy only for the table layer ---------------------------------------------------------------
+
+
+def kad_fresh(argv):
+    """kad in a fresh interpreter: exit code, stdout, and "True" or "False" for whether it imported numpy."""
+    probe = "import sys; from kadlib.cli import main; code = main(sys.argv[1:]); print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
+    env = {**os.environ, "PYTHONPATH": str(Path(kadlib.cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env)
+    return proc.returncode, proc.stdout, proc.stderr.splitlines()[-1]
+
+
+# a 2,000-state chain, whose reach result is a mask past the 32 bits _bit_positions strips one by one
+CHAIN_2000 = {**CHAIN, "n": 2000, "relations": {"R": [[i, i + 1] for i in range(1, 2000)]}, "sets": {"atEnd": [2000]}}
+CHAIN_2000_RUNS = {
+    "chain2000_reach": ["reach", "--relation", "R", "--targets", "2000", "--algo", "both"],
+    "chain2000_termination": ["termination", "--relation", "R"],
+    "chain2000_triple": ["hoare", "--triple", "good"],
+    "chain2000_proof": ["hoare", "--proof", "pf"],
+}
+
+
+@pytest.mark.parametrize("case", [*sorted(GOLDEN_CASES), *CHAIN_2000_RUNS])
+def test_reach_termination_and_hoare_never_load_numpy(case, tmp_path, capsys):
+    if case in GOLDEN_CASES:
+        where, spec = GOLDEN_CASES[case]
+        argv = [spec["argv"][0], str(where / spec["argv"][1]), *spec["argv"][2:]]
+    else:
+        command, *rest = CHAIN_2000_RUNS[case]
+        argv = [command, write_ws(tmp_path, CHAIN_2000), *rest]
+    assert kad_fresh(argv) == (main(argv), capsys.readouterr().out, "False")
+
+
+def test_kad_check_loads_numpy_for_its_tables():
+    assert kad_fresh(["check", "rel:1"]) == (0, (DATA / "check" / "rel_1.stdout").read_text(), "True")
 
 
 # -- hoare command ------------------------------------------------------------------------------

@@ -331,6 +331,26 @@ def test_bit_positions_and_relation_text_match_bit_by_bit_reads(n, density, seed
     assert str(rel) == "{" + ",".join(f"({i},{j})" for i, j in sorted(pairs)) + "}"
 
 
+# 32 set bits spread over 10^5 positions
+SPREAD_32 = sum(1 << k for k in range(0, 10**5, 3125))
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        (1 << 10**5) - 1,
+        sum(1 << k for k in random.Random(1).sample(range(10**5), 1000)),
+        1 << 99_999,
+        SPREAD_32,
+        SPREAD_32 | 1 << 99_999,
+    ],
+    ids=["full", "one-percent", "bit-99999", "32-bits", "33-bits"],
+)
+def test_bit_positions_of_10_5_bit_masks_match_bit_by_bit_reads(mask):
+    # the widest masks, and both sides of the 32 set bits where the digit walk takes over
+    assert _bit_positions(mask) == [k for k in range(10**5) if mask >> k & 1]
+
+
 # -- matrices ------------------------------------------------------------------
 
 
