@@ -202,11 +202,12 @@ class FiniteSemiring:
         return [x for x in range(self.n) if self.leq(x, self.one)]
 
     def top(self) -> Optional[int]:
-        """Greatest element in the natural order, if one exists."""
-        for t in range(self.n):
-            if all(self.leq(x, t) for x in range(self.n)):
-                return t
-        return None
+        """Greatest element in the natural order, if one exists: the first column t of add == arange true in every row."""
+        ar = np.arange(self.n)
+        above = np.ones(self.n, dtype=bool)
+        for rows in _row_blocks(self.n, self.n):
+            above &= (self.add[rows] == ar).all(axis=0)
+        return int(np.argmax(above)) if above.any() else None
 
     # -- plumbing ----------------------------------------------------
 

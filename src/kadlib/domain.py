@@ -71,8 +71,8 @@ class DomainStructure:
 
     delta/rho map each carrier index to a test; they may be any maps (the
     axioms are checked, not assumed).  flags records which of d1, d2, dloc,
-    cd1, cd2 and cdloc hold, from one DOMAIN_AXIOMS scan on construction,
-    and whether the semiring is integral.
+    cd1, cd2 and cdloc hold, from the DOMAIN_AXIOMS reports decided on
+    construction, and whether the semiring is integral.
     """
 
     def __init__(self, owner: FiniteSemiring, tests: TestAlgebra, delta, rho, name: str = ""):
@@ -93,32 +93,36 @@ class DomainStructure:
         # the atoms in ascending element order; an atom's position is its index here
         self._atoms = sorted(tests.atoms())
         self._top = owner.top()
+        # the tables are read-only, so the guards and the axioms are decided once, here
+        self._guards, self._axiom_reports = self._decide_axioms()
         self.flags = {r.name: r.holds for r in self._axiom_reports if r.name in _FLAG_LAWS}
         self.flags["integral"] = is_integral(owner).holds
 
-    @functools.cached_property
-    def _axiom_reports(self) -> list[LawReport]:
-        """The DOMAIN_AXIOMS reports, scanned once per structure (the tables are read-only)."""
-        return check_laws(DOMAIN_AXIOMS, self.owner, D=self)
+    def _decide_axioms(self) -> tuple[frozenset, list[LawReport]]:
+        """(guards, reports): the guards of algebra._rewrite that hold here, then the DOMAIN_AXIOMS reports behind them.
 
-    @functools.cached_property
-    def _exact_laws(self) -> frozenset:
-        """The laws found to hold on every instance, for the guards of algebra._rewrite, found once.
-
-        These are the owner's isemiring laws and the flags that held, dom- and
-        cod-additive (scanned here, outside the printed calculus), and
-        atomic-tests: every test is the join of the atoms below it.  Once the
-        isemiring laws hold every element is a join of join-irreducibles, so
-        a map d is additive iff d(a + j) = d(a) + d(j) for every a and every
-        join-irreducible j: the additivity laws are scanned with b over those.
+        The guards are the owner's isemiring laws that held, dom- and
+        cod-additive (scanned here, outside the printed calculus) and
+        atomic-tests: every test is the join of the atoms below it.  Once
+        the isemiring laws hold every element is a join of join-irreducibles,
+        so a map d is additive iff d(a + j) = d(a) + d(j) for every a and
+        every join-irreducible j: the additivity laws are scanned with b over
+        those.
         """
-        held = {r.name for r in self.owner._isemiring_reports if r.holds} | {f for f, v in self.flags.items() if v}
+        held = {r.name for r in self.owner._isemiring_reports if r.holds}
+        # made once the isemiring scans have ended, so that two scanners' chunk buffers never coexist
+        scanner = _Scanner(self.owner, D=self)
         if held.issuperset(_ISEMIRING_NAMES):
-            scanner = _Scanner(self.owner, D=self)
             held |= {law.name for law in _ADDITIVITY if scanner.first_failure(law, (None, self.join_irreducibles())) is None}
         if all(self.test_from_positions(self.atom_positions(p)) == p for p in self.tests.members):
             held.add("atomic-tests")
-        return frozenset(held)
+        guards = frozenset(held)
+        return guards, _check(DOMAIN_AXIOMS, scanner, (), _decided, guards)
+
+    @functools.cached_property
+    def _exact_laws(self) -> frozenset:
+        """The laws found to hold on every instance, for the guards of algebra._rewrite: the guards and the flags that held."""
+        return self._guards | {f for f, v in self.flags.items() if v}
 
     # -- the operators -------------------------------------------------
 
@@ -367,7 +371,12 @@ def check_domain_axioms(D: DomainStructure) -> list[LawReport]:
     dloc: dom(a dom(b)) <= dom(a b)   and cdloc dually
     llp/gla (lrp/gra): dom (cod) is the least preserver / the complement of
     the greatest annihilator, stated as equivalences over all (a, p).
-    The scan is made once per structure and its reports are kept.
+    They are decided once per structure, on construction, and the reports
+    are kept.  Behind the guards that held there, a law that
+    algebra._rewrite rewrites (d1, d2, dloc and their mirrors, with a and b
+    over 0 and the join-irreducibles and p over 0 and the atoms) is decided
+    in that equivalent form first, and scanned only if that fails, so every
+    witness is the scanner's.
     """
     return list(D._axiom_reports)
 
@@ -385,8 +394,7 @@ def check_domain_calculus(D: DomainStructure) -> list[LawReport]:
     the atoms, a and b over 0 and the join-irreducibles), and scanned only
     if that fails, so every witness is the scanner's.
     """
-    held = D._exact_laws  # read first, so its scans end before this scanner's chunk buffers exist
-    return _check(DOMAIN_CALCULUS, _Scanner(D.owner, D=D), (), _decided, held)
+    return _check(DOMAIN_CALCULUS, _Scanner(D.owner, D=D), (), _decided, D._exact_laws)
 
 
 def is_integral(S: FiniteSemiring) -> Verdict:

@@ -113,11 +113,34 @@ class ModelHandle:
         return None
 
     def index_tables(self):
-        """The add and mul tables over the order of elements(), or None to build them from add and mul."""
+        """(add, mul, star, conv) over the order of elements(), or None to build them all from the operations.
+
+        add and mul are the tables; star and conv are the columns of those
+        operations where the model has them from its tables, else None, and
+        materialize then calls star and conv on each element.
+        """
         return None
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
+
+
+def _power_sums(add, mul, one: int):
+    """Every element's sum of powers 1 + x + x^2 + ..., from the add and mul tables: its (1 + x)^(2^k)
+    for the first k at which squaring changes no element.
+
+    Where + is a join and · distributes over it, (1 + x)^(2^k) is the sum of
+    the powers x^i for i <= 2^k, so each element's value ascends until it
+    stays, and in a carrier of n elements within n squarings; where one
+    does not, the tables are not a semiring's, and this raises.
+    """
+    s = add[one]
+    for _ in range(len(s)):
+        nxt = mul[s, s]
+        if np.array_equal(nxt, s):
+            return s
+        s = nxt
+    raise ValueError("the powers of some element do not settle: the tables are not those of an idempotent semiring")
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +391,8 @@ class RelModel(ModelHandle):
     @cached_property
     def _exact_laws(self) -> frozenset:
         """The laws that relations satisfy by construction, for the guards of algebra._rewrite (see DomainStructure)."""
-        return frozenset({*_ISEMIRING_NAMES, "dom-additive", "cod-additive", "atomic-tests"} | {f for f, v in self.flags.items() if v})
+        laws = {*_ISEMIRING_NAMES, "dom-additive", "cod-additive", "atomic-tests", "star-left-unfold", "star-left-induction"}
+        return frozenset(laws | {f for f, v in self.flags.items() if v})
 
     def _from_mask(self, mask: int) -> Relation:
         rows: list[list[int]] = [[] for _ in range(self.n)]
@@ -503,12 +527,14 @@ class RelModel(ModelHandle):
         return members, {self.embed(p): self.embed(self.test_compl(p)) for p in masks}
 
     def index_tables(self):
-        """add and mul over elements(), where an element's index is its adjacency mask.
+        """add, mul, star and conv over elements(), where an element's index is its adjacency mask.
 
         add is a bitwise or; row i of x;y is the union of y's rows over x's
-        successors of i.  All in int32, the dtype FiniteSemiring keeps, so
-        that no table is copied and the 512 x 512 temporaries of rel(3)
-        stay at 1 MB each.
+        successors of i.  The star, the reflexive-transitive closure, is the
+        sum of the powers (_power_sums); the converse moves the bit of each
+        pair (i, j) to that of (j, i).  All in int32, the dtype
+        FiniteSemiring keeps, so that no table is copied and the 512 x 512
+        temporaries of rel(3) stay at 1 MB each.
         """
         n, size = self.n, self.size()
         masks = np.arange(size, dtype=np.int32)
@@ -526,7 +552,11 @@ class RelModel(ModelHandle):
             part = ors[:, rows[:, i]]
             part <<= i * n
             mul |= part.T
-        return np.bitwise_or.outer(masks, masks), mul
+        conv = np.zeros(size, dtype=np.int32)
+        for i, j in itertools.product(range(n), repeat=2):
+            conv |= ((masks >> (i * n + j)) & 1) << (j * n + i)
+        add, identity = np.bitwise_or.outer(masks, masks), sum(1 << (i * n + i) for i in range(n))
+        return add, mul, _power_sums(add, mul, identity), conv
 
 
 def rel_model(n: int) -> RelModel:
@@ -916,6 +946,16 @@ def bounded_path_model(vertices, maxlen: int) -> PathModel:
 # pointwise join and composite of maps, is additive (Jonsson and Tarski, 1951).
 _ATOM_KEY_LAWS = frozenset({*_ISEMIRING_NAMES, "d2", "dom-additive", "atomic-tests"})
 
+# The source laws under which, further, a star's map is the sum of the powers of
+# the element's map: then a*:p is the least X >= p with a:X <= X, and for an
+# additive map that is p + a:p + a:(a:p) + ... on a finite lattice.  a*:p is such
+# an X: 1 <= a* and a a* <= a* (star-left-unfold), so p = dom(p) <= dom(a* p) (d1,
+# d2, dom monotone by dom-additive) and a:(a*:p) = dom(a dom(a* p)) <= dom(a a* p)
+# <= dom(a* p) (dloc).  It is the least: from dom(a X) <= X, a X <= dom(a X) a X
+# <= X a (d1, X <= 1), so X + a (X a*) <= X (1 + a a*) <= X a*, star-left-induction
+# gives a* X <= X a*, and with p <= X, dom(a* p) <= dom(X a*) <= X (d2).
+_STAR_LAWS = _ATOM_KEY_LAWS | {"d1", "dloc", "star-left-unfold", "star-left-induction"}
+
 
 class TransformerModel(ModelHandle):
     """The maps p -> (a : p) = dom(a p) induced by a domain structure's elements.
@@ -926,8 +966,10 @@ class TransformerModel(ModelHandle):
     Where the source's _exact_laws hold _ATOM_KEY_LAWS and the t tests over
     m atoms give t^m <= _CHUNK keys, the model is atom-keyed: a map is
     computed from the preimages of the atoms alone and keyed by its values
-    there, in base t.  Elsewhere a map is computed at every test,
-    index_tables returns None and the name says "not atom-keyed".
+    there, in base t.  Where they hold _STAR_LAWS too, index_tables gives
+    the star column as the sums of powers.  Elsewhere a map is computed at
+    every test, index_tables returns None and the name says "not
+    atom-keyed".
     """
 
     has_star = True
@@ -942,10 +984,12 @@ class TransformerModel(ModelHandle):
         self._joinpos = tuple(tuple(pos[D.test_join(p, q)] for q in members) for p in members)
         # the column of each atom where atom-keyed, else None
         self._atoms = None
-        if _ATOM_KEY_LAWS <= getattr(D, "_exact_laws", frozenset()):
+        exact = getattr(D, "_exact_laws", frozenset())
+        if _ATOM_KEY_LAWS <= exact:
             m = len(D.atom_positions(D.test_one))
             if t**m <= _CHUNK:
                 self._atoms = [pos[D.test_from_positions([k])] for k in range(m)]
+        self._power_star = self._atoms is not None and _STAR_LAWS <= exact
         self.name = f"transformers({getattr(D, 'name', '')}{', not atom-keyed' if self._atoms is None else ''})"
 
         first: dict[tuple[int, ...], object] = {}
@@ -1020,7 +1064,9 @@ class TransformerModel(ModelHandle):
 
         Both maps are additive, so these values fix them: their keys are
         read back through the dense key array, in blocks of x of at most
-        _CHUNK cells.  None where the model is not atom-keyed.
+        _CHUNK cells.  The star column is the sums of powers where the source
+        holds _STAR_LAWS, else None; there is no converse.  None where the
+        model is not atom-keyed.
         """
         if self._atoms is None:
             return None
@@ -1038,7 +1084,7 @@ class TransformerModel(ModelHandle):
             tables[:, rows] = self._key_of.take(keys)
             if tables[:, rows].max() == size:
                 raise ValueError(f"{self.name} is not closed under + and ·")
-        return add, mul
+        return add, mul, _power_sums(add, mul, self._index[self.one]) if self._power_star else None, None
 
     def declared_tests(self):
         embedded = {p: self.transformer_of(self.D.embed(p)) for p in self.members}
@@ -1081,17 +1127,13 @@ def materialize(handle: ModelHandle) -> MaterializedModel:
     index = {e: i for i, e in enumerate(elems)}
     n = len(elems)
 
-    tables = handle.index_tables()
-    if tables is None:
+    add, mul, star, conv = handle.index_tables() or (None,) * 4
+    if add is None:
         add = [[index[handle.add(x, y)] for y in elems] for x in elems]
         mul = [[index[handle.mul(x, y)] for y in elems] for x in elems]
-    else:
-        add, mul = tables
-    star = None
-    if handle.has_star:
+    if star is None and handle.has_star:
         star = [index[handle.star(x)] for x in elems]
-    conv = None
-    if hasattr(handle, "conv"):
+    if conv is None and hasattr(handle, "conv"):
         conv = [index[handle.conv(x)] for x in elems]
 
     names = []

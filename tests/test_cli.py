@@ -256,9 +256,30 @@ def mutated_workspaces(draw):
     return doc
 
 
+# what a shape-keeping mutant puts in a triple; the last of each does not parse,
+# {3} names a state outside 1..2, and jump is an unbound action
+TEST_TEXTS = ("{1}", "{2}", "{1,2}", "{}", "true", "false", "not {1}", "{1} or {2}", "{2} and not {1}", "{3}", "{1")
+PROGRAM_TEXTS = ("step", "skip", "abort", "step; step", "(step)", "if {1} then step else skip fi", "while not {2} do step od", "jump", "step;")
+
+
+@strat.composite
+def reshaped_relation_seeds(draw):
+    """A relation seed of WELL_FORMED with one to three of its pre, prog and post strings and edge endpoints
+    replaced: the document keeps its shape, so that most mutants reach a verdict (an endpoint of 0 or 3 is
+    outside 1..2)."""
+    doc = copy.deepcopy(draw(strat.sampled_from([ws for ws in WELL_FORMED if "relations" in ws])))
+    triple = doc["triples"]["t"]
+    places = [(triple, "pre", TEST_TEXTS), (triple, "post", TEST_TEXTS), (triple, "prog", PROGRAM_TEXTS)]
+    places += [(edge, k, range(4)) for edge in doc["relations"]["R"] for k in (0, 1)]
+    for _ in range(draw(strat.integers(1, 3))):
+        node, key, values = draw(strat.sampled_from(places))
+        node[key] = draw(strat.sampled_from(values))
+    return doc
+
+
 @hypothesis.settings(max_examples=100, deadline=None)
 @hypothesis.given(
-    mutated_workspaces(),
+    strat.one_of(mutated_workspaces(), reshaped_relation_seeds()),
     strat.sampled_from(
         [["check"], ["reach", "--relation", "R", "--targets", "1"], ["termination", "--relation", "R"], ["hoare", "--triple", "t"], ["hoare", "--proof", "p"]]
     ),

@@ -76,6 +76,7 @@ from kadlib.domain import (
     DOMAIN_CALCULUS,
     DomainStructure,
     check_converse,
+    check_domain_axioms,
     check_domain_calculus,
     compute_predomain,
     run_laws,
@@ -326,13 +327,24 @@ def test_scanner_matches_brute_force_on_corrupted_tables_in_small_chunks(monkeyp
     test_scanner_matches_brute_force_on_corrupted_tables(name, table, seed)
 
 
+def fresh_predomain(D):
+    """compute_predomain over D's tables in a new semiring, so that the isemiring reports, generating sets,
+    join-irreducibles, guards and axioms are all found afresh."""
+    S = D.owner
+    S = FiniteSemiring(S.carrier, S.add, S.mul, S.zero, S.one, star=S.star, conv=S.conv, name=S.name)
+    return compute_predomain(S, TestAlgebra(S, D.tests.members, D.tests.compl))
+
+
 @pytest.mark.parametrize(
     "check",
-    [check_star_preimage_laws, check_hoare_rules, check_domain_calculus, lambda D: check_converse(D.owner)],
-    ids=["star-preimage", "hoare-rules", "domain-calculus", "converse"],
+    [check_star_preimage_laws, check_hoare_rules, check_domain_calculus, lambda D: check_converse(D.owner), fresh_predomain],
+    ids=["star-preimage", "hoare-rules", "domain-calculus", "converse", "predomain"],
 )
 def test_scans_of_the_rel3_predomain_stay_within_a_few_chunks(check):
-    """No gather copies more than a chunk: a chunk of 2^17 int32 cells is 0.5 MB, its index buffer 1 MB."""
+    """No gather copies more than a chunk: a chunk of 2^17 int32 cells is 0.5 MB, its index buffer 1 MB.
+
+    The predomain case builds the structure itself: its isemiring, additivity and axiom scans.
+    """
     D = compute_predomain(rel_semiring(3), rel_tests(3))
     tracemalloc.start()
     try:
@@ -659,6 +671,38 @@ def test_the_domain_calculus_matches_the_plain_scan(monkeypatch):
     assert len(rewritten) > 24 and sum(found is not None for found in rewritten) == 24
 
 
+def test_the_domain_axioms_match_the_plain_scan(monkeypatch):
+    """The axiom reports, decided on construction behind the guards that held there, are the
+    plain scan's: on the transformer sources (the rel(2) and rel(3) tables, the builtins and
+    dom-additive-broken, where the guards fail), the rel(1) tables, and the domain structures
+    of rewrite_targets, whose swapped and random additive domains refute rewritten axioms,
+    which then fall back to the scan of the axiom itself."""
+    from test_models import TRANSFORMER_SOURCES
+
+    scans = counting_scans(monkeypatch)
+    cases = [
+        *((name, make()) for name, make in sorted(TRANSFORMER_SOURCES.items())),
+        ("rel1-table", compute_predomain(rel_semiring(1), rel_tests(1))),
+        *((name, D) for name, D in rewrite_targets() if isinstance(D, DomainStructure)),
+    ]
+    rewritten = [(name, found) for name, sizes, found in scans if sizes and name in {law.name for law in DOMAIN_AXIOMS}]
+    for name, D in cases:
+        got = [(r.name, r.holds, r.witness, r.note) for r in check_domain_axioms(D)]
+        want = [(r.name, r.holds, r.witness, r.note) for r in check_laws(DOMAIN_AXIOMS, D.owner, D=D)]
+        assert got == want, name
+    assert {"d1", "d2", "dloc", "cd1", "cd2", "cdloc"} <= {name for name, _ in rewritten}
+    assert any(found is not None for _, found in rewritten)
+
+
+def test_rel3_locality_is_decided_by_100_instances(monkeypatch):
+    """On the rel(3) predomain dloc and cdloc each scan a and b over 0 and the nine single pairs,
+    never the 512 * 512 of the axiom itself."""
+    scans = counting_scans(monkeypatch)
+    fresh_predomain(compute_predomain(rel_semiring(3), rel_tests(3)))
+    local = [(name, sizes, found) for name, sizes, found in scans if name in ("dloc", "cdloc")]
+    assert local == [("dloc", [10, 10], None), ("cdloc", [10, 10], None)]
+
+
 def test_a_refuted_rewrite_falls_back_to_the_scan(monkeypatch):
     """image-compose-bound on an additive rel(2) domain is scanned first with p over 0
     and the atoms, a and b over 0 and the single pairs; that fails, and the scan of the
@@ -815,13 +859,14 @@ def test_kad_check_scans_the_domain_axioms_once(monkeypatch, capsys):
     # from cold caches: a predomain built by an earlier test is kept on its semiring
     kadlib.models._rel_materialized.cache_clear()
     scans = []
-    scan = kadlib.domain.check_laws
+    scan = kadlib.domain._check
 
     def counting(laws, *args, **kwargs):
         scans.append(laws is DOMAIN_AXIOMS)
         return scan(laws, *args, **kwargs)
 
-    monkeypatch.setattr(kadlib.domain, "check_laws", counting)
+    # the axioms are decided by the law loop behind the rewrite step, as the calculus is
+    monkeypatch.setattr(kadlib.domain, "_check", counting)
     assert main(["check", "rel:2"]) == 0
     assert "d1 holds" in capsys.readouterr().out
     assert sum(scans) == 1

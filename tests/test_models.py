@@ -7,6 +7,7 @@ import random
 
 import hypothesis
 import hypothesis.strategies as strat
+import numpy as np
 import pytest
 
 from kadlib.algebra import (
@@ -22,6 +23,7 @@ from kadlib.hoare import check_hoare_rules
 from kadlib.models import (
     Relation,
     _bit_positions,
+    _power_sums,
     StarUnsupportedError,
     bounded_language_model,
     bounded_path_model,
@@ -650,6 +652,58 @@ def test_transformer_tables_of_domain_structures_match_the_model_cell_for_cell(n
     members = D.test_members()
     for a in D.elements():
         assert [TM.apply(TM.transformer_of(a), p) for p in members] == [D.preimage(a, p) for p in members]
+
+
+STAR_SOURCES = {**{f"rel_model({n})": (lambda n=n: rel_model(n)) for n in (1, 2, 3)}, **TRANSFORMER_SOURCES}
+
+
+@pytest.mark.parametrize("name", sorted(STAR_SOURCES))
+def test_transformer_star_columns_match_the_per_element_star(name):
+    """A relation model holds the star laws by construction, so index_tables gives the star column as
+    the sums of powers; a domain structure's guards do not include them, so it keeps D.star."""
+    D = STAR_SOURCES[name]()
+    TM = predicate_transformer_model(D)
+    want = [TM._index[TM.star(f)] for f in TM.maps]
+    tables = TM.index_tables()
+    column = None if tables is None else tables[2]
+    assert (column is not None) == name.startswith("rel_model")
+    if column is not None:
+        assert column.tolist() == want
+    assert materialize(TM).semiring.star.tolist() == want
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: materialize(bounded_language_model("a", 6)).semiring,
+        lambda: materialize(bounded_path_model("xy", 2)).semiring,
+        lambda: conway_model("A4_1"),
+    ],
+    ids=["language", "path", "A4_1"],
+)
+def test_power_sums_are_the_stars_of_other_models(make):
+    """_power_sums over tables whose star column was built element by element: in lang(a,6),
+    {a}* = {eps,a,...,a^6} takes three squarings, which no model with a star column needs."""
+    S = make()
+    assert _power_sums(S.add, S.mul, S.one).tolist() == S.star.tolist()
+
+
+def test_power_sums_of_tables_whose_powers_cycle_raise():
+    # 1 and 2 square to each other, so (1 + x)^(2^k) never settles
+    add, mul = np.array([[0, 1, 2], [1, 1, 1], [2, 1, 2]]), np.array([[0, 1, 2], [1, 2, 1], [2, 1, 1]])
+    with pytest.raises(ValueError, match="do not settle"):
+        _power_sums(add, mul, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_materializing_relations_and_their_transformers_builds_no_closure(monkeypatch, n):
+    """The stars of both tables are sums of powers over the index tables, and no Relation.star runs."""
+    closures = []
+    closure = Relation.star
+    monkeypatch.setattr(Relation, "star", lambda r: closures.append(r) or closure(r))
+    materialize(rel_model(n))
+    materialize(predicate_transformer_model(rel_model(n)))
+    assert closures == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
