@@ -39,6 +39,19 @@ on every instance (the isemiring laws and dom- and cod-additivity).  A law
 whose guard has not held, or that its reduction or rewrite refutes, is
 scanned, so every report and witness is the scanner's.
 
+Every law is built from +, ·, *, converse, dom, cod and test complement,
+so it fails at (a, b, ...) iff it fails at (pa, pb, ...) for each
+automorphism p of the tables (Clarke, Enders, Filkorn and Jha, 1996).  The
+candidates come from the model (materialize keeps RelModel.symmetries() on
+the FiniteSemiring) and are used once verified, once per table set: a
+bijection fixing 0 and 1 that commutes with the star and converse columns,
+and with + and · on their generators once add- and mul-associative held
+(the isemiring scans run over every value); under tests or a domain it must
+also keep the members and commute with complement, dom and cod.  A law of
+two or more variables whose first ranges over the whole carrier or all the
+tests scans that variable over each orbit's least element, ascending: its
+failing values form a union of orbits, so every witness is the plain scan's.
+
 Only the table layer needs numpy; relations, reachability, termination and
 Hoare triples work on ints and lists, and importing numpy is most of a `kad`
 start-up.  So np is bound lazily here, and domain and models import it from
@@ -120,6 +133,18 @@ def _as_table(values, n, what, unary=False):
     return t
 
 
+@functools.cached_property
+def _orbit_least(structure):
+    """least[x], the least of x's orbit under structure._symmetries (None for none), on FiniteSemiring, TestAlgebra
+    and DomainStructure: the fixed point of least[x] = min(least[x], least[p[x]]) over the symmetries p."""
+    group, least = structure._symmetries, None
+    if group:
+        least = np.arange(len(group[0]))
+        while not np.array_equal(least, nxt := functools.reduce(np.minimum, (least[p] for p in group), least)):
+            least = nxt
+    return least
+
+
 class FiniteSemiring:
     """A finite idempotent semiring given by dense operation tables.
 
@@ -127,6 +152,9 @@ class FiniteSemiring:
     ranges, zero != one).  Whether the tables actually satisfy the semiring
     or Kleene laws is the job of check_isemiring / check_kleene.
     """
+
+    # permutations of the carrier that may be automorphisms (see the module docstring)
+    _candidates: tuple = ()
 
     def __init__(self, carrier, add, mul, zero, one, star=None, conv=None, name=""):
         self.carrier = tuple(str(c) for c in carrier)
@@ -150,9 +178,28 @@ class FiniteSemiring:
 
     @functools.cached_property
     def _isemiring_reports(self) -> tuple:
-        """check_isemiring's reports, decided once: the tables are read-only."""
+        """check_isemiring's reports, decided once: the tables are read-only.  They are scanned without
+        symmetries, whose verification rests on them."""
         zero_not_one = _report("zero-not-one", None if self.zero != self.one else {})
-        return tuple(_check(ISEMIRING_LAWS, _Scanner(self), [zero_not_one], _decided))
+        return tuple(_check(ISEMIRING_LAWS, _Scanner(self, symmetric=False), [zero_not_one], _decided))
+
+    @functools.cached_property
+    def _order(self):
+        """The natural order as an n x n table: a <= b iff a + b = b."""
+        return self.add == np.arange(self.n)
+
+    @functools.cached_property
+    def _symmetries(self) -> tuple:
+        """The _candidates that are automorphisms of these tables, found once add- and mul-associative held (see the module docstring)."""
+        if not self._candidates or not {"add-associative", "mul-associative"} <= {r.name for r in self._isemiring_reports if r.holds}:
+            return ()
+        ar, cols = np.arange(self.n), [c for c in (self.star, self.conv) if c is not None]
+        fixing = [p for p in map(np.asarray, self._candidates) if np.array_equal(np.sort(p), ar)
+                  and p[[self.zero, self.one]].tolist() == [self.zero, self.one]]
+        ops = ((self.add, self._gens["add"]), (self.mul, self._gens["mul"]))
+        return tuple(p for p in _commuting(fixing, *cols) if all(np.array_equal(p[X[:, g]], X[np.ix_(p, p[g])]) for X, g in ops))
+
+    _orbit_least = _orbit_least
 
     @functools.cached_property
     def _predomains(self) -> dict:
@@ -203,10 +250,7 @@ class FiniteSemiring:
 
     def top(self) -> Optional[int]:
         """Greatest element in the natural order, if one exists: the first column t of add == arange true in every row."""
-        ar = np.arange(self.n)
-        above = np.ones(self.n, dtype=bool)
-        for rows in _row_blocks(self.n, self.n):
-            above &= (self.add[rows] == ar).all(axis=0)
+        above = self._order.all(axis=0)
         return int(np.argmax(above)) if above.any() else None
 
     # -- plumbing ----------------------------------------------------
@@ -232,6 +276,11 @@ def _opt_eq(a, b):
     if a is None or b is None:
         return a is None and b is None
     return np.array_equal(a, b)
+
+
+def _commuting(group, *columns) -> tuple:
+    """The permutations in group that commute with every column, a map of the carrier as an array."""
+    return tuple(p for p in group if all(np.array_equal(c[p], p[c]) for c in columns))
 
 
 class TestAlgebra:
@@ -282,20 +331,30 @@ class TestAlgebra:
     def atoms(self) -> list[int]:
         """Minimal nonzero members: p such that only 0 and p lie below p."""
         zero = self.owner.zero
-        out = []
-        for p in self.members:
-            if p == zero:
-                continue
-            below = [q for q in self.members if q not in (zero, p) and self.leq(q, p)]
-            if not below:
-                out.append(p)
-        return out
+        return [p for p in self.members if p != zero and not any(q not in (zero, p) and self.leq(q, p) for q in self.members)]
 
     def atoms_below(self, p: int) -> list[int]:
         return [q for q in self.atoms() if self.leq(q, p)]
 
     def lower_size(self, p: int) -> int:
         return sum(1 for q in self.members if self.leq(q, p))
+
+    @functools.cached_property
+    def _compl_column(self):
+        """The complement as a column over the carrier, mapping each non-member to itself."""
+        return np.array([self.compl.get(x, x) for x in range(self.owner.n)])
+
+    @functools.cached_property
+    def _member_mask(self):
+        return np.isin(np.arange(self.owner.n), self.members)
+
+    @functools.cached_property
+    def _symmetries(self) -> tuple:
+        """The owner's symmetries that map the members onto themselves and commute with the complement."""
+        m = self._member_mask
+        return tuple(p for p in _commuting(self.owner._symmetries, self._compl_column) if np.array_equal(m[p], m))
+
+    _orbit_least = _orbit_least
 
     def __repr__(self):
         names = ",".join(self.owner.element_name(m) for m in self.members)
@@ -345,13 +404,11 @@ def format_witness(S: FiniteSemiring, witness) -> str:
         return "()"
     if not isinstance(witness, dict):
         return f"({witness})"
-    parts = []
-    for k, v in witness.items():
-        if isinstance(v, (int, np.integer)) and k != "power" and 0 <= int(v) < S.n:
-            parts.append(S.element_name(int(v)))
-        else:
-            parts.append(str(v))
-    return "(" + ", ".join(parts) + ")"
+
+    def name(k, v):
+        return S.element_name(int(v)) if isinstance(v, (int, np.integer)) and k != "power" and 0 <= int(v) < S.n else str(v)
+
+    return "(" + ", ".join(name(k, v) for k, v in witness.items()) + ")"
 
 
 def opposite(S: FiniteSemiring) -> FiniteSemiring:
@@ -388,27 +445,14 @@ class Term:
     def __str__(self):
         if self.op == "var":
             return self.name
-        if self.op == "zero":
-            return "0"
-        if self.op == "one":
-            return "1"
-        if self.op == "top":
-            return "top"
-        if self.op == "add":
-            return f"({self.args[0]} + {self.args[1]})"
-        if self.op == "mul":
-            return f"({self.args[0]}{self.args[1]})"
-        if self.op == "star":
-            return f"{self.args[0]}*"
-        if self.op == "conv":
-            return f"{self.args[0]}^"
-        if self.op == "dom":
-            return f"dom({self.args[0]})"
-        if self.op == "cod":
-            return f"cod({self.args[0]})"
-        if self.op == "not":
-            return f"{self.args[0]}'"
-        return f"{self.op}{self.args}"
+        form = _TERM_FORMS.get(self.op)
+        return f"{self.op}{self.args}" if form is None else form.format(*self.args)
+
+
+_TERM_FORMS = {
+    **{"zero": "0", "one": "1", "top": "top", "add": "({} + {})", "mul": "({}{})"},
+    **{"star": "{}*", "conv": "{}^", "dom": "dom({})", "cod": "cod({})", "not": "{}'"},
+}
 
 
 def _coerce(x):
@@ -476,22 +520,14 @@ def eval_term(t: Term, env: Mapping[str, int], S: FiniteSemiring, T: Optional[Te
         r = eval_term(t.args[1], env, S, T, D)
         return int((S.add if op == "add" else S.mul)[l, r])
     x = eval_term(t.args[0], env, S, T, D)
-    if op == "star":
-        if S.star is None:
-            raise ValueError("term uses star but the semiring declares none")
-        return int(S.star[x])
-    if op == "conv":
-        if S.conv is None:
-            raise ValueError("term uses converse but the semiring declares none")
-        return int(S.conv[x])
-    if op == "dom":
+    if op in ("star", "conv"):
+        if getattr(S, op) is None:
+            raise ValueError(f"term uses {'star' if op == 'star' else 'converse'} but the semiring declares none")
+        return int(getattr(S, op)[x])
+    if op in ("dom", "cod"):
         if D is None:
-            raise ValueError("term uses dom but no domain structure was given")
-        return D.dom(x)
-    if op == "cod":
-        if D is None:
-            raise ValueError("term uses cod but no domain structure was given")
-        return D.cod(x)
+            raise ValueError(f"term uses {op} but no domain structure was given")
+        return getattr(D, op)(x)
     if op == "not":
         if T is None:
             raise ValueError("term uses complement but no test algebra was given")
@@ -600,17 +636,19 @@ class _Scanner:
     prefix, with the complement-validity masks it records.
     """
 
-    def __init__(self, S: FiniteSemiring, T: Optional[TestAlgebra] = None, D=None):
+    def __init__(self, S: FiniteSemiring, T: Optional[TestAlgebra] = None, D=None, symmetric: bool = True):
         self.S, self.D = S, D
         self.T = T = D.tests if T is None and D is not None else T
-        ar = np.arange(S.n)
-        self.tables = {"add": S.add, "mul": S.mul, "star": S.star, "conv": S.conv, "leq": S.add == ar}
+        self.tables = {"add": S.add, "mul": S.mul, "star": S.star, "conv": S.conv, "leq": S._order}
         if D is not None:
             self.tables.update(dom=D.delta, cod=D.rho)
         if T is not None:
             # complement maps non-members to themselves; member says where it is defined
-            self.tables["not"] = np.array([T.compl.get(x, x) for x in range(S.n)])
-            self.member = np.isin(ar, T.members)
+            self.tables["not"] = T._compl_column
+            self.member = T._member_mask
+        # the one of S, T and D whose verified symmetries cover every table read here, if it reads those of S
+        ctx = D if D is not None else T if T is not None else S
+        self._symmetric = ctx if symmetric and getattr(ctx, "owner", S) is S and (D is None or T is D.tests) else None
         self._off = np.empty(_CHUNK, dtype=np.intp)
 
     @functools.cached_property
@@ -719,6 +757,11 @@ class _Scanner:
             r if r is not None else self.T.members if v in law.tests else range(self.S.n)
             for v, r in zip(law.vars, ranges or [None] * k)
         ]
+        symmetric = k > 1 and self._symmetric is not None and all(r is None for r in ranges or ())
+        if symmetric and (least := self._symmetric._orbit_least) is not None:
+            # the first failing values form a union of orbits, so the least of them is an orbit's least
+            first = np.asarray(doms[0])
+            doms[0] = first[least[first] == first].tolist()
         m = 0
         while math.prod(len(d) for d in doms[m + 1 :]) > _CHUNK:
             m += 1

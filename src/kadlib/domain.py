@@ -27,8 +27,10 @@ from .algebra import (
     Verdict,
     _ISEMIRING_NAMES,
     _check,
+    _commuting,
     _decided,
     _not_applicable,
+    _orbit_least,
     _rewrite,
     _Scanner,
     _walk,
@@ -118,6 +120,13 @@ class DomainStructure:
             held.add("atomic-tests")
         guards = frozenset(held)
         return guards, _check(DOMAIN_AXIOMS, scanner, (), _decided, guards)
+
+    @functools.cached_property
+    def _symmetries(self) -> tuple:
+        """The test algebra's symmetries that commute with the domain and codomain tables."""
+        return _commuting(self.tests._symmetries, self.delta, self.rho)
+
+    _orbit_least = _orbit_least
 
     @functools.cached_property
     def _exact_laws(self) -> frozenset:
@@ -392,9 +401,15 @@ def check_domain_calculus(D: DomainStructure) -> list[LawReport]:
     _exact_laws), a law that algebra._rewrite rewrites is first decided in
     that equivalent form (image-compose-bound and -exact with p over 0 and
     the atoms, a and b over 0 and the join-irreducibles), and scanned only
-    if that fails, so every witness is the scanner's.
+    if that fails, so every witness is the scanner's.  dom-additive holds
+    where it is one of D's guards, decided on construction; it is scanned
+    only where it is not.
     """
-    return _check(DOMAIN_CALCULUS, _Scanner(D.owner, D=D), (), _decided, D._exact_laws)
+
+    def decided(scanner, law, held):
+        return law.name in D._guards or _decided(scanner, law, held)
+
+    return _check(DOMAIN_CALCULUS, _Scanner(D.owner, D=D), (), decided, D._exact_laws)
 
 
 def is_integral(S: FiniteSemiring) -> Verdict:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Optional, Sequence
 
 from .algebra import _CHUNK, _ISEMIRING_NAMES, _row_blocks, ISEMIRING_LAWS, KLEENE_LAWS, FiniteSemiring, Law, LawReport, TestAlgebra, np
@@ -62,7 +62,8 @@ class ModelHandle:
     test_join/meet/compl/leq, test_name, embed), dom/cod/preimage/image
     and the atom surface over atoms numbered 0..m-1 (atom_positions,
     test_from_positions, preimage_positions, image_positions); DomainStructure
-    has the same names over its tables, so one checker takes either.
+    has the same names over its tables, so one checker takes either.  A
+    finite model may offer symmetries(), candidate automorphisms for materialize.
     """
 
     name = "model"
@@ -377,9 +378,7 @@ class RelModel(ModelHandle):
     def elements(self):
         if self.n > 4:
             raise ValueError(f"rel({self.n}) has 2^{self.n * self.n} elements; enumerate only n <= 4")
-        bits = self.n * self.n
-        for mask in range(1 << bits):
-            yield self._from_mask(mask)
+        yield from _relations(self.n) if self.n <= 3 else map(self._from_mask, range(self.size()))
 
     def size(self) -> int:
         return 1 << (self.n * self.n)
@@ -552,15 +551,33 @@ class RelModel(ModelHandle):
             part = ors[:, rows[:, i]]
             part <<= i * n
             mul |= part.T
-        conv = np.zeros(size, dtype=np.int32)
-        for i, j in itertools.product(range(n), repeat=2):
-            conv |= ((masks >> (i * n + j)) & 1) << (j * n + i)
         add, identity = np.bitwise_or.outer(masks, masks), sum(1 << (i * n + i) for i in range(n))
-        return add, mul, _power_sums(add, mul, identity), conv
+        return add, mul, _power_sums(add, mul, identity), self._moved_pairs(lambda i, j: (j, i))
+
+    def symmetries(self):
+        """The permutations of the masks that swapping states 1 and 2, and the cycle 1 -> 2 -> ... -> n -> 1,
+        induce (one for n = 2, none for n = 1); the two generate every permutation of the states."""
+        swap, cycle = (1, 0, *range(2, self.n)), (*range(1, self.n), 0)
+        return [self._moved_pairs(lambda i, j, s=s: (s[i], s[j])) for s in dict.fromkeys((swap, cycle)) if self.n > 1]
+
+    def _moved_pairs(self, f):
+        """Each mask with the bit of pair (i, j) moved to that of pair f(i, j), over elements()."""
+        n, masks = self.n, np.arange(self.size(), dtype=np.int32)
+        out = np.zeros_like(masks)
+        for i, j in itertools.product(range(n), repeat=2):
+            a, b = f(i, j)
+            out |= ((masks >> (i * n + j)) & 1) << (a * n + b)
+        return out
 
 
 def rel_model(n: int) -> RelModel:
     return RelModel(n)
+
+
+@lru_cache(maxsize=None)
+def _relations(n: int) -> tuple[Relation, ...]:
+    """The relations on {1..n} in the order of their masks, shared by every RelModel(n) (n <= 3)."""
+    return tuple(map(RelModel(n)._from_mask, range(1 << (n * n))))
 
 
 @lru_cache(maxsize=None)
@@ -589,17 +606,10 @@ def _mat_add(base: FiniteSemiring, x, y):
 
 
 def _mat_mul(base: FiniteSemiring, x, y):
-    q, r, c = len(x), len(y), len(y[0])
-    out = []
-    for i in range(q):
-        row = []
-        for j in range(c):
-            acc = base.zero
-            for k in range(r):
-                acc = int(base.add[acc, base.mul[x[i][k], y[k][j]]])
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    def dot(row, col):
+        return reduce(lambda acc, ab: int(base.add[acc, base.mul[ab]]), zip(row, col), base.zero)
+
+    return tuple(tuple(dot(row, col) for col in zip(*y)) for row in x)
 
 
 def matrix_star(base: FiniteSemiring, mat, split: Optional[int] = None):
@@ -898,23 +908,13 @@ class PathModel(_SubsetModel):
         )
 
     def _fuse(self, s: tuple, t: tuple) -> Optional[tuple]:
-        if not s and not t:
-            return ()
         if not s or not t:
-            return None
-        if s[-1] != t[0]:
-            return None
+            return () if not s and not t else None
         out = s + t[1:]
-        return out if len(out) <= self.maxlen else None
+        return out if s[-1] == t[0] and len(out) <= self.maxlen else None
 
     def mul(self, x: frozenset, y: frozenset) -> frozenset:
-        acc = set()
-        for s in x:
-            for t in y:
-                f = self._fuse(s, t)
-                if f is not None:
-                    acc.add(f)
-        return frozenset(acc)
+        return frozenset(f for s in x for t in y if (f := self._fuse(s, t)) is not None)
 
     @property
     def one(self) -> frozenset:
@@ -1155,6 +1155,7 @@ def materialize(handle: ModelHandle) -> MaterializedModel:
         conv=conv,
         name=handle.name,
     )
+    S._candidates = tuple(getattr(handle, "symmetries", tuple)())
     tests = None
     declared = handle.declared_tests()
     if declared is not None:

@@ -54,6 +54,7 @@ from kadlib.algebra import (
     all_hold,
     check_equation,
     check_laws,
+    check_test_algebra,
     compl,
     conv,
     cod,
@@ -79,6 +80,7 @@ from kadlib.domain import (
     check_domain_axioms,
     check_domain_calculus,
     compute_predomain,
+    converse_duality_check,
     run_laws,
 )
 from kadlib.algebra import check_isemiring, check_kleene
@@ -356,15 +358,15 @@ def test_scans_of_the_rel3_predomain_stay_within_a_few_chunks(check):
 
 
 def reference_first_failure(law, S):
-    """First failure of a law in three carrier variables, by a plain scan.
+    """First failure of a law in two or more carrier variables, by a plain scan.
 
-    One n-by-n grid of (second, third) values per value of the first
+    One grid of the other variables' values per value of the first
     variable, every binary table read by fancy indexing X[x, y].
     """
     n = S.n
     tables = {"add": S.add, "mul": S.mul, "leq": S.add == np.arange(n)}
     first, *rest = law.vars
-    grid = dict(zip(rest, np.ix_(range(n), range(n))))
+    grid, shape = dict(zip(rest, np.ix_(*[range(n)] * len(rest)))), (n,) * len(rest)
 
     def ev(t, env):
         if t.op == "var":
@@ -372,10 +374,10 @@ def reference_first_failure(law, S):
         if t.op in ("zero", "one"):
             return S.zero if t.op == "zero" else S.one
         args = [ev(a, env) for a in t.args]
-        if t.op == "star":
-            return S.star[args[0]]
-        if t.op == "eq":
-            return np.equal(*args)
+        if t.op in ("star", "conv"):
+            return getattr(S, t.op)[args[0]]
+        if t.op in ("eq", "iff"):
+            return functools.reduce(np.logical_and, [np.equal(args[0], x) for x in args[1:]])
         return tables[t.op][args[0], args[1]]
 
     for x in range(n):
@@ -383,10 +385,10 @@ def reference_first_failure(law, S):
         ok = ev(law.concl, env)
         for p in law.premises:
             ok = ok | ~ev(p, env)
-        ok = np.broadcast_to(ok, (n, n))
+        ok = np.broadcast_to(ok, shape)
         if not ok.all():
-            i, j = np.unravel_index(int(np.argmin(ok)), (n, n))
-            return {first: x, rest[0]: int(i), rest[1]: int(j)}
+            at = np.unravel_index(int(np.argmin(ok)), shape)
+            return {first: x, **{v: int(i) for v, i in zip(rest, at)}}
     return None
 
 
@@ -1305,3 +1307,183 @@ def test_sampled_laws_enumerate_only_what_a_handle_can():
     # 17 words: 2^17 languages, past what the subset model enumerates
     big = check_sampled_laws(bounded_language_model("abcdefghijklmnop", 1), samples=20)
     assert all(r.holds and r.note == "sampled (20)" for r in big)
+
+
+# -- scans over the orbits of rel(n)'s state symmetries ------------------------------
+
+# materialize keeps RelModel's candidate symmetries on the FiniteSemiring; the
+# same tables in a new FiniteSemiring have none, and every scan runs over every
+# value.  Reports must not depend on which of the two is scanned.
+
+
+def plain(S, **tables):
+    """S's tables, with the ones given replaced, in a new FiniteSemiring: one with no candidates."""
+    t = {k: getattr(S, k) for k in ("add", "mul", "star", "conv")} | tables
+    return FiniteSemiring(S.carrier, t["add"], t["mul"], S.zero, S.one, t["star"], t["conv"], S.name)
+
+
+def with_candidates(S, candidates, **tables):
+    S2 = plain(S, **tables)
+    S2._candidates = tuple(candidates)
+    return S2
+
+
+def laws_rel3_equations():
+    """The eight equations of the laws-rel3 benchmark, by name: (lhs, rhs, rel)."""
+    x, y = var("x"), var("y")
+    return {
+        "slide": (star(x * y) * x, x * star(y * x), "eq"),
+        "denesting": (star(x + y), star(x) * star(y * star(x)), "eq"),
+        "sum-star": (star(x + y), star(star(x) * star(y)), "eq"),
+        "star-product-below": (star(x) * star(y), star(x + y), "leq"),
+        "commute": (x * y, y * x, "eq"),
+        "star-of-sum-splits": (star(x + y), star(x) + star(y), "eq"),
+        "star-of-product-splits": (star(x * y), star(x) * star(y), "eq"),
+        "stars-commute": (star(x) * star(y), star(y) * star(x), "eq"),
+    }
+
+
+def all_family_rows(S, T, D=None):
+    """The rows of every family kad check prints, the star/preimage laws, the Hoare rules and the
+    laws-rel3 equations, on S, T and D (by default the predomain of S and T)."""
+    D = D or compute_predomain(S, T)
+    reports = [
+        *check_isemiring(S),
+        *check_kleene(S),
+        *check_test_algebra(T),
+        *check_domain_axioms(D),
+        *check_domain_calculus(D),
+        *check_converse(S),
+        *converse_duality_check(D),
+        *check_star_preimage_laws(D),
+        *check_hoare_rules(D),
+    ]
+    reports += [check_equation(lhs, rhs, rel, S=S, name=name) for name, (lhs, rhs, rel) in laws_rel3_equations().items()]
+    return rows(reports)
+
+
+def plain_rows(S, T, D=None):
+    """all_family_rows on copies of S, T and D with no candidates."""
+    P = plain(S)
+    TP = TestAlgebra(P, T.members, T.compl)
+    return all_family_rows(P, TP, D and DomainStructure(P, TP, D.delta, D.rho))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orbit_scans_give_the_plain_scans_reports(n):
+    S, T = rel_semiring(n), rel_tests(n)
+    assert len(compute_predomain(S, T)._symmetries) == len(S._candidates) == [0, 1, 2][n - 1]
+    assert all_family_rows(S, T) == plain_rows(S, T)
+
+
+def orbit(S, x):
+    """x's orbit under the group that S's candidates generate, ascending."""
+    seen, todo = {x}, [x]
+    while todo:
+        x = todo.pop()
+        for y in (int(p[x]) for p in S._candidates):
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return sorted(seen)
+
+
+# one relation of rel(n) by mask: {(1,2)} on two states, the path {(1,2),(2,3)} on three
+ORBIT_CORRUPTIONS = {2: 2, 3: 34}
+
+
+def orbit_corrupted(n):
+    """rel(n)'s tables with rel(n)'s candidates, corrupted on the orbit of ORBIT_CORRUPTIONS[n]: there each
+    relation's star is the full relation, its converse itself and its domain its codomain.  Each new
+    value is the old function of a relation that commutes with the symmetries, so they still verify."""
+    S, T = rel_semiring(n), rel_tests(n)
+    D = compute_predomain(S, T)
+    cells = orbit(S, ORBIT_CORRUPTIONS[n])
+    stars, convs, delta = np.array(S.star), np.array(S.conv), np.array(D.delta)
+    stars[cells], convs[cells], delta[cells] = S.top(), cells, D.rho[cells]
+    S2 = with_candidates(S, S._candidates, star=stars, conv=convs)
+    T2 = TestAlgebra(S2, T.members, T.compl)
+    return S2, T2, DomainStructure(S2, T2, delta, D.rho)
+
+
+@pytest.mark.parametrize("n", sorted(ORBIT_CORRUPTIONS))
+def test_orbit_scans_of_tables_corrupted_on_an_orbit(n):
+    """Every witness is the plain scan's; a law of two or three carrier variables fails first at its reference."""
+    S, T, D = orbit_corrupted(n)
+    assert len(D._symmetries) == len(S._candidates) == n - 1
+    got = all_family_rows(S, T, D)
+    assert got == plain_rows(S, T, D)
+    failed = {name: witness for name, holds, witness, _ in got if not holds}
+    laws = [law for law in KLEENE_LAWS + CONVERSE_LAWS if isinstance(law, Law) and len(law.vars) > 1 and law.name in failed]
+    assert len(laws) >= 6
+    for law in laws:
+        assert failed[law.name] == reference_first_failure(law, S), law.name
+    assert any(failed[law.name][law.vars[0]] != 0 for law in laws)
+    assert not all_hold(check_domain_axioms(D))
+    if n == 2:
+        compare_all(S, T)
+        compare_domain(D)
+
+
+def refused_candidates():
+    """(name, S, D): rel(3)'s tables where a candidate is refused on S, or on D alone."""
+    S, T = rel_semiring(3), rel_tests(3)
+    swap, cycle = S._candidates
+    stars = np.array(S.star)
+    stars[34] = S.top()  # one relation of a six-relation orbit
+    yield "one-star-cell", with_candidates(S, (swap, cycle), star=stars), None
+    squashed = swap.copy()
+    squashed[1] = squashed[2]
+    yield "not-a-bijection", with_candidates(S, [squashed]), None
+    for name, fixed in (("moves-zero", S.zero), ("moves-one", S.one)):
+        moved = swap.copy()
+        moved[[fixed, 34]] = moved[[34, fixed]]
+        yield name, with_candidates(S, [moved]), None
+    S2 = with_candidates(S, (swap, cycle))
+    D = compute_predomain(S, T)
+    delta = np.array(D.delta)
+    delta[34] = S.one  # dom({(1,2),(2,3)}) is {1,2}
+    yield "one-delta-cell", S2, DomainStructure(S2, TestAlgebra(S2, T.members, T.compl), delta, D.rho)
+
+
+REFUSED = list(refused_candidates())
+
+
+@pytest.mark.parametrize("name,S,D", REFUSED, ids=[name for name, _, _ in REFUSED])
+def test_refused_candidates_leave_the_plain_scan(name, S, D):
+    T = D.tests if D is not None else TestAlgebra(S, rel_tests(3).members, rel_tests(3).compl)
+    if D is None:
+        assert S._symmetries == () and S._orbit_least is None
+    else:
+        assert len(S._symmetries) == len(T._symmetries) == 2 and D._symmetries == () and D._orbit_least is None
+    assert all_family_rows(S, T, D) == plain_rows(S, T, D)
+
+
+def test_rel3_verifies_two_symmetries_with_104_relation_and_4_test_orbits():
+    D = compute_predomain(rel_semiring(3), rel_tests(3))
+    assert [len(X._symmetries) for X in (D.owner, D.tests, D)] == [2, 2, 2]
+    least = D._orbit_least
+    assert np.array_equal(least, D.owner._orbit_least) and np.array_equal(least, D.tests._orbit_least)
+    assert np.count_nonzero(least == np.arange(512)) == 104
+    assert [p for p in D.tests.members if least[p] == p] == [0, 1, 17, 273]
+
+
+def test_scanners_share_the_tables_kept_on_the_structures():
+    D = compute_predomain(rel_semiring(3), rel_tests(3))
+    a, b = kadlib.algebra._Scanner(D.owner, D=D), kadlib.algebra._Scanner(D.owner, D=D)
+    assert a.tables["leq"] is b.tables["leq"] is D.owner._order
+    assert a.tables["not"] is b.tables["not"] is D.tests._compl_column and a.member is b.member
+
+
+def test_relations_are_enumerated_once_per_n():
+    assert all(x is y for x, y in zip(rel_model(3).elements(), rel_model(3).elements()))
+    assert [str(r) for r in rel_model(2).elements()] == [str(rel_model(2)._from_mask(m)) for m in range(16)]
+
+
+def test_dom_additive_is_read_off_the_guards(monkeypatch):
+    """The rel(3) predomain decided dom-additive with b over the join-irreducibles; the calculus does not scan it again."""
+    D = compute_predomain(rel_semiring(3), rel_tests(3))
+    D._exact_laws
+    scans = counting_scans(monkeypatch)
+    assert {r.name: r for r in check_domain_calculus(D)}["dom-additive"] == LawReport("dom-additive", True)
+    assert "dom-additive" not in {name for name, _, _ in scans}
