@@ -16,12 +16,16 @@ no table gather copies more cells than the chunk holds.  The scan is
 exhaustive, and a failure's witness is the lexicographically first failing
 assignment in the declared variable order.
 
-check_isemiring and check_kleene decide their eight three-variable laws
-exactly, each once the laws its guard names have held on the same tables:
+check_isemiring and check_kleene decide add-commutative by comparing + with
+its transpose, and their eight three-variable laws exactly, each once the
+laws its guard names have held on the same tables:
 
-- add-/mul-associative: Light's test over a generating set of (carrier, +)
-  or (carrier, ·), found greedily rarest first (Clifford and Preston, The
-  Algebraic Theory of Semigroups I, §1.2); no guard.
+- add-/mul-associative: Light's test over a set G whose left-normed
+  products cover the carrier, grown greedily rarest first by right
+  multiplication with G alone (Clifford and Preston, The Algebraic Theory
+  of Semigroups I, §1.2): in any magma the g with (xg)y = x(gy) for all
+  x, y are closed under the operation; no guard.  Once the law holds,
+  every product is left-normed, so G generates the carrier.
 - left-/right-distributive: the multiplying element over the generators
   of ·, one summand over those of +; guard: add- and mul-associative.
 - star-left-/star-right-induction: a* <= mu(a, 1), where mu(a, b) =
@@ -34,10 +38,11 @@ exactly, each once the laws its guard names have held on the same tables:
 Every other law goes through _rewrite, the one law-rewrite step, which
 domain.run_laws uses too.  It certifies a law by another that has held
 (_CERTIFICATES), or rewrites it to an equivalent law with fewer instances:
-Horn elimination and join-irreducible ranges, behind guard laws that held
-on every instance (the isemiring laws and dom- and cod-additivity).  A law
-whose guard has not held, or that its reduction or rewrite refutes, is
-scanned, so every report and witness is the scanner's.
+Horn elimination and join-irreducible ranges (the join-irreducibles read
+off the generators of +), behind guard laws that held on every instance
+(the isemiring laws and dom- and cod-additivity).  A law whose guard has
+not held, or that its reduction or rewrite refutes, is scanned, so every
+report and witness is the scanner's.
 
 Every law is built from +, ·, *, converse, dom, cod and test complement,
 so it fails at (a, b, ...) iff it fails at (pa, pb, ...) for each
@@ -208,24 +213,27 @@ class FiniteSemiring:
 
     @functools.cached_property
     def _gens(self) -> dict:
-        """Generating sets of (carrier, +) and (carrier, ·), for the law reductions."""
+        """_generators of + and ·, for the law reductions: generating sets once add- and mul-associative held."""
         return {"add": _generators(self.add), "mul": _generators(self.mul)}
 
     @functools.cached_property
     def _join_irreducibles(self) -> list[int]:
-        """The elements other than 0 that are the sum of no two elements other than themselves, ascending.
+        """The elements other than 0 that are the sum of no two others, ascending; ValueError unless the isemiring laws held.
 
-        Where + is a semilattice with least element 0 (the isemiring laws)
-        these are its join-irreducibles, and every element is the sum of
-        those below it.
+        + is then a semilattice with least element 0, and these are its
+        join-irreducibles.  Each lies in every generating set of +, and a
+        generator g other than 0 is one iff the sum of the generators
+        strictly below g is not g, as every element is the sum of the
+        generators below it.
         """
-        ar = np.arange(self.n)
-        split = np.zeros(self.n, dtype=bool)
-        # in blocks of a quarter of a scan chunk, to keep the heap's high-water mark down
-        for rows in _row_blocks(self.n, self.n << 2):
-            sums = self.add[rows]
-            split[sums[(sums != ar[rows, None]) & (sums != ar)]] = True
-        return [j for j in range(self.n) if j != self.zero and not split[j]]
+        if not all_hold(self._isemiring_reports):
+            raise ValueError(f"{self.name}: join-irreducibles are read off + only where the isemiring laws hold")
+        A, G = self.add, np.array(self._gens["add"])
+        below = (A[np.ix_(G, G)] == G) & (G[:, None] != G)  # below[i, j]: G[i] < G[j]
+        sums = np.full(len(G), self.zero)
+        for h, row in zip(G, below):
+            sums = np.where(row, A[sums, h], sums)
+        return G[(sums != G) & (G != self.zero)].tolist()
 
     # -- basic views -------------------------------------------------
 
@@ -971,13 +979,14 @@ def _row_blocks(n: int, cols: int):
 
 
 def _generators(X) -> list[int]:
-    """A generating set of the magma (carrier, X), found greedily, rarest first; ascending.
+    """A set G whose left-normed products ((g1 g2) ...) gk cover the magma (carrier, X), greedily, rarest first; ascending.
 
     Candidates are visited by how few cells of X hold them, ties by index:
     an element few products reach is one the others seldom generate.  Each
-    candidate not yet in the closure of the set joins it, and the closure
-    grows by the products of its new elements with all of it, in blocks of
-    at most _CHUNK cells, until it is the whole carrier.
+    candidate not yet covered joins G, and what G covers grows only by right
+    multiplication with G: each element meets each generator once, in blocks
+    of at most _CHUNK cells.  Where X is associative every product is
+    left-normed, so G is the greedy generating set.
     """
     n = len(X)
     counts = sum(np.bincount(X[rows].ravel(), minlength=n) for rows in _row_blocks(n, n))
@@ -987,24 +996,23 @@ def _generators(X) -> list[int]:
         if inside[g]:
             continue
         gens.append(g)
-        new = np.array([g])
-        inside[g] = True
-        while new.size:
-            hit = np.zeros(n, dtype=bool)
-            closure = np.flatnonzero(inside)
-            for rows in _row_blocks(len(new), len(closure)):
-                hit[X[np.ix_(new[rows], closure)]] = True
-                hit[X[np.ix_(closure, new[rows])]] = True
-            new = np.flatnonzero(hit & ~inside)
+        hit = np.zeros(n, dtype=bool)
+        hit[g] = True
+        hit[X[inside, g]] = True
+        while (new := np.flatnonzero(hit & ~inside)).size:
             inside[new] = True
+            hit[:] = False
+            for rows in _row_blocks(len(new), len(gens)):
+                hit[X[np.ix_(new[rows], gens)]] = True
     return sorted(gens)
 
 
 def _associative(X, gens) -> bool:
-    """Light's test: (x g) y = x (g y) for all x, y and every generator g.
+    """Light's test: (x g) y = x (g y) for all x, y and every g in gens.
 
-    The elements g for which this holds are closed under X, so checking it
-    for the generators of (carrier, X) decides associativity.
+    In any magma the g for which this holds are closed under X, as then
+    (x(gh))y = ((xg)h)y = (xg)(hy) = x(g(hy)) = x((gh)y); so gens whose
+    left-normed products cover the carrier (_generators) decide the law.
     """
     blocks = _row_blocks(len(X), len(X))
     return all(
@@ -1081,6 +1089,7 @@ _ISEMIRING_NAMES = tuple(law if isinstance(law, str) else law.name for law in IS
 
 # law: (the laws that must have held first, the reduction)
 _REDUCTIONS = {
+    "add-commutative": ((), lambda S: np.array_equal(S.add, S.add.T)),
     "add-associative": ((), lambda S: _associative(S.add, S._gens["add"])),
     "mul-associative": ((), lambda S: _associative(S.mul, S._gens["mul"])),
     "left-distributive": (("add-associative", "mul-associative"), lambda S: _distributive(S, True)),
@@ -1274,26 +1283,28 @@ def check_kleene(S: FiniteSemiring) -> list[LawReport]:
     return _check(KLEENE_LAWS, _Scanner(S), [powers], _decided, held)
 
 
-def _first_pair(mem, pred) -> Optional[dict]:
-    return next(({"p": p, "q": q} for p in mem for q in mem if not pred(p, q)), None)
+def _first_pair(mem, bad) -> Optional[dict]:
+    """The first (p, q) in member order at which bad, a members x members mask, is true, or None."""
+    i, j = divmod(int(np.argmax(bad)), len(mem))
+    return {"p": mem[i], "q": mem[j]} if bad[i, j] else None
 
 
 def check_test_algebra(T: TestAlgebra) -> list[LawReport]:
     """Boolean-algebra laws for the declared members, plus the four-way
     shunting equivalences that image/preimage reasoning relies on."""
-    S = T.owner
-    mem = T.members
-    memset = set(mem)
-
-    def glb(p, q):
-        m = int(S.mul[p, q])
-        return S.leq(m, p) and S.leq(m, q) and all(S.leq(r, m) for r in mem if S.leq(r, p) and S.leq(r, q))
-
+    S, mem, member, O = T.owner, T.members, T._member_mask, T.owner._order
+    ix = np.array(mem)
+    meets = S.mul[np.ix_(ix, ix)]
+    below = O[np.ix_(ix, ix)]  # below[r, p]: r <= p
+    # the meet of p and q lies below both, and every member r below both lies below it
+    not_glb = ~(O[meets, ix[:, None]] & O[meets, ix])
+    for rows in _row_blocks(len(ix), len(ix) ** 2):
+        not_glb[rows] |= (below[:, rows, None] & below[:, None, :] & ~O[ix[:, None, None], meets[rows]]).any(axis=0)
     hand = [
-        _report("zero-is-member", None if S.zero in memset else {"p": S.zero}),
-        _report("one-is-member", None if S.one in memset else {"p": S.one}),
-        _report("closed-under-join", _first_pair(mem, lambda p, q: int(S.add[p, q]) in memset)),
-        _report("closed-under-meet", _first_pair(mem, lambda p, q: int(S.mul[p, q]) in memset)),
-        _report("meet-is-greatest-lower-bound", _first_pair(mem, glb)),
+        _report("zero-is-member", None if member[S.zero] else {"p": S.zero}),
+        _report("one-is-member", None if member[S.one] else {"p": S.one}),
+        _report("closed-under-join", _first_pair(mem, ~member[S.add[np.ix_(ix, ix)]])),
+        _report("closed-under-meet", _first_pair(mem, ~member[meets])),
+        _report("meet-is-greatest-lower-bound", _first_pair(mem, not_glb)),
     ]
     return check_laws(TEST_LAWS, S, T, hand=hand)

@@ -87,7 +87,7 @@ class DomainStructure:
         for t, what in ((self.delta, "delta"), (self.rho, "rho")):
             if t.shape != (owner.n,):
                 raise ValueError(f"{what} table must have length {owner.n}")
-            if any(int(v) not in tests.compl for v in t):
+            if t.min() < 0 or t.max() >= owner.n or not tests._member_mask[t].all():
                 raise ValueError(f"{what} table must land in the test algebra")
         self.delta.setflags(write=False)
         self.rho.setflags(write=False)
@@ -193,7 +193,7 @@ class DomainStructure:
         return self.owner.n
 
     def join_irreducibles(self) -> list[int]:
-        """The elements other than 0 that are the sum of no two others, read off the + table."""
+        """The elements other than 0 that are the sum of no two others (FiniteSemiring._join_irreducibles)."""
         return self.owner._join_irreducibles
 
     def sample(self, rng) -> int:

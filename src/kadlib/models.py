@@ -248,6 +248,8 @@ class Relation:
     succ: tuple[tuple[int, ...], ...]
     # predecessors, filled on first read; a plain slot, as cached_property locks on its first read
     _pred: Optional[list] = field(default=None, init=False, compare=False, repr=False)
+    # the text of str, kept on the relations that _relations shares
+    _text: Optional[str] = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
@@ -310,6 +312,8 @@ class Relation:
             raise ValueError("relations over different base sets")
 
     def __str__(self):
+        if self._text is not None:
+            return self._text
         # row-major order is sorted order
         return "{" + ",".join(f"({i + 1},{j + 1})" for i, row in enumerate(self.succ) for j in row) + "}"
 
@@ -576,8 +580,18 @@ def rel_model(n: int) -> RelModel:
 
 @lru_cache(maxsize=None)
 def _relations(n: int) -> tuple[Relation, ...]:
-    """The relations on {1..n} in the order of their masks, shared by every RelModel(n) (n <= 3)."""
-    return tuple(map(RelModel(n)._from_mask, range(1 << (n * n))))
+    """The relations on {1..n} in the order of their masks, shared by every RelModel(n) (n <= 3), built in one pass over
+    the masks: rows from the n-bit row masks, and text from that of the mask with its top bit, the last pair, cleared."""
+    full, pairs = (1 << n) - 1, [f",({i + 1},{j + 1})" for i in range(n) for j in range(n)]
+    rows, texts, out = [tuple(_bit_positions(r)) for r in range(full + 1)], [""], []
+    for m in range(1 << (n * n)):
+        if m:  # texts[m] is mask m's pairs in row-major order, each after a comma
+            k = m.bit_length() - 1
+            texts.append(texts[m ^ (1 << k)] + pairs[k])
+        r = Relation(n, tuple(rows[(m >> (i * n)) & full] for i in range(n)))
+        object.__setattr__(r, "_text", "{" + texts[m][1:] + "}")
+        out.append(r)
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

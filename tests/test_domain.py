@@ -248,6 +248,10 @@ def test_delta_table_is_validated():
     # index 1 is "a", not a member of the discrete test algebra
     with pytest.raises(ValueError, match="land in the test algebra"):
         DomainStructure(S, T, delta=[0, 1, 2], rho=[0, 2, 2])
+    # values that are no carrier index at all, -1 among them, which would wrap as an array index
+    for bad in ([0, 2, -1], [0, 2, 3]):
+        with pytest.raises(ValueError, match="rho table must land in the test algebra"):
+            DomainStructure(S, T, delta=[0, 2, 2], rho=bad)
 
 
 def test_no_preserving_test_is_reported():

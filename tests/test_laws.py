@@ -91,6 +91,7 @@ from kadlib.models import (
     bounded_language_model,
     check_sampled_laws,
     materialize,
+    matrix_semiring,
     conway_model,
     predicate_transformer_model,
     conway_names,
@@ -509,16 +510,58 @@ def closure(X, gens):
         inside = grown
 
 
+def left_normed_closure(X, gens):
+    """The left-normed products ((g1 g2) ...) gk of gens under the table X, ascending."""
+    inside, todo = set(gens), list(gens)
+    while todo:
+        x = todo.pop()
+        for y in np.asarray(X)[x, gens].tolist():
+            if y not in inside:
+                inside.add(y)
+                todo.append(y)
+    return sorted(inside)
+
+
+def two_sided_generators(X):
+    """The greedy generating set, rarest first, whose closure grows by the products of its new
+    elements with all of it on both sides: _generators' reference on associative tables."""
+    n = len(X)
+    counts = np.bincount(np.asarray(X).ravel(), minlength=n)
+    inside = np.zeros(n, dtype=bool)
+    gens = []
+    for g in np.argsort(counts, kind="stable").tolist():
+        if inside[g]:
+            continue
+        gens.append(g)
+        new = np.array([g])
+        inside[g] = True
+        while new.size:
+            hit = np.zeros(n, dtype=bool)
+            closure = np.flatnonzero(inside)
+            hit[X[np.ix_(new, closure)]] = True
+            hit[X[np.ix_(closure, new)]] = True
+            new = np.flatnonzero(hit & ~inside)
+            inside[new] = True
+    return sorted(gens)
+
+
 def non_associative_rel3_add():
     add = np.array(REL3.add)
     add[260, 3] = (add[260, 3] + 1) % REL3.n
     return add
 
 
+def non_associative_rel3_mul():
+    mul = np.array(REL3.mul)
+    mul[300, 400] = (mul[300, 400] + 1) % REL3.n
+    return mul
+
+
 GENERATED = {
     **{f"{name}-{op}": (lambda S=S, op=op: getattr(S, op)) for name, S, _ in MODELS for op in ("add", "mul")},
     **{f"rel3-{op}": (lambda op=op: getattr(REL3, op)) for op in ("add", "mul")},
     "rel3-corrupted-add": non_associative_rel3_add,
+    "rel3-corrupted-mul": non_associative_rel3_mul,
 }
 
 
@@ -527,12 +570,50 @@ def test_greedy_generators_generate_the_carrier(name):
     X = GENERATED[name]()
     gens = kadlib.algebra._generators(X)
     assert gens == sorted(set(gens))
-    assert closure(X, gens) == list(range(len(X)))
+    assert left_normed_closure(X, gens) == list(range(len(X)))
 
 
 def test_lights_test_refutes_a_non_associative_table():
-    X = non_associative_rel3_add()
-    assert not kadlib.algebra._associative(X, kadlib.algebra._generators(X))
+    for X in (non_associative_rel3_add(), non_associative_rel3_mul()):
+        assert not kadlib.algebra._associative(X, kadlib.algebra._generators(X))
+
+
+def associative_tables():
+    """(name, S) for the semirings whose + and · are associative: rel(1..3), the builtins, the
+    rel(2) and rel(3) transformer tables and a matrix semiring."""
+    yield from ((f"rel{n}", rel_semiring(n)) for n in (1, 2, 3))
+    yield from ((name, conway_model(name)) for name in conway_names())
+    yield from ((f"transformers-rel{n}", transformer_semiring(n)) for n in (2, 3))
+    yield "matrix-A3_1", materialize(matrix_semiring(conway_model("A3_1"), 2)).semiring
+
+
+@pytest.mark.parametrize("name,S", list(associative_tables()), ids=str)
+def test_generators_are_the_two_sided_greedy_sets_on_associative_tables(name, S):
+    assert {"add-associative", "mul-associative"} <= {r.name for r in check_isemiring(S) if r.holds}
+    assert S._gens == {op: two_sided_generators(getattr(S, op)) for op in ("add", "mul")}
+
+
+def test_add_commutative_of_an_asymmetric_cell_is_the_scanners_report():
+    add = np.array(REL3.add)
+    add[5, 480] = 0
+    S = plain(REL3, add=add)
+    law = REL3_LAWS["add-commutative"]
+    got = {r.name: r for r in check_isemiring(S)}[law.name]
+    assert got == check_laws([law], S)[0] == LawReport(law.name, False, {"a": 5, "b": 480})
+
+
+def test_join_irreducibles_are_refused_where_the_isemiring_laws_fail():
+    S = plain(REL3, add=non_associative_rel3_add())
+    with pytest.raises(ValueError, match="isemiring laws"):
+        S._join_irreducibles
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_shared_relations_are_the_masks_relations_with_their_text(n):
+    M = rel_model(n)
+    for m, r in enumerate(kadlib.models._relations(n)):
+        assert r == M._from_mask(m)
+        assert str(r) == str(M._from_mask(m)) == "{" + ",".join(f"({i},{j})" for i, j in sorted(r.pairs())) + "}"
 
 
 def test_rel3_mul_generators_are_few_and_generate_the_carrier():
@@ -545,6 +626,60 @@ def test_rel3_mul_generators_are_few_and_generate_the_carrier():
 def test_rel3_add_generators_are_zero_and_the_single_pairs():
     # an element's index is its adjacency mask, so a single pair is a power of two
     assert kadlib.algebra._generators(REL3.add) == [0] + [1 << k for k in range(9)]
+
+
+def reference_test_hand(T):
+    """check_test_algebra's hand-written reports by the per-pair loops over the members."""
+    S, mem = T.owner, T.members
+    memset = set(mem)
+
+    def first_pair(pred):
+        return next(({"p": p, "q": q} for p in mem for q in mem if not pred(p, q)), None)
+
+    def glb(p, q):
+        m = int(S.mul[p, q])
+        return S.leq(m, p) and S.leq(m, q) and all(S.leq(r, m) for r in mem if S.leq(r, p) and S.leq(r, q))
+
+    return [
+        LawReport("zero-is-member", S.zero in memset, None if S.zero in memset else {"p": S.zero}),
+        LawReport("one-is-member", S.one in memset, None if S.one in memset else {"p": S.one}),
+        *(
+            LawReport(name, w is None, w)
+            for name, w in (
+                ("closed-under-join", first_pair(lambda p, q: int(S.add[p, q]) in memset)),
+                ("closed-under-meet", first_pair(lambda p, q: int(S.mul[p, q]) in memset)),
+                ("meet-is-greatest-lower-bound", first_pair(glb)),
+            )
+        ),
+    ]
+
+
+# A cell of rel(3)'s · table at two tests, given a new value: a test below the
+# meet, a non-test, and a test above it; and a cell of + given a non-test.
+TEST_CELL_CORRUPTIONS = {
+    ("mul", 273, 17, 1): ["meet-is-greatest-lower-bound"],
+    ("mul", 17, 16, 2): ["closed-under-meet", "meet-is-greatest-lower-bound"],
+    ("mul", 16, 1, 17): ["meet-is-greatest-lower-bound"],
+    ("add", 256, 1, 3): ["closed-under-join"],
+}
+
+
+@pytest.mark.parametrize("table,i,j,v", sorted(TEST_CELL_CORRUPTIONS), ids=str)
+def test_test_algebra_pairs_of_a_corrupted_cell_match_the_per_pair_loops(table, i, j, v):
+    X = np.array(getattr(REL3, table))
+    X[i, j] = v
+    S = plain(REL3, **{table: X})
+    T = TestAlgebra(S, rel_tests(3).members, rel_tests(3).compl)
+    want = reference_test_hand(T)
+    got = [r for r in check_test_algebra(T) if r.name in {x.name for x in want}]
+    assert got == want
+    assert [r.name for r in got if not r.holds] == TEST_CELL_CORRUPTIONS[table, i, j, v]
+
+
+@pytest.mark.parametrize("name,S,T", MODELS, ids=[m[0] for m in MODELS])
+def test_test_algebra_pairs_match_the_per_pair_loops(name, S, T):
+    want = reference_test_hand(T)
+    assert [r for r in check_test_algebra(T) if r.name in {x.name for x in want}] == want
 
 
 @pytest.mark.parametrize("chunk", [None, 1 << 10])
