@@ -32,6 +32,7 @@ Exit codes: 0 all checks pass, 1 law or triple failure, 2 parse error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -626,13 +627,8 @@ def cmd_reach(path: str, relation: str, targets: str = "", algo: str = "both") -
     for kind in ("naive", "efficient"):
         if algo not in (kind, "both"):
             continue
-        run = reach_naive if kind == "naive" else reach_efficient
-        r = run(D, a, p)
-        results[kind] = r
-        print(
-            f"{kind}: {D.test_name(r.result)} "
-            f"(iterations={r.iterations}, preimage-evals={r.preimage_evals})"
-        )
+        r = results[kind] = (reach_naive if kind == "naive" else reach_efficient)(D, a, p)
+        print(f"{kind}: {D.test_name(r.result)} (iterations={r.iterations}, preimage-evals={r.preimage_evals})")
     if algo == "both":
         if results["naive"].result == results["efficient"].result:
             print("agree")
@@ -666,8 +662,8 @@ def cmd_hoare(path: str, triple: Optional[str] = None, proof: Optional[str] = No
 
 
 def _has_cycle(D, rel) -> bool:
-    """Kahn's algorithm over D's successor positions: a cycle remains once no state without predecessors is left."""
-    succ = [D.image_positions(k, rel) for k in D.atom_positions(D.test_one)]
+    """Kahn's algorithm over D's successor rows: a cycle remains once no state without predecessors is left."""
+    succ = D.image_rows(rel)
     indegree = [0] * len(succ)
     for js in succ:
         for j in js:
@@ -701,7 +697,9 @@ def cmd_termination(path: str, relation: str) -> int:
 # -- entry point --------------------------------------------------------------
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The kad argument parser, built once: parse_args keeps nothing of a call on it."""
     ap = argparse.ArgumentParser(
         prog="kad",
         description="Check Kleene-algebra models, reachability, termination and Hoare triples.",
@@ -727,8 +725,11 @@ def main(argv=None) -> int:
     p = sub.add_parser("termination", help="termination analysis of a workspace relation")
     p.add_argument("path")
     p.add_argument("--relation", required=True)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.cmd == "check":
             return cmd_check(args.path, args.laws)

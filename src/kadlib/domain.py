@@ -231,11 +231,11 @@ class DomainStructure:
     def test_from_positions(self, ks) -> int:
         return functools.reduce(self.test_join, (self._atoms[k] for k in ks), self.test_zero)
 
-    def preimage_positions(self, a: int, k: int) -> list[int]:
-        return self.atom_positions(self.preimage(a, self._atoms[k]))
+    def preimage_rows(self, a: int) -> list[list[int]]:
+        return [self.atom_positions(self.preimage(a, t)) for t in self._atoms]
 
-    def image_positions(self, k: int, a: int) -> list[int]:
-        return self.atom_positions(self.image(self._atoms[k], a))
+    def image_rows(self, a: int) -> list[list[int]]:
+        return [self.atom_positions(self.image(t, a)) for t in self._atoms]
 
     def test_join(self, p: int, q: int) -> int:
         return self.tests.join(p, q)

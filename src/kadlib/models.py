@@ -61,7 +61,8 @@ class ModelHandle:
     reports.  A model with domain adds the test surface (test_members,
     test_join/meet/compl/leq, test_name, embed), dom/cod/preimage/image
     and the atom surface over atoms numbered 0..m-1 (atom_positions,
-    test_from_positions, preimage_positions, image_positions); DomainStructure
+    test_from_positions, and preimage_rows(a) and image_rows(a), whose row
+    k holds the atoms below a:t and t:a for atom t at k); DomainStructure
     has the same names over its tables, so one checker takes either.  A
     finite model may offer symmetries(), candidate automorphisms for materialize.
     """
@@ -258,7 +259,8 @@ class Relation:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"pair ({i},{j}) outside 1..{n}")
             rows[i - 1].append(j - 1)
-        return cls(n, tuple(tuple(sorted(set(row))) for row in rows))
+        # a row of at most one entry is already ascending and without repeats
+        return cls(n, tuple(tuple(row) if len(row) < 2 else tuple(sorted(set(row))) for row in rows))
 
     @classmethod
     def empty(cls, n: int) -> "Relation":
@@ -502,16 +504,13 @@ class RelModel(ModelHandle):
         succ = a.succ
         return self.test_from_positions(j for k in _bit_positions(p) for j in succ[k])
 
-    def preimage_positions(self, a: Relation, k: int) -> list[int]:
-        """The states with an a-edge into state k + 1, as positions; a's own list, not to be changed."""
-        # the worklists call this once per atom visited (about 53,000 times in a graph-queries
-        # pass), and a property call doubles its cost: read the slot, and the property only to fill it
-        pred = a._pred
-        return (a.predecessors if pred is None else pred)[k]
+    def preimage_rows(self, a: Relation) -> list[list[int]]:
+        """Row k: the states with an a-edge into state k + 1, as ascending positions; a's own lists, not to be changed."""
+        return a.predecessors
 
-    def image_positions(self, k: int, a: Relation) -> tuple[int, ...]:
-        """The states state k + 1 has an a-edge to, as ascending positions: a's own row."""
-        return a.succ[k]
+    def image_rows(self, a: Relation) -> tuple[tuple[int, ...], ...]:
+        """Row k: the states state k + 1 has an a-edge to, as ascending positions; a's own rows."""
+        return a.succ
 
     def intransitive_step(self, a: Relation) -> Optional[int]:
         """A test {j,k} for the first i -> j -> k (least i, then j, then k) without i -> k, or None."""
@@ -1032,7 +1031,7 @@ class TransformerModel(ModelHandle):
         D, pos = self.D, self._pos
         if self._atoms is None:
             return tuple(pos[D.preimage(a, p)] for p in self.members)
-        return tuple(pos[D.test_from_positions(D.preimage_positions(a, k))] for k in range(len(self._atoms)))
+        return tuple(pos[D.test_from_positions(row)] for row in D.preimage_rows(a))
 
     def transformer_of(self, a) -> tuple[int, ...]:
         return self.maps[self._by_values[self._values(a)]]

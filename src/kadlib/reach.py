@@ -14,14 +14,14 @@ are least sets of atoms closed under "joins once enough of what feeds it
 has joined".
 
 Works over any object exposing the atom surface (atom_positions,
-test_from_positions, preimage_positions): table-backed DomainStructure or
-a direct relational model.
+test_from_positions, preimage_rows, whose row k holds the atoms below a:t
+for the k-th atom t): table-backed DomainStructure or a relational model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Sequence
 
 from .algebra import Law, LawReport, compl, dom, eq, leq, one_term, star, var
@@ -84,8 +84,8 @@ def reach_naive(D, a, p) -> ReachResult:
     Each sweep evaluates one preimage per atom of the current test, so the
     cost of a sweep grows with what has been collected already.
     """
-    x = D.atom_positions(p)
-    seen = bytearray(len(D.atom_positions(D.test_one)))
+    x, rows = D.atom_positions(p), D.preimage_rows(a)
+    seen = bytearray(len(rows))
     for k in x:
         seen[k] = 1
     first, evals, ends = len(x), 0, []
@@ -93,7 +93,7 @@ def reach_naive(D, a, p) -> ReachResult:
         size = len(x)
         evals += size
         for k in x[:size]:
-            for j in D.preimage_positions(a, k):
+            for j in rows[k]:
                 if not seen[j]:
                     seen[j] = 1
                     x.append(j)
@@ -113,8 +113,8 @@ def reach_efficient(D, a, p) -> ReachResult:
     """
     if not D.flags.get("dloc", False):
         raise ValueError("reach_efficient requires locality (dloc); use reach_naive")
-    start = D.atom_positions(p)
-    joined = _grow(start, partial(D.preimage_positions, a), [1] * len(D.atom_positions(D.test_one)))
+    start, rows = D.atom_positions(p), D.preimage_rows(a)
+    joined = _grow(start, rows.__getitem__, [1] * len(rows))
     added = tuple(joined[len(start) :])
     n = len(added)
     return ReachResult(D.test_join(p, D.test_from_positions(added)), n, len(joined), p, added, range(1, n + 1), D)

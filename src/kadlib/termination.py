@@ -117,16 +117,15 @@ def stuck_set(D, a, forward: bool = False):
 
     Its complement is a least fixpoint, grown by reach's counting worklist
     from the atoms that step nowhere: an atom joins once every atom it
-    steps into (is stepped into from, when forward) has joined.  Each
-    atom's preimage (image when forward) is read once, as atom positions.
+    steps into (is stepped into from, when forward) has joined.  The
+    preimage rows (image rows when forward) come from one model call.
     Exact when a:x is the join of a:t over the atoms t below x, as in every
     relation model and, by d1 and d2 (cd1 and cd2 for image), in every
     domain structure.
     """
-    m = len(D.atom_positions(D.test_one))
     # atom k feeds the atoms that step into it (that it steps into, when forward)
-    feeds = [D.image_positions(k, a) if forward else D.preimage_positions(a, k) for k in range(m)]
-    need = [0] * m  # need[j]: how many of the lists hold j
+    feeds = D.image_rows(a) if forward else D.preimage_rows(a)
+    need = [0] * len(feeds)  # need[j]: how many of the rows hold j
     for js in feeds:
         for j in js:
             need[j] += 1

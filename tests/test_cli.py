@@ -503,6 +503,30 @@ def test_termination_never_formats_the_relation(case, monkeypatch, capsys):
     test_graph_command_output_is_unchanged(case, capsys)
 
 
+def test_one_parser_serves_every_call_and_keeps_nothing(capsys):
+    """Two rounds of every golden case through one process's parser, each case followed by
+    kad check builtin:A2 and a usage error, give every golden stdout and exit code every time."""
+    kadlib.cli._parser.cache_clear()
+    check_out = (DATA / "check" / "builtin_A2.stdout").read_bytes()
+    usage_err = None
+    for _ in range(2):
+        for case in sorted(GOLDEN_CASES):
+            where, spec = GOLDEN_CASES[case]
+            argv = list(spec["argv"])
+            argv[1] = str(where / argv[1])
+            assert main(argv) == spec["exit"]
+            assert capsys.readouterr().out.encode() == (where / f"{case}.stdout").read_bytes()
+            assert main(["check", "builtin:A2"]) == 0
+            assert capsys.readouterr().out.encode() == check_out
+            with pytest.raises(SystemExit) as exit_:
+                main(["reach"])
+            assert exit_.value.code == 2
+            out, err = capsys.readouterr()
+            usage_err = usage_err or err
+            assert out == "" and err.startswith("usage: kad reach") and err == usage_err
+    assert kadlib.cli._parser.cache_info().misses == 1
+
+
 # -- numpy only for the table layer ---------------------------------------------------------------
 
 

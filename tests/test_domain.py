@@ -276,7 +276,7 @@ def test_preservers_without_least_element_are_reported():
 
 
 def assert_atom_surface_agrees(D):
-    """atom_positions, test_from_positions, preimage_positions and image_positions
+    """atom_positions, test_from_positions, and the rows of preimage_rows and image_rows,
     name by position the atoms that atoms_below, preimage and image give."""
     atoms = D.atoms_below(D.test_one)
     assert [D.test_from_positions([k]) for k in range(len(atoms))] == atoms
@@ -286,20 +286,27 @@ def assert_atom_surface_agrees(D):
         assert [atoms[k] for k in ks] == D.atoms_below(p)
         assert D.test_from_positions(ks) == p
     for a in D.elements():
+        pre, img = D.preimage_rows(a), D.image_rows(a)
+        assert len(pre) == len(img) == len(atoms)
         for k, t in enumerate(atoms):
-            assert [atoms[j] for j in D.preimage_positions(a, k)] == D.atoms_below(D.preimage(a, t))
-            assert [atoms[j] for j in D.image_positions(k, a)] == D.atoms_below(D.image(t, a))
+            assert [atoms[j] for j in pre[k]] == D.atoms_below(D.preimage(a, t))
+            assert [atoms[j] for j in img[k]] == D.atoms_below(D.image(t, a))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_atom_surface_on_every_relation(n):
-    assert_atom_surface_agrees(rel_model(n))
+    D = rel_model(n)
+    assert_atom_surface_agrees(D)
+    # the rows are the relation's own lists, handed over without a copy
+    for a in D.elements():
+        assert D.preimage_rows(a) is a.predecessors and D.image_rows(a) is a.succ
 
 
-@pytest.mark.parametrize("name", [*conway_names(), "rel2"])
+@pytest.mark.parametrize("name", [*conway_names(), "rel2", "rel3"])
 def test_atom_surface_on_predomains(name):
-    if name == "rel2":
-        D = compute_predomain(rel_semiring(2), rel_tests(2))
+    if name.startswith("rel"):
+        n = int(name[3:])
+        D = compute_predomain(rel_semiring(n), rel_tests(n))
     else:
         _, D = predomain_of(name)
     assert_atom_surface_agrees(D)

@@ -135,9 +135,11 @@ def check_relation_against_sets(rng, n, xp, yp):
         assert pairs_of(D.embed(p)) == {(s, s) for s in tgt}
         assert D.test_states(D.preimage(x, p)) == sorted({i for i, j in xp if j in tgt})
         assert D.test_states(D.image(p, x)) == sorted({j for i, j in xp if i in tgt})
+    pre, img = D.preimage_rows(x), D.image_rows(x)
+    assert len(pre) == len(img) == n
     for k in range(n):
-        assert list(D.preimage_positions(x, k)) == [i - 1 for i in states if (i, k + 1) in xp]
-        assert list(D.image_positions(k, x)) == [j - 1 for j in states if (k + 1, j) in xp]
+        assert list(pre[k]) == [i - 1 for i in states if (i, k + 1) in xp]
+        assert list(img[k]) == [j - 1 for j in states if (k + 1, j) in xp]
     step, want = D.intransitive_step(x), first_intransitive_step(n, xp)
     assert (step is None) if want is None else D.test_states(step) == want
 
@@ -283,6 +285,23 @@ def test_preimage_and_image_match_the_per_bit_build():
         assert (D.preimage(chain, p), D.image(p, chain)) == per_bit_images(chain, p)
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(1, 2), (1, 2)],  # a repeated edge, the row's only successor
+        [(1, 3), (1, 2), (1, 1), (3, 2)],  # a descending row
+        [(2, 2)],  # empty rows around a single entry
+        [],
+        [(3, 3), (2, 1), (3, 1), (2, 1), (3, 2), (3, 3)],
+    ],
+)
+def test_from_pairs_rows_are_ascending_without_repeats(pairs):
+    want = tuple(tuple(sorted({j - 1 for i, j in pairs if i == s})) for s in (1, 2, 3))
+    r = Relation.from_pairs(3, pairs)
+    assert r.succ == want and r == Relation(3, want) and hash(r) == hash(Relation(3, want))
+    assert r.pairs() == frozenset(pairs)
+
+
 def test_predecessors_leave_equality_hash_and_repr_alone():
     a = Relation.from_pairs(3, [(1, 2), (3, 1)])
     b = Relation.from_pairs(3, [(3, 1), (1, 2)])
@@ -310,7 +329,7 @@ def test_each_relation_keeps_its_own_predecessor_lists(monkeypatch):
     for _ in range(3):
         for k in range(n):
             for r in (a, b):
-                assert D.preimage_positions(r, k) == want[r][k]
+                assert D.preimage_rows(r)[k] == want[r][k]
     # each relation builds its lists once, however the queries alternate
     assert builds == [a, b]
 

@@ -517,23 +517,36 @@ def test_stuck_set_matches_the_mask_worklist(case, forward):
 # -- cost of the exact decisions ---------------------------------------------------------
 
 
-class CountingRelModel(RelModel):
-    """RelModel that counts reads of single-state preimages and images.
+class CountingRows(list):
+    """A model's preimage or image rows that count each row read by atom position into the model."""
 
-    The fixpoint reads them by atom position; it must not fall back to the
-    mask-level preimage and image."""
+    def __init__(self, rows, model):
+        super().__init__(rows)
+        self.model = model
+
+    def __getitem__(self, k):
+        self.model.atom_steps += 1
+        return super().__getitem__(k)
+
+
+class CountingRelModel(RelModel):
+    """RelModel that counts the row lists it hands out and the single-state rows read from them.
+
+    The fixpoint reads single-state preimages and images as rows, by atom
+    position; it must not fall back to the mask-level preimage and image."""
 
     def __init__(self, n):
         super().__init__(n)
         self.atom_steps = 0
+        self.row_lists = 0
 
-    def preimage_positions(self, a, k):
-        self.atom_steps += 1
-        return super().preimage_positions(a, k)
+    def preimage_rows(self, a):
+        self.row_lists += 1
+        return CountingRows(super().preimage_rows(a), self)
 
-    def image_positions(self, k, a):
-        self.atom_steps += 1
-        return super().image_positions(k, a)
+    def image_rows(self, a):
+        self.row_lists += 1
+        return CountingRows(super().image_rows(a), self)
 
     def preimage(self, a, p):
         raise AssertionError("the fixpoint asks only about single states")
@@ -550,7 +563,9 @@ def test_exact_decisions_take_at_most_n_atom_steps(check, cyclic):
     D = CountingRelModel(n)
     v = check(D, Relation.from_pairs(n, pairs))
     assert v.holds == (not cyclic) and v.note != "sampled"
-    assert 0 < D.atom_steps <= n
+    assert D.row_lists == 1 and D.atom_steps <= n
+    # the rows read by position are those of the atoms outside the stuck set, each once
+    assert D.atom_steps == n - (len(D.atom_positions(v.witness)) if cyclic else 0)
     if cyclic:
         # every state of the chain reaches the 2-cycle (is reached from it, forwards)
         expect = D.test_one if check is is_noetherian else D.test_from_states([n - 1, n])
@@ -565,7 +580,7 @@ def test_exact_report_takes_at_most_2n_atom_steps(cyclic):
     a = Relation.from_pairs(n, pairs)
     D = CountingRelModel(n)
     rep = termination_report(D, a)
-    assert 0 < D.atom_steps <= 2 * n
+    assert D.row_lists == 2 and 0 < D.atom_steps <= 2 * n
     E = RelModel(n)
     assert rep == TerminationReport(E.el_name(a), is_noetherian(E, a), is_well_founded(E, a), is_loebian(E, a))
     assert not rep.loebian.holds
@@ -580,7 +595,7 @@ def test_reach_preimage_evals_count_the_preimage_reads(run, cyclic):
     D = CountingRelModel(n)
     res = run(D, Relation.from_pairs(n, pairs), D.test_from_states([n - 1]))
     assert res.result == (D.test_one if cyclic else D.test_from_states(range(1, n)))
-    assert res.preimage_evals == D.atom_steps
+    assert D.row_lists == 1 and res.preimage_evals == D.atom_steps
 
 
 def test_default_subject_is_formatted_when_first_read(monkeypatch):
