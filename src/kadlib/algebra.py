@@ -63,6 +63,8 @@ start-up.  So np is bound lazily here, and domain and models import it from
 here.  A module __getattr__ never sees a module's own global lookups, so the
 first attribute read imports numpy and rebinds np to it in each kadlib module
 that holds the stand-in: the table kernels then pay no indirection.
+For the same reason kadlib's value classes are _Record subclasses: importing
+dataclasses and generating their methods was the largest start-up cost left.
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 
@@ -369,14 +371,38 @@ class TestAlgebra:
         return f"TestAlgebra({{{names}}} over {self.owner.name!r})"
 
 
-@dataclass(frozen=True)
-class LawReport:
+class _Record:
+    """A value whose __init__ sets its fields in __dict__, once: == and hash read the type and _compared (by default
+    _fields), repr is Name(field=value, ...) over _fields, and assigning or deleting raises AttributeError."""
+
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter("__class__", *getattr(cls, "_compared", cls._fields))
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return f"{self.__class__.__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LawReport(_Record):
     """Outcome of one law check; witness maps variable names to element indices."""
 
-    name: str
-    holds: bool
-    witness: Optional[dict] = None
-    note: str = ""
+    _fields = ("name", "holds", "witness", "note")
+
+    def __init__(self, name: str, holds: bool, witness: Optional[dict] = None, note: str = ""):
+        self.__dict__.update(name=name, holds=holds, witness=witness, note=note)
 
     def __str__(self):
         if self.holds:
@@ -386,13 +412,13 @@ class LawReport:
         return f"{self.name}: FAILS{w}"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """A boolean outcome carrying an optional counterexample."""
 
-    holds: bool
-    witness: object = None
-    note: str = ""
+    _fields = ("holds", "witness", "note")
+
+    def __init__(self, holds: bool, witness: object = None, note: str = ""):
+        self.__dict__.update(holds=holds, witness=witness, note=note)
 
     def __bool__(self):
         return self.holds
@@ -429,8 +455,7 @@ def opposite(S: FiniteSemiring) -> FiniteSemiring:
 # term language
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(_Record):
     """Small term AST over semiring signature plus tests, domain and converse.
 
     op is one of: var, zero, one, top, add, mul, star, conv, dom, cod, not;
@@ -440,9 +465,10 @@ class Term:
     default in check_equation; others range over the whole carrier.
     """
 
-    op: str
-    args: tuple = ()
-    name: str = ""
+    _fields = ("op", "args", "name")
+
+    def __init__(self, op: str, args: tuple = (), name: str = ""):
+        self.__dict__.update(op=op, args=args, name=name)
 
     def __add__(self, other):
         return Term("add", (self, _coerce(other)))
@@ -560,8 +586,7 @@ def iff(*atoms: Term) -> Term:
     return Term("iff", atoms)
 
 
-@dataclass(frozen=True)
-class Law:
+class Law(_Record):
     """A universally quantified law: the premises imply the conclusion.
 
     vars lists the quantified variables in scan order; the ones also named
@@ -570,19 +595,12 @@ class Law:
     are not all met is reported as not applicable instead of checked.
     """
 
-    name: str
-    vars: tuple
-    concl: Term
-    premises: tuple = ()
-    tests: tuple = ()
-    requires: tuple = ()
+    _fields = ("name", "vars", "concl", "premises", "tests", "requires")
 
-    def __post_init__(self):
-        if isinstance(self.premises, Term):
-            object.__setattr__(self, "premises", (self.premises,))
-        for f in ("vars", "tests"):
-            if isinstance(getattr(self, f), str):
-                object.__setattr__(self, f, tuple(getattr(self, f).split()))
+    def __init__(self, name: str, vars: tuple, concl: Term, premises: tuple = (), tests: tuple = (), requires: tuple = ()):
+        premises = (premises,) if isinstance(premises, Term) else premises
+        vars, tests = (tuple(x.split()) if isinstance(x, str) else x for x in (vars, tests))
+        self.__dict__.update(name=name, vars=vars, concl=concl, premises=premises, tests=tests, requires=requires)
 
 
 _NOT_APPLICABLE = {"dloc": "no locality", "cdloc": "no locality", "top": "no greatest element"}

@@ -36,12 +36,12 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .algebra import (
     FiniteSemiring,
     TestAlgebra,
+    _Record,
     check_isemiring,
     check_kleene,
     check_test_algebra,
@@ -287,17 +287,19 @@ def parse_test(text: str):
 # -- workspace files ----------------------------------------------------------
 
 
-@dataclass
-class Workspace:
-    semiring: Optional[FiniteSemiring] = None
-    tests: Optional[TestAlgebra] = None
-    n: Optional[int] = None
-    relations: dict = field(default_factory=dict)
-    sets: dict = field(default_factory=dict)
-    programs: dict = field(default_factory=dict)
-    env: dict = field(default_factory=dict)
-    triples: dict = field(default_factory=dict)
-    proofs: dict = field(default_factory=dict)
+class Workspace(_Record):
+    """A workspace file's contents, each section a new empty dict unless given; _model, the rel(n) its sets are tests of,
+    is built on first read."""
+
+    _fields = ("semiring", "tests", "n", "relations", "sets", "programs", "env", "triples", "proofs")
+
+    def __init__(self, semiring=None, tests=None, n=None, relations=None, sets=None, programs=None, env=None, triples=None, proofs=None):
+        sections = (relations, sets, programs, env, triples, proofs)
+        self.__dict__.update(zip(self._fields, (semiring, tests, n, *({} if x is None else x for x in sections))))
+
+    @functools.cached_property
+    def _model(self):
+        return rel_model(self.n)
 
 
 def semiring_to_doc(S: FiniteSemiring, T: Optional[TestAlgebra] = None) -> dict:
@@ -388,43 +390,43 @@ def semiring_from_doc(doc: dict) -> tuple[FiniteSemiring, TestAlgebra]:
 
 
 def _relation_from_doc(n: int, name: str, edges) -> Relation:
-    """The relation of an edge list; a malformed edge anywhere is reported before one out of range."""
-    _expect(edges, list, f"relation {name!r}")
-    for e in edges:
+    """The relation of an edge list, read in one pass; a malformed edge anywhere is reported before the first one out of range."""
+    rows, outside = [[] for _ in range(n)], None
+    for e in _expect(edges, list, f"relation {name!r}"):
         if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
             raise CliParseError(f"relation {name!r} is not an edge list of [i, j] state pairs")
-    try:
-        return Relation.from_pairs(n, edges)
-    except ValueError as e:
-        i, j = next(edge for edge in edges if not (1 <= edge[0] <= n and 1 <= edge[1] <= n))
-        raise CliParseError(f"relation {name!r} has edge ({i}, {j}) outside 1..{n}") from e
+        i, j = e
+        if 1 <= i <= n and 1 <= j <= n:
+            rows[i - 1].append(j - 1)
+        elif outside is None:
+            outside = e
+    if outside is not None:
+        raise CliParseError(f"relation {name!r} has edge ({outside[0]}, {outside[1]}) outside 1..{n}")
+    return Relation._from_rows(n, rows)
 
 
 def workspace_from_doc(doc: dict) -> Workspace:
     if not isinstance(doc, dict):
         raise CliParseError("workspace must be a JSON object")
-    ws = Workspace()
-    if "semiring" in doc:
-        ws.semiring, ws.tests = semiring_from_doc(doc)
+    semiring, tests = semiring_from_doc(doc) if "semiring" in doc else (None, None)
     relational_keys = [k for k in ("relations", "sets", "programs", "env", "triples", "proofs") if k in doc]
     section = {k: _expect(doc[k], dict, f'"{k}"') for k in relational_keys}
     if "n" in doc:
         if type(doc["n"]) is not int or doc["n"] < 1:
             raise CliParseError('"n" must be a positive state count')
-        ws.n = doc["n"]
     elif relational_keys:
         raise CliParseError(f'workspace uses {relational_keys[0]!r} but declares no "n"')
+    ws = Workspace(semiring, tests, doc.get("n"))
     if ws.n is None:
         return ws
 
-    D = rel_model(ws.n)
     for name, edges in section.get("relations", {}).items():
         ws.relations[name] = _relation_from_doc(ws.n, name, edges)
     for name, states in section.get("sets", {}).items():
         if not all(type(s) is int for s in _expect(states, list, f"set {name!r}")):
             raise CliParseError(f"set {name!r} must list state numbers")
         try:
-            ws.sets[name] = D.test_from_states(states)
+            ws.sets[name] = ws._model.test_from_states(states)
         except ValueError as e:
             raise CliParseError(f"set {name!r}: {e}") from e
     for name, text in section.get("programs", {}).items():
@@ -536,7 +538,7 @@ def _load_relational(path: str, relation: Optional[str] = None):
         raise MissingCapability("workspace declares no relational state space")
     if relation is not None and relation not in ws.relations:
         raise CliParseError(f"unknown relation {relation!r}")
-    return ws, rel_model(ws.n), ws.relations.get(relation)
+    return ws, ws._model, ws.relations.get(relation)
 
 
 # -- reports ------------------------------------------------------------------

@@ -18,10 +18,9 @@ fold over it and proofs are validated in its order, so any depth is fine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .algebra import Law, LawReport, Verdict, cod, compl, leq, star, var
+from .algebra import Law, LawReport, Verdict, _Record, cod, compl, leq, star, var
 from .domain import run_laws
 
 __all__ = [
@@ -48,8 +47,14 @@ __all__ = [
 ]
 
 
-class _Node:
-    """A program, test, triple or proof node: ==, hash and repr read _preorder; == is the dataclass one."""
+class _Node(_Record):
+    """A program, test, triple or proof node: ==, hash and repr read _preorder and give _Record's results."""
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError(f"{self.__class__.__name__} takes each of its fields {self._fields} once")
+        self.__dict__.update(values)
 
     def __eq__(self, other):
         return _labels(self) == _labels(other) if other.__class__ is self.__class__ else NotImplemented
@@ -58,7 +63,7 @@ class _Node:
         return hash(_labels(self))
 
     def __repr__(self):
-        # the dataclass repr, emitted in pre-order: a node's text up to its first child when it is
+        # _Record's repr, emitted in pre-order: a node's text up to its first child when it is
         # reached, and the text after each child once that child's subtree is done
         out, tails = [], []
         for node in _preorder(self):
@@ -80,9 +85,9 @@ class _Cut:
 
 
 def _segments(node) -> list:
-    """node's dataclass repr cut at the children _args finds, which _preorder visits in this order: one piece more than children."""
+    """node's _Record repr cut at the children _args finds, which _preorder visits in this order: one piece more than children."""
     args = _args(node, lambda child: _Cut())
-    return f"{node.__class__.__qualname__}({', '.join(f'{f.name}={v!r}' for f, v in zip(fields(node), args))})".split("\0")
+    return f"{node.__class__.__qualname__}({', '.join(f'{f}={v!r}' for f, v in zip(node._fields, args))})".split("\0")
 
 
 def _args(node, child):
@@ -90,7 +95,7 @@ def _args(node, child):
     def take(v):
         return child(v) if isinstance(v, _Node) else v
 
-    return [tuple(map(take, v)) if isinstance(v, tuple) else take(v) for v in (getattr(node, f.name) for f in fields(node))]
+    return [tuple(map(take, v)) if isinstance(v, tuple) else take(v) for v in (getattr(node, f) for f in node._fields)]
 
 
 def _preorder(node):
@@ -113,28 +118,20 @@ def _labels(root) -> tuple:
 # -- program syntax ---------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Prim(_Node):
-    name: str
+    _fields = ("name",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Seq(_Node):
-    first: "Program"
-    second: "Program"
+    _fields = ("first", "second")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Cond(_Node):
-    test: "TestExpr"
-    then: "Program"
-    orelse: "Program"
+    _fields = ("test", "then", "orelse")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class While(_Node):
-    test: "TestExpr"
-    body: "Program"
+    _fields = ("test", "body")
 
 
 Program = Prim | Seq | Cond | While
@@ -144,44 +141,35 @@ _PROGRAM_SLOTS = {Seq: ("first", "second"), Cond: ("then", "orelse"), While: ("b
 # -- test expressions -------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TTrue(_Node):
     pass
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TFalse(_Node):
     pass
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TRef(_Node):
-    name: str
+    _fields = ("name",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TAnd(_Node):
-    left: "TestExpr"
-    right: "TestExpr"
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TOr(_Node):
-    left: "TestExpr"
-    right: "TestExpr"
+    _fields = ("left", "right")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TNot(_Node):
-    arg: "TestExpr"
+    _fields = ("arg",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class TStates(_Node):
-    states: tuple
+    _fields = ("states",)
 
     def __init__(self, states):
-        object.__setattr__(self, "states", tuple(states))
+        super().__init__(tuple(states))
 
 
 TestExpr = TTrue | TFalse | TRef | TAnd | TOr | TNot | TStates
@@ -242,24 +230,18 @@ def _evaluate(root, D, env: dict, tenv: Optional[dict]):
 # -- triples and proofs -----------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class HoareTriple(_Node):
-    pre: object
-    prog: Program
-    post: object
+    _fields = ("pre", "prog", "post")
 
     def __str__(self):
         return f"{{{self.pre}}} {self.prog} {{{self.post}}}"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class ProofTree(_Node):
-    rule: str
-    conclusion: HoareTriple
-    premises: tuple = field(default_factory=tuple)
+    _fields = ("rule", "conclusion", "premises")
 
-    def __post_init__(self):
-        object.__setattr__(self, "premises", tuple(self.premises))
+    def __init__(self, rule: str, conclusion: HoareTriple, premises: tuple = ()):
+        super().__init__(rule, conclusion, tuple(premises))
 
 
 def check_triple(t: HoareTriple, env: dict, D, tenv: Optional[dict] = None) -> Verdict:

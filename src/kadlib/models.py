@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Optional, Sequence
 
-from .algebra import _CHUNK, _ISEMIRING_NAMES, _row_blocks, ISEMIRING_LAWS, KLEENE_LAWS, FiniteSemiring, Law, LawReport, TestAlgebra, np
+from .algebra import _CHUNK, _ISEMIRING_NAMES, _Record, _row_blocks, ISEMIRING_LAWS, KLEENE_LAWS, FiniteSemiring, Law, LawReport, TestAlgebra, np
 from .domain import run_laws
 from .reach import _grow
 
@@ -237,20 +236,21 @@ def _bit_positions(mask: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(_Record):
     """Binary relation on {1..n}, stored as each state's successor positions.
 
     Positions are 0-based and each row is ascending without duplicates, so
     equal relations are equal values; the public pair interface is 1-based.
     """
 
-    n: int
-    succ: tuple[tuple[int, ...], ...]
+    _fields = ("n", "succ")
     # predecessors, filled on first read; a plain slot, as cached_property locks on its first read
-    _pred: Optional[list] = field(default=None, init=False, compare=False, repr=False)
+    _pred: Optional[list] = None
     # the text of str, kept on the relations that _relations shares
-    _text: Optional[str] = field(default=None, init=False, compare=False, repr=False)
+    _text: Optional[str] = None
+
+    def __init__(self, n: int, succ: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(n=n, succ=succ)
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
@@ -259,6 +259,11 @@ class Relation:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"pair ({i},{j}) outside 1..{n}")
             rows[i - 1].append(j - 1)
+        return cls._from_rows(n, rows)
+
+    @classmethod
+    def _from_rows(cls, n: int, rows: list[list[int]]) -> "Relation":
+        # rows[i] lists positions in 0..n-1 in any order, repeats allowed;
         # a row of at most one entry is already ascending and without repeats
         return cls(n, tuple(tuple(row) if len(row) < 2 else tuple(sorted(set(row))) for row in rows))
 
@@ -1117,12 +1122,11 @@ def predicate_transformer_model(D) -> TransformerModel:
 # materialization and sampled checking
 
 
-@dataclass
-class MaterializedModel:
-    semiring: FiniteSemiring
-    tests: Optional[TestAlgebra]
-    to_index: dict
-    from_index: list
+class MaterializedModel(_Record):
+    _fields = ("semiring", "tests", "to_index", "from_index")
+
+    def __init__(self, semiring: FiniteSemiring, tests: Optional[TestAlgebra], to_index: dict, from_index: list):
+        self.__dict__.update(semiring=semiring, tests=tests, to_index=to_index, from_index=from_index)
 
 
 # the most elements materialize builds tables for

@@ -20,32 +20,29 @@ for the k-th atom t): table-backed DomainStructure or a relational model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .algebra import Law, LawReport, compl, dom, eq, leq, one_term, star, var
+from .algebra import Law, LawReport, _Record, compl, dom, eq, leq, one_term, star, var
 from .domain import run_laws
 
 __all__ = ["ReachResult", "reach_naive", "reach_efficient", "check_star_preimage_laws", "STAR_PREIMAGE_LAWS"]
 
 
-@dataclass(frozen=True)
-class ReachResult:
+class ReachResult(_Record):
     """A reachability fixpoint and what it cost.
 
     trace, the ascending chain of tests from the target p to the result, is
     built on first read: step i + 1 joins onto p the first _ends[i] of the
-    atom positions in _added, the order in which they were reached.
+    atom positions in _added, the order in which they were reached.  _model,
+    what trace joins in, is not compared.
     """
 
-    result: object
-    iterations: int
-    preimage_evals: int
-    _start: object = field(repr=False)
-    _added: tuple = field(repr=False)
-    _ends: Sequence[int] = field(repr=False)
-    _model: object = field(repr=False, compare=False)
+    _fields = ("result", "iterations", "preimage_evals")
+    _compared = (*_fields, "_start", "_added", "_ends")
+
+    def __init__(self, result, iterations: int, preimage_evals: int, _start, _added: tuple, _ends: Sequence[int], _model):
+        self.__dict__.update(zip((*self._compared, "_model"), (result, iterations, preimage_evals, _start, _added, _ends, _model)))
 
     @cached_property
     def trace(self) -> tuple:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .algebra import FiniteSemiring, Verdict
+from .algebra import FiniteSemiring, Verdict, _Record
 from .domain import _instances
 from .models import RelModel
 from .reach import _grow
@@ -48,37 +48,24 @@ __all__ = [
 ENUM_BUDGET = 4096
 
 
-class TerminationReport:
+class TerminationReport(_Record):
     """The three verdicts on one element, headed by its subject.
 
     subject is a string, or a no-argument callable that formats it when it
-    is first read (by .subject, str() or ==), so a report that is never
-    printed never formats it.
+    is first read (by .subject, str(), repr(), == or hash()), so a report
+    that is never printed never formats it.
     """
 
-    __slots__ = ("_subject", "noetherian", "well_founded", "loebian")
+    _fields = ("subject", "noetherian", "well_founded", "loebian")
 
     def __init__(self, subject, noetherian: Verdict, well_founded: Verdict, loebian: Verdict):
-        self._subject = subject
-        self.noetherian, self.well_founded, self.loebian = noetherian, well_founded, loebian
+        self.__dict__.update(_subject=subject, noetherian=noetherian, well_founded=well_founded, loebian=loebian)
 
     @property
     def subject(self) -> str:
         if callable(self._subject):
-            self._subject = self._subject()
+            self.__dict__["_subject"] = self._subject()
         return self._subject
-
-    def _fields(self) -> tuple:
-        return self.subject, self.noetherian, self.well_founded, self.loebian
-
-    def __eq__(self, other):
-        if not isinstance(other, TerminationReport):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        names = ("subject", *self.__slots__[1:])
-        return "TerminationReport(" + ", ".join(f"{k}={v!r}" for k, v in zip(names, self._fields())) + ")"
 
     def __str__(self):
         def cell(v: Verdict, label):

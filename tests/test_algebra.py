@@ -5,7 +5,11 @@ import pytest
 
 from kadlib.algebra import (
     FiniteSemiring,
+    Law,
+    LawReport,
     TestAlgebra,
+    Term,
+    Verdict,
     all_hold,
     check_equation,
     check_isemiring,
@@ -13,11 +17,14 @@ from kadlib.algebra import (
     check_test_algebra,
     eval_term,
     failures,
+    one_term,
     opposite,
     star,
     var,
 )
-from kadlib.models import conway_model, conway_names, rel_semiring, rel_tests
+from kadlib.cli import Workspace
+from kadlib.models import conway_model, conway_names, materialize, rel_model, rel_semiring, rel_tests
+from kadlib.termination import termination_report
 
 
 def boolean_semiring():
@@ -214,3 +221,29 @@ def test_shunting_equivalences_on_relations():
     rep = {r.name: r for r in check_test_algebra(rel_tests(2))}
     assert rep["shunting-right"].holds
     assert rep["shunting-left"].holds
+
+
+def test_value_classes_print_and_compare_as_frozen_dataclasses():
+    a = var("a")
+    law = Law("x", "a b", a, a, tests="p")
+    assert (law.vars, law.premises, law.tests) == (("a", "b"), (a,), ("p",)) and law == Law("x", ("a", "b"), a, (a,), ("p",))
+    a_text = "Term(op='var', args=(), name='a')"
+    assert repr(law) == f"Law(name='x', vars=('a', 'b'), concl={a_text}, premises=({a_text},), tests=('p',), requires=())"
+    assert repr(a * one_term) == f"Term(op='mul', args=({a_text}, Term(op='one', args=(), name='')), name='')"
+    assert repr(LawReport("assoc", False, {"a": 1})) == "LawReport(name='assoc', holds=False, witness={'a': 1}, note='')"
+    assert repr(Verdict(False, witness=3, note="n")) == "Verdict(holds=False, witness=3, note='n')"
+    assert repr(Workspace(n=2)) == (
+        "Workspace(semiring=None, tests=None, n=2, relations={}, sets={}, programs={}, env={}, triples={}, proofs={})"
+    )
+    # equal fields of the same type are equal values with one hash; another type or field is not equal
+    assert Term("var", (), "a") == a and hash(Term("var", (), "a")) == hash(a) and a != var("b")
+    assert Verdict(True) == Verdict(True, None, "") and hash(Verdict(True)) == hash(Verdict(True, None, ""))
+    assert Verdict(True, None, "") != LawReport("", True, None, "") and Verdict(True) != (True, None, "")
+    assert Workspace() == Workspace() and Workspace().relations is not Workspace().relations
+    report = termination_report(rel_model(1), rel_model(1).zero, subject="0")
+    values = [law, a, LawReport("assoc", True), Verdict(True), Workspace(), materialize(rel_model(1)), report]
+    for value in values:
+        with pytest.raises(AttributeError, match="cannot assign to field 'note'"):
+            value.note = "changed"
+        with pytest.raises(AttributeError, match="cannot delete field 'name'"):
+            del value.name

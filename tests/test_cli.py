@@ -165,9 +165,13 @@ MALFORMED = {
         {"n": 2, "relations": {"R": [[1, 1], [0, 1], [3, 1]]}},
         "relation 'R' has edge (0, 1) outside 1..2",
     ),
-    # a malformed edge is reported even after an edge out of range
+    # a malformed edge is reported whether it comes after or before an edge out of range
     "edge-malformed-after-out-of-range": (
         {"n": 2, "relations": {"R": [[0, 1], "x"]}},
+        "relation 'R' is not an edge list of [i, j] state pairs",
+    ),
+    "edge-malformed-before-out-of-range": (
+        {"n": 2, "relations": {"R": [[1, 2], [True, 1], [1, 3]]}},
         "relation 'R' is not an edge list of [i, j] state pairs",
     ),
     "set-not-an-array": ({**REL, "sets": {"p": "12"}}, "set 'p' must be an array, not a string"),
@@ -527,15 +531,18 @@ def test_one_parser_serves_every_call_and_keeps_nothing(capsys):
     assert kadlib.cli._parser.cache_info().misses == 1
 
 
-# -- numpy only for the table layer ---------------------------------------------------------------
+# -- numpy only for the table layer, dataclasses and inspect for none ------------------------------
 
 
 def kad_fresh(argv):
-    """kad in a fresh interpreter: exit code, stdout, and "True" or "False" for whether it imported numpy."""
-    probe = "import sys; from kadlib.cli import main; code = main(sys.argv[1:]); print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
+    """kad in a fresh interpreter: exit code, stdout, and which of numpy, dataclasses and inspect it imported."""
+    probe = (
+        "import sys; from kadlib.cli import main; code = main(sys.argv[1:]); "
+        "print(*sorted({'numpy', 'dataclasses', 'inspect'} & sys.modules.keys()), file=sys.stderr); sys.exit(code)"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(kadlib.cli.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env)
-    return proc.returncode, proc.stdout, proc.stderr.splitlines()[-1]
+    return proc.returncode, proc.stdout, set(proc.stderr.splitlines()[-1].split())
 
 
 # a 2,000-state chain, whose reach result is a mask past the 32 bits _bit_positions strips one by one
@@ -550,17 +557,21 @@ CHAIN_2000_RUNS = {
 
 @pytest.mark.parametrize("case", [*sorted(GOLDEN_CASES), *CHAIN_2000_RUNS])
 def test_reach_termination_and_hoare_never_load_numpy(case, tmp_path, capsys):
+    """Nor dataclasses or inspect: the same exit code and stdout as in this process, with none of the three imported."""
     if case in GOLDEN_CASES:
         where, spec = GOLDEN_CASES[case]
         argv = [spec["argv"][0], str(where / spec["argv"][1]), *spec["argv"][2:]]
     else:
         command, *rest = CHAIN_2000_RUNS[case]
         argv = [command, write_ws(tmp_path, CHAIN_2000), *rest]
-    assert kad_fresh(argv) == (main(argv), capsys.readouterr().out, "False")
+    assert kad_fresh(argv) == (main(argv), capsys.readouterr().out, set())
 
 
 def test_kad_check_loads_numpy_for_its_tables():
-    assert kad_fresh(["check", "rel:1"]) == (0, (DATA / "check" / "rel_1.stdout").read_text(), "True")
+    # numpy imports inspect itself, so only dataclasses is kadlib's to leave out here
+    code, out, imported = kad_fresh(["check", "rel:1"])
+    assert (code, out) == (0, (DATA / "check" / "rel_1.stdout").read_text())
+    assert "numpy" in imported and "dataclasses" not in imported
 
 
 # -- hoare command ------------------------------------------------------------------------------

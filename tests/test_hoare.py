@@ -4,7 +4,6 @@ preconditions."""
 
 import copy
 import random
-from dataclasses import fields, is_dataclass
 
 import hypothesis
 import hypothesis.strategies as strat
@@ -27,6 +26,7 @@ from kadlib.hoare import (
     TStates,
     TTrue,
     While,
+    _Node,
     check_hoare_rules,
     check_triple,
     denote,
@@ -139,6 +139,11 @@ def test_check_triple_through_a_loop(chain3):
 def test_triple_str_is_readable():
     t = HoareTriple("p", Prim("act"), "q")
     assert str(t) == "{p} Prim(name='act') {q}"
+    # fields by position or by name, each exactly once
+    assert HoareTriple(pre="p", prog=Prim(name="act"), post="q") == t == HoareTriple("p", Prim("act"), post="q")
+    for args, kwargs in [((), {}), (("a", "b"), {}), (("a",), {"name": "b"}), ((), {"label": "a"})]:
+        with pytest.raises(TypeError):
+            Prim(*args, **kwargs)
     # every tree prints as its dataclass repr would, a one-premise tuple with its comma
     axiom = ProofTree("axiom", HoareTriple(TStates([1]), Prim("act"), 2))
     assert repr(axiom) == (
@@ -323,10 +328,18 @@ def random_program(rng, depth):
     return While(test, random_program(rng, depth - 1))
 
 
+# each node type's fields, in the order of its constructor's arguments
+FIELDS = {
+    **{Prim: ("name",), Seq: ("first", "second"), Cond: ("test", "then", "orelse"), While: ("test", "body")},
+    **{TTrue: (), TFalse: (), TRef: ("name",), TAnd: ("left", "right"), TOr: ("left", "right"), TNot: ("arg",)},
+    **{TStates: ("states",), HoareTriple: ("pre", "prog", "post"), ProofTree: ("rule", "conclusion", "premises")},
+}
+
+
 def ref_eq(x, y):
     """The recursive reference for ==, as the dataclass == works: the same type and equal fields."""
-    if is_dataclass(x) or is_dataclass(y):
-        return type(x) is type(y) and all(ref_eq(getattr(x, f.name), getattr(y, f.name)) for f in fields(x))
+    if type(x) in FIELDS or type(y) in FIELDS:
+        return type(x) is type(y) and all(ref_eq(getattr(x, f), getattr(y, f)) for f in FIELDS[type(x)])
     if isinstance(x, tuple) and isinstance(y, tuple):
         return len(x) == len(y) and all(map(ref_eq, x, y))
     return x == y
@@ -334,11 +347,25 @@ def ref_eq(x, y):
 
 def ref_repr(x):
     """The recursive reference for repr, as the dataclass repr works: Name(field=value, ...)."""
-    if is_dataclass(x):
-        return f"{type(x).__qualname__}({', '.join(f'{f.name}={ref_repr(getattr(x, f.name))}' for f in fields(x))})"
+    if type(x) in FIELDS:
+        return f"{type(x).__qualname__}({', '.join(f'{f}={ref_repr(getattr(x, f))}' for f in FIELDS[type(x)])})"
     if isinstance(x, tuple):
         return "(" + ", ".join(map(ref_repr, x)) + ("," if len(x) == 1 else "") + ")"
     return repr(x)
+
+
+def test_the_references_recurse_without_the_methods_they_check(monkeypatch):
+    assert {cls: cls._fields for cls in FIELDS} == FIELDS
+    for method in ("__eq__", "__ne__", "__hash__", "__repr__"):
+        monkeypatch.setattr(_Node, method, lambda *args: pytest.fail("a reference called a method it checks"))
+    # the same leaves in the same order, grouped differently
+    a, b, c = Prim("a"), Prim("b"), Prim("c")
+    left, right = Seq(Seq(a, b), c), Seq(a, Seq(b, c))
+    assert not ref_eq(left, right) and ref_eq(left, Seq(Seq(Prim("a"), b), c)) and not ref_eq(Prim("a"), TRef("a"))
+    assert ref_repr(left) == "Seq(first=Seq(first=Prim(name='a'), second=Prim(name='b')), second=Prim(name='c'))"
+    assert ref_repr(ProofTree("axiom", HoareTriple(TTrue(), a, 1))) == (
+        "ProofTree(rule='axiom', conclusion=HoareTriple(pre=TTrue(), prog=Prim(name='a'), post=1), premises=())"
+    )
 
 
 def test_programs_are_compared_as_the_dataclass_equality_does():
@@ -347,6 +374,8 @@ def test_programs_are_compared_as_the_dataclass_equality_does():
     # ; regrouped, and a test moved between a loop and a branch, are different trees
     a, b, c = Prim("a"), Prim("b"), Prim("a")
     programs += [Seq(Seq(a, b), c), Seq(a, Seq(b, c)), While(1, a), Cond(1, a, a)]
+    # nodes of different types never compare equal, whatever their fields
+    assert Prim("a") != TRef("a") and TAnd(1, 2) != TOr(1, 2) and TTrue() != TFalse()
     seen = set()
     for x in programs:
         for y in rng.sample(programs, 20) + [copy.deepcopy(x)]:

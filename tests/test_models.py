@@ -24,6 +24,7 @@ from kadlib.models import (
     Relation,
     _bit_positions,
     _power_sums,
+    _relations,
     StarUnsupportedError,
     bounded_language_model,
     bounded_path_model,
@@ -304,11 +305,15 @@ def test_from_pairs_rows_are_ascending_without_repeats(pairs):
 
 def test_predecessors_leave_equality_hash_and_repr_alone():
     a = Relation.from_pairs(3, [(1, 2), (3, 1)])
-    b = Relation.from_pairs(3, [(3, 1), (1, 2)])
-    text = repr(b)
+    b = Relation.from_pairs(3, [(3, 1), (1, 2), (1, 2)])
+    assert repr(b) == "Relation(n=3, succ=((1,), (), (0,)))"
     assert a.predecessors == [[2], [0], []]
-    assert a == b and hash(a) == hash(b) and repr(a) == text
-    assert a != Relation.from_pairs(3, [(1, 2)])
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    # the shared rel(3) element, its text kept, is mask 2 + 64: pairs (1,2) and (3,1)
+    shared = _relations(3)[66]
+    assert shared._text == "{(1,2),(3,1)}" and b._text is None and b._pred is None
+    assert shared == a == b and hash(shared) == hash(a) and repr(shared) == repr(a)
+    assert a != Relation.from_pairs(3, [(1, 2)]) and a != Relation.from_pairs(4, [(1, 2), (3, 1)])
 
 
 def test_each_relation_keeps_its_own_predecessor_lists(monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kadlib.algebra import TestAlgebra, all_hold, failures
 from kadlib.domain import DomainStructure, compute_predomain
 from kadlib.models import Relation, conway_model, rel_model, rel_semiring, rel_tests
-from kadlib.reach import check_star_preimage_laws, reach_efficient, reach_naive
+from kadlib.reach import ReachResult, check_star_preimage_laws, reach_efficient, reach_naive
 
 
 def chain_model(n):
@@ -189,6 +189,24 @@ def test_trace_is_an_ascending_chain():
         for lo, hi in zip(res.trace, res.trace[1:]):
             assert D.test_leq(lo, hi) and lo != hi
         assert res.trace[-1] == res.result
+
+
+def test_results_print_and_compare_without_their_model():
+    D, a = chain_model(3)
+    p = D.test_from_states([3])
+    r, naive = reach_efficient(D, a, p), reach_naive(D, a, p)
+    assert repr(r) == "ReachResult(result=7, iterations=2, preimage_evals=3)"
+    assert repr(naive) == "ReachResult(result=7, iterations=3, preimage_evals=6)"
+    # the same run over another model object, its trace already read
+    other = reach_efficient(rel_model(3), a, p)
+    assert other.trace == (4, 6, 7) and other._model is not r._model
+    assert other == r and hash(other) == hash(r)
+    # the trace's fields are compared though repr leaves them out
+    assert ReachResult(7, 2, 3, p, r._added, (2,), D) != r == ReachResult(7, 2, 3, p, r._added, r._ends, None)
+    with pytest.raises(AttributeError, match="cannot assign to field 'result'"):
+        r.result = 0
+    with pytest.raises(AttributeError, match="cannot delete field '_model'"):
+        del r._model
 
 
 def test_result_is_the_least_prefixpoint():
