@@ -16,11 +16,16 @@ no table gather copies more cells than the chunk holds.  The scan is
 exhaustive, and a failure's witness is the lexicographically first failing
 assignment in the declared variable order.
 
-check_isemiring and check_kleene decide add-commutative by comparing + with
-its transpose, and their eight three-variable laws exactly, each once the
-laws its guard names have held on the same tables:
+check_isemiring and check_kleene decide add-commutative and their eight
+three-variable laws exactly, each once the laws its guard names have held on
+the same tables:
 
-- add-/mul-associative: Light's test over a set G whose left-normed
+- add-commutative and add-associative: where h(x) = {g in G : g + x = x},
+  for the generators G of +, is injective and h(x + y) = h(x) | h(y), +
+  embeds in (2^G, union) and so is associative and commutative (Birkhoff,
+  Lattice Theory, 1967); elsewhere add-commutative compares + with its
+  transpose and add-associative takes Light's test below; no guard.
+- mul-associative: Light's test over a set G whose left-normed
   products cover the carrier, grown greedily rarest first by right
   multiplication with G alone (Clifford and Preston, The Algebraic Theory
   of Semigroups I, §1.2): in any magma the g with (xg)y = x(gy) for all
@@ -31,13 +36,17 @@ laws its guard names have held on the same tables:
 - star-left-/star-right-induction: a* <= mu(a, 1), where mu(a, b) =
   mu(a, 1) b is the least solution of the premise, iterated from 0;
   guard: the isemiring laws.
-- star-left-/star-right-simulation: certified by star-left-/star-right-
-  induction (Kozen 1994); guard: the isemiring laws and the matching
-  unfold law.
+- star-left-/star-right-simulation and the other derived star laws of
+  check_kleene but powers-below-star: theorems of the star axioms (Kozen
+  1994), certified (_CERTIFICATES); guard: the axioms and isemiring laws
+  their derivations use.
 
 Every other law goes through _rewrite, the one law-rewrite step, which
-domain.run_laws uses too.  It certifies a law by another that has held
-(_CERTIFICATES), or rewrites it to an equivalent law with fewer instances:
+domain.run_laws uses too.  It certifies a law once the laws its derivation
+uses have held (_CERTIFICATES: the star theorems above, and, added by
+domain, the domain calculus and the axiom forms llp, gla, lrp and gra from
+the domain axioms, isemiring and test-algebra laws), or rewrites it to an
+equivalent law with fewer instances:
 Horn elimination and join-irreducible ranges (the join-irreducibles read
 off the generators of +), behind guard laws that held on every instance
 (the isemiring laws and dom- and cod-additivity).  A law whose guard has
@@ -219,6 +228,11 @@ class FiniteSemiring:
         return {"add": _generators(self.add), "mul": _generators(self.mul)}
 
     @functools.cached_property
+    def _add_in_powerset(self) -> bool:
+        """Whether + embeds in a powerset under union (_union_embedding), for add-commutative and add-associative."""
+        return _union_embedding(self.add, self._gens["add"])
+
+    @functools.cached_property
     def _join_irreducibles(self) -> list[int]:
         """The elements other than 0 that are the sum of no two others, ascending; ValueError unless the isemiring laws held.
 
@@ -365,6 +379,11 @@ class TestAlgebra:
         return tuple(p for p in _commuting(self.owner._symmetries, self._compl_column) if np.array_equal(m[p], m))
 
     _orbit_least = _orbit_least
+
+    @functools.cached_property
+    def _reports(self) -> tuple:
+        """check_test_algebra's reports, decided once: the members, complement and tables are fixed."""
+        return tuple(_test_algebra_reports(self))
 
     def __repr__(self):
         names = ",".join(self.owner.element_name(m) for m in self.members)
@@ -1038,6 +1057,25 @@ def _associative(X, gens) -> bool:
     )
 
 
+def _union_embedding(X, gens) -> bool:
+    """Whether h(x) = {g in gens : X[g, x] = x}, as a bit mask, is injective with h(X[x, y]) = h(x) | h(y).
+
+    h then embeds (carrier, X) in (2^gens, union), and an injective
+    homomorphism carries associativity, commutativity and idempotence of
+    union back to X.  Masks are int64, of at most 63 bits.  X is read in row
+    blocks whose intp copy, which the gather h[X[rows]] makes, is at most
+    _CHUNK bytes.
+    """
+    if len(gens) > 63:
+        return False
+    n = len(X)
+    h = np.zeros(n, dtype=np.int64)
+    for k, g in enumerate(gens):
+        h = np.where(X[g] == np.arange(n), h | 1 << k, h)
+    blocks = _row_blocks(n, n * np.dtype(np.intp).itemsize)
+    return len(set(h.tolist())) == n and all(np.array_equal(h[X[rows]], h[rows, None] | h) for rows in blocks)
+
+
 def _distributive(S: FiniteSemiring, left: bool) -> bool:
     """Left (right) distributivity, given add-associative and mul-associative.
 
@@ -1107,8 +1145,8 @@ _ISEMIRING_NAMES = tuple(law if isinstance(law, str) else law.name for law in IS
 
 # law: (the laws that must have held first, the reduction)
 _REDUCTIONS = {
-    "add-commutative": ((), lambda S: np.array_equal(S.add, S.add.T)),
-    "add-associative": ((), lambda S: _associative(S.add, S._gens["add"])),
+    "add-commutative": ((), lambda S: S._add_in_powerset or np.array_equal(S.add, S.add.T)),
+    "add-associative": ((), lambda S: S._add_in_powerset or _associative(S.add, S._gens["add"])),
     "mul-associative": ((), lambda S: _associative(S.mul, S._gens["mul"])),
     "left-distributive": (("add-associative", "mul-associative"), lambda S: _distributive(S, True)),
     "right-distributive": (("add-associative", "mul-associative"), lambda S: _distributive(S, False)),
@@ -1120,16 +1158,40 @@ _REDUCTIONS = {
 # joins; cod-additive is dom-additive's mirror, checked outside the printed calculus.
 _REWRITE_GUARDS = _ISEMIRING_NAMES + ("dom-additive", "cod-additive")
 
-# law: (the law that certifies it, the other laws that must have held)
+_ISR = _ISEMIRING_NAMES
+
+# law: (the law that certifies it, the other laws that must have held); domain adds
+# the entries of the domain laws
 _CERTIFICATES = {
     # (ac):p + b:q <= c:p => (a*b):q <= c:p is preimage-star-induction at p := c:p
     # and q := b:q: a:(c:p) <= (ac):p by dloc and associativity, and
     # (a*b):q <= a*:(b:q) by d1, d2 and monotone dom
-    "preimage-horn-induction": ("preimage-star-induction", ("dloc", "d1", "d2", "dom-additive", *_ISEMIRING_NAMES)),
-    # theorems of the axioms (Kozen 1994): from ac <= cb, star-left-induction
-    # with c b* for c gives a*c <= c b*, and the right law is its mirror
-    "star-left-simulation": ("star-left-induction", (*_ISEMIRING_NAMES, "star-left-unfold")),
-    "star-right-simulation": ("star-right-induction", (*_ISEMIRING_NAMES, "star-right-unfold")),
+    "preimage-horn-induction": ("preimage-star-induction", ("dloc", "d1", "d2", "dom-additive", *_ISR)),
+    # theorems of the star axioms (Kozen 1994); "induction at b, c" is
+    # star-left-induction's b + ac <= c => a*b <= c for those b and c
+    # 1 <= 1 + a a* <= a*
+    "one-below-star": ("star-left-unfold", _ISR),
+    # a*a* <= a*: induction at b = c = a*; a* = a* 1 <= a*a*
+    "star-mul-star": ("star-left-induction", (*_ISR, "star-left-unfold")),
+    # (a*)* <= a*: induction with a* for a at b = 1, c = a*, as 1 + a*a* <= a*; a* <= (a*)* by the unfold
+    "star-of-star": ("star-left-induction", (*_ISR, "star-left-unfold")),
+    # (ab)*a <= a(ba)*: induction at b = a, c = a(ba)*; a(ba)* <= (ab)*a: star-right-induction
+    # with ba for a at b = a, c = (ab)*a
+    "star-slide": ("star-left-induction", (*_ISR, "star-left-unfold", "star-right-unfold", "star-right-induction")),
+    # (a+b)* <= a*(ba*)*: induction with a + b for a at b = 1; the converse from
+    # star-monotone, star-of-star and star-mul-star, which need only the left laws
+    "star-denesting": ("star-left-induction", (*_ISR, "star-left-unfold")),
+    # a* = 1 + a*a: star-right-induction at b = 1, c = 1 + a*a
+    "star-unfold-right-product": ("star-right-induction", (*_ISR, "star-right-unfold")),
+    # a* = 1 + aa*: induction at b = 1, c = 1 + aa*
+    "star-unfold-left-product": ("star-left-induction", (*_ISR, "star-left-unfold")),
+    # a <= 1: a* <= 1 by induction at b = c = 1; 1 <= a*
+    "subidentity-star": ("star-left-induction", (*_ISR, "star-left-unfold")),
+    # a <= b: a* <= b* by induction at b = 1, c = b*, as 1 + ab* <= 1 + bb* <= b*
+    "star-monotone": ("star-left-induction", (*_ISR, "star-left-unfold")),
+    # from ac <= cb, induction at c, c b* gives a*c <= c b*; the right law is its mirror
+    "star-left-simulation": ("star-left-induction", (*_ISR, "star-left-unfold")),
+    "star-right-simulation": ("star-right-induction", (*_ISR, "star-right-unfold")),
 }
 
 
@@ -1310,6 +1372,11 @@ def _first_pair(mem, bad) -> Optional[dict]:
 def check_test_algebra(T: TestAlgebra) -> list[LawReport]:
     """Boolean-algebra laws for the declared members, plus the four-way
     shunting equivalences that image/preimage reasoning relies on."""
+    return list(T._reports)
+
+
+def _test_algebra_reports(T: TestAlgebra) -> list[LawReport]:
+    """check_test_algebra's reports, decided afresh."""
     S, mem, member, O = T.owner, T.members, T._member_mask, T.owner._order
     ix = np.array(mem)
     meets = S.mul[np.ix_(ix, ix)]

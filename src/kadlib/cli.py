@@ -390,7 +390,8 @@ def semiring_from_doc(doc: dict) -> tuple[FiniteSemiring, TestAlgebra]:
 
 
 def _relation_from_doc(n: int, name: str, edges) -> Relation:
-    """The relation of an edge list, read in one pass; a malformed edge anywhere is reported before the first one out of range."""
+    """The relation of an edge list, read in one pass and sorted only where it is not strictly ascending; a malformed
+    edge anywhere is reported before the first one out of range."""
     rows, outside = [[] for _ in range(n)], None
     for e in _expect(edges, list, f"relation {name!r}"):
         if not (type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
@@ -402,7 +403,7 @@ def _relation_from_doc(n: int, name: str, edges) -> Relation:
             outside = e
     if outside is not None:
         raise CliParseError(f"relation {name!r} has edge ({outside[0]}, {outside[1]}) outside 1..{n}")
-    return Relation._from_rows(n, rows)
+    return Relation._from_rows(n, rows, edges)
 
 
 def workspace_from_doc(doc: dict) -> Workspace:

@@ -22,10 +22,13 @@ from .algebra import (
     FiniteSemiring,
     Law,
     LawReport,
+    TEST_LAWS,
     Term,
     TestAlgebra,
     Verdict,
+    _CERTIFICATES,
     _ISEMIRING_NAMES,
+    _ISR,
     _check,
     _commuting,
     _decided,
@@ -103,15 +106,17 @@ class DomainStructure:
     def _decide_axioms(self) -> tuple[frozenset, list[LawReport]]:
         """(guards, reports): the guards of algebra._rewrite that hold here, then the DOMAIN_AXIOMS reports behind them.
 
-        The guards are the owner's isemiring laws that held, dom- and
-        cod-additive (scanned here, outside the printed calculus) and
-        atomic-tests: every test is the join of the atoms below it.  Once
-        the isemiring laws hold every element is a join of join-irreducibles,
-        so a map d is additive iff d(a + j) = d(a) + d(j) for every a and
-        every join-irreducible j: the additivity laws are scanned with b over
-        those.
+        The guards are the owner's isemiring laws and the test-algebra laws
+        that held, dom- and cod-additive (scanned here, outside the printed
+        calculus) and atomic-tests: every test is the join of the atoms
+        below it.  Once the isemiring laws hold every element is a join of
+        join-irreducibles, so a map d is additive iff d(a + j) = d(a) + d(j)
+        for every a and every join-irreducible j: the additivity laws are
+        scanned with b over those.  The axioms llp, gla, lrp and gra are
+        certified once d1 and d2 (cd1 and cd2) and the laws their
+        derivations use have held (their _CERTIFICATES entries below).
         """
-        held = {r.name for r in self.owner._isemiring_reports if r.holds}
+        held = {r.name for r in (*self.owner._isemiring_reports, *self.tests._reports) if r.holds}
         # made once the isemiring scans have ended, so that two scanners' chunk buffers never coexist
         scanner = _Scanner(self.owner, D=self)
         if held.issuperset(_ISEMIRING_NAMES):
@@ -371,6 +376,61 @@ _ADDITIVITY = (
     Law("cod-additive", "a b", eq(cod(var("a") + var("b")), cod(var("a")) + cod(var("b")))),
 )
 
+_TEST_NAMES = tuple(law if isinstance(law, str) else law.name for law in TEST_LAWS)
+# what gla's derivation uses besides d1 and d2, as in dom-monotone below
+_GLA = ("complement-join-full", "complement-meet-empty", "meet-commutative")
+
+# the certificates of the domain laws, as in algebra._CERTIFICATES.  Tests are p, q;
+# dom(a) and cod(a) are tests by construction, and so is the complement of one.
+_CERTIFICATES.update({
+    # the equivalent axiom forms of the paper's basic calculus: if dom(a) <= p
+    # then a <= dom(a)a <= pa; if a <= pa then a = pa, as p <= 1, and dom(a) = dom(pa) <= p
+    "llp": ("d2", ("d1", *_ISR, "members-below-one")),
+    # if dom(a) <= p then p'a <= p'dom(a)a <= p'pa = 0; if p'a = 0 then a = (p + p')a = pa, and llp
+    "gla": ("d2", ("d1", *_ISR, *_GLA)),
+    # the mirrors of llp and gla, where ap' = 0 needs no commuted meet
+    "lrp": ("cd2", ("cd1", *_ISR, "members-below-one")),
+    "gra": ("cd2", ("cd1", *_ISR, "complement-join-full", "complement-meet-empty")),
+    # the laws of the paper's basic calculus, each from the axioms its derivation uses
+    # dom(0) = dom(0 0) <= 0; if dom(a) = 0 then a <= dom(a)a = 0
+    "dom-strict": ("d2", ("d1", *_ISR, "zero-is-member")),
+    # a <= b: with p = dom(b), p'a <= p'b = 0 by gla, so dom(a) <= p by gla
+    "dom-monotone": ("d2", ("d1", *_ISR, *_GLA)),
+    # dom(p) = dom(p 1) <= p; p <= dom(p)p <= dom(p)
+    "dom-stable-on-tests": ("d2", ("d1", *_ISR, "members-below-one")),
+    # dom-stable-on-tests at p = dom(a)
+    "dom-idempotent": ("d2", ("d1", *_ISR, "members-below-one")),
+    # dom(a)a <= a as dom(a) <= 1, and d1
+    "dom-left-invariant": ("d1", (*_ISR, "members-below-one")),
+    # dom(pa) <= p dom(a) by d2, monotone dom and meets; with q = dom(pa), q'pa = 0 by
+    # gla, so dom(a) <= (q'p)' = q + p' by gla, and p dom(a) <= pq <= q
+    "dom-export": ("d2", ("d1", *_ISR, *_TEST_NAMES)),
+    # with p = dom(a dom(b)): ab <= a dom(b)b <= p a dom(b)b <= pab, so dom(ab) <= p by llp
+    "dom-decompose": ("d2", ("d1", *_ISR, "members-below-one")),
+    # dom-stable-on-tests at p and p'
+    "dom-complement": ("d2", ("d1", *_ISR, "members-below-one")),
+    # a <= dom(a)a <= pa <= p top; if a <= p top then p'a <= p'p top = 0, and gla
+    "dom-top-galois": ("d2", ("d1", *_ISR, *_GLA)),
+    # a 1 = a and 1 a = a
+    "preimage-of-one": ("mul-right-identity", ()),
+    "image-of-one": ("mul-left-identity", ()),
+    # (51)-(55): llp at ap, with ap = app <= qap; gla at ap; dom-export at aq; gla and gra;
+    # both sides say paq = 0, by gra and gla, as rq = 0 iff r <= q' for tests
+    "preimage-vs-commutation": ("d2", ("d1", *_ISR, "members-below-one", "meet-idempotent")),
+    "preimage-vs-annihilation": ("d2", ("d1", *_ISR, *_GLA)),
+    "preimage-import-export": ("d2", ("d1", *_ISR, *_TEST_NAMES)),
+    "preimage-exchange": ("d2", ("d1", "cd1", "cd2", *_ISR, *_GLA, "complement-involutive")),
+    "image-preimage-annihilation": ("cd2", ("cd1", "d1", "d2", *_ISR, *_TEST_NAMES)),
+    # (56)-(58): dom-decompose and its mirror at pa, equalities by dloc and cdloc
+    "image-compose-bound": ("cd2", ("cd1", *_ISR, "members-below-one")),
+    "image-compose-exact": ("cdloc", ("cd1", "cd2", *_ISR, "members-below-one")),
+    "dom-compose-local": ("dloc", ("d1", "d2", *_ISR, "members-below-one")),
+    "cod-compose-local": ("cdloc", ("cd1", "cd2", *_ISR, "members-below-one")),
+    # ab = 0 => dom(a dom(b)) <= dom(ab) = 0 => a dom(b) = 0 => cod(cod(a)dom(b)) <= cod(a dom(b)) = 0
+    # => cod(a)dom(b) = 0, by dom-strict and its mirror; conversely ab <= a cod(a)dom(b)b
+    "annihilation-via-dom-cod": ("dloc", ("d1", "d2", "cd1", "cd2", "cdloc", *_ISR, "zero-is-member")),
+})
+
 
 def check_domain_axioms(D: DomainStructure) -> list[LawReport]:
     """The domain/codomain axioms and their least/greatest characterizations.
@@ -401,9 +461,11 @@ def check_domain_calculus(D: DomainStructure) -> list[LawReport]:
     _exact_laws), a law that algebra._rewrite rewrites is first decided in
     that equivalent form (image-compose-bound and -exact with p over 0 and
     the atoms, a and b over 0 and the join-irreducibles), and scanned only
-    if that fails, so every witness is the scanner's.  dom-additive holds
-    where it is one of D's guards, decided on construction; it is scanned
-    only where it is not.
+    if that fails, so every witness is the scanner's.  Every law but
+    dom-additive is certified once the axioms, isemiring and test-algebra
+    laws its derivation uses have held (the _CERTIFICATES entries above);
+    dom-additive holds where it is one of D's guards, decided on
+    construction, and is scanned only where it is not.
     """
 
     def decided(scanner, law, held):

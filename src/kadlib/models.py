@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Optional, Sequence
 
@@ -236,6 +237,14 @@ def _bit_positions(mask: int) -> list[int]:
     return out
 
 
+def _ascending(edges) -> bool:
+    """Whether a sequence of (i, j) pairs is strictly ascending; False where its pairs do not compare."""
+    try:
+        return all(map(operator.lt, edges, itertools.islice(edges, 1, None)))
+    except (TypeError, ValueError):
+        return False
+
+
 class Relation(_Record):
     """Binary relation on {1..n}, stored as each state's successor positions.
 
@@ -259,12 +268,16 @@ class Relation(_Record):
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"pair ({i},{j}) outside 1..{n}")
             rows[i - 1].append(j - 1)
-        return cls._from_rows(n, rows)
+        return cls._from_rows(n, rows, pairs if isinstance(pairs, (list, tuple)) else None)
 
     @classmethod
-    def _from_rows(cls, n: int, rows: list[list[int]]) -> "Relation":
-        # rows[i] lists positions in 0..n-1 in any order, repeats allowed;
-        # a row of at most one entry is already ascending and without repeats
+    def _from_rows(cls, n: int, rows: list[list[int]], edges=None) -> "Relation":
+        # rows[i] lists positions in 0..n-1 in any order, repeats allowed; a row of
+        # at most one entry is already ascending and without repeats, and so is
+        # every row where edges, the (i, j) pairs the rows were read from in
+        # order, are strictly ascending: one pairwise compare in C tells
+        if edges is not None and _ascending(edges):
+            return cls(n, tuple(map(tuple, rows)))
         return cls(n, tuple(tuple(row) if len(row) < 2 else tuple(sorted(set(row))) for row in rows))
 
     @classmethod

@@ -151,6 +151,30 @@ def test_workspace_validates_edges_and_sets(tmp_path):
         load_workspace(path)
 
 
+def test_edge_lists_in_any_order_load_the_relation_of_their_set_of_pairs():
+    """Ascending, shuffled, duplicated and descending edge lists give the relation whose
+    rows are the sorted set of each state's successors, through the workspace loader and
+    through from_pairs (also from a generator, lists of lists, mixed pair types and numpy
+    rows, which do not compare as tuples do)."""
+    import numpy as np
+
+    rng, n = random.Random(7), 6
+    ascending = sorted({(rng.randint(1, n), rng.randint(1, n)) for _ in range(24)})
+    shuffled = rng.sample(ascending, len(ascending))
+    duplicated = sorted(ascending + ascending[::3])
+    for pairs in (ascending, shuffled, duplicated, ascending[::-1], ascending[:1], []):
+        want = Relation(n, tuple(tuple(sorted({j - 1 for i, j in pairs if i == s})) for s in range(1, n + 1)))
+        lists = [list(p) for p in pairs]
+        assert kadlib.cli._relation_from_doc(n, "R", lists) == want
+        assert Relation.from_pairs(n, pairs) == Relation.from_pairs(n, iter(pairs)) == Relation.from_pairs(n, lists) == want
+        mixed = [p if k % 2 else list(p) for k, p in enumerate(pairs)]
+        assert Relation.from_pairs(n, mixed) == Relation.from_pairs(n, list(np.array(lists, dtype=int).reshape(-1, 2))) == want
+    with pytest.raises(CliParseError, match=r"has edge \(2, 3\) outside 1..2"):
+        kadlib.cli._relation_from_doc(2, "R", [[1, 1], [1, 2], [2, 3]])
+    with pytest.raises(ValueError, match=r"pair \(2,3\) outside 1..2"):
+        Relation.from_pairs(2, [(1, 1), (1, 2), (2, 3)])
+
+
 REL = {"n": 2, "relations": {"R": []}}
 
 MALFORMED = {

@@ -15,7 +15,11 @@ The shortcuts are checked against the forms they replace: the one-variable
 induction test against the two-variable mu(a, b) iteration, the
 early-stopping powers-below-star search against the full n-step loop, and
 check_domain_calculus, which decides some laws in a rewritten form first,
-against the plain scan.
+against the plain scan.  Laws certified by the laws their derivations use
+(algebra._CERTIFICATES) are checked against the plain scan where those held
+and, for each certificate, where one of them failed; add-commutative and
+add-associative, decided by a powerset representation of +, where it applies
+and where it falls back to the transpose compare and Light's test.
 
 The golden files under data/check hold the stdout and exit code of
 `kad check` as printed by the hand-written checkers the scanner replaced.
@@ -172,8 +176,10 @@ def scanned(S):
 
 
 def compare_domain(D):
-    compare(DOMAIN_AXIOMS, D.owner, D=D)
-    compare(DOMAIN_CALCULUS, D.owner, D=D)
+    """check_laws against brute force on D's families, and check_domain_axioms and check_domain_calculus,
+    which certify laws, against check_laws."""
+    axioms, calculus = compare(DOMAIN_AXIOMS, D.owner, D=D), compare(DOMAIN_CALCULUS, D.owner, D=D)
+    assert rows(check_domain_axioms(D)) == rows(axioms) and rows(check_domain_calculus(D)) == rows(calculus)
     if D.owner.conv is not None:
         compare(CONVERSE_DUALITY, D.owner, D=D)
 
@@ -408,12 +414,17 @@ REL3_CORRUPTIONS = {
 }
 
 
+def rel3_corrupted(table, i, j):
+    """rel(3)'s tables with the REL3_CORRUPTIONS cell moved."""
+    tables = {"add": np.array(REL3.add), "mul": np.array(REL3.mul)}
+    tables[table][i, j] = (tables[table][i, j] + 1) % REL3.n
+    return FiniteSemiring(REL3.carrier, tables["add"], tables["mul"], REL3.zero, REL3.one, REL3.star, REL3.conv)
+
+
 @pytest.mark.parametrize("table,i,j", sorted(REL3_CORRUPTIONS), ids=str)
 def test_rel3_witnesses_match_a_plain_scan(table, i, j):
     """The scanner's witnesses against the plain scan, and the reductions' reports against the scanner's."""
-    tables = {"add": np.array(REL3.add), "mul": np.array(REL3.mul)}
-    tables[table][i, j] = (tables[table][i, j] + 1) % REL3.n
-    S = FiniteSemiring(REL3.carrier, tables["add"], tables["mul"], REL3.zero, REL3.one, REL3.star, REL3.conv)
+    S = rel3_corrupted(table, i, j)
     want = scanned(S)
     witnesses = {name: witness for name, _, witness, _ in want}
     for name in REL3_CORRUPTIONS[table, i, j]:
@@ -422,6 +433,16 @@ def test_rel3_witnesses_match_a_plain_scan(table, i, j):
         assert got is not None and got == reference_first_failure(law, S), name
         assert (got[law.vars[1]] >= 256) == name.endswith("*"), name
     assert decided(S) == want
+
+
+@pytest.mark.parametrize("table,i,j", sorted(REL3_CORRUPTIONS), ids=str)
+def test_rel3_corrupted_domain_reports_match_the_plain_scan(table, i, j):
+    """The domain axioms and calculus of the corrupted tables, under rel(3)'s predomain tables."""
+    S, T = rel3_corrupted(table, i, j), rel_tests(3)
+    P = compute_predomain(REL3, T)
+    D = DomainStructure(S, TestAlgebra(S, T.members, T.compl), P.delta, P.rho)
+    assert rows(check_domain_axioms(D)) == rows(check_laws(DOMAIN_AXIOMS, S, D=D))
+    assert rows(check_domain_calculus(D)) == rows(check_laws(DOMAIN_CALCULUS, S, D=D))
 
 
 # -- the reductions of check_isemiring and check_kleene -----------------------------
@@ -600,6 +621,83 @@ def test_add_commutative_of_an_asymmetric_cell_is_the_scanners_report():
     law = REL3_LAWS["add-commutative"]
     got = {r.name: r for r in check_isemiring(S)}[law.name]
     assert got == check_laws([law], S)[0] == LawReport(law.name, False, {"a": 5, "b": 480})
+
+
+# -- + decided by its powerset representation ---------------------------------------
+
+
+def lattice_semiring(name, covers):
+    """The five-element lattice with bottom 0 and top 4 whose order the pairs u < v of covers generate,
+    with join as + and meet as ·."""
+    n = 5
+    le = np.eye(n, dtype=bool)
+    for u, v in covers:
+        le[u, v] = True
+    for k in range(n):
+        le |= le[:, [k]] & le[[k], :]
+
+    def bound(u, v, up):
+        common = [w for w in range(n) if (le[u, w] and le[v, w] if up else le[w, u] and le[w, v])]
+        return next(w for w in common if all(le[w, x] if up else le[x, w] for x in common))
+
+    join, meet = ([[bound(u, v, up) for v in range(n)] for u in range(n)] for up in (True, False))
+    return FiniteSemiring(["0", "x", "y", "z", "1"], join, meet, 0, 4, name=name)
+
+
+# the two non-distributive five-element lattices: three atoms, and a pentagon
+NON_DISTRIBUTIVE = {
+    "M3": [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)],
+    "N5": [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)],
+}
+
+
+def counting_lights_tests(monkeypatch):
+    """A list of the tables that Light's test reads from now on."""
+    tables = []
+    light = kadlib.algebra._associative
+    monkeypatch.setattr(kadlib.algebra, "_associative", lambda X, gens: tables.append(X) or light(X, gens))
+    return tables
+
+
+def test_add_is_decided_by_its_powerset_representation(monkeypatch):
+    """On rel(1..3), the five builtins (all chains), the rel(2) and rel(3) transformer tables and
+    matrix_semiring(A3_1, 2), + embeds in (2^G, union): add-commutative and add-associative hold,
+    and Light's test never reads +."""
+    lights = counting_lights_tests(monkeypatch)
+    fired = []
+    for name, S in associative_tables():
+        S = plain(S)
+        reports = {r.name: r for r in check_isemiring(S)}
+        assert reports["add-commutative"].holds and reports["add-associative"].holds, name
+        assert not any(X is S.add for X in lights), name
+        if S._add_in_powerset:
+            fired.append(name)
+    assert fired == [name for name, _ in associative_tables()]
+    assert {"A2", "A3_1", "A3_2", "A3_3", "A4_1"} <= set(fired)
+
+
+def fallback_tables():
+    """(name, S): tables whose + has no such representation: rel(3) with each add cell of
+    REL3_CORRUPTIONS moved, and the join tables of M3 and N5, which are associative."""
+    for table, i, j in sorted(REL3_CORRUPTIONS):
+        if table == "add":
+            add = np.array(REL3.add)
+            add[i, j] = (add[i, j] + 1) % REL3.n
+            yield f"rel3-add-{i}-{j}", FiniteSemiring(REL3.carrier, add, REL3.mul, REL3.zero, REL3.one, REL3.star, REL3.conv)
+    for name, covers in NON_DISTRIBUTIVE.items():
+        yield name, lattice_semiring(name, covers)
+
+
+@pytest.mark.parametrize("name,S", list(fallback_tables()), ids=str)
+def test_add_without_a_powerset_representation_falls_back_to_the_transpose_and_lights_test(monkeypatch, name, S):
+    lights = counting_lights_tests(monkeypatch)
+    laws = [REL3_LAWS["add-commutative"], REL3_LAWS["add-associative"]]
+    got = [r for r in check_isemiring(S) if r.name in {law.name for law in laws}]
+    assert not S._add_in_powerset
+    assert any(X is S.add for X in lights)
+    assert rows(got) == rows(check_laws(laws, S))
+    if name in NON_DISTRIBUTIVE:
+        assert all_hold(got) and not all_hold(check_isemiring(S))
 
 
 def test_join_irreducibles_are_refused_where_the_isemiring_laws_fail():
@@ -789,9 +887,10 @@ def counting_scans(monkeypatch):
 
 
 def test_the_domain_calculus_matches_the_plain_scan(monkeypatch):
-    """check_domain_calculus, which decides a law in its rewritten form first, gives the
-    plain scan's reports; the random additive domains refute rewritten laws, which then
-    fall back to the scan of the law itself."""
+    """check_domain_calculus, which certifies a law or decides it in its rewritten form
+    first, gives the plain scan's reports.  With the domain axioms absent from the laws
+    known to hold, so that only the rewrites run, the random additive domains refute
+    rewritten laws, which then fall back to the scan of the law itself."""
     cases = [
         *predomain_cases(),
         *((f"rel2-additive-{seed}", random_additive_domain(seed)) for seed in range(8)),
@@ -800,10 +899,13 @@ def test_the_domain_calculus_matches_the_plain_scan(monkeypatch):
     for _, D in cases:
         D._exact_laws  # the guard scans, which are not rewrites
     scans = counting_scans(monkeypatch)
-    for name, D in cases:
-        got = [(r.name, r.holds, r.witness, r.note) for r in check_domain_calculus(D)]
-        want = [(r.name, r.holds, r.witness, r.note) for r in check_laws(DOMAIN_CALCULUS, D.owner, D=D)]
-        assert got == want, name
+    for axioms in (set(), {law.name for law in DOMAIN_AXIOMS}):
+        scans.clear()
+        for name, D in cases:
+            monkeypatch.setitem(D.__dict__, "_exact_laws", D._exact_laws - axioms)
+            got = [(r.name, r.holds, r.witness, r.note) for r in check_domain_calculus(D)]
+            want = [(r.name, r.holds, r.witness, r.note) for r in check_laws(DOMAIN_CALCULUS, D.owner, D=D)]
+            assert got == want, name
     rewritten = [found for _, sizes, found in scans if sizes]
     assert len(rewritten) > 24 and sum(found is not None for found in rewritten) == 24
 
@@ -840,6 +942,104 @@ def test_rel3_locality_is_decided_by_100_instances(monkeypatch):
     assert local == [("dloc", [10, 10], None), ("cdloc", [10, 10], None)]
 
 
+def cell_changed(name, table, i, p):
+    """The predomain of a MODELS entry with delta[i] or rho[i] (table) set to the test p."""
+    _, S, T = next(m for m in MODELS if m[0] == name)
+    D = compute_predomain(S, T)
+    tables = {"delta": np.array(D.delta), "rho": np.array(D.rho)}
+    tables[table][i] = p
+    return DomainStructure(S, T, tables["delta"], tables["rho"])
+
+
+def identity_changed(name, cell, v):
+    """The predomain tables of a MODELS entry over its · with one cell (a, 1) or (1, a) set to v."""
+    _, S, T = next(m for m in MODELS if m[0] == name)
+    D = compute_predomain(S, T)
+    mul = np.array(S.mul)
+    mul[cell] = v
+    S2 = plain(S, mul=mul)
+    return DomainStructure(S2, TestAlgebra(S2, T.members, T.compl), D.delta, D.rho)
+
+
+def prerequisite_cases():
+    """(name, S, D or None), built when iterated: structures where laws that certificates list fail.
+
+    Corrupted star columns break the star axioms; corrupted and random additive
+    domain tables and single moved cells break d1, d2, cd1 or cd2, some with dloc
+    and cdloc still holding; A3_2's predomain is not local; moved identity cells of
+    · break mul-left- or mul-right-identity under intact domain tables; and rel(2)'s
+    predomain tables over test algebras that break test-algebra laws while every
+    domain axiom holds (AXIOMS_HOLD).
+    """
+    for c in CORRUPTIONS:
+        if c[1] == "star":
+            yield "-".join(map(str, c)), corrupted(*c)[0], None
+    for name in DOMAIN_CORRUPTIONS:
+        for k, D in enumerate(corrupted_domains(name)):
+            yield f"{name}-domain-{k}", D.owner, D
+    for seed in range(8):
+        D = random_additive_domain(seed)
+        yield f"rel2-additive-{seed}", D.owner, D
+    for name, table, i, p in [("A3_1", "delta", 2, 0), ("A3_1", "rho", 2, 0), ("A2", "delta", 0, 1), ("A2", "rho", 0, 1)]:
+        D = cell_changed(name, table, i, p)
+        yield f"{name}-{table}[{i}]={p}", D.owner, D
+    D = compute_predomain(*next(m[1:] for m in MODELS if m[0] == "A3_2"))
+    yield "A3_2", D.owner, D
+    for cell in ((0, 1), (1, 0)):
+        D = identity_changed("A2", cell, 1)
+        yield f"A2-mul{cell}=1", D.owner, D
+    S, T = rel_semiring(2), rel_tests(2)
+    P = compute_predomain(S, T)
+    T2 = TestAlgebra(S, T.members, {0: 9, 9: 0, 1: 1, 8: 8})
+    yield "rel2-fixed-complement", S, DomainStructure(S, T2, P.delta, P.rho)
+    T3 = TestAlgebra(S, (*T.members, S.top()), {**T.compl, S.top(): S.top()})
+    yield "rel2-top-test", S, DomainStructure(S, T3, P.delta, P.rho)
+
+
+# structures of prerequisite_cases where every domain axiom holds, and laws there whose
+# certificates also list test-algebra laws, which fail: the complement fixes {(1,1)} and
+# {(2,2)}; the full relation is a test, its own complement, and not below 1
+AXIOMS_HOLD = {
+    "rel2-fixed-complement": {"gla", "gra", "preimage-vs-annihilation", "preimage-exchange"},
+    "rel2-top-test": {"dom-stable-on-tests", "dom-complement", "dom-export", "preimage-vs-commutation", "preimage-import-export"},
+}
+
+CERTIFIED_FAMILIES = {law.name for law in KLEENE_LAWS + DOMAIN_AXIOMS + DOMAIN_CALCULUS if isinstance(law, Law)}
+
+
+def test_a_certificate_whose_prerequisite_failed_leaves_its_law_to_the_scanner(monkeypatch):
+    """For each certificate of check_kleene, check_domain_axioms and check_domain_calculus, a
+    structure where one of the laws it lists failed: the law is reported not applicable, or is
+    scanned (in its rewritten form first where a rewrite applies), and every report is the plain
+    scan's.  Each such law fails on at least one of these structures, where a certificate that
+    fired would have reported it holding."""
+    certificates = {law: (by, *needs) for law, (by, needs) in kadlib.algebra._CERTIFICATES.items() if law in CERTIFIED_FAMILIES}
+    scans = counting_scans(monkeypatch)
+    withheld, refuted = collections.Counter(), set()
+    for name, S, D in prerequisite_cases():
+        reports = [*check_isemiring(S), *(check_kleene(S) if S.star is not None else ())]
+        if D is not None:
+            reports += [*D.tests._reports, *check_domain_axioms(D), *check_domain_calculus(D)]
+            assert rows(check_domain_axioms(D)) == rows(check_laws(DOMAIN_AXIOMS, D.owner, D=D)), name
+            assert rows(check_domain_calculus(D)) == rows(check_laws(DOMAIN_CALCULUS, D.owner, D=D)), name
+        if S.star is not None:
+            assert decided(S) == scanned(S), name
+        held = {r.name for r in reports if r.holds}
+        scanned_names = {law for law, _, _ in scans}
+        for r in reports:
+            if r.name in certificates and not held.issuperset(certificates[r.name]):
+                assert r.note.startswith("not applicable") or r.name in scanned_names, (name, r.name)
+                withheld[r.name] += 1
+                if not r.holds:
+                    refuted.add(r.name)
+        scans.clear()
+        if name in AXIOMS_HOLD:
+            # certificates resting on the domain axioms alone would be wrong here
+            assert held.issuperset(kadlib.domain._FLAG_LAWS), name
+            assert AXIOMS_HOLD[name] <= {r.name for r in reports if not r.holds}, name
+    assert set(withheld) == set(certificates) == refuted
+
+
 def test_a_refuted_rewrite_falls_back_to_the_scan(monkeypatch):
     """image-compose-bound on an additive rel(2) domain is scanned first with p over 0
     and the atoms, a and b over 0 and the single pairs; that fails, and the scan of the
@@ -855,10 +1055,14 @@ def test_a_refuted_rewrite_falls_back_to_the_scan(monkeypatch):
 
 
 def test_rel3_image_compose_laws_are_decided_by_400_instances(monkeypatch):
-    """On the rel(3) predomain image-compose-bound and -exact each scan 4 * 10 * 10
-    instances, never the 8 * 512 * 512 of the law itself."""
+    """On the rel(3) predomain image-compose-bound and -exact are certified by cd2 and
+    cdloc.  Without cd1, which both derivations use, each scans 4 * 10 * 10 instances,
+    never the 8 * 512 * 512 of the law itself."""
     D = compute_predomain(rel_semiring(3), rel_tests(3))
-    D._exact_laws
+    laws = [law for law in DOMAIN_CALCULUS if law.name.startswith("image-compose")]
+    modes = [kadlib.algebra._rewrite(law, D, D._exact_laws).mode for law in laws]
+    assert modes == ["certified by cd2", "certified by cdloc"]
+    monkeypatch.setitem(D.__dict__, "_exact_laws", D._exact_laws - {"cd1"})
     scans = counting_scans(monkeypatch)
     assert all_hold(check_domain_calculus(D))
     compose = [(name, sizes, found) for name, sizes, found in scans if name.startswith("image-compose")]
