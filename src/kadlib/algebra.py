@@ -200,6 +200,11 @@ class FiniteSemiring:
         return tuple(_check(ISEMIRING_LAWS, _Scanner(self, symmetric=False), [zero_not_one], _decided))
 
     @functools.cached_property
+    def _terms(self) -> dict:
+        """eval_term's compiled terms (see there)."""
+        return {}
+
+    @functools.cached_property
     def _order(self):
         """The natural order as an n x n table: a <= b iff a + b = b."""
         return self.add == np.arange(self.n)
@@ -552,40 +557,149 @@ def compl(t: Term) -> Term:
 
 
 def eval_term(t: Term, env: Mapping[str, int], S: FiniteSemiring, T: Optional[TestAlgebra] = None, D=None) -> int:
-    """Evaluate a term to a carrier index under the given variable assignment."""
-    op = t.op
-    if op == "var":
-        try:
-            return int(env[t.name])
-        except KeyError:
-            raise ValueError(f"unbound variable {t.name!r}") from None
-    if op == "zero":
-        return S.zero
-    if op == "one":
-        return S.one
-    if op == "top":
-        top = S.top()
+    """Evaluate a term to a carrier index under the given variable assignment.
+
+    t is compiled by _Scalar over the tables of S, T and D.  S._terms keeps the last 64 compiled, keyed on the
+    identities of t, T and D, which it holds, and the names in env."""
+    key, kept = (id(t), id(T), id(D), *env), S._terms
+    entry = kept.get(key)
+    if entry is None:
+        if len(kept) >= 64:
+            kept.clear()
+        entry = kept[key] = (t, T, D, _Scalar(_Tables(S, T, D), env).term(t))
+    return entry[3](list(map(int, env.values())))
+
+
+class _Tables:
+    """The model surface of the tables of S, with the tests T and the domain structure D, for _Scalar and DomainStructure.
+
+    Tests are elements here.  Where S has no star or conv column, the
+    surface's star or conv raises _LACKS[op]; where T or D is missing, so
+    are their operations, and _Scalar raises _LACKS[op] for a term that
+    applies one.
+    """
+
+    def __init__(self, S: FiniteSemiring, T: Optional[TestAlgebra] = None, D=None):
+        self.S, self.zero, self.one, self.add, self.mul, self.leq = S, S.zero, S.one, S.add.item, S.mul.item, S.leq
+        self.test_zero, self.test_one, self.test_leq = S.zero, S.one, S.leq
+        for op, column in (("star", S.star), ("conv", S.conv)):
+            setattr(self, op, functools.partial(_lacks, op) if column is None else column.item)
+        if D is not None:
+            self.dom, self.cod = D.dom, D.cod
+        if T is not None:
+            self.test_compl, self.test_join, self.test_meet = T.complement, T.join, T.meet
+
+    @property
+    def top(self) -> int:
+        top = self.S.top()
         if top is None:
             raise ValueError("term uses top but the semiring has no greatest element")
         return top
-    if op in ("add", "mul"):
-        l = eval_term(t.args[0], env, S, T, D)
-        r = eval_term(t.args[1], env, S, T, D)
-        return int((S.add if op == "add" else S.mul)[l, r])
-    x = eval_term(t.args[0], env, S, T, D)
-    if op in ("star", "conv"):
-        if getattr(S, op) is None:
-            raise ValueError(f"term uses {'star' if op == 'star' else 'converse'} but the semiring declares none")
-        return int(getattr(S, op)[x])
-    if op in ("dom", "cod"):
-        if D is None:
-            raise ValueError(f"term uses {op} but no domain structure was given")
-        return getattr(D, op)(x)
-    if op == "not":
-        if T is None:
-            raise ValueError("term uses complement but no test algebra was given")
-        return T.complement(x)
-    raise ValueError(f"unknown term op {op!r}")
+
+
+_LACKS = {
+    **{op: f"term uses {what} but the semiring declares none" for op, what in (("star", "star"), ("conv", "converse"))},
+    **{op: f"term uses {op} but no domain structure was given" for op in ("dom", "cod")},
+    "not": "term uses complement but no test algebra was given",
+}
+
+
+def _lacks(op: str, *args):
+    """Raise _LACKS[op]: the star or conv of _Tables where S has no column."""
+    raise ValueError(_LACKS[op])
+
+
+# the surface's name of a term op over tests, where it is not the op's own
+_TEST_OPS = {"zero": "test_zero", "one": "test_one", "add": "test_join", "mul": "test_meet", "not": "test_compl"}
+
+
+def _kind(t: Term, tests) -> Optional[str]:
+    """'t' if t denotes a test, 'e' if an element, None if it is built from 0 and 1 alone."""
+    if t.op == "var":
+        return "t" if t.name in tests else "e"
+    if t.op in ("zero", "one"):
+        return None
+    if t.op in ("dom", "cod", "not"):
+        return "t"
+    if t.op in ("add", "mul"):
+        kinds = {_kind(x, tests) for x in t.args}
+        return "e" if "e" in kinds else ("t" if "t" in kinds else None)
+    return "e"
+
+
+class _Scalar:
+    """Laws and terms compiled to closures over one model surface; env holds an instance's values of vars, in order.
+
+    The surface is _Tables, or a model's own methods (RelModel, any
+    ModelHandle), whose tests are a sort of their own: a test stays a test
+    while it meets only tests and is embedded where it meets an element,
+    complement of an element is an error, and dom(x p) is evaluated as
+    preimage(x, p) and cod(p x) as image(p, x).
+    """
+
+    def __init__(self, M, vars, tests=()):
+        self.M, self.tests, self.typed = M, set(tests), not isinstance(M, _Tables)
+        self.pos = {v: i for i, v in enumerate(vars)}
+
+    def compile(self, law: Law):
+        """holds(env): law's premises, evaluated in order up to a false one, imply its conclusion at env."""
+        concl, *premises = (self.atom(a) for a in (law.concl, *law.premises))
+
+        def holds(env) -> bool:
+            for p in premises:
+                if not p(env):
+                    return True
+            return concl(env)
+
+        return holds
+
+    def atom(self, atom: Term):
+        """fn(env), the truth value of an eq, leq or iff atom."""
+        if atom.op == "iff":
+            fs = [self.atom(x) for x in atom.args]
+            return lambda env: len({f(env) for f in fs}) == 1
+        as_test = self.typed and "e" not in {_kind(x, self.tests) for x in atom.args}
+        fl, fr = (self.term(x, as_test) for x in atom.args)
+        if atom.op == "eq":
+            return lambda env: fl(env) == fr(env)
+        le = getattr(self.M, "test_leq" if as_test else "leq")
+        return lambda env: le(fl(env), fr(env))
+
+    def term(self, t: Term, as_test: bool = False):
+        """fn(env), the value of t, a test's where as_test is set.  An operation the surface lacks raises here."""
+        kind = _kind(t, self.tests) if self.typed else None
+        if kind == "t" and not as_test:
+            f, embed = self.term(t, True), self.M.embed
+            return lambda env: embed(f(env))
+        if kind == "e" and as_test:
+            raise ValueError(f"{t} is not a test")
+        op, args, M = t.op, t.args, self.M
+        name = _TEST_OPS.get(op, op) if as_test or op == "not" else op
+        if op == "var":
+            if t.name not in self.pos:
+                raise ValueError(f"unbound variable {t.name!r}")
+            i = self.pos[t.name]
+            return lambda env: env[i]
+        if op in ("zero", "one", "top"):
+            v = getattr(M, name)
+            return lambda env: v
+        if op not in _TERM_FORMS:
+            raise ValueError(f"unknown term op {op!r}")
+        sorts = [as_test if op in ("add", "mul") else self.typed and op == "not"] * len(args)
+        if kind == "t" and op in ("dom", "cod") and args[0].op == "mul" and _kind(args[0], self.tests) == "e":
+            # the test operand is on the right of dom and on the left of cod
+            a, p = args[0].args if op == "dom" else args[0].args[::-1]
+            if _kind(p, self.tests) == "t":
+                name, args, sorts = ("preimage", (a, p), (False, True)) if op == "dom" else ("image", (p, a), (True, False))
+        fs = [self.term(x, s) for x, s in zip(args, sorts)]
+        g = getattr(M, name, None)
+        if g is None:
+            raise ValueError(_LACKS.get(op, f"{M} has no {name}"))
+        if len(fs) == 1:
+            (f,) = fs
+            return lambda env: g(f(env))
+        fl, fr = fs
+        return lambda env: g(fl(env), fr(env))
 
 
 # ---------------------------------------------------------------------------
@@ -636,12 +750,6 @@ def _not_applicable(law: Law, top, model) -> Optional[LawReport]:
 
 def _report(name: str, witness: Optional[dict], note: str = "") -> LawReport:
     return LawReport(name, witness is None, witness, note)
-
-
-def _atom_terms(atom: Term):
-    """The terms an atom compares, in evaluation order."""
-    for x in atom.args:
-        yield from _atom_terms(x) if atom.op == "iff" else (x,)
 
 
 def _rows(x):
@@ -730,6 +838,8 @@ class _Scanner:
 
             return equal, deps
         f, U = fs[0], self.tables[op]
+        if U is None:
+            raise ValueError(_LACKS[op])
         if op != "not":
             return (lambda env: U[f(env)]), deps
 
@@ -841,9 +951,9 @@ class _Scanner:
                 witness = dict(zip(law.vars, [*prefix, *(int(d[i]) for d, i in zip(doms[m:], at))]))
                 if not all(np.broadcast_to(v, chunk)[idx] for v in self._valid):
                     # complement of a non-test: let the scalar evaluator raise
+                    scalar = _Scalar(_Tables(self.S, self.T, self.D), law.vars)
                     for atom in (*law.premises, law.concl):
-                        for t in _atom_terms(atom):
-                            eval_term(t, witness, self.S, self.T, self.D)
+                        scalar.atom(atom)(list(witness.values()))
                 return witness
         return None
 

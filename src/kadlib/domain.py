@@ -23,7 +23,6 @@ from .algebra import (
     Law,
     LawReport,
     TEST_LAWS,
-    Term,
     TestAlgebra,
     Verdict,
     _CERTIFICATES,
@@ -35,7 +34,9 @@ from .algebra import (
     _not_applicable,
     _orbit_least,
     _rewrite,
+    _Scalar,
     _Scanner,
+    _Tables,
     _walk,
     check_laws,
     cod,
@@ -71,18 +72,22 @@ __all__ = [
 _FLAG_LAWS = ("d1", "d2", "dloc", "cd1", "cd2", "cdloc")
 
 
-class DomainStructure:
+class DomainStructure(_Tables):
     """A semiring with test algebra plus domain and codomain tables.
 
     delta/rho map each carrier index to a test; they may be any maps (the
     axioms are checked, not assumed).  flags records which of d1, d2, dloc,
     cd1, cd2 and cdloc hold, from the DOMAIN_AXIOMS reports decided on
-    construction, and whether the semiring is integral.
+    construction, and whether the semiring is integral.  Its element
+    surface (zero, one, add, mul, leq, star and conv, which raise where the
+    owner has no column) and test operations are _Tables' over owner and
+    tests.
     """
 
     def __init__(self, owner: FiniteSemiring, tests: TestAlgebra, delta, rho, name: str = ""):
         if tests.owner is not owner and tests.owner != owner:
             raise ValueError("test algebra belongs to a different semiring")
+        super().__init__(owner, tests)
         self.owner = owner
         self.tests = tests
         self.delta = np.asarray(delta, dtype=np.int32)
@@ -162,28 +167,6 @@ class DomainStructure:
     def has_star(self) -> bool:
         return self.owner.star is not None
 
-    def add(self, x: int, y: int) -> int:
-        return int(self.owner.add[x, y])
-
-    def mul(self, x: int, y: int) -> int:
-        return int(self.owner.mul[x, y])
-
-    def star(self, x: int) -> int:
-        if self.owner.star is None:
-            raise ValueError(f"{self.owner.name} has no star operation")
-        return int(self.owner.star[x])
-
-    def leq(self, x: int, y: int) -> bool:
-        return self.owner.leq(x, y)
-
-    @property
-    def zero(self) -> int:
-        return self.owner.zero
-
-    @property
-    def one(self) -> int:
-        return self.owner.one
-
     @property
     def top(self) -> Optional[int]:
         return self._top
@@ -210,14 +193,6 @@ class DomainStructure:
 
     # -- test surface ----------------------------------------------------
 
-    @property
-    def test_zero(self) -> int:
-        return self.owner.zero
-
-    @property
-    def test_one(self) -> int:
-        return self.owner.one
-
     def test_members(self) -> list[int]:
         return list(self.tests.members)
 
@@ -241,18 +216,6 @@ class DomainStructure:
 
     def image_rows(self, a: int) -> list[list[int]]:
         return [self.atom_positions(self.image(t, a)) for t in self._atoms]
-
-    def test_join(self, p: int, q: int) -> int:
-        return self.tests.join(p, q)
-
-    def test_meet(self, p: int, q: int) -> int:
-        return self.tests.meet(p, q)
-
-    def test_compl(self, p: int) -> int:
-        return self.tests.complement(p)
-
-    def test_leq(self, p: int, q: int) -> bool:
-        return self.owner.leq(p, q)
 
     def test_name(self, p: int) -> str:
         return self.owner.element_name(p)
@@ -539,86 +502,9 @@ def converse_duality_check(D: DomainStructure) -> list[LawReport]:
 # laws over the domain surface, exhaustive or sampled
 
 
-def _kind(t: Term, tests) -> Optional[str]:
-    """'t' if t denotes a test, 'e' if an element, None if it is built from 0 and 1 alone."""
-    if t.op == "var":
-        return "t" if t.name in tests else "e"
-    if t.op in ("zero", "one"):
-        return None
-    if t.op in ("dom", "cod", "not"):
-        return "t"
-    if t.op in ("add", "mul"):
-        kinds = {_kind(x, tests) for x in t.args}
-        return "e" if "e" in kinds else ("t" if "t" in kinds else None)
-    return "e"
-
-
 def _uses_tests(law: Law) -> bool:
     """Whether law quantifies over tests or applies dom, cod or complement."""
     return bool(law.tests) or any(u.op in ("dom", "cod", "not") for t in (law.concl, *law.premises) for u in _walk(t))
-
-
-class _Evaluator:
-    """A law compiled to closures over one model's methods; env is a tuple of values.
-
-    Tests stay tests while they meet only tests (join, meet and complement
-    of the test algebra) and are embedded when they meet an element.
-    dom(x p) is evaluated as preimage(x, p) and cod(p x) as image(p, x).
-    """
-
-    def __init__(self, D, law: Law):
-        self.D, self.tests = D, set(law.tests)
-        self.pos = {v: i for i, v in enumerate(law.vars)}
-        self.concl, self.premises = self.atom(law.concl), [self.atom(p) for p in law.premises]
-
-    def __call__(self, env) -> bool:
-        """The premises (checked in order, stopping at a false one) imply the conclusion."""
-        for p in self.premises:
-            if not p(env):
-                return True
-        return self.concl(env)
-
-    def term(self, t: Term, as_test: bool):
-        D, kind = self.D, _kind(t, self.tests)
-        if kind == "t" and not as_test:
-            f = self.term(t, True)
-            return lambda env: D.embed(f(env))
-        if kind == "e" and as_test:
-            raise ValueError(f"{t} is not a test")
-        op = t.op
-        if op == "var":
-            i = self.pos[t.name]
-            return lambda env: env[i]
-        if op in ("zero", "one", "top"):
-            v = getattr(D, f"test_{op}" if as_test else op)
-            return lambda env: v
-        if op in ("add", "mul"):
-            fl, fr = (self.term(x, as_test) for x in t.args)
-            g = getattr(D, {"add": "test_join", "mul": "test_meet"}[op] if as_test else op)
-            return lambda env: g(fl(env), fr(env))
-        (x,) = t.args
-        if op in ("dom", "cod") and x.op == "mul" and _kind(x, self.tests) == "e":
-            # the test operand is on the right of dom and on the left of cod
-            a, p = x.args if op == "dom" else x.args[::-1]
-            if _kind(p, self.tests) == "t":
-                fa, fp = self.term(a, False), self.term(p, True)
-                if op == "dom":
-                    return lambda env: D.preimage(fa(env), fp(env))
-                return lambda env: D.image(fp(env), fa(env))
-        f = self.term(x, op == "not")
-        g = D.test_compl if op == "not" else getattr(D, op)
-        return lambda env: g(f(env))
-
-    def atom(self, atom: Term):
-        if atom.op == "iff":
-            fs = [self.atom(x) for x in atom.args]
-            return lambda env: len({f(env) for f in fs}) == 1
-        as_test = "e" not in {_kind(x, self.tests) for x in atom.args}
-        fl, fr = (self.term(x, as_test) for x in atom.args)
-        if atom.op == "eq":
-            return lambda env: fl(env) == fr(env)
-        le = self.D.test_leq if as_test else self.D.leq
-        return lambda env: le(fl(env), fr(env))
 
 
 def _sizes(D, is_test, ranges=None) -> list:
@@ -694,7 +580,7 @@ def _first_failure(law: Law, D, scanner, envs, ranges=None) -> Optional[tuple]:
     if scanner is not None and isinstance(D, DomainStructure):
         found = scanner().first_failure(law, ranges)
         return None if found is None else tuple(found.values())
-    holds = _Evaluator(D, law)
+    holds = _Scalar(D, law.vars, law.tests).compile(law)
     return next((env for env in envs if not holds(env)), None)
 
 
@@ -713,7 +599,7 @@ def _by_rewrite(law: Law, D, held, budget: int, scanner) -> Optional[LawReport]:
     scan of its instances when they fit the budget: if they all hold, so
     does law; the first that fails is lifted to an instance of law, each
     eliminated variable taking its bound's value, and reported once
-    _Evaluator confirms that law fails there.  None where the rewritten
+    the scalar evaluator confirms that law fails there.  None where the rewritten
     law does not fit, or its failure does not lift to one of law.
     """
     rw = _rewrite(law, D, held, budget)
@@ -733,13 +619,13 @@ def _by_rewrite(law: Law, D, held, budget: int, scanner) -> Optional[LawReport]:
 
 def _lift(law: Law, rw, D, values) -> Optional[tuple]:
     """The instance of law for the failing instance values of rw.law, if law fails there; else None."""
-    holds = _Evaluator(D, law)
+    scalar = _Scalar(D, law.vars, law.tests)
     found = dict(zip(rw.law.vars, values))
     env = [found.get(v) for v in law.vars]
     try:
         # a bound reads only variables that were still there when it was taken
         for v, t in reversed(rw.bounds):
-            env[holds.pos[v]] = holds.term(t, True)(env)
-        return None if holds(env) else tuple(env)
+            env[scalar.pos[v]] = scalar.term(t, True)(env)
+        return None if scalar.compile(law)(env) else tuple(env)
     except ValueError:
         return None

@@ -32,6 +32,12 @@ samples may now be decided exactly by run_laws' rewrite step.  That step,
 algebra._rewrite, is checked against the full scan of every law it
 rewrites, and each failure it lifts against eval_term.  check_sampled_laws
 is checked against check_isemiring/check_kleene on the same finite model.
+
+eval_term and run_laws, past the scanner, share one scalar evaluator,
+algebra._Scalar.  On a DomainStructure it reads the tables as eval_term
+does, so a law with converse, a complement of an element variable, or a
+test join that leaves the declared tests is decided alike with or without
+the scanner.
 """
 
 import ast
@@ -1422,9 +1428,9 @@ def witness_values(D, law, witness):
 
 
 def fails_at(D, law, values):
-    """law fails at values, by the scalar evaluator: eval_term on tables, the model's methods otherwise."""
+    """law fails at values: by eval_term on tables, by the scalar evaluator over the model's methods otherwise."""
     if not isinstance(D, DomainStructure):
-        return not kadlib.domain._Evaluator(D, law)(values)
+        return not kadlib.algebra._Scalar(D, law.vars, law.tests).compile(law)(values)
     env = dict(zip(law.vars, values))
     return all(holds(p, env, D.owner, D.tests, D) for p in law.premises) and not holds(law.concl, env, D.owner, D.tests, D)
 
@@ -1646,6 +1652,55 @@ def test_sampled_laws_enumerate_only_what_a_handle_can():
     # 17 words: 2^17 languages, past what the subset model enumerates
     big = check_sampled_laws(bounded_language_model("abcdefghijklmnop", 1), samples=20)
     assert all(r.holds and r.note == "sampled (20)" for r in big)
+
+
+# -- the scalar evaluator on a DomainStructure past its budget ----------------------
+
+
+def test_a_law_with_converse_on_a_domain_structure_reads_the_owners_column():
+    """Exhaustive or sampled, converse is the owner's conv column; without one, both raise."""
+    a = var("a")
+    law = Law("ci", "a", eq(conv(conv(a)), a))
+    D = compute_predomain(rel_semiring(2), rel_tests(2))
+    assert run_laws([law], D, 10**6, 50) == [LawReport("ci", True, None, "exhaustive")]
+    assert run_laws([law], D, 1, 50) == [LawReport("ci", True, None, "sampled (50)")]
+    A2 = conway_model("A2")
+    bare = compute_predomain(A2, TestAlgebra.discrete(A2))
+    for budget in (10**6, 1):
+        with pytest.raises(ValueError, match="term uses converse but the semiring declares none"):
+            run_laws([law], bare, budget, 50)
+
+
+def test_complement_of_an_element_raises_only_at_a_non_test_on_tables():
+    """On tables a complement raises where it meets a non-test, exhaustive or sampled; on a RelModel,
+    whose tests are not relations, complement of an element is an error before any instance."""
+    a = var("a")
+    law = Law("nt", "a", eq(compl(a), a))
+    A2 = conway_model("A2")
+    D = compute_predomain(A2, TestAlgebra.discrete(A2))  # every element of A2 is a test
+    assert run_laws([law], D, 100, 10) == [LawReport("nt", False, {"a": "0"}, "exhaustive")]
+    first = A2.element_name(random.Random(0).randrange(A2.n))
+    assert run_laws([law], D, 0, 10) == [LawReport("nt", False, {"a": first}, "sampled (10)")]
+    A3 = conway_model("A3_1")
+    D3 = compute_predomain(A3, TestAlgebra.discrete(A3))
+    for budget in (100, 0):
+        with pytest.raises(ValueError, match="'a' is not a declared test"):
+            run_laws([Law("nt", "a", eq(compl(compl(a)), a))], D3, budget, 50)
+    with pytest.raises(ValueError, match="^a is not a test$"):
+        run_laws([law], rel_model(2), 100, 10)
+
+
+def test_a_test_join_that_leaves_the_declared_tests_is_decided_alike_sampled_or_scanned():
+    """Declared tests {0, p0, p1} of rel(2) are not closed under +: p0 + p1 is the identity.  The scalar
+    evaluator reads the join off the tables, as the scanner does, where it once raised at embedding it."""
+    S, full = rel_semiring(2), rel_tests(2)
+    p0, p1 = (m for m in full.members if m not in (S.zero, S.one))
+    T = TestAlgebra(S, [S.zero, p0, p1], {S.zero: S.zero, p0: p1, p1: p0})
+    D = DomainStructure(S, T, [S.zero] * S.n, [S.zero] * S.n)
+    a, p, q = var("a"), var("p"), var("q")
+    law = Law("join-distributes", "a p q", eq((p + q) * a, p * a + q * a), tests="p q")
+    assert run_laws([law], D, 10**6, 50) == [LawReport(law.name, True, None, "exhaustive")]
+    assert run_laws([law], D, 0, 50) == [LawReport(law.name, True, None, "sampled (50)")]
 
 
 # -- scans over the orbits of rel(n)'s state symmetries ------------------------------
