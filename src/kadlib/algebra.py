@@ -43,9 +43,9 @@ the same tables:
 
 Every other law goes through _rewrite, the one law-rewrite step, which
 domain.run_laws uses too.  It certifies a law once the laws its derivation
-uses have held (_CERTIFICATES: the star theorems above, and, added by
-domain, the domain calculus and the axiom forms llp, gla, lrp and gra from
-the domain axioms, isemiring and test-algebra laws), or rewrites it to an
+uses have held (_CERTIFICATES: the star theorems above, the domain
+calculus and the axiom forms llp, gla, lrp and gra, added by domain, and
+preimage-horn-induction, added by reach), or rewrites it to an
 equivalent law with fewer instances:
 Horn elimination and join-irreducible ranges (the join-irreducibles read
 off the generators of +), behind guard laws that held on every instance
@@ -593,7 +593,7 @@ class _Tables:
     def top(self) -> int:
         top = self.S.top()
         if top is None:
-            raise ValueError("term uses top but the semiring has no greatest element")
+            raise ValueError(_LACKS["top"])
         return top
 
 
@@ -601,6 +601,7 @@ _LACKS = {
     **{op: f"term uses {what} but the semiring declares none" for op, what in (("star", "star"), ("conv", "converse"))},
     **{op: f"term uses {op} but no domain structure was given" for op in ("dom", "cod")},
     "not": "term uses complement but no test algebra was given",
+    "top": "term uses top but the semiring has no greatest element",
 }
 
 
@@ -724,8 +725,8 @@ class Law(_Record):
 
     vars lists the quantified variables in scan order; the ones also named
     in tests range over the test members, the others over the carrier
-    (both accept a space-separated string).  A law whose requires flags
-    are not all met is reported as not applicable instead of checked.
+    (both accept a space-separated string).  A law whose requires (top, or
+    names in the model's laws) are not all met is reported not applicable.
     """
 
     _fields = ("name", "vars", "concl", "premises", "tests", "requires")
@@ -740,10 +741,10 @@ _NOT_APPLICABLE = {"dloc": "no locality", "cdloc": "no locality", "top": "no gre
 
 
 def _not_applicable(law: Law, top, model) -> Optional[LawReport]:
-    """The report for a law whose requires flags are unmet (top() or model.flags), else None."""
-    flags = getattr(model, "flags", {})
+    """The report for a law whose requires are unmet (top(), or model.laws; none hold without a model), else None."""
+    laws = getattr(model, "laws", ())
     for f in law.requires:
-        if (top() is None) if f == "top" else not flags.get(f):
+        if (top() is None) if f == "top" else f not in laws:
             return LawReport(law.name, True, None, f"not applicable: {_NOT_APPLICABLE[f]}")
     return None
 
@@ -816,6 +817,8 @@ class _Scanner:
             return (lambda env: env[i]), {i}
         if op in ("zero", "one", "top"):
             v = self.top if op == "top" else (self.S.zero if op == "zero" else self.S.one)
+            if v is None:
+                raise ValueError(_LACKS[op])
             return (lambda env: v), set()
         if loop and self._m and all(self._pos[u.name] >= self._m for u in _walk(t) if u.op == "var"):
             return self._hoisted(t)
@@ -837,9 +840,9 @@ class _Scanner:
                 return out
 
             return equal, deps
-        f, U = fs[0], self.tables[op]
+        f, U = fs[0], self.tables.get(op)
         if U is None:
-            raise ValueError(_LACKS[op])
+            raise ValueError(_LACKS.get(op, f"unknown term op {op!r}"))
         if op != "not":
             return (lambda env: U[f(env)]), deps
 
@@ -908,6 +911,8 @@ class _Scanner:
         """The first failing assignment of law, or None; ranges gives, per variable, its values in scan
         order or None for all of them (the test members or the carrier)."""
         k = len(law.vars)
+        if law.tests and self.T is None:
+            raise ValueError(f"{law.name} has test variables but no test algebra was given")
         doms = [
             r if r is not None else self.T.members if v in law.tests else range(self.S.n)
             for v, r in zip(law.vars, ranges or [None] * k)
@@ -1024,11 +1029,6 @@ def check_equation(
         Term(rel, (lhs, rhs)),
         tests=tuple(v for v in vs if v in test_vars),
     )
-    # The first assignment goes through the scalar evaluator, which raises
-    # for an operation the model lacks (star, converse, dom/cod, complement).
-    first = {v: T.members[0] if v in test_vars else 0 for v in vs}
-    eval_term(lhs, first, S, T, D)
-    eval_term(rhs, first, S, T, D)
     return check_laws([law], S, T, D)[0]
 
 
@@ -1270,13 +1270,9 @@ _REWRITE_GUARDS = _ISEMIRING_NAMES + ("dom-additive", "cod-additive")
 
 _ISR = _ISEMIRING_NAMES
 
-# law: (the law that certifies it, the other laws that must have held); domain adds
-# the entries of the domain laws
+# law: (the law that certifies it, the other laws that must have held); domain and
+# reach add the entries of their own laws
 _CERTIFICATES = {
-    # (ac):p + b:q <= c:p => (a*b):q <= c:p is preimage-star-induction at p := c:p
-    # and q := b:q: a:(c:p) <= (ac):p by dloc and associativity, and
-    # (a*b):q <= a*:(b:q) by d1, d2 and monotone dom
-    "preimage-horn-induction": ("preimage-star-induction", ("dloc", "d1", "d2", "dom-additive", *_ISR)),
     # theorems of the star axioms (Kozen 1994); "induction at b, c" is
     # star-left-induction's b + ac <= c => a*b <= c for those b and c
     # 1 <= 1 + a a* <= a*
@@ -1427,11 +1423,13 @@ def _narrowed(law: Law, model, held, size) -> Optional[tuple]:
 def _decided(scanner: _Scanner, law: Law, held: set) -> bool:
     """Whether law is found true without its own scan.
 
-    A law with a reduction holds if the laws the reduction needs have held
-    and the reduction finds it true.  Any other law holds if _rewrite
-    certifies it, or rewrites it to an equivalent law that the scanner
-    finds no failure of.
+    A law in held holds.  A law with a reduction holds if the laws the
+    reduction needs have held and the reduction finds it true.  Any other
+    law holds if _rewrite certifies it, or rewrites it to an equivalent law
+    that the scanner finds no failure of.
     """
+    if law.name in held:
+        return True
     if law.name in _REDUCTIONS:
         needs, holds = _REDUCTIONS[law.name]
         return held.issuperset(needs) and holds(scanner.S)

@@ -3,8 +3,8 @@
 The domain of a is the least test p that preserves a on the left (a <= pa);
 codomain is the same computation with the product reversed (a <= ap).  Both
 are stored as unary tables inside a DomainStructure, which also exposes the
-image and preimage operators and the flags (d1, d2, locality, ...) that
-downstream reachability and termination analyses key on.
+image and preimage operators and the laws known to hold (d1, d2, locality,
+...) that downstream reachability and termination analyses key on.
 
 As in algebra, checkers report rather than raise: structures that violate
 the axioms (independence proofs, locality counterexamples) are data here.
@@ -69,19 +69,16 @@ __all__ = [
     "CONVERSE_DUALITY",
 ]
 
-_FLAG_LAWS = ("d1", "d2", "dloc", "cd1", "cd2", "cdloc")
-
 
 class DomainStructure(_Tables):
     """A semiring with test algebra plus domain and codomain tables.
 
     delta/rho map each carrier index to a test; they may be any maps (the
-    axioms are checked, not assumed).  flags records which of d1, d2, dloc,
-    cd1, cd2 and cdloc hold, from the DOMAIN_AXIOMS reports decided on
-    construction, and whether the semiring is integral.  Its element
-    surface (zero, one, add, mul, leq, star and conv, which raise where the
-    owner has no column) and test operations are _Tables' over owner and
-    tests.
+    axioms are checked, not assumed).  laws names the laws known to hold on
+    every instance: the guards of _decide_axioms and the DOMAIN_AXIOMS that
+    held, both decided on construction.  Its element surface (zero, one,
+    add, mul, leq, star and conv, which raise where the owner has no
+    column) and test operations are _Tables' over owner and tests.
     """
 
     def __init__(self, owner: FiniteSemiring, tests: TestAlgebra, delta, rho, name: str = ""):
@@ -104,9 +101,8 @@ class DomainStructure(_Tables):
         self._atoms = sorted(tests.atoms())
         self._top = owner.top()
         # the tables are read-only, so the guards and the axioms are decided once, here
-        self._guards, self._axiom_reports = self._decide_axioms()
-        self.flags = {r.name: r.holds for r in self._axiom_reports if r.name in _FLAG_LAWS}
-        self.flags["integral"] = is_integral(owner).holds
+        guards, self._axiom_reports = self._decide_axioms()
+        self.laws = guards.union(r.name for r in self._axiom_reports if r.holds)
 
     def _decide_axioms(self) -> tuple[frozenset, list[LawReport]]:
         """(guards, reports): the guards of algebra._rewrite that hold here, then the DOMAIN_AXIOMS reports behind them.
@@ -137,11 +133,6 @@ class DomainStructure(_Tables):
         return _commuting(self.tests._symmetries, self.delta, self.rho)
 
     _orbit_least = _orbit_least
-
-    @functools.cached_property
-    def _exact_laws(self) -> frozenset:
-        """The laws found to hold on every instance, for the guards of algebra._rewrite: the guards and the flags that held."""
-        return self._guards | {f for f, v in self.flags.items() if v}
 
     # -- the operators -------------------------------------------------
 
@@ -419,22 +410,18 @@ def check_domain_calculus(D: DomainStructure) -> list[LawReport]:
     Everything a computed predomain should satisfy: strictness through
     complement commutation, the top-element Galois connection, and the
     preimage exchange/decomposition laws.  Laws that need locality are
-    checked only when the dloc and cdloc flags hold and reported as not
+    checked only when dloc and cdloc are in D.laws and reported as not
     applicable otherwise.  Behind the laws D is known to satisfy (its
-    _exact_laws), a law that algebra._rewrite rewrites is first decided in
+    laws), a law that algebra._rewrite rewrites is first decided in
     that equivalent form (image-compose-bound and -exact with p over 0 and
     the atoms, a and b over 0 and the join-irreducibles), and scanned only
     if that fails, so every witness is the scanner's.  Every law but
     dom-additive is certified once the axioms, isemiring and test-algebra
     laws its derivation uses have held (the _CERTIFICATES entries above);
-    dom-additive holds where it is one of D's guards, decided on
-    construction, and is scanned only where it is not.
+    dom-additive holds where it is in D.laws, decided on construction, and
+    is scanned only where it is not.
     """
-
-    def decided(scanner, law, held):
-        return law.name in D._guards or _decided(scanner, law, held)
-
-    return _check(DOMAIN_CALCULUS, _Scanner(D.owner, D=D), (), decided, D._exact_laws)
+    return _check(DOMAIN_CALCULUS, _Scanner(D.owner, D=D), (), _decided, D.laws)
 
 
 def is_integral(S: FiniteSemiring) -> Verdict:
@@ -546,7 +533,7 @@ def run_laws(laws, D, budget: int, samples: int, rng=None) -> list[LawReport]:
     checked through its methods.  Where they are not, the law is first
     decided through algebra._rewrite (_by_rewrite): certified, or
     rewritten to an equivalent law behind the laws the model is known to
-    satisfy (its _exact_laws) and those decided exactly earlier in the
+    satisfy (its laws) and those decided exactly earlier in the
     run; failing that, sampled instances are drawn from rng
     (default: seeded 0).  The note says which: exhaustive, reduced (k) for k
     instances of the rewritten law, certified by <law>, or sampled (n).
@@ -565,7 +552,7 @@ def run_laws(laws, D, budget: int, samples: int, rng=None) -> list[LawReport]:
         if report is None:
             envs, exhaustive = _instances(D, [v in law.tests for v in law.vars], budget, samples, rng)
             if not exhaustive:
-                report = _by_rewrite(law, D, exact.union(getattr(D, "_exact_laws", ())), budget, scanner)
+                report = _by_rewrite(law, D, exact.union(D.laws), budget, scanner)
             if report is None:
                 values = _first_failure(law, D, scanner if exhaustive else None, envs)
                 report = _named_report(law, D, values, "exhaustive" if exhaustive else f"sampled ({samples})")

@@ -65,10 +65,13 @@ class ModelHandle:
     k holds the atoms below a:t and t:a for atom t at k); DomainStructure
     has the same names over its tables, so one checker takes either.  A
     finite model may offer symmetries(), candidate automorphisms for materialize.
+    laws names the laws known to hold on every instance (DomainStructure's
+    surface too): none here, the ones that hold by construction in a subclass.
     """
 
     name = "model"
     has_star = False
+    laws = frozenset()
 
     # -- required ops --------------------------------------------------
 
@@ -350,6 +353,11 @@ class RelModel(ModelHandle):
     """
 
     has_star = True
+    # every relation model is a Kleene algebra with a local domain and codomain
+    laws = frozenset({
+        *_ISEMIRING_NAMES, "dom-additive", "cod-additive", "atomic-tests", "star-left-unfold", "star-left-induction",
+        "d1", "d2", "dloc", "cd1", "cd2", "cdloc",
+    })
 
     def __init__(self, n: int):
         if n < 1:
@@ -359,16 +367,6 @@ class RelModel(ModelHandle):
         self._zero = Relation.empty(n)
         self._top = Relation.full(n)
         self._full_mask = (1 << n) - 1
-        # every relation model is a Kleene algebra with a local domain
-        self.flags = {
-            "d1": True,
-            "d2": True,
-            "dloc": True,
-            "cd1": True,
-            "cd2": True,
-            "cdloc": True,
-            "integral": n == 1,
-        }
 
     # -- semiring ops ---------------------------------------------------
 
@@ -410,12 +408,6 @@ class RelModel(ModelHandle):
     def join_irreducibles(self) -> list[Relation]:
         """The single pairs, in the order of their masks."""
         return [self._from_mask(1 << k) for k in range(self.n * self.n)]
-
-    @cached_property
-    def _exact_laws(self) -> frozenset:
-        """The laws that relations satisfy by construction, for the guards of algebra._rewrite (see DomainStructure)."""
-        laws = {*_ISEMIRING_NAMES, "dom-additive", "cod-additive", "atomic-tests", "star-left-unfold", "star-left-induction"}
-        return frozenset(laws | {f for f, v in self.flags.items() if v})
 
     def _from_mask(self, mask: int) -> Relation:
         rows: list[list[int]] = [[] for _ in range(self.n)]
@@ -781,11 +773,9 @@ class TropicalModel(_NumberModel):
 
     name = "tropical"
     has_star = True
+    laws = frozenset({"d1", "d2", "dloc"})
     zero = math.inf
     add = staticmethod(min)
-
-    def __init__(self):
-        self.flags = {"d1": True, "d2": True, "dloc": True}
 
     def star(self, x):
         return 0
@@ -994,7 +984,7 @@ class TransformerModel(ModelHandle):
     Transformers are tuples over test positions, one row each of the array
     `table`; join is pointwise, composition is map composition, and star
     is the transformer of a star of a source element inducing the map.
-    Where the source's _exact_laws hold _ATOM_KEY_LAWS and the t tests over
+    Where the source's laws hold _ATOM_KEY_LAWS and the t tests over
     m atoms give t^m <= _CHUNK keys, the model is atom-keyed: a map is
     computed from the preimages of the atoms alone and keyed by its values
     there, in base t.  Where they hold _STAR_LAWS too, index_tables gives
@@ -1006,7 +996,7 @@ class TransformerModel(ModelHandle):
     has_star = True
 
     def __init__(self, D):
-        if not getattr(D, "has_star", False):
+        if not D.has_star:
             raise StarUnsupportedError("predicate transformers need a star on the source")
         self.D = D
         members = self.members = list(D.test_members())
@@ -1015,13 +1005,12 @@ class TransformerModel(ModelHandle):
         self._joinpos = tuple(tuple(pos[D.test_join(p, q)] for q in members) for p in members)
         # the column of each atom where atom-keyed, else None
         self._atoms = None
-        exact = getattr(D, "_exact_laws", frozenset())
-        if _ATOM_KEY_LAWS <= exact:
+        if _ATOM_KEY_LAWS <= D.laws:
             m = len(D.atom_positions(D.test_one))
             if t**m <= _CHUNK:
                 self._atoms = [pos[D.test_from_positions([k])] for k in range(m)]
-        self._power_star = self._atoms is not None and _STAR_LAWS <= exact
-        self.name = f"transformers({getattr(D, 'name', '')}{', not atom-keyed' if self._atoms is None else ''})"
+        self._power_star = self._atoms is not None and _STAR_LAWS <= D.laws
+        self.name = f"transformers({D.name}{', not atom-keyed' if self._atoms is None else ''})"
 
         first: dict[tuple[int, ...], object] = {}
         for a in D.elements():

@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Sequence
 
-from .algebra import Law, LawReport, _Record, compl, dom, eq, leq, one_term, star, var
+from .algebra import _CERTIFICATES, _ISR, Law, LawReport, _Record, compl, dom, eq, leq, one_term, star, var
 from .domain import run_laws
 
 __all__ = ["ReachResult", "reach_naive", "reach_efficient", "check_star_preimage_laws", "STAR_PREIMAGE_LAWS"]
@@ -108,7 +108,7 @@ def reach_efficient(D, a, p) -> ReachResult:
     on its first step into what has joined.  Requires a local (dloc) model,
     where the decomposition is valid.
     """
-    if not D.flags.get("dloc", False):
+    if "dloc" not in D.laws:
         raise ValueError("reach_efficient requires locality (dloc); use reach_naive")
     start, rows = D.atom_positions(p), D.preimage_rows(a)
     joined = _grow(start, rows.__getitem__, [1] * len(rows))
@@ -161,6 +161,11 @@ def _star_preimage_laws():
 
 
 STAR_PREIMAGE_LAWS = _star_preimage_laws()
+
+# the certificate of the Horn law, as in algebra._CERTIFICATES: (ac):p + b:q <= c:p =>
+# (a*b):q <= c:p is preimage-star-induction at p := c:p and q := b:q: a:(c:p) <= (ac):p
+# by dloc and associativity, and (a*b):q <= a*:(b:q) by d1, d2 and monotone dom
+_CERTIFICATES["preimage-horn-induction"] = ("preimage-star-induction", ("dloc", "d1", "d2", "dom-additive", *_ISR))
 
 
 def check_star_preimage_laws(D, samples: int = 1000, rng=None, budget: int = 200_000) -> list[LawReport]:

@@ -10,12 +10,12 @@ already-reached part, here p - q means p q'.
 How a verdict is decided:
 
 - Past the budget, Noethericity is decided exactly wherever preimage is
-  monotone (every relation model, and every structure whose d1 and d2
-  flags hold): the greatest test p with p <= a:p, the stuck set, is
-  the complement of what reach's counting worklist grows from the atoms
-  that step nowhere, and a is Noetherian iff it is 0;
-  otherwise it is the witness.  Well-foundedness is the same with image
-  in place of preimage, where the cd1 and cd2 flags hold.  On relations,
+  monotone, on every model whose laws name d1 and d2 (every relation
+  model, and every domain structure where both held): the greatest test p
+  with p <= a:p, the stuck set, is the complement of what reach's counting
+  worklist grows from the atoms that step nowhere, and a is Noetherian iff
+  it is 0; otherwise it is the witness.  Well-foundedness is the same with
+  image in place of preimage, where the laws name cd1 and cd2.  On relations,
   a is Löbian iff it is transitive and Noetherian, and the Noetherian
   verdict supplies the stuck set.
 - Every other verdict is one search for the first failing test over
@@ -124,7 +124,7 @@ def _terminates(D, a, forward: bool, budget: int, samples: int, rng) -> Verdict:
     """No nonzero test p satisfies p <= a:p (p <= p:a when forward)."""
     what = "p <= p:a" if forward else "p <= a:p"
     monotone = ("cd1", "cd2") if forward else ("d1", "d2")
-    if D.test_count() > budget and all(getattr(D, "flags", {}).get(f, False) for f in monotone):
+    if D.test_count() > budget and D.laws.issuperset(monotone):
         stuck = stuck_set(D, a, forward)
         return _verdict(D, None if stuck == D.test_zero else stuck, True, what)
     step = (lambda p: D.image(p, a)) if forward else (lambda p: D.preimage(a, p))

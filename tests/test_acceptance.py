@@ -158,8 +158,8 @@ def test_criterion_06_converse_duality():
         problems += [f"rel({n}): {r}" for r in failures(converse_duality_check(D))]
     for nm in conway_names():
         _, D = predomain_of(nm)
-        if D.flags["dloc"] != D.flags["cdloc"]:
-            problems.append(f"{nm}: dloc and cdloc flags disagree")
+        if ("dloc" in D.laws) != ("cdloc" in D.laws):
+            problems.append(f"{nm}: dloc and cdloc disagree")
     report(6, "converse-duality", problems)
 
 

@@ -85,9 +85,9 @@ def test_flags_mirror_axiom_reports():
     for nm in conway_names():
         _, D = predomain_of(nm)
         local = nm in LOCAL
-        assert D.flags["dloc"] == D.flags["cdloc"] == local
-        assert D.flags["d1"] and D.flags["d2"]
-        assert D.flags["integral"] == (nm in ("A2", "A3_1", "A3_3"))
+        assert ("dloc" in D.laws) == ("cdloc" in D.laws) == local
+        assert {"d1", "d2"} <= D.laws
+        assert is_integral(D.owner).holds == (nm in ("A2", "A3_1", "A3_3"))
 
 
 # -- axiom independence ----------------------------------------------------------

@@ -60,6 +60,7 @@ from kadlib.algebra import (
     FiniteSemiring,
     Law,
     LawReport,
+    Term,
     TestAlgebra,
     all_hold,
     check_equation,
@@ -71,9 +72,11 @@ from kadlib.algebra import (
     dom,
     eq,
     eval_term,
+    leq,
     one_term,
     opposite,
     star,
+    top_term,
     var,
 )
 import kadlib.algebra
@@ -124,7 +127,7 @@ def holds(atom, env, S, T, D):
 
 def brute_force(law, S, T, D):
     for req in law.requires:
-        met = S.top() is not None if req == "top" else D.flags.get(req)
+        met = S.top() is not None if req == "top" else req in D.laws
         if not met:
             return LawReport(law.name, True, None, f"not applicable: {NOT_APPLICABLE[req]}")
     doms = [T.members if v in law.tests else range(S.n) for v in law.vars]
@@ -902,13 +905,11 @@ def test_the_domain_calculus_matches_the_plain_scan(monkeypatch):
         *((f"rel2-additive-{seed}", random_additive_domain(seed)) for seed in range(8)),
         ("rel3", compute_predomain(rel_semiring(3), rel_tests(3))),
     ]
-    for _, D in cases:
-        D._exact_laws  # the guard scans, which are not rewrites
     scans = counting_scans(monkeypatch)
     for axioms in (set(), {law.name for law in DOMAIN_AXIOMS}):
         scans.clear()
         for name, D in cases:
-            monkeypatch.setitem(D.__dict__, "_exact_laws", D._exact_laws - axioms)
+            monkeypatch.setattr(D, "laws", D.laws - axioms)
             got = [(r.name, r.holds, r.witness, r.note) for r in check_domain_calculus(D)]
             want = [(r.name, r.holds, r.witness, r.note) for r in check_laws(DOMAIN_CALCULUS, D.owner, D=D)]
             assert got == want, name
@@ -1041,7 +1042,7 @@ def test_a_certificate_whose_prerequisite_failed_leaves_its_law_to_the_scanner(m
         scans.clear()
         if name in AXIOMS_HOLD:
             # certificates resting on the domain axioms alone would be wrong here
-            assert held.issuperset(kadlib.domain._FLAG_LAWS), name
+            assert held.issuperset(("d1", "d2", "dloc", "cd1", "cd2", "cdloc")), name
             assert AXIOMS_HOLD[name] <= {r.name for r in reports if not r.holds}, name
     assert set(withheld) == set(certificates) == refuted
 
@@ -1051,7 +1052,6 @@ def test_a_refuted_rewrite_falls_back_to_the_scan(monkeypatch):
     and the atoms, a and b over 0 and the single pairs; that fails, and the scan of the
     law itself gives the witness."""
     D = random_additive_domain(5)
-    D._exact_laws
     scans = counting_scans(monkeypatch)
     reports = {r.name: r for r in check_domain_calculus(D)}
     witness = {"p": 1, "a": 2, "b": 8}
@@ -1066,9 +1066,9 @@ def test_rel3_image_compose_laws_are_decided_by_400_instances(monkeypatch):
     never the 8 * 512 * 512 of the law itself."""
     D = compute_predomain(rel_semiring(3), rel_tests(3))
     laws = [law for law in DOMAIN_CALCULUS if law.name.startswith("image-compose")]
-    modes = [kadlib.algebra._rewrite(law, D, D._exact_laws).mode for law in laws]
+    modes = [kadlib.algebra._rewrite(law, D, D.laws).mode for law in laws]
     assert modes == ["certified by cd2", "certified by cdloc"]
-    monkeypatch.setitem(D.__dict__, "_exact_laws", D._exact_laws - {"cd1"})
+    monkeypatch.setattr(D, "laws", D.laws - {"cd1"})
     scans = counting_scans(monkeypatch)
     assert all_hold(check_domain_calculus(D))
     compose = [(name, sizes, found) for name, sizes, found in scans if name.startswith("image-compose")]
@@ -1186,6 +1186,25 @@ def test_check_equation_static_errors():
         check_equation(compl(x), x, S=S)
 
 
+def test_check_laws_names_what_the_tables_lack():
+    """A scan raises check_equation's message for an operation the tables lack, and says so for
+    test variables with no test algebra or an unknown op, where it raised KeyError, AttributeError or
+    scanned a top of None."""
+    S, a, p = conway_model("A3_1"), var("a"), var("p")
+    xor = FiniteSemiring(["0", "1"], [[0, 1], [1, 0]], [[0, 0], [0, 1]], 0, 1)
+    assert xor.top() is None
+    with pytest.raises(ValueError, match="term uses dom but no domain structure was given"):
+        check_laws([Law("x", "a", eq(dom(a), a))], S)
+    with pytest.raises(ValueError, match="term uses complement but no test algebra was given"):
+        check_laws([Law("x", "a", eq(compl(a), a))], S)
+    with pytest.raises(ValueError, match="term uses top but the semiring has no greatest element"):
+        check_laws([Law("x", "a", leq(a, top_term))], xor)
+    with pytest.raises(ValueError, match="x has test variables but no test algebra was given"):
+        check_laws([Law("x", "p", leq(p, one_term), tests="p")], S)
+    with pytest.raises(ValueError, match="unknown term op 'foo'"):
+        check_laws([Law("x", "a", eq(Term("foo", (a,)), a))], S)
+
+
 # -- golden kad check output -------------------------------------------------------
 
 GOLDEN = Path(__file__).parent / "data" / "check"
@@ -1266,7 +1285,7 @@ def reference_star_preimage(D, samples=1000, rng=None, budget=200_000):
             ("a", "p"),
         ),
     ]
-    if not D.flags.get("dloc", False):
+    if "dloc" not in D.laws:
         note = "not applicable: no locality"
         for name in ("preimage-star-induction", "frontier-bound", "frontier-decomposition", "preimage-horn-induction"):
             reports.append(LawReport(name, True, None, note))
@@ -1444,7 +1463,7 @@ def test_rewrites_give_the_full_scans_verdicts():
         scanner = functools.cache(lambda D=D: kadlib.algebra._Scanner(D.owner, D=D))
         for suite in (HOARE_RULES, STAR_PREIMAGE_LAWS):
             full = run_laws(suite, D, budget=10**9, samples=0)
-            held = {r.name for r in full if r.holds and r.note == "exhaustive"} | D._exact_laws
+            held = {r.name for r in full if r.holds and r.note == "exhaustive"} | D.laws
             for law, want in zip(suite, full):
                 rw = kadlib.algebra._rewrite(law, D, held)
                 if want.note != "exhaustive" or rw is None:
@@ -1487,7 +1506,7 @@ def test_an_equation_is_narrowed_only_where_both_sides_are_additive():
     a, p = var("a"), var("p")
 
     def narrowed(law):
-        return kadlib.algebra._rewrite(law, D, D._exact_laws) is not None
+        return kadlib.algebra._rewrite(law, D, D.laws) is not None
 
     assert narrowed(Law("once-on-each-side", "a", eq(dom(a), dom(a * one_term))))
     assert not narrowed(Law("twice-on-the-right", "a", eq(dom(a), dom(a) * dom(a))))
@@ -1510,14 +1529,52 @@ def test_join_irreducibles_are_what_the_order_says():
 
 
 def test_additivity_guards_match_their_full_scans():
-    """DomainStructure._exact_laws scans dom- and cod-additivity with b over the join-irreducibles only."""
+    """DomainStructure.laws holds dom- and cod-additivity as scanned with b over the join-irreducibles only."""
     failed = 0
     for name, D in rewrite_targets():
-        if isinstance(D, DomainStructure) and D._exact_laws.issuperset(kadlib.algebra._ISEMIRING_NAMES):
+        if isinstance(D, DomainStructure) and D.laws.issuperset(kadlib.algebra._ISEMIRING_NAMES):
             full = {r.name for r in check_laws(kadlib.domain._ADDITIVITY, D.owner, D=D) if r.holds}
-            assert D._exact_laws & {"dom-additive", "cod-additive"} == full, name
+            assert D.laws & {"dom-additive", "cod-additive"} == full, name
             failed += len(full) < 2
     assert failed
+
+
+def failing_claims(laws, D) -> set:
+    """The names in laws that name a law of ISEMIRING_LAWS, TEST_LAWS, KLEENE_LAWS, DOMAIN_AXIOMS or the
+    additivity laws and fail on the tables of D: a Law by check_laws' scan, a hand-written law by its
+    checker; and atomic-tests if a test is not the join of the atoms below it."""
+    S, T = D.owner, D.tests
+    families = (*ISEMIRING_LAWS, *TEST_LAWS, *KLEENE_LAWS, *DOMAIN_AXIOMS, *kadlib.domain._ADDITIVITY)
+    claimed = [law for law in families if (law if isinstance(law, str) else law.name) in laws]
+    reports = check_laws(claimed, S, T, D, hand=[*check_isemiring(S), *check_test_algebra(T)])
+    failing = {r.name for r in reports if not r.holds}
+    if "atomic-tests" in laws:
+        atoms = T.atoms()
+        for p in T.members:
+            if functools.reduce(lambda x, t: int(S.add[x, t]), (t for t in atoms if S.leq(t, p)), S.zero) != p:
+                failing.add("atomic-tests")
+    return failing
+
+
+def test_a_structures_laws_claim_only_what_holds():
+    """What a structure's laws name of the law families holds by a plain scan (failing_claims), and a
+    domain structure's laws name every domain axiom that held.  rel_model(n) is read against the
+    tables of rel(n) and its predomain; the domain structures are the rel(2) and rel(3) predomains,
+    the builtins' discrete predomains and the corrupted rel(2) domains."""
+    tables = {n: compute_predomain(rel_semiring(n), rel_tests(n)) for n in (1, 2, 3)}
+    for n, D in tables.items():
+        assert not failing_claims(rel_model(n).laws, D), n
+    domains = [(f"rel{n}-table", tables[n]) for n in (2, 3)]
+    domains += [(f"predomain-{name}", compute_predomain(S, TestAlgebra.discrete(S))) for name, S in
+                ((name, conway_model(name)) for name in conway_names())]
+    domains += [(f"rel2-corrupt-{seed}", corrupt_domain(seed)) for seed in range(6)]
+    local = []
+    for name, D in domains:
+        assert not failing_claims(D.laws, D), name
+        held = {r.name for r in check_laws(DOMAIN_AXIOMS, D.owner, D=D) if r.holds}
+        assert held <= D.laws, name
+        local.append("dloc" in held)
+    assert not all(local)
 
 
 def test_rel3_weakening_rewrite_matches_its_full_scan():
@@ -1637,7 +1694,7 @@ def test_sampled_laws_agree_with_check_isemiring_on_corrupted_tables(name, table
 
 @pytest.mark.parametrize("n", [3, 5, 10])
 def test_the_isemiring_laws_of_a_relation_model_are_not_rewritten(n):
-    """RelModel._exact_laws asserts the isemiring laws, which guard the rewrite step; a
+    """RelModel.laws asserts the isemiring laws, which guard the rewrite step; a
     guard is never rewritten, as that would rest on itself, so every law past the 2^16
     budget is sampled: on rel(3) each law of two or three variables."""
     laws = [law for law in ISEMIRING_LAWS if isinstance(law, Law)] + list(KLEENE_LAWS[:2])
@@ -1860,6 +1917,22 @@ def test_rel3_verifies_two_symmetries_with_104_relation_and_4_test_orbits():
     assert np.array_equal(least, D.owner._orbit_least) and np.array_equal(least, D.tests._orbit_least)
     assert np.count_nonzero(least == np.arange(512)) == 104
     assert [p for p in D.tests.members if least[p] == p] == [0, 1, 17, 273]
+    # a larger generating set of + or ·, or more join-irreducibles, would show only as lost speed
+    assert D.owner._gens == {"add": [0] + [1 << k for k in range(9)], "mul": [10, 84, 85, 98, 238]}
+    assert D.owner._join_irreducibles == [1 << k for k in range(9)]
+
+
+def test_kad_check_rel3_scans_only_what_it_must(monkeypatch):
+    """On rel(3) check_kleene and check_domain_calculus scan no certified law, and Light's test never
+    reads + of a plain copy of rel(3), which embeds in a powerset.  Neither changes any output, so a
+    lost certificate or a representation that no longer fires would show only as lost speed."""
+    D = compute_predomain(rel_semiring(3), rel_tests(3))
+    scans, lights = counting_scans(monkeypatch), counting_lights_tests(monkeypatch)
+    assert all_hold(check_kleene(D.owner) + check_domain_calculus(D))
+    assert not {name for name, _, _ in scans} & kadlib.algebra._CERTIFICATES.keys()
+    S = plain(rel_semiring(3))
+    assert all_hold(check_isemiring(S))
+    assert S._add_in_powerset and not any(X is S.add for X in lights)
 
 
 def test_scanners_share_the_tables_kept_on_the_structures():
@@ -1877,7 +1950,6 @@ def test_relations_are_enumerated_once_per_n():
 def test_dom_additive_is_read_off_the_guards(monkeypatch):
     """The rel(3) predomain decided dom-additive with b over the join-irreducibles; the calculus does not scan it again."""
     D = compute_predomain(rel_semiring(3), rel_tests(3))
-    D._exact_laws
     scans = counting_scans(monkeypatch)
     assert {r.name: r for r in check_domain_calculus(D)}["dom-additive"] == LawReport("dom-additive", True)
     assert "dom-additive" not in {name for name, _, _ in scans}

@@ -668,7 +668,7 @@ TRANSFORMER_SOURCES = {
 def test_transformer_tables_of_domain_structures_match_the_model_cell_for_cell(name):
     D = TRANSFORMER_SOURCES[name]()
     TM = predicate_transformer_model(D)
-    atom_keyed = "dom-additive" in D._exact_laws
+    atom_keyed = "dom-additive" in D.laws
     assert atom_keyed == (name != "dom-additive-broken")
     assert (TM.index_tables() is not None) == atom_keyed
     assert TM.name.endswith(", not atom-keyed)") != atom_keyed

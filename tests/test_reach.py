@@ -239,7 +239,7 @@ def test_monotone_in_the_target():
 def test_efficient_requires_locality():
     S = conway_model("A3_2")
     D = compute_predomain(S, TestAlgebra.discrete(S))
-    assert not D.flags["dloc"]
+    assert "dloc" not in D.laws
     with pytest.raises(ValueError, match="requires locality"):
         reach_efficient(D, S.index("a"), S.one)
     # the naive sweep has no such requirement
@@ -299,7 +299,7 @@ def test_star_preimage_laws_catch_a_broken_domain():
     S = conway_model("A2")
     T = TestAlgebra.discrete(S)
     D = DomainStructure(S, T, delta=[0, 0], rho=[0, 0])
-    assert D.flags["dloc"]
+    assert "dloc" in D.laws
     rep = {r.name: r for r in check_star_preimage_laws(D)}
     assert not rep["domain-of-star"].holds
     assert rep["domain-of-star"].witness == {"a": "0"}
