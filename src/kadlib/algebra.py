@@ -785,9 +785,7 @@ class _Scanner:
     Every other lookup is one flat X.ravel().take(off) with off = l * n + r
     written into one index buffer that the scanner owns and reuses for
     every lookup and chunk, so that take casts nothing and no chunk
-    allocates an index array.  A term or atom that reads no looped-over
-    variable is evaluated once per block of the law and reused for every
-    prefix, with the complement-validity masks it records.
+    allocates an index array.
     """
 
     def __init__(self, S: FiniteSemiring, T: Optional[TestAlgebra] = None, D=None, symmetric: bool = True):
@@ -809,7 +807,7 @@ class _Scanner:
     def top(self) -> Optional[int]:
         return self.S.top() if self.D is None else self.D.top
 
-    def _term(self, t: Term, loop: bool = True):
+    def _term(self, t: Term):
         """(fn, deps): fn(env) evaluates the term or atom t; deps holds the variable positions it reads."""
         op = t.op
         if op == "var":
@@ -820,13 +818,11 @@ class _Scanner:
             if v is None:
                 raise ValueError(_LACKS[op])
             return (lambda env: v), set()
-        if loop and self._m and all(self._pos[u.name] >= self._m for u in _walk(t) if u.op == "var"):
-            return self._hoisted(t)
         if op in ("add", "mul", "leq"):
-            return self._lookup(op, *t.args, loop)
+            return self._lookup(op, *t.args)
         fs, deps = [], set()
         for a in t.args:
-            f, d = self._term(a, loop)
+            f, d = self._term(a)
             fs.append(f)
             deps |= d
         if op in ("eq", "iff"):
@@ -853,26 +849,9 @@ class _Scanner:
 
         return complement, deps
 
-    def _hoisted(self, t: Term):
-        """t reads no looped-over variable: evaluate it once per block and keep it for the law."""
-        f, deps = self._term(t, loop=False)
-        blocked, cache = self._m in deps, {}
-
-        def hoisted(env):
-            key = self._block.start if blocked else 0
-            if key not in cache:
-                outer, self._valid = self._valid, []
-                cache[key] = f(env), self._valid
-                self._valid = outer
-            value, valid = cache[key]
-            self._valid += valid
-            return value
-
-        return hoisted, deps
-
-    def _lookup(self, key: str, l: Term, r: Term, loop: bool):
+    def _lookup(self, key: str, l: Term, r: Term):
         """X[l, r] for a binary table X (add, mul or the order leq)."""
-        (fl, dl), (fr, dr) = self._term(l, loop), self._term(r, loop)
+        (fl, dl), (fr, dr) = self._term(l), self._term(r)
         X, deps, inner = self.tables[key], dl | dr, self._inner
         # the broadcast axes each operand reads
         bl, br = {i for i in dl if i >= self._m}, {i for i in dr if i >= self._m}
@@ -1009,7 +988,8 @@ def check_equation(
 ) -> LawReport:
     """Check lhs = rhs (or lhs <= rhs) over all assignments.
 
-    Element variables range over the carrier, test variables over T.members.
+    Element variables range over the carrier, test variables over the
+    members of T, or of D.tests when T is None.
     Unless test_vars is given, variables named p*, q*, r* count as tests.
     """
     if rel not in ("eq", "leq"):
@@ -1017,18 +997,9 @@ def check_equation(
     if S is None:
         raise ValueError("a semiring is required")
     vs = list(dict.fromkeys(u.name for side in (lhs, rhs) for u in _walk(side) if u.op == "var"))
-    if test_vars is None:
-        test_vars = {v for v in vs if v[:1] in ("p", "q", "r")}
-    else:
-        test_vars = set(test_vars)
-    if test_vars & set(vs) and T is None:
-        raise ValueError("equation has test variables but no test algebra was given")
-    law = Law(
-        name or f"{lhs} {'=' if rel == 'eq' else '<='} {rhs}",
-        tuple(vs),
-        Term(rel, (lhs, rhs)),
-        tests=tuple(v for v in vs if v in test_vars),
-    )
+    test_vars = {v for v in vs if v[:1] in ("p", "q", "r")} if test_vars is None else set(test_vars)
+    name = name or f"{lhs} {'=' if rel == 'eq' else '<='} {rhs}"
+    law = Law(name, tuple(vs), Term(rel, (lhs, rhs)), tests=tuple(v for v in vs if v in test_vars))
     return check_laws([law], S, T, D)[0]
 
 
@@ -1270,6 +1241,10 @@ _REWRITE_GUARDS = _ISEMIRING_NAMES + ("dom-additive", "cod-additive")
 
 _ISR = _ISEMIRING_NAMES
 
+# name: law, for every law of a table (domain and reach add theirs); a certificate
+# speaks of, and a held name stands for, the law of that name here and no other
+_TABLE_LAWS = {law.name: law for law in ISEMIRING_LAWS + KLEENE_LAWS + TEST_LAWS if isinstance(law, Law)}
+
 # law: (the law that certifies it, the other laws that must have held); domain and
 # reach add the entries of their own laws
 _CERTIFICATES = {
@@ -1316,19 +1291,20 @@ class _Rewrite(NamedTuple):
 def _rewrite(law: Law, model, held, budget: int = 0) -> Optional[_Rewrite]:
     """law certified, or rewritten to an equivalent law with fewer instances, or None where neither applies.
 
-    held names the laws known to hold on every instance in model.  A law
-    whose certificate (_CERTIFICATES) and the laws it needs have held is
-    certified.  Otherwise, once the guards _REWRITE_GUARDS have held, Horn
-    elimination (_eliminated: v := t1 + ... + tk) and then join-irreducible
-    ranges (_narrowed) run, each only while the law has more instances than
-    budget.  Both are equivalences, so a failure of the result is one of law,
-    lifted by giving each eliminated variable its bound's value.  A guard
-    is never rewritten, as its rewrite would rest on itself.  model has
-    the domain surface (size, test_count; join_irreducibles and the atom
-    surface for narrowed ranges) and is read only past the guards.
+    held names the laws known to hold on every instance in model.  A table
+    law (_TABLE_LAWS) whose certificate (_CERTIFICATES) and the laws it
+    needs have held is certified.  Otherwise, once the guards
+    _REWRITE_GUARDS have held, Horn elimination (_eliminated: v := t1 +
+    ... + tk) and then join-irreducible ranges (_narrowed) run, each only
+    while the law has more instances than budget.  Both are equivalences,
+    so a failure of the result is one of law, lifted by giving each
+    eliminated variable its bound's value.  A guard is never rewritten, as
+    its rewrite would rest on itself.  model has the domain surface (size,
+    test_count; join_irreducibles and the atom surface for narrowed
+    ranges) and is read only past the guards.
     """
     by, needs = _CERTIFICATES.get(law.name, (None, ()))
-    if by is not None and held.issuperset((by, *needs)):
+    if by is not None and _TABLE_LAWS.get(law.name) == law and held.issuperset((by, *needs)):
         return _Rewrite(law, None, f"certified by {by}")
     if law.name in _REWRITE_GUARDS or not held.issuperset(_REWRITE_GUARDS):
         return None
@@ -1348,7 +1324,6 @@ def _rewrite(law: Law, model, held, budget: int = 0) -> Optional[_Rewrite]:
     return None if law is given and ranges is None else _Rewrite(law, ranges, "reduced", bounds)
 
 
-@functools.lru_cache(maxsize=None)
 def _eliminated(law: Law) -> tuple:
     """(law', bounds): law with its Horn test variables eliminated one at a time, and each one's value.
 

@@ -36,6 +36,7 @@ from .algebra import (
     _rewrite,
     _Scalar,
     _Scanner,
+    _TABLE_LAWS,
     _Tables,
     _walk,
     check_laws,
@@ -330,6 +331,8 @@ _ADDITIVITY = (
     Law("cod-additive", "a b", eq(cod(var("a") + var("b")), cod(var("a")) + cod(var("b")))),
 )
 
+_TABLE_LAWS.update((law.name, law) for law in DOMAIN_AXIOMS + DOMAIN_CALCULUS + _ADDITIVITY)
+
 _TEST_NAMES = tuple(law if isinstance(law, str) else law.name for law in TEST_LAWS)
 # what gla's derivation uses besides d1 and d2, as in dom-monotone below
 _GLA = ("complement-join-full", "complement-meet-empty", "meet-commutative")
@@ -489,6 +492,12 @@ def converse_duality_check(D: DomainStructure) -> list[LawReport]:
 # laws over the domain surface, exhaustive or sampled
 
 
+def _require_tests(D, needs) -> None:
+    """Raise ValueError if model D has no test algebra and needs, the names of what would read one, is not empty."""
+    if not hasattr(D, "test_members") and (what := next(iter(needs), None)) is not None:
+        raise ValueError(f"{D.name} has no test algebra, which {what} needs")
+
+
 def _uses_tests(law: Law) -> bool:
     """Whether law quantifies over tests or applies dom, cod or complement."""
     return bool(law.tests) or any(u.op in ("dom", "cod", "not") for t in (law.concl, *law.premises) for u in _walk(t))
@@ -533,16 +542,13 @@ def run_laws(laws, D, budget: int, samples: int, rng=None) -> list[LawReport]:
     checked through its methods.  Where they are not, the law is first
     decided through algebra._rewrite (_by_rewrite): certified, or
     rewritten to an equivalent law behind the laws the model is known to
-    satisfy (its laws) and those decided exactly earlier in the
-    run; failing that, sampled instances are drawn from rng
-    (default: seeded 0).  The note says which: exhaustive, reduced (k) for k
+    satisfy (its laws) and the table laws (algebra._TABLE_LAWS) decided
+    exactly earlier in the run; failing that, sampled instances are drawn
+    from rng (default: seeded 0).  The note says which: exhaustive, reduced (k) for k
     instances of the rewritten law, certified by <law>, or sampled (n).
     Witnesses hold element and test names.
     """
-    if not hasattr(D, "test_members"):
-        needy = [law.name for law in laws if _uses_tests(law)]
-        if needy:
-            raise ValueError(f"{D.name} has no test algebra, which {needy[0]} needs")
+    _require_tests(D, (law.name for law in laws if _uses_tests(law)))
     rng = rng or random.Random(0)
     scanner = functools.cache(lambda: _Scanner(D.owner, D=D))
     exact = set()
@@ -556,7 +562,7 @@ def run_laws(laws, D, budget: int, samples: int, rng=None) -> list[LawReport]:
             if report is None:
                 values = _first_failure(law, D, scanner if exhaustive else None, envs)
                 report = _named_report(law, D, values, "exhaustive" if exhaustive else f"sampled ({samples})")
-            if report.holds and not report.note.startswith("sampled"):
+            if report.holds and not report.note.startswith("sampled") and _TABLE_LAWS.get(law.name) == law:
                 exact.add(law.name)
         reports.append(report)
     return reports

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .algebra import Law, LawReport, Verdict, _Record, cod, compl, leq, star, var
-from .domain import run_laws
+from .domain import _require_tests, run_laws
 
 __all__ = [
     "Prim",
@@ -250,6 +250,7 @@ def check_triple(t: HoareTriple, env: dict, D, tenv: Optional[dict] = None) -> V
     On failure the witness is a reachable state (an atom) outside the
     postcondition.
     """
+    _require_tests(D, ["check_triple"])
     pre = eval_test(t.pre, D, tenv)
     post = eval_test(t.post, D, tenv)
     a = denote(t.prog, env, D, tenv)
@@ -271,6 +272,7 @@ def validate_proof(tree: ProofTree, env: dict, D, tenv: Optional[dict] = None) -
     The witness of a failing verdict is the path of the offending node
     (root, root.premise[0], ...).
     """
+    _require_tests(D, ["validate_proof"])
     # by an explicit (node, path) stack in pre-order: a proof nests as deep as its longest branch
     stack = [(tree, "root")]
     while stack:
@@ -357,6 +359,7 @@ def wlp(D, a, p):
     Computed as the complement of the states that can step outside p,
     (a : p')'; relationally, states all of whose a-successors satisfy p.
     """
+    _require_tests(D, ["wlp"])
     return D.test_compl(D.preimage(a, D.test_compl(p)))
 
 

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Optional, Sequence
 
 from .algebra import _CHUNK, _ISEMIRING_NAMES, _Record, _row_blocks, ISEMIRING_LAWS, KLEENE_LAWS, FiniteSemiring, Law, LawReport, TestAlgebra, np
-from .domain import run_laws
+from .domain import _require_tests, run_laws
 from .reach import _grow
 
 __all__ = [
@@ -760,9 +760,6 @@ class _NumberModel(ModelHandle):
             return self.zero
         return rng.randrange(_SAMPLE_BOUND)
 
-    def declared_tests(self):
-        return [self.zero, 0], {self.zero: 0, 0: self.zero}
-
 
 class TropicalModel(_NumberModel):
     """Naturals with infinity; add = min, mul = +, star constantly 0.
@@ -996,6 +993,7 @@ class TransformerModel(ModelHandle):
     has_star = True
 
     def __init__(self, D):
+        _require_tests(D, ["predicate_transformer_model"])
         if not D.has_star:
             raise StarUnsupportedError("predicate transformers need a star on the source")
         self.D = D

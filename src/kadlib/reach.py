@@ -23,8 +23,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Sequence
 
-from .algebra import _CERTIFICATES, _ISR, Law, LawReport, _Record, compl, dom, eq, leq, one_term, star, var
-from .domain import run_laws
+from .algebra import _CERTIFICATES, _ISR, Law, LawReport, _Record, _TABLE_LAWS, compl, dom, eq, leq, one_term, star, var
+from .domain import _require_tests, run_laws
 
 __all__ = ["ReachResult", "reach_naive", "reach_efficient", "check_star_preimage_laws", "STAR_PREIMAGE_LAWS"]
 
@@ -81,6 +81,7 @@ def reach_naive(D, a, p) -> ReachResult:
     Each sweep evaluates one preimage per atom of the current test, so the
     cost of a sweep grows with what has been collected already.
     """
+    _require_tests(D, ["reach_naive"])
     x, rows = D.atom_positions(p), D.preimage_rows(a)
     seen = bytearray(len(rows))
     for k in x:
@@ -108,6 +109,7 @@ def reach_efficient(D, a, p) -> ReachResult:
     on its first step into what has joined.  Requires a local (dloc) model,
     where the decomposition is valid.
     """
+    _require_tests(D, ["reach_efficient"])
     if "dloc" not in D.laws:
         raise ValueError("reach_efficient requires locality (dloc); use reach_naive")
     start, rows = D.atom_positions(p), D.preimage_rows(a)
@@ -161,6 +163,7 @@ def _star_preimage_laws():
 
 
 STAR_PREIMAGE_LAWS = _star_preimage_laws()
+_TABLE_LAWS.update((law.name, law) for law in STAR_PREIMAGE_LAWS)
 
 # the certificate of the Horn law, as in algebra._CERTIFICATES: (ac):p + b:q <= c:p =>
 # (a*b):q <= c:p is preimage-star-induction at p := c:p and q := b:q: a:(c:p) <= (ac):p

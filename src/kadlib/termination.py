@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .algebra import FiniteSemiring, Verdict, _Record
-from .domain import _instances
+from .domain import _instances, _require_tests
 from .models import RelModel
 from .reach import _grow
 
@@ -122,6 +122,7 @@ def stuck_set(D, a, forward: bool = False):
 
 def _terminates(D, a, forward: bool, budget: int, samples: int, rng) -> Verdict:
     """No nonzero test p satisfies p <= a:p (p <= p:a when forward)."""
+    _require_tests(D, ["is_well_founded" if forward else "is_noetherian"])
     what = "p <= p:a" if forward else "p <= a:p"
     monotone = ("cd1", "cd2") if forward else ("d1", "d2")
     if D.test_count() > budget and D.laws.issuperset(monotone):
@@ -154,6 +155,7 @@ def _loeb(D, a, noetherian: Optional[Verdict], budget: int, samples: int, rng) -
     i -> j -> k without i -> k (p - a:p = {k}, and i lies in a:p but not
     in a:{k}).
     """
+    _require_tests(D, ["is_loebian"])
     if isinstance(D, RelModel) and D.test_count() > budget:
         if noetherian is None:
             noetherian = is_noetherian(D, a, budget, samples, rng)

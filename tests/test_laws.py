@@ -47,6 +47,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -792,7 +793,8 @@ def test_test_algebra_pairs_match_the_per_pair_loops(name, S, T):
 @pytest.mark.parametrize("chunk", [None, 1 << 10])
 @pytest.mark.parametrize("p,q", [(272, 256), (16, 272)])
 def test_rel3_shunting_with_a_corrupted_complement(monkeypatch, chunk, p, q):
-    """The complemented terms a(q') and (q')a read no looped-over variable and are evaluated once per law."""
+    """The shunting laws where the complement of test p is the wrong test q give the first witness,
+    scanned in one chunk and, at _CHUNK = 1 << 10, in a scan that loops over their first variable."""
     if chunk is not None:
         monkeypatch.setattr(kadlib.algebra, "_CHUNK", chunk)  # four blocks of two q rows
     T = rel_tests(3)
@@ -1047,6 +1049,31 @@ def test_a_certificate_whose_prerequisite_failed_leaves_its_law_to_the_scanner(m
     assert set(withheld) == set(certificates) == refuted
 
 
+def test_a_user_law_borrows_no_certificate_by_its_name():
+    """A law certified by a table law's derivation is that table law: a law of another content
+    under the name dom-strict is sampled, and fails, on the rel(3) predomain, where the table's
+    dom-strict is certified by d2 at the same budget."""
+    D, a, b = compute_predomain(rel_semiring(3), rel_tests(3)), var("a"), var("b")
+    table = next(law for law in DOMAIN_CALCULUS if law.name == "dom-strict")
+    assert run_laws([table], D, budget=100, samples=10)[0].note == "certified by d2"
+    got = run_laws([Law("dom-strict", "a b", eq(a, b))], D, budget=100, samples=10)[0]
+    assert not got.holds and got.note == "sampled (10)"
+
+
+def test_a_user_law_that_holds_vouches_for_no_table_law_of_its_name():
+    """d2 fails on corrupt_domain(18).  A law a = a named d2 holds there, but no certificate takes it
+    for d2: dom-monotone, which d2 would certify, is reported as it is without that law, and its
+    exhaustive scan fails."""
+    D, a = corrupt_domain(18), var("a")
+    assert "d2" not in D.laws
+    monotone = next(law for law in DOMAIN_CALCULUS if law.name == "dom-monotone")
+    got = run_laws([Law("d2", "a", eq(a, a)), monotone], D, budget=16, samples=0)
+    assert got == [LawReport("d2", True, None, "exhaustive"), *run_laws([monotone], D, budget=16, samples=0)]
+    assert got[1].note == "sampled (0)"
+    witness = {"a": "{(1,1)}", "b": "{(1,1),(1,2)}"}
+    assert run_laws([monotone], D, budget=256, samples=0) == [LawReport("dom-monotone", False, witness, "exhaustive")]
+
+
 def test_a_refuted_rewrite_falls_back_to_the_scan(monkeypatch):
     """image-compose-bound on an additive rel(2) domain is scanned first with p over 0
     and the atoms, a and b over 0 and the single pairs; that fails, and the scan of the
@@ -1184,6 +1211,16 @@ def test_check_equation_static_errors():
         check_equation(x, cod(x), S=S)
     with pytest.raises(ValueError, match="term uses complement but no test algebra was given"):
         check_equation(compl(x), x, S=S)
+
+
+def test_check_equation_reads_the_tests_of_the_domain_structure():
+    """With no T given, the test variables of check_equation range over D.tests, as they do in check_laws;
+    with neither, the scan's error names the equation."""
+    D, a, p = compute_predomain(rel_semiring(2), rel_tests(2)), var("a"), var("p")
+    got = check_equation(p * a, a * p, S=D.owner, D=D)
+    assert got == check_equation(p * a, a * p, S=D.owner, T=D.tests) == LawReport(got.name, False, {"p": 1, "a": 2})
+    with pytest.raises(ValueError, match=f"^{re.escape(got.name)} has test variables but no test algebra was given$"):
+        check_equation(p * a, a * p, S=D.owner)
 
 
 def test_check_laws_names_what_the_tables_lack():
@@ -1922,10 +1959,25 @@ def test_rel3_verifies_two_symmetries_with_104_relation_and_4_test_orbits():
     assert D.owner._join_irreducibles == [1 << k for k in range(9)]
 
 
-def test_kad_check_rel3_scans_only_what_it_must(monkeypatch):
+def test_kad_check_rel3_scans_only_what_it_must(monkeypatch, capsys):
     """On rel(3) check_kleene and check_domain_calculus scan no certified law, and Light's test never
-    reads + of a plain copy of rel(3), which embeds in a powerset.  Neither changes any output, so a
-    lost certificate or a representation that no longer fires would show only as lost speed."""
+    reads + of a plain copy of rel(3), which embeds in a powerset.  No scan of kad check rel:3 from a
+    cold start loops over a prefix of its variables, where every subterm is evaluated once per prefix.
+    None of these changes any output, so a lost certificate, a representation that no longer fires or
+    a looped scan would show only as lost speed."""
+    kadlib.models._rel_materialized.cache_clear()
+    looped, scan = [], kadlib.algebra._Scanner.first_failure
+
+    def recording(self, law, ranges=None):
+        found = scan(self, law, ranges)
+        if self._m:
+            looped.append(law.name)
+        return found
+
+    monkeypatch.setattr(kadlib.algebra._Scanner, "first_failure", recording)
+    assert main(["check", "rel:3"]) == 0
+    capsys.readouterr()
+    assert looped == []
     D = compute_predomain(rel_semiring(3), rel_tests(3))
     scans, lights = counting_scans(monkeypatch), counting_lights_tests(monkeypatch)
     assert all_hold(check_kleene(D.owner) + check_domain_calculus(D))

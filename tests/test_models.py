@@ -19,7 +19,7 @@ from kadlib.algebra import (
     failures,
 )
 from kadlib.domain import DomainStructure, compute_predomain, run_laws
-from kadlib.hoare import check_hoare_rules
+from kadlib.hoare import HoareTriple, Prim, ProofTree, check_hoare_rules, check_triple, validate_proof, wlp
 from kadlib.models import (
     Relation,
     _bit_positions,
@@ -41,7 +41,8 @@ from kadlib.models import (
     rel_tests,
     tropical_model,
 )
-from kadlib.reach import STAR_PREIMAGE_LAWS, check_star_preimage_laws
+from kadlib.reach import STAR_PREIMAGE_LAWS, check_star_preimage_laws, reach_efficient, reach_naive
+from kadlib.termination import is_loebian, is_noetherian, is_well_founded, termination_report
 
 
 def _rel_mask(r):
@@ -488,6 +489,32 @@ def test_tropical_has_no_test_algebra_for_domain_laws():
     # star-of-domain has no test variable, but dom(a) is a test
     with pytest.raises(ValueError, match="tropical has no test algebra, which star-of-domain needs"):
         run_laws(STAR_PREIMAGE_LAWS[:1], T, budget=10, samples=10)
+
+
+SKIP = HoareTriple(0, Prim("skip"), 0)
+NEEDS_TESTS = {
+    "termination_report": lambda M: termination_report(M, M.one),
+    "is_noetherian": lambda M: is_noetherian(M, M.one),
+    "is_well_founded": lambda M: is_well_founded(M, M.one),
+    "is_loebian": lambda M: is_loebian(M, M.one),
+    "reach_naive": lambda M: reach_naive(M, M.one, M.zero),
+    "reach_efficient": lambda M: reach_efficient(M, M.one, M.zero),
+    "check_triple": lambda M: check_triple(SKIP, {}, M),
+    "validate_proof": lambda M: validate_proof(ProofTree("axiom", SKIP), {}, M),
+    "wlp": lambda M: wlp(M, M.one, M.zero),
+    "predicate_transformer_model": predicate_transformer_model,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NEEDS_TESTS))
+@pytest.mark.parametrize("make", [tropical_model, maxplus_model], ids=["tropical", "maxplus"])
+def test_a_model_without_tests_is_refused_by_what_reads_them(make, entry):
+    """Each entry point that reads tests raises run_laws' ValueError on a model without them: reach_efficient
+    before its locality check, which tropical's laws pass, and predicate_transformer_model before maxplus's
+    missing star."""
+    M = make()
+    with pytest.raises(ValueError, match=f"^{M.name} has no test algebra, which "):
+        NEEDS_TESTS[entry](M)
 
 
 def test_maxplus_has_no_star():
