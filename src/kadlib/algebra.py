@@ -42,10 +42,11 @@ the same tables:
   their derivations use.
 
 Every other law goes through _rewrite, the one law-rewrite step, which
-domain.run_laws uses too.  It certifies a law once the laws its derivation
-uses have held (_CERTIFICATES: the star theorems above, the domain
-calculus and the axiom forms llp, gla, lrp and gra, added by domain, and
-preimage-horn-induction, added by reach), or rewrites it to an
+domain.run_laws uses too, trying the certificate before listing any
+instance.  It certifies a law once the laws its derivation uses have held
+(_CERTIFICATES: the star theorems above, the domain calculus and the axiom
+forms llp, gla, lrp and gra, added by domain, the star/preimage laws,
+added by reach, and the Hoare rules, added by hoare), or rewrites it to an
 equivalent law with fewer instances:
 Horn elimination and join-irreducible ranges (the join-irreducibles read
 off the generators of +), behind guard laws that held on every instance
@@ -198,6 +199,13 @@ class FiniteSemiring:
         symmetries, whose verification rests on them."""
         zero_not_one = _report("zero-not-one", None if self.zero != self.one else {})
         return tuple(_check(ISEMIRING_LAWS, _Scanner(self, symmetric=False), [zero_not_one], _decided))
+
+    @functools.cached_property
+    def _kleene_reports(self) -> tuple:
+        """check_kleene's reports, decided once, as _isemiring_reports are; DomainStructure reads the star axioms here."""
+        powers = _report("powers-below-star", _powers_below_star(self), note=f"powers up to {self.n}")
+        held = [r.name for r in self._isemiring_reports if r.holds]
+        return tuple(_check(KLEENE_LAWS, _Scanner(self), [powers], _decided, held))
 
     @functools.cached_property
     def _terms(self) -> dict:
@@ -1241,12 +1249,15 @@ _REWRITE_GUARDS = _ISEMIRING_NAMES + ("dom-additive", "cod-additive")
 
 _ISR = _ISEMIRING_NAMES
 
-# name: law, for every law of a table (domain and reach add theirs); a certificate
+# the unfold and induction axioms, left and right
+_STAR_AXIOMS = tuple(law.name for law in KLEENE_LAWS[:4])
+
+# name: law, for every law of a table (domain, reach and hoare add theirs); a certificate
 # speaks of, and a held name stands for, the law of that name here and no other
 _TABLE_LAWS = {law.name: law for law in ISEMIRING_LAWS + KLEENE_LAWS + TEST_LAWS if isinstance(law, Law)}
 
-# law: (the law that certifies it, the other laws that must have held); domain and
-# reach add the entries of their own laws
+# law: (the law that certifies it, the other laws that must have held); domain,
+# reach and hoare add the entries of their own laws
 _CERTIFICATES = {
     # theorems of the star axioms (Kozen 1994); "induction at b, c" is
     # star-left-induction's b + ac <= c => a*b <= c for those b and c
@@ -1276,6 +1287,14 @@ _CERTIFICATES = {
 }
 
 
+def _certified(law: Law, held) -> Optional[str]:
+    """"certified by <law>" where law is its table's (_TABLE_LAWS) and held names its certificate's laws, else None."""
+    by, needs = _CERTIFICATES.get(law.name, (None, ()))
+    if by is not None and _TABLE_LAWS.get(law.name) == law and held.issuperset((by, *needs)):
+        return f"certified by {by}"
+    return None
+
+
 class _Rewrite(NamedTuple):
     """What _rewrite made of a law."""
 
@@ -1303,9 +1322,9 @@ def _rewrite(law: Law, model, held, budget: int = 0) -> Optional[_Rewrite]:
     test_count; join_irreducibles and the atom surface for narrowed
     ranges) and is read only past the guards.
     """
-    by, needs = _CERTIFICATES.get(law.name, (None, ()))
-    if by is not None and _TABLE_LAWS.get(law.name) == law and held.issuperset((by, *needs)):
-        return _Rewrite(law, None, f"certified by {by}")
+    mode = _certified(law, held)
+    if mode is not None:
+        return _Rewrite(law, None, mode)
     if law.name in _REWRITE_GUARDS or not held.issuperset(_REWRITE_GUARDS):
         return None
     n = model.size() or math.inf
@@ -1438,12 +1457,10 @@ def _powers_below_star(S: FiniteSemiring) -> Optional[dict]:
 
 
 def check_kleene(S: FiniteSemiring) -> list[LawReport]:
-    """Kleene star axioms plus the standard derived star laws."""
+    """Kleene star axioms plus the standard derived star laws, decided once per table set (_kleene_reports)."""
     if S.star is None:
         raise ValueError(f"{S.name} declares no star table")
-    powers = _report("powers-below-star", _powers_below_star(S), note=f"powers up to {S.n}")
-    held = [r.name for r in S._isemiring_reports if r.holds]
-    return _check(KLEENE_LAWS, _Scanner(S), [powers], _decided, held)
+    return list(S._kleene_reports)
 
 
 def _first_pair(mem, bad) -> Optional[dict]:

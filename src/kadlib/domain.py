@@ -28,6 +28,8 @@ from .algebra import (
     _CERTIFICATES,
     _ISEMIRING_NAMES,
     _ISR,
+    _STAR_AXIOMS,
+    _certified,
     _check,
     _commuting,
     _decided,
@@ -76,8 +78,9 @@ class DomainStructure(_Tables):
 
     delta/rho map each carrier index to a test; they may be any maps (the
     axioms are checked, not assumed).  laws names the laws known to hold on
-    every instance: the guards of _decide_axioms and the DOMAIN_AXIOMS that
-    held, both decided on construction.  Its element surface (zero, one,
+    every instance: the guards of _decide_axioms, the DOMAIN_AXIOMS that
+    held and the owner's star axioms that held (its _kleene_reports), all
+    decided on construction.  Its element surface (zero, one,
     add, mul, leq, star and conv, which raise where the owner has no
     column) and test operations are _Tables' over owner and tests.
     """
@@ -108,10 +111,10 @@ class DomainStructure(_Tables):
     def _decide_axioms(self) -> tuple[frozenset, list[LawReport]]:
         """(guards, reports): the guards of algebra._rewrite that hold here, then the DOMAIN_AXIOMS reports behind them.
 
-        The guards are the owner's isemiring laws and the test-algebra laws
-        that held, dom- and cod-additive (scanned here, outside the printed
-        calculus) and atomic-tests: every test is the join of the atoms
-        below it.  Once the isemiring laws hold every element is a join of
+        The guards are the owner's isemiring laws and star axioms and the
+        test-algebra laws that held, dom- and cod-additive (scanned here,
+        outside the printed calculus) and atomic-tests: every test is the
+        join of the atoms below it.  Once the isemiring laws hold every element is a join of
         join-irreducibles, so a map d is additive iff d(a + j) = d(a) + d(j)
         for every a and every join-irreducible j: the additivity laws are
         scanned with b over those.  The axioms llp, gla, lrp and gra are
@@ -119,7 +122,9 @@ class DomainStructure(_Tables):
         derivations use have held (their _CERTIFICATES entries below).
         """
         held = {r.name for r in (*self.owner._isemiring_reports, *self.tests._reports) if r.holds}
-        # made once the isemiring scans have ended, so that two scanners' chunk buffers never coexist
+        if self.owner.star is not None:
+            held.update(r.name for r in self.owner._kleene_reports if r.holds and r.name in _STAR_AXIOMS)
+        # made once the isemiring and Kleene scans have ended, so that two scanners' chunk buffers never coexist
         scanner = _Scanner(self.owner, D=self)
         if held.issuperset(_ISEMIRING_NAMES):
             held |= {law.name for law in _ADDITIVITY if scanner.first_failure(law, (None, self.join_irreducibles())) is None}
@@ -537,16 +542,18 @@ def _instances(D, is_test, budget: int, samples: int, rng, ranges=None):
 def run_laws(laws, D, budget: int, samples: int, rng=None) -> list[LawReport]:
     """One report per law, for any model with the domain surface.
 
-    A law's instances come from _instances: when they are all listed, a
-    DomainStructure is scanned by check_laws' scanner and any other model is
-    checked through its methods.  Where they are not, the law is first
-    decided through algebra._rewrite (_by_rewrite): certified, or
-    rewritten to an equivalent law behind the laws the model is known to
-    satisfy (its laws) and the table laws (algebra._TABLE_LAWS) decided
-    exactly earlier in the run; failing that, sampled instances are drawn
-    from rng (default: seeded 0).  The note says which: exhaustive, reduced (k) for k
-    instances of the rewritten law, certified by <law>, or sampled (n).
-    Witnesses hold element and test names.
+    The laws held are those the model is known to satisfy (its laws) and
+    the table laws (algebra._TABLE_LAWS) decided exactly earlier in the run.
+    A table law whose certificate's laws (algebra._CERTIFICATES) have held
+    is certified before any instance is listed.  Otherwise its instances
+    come from _instances: when they are all listed, a DomainStructure is
+    scanned by check_laws' scanner and any other model is checked through
+    its methods.  Where they are not, the law is first rewritten through
+    algebra._rewrite to an equivalent law behind the laws held
+    (_by_rewrite); failing that, sampled instances are drawn from rng
+    (default: seeded 0).  The note says which: certified by <law>,
+    exhaustive, reduced (k) for k instances of the rewritten law, or
+    sampled (n).  Witnesses hold element and test names.
     """
     _require_tests(D, (law.name for law in laws if _uses_tests(law)))
     rng = rng or random.Random(0)
@@ -556,12 +563,16 @@ def run_laws(laws, D, budget: int, samples: int, rng=None) -> list[LawReport]:
     for law in laws:
         report = _not_applicable(law, lambda: D.top, D)
         if report is None:
-            envs, exhaustive = _instances(D, [v in law.tests for v in law.vars], budget, samples, rng)
-            if not exhaustive:
-                report = _by_rewrite(law, D, exact.union(D.laws), budget, scanner)
-            if report is None:
-                values = _first_failure(law, D, scanner if exhaustive else None, envs)
-                report = _named_report(law, D, values, "exhaustive" if exhaustive else f"sampled ({samples})")
+            held = exact.union(D.laws)
+            if (mode := _certified(law, held)) is not None:
+                report = LawReport(law.name, True, None, mode)
+            else:
+                envs, exhaustive = _instances(D, [v in law.tests for v in law.vars], budget, samples, rng)
+                if not exhaustive:
+                    report = _by_rewrite(law, D, held, budget, scanner)
+                if report is None:
+                    values = _first_failure(law, D, scanner if exhaustive else None, envs)
+                    report = _named_report(law, D, values, "exhaustive" if exhaustive else f"sampled ({samples})")
             if report.holds and not report.note.startswith("sampled") and _TABLE_LAWS.get(law.name) == law:
                 exact.add(law.name)
         reports.append(report)
@@ -586,18 +597,19 @@ def _named_report(law: Law, D, values, note: str) -> LawReport:
 
 
 def _by_rewrite(law: Law, D, held, budget: int, scanner) -> Optional[LawReport]:
-    """law decided through algebra._rewrite(law, D, held, budget), or None.
+    """law decided through the rewrite algebra._rewrite(law, D, held, budget) makes of it, or None.
 
-    A certified law holds.  A rewritten one is decided by an exhaustive
-    scan of its instances when they fit the budget: if they all hold, so
-    does law; the first that fails is lifted to an instance of law, each
-    eliminated variable taking its bound's value, and reported once
-    the scalar evaluator confirms that law fails there.  None where the rewritten
-    law does not fit, or its failure does not lift to one of law.
+    run_laws has tried law's certificate already.  The rewritten law is
+    decided by an exhaustive scan of its instances when they fit the
+    budget: if they all hold, so does law; the first that fails is lifted
+    to an instance of law, each eliminated variable taking its bound's
+    value, and reported once the scalar evaluator confirms that law fails
+    there.  None where there is no rewrite, the rewritten law does not
+    fit, or its failure does not lift to one of law.
     """
     rw = _rewrite(law, D, held, budget)
     if rw is None or rw.mode != "reduced":
-        return rw and LawReport(law.name, True, None, rw.mode)
+        return None
     is_test = [v in rw.law.tests for v in rw.law.vars]
     envs, exhaustive = _instances(D, is_test, budget, 0, None, rw.ranges)
     if not exhaustive:

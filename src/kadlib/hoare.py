@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .algebra import Law, LawReport, Verdict, _Record, cod, compl, leq, star, var
+from .algebra import _CERTIFICATES, _ISR, Law, LawReport, Verdict, _Record, _TABLE_LAWS, cod, compl, leq, star, var
 from .domain import _require_tests, run_laws
 
 __all__ = [
@@ -394,6 +394,24 @@ def _hoare_rules():
 
 
 HOARE_RULES = _hoare_rules()
+_TABLE_LAWS.update((law.name, law) for law in HOARE_RULES)
+
+# the certificates of the rules, as in algebra._CERTIFICATES (Kozen, "On Hoare logic and Kleene
+# algebra with tests", 2000; Möller and Struth 2004).  Tests are p, q, r; p:a is cod(pa), and cod
+# is monotone (cod-additive).
+_CERTIFICATES.update({
+    # p:(ab) <= (p:a):b by image-compose-bound's derivation, and (p:a):b <= q:b <= r
+    "rule-composition": ("cd2", (*_ISR, "cd1", "cod-additive", "members-below-one")),
+    # q(pa + p'b) = (pq)a + (p'q)b, and cod is additive
+    "rule-conditional": ("cod-additive", (*_ISR, "meet-commutative")),
+    # with x = pa, qx <= qx cod(qx) <= qxq by cd1, as cod(qx) = (pq):a <= q, so q + x*qx <= q + x*xq <= x*q
+    # by the right unfold, and star-right-induction gives qx* <= x*q; then q:(x*p') <= cod(x*qp') <= qp'
+    # by cd2 at the test qp', and qp' = p'q
+    "rule-while": ("star-right-induction", (*_ISR, "star-right-unfold", "cd1", "cd2", "cod-additive",
+                                            "members-below-one", "closed-under-meet", "meet-commutative")),
+    # cod(p1 a) <= cod(pa) <= q <= q1
+    "rule-weakening": ("cod-additive", _ISR),
+})
 
 
 def check_hoare_rules(D, budget: int = 300_000, samples: int = 1000, rng=None) -> list[LawReport]:
@@ -403,5 +421,9 @@ def check_hoare_rules(D, budget: int = 300_000, samples: int = 1000, rng=None) -
     conditional: (pq):a <= r and (p'q):b <= r imply q:(pa + p'b) <= r
     while:       (pq):a <= q implies q:((pa)* p') <= p'q
     weakening:   p1 <= p, p:a <= q, q <= q1 imply p1:a <= q1
+
+    Each rule is certified by its derivation (_CERTIFICATES above) where D
+    satisfies the laws that uses, as every relation model and rel(n)
+    predomain does; elsewhere it is scanned, rewritten or sampled.
     """
     return run_laws(HOARE_RULES, D, budget, samples, rng)

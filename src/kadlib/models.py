@@ -17,8 +17,8 @@ import operator
 from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Optional, Sequence
 
-from .algebra import _CHUNK, _ISEMIRING_NAMES, _Record, _row_blocks, ISEMIRING_LAWS, KLEENE_LAWS, FiniteSemiring, Law, LawReport, TestAlgebra, np
-from .domain import _require_tests, run_laws
+from .algebra import _CHUNK, _ISEMIRING_NAMES, _Record, _row_blocks, _STAR_AXIOMS, ISEMIRING_LAWS, KLEENE_LAWS, FiniteSemiring, Law, LawReport, TestAlgebra, np
+from .domain import _TEST_NAMES, _require_tests, run_laws
 from .reach import _grow
 
 __all__ = [
@@ -256,8 +256,8 @@ class Relation(_Record):
     """
 
     _fields = ("n", "succ")
-    # predecessors, filled on first read; a plain slot, as cached_property locks on its first read
-    _pred: Optional[list] = None
+    # predecessors, filled on first read or by _relations; a plain slot, as cached_property locks on its first read
+    _pred: Optional[Sequence] = None
     # the text of str, kept on the relations that _relations shares
     _text: Optional[str] = None
 
@@ -311,8 +311,9 @@ class Relation(_Record):
         return Relation(self.n, tuple(map(tuple, self.predecessors)))
 
     @property
-    def predecessors(self) -> list[list[int]]:
-        """The states with an edge into each state, as ascending positions, from one walk of succ; not to be changed."""
+    def predecessors(self) -> Sequence[Sequence[int]]:
+        """The states with an edge into each state, as ascending positions, not to be changed: the converse's rows on
+        the relations _relations shares, else from one walk of succ."""
         if self._pred is None:
             pred: list[list[int]] = [[] for _ in self.succ]
             for i, row in enumerate(self.succ):
@@ -353,9 +354,10 @@ class RelModel(ModelHandle):
     """
 
     has_star = True
-    # every relation model is a Kleene algebra with a local domain and codomain
+    # every relation model is a Kleene algebra with a local domain and codomain, whose tests are
+    # all the subsets of its states
     laws = frozenset({
-        *_ISEMIRING_NAMES, "dom-additive", "cod-additive", "atomic-tests", "star-left-unfold", "star-left-induction",
+        *_ISEMIRING_NAMES, *_STAR_AXIOMS, *_TEST_NAMES, "dom-additive", "cod-additive", "atomic-tests",
         "d1", "d2", "dloc", "cd1", "cd2", "cdloc",
     })
 
@@ -514,7 +516,7 @@ class RelModel(ModelHandle):
         succ = a.succ
         return self.test_from_positions(j for k in _bit_positions(p) for j in succ[k])
 
-    def preimage_rows(self, a: Relation) -> list[list[int]]:
+    def preimage_rows(self, a: Relation) -> Sequence[Sequence[int]]:
         """Row k: the states with an a-edge into state k + 1, as ascending positions; a's own lists, not to be changed."""
         return a.predecessors
 
@@ -554,16 +556,17 @@ class RelModel(ModelHandle):
         rows = np.empty((size, n), dtype=np.int32)
         for i in range(n):
             rows[:, i] = (masks >> (i * n)) & self._full_mask
-        # ors[m, s] = union of rows[m, j] over j in subset s
-        ors = np.zeros((size, 1 << n), dtype=np.int32)
+        # ors[s, m] = union of rows[m, j] over j in subset s
+        ors = np.zeros((1 << n, size), dtype=np.int32)
         for s in range(1, 1 << n):
             low = s & -s
-            ors[:, s] = ors[:, s ^ low] | rows[:, low.bit_length() - 1]
-        mul = np.zeros((size, size), dtype=np.int32)
-        for i in range(n):
-            part = ors[:, rows[:, i]]
+            np.bitwise_or(ors[s ^ low], rows[:, low.bit_length() - 1], out=ors[s])
+        # row i of x;y is ors[rows[x, i], y]: one row gather per state, into one reused buffer
+        mul, part = ors[rows[:, 0]], None
+        for i in range(1, n):
+            part = ors.take(rows[:, i], axis=0, out=part)
             part <<= i * n
-            mul |= part.T
+            mul |= part
         add, identity = np.bitwise_or.outer(masks, masks), sum(1 << (i * n + i) for i in range(n))
         return add, mul, _power_sums(add, mul, identity), self._moved_pairs(lambda i, j: (j, i))
 
@@ -590,16 +593,22 @@ def rel_model(n: int) -> RelModel:
 @lru_cache(maxsize=None)
 def _relations(n: int) -> tuple[Relation, ...]:
     """The relations on {1..n} in the order of their masks, shared by every RelModel(n) (n <= 3), built in one pass over
-    the masks: rows from the n-bit row masks, and text from that of the mask with its top bit, the last pair, cleared."""
+    the masks: rows from the n-bit row masks, text from that of the mask with its top bit, the last pair, cleared, and
+    predecessors the rows of the converse, whose mask has the bit of (j, i) for each pair (i, j)."""
     full, pairs = (1 << n) - 1, [f",({i + 1},{j + 1})" for i in range(n) for j in range(n)]
-    rows, texts, out = [tuple(_bit_positions(r)) for r in range(full + 1)], [""], []
+    rows, texts, out, converse = [tuple(_bit_positions(r)) for r in range(full + 1)], [""], [], [0]
+    # the bit of pair (j, i) for the bit of each pair (i, j)
+    moved = [1 << (j * n + i) for i in range(n) for j in range(n)]
     for m in range(1 << (n * n)):
-        if m:  # texts[m] is mask m's pairs in row-major order, each after a comma
+        if m:  # texts[m] is mask m's pairs in row-major order, each after a comma; converse[m] its converse's mask
             k = m.bit_length() - 1
             texts.append(texts[m ^ (1 << k)] + pairs[k])
+            converse.append(converse[m ^ (1 << k)] | moved[k])
         r = Relation(n, tuple(rows[(m >> (i * n)) & full] for i in range(n)))
         object.__setattr__(r, "_text", "{" + texts[m][1:] + "}")
         out.append(r)
+    for r, c in zip(out, converse):
+        object.__setattr__(r, "_pred", out[c].succ)
     return tuple(out)
 
 
@@ -1081,26 +1090,34 @@ class TransformerModel(ModelHandle):
         """add[x, y] is the index of the map with values joinpos[F[x, k], F[y, k]] on the atoms k, mul[x, y] that of F[x, F[y, k]].
 
         Both maps are additive, so these values fix them: their keys are
-        read back through the dense key array, in blocks of x of at most
-        _CHUNK cells.  The star column is the sums of powers where the source
+        read back through the dense key array.  Each key digit is a row
+        gather: the add keys of row x take row F[x, c] of joinpos[:, F[:, c]],
+        and the mul keys of column y row F[y, c] of F.T, in blocks of at
+        most _CHUNK cells.  The star column is the sums of powers where the source
         holds _STAR_LAWS, else None; there is no converse.  None where the
         model is not atom-keyed.
         """
         if self._atoms is None:
             return None
         F, t, size = self.table, len(self.members), len(self.table)
-        join = np.array(self._joinpos, dtype=F.dtype).ravel()
-        add, mul = tables = np.empty((2, size, size), dtype=np.int32)
-        for rows in _row_blocks(size, size * len(self._atoms)):
-            Fx = F[rows]
-            keys = np.zeros((2, len(Fx), size), dtype=np.int32)
-            for c in self._atoms:  # the base-t digits, highest first
-                keys *= t
-                # joinpos[Fx[i, c], F[j, c]] by one flat take, Fx[i, F[j, c]] by a take along the rows
-                keys[0] += join.take(np.add(np.multiply(Fx[:, c, None], t, dtype=np.int32), F[:, c]))
-                keys[1] += Fx.take(F[:, c], axis=1)
-            tables[:, rows] = self._key_of.take(keys)
-            if tables[:, rows].max() == size:
+        J, FT, m = np.array(self._joinpos, dtype=np.int32), F.T.astype(np.int32), len(self._atoms)
+        # per atom c, each row v weighted by c's base-t digit (highest first): joinpos[v, F[y, c]] over
+        # y for the add keys, F[x, v] over x for the mul keys
+        weights = [t ** (m - 1 - i) for i in range(m)]
+        adds = [J[:, F[:, c]] * w for c, w in zip(self._atoms, weights)]
+        muls = [FT * w for w in weights]
+        add, mul = np.empty((size, size), dtype=np.int32), np.empty((size, size), dtype=np.int32)
+        for rows in _row_blocks(size, 2 * size * m):
+            # the add keys of the rows x in rows, and the mul keys of the columns y in rows, transposed
+            at = [F[rows, c] for c in self._atoms]
+            keys, keys_t = adds[0][at[0]], muls[0][at[0]]
+            for i in range(1, m):
+                keys += adds[i][at[i]]
+                keys_t += muls[i][at[i]]
+            self._key_of.take(keys, out=add[rows])
+            found = self._key_of.take(keys_t)
+            mul[:, rows] = found.T
+            if max(add[rows].max(), found.max()) == size:
                 raise ValueError(f"{self.name} is not closed under + and ·")
         return add, mul, _power_sums(add, mul, self._index[self.one]) if self._power_star else None, None
 

@@ -165,20 +165,48 @@ def _star_preimage_laws():
 STAR_PREIMAGE_LAWS = _star_preimage_laws()
 _TABLE_LAWS.update((law.name, law) for law in STAR_PREIMAGE_LAWS)
 
-# the certificate of the Horn law, as in algebra._CERTIFICATES: (ac):p + b:q <= c:p =>
-# (a*b):q <= c:p is preimage-star-induction at p := c:p and q := b:q: a:(c:p) <= (ac):p
-# by dloc and associativity, and (a*b):q <= a*:(b:q) by d1, d2 and monotone dom
-_CERTIFICATES["preimage-horn-induction"] = ("preimage-star-induction", ("dloc", "d1", "d2", "dom-additive", *_ISR))
+# the certificates of these laws, as in algebra._CERTIFICATES (Möller and Struth, "Modal Kleene
+# algebra and partial correctness", 2004).  Tests are p, q, a:p is dom(ap), and r = a:p.  A test
+# is below 1 (members-below-one), so s <= dom(s)s <= dom(s) by d1; dom is monotone (dom-additive)
+# and 1 <= a* (star-left-unfold), so a test s lies below a*:s.
+_STAR_DOMAIN = (*_ISR, "star-left-unfold", "d1", "d2", "dom-additive", "members-below-one")
+# what the frontier laws use besides: p + p' = 1, and a join of tests is a test
+_FRONTIER = (*_STAR_DOMAIN, "dloc", "complement-join-full", "closed-under-join")
+_CERTIFICATES.update({
+    # subidentity-star's derivation at the test dom(a): dom(a)* <= 1 by induction at b = c = 1
+    "star-of-domain": ("star-left-induction", (*_ISR, "star-left-unfold", "members-below-one")),
+    # 1 <= a*, so 1 <= dom(1) <= dom(a*) <= 1
+    "domain-of-star": ("d1", (*_ISR, "star-left-unfold", "dom-additive", "members-below-one")),
+    # from r <= p, ap <= dom(ap)ap <= pap by d1, so p + a(pa*) <= p + pap a* <= p(1 + aa*) <= pa*;
+    # induction gives a*p <= pa*, and a*:p <= dom(pa*) <= p by d2
+    "invariant-star": ("star-left-induction", _STAR_DOMAIN),
+    # r + q <= p gives r <= p and q <= p, so a*:q <= a*:p <= p
+    "preimage-star-induction": ("invariant-star", (*_ISR, "dom-additive")),
+    # X = p + a*:(p'r) is a test with p <= X and a:X <= X, so a*:p <= X by preimage-star-induction:
+    # r = pr + p'r <= p + a*:(p'r), and a:(a*:(p'r)) <= (aa*):(p'r) <= a*:(p'r) by dloc
+    "frontier-bound": ("preimage-star-induction", _FRONTIER),
+    # <=: with Y = (ap')*:r, X = p + Y is a test with p <= X and r <= Y, and
+    # a:Y = a:(pY) + a:(p'Y) <= r + (ap'(ap')*):r <= Y by dloc, so a*:p <= X as above;
+    # >=: p <= a*:p, and (ap')*:r <= a*:r <= (a*a):p <= a*:p by dloc, as (ap')* <= a* by
+    # star-monotone's derivation and a*a <= a* by induction at b = a, c = a*
+    "frontier-decomposition": ("preimage-star-induction", (*_FRONTIER, "star-left-induction")),
+    # (ac):p + b:q <= c:p => (a*b):q <= c:p is preimage-star-induction at p := c:p and q := b:q:
+    # a:(c:p) <= (ac):p by dloc and associativity, and (a*b):q <= a*:(b:q) by d1, d2 and monotone dom
+    "preimage-horn-induction": ("preimage-star-induction", ("dloc", "d1", "d2", "dom-additive", *_ISR)),
+})
 
 
 def check_star_preimage_laws(D, samples: int = 1000, rng=None, budget: int = 200_000) -> list[LawReport]:
-    """Star/domain interaction laws, exhaustive if the space fits the budget.
+    """Star/domain interaction laws: certified, or exhaustive if the space fits the budget.
 
     Covers: star of a domain element is the unit, domain of a starred
     element is the full test, invariants transfer to the star, the
     star-induction form for preimages, the frontier decompositions used by
     reach_efficient, and the preimage analogue of star induction.  The laws
     past the invariant rule are stated for local models and are skipped
-    without locality.
+    without locality.  Each law is certified by its derivation
+    (_CERTIFICATES above) where D satisfies the laws that uses, as every
+    relation model and rel(n) predomain does; elsewhere it is scanned,
+    rewritten or sampled.
     """
     return run_laws(STAR_PREIMAGE_LAWS, D, budget, samples, rng)

@@ -221,8 +221,8 @@ def test_criterion_08_star_preimage_laws():
             rel_model(n), samples=1000, rng=random.Random(80 + n), budget=1
         )
         problems += [f"rel({n}): {r}" for r in failures(rep)]
-        if not all(r.note == "sampled (1000)" for r in rep):
-            problems.append(f"rel({n}): expected sampled checks")
+        if not all(r.note.startswith("certified by ") for r in rep):
+            problems.append(f"rel({n}): expected every law certified, with no instance to list")
     report(8, "star-preimage-laws", problems)
 
 
@@ -380,8 +380,8 @@ def test_criterion_11_hoare_logic():
     for D in targets:
         rep = check_hoare_rules(D)
         problems += [str(r) for r in failures(rep)]
-        if not all(r.note == "exhaustive" for r in rep):
-            problems.append("rule check was not exhaustive")
+        if not all(r.note == "exhaustive" or r.note.startswith("certified by ") for r in rep):
+            problems.append("rule check was not exact")
 
     from test_hoare import gen_valid
 

@@ -35,6 +35,7 @@ from kadlib.hoare import (
     wlp,
 )
 from kadlib.models import Relation, conway_model, rel_model, rel_semiring, rel_tests
+from test_laws import uncertified
 
 
 @pytest.fixture
@@ -694,30 +695,45 @@ def test_wlp_of_loop_free_code(chain3):
 # -- the rule suite ---------------------------------------------------------------------
 
 
-def test_hoare_rules_exhaustive_on_relations():
+# how each rule is certified where the laws its derivation uses hold, as on every relation model
+CERTIFIED_NOTES = {
+    "rule-composition": "certified by cd2",
+    "rule-conditional": "certified by cod-additive",
+    "rule-while": "certified by star-right-induction",
+    "rule-weakening": "certified by cod-additive",
+}
+
+
+def test_hoare_rules_exhaustive_on_relations(monkeypatch):
+    # certified by their derivations, and scanned in full when taken uncertified
     rep = check_hoare_rules(rel_model(2))
     assert all_hold(rep), [str(r) for r in failures(rep)]
-    assert {r.name for r in rep} == {
-        "rule-composition",
-        "rule-conditional",
-        "rule-while",
-        "rule-weakening",
-    }
+    assert {r.name: r.note for r in rep} == CERTIFIED_NOTES
+    uncertified(monkeypatch)
+    rep = check_hoare_rules(rel_model(2))
+    assert all_hold(rep), [str(r) for r in failures(rep)]
     assert all(r.note == "exhaustive" for r in rep)
 
 
-def test_hoare_rules_on_table_backed_models():
+def test_hoare_rules_on_table_backed_models(monkeypatch):
     for nm in ("A2", "A3_1", "A3_3"):
         S = conway_model(nm)
         D = compute_predomain(S, TestAlgebra.discrete(S))
         rep = check_hoare_rules(D)
         assert all_hold(rep), (nm, [str(r) for r in failures(rep)])
+        assert {r.name: r.note for r in rep} == CERTIFIED_NOTES
+        with monkeypatch.context() as m:
+            uncertified(m)
+            rep = check_hoare_rules(D)
+        assert all_hold(rep), (nm, [str(r) for r in failures(rep)])
         assert all(r.note == "exhaustive" for r in rep)
 
 
 @pytest.mark.parametrize("table", [True, False], ids=["predomain", "relations"])
-def test_hoare_rules_on_rel3_are_decided_exactly(table):
+def test_hoare_rules_on_rel3_are_decided_exactly(table, monkeypatch):
     D = compute_predomain(rel_semiring(3), rel_tests(3)) if table else rel_model(3)
+    assert {r.name: r.note for r in check_hoare_rules(D) if r.holds} == CERTIFIED_NOTES
+    uncertified(monkeypatch)
     notes = {r.name: r.note for r in check_hoare_rules(D) if r.holds}
     assert notes == {
         "rule-composition": "reduced (400)",
@@ -727,7 +743,8 @@ def test_hoare_rules_on_rel3_are_decided_exactly(table):
     }
 
 
-def test_hoare_rules_on_rel10_reduce_composition_and_weakening():
+def test_hoare_rules_on_rel10_reduce_composition_and_weakening(monkeypatch):
+    uncertified(monkeypatch)
     notes = {r.name: r.note for r in check_hoare_rules(rel_model(10)) if r.holds}
     assert notes["rule-composition"] == "reduced (112211)"  # (10^2 + 1)^2 (10 + 1)
     assert notes["rule-weakening"] == "reduced (1111)"
@@ -735,7 +752,8 @@ def test_hoare_rules_on_rel10_reduce_composition_and_weakening():
     assert notes["rule-conditional"] == "sampled (1000)"
 
 
-def test_hoare_rules_fall_back_to_sampling():
+def test_hoare_rules_fall_back_to_sampling(monkeypatch):
+    uncertified(monkeypatch)
     rep = check_hoare_rules(rel_model(2), budget=10, samples=60, rng=random.Random(5))
     assert all_hold(rep)
     assert all(r.note == "sampled (60)" for r in rep)

@@ -27,8 +27,11 @@ The golden files under data/check hold the stdout and exit code of
 The star/preimage laws and the Hoare rules are checked against the
 per-law predicates they were written as before they became Law tables,
 run by the exhaustive-or-sampled loop that ran them then (same budget
-test, draw order, notes and witnesses), except that a law the reference
-samples may now be decided exactly by run_laws' rewrite step.  That step,
+test, draw order, notes and witnesses), except that a law may now be
+certified by run_laws before any instance, or, where the reference
+samples it, decided exactly by the rewrite step.  With their certificates
+taken out, both suites give the reports of the scans, rewrites and samples
+that decided them without.  The rewrite step,
 algebra._rewrite, is checked against the full scan of every law it
 rewrites, and each failure it lifts against eval_term.  check_sampled_laws
 is checked against check_isemiring/check_kleene on the same finite model.
@@ -48,6 +51,7 @@ import json
 import math
 import random
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -526,8 +530,8 @@ def test_check_kleene_reads_the_isemiring_reports_kept_on_the_semiring(monkeypat
     check_isemiring(S)
     check_kleene(S)
     reduced = set(kadlib.algebra._REDUCTIONS | kadlib.algebra._CERTIFICATES)
-    # the isemiring laws once, for the first check_kleene; the Kleene laws twice
-    laws = [law.name for law in ISEMIRING_LAWS + KLEENE_LAWS + KLEENE_LAWS if isinstance(law, Law)]
+    # the isemiring laws and the Kleene laws once each, for the first check_kleene
+    laws = [law.name for law in ISEMIRING_LAWS + KLEENE_LAWS if isinstance(law, Law)]
     assert scans == [name for name in laws if name not in reduced]
 
 
@@ -718,10 +722,13 @@ def test_join_irreducibles_are_refused_where_the_isemiring_laws_fail():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_shared_relations_are_the_masks_relations_with_their_text(n):
+    """Each shared relation is its mask's, with its text, and its predecessors, set from the converse's rows,
+    are those a walk of succ builds."""
     M = rel_model(n)
     for m, r in enumerate(kadlib.models._relations(n)):
         assert r == M._from_mask(m)
         assert str(r) == str(M._from_mask(m)) == "{" + ",".join(f"({i},{j})" for i, j in sorted(r.pairs())) + "}"
+        assert list(map(list, r.predecessors)) == M._from_mask(m).predecessors
 
 
 def test_rel3_mul_generators_are_few_and_generate_the_carrier():
@@ -973,22 +980,27 @@ def identity_changed(name, cell, v):
 def prerequisite_cases():
     """(name, S, D or None), built when iterated: structures where laws that certificates list fail.
 
-    Corrupted star columns break the star axioms; corrupted and random additive
-    domain tables and single moved cells break d1, d2, cd1 or cd2, some with dloc
-    and cdloc still holding; A3_2's predomain is not local; moved identity cells of
+    Corrupted star columns break the star axioms, under their predomains where
+    they have one; corrupted and random additive domain tables and single moved
+    cells break d1, d2, cd1 or cd2, some with dloc and cdloc still holding, and
+    corrupt_domain(5) cod-additive; A3_2's predomain is not local; moved identity cells of
     · break mul-left- or mul-right-identity under intact domain tables; and rel(2)'s
     predomain tables over test algebras that break test-algebra laws while every
     domain axiom holds (AXIOMS_HOLD).
     """
     for c in CORRUPTIONS:
         if c[1] == "star":
-            yield "-".join(map(str, c)), corrupted(*c)[0], None
+            S, T = corrupted(*c)
+            D = predomain_or_error(compute_predomain, S, T)
+            yield "-".join(map(str, c)), S, D if isinstance(D, DomainStructure) else None
     for name in DOMAIN_CORRUPTIONS:
         for k, D in enumerate(corrupted_domains(name)):
             yield f"{name}-domain-{k}", D.owner, D
     for seed in range(8):
         D = random_additive_domain(seed)
         yield f"rel2-additive-{seed}", D.owner, D
+    D = corrupt_domain(5)
+    yield "rel2-corrupt-5", D.owner, D
     for name, table, i, p in [("A3_1", "delta", 2, 0), ("A3_1", "rho", 2, 0), ("A2", "delta", 0, 1), ("A2", "rho", 0, 1)]:
         D = cell_changed(name, table, i, p)
         yield f"{name}-{table}[{i}]={p}", D.owner, D
@@ -1013,30 +1025,34 @@ AXIOMS_HOLD = {
     "rel2-top-test": {"dom-stable-on-tests", "dom-complement", "dom-export", "preimage-vs-commutation", "preimage-import-export"},
 }
 
-CERTIFIED_FAMILIES = {law.name for law in KLEENE_LAWS + DOMAIN_AXIOMS + DOMAIN_CALCULUS if isinstance(law, Law)}
+SUITES = STAR_PREIMAGE_LAWS + HOARE_RULES
+CERTIFIED_FAMILIES = {law.name for law in KLEENE_LAWS + DOMAIN_AXIOMS + DOMAIN_CALCULUS + SUITES if isinstance(law, Law)}
 
 
 def test_a_certificate_whose_prerequisite_failed_leaves_its_law_to_the_scanner(monkeypatch):
-    """For each certificate of check_kleene, check_domain_axioms and check_domain_calculus, a
-    structure where one of the laws it lists failed: the law is reported not applicable, or is
-    scanned (in its rewritten form first where a rewrite applies), and every report is the plain
-    scan's.  Each such law fails on at least one of these structures, where a certificate that
-    fired would have reported it holding."""
+    """For each certificate of check_kleene, check_domain_axioms, check_domain_calculus,
+    check_star_preimage_laws and check_hoare_rules, a structure where one of the laws it lists
+    failed: the law is reported not applicable, or is scanned (in its rewritten form first where a
+    rewrite applies), and every report is the plain scan's.  Each such law fails on at least one of
+    these structures, where a certificate that fired would have reported it holding.  The two
+    suites read the laws held as run_laws does: D.laws and those of the run decided exactly."""
     certificates = {law: (by, *needs) for law, (by, needs) in kadlib.algebra._CERTIFICATES.items() if law in CERTIFIED_FAMILIES}
     scans = counting_scans(monkeypatch)
     withheld, refuted = collections.Counter(), set()
     for name, S, D in prerequisite_cases():
-        reports = [*check_isemiring(S), *(check_kleene(S) if S.star is not None else ())]
+        reports, suite, exact = [*check_isemiring(S), *(check_kleene(S) if S.star is not None else ())], [], set()
         if D is not None:
             reports += [*D.tests._reports, *check_domain_axioms(D), *check_domain_calculus(D)]
             assert rows(check_domain_axioms(D)) == rows(check_laws(DOMAIN_AXIOMS, D.owner, D=D)), name
             assert rows(check_domain_calculus(D)) == rows(check_laws(DOMAIN_CALCULUS, D.owner, D=D)), name
+            suite = [*check_star_preimage_laws(D), *check_hoare_rules(D)]
+            exact = D.laws | {r.name for r in suite if r.holds and not r.note.startswith(("sampled", "not applicable"))}
         if S.star is not None:
             assert decided(S) == scanned(S), name
         held = {r.name for r in reports if r.holds}
         scanned_names = {law for law, _, _ in scans}
-        for r in reports:
-            if r.name in certificates and not held.issuperset(certificates[r.name]):
+        for r, known in [*((r, held) for r in reports), *((r, exact) for r in suite)]:
+            if r.name in certificates and not known.issuperset(certificates[r.name]):
                 assert r.note.startswith("not applicable") or r.name in scanned_names, (name, r.name)
                 withheld[r.name] += 1
                 if not r.holds:
@@ -1278,6 +1294,23 @@ def test_kad_check_scans_the_domain_axioms_once(monkeypatch, capsys):
 # -- star/preimage laws and Hoare rules against their per-law predicates -----------
 
 
+# the laws of both suites that the tests of the scan, rewrite and sampled routes take uncertified;
+# preimage-horn-induction keeps its certificate, from preimage-star-induction however that was
+# decided, as no scan budget fits its 512^3 * 8^2 instances on rel(3)
+SCAN_ROUTES = [law.name for law in SUITES if law.name != "preimage-horn-induction"]
+
+
+def uncertified(monkeypatch, names=SCAN_ROUTES):
+    """Take the certificates of the laws named out of algebra._CERTIFICATES until the test ends, so
+    that run_laws decides those laws by scan, rewrite or samples."""
+    for name in names:
+        monkeypatch.delitem(kadlib.algebra._CERTIFICATES, name)
+
+
+def suite_reports(D):
+    return [*check_star_preimage_laws(D), *check_hoare_rules(D)]
+
+
 def reference_runner(D, budget, samples, rng):
     """run(name, kinds, pred, names): kinds has one letter per argument, e (element) or t (test)."""
     members = D.test_members()
@@ -1395,13 +1428,15 @@ def rows(reports):
 
 
 def assert_rows_agree(got, want):
-    """got's rows equal the reference's, except where the reference samples a law
-    that run_laws decides exactly through algebra._rewrite: there, the verdicts are
-    equal and the note says reduced or certified."""
+    """got's rows equal the reference's, except where run_laws certifies a law, which then
+    holds by the reference too, or decides exactly through algebra._rewrite a law that the
+    reference samples: there, the verdicts are equal and the note says reduced."""
     assert [r.name for r in got] == [r.name for r in want]
     for g, w in zip(rows(got), rows(want)):
-        if w[3].startswith("sampled") and not g[3].startswith("sampled"):
-            assert g[3].startswith(("reduced (", "certified by ")) and g[1] == w[1], (g, w)
+        if g[3].startswith("certified by "):
+            assert w[1] and g[:3] == w[:3], (g, w)
+        elif w[3].startswith("sampled") and not g[3].startswith("sampled"):
+            assert g[3].startswith("reduced (") and g[1] == w[1], (g, w)
         else:
             assert g == w
 
@@ -1440,6 +1475,50 @@ def test_law_tables_match_the_per_law_predicates(make):
     D = make()
     assert_rows_agree(check_star_preimage_laws(D), reference_star_preimage(D))
     assert_rows_agree(check_hoare_rules(D), reference_hoare_rules(D))
+
+
+PLAIN_TARGETS = [t for t in TARGETS if not t[0].startswith(("predomain-", "zero-"))]
+
+
+@pytest.mark.parametrize("make", [t[1] for t in PLAIN_TARGETS], ids=[t[0] for t in PLAIN_TARGETS])
+def test_certified_suites_report_what_they_report_uncertified(make, monkeypatch):
+    """On rel(1..3), the rel(2) and rel(3) predomains and the corrupted rel(2) domains, both suites
+    with every certificate taken out, each law then scanned, rewritten or sampled, give the same
+    (name, holds, witness) as with their certificates."""
+    D = make()
+    got = suite_reports(D)
+    uncertified(monkeypatch, [law.name for law in SUITES])
+    plain = suite_reports(D)
+    assert [r[:3] for r in rows(got)] == [r[:3] for r in rows(plain)]
+    assert not any(r.note.startswith("certified") for r in plain)
+
+
+@pytest.mark.parametrize("n", [4, 10, 30])
+def test_no_law_of_either_suite_is_sampled_on_relations(n):
+    """On relation models past what a scan lists, every law of both suites is certified, both suites
+    within 0.3 s."""
+    started = time.perf_counter()
+    rep = suite_reports(rel_model(n))
+    assert time.perf_counter() - started < 0.3
+    assert all_hold(rep) and all(r.note.startswith("certified by ") for r in rep)
+
+
+HORN = "certified by preimage-star-induction"
+REL3_UNCERTIFIED = [*["exhaustive"] * 6, HORN, "reduced (400)", "reduced (3200)", "exhaustive", "reduced (4096)"]
+SCAN_ROUTE_NOTES = {"rel_model(2)": [*["exhaustive"] * 6, HORN, *["exhaustive"] * 4], "rel_model(3)": REL3_UNCERTIFIED, "rel3-table": REL3_UNCERTIFIED}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_ROUTE_NOTES))
+def test_uncertified_suites_are_decided_by_their_scans_and_rewrites(name, monkeypatch):
+    """Without the certificates of SCAN_ROUTES, each of those laws is decided by an exhaustive scan or
+    through the rewrite step, and its report is the certified one's."""
+    D = dict(TARGETS)[name]()
+    got = suite_reports(D)
+    assert all(r.holds and r.note.startswith("certified by ") for r in got)
+    uncertified(monkeypatch)
+    plain = suite_reports(D)
+    assert [r.note for r in plain] == SCAN_ROUTE_NOTES[name]
+    assert [r[:3] for r in rows(got)] == [r[:3] for r in rows(plain)]
 
 
 # -- the rewrite step against the full scan ----------------------------------------
@@ -1491,19 +1570,27 @@ def fails_at(D, law, values):
     return all(holds(p, env, D.owner, D.tests, D) for p in law.premises) and not holds(law.concl, env, D.owner, D.tests, D)
 
 
-def test_rewrites_give_the_full_scans_verdicts():
+def test_rewrites_give_the_full_scans_verdicts(monkeypatch):
     """Each Hoare rule and star/preimage law that algebra._rewrite rewrites (with no
     budget, so with every rewrite that applies) has the verdict of its full scan, and a
-    failure it finds is lifted to an instance at which the law itself fails."""
+    failure it finds is lifted to an instance at which the law itself fails.  The full
+    scans take every law uncertified; a law the rewrite step certifies holds by its full scan."""
     seen = collections.Counter()
     for name, D in rewrite_targets():
         scanner = functools.cache(lambda D=D: kadlib.algebra._Scanner(D.owner, D=D))
         for suite in (HOARE_RULES, STAR_PREIMAGE_LAWS):
-            full = run_laws(suite, D, budget=10**9, samples=0)
+            with monkeypatch.context() as scan_only:
+                uncertified(scan_only, [law.name for law in SUITES])
+                full = run_laws(suite, D, budget=10**9, samples=0)
             held = {r.name for r in full if r.holds and r.note == "exhaustive"} | D.laws
             for law, want in zip(suite, full):
                 rw = kadlib.algebra._rewrite(law, D, held)
                 if want.note != "exhaustive" or rw is None:
+                    continue
+                if rw.mode != "reduced":
+                    # a certificate, which run_laws tries before it lists instances
+                    assert want.holds, (name, law.name, rw.mode)
+                    seen["certified", True] += 1
                     continue
                 is_test = [v in rw.law.tests for v in rw.law.vars]
                 k = math.prod(kadlib.domain._sizes(D, is_test, rw.ranges))
@@ -1514,20 +1601,25 @@ def test_rewrites_give_the_full_scans_verdicts():
                     seen["fallback"] += 1
                     continue
                 assert got.holds == want.holds, (name, law.name, got, want)
-                assert got.note == (rw.mode if rw.mode != "reduced" else f"reduced ({k})")
+                assert got.note == f"reduced ({k})"
                 if not got.holds:
                     assert fails_at(D, law, witness_values(D, law, got.witness)), (name, got)
-                seen[rw.mode.split()[0], got.holds] += 1
+                seen["reduced", got.holds] += 1
     assert seen["reduced", True] and seen["reduced", False] and seen["certified", True], seen
 
 
-def test_a_rewritten_law_takes_no_draws():
+def test_a_rewritten_law_takes_no_draws(monkeypatch):
     """A law decided through the rewrite step takes no draws from the run's rng, so
     the laws sampled after it draw what they would draw without it: here rule-while's
     failing sample differs from the one found when rule-composition was sampled too.
-    rel(2)'s predomain with dom and cod swapped fails both rules."""
+    rel(2)'s predomain with dom and cod swapped fails both rules.  Uncertified, as
+    rule-conditional and rule-weakening hold there by their certificates, which take
+    no draws either."""
     P = compute_predomain(rel_semiring(2), rel_tests(2))
     D = DomainStructure(P.owner, P.tests, P.rho, P.delta)
+    assert [r.note for r in run_laws(HOARE_RULES, D, budget=100, samples=40, rng=random.Random(1))] == [
+        "reduced (75)", "certified by cod-additive", "sampled (40)", "certified by cod-additive"]
+    uncertified(monkeypatch)
     got = run_laws(HOARE_RULES, D, budget=100, samples=40, rng=random.Random(1))
     assert [r.note for r in got] == ["reduced (75)", "sampled (40)", "sampled (40)", "reduced (64)"]
     assert got[0].witness == {"a": "{(1,2)}", "b": "{(2,1)}", "p": "{(1,1)}", "q": "{(1,1)}", "r": "{}"}
@@ -1614,8 +1706,9 @@ def test_a_structures_laws_claim_only_what_holds():
     assert not all(local)
 
 
-def test_rel3_weakening_rewrite_matches_its_full_scan():
-    """The one full-cube rel(3) cross-check: rule-weakening, 512 * 8^4 instances."""
+def test_rel3_weakening_rewrite_matches_its_full_scan(monkeypatch):
+    """The one full-cube rel(3) cross-check: rule-weakening, 512 * 8^4 instances, and its rewrite, uncertified."""
+    uncertified(monkeypatch)
     D = compute_predomain(rel_semiring(3), rel_tests(3))
     weakening = next(law for law in HOARE_RULES if law.name == "rule-weakening")
     assert kadlib.algebra._Scanner(D.owner, D=D).first_failure(weakening) is None
@@ -1628,7 +1721,8 @@ def test_corruptions_are_seen():
 
 
 @pytest.mark.parametrize("D", [rel_model(2), rel_model(3), corrupt_domain(0)], ids=["rel2", "rel3", "corrupt0"])
-def test_small_budget_sampling_matches_the_per_law_predicates(D):
+def test_small_budget_sampling_matches_the_per_law_predicates(D, monkeypatch):
+    uncertified(monkeypatch)
     got = check_star_preimage_laws(D, samples=40, rng=random.Random(3), budget=30)
     assert rows(got) == rows(reference_star_preimage(D, samples=40, rng=random.Random(3), budget=30))
     assert {r.note for r in got} >= {"sampled (40)"}
@@ -1639,9 +1733,10 @@ def test_small_budget_sampling_matches_the_per_law_predicates(D):
 
 
 @pytest.mark.parametrize("check", [check_star_preimage_laws, check_hoare_rules])
-def test_law_suites_sample_past_the_enumerable_tests(check):
-    # rel(17) has 2^17 tests, more than RelModel lists; only rule-weakening's
+def test_law_suites_sample_past_the_enumerable_tests(check, monkeypatch):
+    # rel(17) has 2^17 tests, more than RelModel lists; uncertified, only rule-weakening's
     # rewrite, over 17^2 + 1 relations and 17 + 1 tests, needs no list of them
+    uncertified(monkeypatch)
     reports = check(rel_model(17), samples=20, rng=random.Random(5))
     assert len(reports) > 1
     exact = {"rule-weakening": "reduced (5220)"}

@@ -11,6 +11,7 @@ from kadlib.algebra import TestAlgebra, all_hold, failures
 from kadlib.domain import DomainStructure, compute_predomain
 from kadlib.models import Relation, conway_model, rel_model, rel_semiring, rel_tests
 from kadlib.reach import ReachResult, check_star_preimage_laws, reach_efficient, reach_naive
+from test_laws import uncertified
 
 
 def chain_model(n):
@@ -249,16 +250,25 @@ def test_efficient_requires_locality():
 # -- the star-preimage law suite -----------------------------------------------------------
 
 
+# how each star/preimage law is certified where the laws its derivation uses hold, as on every relation model
+CERTIFIED_NOTES = {
+    "star-of-domain": "certified by star-left-induction",
+    "domain-of-star": "certified by d1",
+    "invariant-star": "certified by star-left-induction",
+    "preimage-star-induction": "certified by invariant-star",
+    "frontier-bound": "certified by preimage-star-induction",
+    "frontier-decomposition": "certified by preimage-star-induction",
+    "preimage-horn-induction": "certified by preimage-star-induction",
+}
+
+
 def test_star_preimage_laws_exhaustive_on_relations():
+    # every law is certified by its derivation before any instance is listed; taken uncertified, each
+    # law is scanned in full but the horn law, which keeps its certificate
     for n in (2, 3):
         rep = check_star_preimage_laws(rel_model(n))
         assert all_hold(rep), (n, [str(r) for r in failures(rep)])
-        # rel(3) pushes the four-variable horn law over the budget; it is
-        # certified by preimage-star-induction, which was scanned in full
-        expected_notes = {"exhaustive"} if n == 2 else {"exhaustive", "certified by preimage-star-induction"}
-        assert {r.note for r in rep} == expected_notes
-        if n == 3:
-            assert {r.name for r in rep if r.note != "exhaustive"} == {"preimage-horn-induction"}
+        assert {r.name: r.note for r in rep} == CERTIFIED_NOTES
         assert {r.name for r in rep} == {
             "star-of-domain",
             "domain-of-star",
@@ -270,8 +280,13 @@ def test_star_preimage_laws_exhaustive_on_relations():
         }
 
 
-def test_horn_induction_on_the_rel3_predomain_is_certified():
-    rep = check_star_preimage_laws(compute_predomain(rel_semiring(3), rel_tests(3)))
+def test_horn_induction_on_the_rel3_predomain_is_certified(monkeypatch):
+    D = compute_predomain(rel_semiring(3), rel_tests(3))
+    rep = check_star_preimage_laws(D)
+    assert all_hold(rep)
+    assert {r.name: r.note for r in rep} == CERTIFIED_NOTES
+    uncertified(monkeypatch)
+    rep = check_star_preimage_laws(D)
     assert all_hold(rep)
     assert {r.name: r.note for r in rep if r.note != "exhaustive"} == {
         "preimage-horn-induction": "certified by preimage-star-induction"
@@ -283,7 +298,7 @@ def test_star_preimage_laws_gate_on_locality():
     D = compute_predomain(S, TestAlgebra.discrete(S))
     rep = {r.name: r for r in check_star_preimage_laws(D)}
     for name in ("star-of-domain", "domain-of-star", "invariant-star"):
-        assert rep[name].holds and rep[name].note == "exhaustive"
+        assert rep[name].holds and rep[name].note == CERTIFIED_NOTES[name]
     for name in (
         "preimage-star-induction",
         "frontier-bound",
@@ -305,14 +320,16 @@ def test_star_preimage_laws_catch_a_broken_domain():
     assert rep["domain-of-star"].witness == {"a": "0"}
 
 
-def test_a_budget_past_what_a_relation_model_lists_samples():
-    # rel(5) has 2^25 elements; RelModel lists them only for n <= 4
+def test_a_budget_past_what_a_relation_model_lists_samples(monkeypatch):
+    # rel(5) has 2^25 elements; RelModel lists them only for n <= 4; the laws are taken uncertified
+    uncertified(monkeypatch)
     rep = check_star_preimage_laws(rel_model(5), budget=10**9)
     assert all_hold(rep)
     assert all(r.note == "sampled (1000)" for r in rep)
 
 
-def test_small_budget_falls_back_to_sampling():
+def test_small_budget_falls_back_to_sampling(monkeypatch):
+    uncertified(monkeypatch)
     rep = check_star_preimage_laws(rel_model(2), samples=50, rng=random.Random(3), budget=4)
     assert all_hold(rep)
     assert all(r.note == "sampled (50)" for r in rep)
