@@ -41,13 +41,13 @@ the same tables:
   1994), certified (_CERTIFICATES); guard: the axioms and isemiring laws
   their derivations use.
 
-Every other law goes through _rewrite, the one law-rewrite step, which
-domain.run_laws uses too, trying the certificate before listing any
-instance.  It certifies a law once the laws its derivation uses have held
-(_CERTIFICATES: the star theorems above, the domain calculus and the axiom
-forms llp, gla, lrp and gra, added by domain, the star/preimage laws,
-added by reach, and the Hoare rules, added by hoare), or rewrites it to an
-equivalent law with fewer instances:
+Every other law is certified (_certified) once the laws its derivation
+uses have held (_CERTIFICATES: the star theorems above, the domain
+calculus and the axiom forms llp, gla, lrp and gra, added by domain, the
+star/preimage laws, added by reach, and the Hoare rules, added by hoare),
+which domain.run_laws tries before listing any instance.  Failing that,
+_rewrite, the one law-rewrite step, which run_laws uses too, rewrites it
+to an equivalent law with fewer instances:
 Horn elimination and join-irreducible ranges (the join-irreducibles read
 off the generators of +), behind guard laws that held on every instance
 (the isemiring laws and dom- and cod-additivity).  A law whose guard has
@@ -201,11 +201,18 @@ class FiniteSemiring:
         return tuple(_check(ISEMIRING_LAWS, _Scanner(self, symmetric=False), [zero_not_one], _decided))
 
     @functools.cached_property
-    def _kleene_reports(self) -> tuple:
-        """check_kleene's reports, decided once, as _isemiring_reports are; DomainStructure reads the star axioms here."""
-        powers = _report("powers-below-star", _powers_below_star(self), note=f"powers up to {self.n}")
+    def _star_axiom_reports(self) -> tuple:
+        """The reports of the star axioms, check_kleene's first four, decided once; DomainStructure reads them."""
         held = [r.name for r in self._isemiring_reports if r.holds]
-        return tuple(_check(KLEENE_LAWS, _Scanner(self), [powers], _decided, held))
+        return tuple(_check(KLEENE_LAWS[: len(_STAR_AXIOMS)], _Scanner(self), [], _decided, held))
+
+    @functools.cached_property
+    def _kleene_reports(self) -> tuple:
+        """check_kleene's reports, decided once, as _isemiring_reports are: the star axioms', then the laws after them."""
+        powers = _report("powers-below-star", _powers_below_star(self), note=f"powers up to {self.n}")
+        held = [r.name for r in (*self._isemiring_reports, *self._star_axiom_reports) if r.holds]
+        rest = _check(KLEENE_LAWS[len(_STAR_AXIOMS) :], _Scanner(self), [powers], _decided, held)
+        return (*self._star_axiom_reports, *rest)
 
     @functools.cached_property
     def _terms(self) -> dict:
@@ -1301,19 +1308,15 @@ class _Rewrite(NamedTuple):
     law: Law
     # per variable of law its values in scan order, None for all of them; None if none is narrowed
     ranges: Optional[tuple]
-    # "reduced", or "certified by <law>" (law is then the given one, to be taken as holding)
-    mode: str
     # (variable, value) for each Horn-eliminated variable, in the order of elimination
     bounds: tuple = ()
 
 
 def _rewrite(law: Law, model, held, budget: int = 0) -> Optional[_Rewrite]:
-    """law certified, or rewritten to an equivalent law with fewer instances, or None where neither applies.
+    """law rewritten to an equivalent law with fewer instances, or None where no rewrite applies.
 
-    held names the laws known to hold on every instance in model.  A table
-    law (_TABLE_LAWS) whose certificate (_CERTIFICATES) and the laws it
-    needs have held is certified.  Otherwise, once the guards
-    _REWRITE_GUARDS have held, Horn elimination (_eliminated: v := t1 +
+    held names the laws known to hold on every instance in model.  Once
+    the guards _REWRITE_GUARDS have held, Horn elimination (_eliminated: v := t1 +
     ... + tk) and then join-irreducible ranges (_narrowed) run, each only
     while the law has more instances than budget.  Both are equivalences,
     so a failure of the result is one of law, lifted by giving each
@@ -1322,9 +1325,6 @@ def _rewrite(law: Law, model, held, budget: int = 0) -> Optional[_Rewrite]:
     test_count; join_irreducibles and the atom surface for narrowed
     ranges) and is read only past the guards.
     """
-    mode = _certified(law, held)
-    if mode is not None:
-        return _Rewrite(law, None, mode)
     if law.name in _REWRITE_GUARDS or not held.issuperset(_REWRITE_GUARDS):
         return None
     n = model.size() or math.inf
@@ -1340,7 +1340,7 @@ def _rewrite(law: Law, model, held, budget: int = 0) -> Optional[_Rewrite]:
         law, bounds = _eliminated(law)
     if space(law) > budget:
         ranges = _narrowed(law, model, held, size)
-    return None if law is given and ranges is None else _Rewrite(law, ranges, "reduced", bounds)
+    return None if law is given and ranges is None else _Rewrite(law, ranges, bounds)
 
 
 def _eliminated(law: Law) -> tuple:
@@ -1419,16 +1419,18 @@ def _decided(scanner: _Scanner, law: Law, held: set) -> bool:
 
     A law in held holds.  A law with a reduction holds if the laws the
     reduction needs have held and the reduction finds it true.  Any other
-    law holds if _rewrite certifies it, or rewrites it to an equivalent law
-    that the scanner finds no failure of.
+    law holds if it is certified (_certified), or _rewrite rewrites it to an
+    equivalent law that the scanner finds no failure of.
     """
     if law.name in held:
         return True
     if law.name in _REDUCTIONS:
         needs, holds = _REDUCTIONS[law.name]
         return held.issuperset(needs) and holds(scanner.S)
+    if _certified(law, held) is not None:
+        return True
     rw = _rewrite(law, scanner.D, held)
-    return rw is not None and (rw.mode != "reduced" or scanner.first_failure(rw.law, rw.ranges) is None)
+    return rw is not None and scanner.first_failure(rw.law, rw.ranges) is None
 
 
 def check_isemiring(S: FiniteSemiring) -> list[LawReport]:

@@ -28,7 +28,6 @@ from .algebra import (
     _CERTIFICATES,
     _ISEMIRING_NAMES,
     _ISR,
-    _STAR_AXIOMS,
     _certified,
     _check,
     _commuting,
@@ -79,7 +78,7 @@ class DomainStructure(_Tables):
     delta/rho map each carrier index to a test; they may be any maps (the
     axioms are checked, not assumed).  laws names the laws known to hold on
     every instance: the guards of _decide_axioms, the DOMAIN_AXIOMS that
-    held and the owner's star axioms that held (its _kleene_reports), all
+    held and the owner's star axioms that held (its _star_axiom_reports), all
     decided on construction.  Its element surface (zero, one,
     add, mul, leq, star and conv, which raise where the owner has no
     column) and test operations are _Tables' over owner and tests.
@@ -123,7 +122,7 @@ class DomainStructure(_Tables):
         """
         held = {r.name for r in (*self.owner._isemiring_reports, *self.tests._reports) if r.holds}
         if self.owner.star is not None:
-            held.update(r.name for r in self.owner._kleene_reports if r.holds and r.name in _STAR_AXIOMS)
+            held.update(r.name for r in self.owner._star_axiom_reports if r.holds)
         # made once the isemiring and Kleene scans have ended, so that two scanners' chunk buffers never coexist
         scanner = _Scanner(self.owner, D=self)
         if held.issuperset(_ISEMIRING_NAMES):
@@ -599,16 +598,15 @@ def _named_report(law: Law, D, values, note: str) -> LawReport:
 def _by_rewrite(law: Law, D, held, budget: int, scanner) -> Optional[LawReport]:
     """law decided through the rewrite algebra._rewrite(law, D, held, budget) makes of it, or None.
 
-    run_laws has tried law's certificate already.  The rewritten law is
-    decided by an exhaustive scan of its instances when they fit the
-    budget: if they all hold, so does law; the first that fails is lifted
-    to an instance of law, each eliminated variable taking its bound's
-    value, and reported once the scalar evaluator confirms that law fails
-    there.  None where there is no rewrite, the rewritten law does not
+    The rewritten law is decided by an exhaustive scan of its instances
+    when they fit the budget: if they all hold, so does law; the first
+    that fails is lifted to an instance of law, each eliminated variable
+    taking its bound's value, and reported once the scalar evaluator
+    confirms that law fails there.  None where there is no rewrite, the rewritten law does not
     fit, or its failure does not lift to one of law.
     """
     rw = _rewrite(law, D, held, budget)
-    if rw is None or rw.mode != "reduced":
+    if rw is None:
         return None
     is_test = [v in rw.law.tests for v in rw.law.vars]
     envs, exhaustive = _instances(D, is_test, budget, 0, None, rw.ranges)

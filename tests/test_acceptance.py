@@ -211,18 +211,31 @@ def test_criterion_07_reachability():
     report(7, "reachability", problems)
 
 
-def test_criterion_08_star_preimage_laws():
+def test_criterion_08_star_preimage_laws(monkeypatch):
+    """Each law certified on rel(3) and rel(4); then, with every certificate taken out, scanned on
+    rel(2) and the Conway predomains and checked at 1000 sampled instances on rel(3) and rel(4)."""
+    from test_laws import SUITES, uncertified
+
     problems = []
     exhaustive_targets = [rel_model(2)] + [predomain_of(nm)[1] for nm in conway_names()]
-    for D in exhaustive_targets:
-        problems += [str(r) for r in failures(check_star_preimage_laws(D))]
-    for n in (3, 4):
-        rep = check_star_preimage_laws(
-            rel_model(n), samples=1000, rng=random.Random(80 + n), budget=1
-        )
-        problems += [f"rel({n}): {r}" for r in failures(rep)]
-        if not all(r.note.startswith("certified by ") for r in rep):
-            problems.append(f"rel({n}): expected every law certified, with no instance to list")
+
+    def check(exact, sampled):
+        for D in exhaustive_targets:
+            rep = check_star_preimage_laws(D)
+            problems.extend(f"{D.name}: {r}" for r in failures(rep))
+            if not all(exact(r.note) or r.note.startswith("not applicable") for r in rep):
+                problems.append(f"{D.name}: expected exhaustive checks")
+        for n in (3, 4):
+            rep = check_star_preimage_laws(
+                rel_model(n), samples=1000, rng=random.Random(80 + n), budget=1
+            )
+            problems.extend(f"rel({n}): {r}" for r in failures(rep))
+            if not all(sampled(r.note) for r in rep):
+                problems.append(f"rel({n}): unexpected notes {[r.note for r in rep]}")
+
+    check(lambda note: True, lambda note: note.startswith("certified by "))
+    uncertified(monkeypatch, [law.name for law in SUITES])
+    check(lambda note: note == "exhaustive", lambda note: note == "sampled (1000)")
     report(8, "star-preimage-laws", problems)
 
 
@@ -374,7 +387,9 @@ def test_criterion_10_termination():
     report(10, "termination", problems)
 
 
-def test_criterion_11_hoare_logic():
+def test_criterion_11_hoare_logic(monkeypatch):
+    from test_laws import SUITES, uncertified
+
     problems = []
     targets = [rel_model(2)] + [predomain_of(nm)[1] for nm in KAD_BUILTINS]
     for D in targets:
@@ -382,6 +397,13 @@ def test_criterion_11_hoare_logic():
         problems += [str(r) for r in failures(rep)]
         if not all(r.note == "exhaustive" or r.note.startswith("certified by ") for r in rep):
             problems.append("rule check was not exact")
+    with monkeypatch.context() as scan_only:
+        uncertified(scan_only, [law.name for law in SUITES])
+        for D in targets:
+            rep = check_hoare_rules(D)
+            problems += [str(r) for r in failures(rep)]
+            if not all(r.note == "exhaustive" for r in rep):
+                problems.append("uncertified rule check was not exhaustive")
 
     from test_hoare import gen_valid
 
