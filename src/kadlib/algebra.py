@@ -282,9 +282,6 @@ class FiniteSemiring:
     def element_name(self, i: int) -> str:
         return self.carrier[i]
 
-    def elements(self) -> range:
-        return range(self.n)
-
     def leq(self, a: int, b: int) -> bool:
         """Natural order: a <= b iff a + b = b."""
         return int(self.add[a, b]) == b
@@ -376,12 +373,6 @@ class TestAlgebra:
         """Minimal nonzero members: p such that only 0 and p lie below p."""
         zero = self.owner.zero
         return [p for p in self.members if p != zero and not any(q not in (zero, p) and self.leq(q, p) for q in self.members)]
-
-    def atoms_below(self, p: int) -> list[int]:
-        return [q for q in self.atoms() if self.leq(q, p)]
-
-    def lower_size(self, p: int) -> int:
-        return sum(1 for q in self.members if self.leq(q, p))
 
     @functools.cached_property
     def _compl_column(self):

@@ -4,7 +4,7 @@ The domain of a is the least test p that preserves a on the left (a <= pa);
 codomain is the same computation with the product reversed (a <= ap).  Both
 are stored as unary tables inside a DomainStructure, which also exposes the
 image and preimage operators and the laws known to hold (d1, d2, locality,
-...) that downstream reachability and termination analyses key on.
+..., atomic-preimage) that downstream reachability and termination analyses key on.
 
 As in algebra, checkers report rather than raise: structures that violate
 the axioms (independence proofs, locality counterexamples) are data here.
@@ -71,6 +71,21 @@ __all__ = [
     "CONVERSE_DUALITY",
 ]
 
+# When atom rows decide a:p (atomic-preimage): a:p = dom(a (t1 + ... + tr)) for the atoms t below p
+# (atomic-tests) is dom(a t1 + ... + a tr) = a:t1 + ... + a:tr (distributivity, dom-additive), and for
+# p = 0, dom(a 0) = dom(0 0) <= 0 (annihilation, d2).  So a:_ is additive and fixed by its rows (Jonsson
+# and Tarski, "Boolean algebras with operators", 1951), as is every pointwise join and composite of such
+# maps.  p:a (atomic-image) is the mirror, by cd2 and cod-additive.
+_ATOMIC = (
+    ("atomic-preimage", frozenset({*_ISEMIRING_NAMES, "d2", "dom-additive", "atomic-tests"})),
+    ("atomic-image", frozenset({*_ISEMIRING_NAMES, "cd2", "cod-additive", "atomic-tests"})),
+)
+
+
+def _with_atomic(held) -> frozenset:
+    """held, plus each _ATOMIC fact whose laws are all in held."""
+    return frozenset(held).union(fact for fact, needs in _ATOMIC if needs <= held)
+
 
 class DomainStructure(_Tables):
     """A semiring with test algebra plus domain and codomain tables.
@@ -79,9 +94,9 @@ class DomainStructure(_Tables):
     axioms are checked, not assumed).  laws names the laws known to hold on
     every instance: the guards of _decide_axioms, the DOMAIN_AXIOMS that
     held and the owner's star axioms that held (its _star_axiom_reports), all
-    decided on construction.  Its element surface (zero, one,
-    add, mul, leq, star and conv, which raise where the owner has no
-    column) and test operations are _Tables' over owner and tests.
+    decided on construction, and the _ATOMIC facts they give.  Its element
+    surface (zero, one, add, mul, leq, star and conv, which raise where the
+    owner has no column) and test operations are _Tables' over owner and tests.
     """
 
     def __init__(self, owner: FiniteSemiring, tests: TestAlgebra, delta, rho, name: str = ""):
@@ -105,7 +120,7 @@ class DomainStructure(_Tables):
         self._top = owner.top()
         # the tables are read-only, so the guards and the axioms are decided once, here
         guards, self._axiom_reports = self._decide_axioms()
-        self.laws = guards.union(r.name for r in self._axiom_reports if r.holds)
+        self.laws = _with_atomic(guards.union(r.name for r in self._axiom_reports if r.holds))
 
     def _decide_axioms(self) -> tuple[frozenset, list[LawReport]]:
         """(guards, reports): the guards of algebra._rewrite that hold here, then the DOMAIN_AXIOMS reports behind them.
@@ -199,7 +214,7 @@ class DomainStructure(_Tables):
         return self.tests.members[rng.randrange(len(self.tests.members))]
 
     def atoms_below(self, p: int) -> list[int]:
-        return self.tests.atoms_below(p)
+        return [t for t in self._atoms if self.owner.leq(t, p)]
 
     def atom_positions(self, p: int) -> list[int]:
         return [k for k, t in enumerate(self._atoms) if self.owner.leq(t, p)]
@@ -208,9 +223,13 @@ class DomainStructure(_Tables):
         return functools.reduce(self.test_join, (self._atoms[k] for k in ks), self.test_zero)
 
     def preimage_rows(self, a: int) -> list[list[int]]:
+        if "atomic-preimage" not in self.laws:
+            raise ValueError(f"{self.name} lacks atomic-preimage: atom rows do not give a:p")
         return [self.atom_positions(self.preimage(a, t)) for t in self._atoms]
 
     def image_rows(self, a: int) -> list[list[int]]:
+        if "atomic-image" not in self.laws:
+            raise ValueError(f"{self.name} lacks atomic-image: atom rows do not give p:a")
         return [self.atom_positions(self.image(t, a)) for t in self._atoms]
 
     def test_name(self, p: int) -> str:

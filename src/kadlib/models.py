@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Optional, Sequence
 
 from .algebra import _CHUNK, _ISEMIRING_NAMES, _Record, _row_blocks, _STAR_AXIOMS, ISEMIRING_LAWS, KLEENE_LAWS, FiniteSemiring, Law, LawReport, TestAlgebra, np
-from .domain import _TEST_NAMES, _require_tests, run_laws
+from .domain import _TEST_NAMES, _require_tests, _with_atomic, run_laws
 from .reach import _grow
 
 __all__ = [
@@ -66,7 +66,8 @@ class ModelHandle:
     has the same names over its tables, so one checker takes either.  A
     finite model may offer symmetries(), candidate automorphisms for materialize.
     laws names the laws known to hold on every instance (DomainStructure's
-    surface too): none here, the ones that hold by construction in a subclass.
+    surface too): none here, the ones that hold by construction in a subclass;
+    the rows decide a:p (p:a) only where it names atomic-preimage (atomic-image).
     """
 
     name = "model"
@@ -356,7 +357,7 @@ class RelModel(ModelHandle):
     has_star = True
     # every relation model is a Kleene algebra with a local domain and codomain, whose tests are
     # all the subsets of its states
-    laws = frozenset({
+    laws = _with_atomic({
         *_ISEMIRING_NAMES, *_STAR_AXIOMS, *_TEST_NAMES, "dom-additive", "cod-additive", "atomic-tests",
         "d1", "d2", "dloc", "cd1", "cd2", "cdloc",
     })
@@ -441,9 +442,6 @@ class RelModel(ModelHandle):
 
     def sample_test(self, rng) -> int:
         return rng.randrange(1 << self.n)
-
-    def test_atoms(self) -> list[int]:
-        return [1 << i for i in range(self.n)]
 
     def atoms_below(self, p: int) -> list[int]:
         return [1 << k for k in _bit_positions(p)]
@@ -966,22 +964,15 @@ def bounded_path_model(vertices, maxlen: int) -> PathModel:
 # predicate transformers
 
 
-# The source laws under which a map is fixed by its values on the atoms: then
-# a:p = dom(a (k1 + ... + kr)) for the atoms k below p (atomic-tests), which is
-# dom(a k1 + ... + a kr) = a:k1 + ... + a:kr (distributivity, dom-additive); for
-# p = 0, dom(a 0) = dom(0 0) <= 0 (annihilation, d2).  So every map, and every
-# pointwise join and composite of maps, is additive (Jonsson and Tarski, 1951).
-_ATOM_KEY_LAWS = frozenset({*_ISEMIRING_NAMES, "d2", "dom-additive", "atomic-tests"})
-
-# The source laws under which, further, a star's map is the sum of the powers of
-# the element's map: then a*:p is the least X >= p with a:X <= X, and for an
-# additive map that is p + a:p + a:(a:p) + ... on a finite lattice.  a*:p is such
+# The source laws under which, beyond atomic-preimage, a star's map is the sum of
+# the powers of the element's map: then a*:p is the least X >= p with a:X <= X, and
+# for an additive map that is p + a:p + a:(a:p) + ... on a finite lattice.  a*:p is such
 # an X: 1 <= a* and a a* <= a* (star-left-unfold), so p = dom(p) <= dom(a* p) (d1,
 # d2, dom monotone by dom-additive) and a:(a*:p) = dom(a dom(a* p)) <= dom(a a* p)
 # <= dom(a* p) (dloc).  It is the least: from dom(a X) <= X, a X <= dom(a X) a X
 # <= X a (d1, X <= 1), so X + a (X a*) <= X (1 + a a*) <= X a*, star-left-induction
 # gives a* X <= X a*, and with p <= X, dom(a* p) <= dom(X a*) <= X (d2).
-_STAR_LAWS = _ATOM_KEY_LAWS | {"d1", "dloc", "star-left-unfold", "star-left-induction"}
+_STAR_LAWS = frozenset({"atomic-preimage", "d1", "dloc", "star-left-unfold", "star-left-induction"})
 
 
 class TransformerModel(ModelHandle):
@@ -990,7 +981,7 @@ class TransformerModel(ModelHandle):
     Transformers are tuples over test positions, one row each of the array
     `table`; join is pointwise, composition is map composition, and star
     is the transformer of a star of a source element inducing the map.
-    Where the source's laws hold _ATOM_KEY_LAWS and the t tests over
+    Where the source's laws hold atomic-preimage and the t tests over
     m atoms give t^m <= _CHUNK keys, the model is atom-keyed: a map is
     computed from the preimages of the atoms alone and keyed by its values
     there, in base t.  Where they hold _STAR_LAWS too, index_tables gives
@@ -1012,7 +1003,7 @@ class TransformerModel(ModelHandle):
         self._joinpos = tuple(tuple(pos[D.test_join(p, q)] for q in members) for p in members)
         # the column of each atom where atom-keyed, else None
         self._atoms = None
-        if _ATOM_KEY_LAWS <= D.laws:
+        if "atomic-preimage" in D.laws:
             m = len(D.atom_positions(D.test_one))
             if t**m <= _CHUNK:
                 self._atoms = [pos[D.test_from_positions([k])] for k in range(m)]

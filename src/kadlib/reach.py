@@ -15,7 +15,7 @@ has joined".
 
 Works over any object exposing the atom surface (atom_positions,
 test_from_positions, preimage_rows, whose row k holds the atoms below a:t
-for the k-th atom t): table-backed DomainStructure or a relational model.
+for the k-th atom t) whose laws name atomic-preimage: a relational model or a DomainStructure.
 """
 
 from __future__ import annotations

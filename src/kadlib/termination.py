@@ -9,13 +9,13 @@ already-reached part, here p - q means p q'.
 
 How a verdict is decided:
 
-- Past the budget, Noethericity is decided exactly wherever preimage is
-  monotone, on every model whose laws name d1 and d2 (every relation
-  model, and every domain structure where both held): the greatest test p
-  with p <= a:p, the stuck set, is the complement of what reach's counting
-  worklist grows from the atoms that step nowhere, and a is Noetherian iff
-  it is 0; otherwise it is the witness.  Well-foundedness is the same with
-  image in place of preimage, where the laws name cd1 and cd2.  On relations,
+- Past the budget, Noethericity is decided exactly on every model whose
+  laws name atomic-preimage (domain._ATOMIC; every relation model has it):
+  the greatest test p with p <= a:p, the stuck set, is the complement of
+  what reach's counting worklist grows from the atoms that step nowhere,
+  and a is Noetherian iff it is 0; otherwise it is the witness.
+  Well-foundedness is the same with image in place of preimage, where the
+  laws name atomic-image.  On relations,
   a is Löbian iff it is transitive and Noetherian, and the Noetherian
   verdict supplies the stuck set.
 - Every other verdict is one search for the first failing test over
@@ -105,10 +105,8 @@ def stuck_set(D, a, forward: bool = False):
     Its complement is a least fixpoint, grown by reach's counting worklist
     from the atoms that step nowhere: an atom joins once every atom it
     steps into (is stepped into from, when forward) has joined.  The
-    preimage rows (image rows when forward) come from one model call.
-    Exact when a:x is the join of a:t over the atoms t below x, as in every
-    relation model and, by d1 and d2 (cd1 and cd2 for image), in every
-    domain structure.
+    preimage rows (image rows when forward) come from one model call, so D's
+    laws must name atomic-preimage (atomic-image when forward).
     """
     # atom k feeds the atoms that step into it (that it steps into, when forward)
     feeds = D.image_rows(a) if forward else D.preimage_rows(a)
@@ -124,8 +122,7 @@ def _terminates(D, a, forward: bool, budget: int, samples: int, rng) -> Verdict:
     """No nonzero test p satisfies p <= a:p (p <= p:a when forward)."""
     _require_tests(D, ["is_well_founded" if forward else "is_noetherian"])
     what = "p <= p:a" if forward else "p <= a:p"
-    monotone = ("cd1", "cd2") if forward else ("d1", "d2")
-    if D.test_count() > budget and D.laws.issuperset(monotone):
+    if D.test_count() > budget and ("atomic-image" if forward else "atomic-preimage") in D.laws:
         stuck = stuck_set(D, a, forward)
         return _verdict(D, None if stuck == D.test_zero else stuck, True, what)
     step = (lambda p: D.image(p, a)) if forward else (lambda p: D.preimage(a, p))

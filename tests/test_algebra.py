@@ -23,6 +23,7 @@ from kadlib.algebra import (
     var,
 )
 from kadlib.cli import Workspace
+from kadlib.domain import compute_predomain
 from kadlib.models import conway_model, conway_names, materialize, rel_model, rel_semiring, rel_tests
 from kadlib.termination import termination_report
 
@@ -147,7 +148,7 @@ def test_discrete_test_algebra():
     assert sorted(T.members) == sorted([S.zero, S.one])
     assert T.complement(S.zero) == S.one
     assert T.atoms() == [S.one]
-    assert T.atoms_below(S.zero) == []
+    assert compute_predomain(S, T).atoms_below(S.zero) == []
 
 
 def test_relational_test_algebra_atoms():
@@ -156,7 +157,7 @@ def test_relational_test_algebra_atoms():
     assert len(atoms) == 2
     full = T.join(atoms[0], atoms[1])
     assert full == T.one if hasattr(T, "one") else True
-    assert T.lower_size(full if isinstance(full, int) else 0) >= 1
+    assert sum(T.leq(q, full) for q in T.members) == len(T.members)
 
 
 def test_check_equation_holds_and_fails():

@@ -384,6 +384,63 @@ def test_check_exit_codes_for_bad_input(tmp_path, capsys):
     assert "error:" in err
 
 
+A2_DOC = semiring_to_doc(conway_model("A2"))
+# A2 with 1·1 = 0: no test p has 1 <= p·1, so there is no predomain; the identity converse keeps its laws unskipped
+NO_PREDOMAIN = {"semiring": {**A2_DOC["semiring"], "mul": [["0", "0"], ["0", "0"]], "conv": ["0", "1"]}}
+STEP = {**REL, "env": {"step": "R"}}
+ONE_LINE_ERRORS = {
+    # name: (workspace document, or a path spec in place of a file; the command and its options; exit code; message)
+    "semiring-null": ({"semiring": None}, ["check"], 2, "workspace declares no semiring"),
+    "carrier-repeated": ({"semiring": {**A2_DOC["semiring"], "carrier": ["0", "0"]}}, ["check"], 2, "carrier names are not distinct"),
+    "test-outside-the-carrier": (
+        {**A2_DOC, "tests": {"members": ["0", "x"], "compl": {"0": "x", "x": "0"}}}, ["check"], 2, "tests reference unknown name 'x'",
+    ),
+    "complement-not-total": (
+        {**A2_DOC, "tests": {"members": ["0", "1"], "compl": {"0": "1"}}},
+        ["check"],
+        2,
+        "bad test algebra: compl must be total exactly on members",
+    ),
+    "rel-not-a-number": ("rel:abc", ["check"], 2, "bad relation model spec 'rel:abc'"),
+    "neither-semiring-nor-n": ({}, ["check"], 2, "workspace declares neither a semiring nor a relational state space"),
+    "unknown-triple": ({**STEP, "proofs": {"p": {"rule": "axiom", "conclusion": "zzz"}}}, ["hoare", "--proof", "p"], 2, "p: unknown triple 'zzz'"),
+    "triple-without-post": (
+        {**STEP, "triples": {"t": {"pre": "true", "prog": "step"}}}, ["hoare", "--triple", "t"], 2, "t: a triple needs pre, prog and post",
+    ),
+    "triple-part-not-a-string": (
+        {**STEP, "triples": {"t": {"pre": "true", "prog": "step", "post": 3}}},
+        ["hoare", "--triple", "t"],
+        2,
+        "t: a triple's pre, prog and post must be strings",
+    ),
+    "proof-node-without-rule": (
+        {**STEP, "proofs": {"p": {"conclusion": {"pre": "true", "prog": "step", "post": "true"}}}},
+        ["hoare", "--proof", "p"],
+        2,
+        "p: a proof node needs rule and conclusion",
+    ),
+    "unreadable-path": (None, ["check"], 2, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    "no-predomain": (NO_PREDOMAIN, ["check", "--laws", "domain"], 3, "'1' has no left-preserving test; the test algebra is too small or the laws fail"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ONE_LINE_ERRORS))
+def test_bad_input_ends_in_one_stderr_line(case, tmp_path, capsys):
+    doc, (cmd, *options), code, message = ONE_LINE_ERRORS[case]
+    path = doc if isinstance(doc, str) else str(tmp_path / "missing.json") if doc is None else write_ws(tmp_path, doc)
+    assert main([cmd, path, *options]) == code
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: {message.format(path=path)}\n")
+
+
+def test_check_all_skips_the_domain_laws_in_one_stderr_line(tmp_path, capsys):
+    path = write_ws(tmp_path, NO_PREDOMAIN)
+    assert main(["check", path]) == 1
+    out, err = capsys.readouterr()
+    assert "mul-left-identity FAILS" in out
+    assert err == "skipping domain laws: '1' has no left-preserving test; the test algebra is too small or the laws fail\n"
+
+
 def test_check_missing_star_is_a_capability_error(tmp_path, capsys):
     doc = semiring_to_doc(conway_model("A2"))
     del doc["semiring"]["star"]
@@ -621,6 +678,15 @@ def test_hoare_proofs(tmp_path, capsys):
     assert main(["hoare", path, "--proof", "pfbad"]) == 1
     out, _ = capsys.readouterr()
     assert out.strip().startswith("proof pfbad INVALID: root: axiom triple does not hold")
+
+
+def test_an_invalid_loop_proof_names_its_side_condition(tmp_path, capsys):
+    loop = copy.deepcopy(CHAIN["proofs"]["pf"])
+    loop["conclusion"]["post"] = "true"
+    path = write_ws(tmp_path, {**CHAIN, "proofs": {"wbad": loop}})
+    assert main(["hoare", path, "--proof", "wbad"]) == 1
+    out, _ = capsys.readouterr()
+    assert out == "proof wbad INVALID: root: conclusion postcondition is not (not test and invariant)\n"
 
 
 def test_hoare_unknown_names(tmp_path, capsys):

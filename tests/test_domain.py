@@ -293,6 +293,24 @@ def assert_atom_surface_agrees(D):
             assert [atoms[j] for j in img[k]] == D.atoms_below(D.image(t, a))
 
 
+def test_relations_and_the_builtin_predomains_carry_both_atomic_facts():
+    structures = [rel_model(n) for n in (1, 2, 3)]
+    structures += [compute_predomain(rel_semiring(n), rel_tests(n)) for n in (1, 2, 3)]
+    structures += [predomain_of(name)[1] for name in conway_names()]
+    for D in structures:
+        assert {"atomic-preimage", "atomic-image"} <= D.laws, D.name
+
+
+def test_atom_rows_need_their_fact():
+    # dom(a) = 1 but dom(1) = 0 on A3_2 (0 < a < 1): dom is not additive, nor is cod
+    S = conway_model("A3_2")
+    D = DomainStructure(S, TestAlgebra.discrete(S), delta=[0, 2, 0], rho=[0, 2, 0])
+    with pytest.raises(ValueError, match=r"^domain\(A3_2\) lacks atomic-preimage: atom rows do not give a:p$"):
+        D.preimage_rows(S.one)
+    with pytest.raises(ValueError, match=r"^domain\(A3_2\) lacks atomic-image: atom rows do not give p:a$"):
+        D.image_rows(S.one)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_atom_surface_on_every_relation(n):
     D = rel_model(n)

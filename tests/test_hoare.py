@@ -315,6 +315,56 @@ def test_conditional_and_while_side_conditions(chain3):
     assert not v.holds and "premise postcondition is not the invariant" in v.note
 
 
+def bad_proofs():
+    """One proof per side condition of composition, conditional, while and weakening that no other test breaks:
+    the message of its first failing node, and that node's path, over chain3 (step = 1 -> 2 -> 3)."""
+    step, skip = Prim("step"), Prim("skip")
+    s1, s2, s3, s12, s23 = (TStates(k) for k in ((1,), (2,), (3,), (1, 2), (2, 3)))
+    axiom1, axiom2 = ProofTree("axiom", HoareTriple(s1, step, s2)), ProofTree("axiom", HoareTriple(s2, step, s3))
+    guard = TStates((1,))
+    cond = Cond(guard, step, skip)
+    then_t = HoareTriple(TAnd(guard, s12), step, s2)
+    else_t = HoareTriple(TAnd(TNot(guard), s12), skip, s2)
+    loop_guard = TNot(s3)
+    loop = While(loop_guard, step)
+    body_t = HoareTriple(TAnd(loop_guard, TTrue()), step, TTrue())
+    exit_t = TAnd(TNot(loop_guard), TTrue())
+
+    def composition(pre, prog, post, first=axiom1):
+        return ProofTree("composition", HoareTriple(pre, prog, post), (first, axiom2))
+
+    def conditional(pre, prog, then, orelse):
+        return ProofTree("conditional", HoareTriple(pre, prog, s2), (ProofTree("axiom", then), ProofTree("axiom", orelse)))
+
+    def loop_rule(prog, body, post=exit_t):
+        return ProofTree("while", HoareTriple(TTrue(), prog, post), (ProofTree("axiom", body),))
+
+    # weakening from {1} step {2, 3} to {1} step {2}, under a composition whose own conditions hold
+    narrowing = ProofTree("weakening", HoareTriple(s1, step, s2), (ProofTree("axiom", HoareTriple(s1, step, s23)),))
+    return {
+        "composition concludes a sequence": (composition(s1, step, s3), "root"),
+        "first premise precondition differs from the conclusion's": (composition(s12, Seq(step, step), s3), "root"),
+        "second premise postcondition differs from the conclusion's": (composition(s1, Seq(step, step), s23), "root"),
+        "conditional concludes an if-then-else": (conditional(s12, step, then_t, else_t), "root"),
+        "premise programs do not match the branches": (conditional(s12, cond, else_t, then_t), "root"),
+        "else-premise precondition is not (not test and pre)": (conditional(s12, cond, then_t, HoareTriple(s12, skip, s2)), "root"),
+        "branch postconditions differ from the conclusion's": (conditional(s12, cond, HoareTriple(TAnd(guard, s12), step, s23), else_t), "root"),
+        "while rule concludes a loop": (loop_rule(step, body_t), "root"),
+        "premise program is not the loop body": (loop_rule(loop, HoareTriple(TAnd(loop_guard, TTrue()), skip, TTrue())), "root"),
+        "premise precondition is not (test and invariant)": (loop_rule(loop, HoareTriple(TTrue(), step, TTrue())), "root"),
+        "conclusion postcondition is not (not test and invariant)": (loop_rule(loop, body_t, TTrue()), "root"),
+        "premise postcondition is not below the conclusion's": (composition(s1, Seq(step, step), s3, narrowing), "root.premise[0]"),
+    }
+
+
+@pytest.mark.parametrize("msg", list(bad_proofs()))
+def test_each_side_condition_names_itself_and_its_node(chain3, msg):
+    D, env = chain3
+    proof, path = bad_proofs()[msg]
+    v = validate_proof(proof, env, D)
+    assert not v.holds and v.witness == path and v.note == f"{path}: {msg}"
+
+
 
 def random_program(rng, depth):
     """A small program with leaves from two actions, two set names and two raw tests."""

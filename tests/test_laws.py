@@ -292,7 +292,7 @@ def reference_predomain(S, T):
     """delta, then rho as the predomain of opposite(S), element by element."""
 
     def least(S, T):
-        ordered = sorted(T.members, key=lambda p: (T.lower_size(p), p))
+        ordered = sorted(T.members, key=lambda p: (sum(T.leq(q, p) for q in T.members), p))
         return [least_preserver(S, T, a, ordered) for a in range(S.n)]
 
     So = opposite(S)
@@ -1669,7 +1669,8 @@ def test_additivity_guards_match_their_full_scans():
 def failing_claims(laws, D) -> set:
     """The names in laws that name a law of ISEMIRING_LAWS, TEST_LAWS, KLEENE_LAWS, DOMAIN_AXIOMS or the
     additivity laws and fail on the tables of D: a Law by check_laws' scan, a hand-written law by its
-    checker; and atomic-tests if a test is not the join of the atoms below it."""
+    checker; atomic-tests if a test is not the join of the atoms below it; and atomic-preimage (atomic-image)
+    if some a:p (p:a) is not the join of the atoms in the rows of D.preimage_rows(a) (image_rows) at p's positions."""
     S, T = D.owner, D.tests
     families = (*ISEMIRING_LAWS, *TEST_LAWS, *KLEENE_LAWS, *DOMAIN_AXIOMS, *kadlib.domain._ADDITIVITY)
     claimed = [law for law in families if (law if isinstance(law, str) else law.name) in laws]
@@ -1680,6 +1681,12 @@ def failing_claims(laws, D) -> set:
         for p in T.members:
             if functools.reduce(lambda x, t: int(S.add[x, t]), (t for t in atoms if S.leq(t, p)), S.zero) != p:
                 failing.add("atomic-tests")
+    for fact, rows, step in (("atomic-preimage", D.preimage_rows, D.preimage), ("atomic-image", D.image_rows, lambda a, p: D.image(p, a))):
+        if fact in laws and any(
+            D.test_from_positions(k for j in D.atom_positions(p) for k in row[j]) != step(a, p)
+            for a, row in ((a, rows(a)) for a in D.elements()) for p in T.members
+        ):
+            failing.add(fact)
     return failing
 
 
@@ -1695,6 +1702,11 @@ def test_a_structures_laws_claim_only_what_holds():
     domains += [(f"predomain-{name}", compute_predomain(S, TestAlgebra.discrete(S))) for name, S in
                 ((name, conway_model(name)) for name in conway_names())]
     domains += [(f"rel2-corrupt-{seed}", corrupt_domain(seed)) for seed in range(6)]
+    # dom = cod = 1 is additive but fails d2, so a:0 is not the empty join of its rows; and A3_3's chain 0 < a < 1,
+    # declared as tests, is not the join of its one atom a
+    S2, T2, A3 = rel_semiring(2), rel_tests(2), conway_model("A3_3")
+    domains += [("rel2-constant-one", DomainStructure(S2, T2, [S2.one] * S2.n, [S2.one] * S2.n))]
+    domains += [("A3_3-chain-tests", compute_predomain(A3, TestAlgebra(A3, [0, 1, 2], {0: 2, 1: 1, 2: 0})))]
     local = []
     for name, D in domains:
         assert not failing_claims(D.laws, D), name

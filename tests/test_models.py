@@ -253,7 +253,7 @@ def test_rel_model_elements_guard():
 
 def test_rel_test_algebra_atoms():
     D = rel_model(3)
-    atoms = D.test_atoms()
+    atoms = D.atoms_below(D.test_one)
     assert [D.test_name(a) for a in atoms] == ["{1}", "{2}", "{3}"]
     assert D.atoms_below(D.test_from_states([1, 3])) == [
         D.test_from_states([1]),

@@ -7,11 +7,12 @@ cost is pinned by counting atom preimages and images."""
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kadlib.algebra import TestAlgebra
+from kadlib.algebra import FiniteSemiring, TestAlgebra, Verdict
 from kadlib.domain import DomainStructure, compute_predomain
 from kadlib.cli import _has_cycle
 from kadlib.models import (
@@ -322,14 +323,20 @@ def test_transitive_closure_on_plain_tables():
 
 
 def zero_domain():
-    """The constant-zero domain on A2: d1 fails, so preimage gives no exact fixpoint."""
+    """The constant-zero domain on A2: d1 fails, but dom = 0 is additive, so its atom rows decide a:p."""
     A2 = conway_model("A2")
     return DomainStructure(A2, TestAlgebra.discrete(A2), delta=[0, 0], rho=[0, 0])
 
 
+def nonmonotone_domain():
+    """A domain on A3_2 (0 < a < 1) with dom(a) = 1 but dom(1) = 0: dom is not additive, so atom rows decide nothing."""
+    S = conway_model("A3_2")
+    return DomainStructure(S, TestAlgebra.discrete(S), delta=[0, 2, 0], rho=[0, 2, 0])
+
+
 def test_sampling_fallback_reports_itself():
-    D = zero_domain()
-    assert not {"d1", "cd1"} & D.laws
+    D = nonmonotone_domain()
+    assert not {"atomic-preimage", "atomic-image"} & D.laws
     v = is_noetherian(D, D.zero, budget=1, samples=50, rng=random.Random(1))
     assert v.holds and v.note == "sampled"
     w = is_loebian(D, D.zero, budget=1, samples=50, rng=random.Random(1))
@@ -337,9 +344,88 @@ def test_sampling_fallback_reports_itself():
 
 
 def test_sampled_verdicts_say_so_in_the_report():
-    D = zero_domain()
+    D = nonmonotone_domain()
     rep = termination_report(D, D.zero, budget=1, samples=50, rng=random.Random(1))
     assert str(rep) == "0: noetherian=true (sampled) well_founded=true (sampled) loebian=true (sampled)"
+
+
+def test_an_additive_zero_domain_is_decided_exactly():
+    D = zero_domain()
+    assert {"atomic-preimage", "atomic-image"} <= D.laws and "d1" not in D.laws
+    for check in (is_noetherian, is_well_founded):
+        assert check(D, D.one, budget=1) == Verdict(True, note="")
+
+
+# -- where atom rows decide a:p and p:a: the atomic-preimage and atomic-image facts -----------
+
+
+def rel2_moved(table, x, y, v):
+    """rel(2)'s predomain after add[x, y] or mul[x, y] := v, the cells named by their elements."""
+    S, T = rel_semiring(2), rel_tests(2)
+    tables = {k: np.array(getattr(S, k)) for k in ("add", "mul")}
+    tables[table][S.index(x), S.index(y)] = S.index(v)
+    S2 = FiniteSemiring(S.carrier, tables["add"], tables["mul"], S.zero, S.one, S.star, S.conv)
+    return compute_predomain(S2, TestAlgebra(S2, T.members, T.compl))
+
+
+def test_a_moved_mul_cell_is_not_decided_by_its_atom_rows():
+    D = rel2_moved("mul", "{(1,2)}", "{(1,1),(2,2)}", "{(1,2),(2,2)}")
+    assert {"d1", "d2"} <= D.laws and "atomic-preimage" not in D.laws
+    a = D.owner.index("{(1,2)}")
+    enumerated = is_noetherian(D, a)
+    assert not enumerated.holds and enumerated.note == "p <= a:p at p = {(1,1),(2,2)}"
+    assert is_noetherian(D, a, budget=0) == enumerated
+
+
+def test_a_moved_add_cell_is_not_decided_by_its_atom_rows():
+    D = rel2_moved("add", "{(1,1)}", "{(2,2)}", "{(2,1)}")
+    a = D.owner.index("{}")
+    assert is_noetherian(D, a).holds
+    assert is_noetherian(D, a, budget=0).holds
+
+
+def rel2_sweep(count=60):
+    """Seeded single-cell corruptions of rel(2)'s add, mul, delta and rho: count of each that still form a structure."""
+    S, T = rel_semiring(2), rel_tests(2)
+    D = compute_predomain(S, T)
+    rng = random.Random("rel2-cells")
+    for table in ("add", "mul", "delta", "rho"):
+        made = 0
+        while made < count:
+            if table in ("add", "mul"):
+                x, y = rng.randrange(S.n), rng.randrange(S.n)
+                old = int(getattr(S, table)[x, y])
+                v = rng.choice([u for u in range(S.n) if u != old])
+                try:
+                    yield rel2_moved(table, *map(S.element_name, (x, y, v)))
+                except ValueError:  # no least preserver: not a structure
+                    continue
+            else:
+                columns = {"delta": np.array(D.delta), "rho": np.array(D.rho)}
+                i = rng.randrange(S.n)
+                columns[table][i] = rng.choice([p for p in T.members if p != columns[table][i]])
+                yield DomainStructure(S, T, columns["delta"], columns["rho"])
+            made += 1
+
+
+def test_exact_verdicts_on_corrupted_rel2_structures_match_enumeration():
+    """At budget 0 a verdict is exact (its note not "sampled") where the model's laws name its fact, and then
+    it is the enumeration's; reach_naive refuses a structure without atomic-preimage."""
+    exact = refused = 0
+    for D in rel2_sweep():
+        for check, fact in ((is_noetherian, "atomic-preimage"), (is_well_founded, "atomic-image")):
+            for a in D.elements():
+                fast = check(D, a, budget=0)
+                if fact in D.laws:
+                    exact += 1
+                    assert fast.note != "sampled"
+                if fast.note != "sampled":
+                    assert fast.holds == check(D, a).holds, (check.__name__, D.el_name(a))
+        if "atomic-preimage" not in D.laws:
+            refused += 1
+            with pytest.raises(ValueError, match="lacks atomic-preimage"):
+                reach_naive(D, D.one, D.test_zero)
+    assert exact and refused
 
 
 def builtin_predomain(name):
@@ -433,7 +519,7 @@ def test_exact_predomain_verdicts_match_enumeration(name):
     else:
         S = conway_model(name)
         D = compute_predomain(S, TestAlgebra.discrete(S))
-    assert {"d1", "d2", "cd1", "cd2"} <= D.laws
+    assert {"atomic-preimage", "atomic-image"} <= D.laws
     # the Löb property is decided exactly on relation models only
     for a in D.elements():
         assert_exact_matches_enumeration(D, a, (is_noetherian, is_well_founded))
