@@ -69,12 +69,16 @@ failing values form a union of orbits, so every witness is the plain scan's.
 
 Only the table layer needs numpy; relations, reachability, termination and
 Hoare triples work on ints and lists, and importing numpy is most of a `kad`
-start-up.  So np is bound lazily here, and domain and models import it from
+start-up.  So np is bound lazily here, and domain and zoo import it from
 here.  A module __getattr__ never sees a module's own global lookups, so the
 first attribute read imports numpy and rebinds np to it in each kadlib module
-that holds the stand-in: the table kernels then pay no indirection.
-For the same reason kadlib's value classes are _Record subclasses: importing
-dataclasses and generating their methods was the largest start-up cost left.
+that holds the stand-in: the table kernels then pay no indirection.  The value
+layer (the record base _Record with LawReport and Verdict, Term and its
+builders, Law, the law lists, and _TABLE_LAWS and _CERTIFICATES, the very
+dicts that domain, reach and hoare extend) is in laws, which holds no numpy
+stand-in, so that reach, termination, hoare, relations and the kad front end
+load without this module; it is imported here and re-exported under its old
+names.
 """
 
 from __future__ import annotations
@@ -83,8 +87,13 @@ import functools
 import itertools
 import math
 import sys
-from operator import attrgetter
 from typing import Iterable, Mapping, NamedTuple, Optional
+
+from .laws import (  # the value layer, re-exported here under its old names
+    ISEMIRING_LAWS, KLEENE_LAWS, TEST_LAWS, Law, LawReport, Term, Verdict, _CERTIFICATES, _ISEMIRING_NAMES, _STAR_AXIOMS,
+    _TABLE_LAWS, _TERM_FORMS, add, all_hold, cod, compl, conv, dom, eq, failures, iff, leq, mul, one_term, star,
+    top_term, var, zero_term,
+)
 
 
 class _LazyNumpy:
@@ -102,39 +111,10 @@ class _LazyNumpy:
 np = _LazyNumpy()
 
 __all__ = [
-    "FiniteSemiring",
-    "TestAlgebra",
-    "LawReport",
-    "Verdict",
-    "Term",
-    "var",
-    "zero_term",
-    "one_term",
-    "add",
-    "mul",
-    "star",
-    "conv",
-    "dom",
-    "cod",
-    "compl",
-    "top_term",
-    "opposite",
-    "Law",
-    "eq",
-    "leq",
-    "iff",
-    "check_laws",
-    "ISEMIRING_LAWS",
-    "KLEENE_LAWS",
-    "TEST_LAWS",
-    "check_isemiring",
-    "check_kleene",
-    "check_test_algebra",
-    "eval_term",
-    "check_equation",
-    "all_hold",
-    "failures",
-    "format_witness",
+    "FiniteSemiring", "TestAlgebra", "LawReport", "Verdict", "Term", "var", "zero_term", "one_term", "add", "mul",
+    "star", "conv", "dom", "cod", "compl", "top_term", "opposite", "Law", "eq", "leq", "iff", "check_laws",
+    "ISEMIRING_LAWS", "KLEENE_LAWS", "TEST_LAWS", "check_isemiring", "check_kleene", "check_test_algebra", "eval_term",
+    "check_equation", "all_hold", "failures", "format_witness",
 ]
 
 
@@ -401,67 +381,6 @@ class TestAlgebra:
         return f"TestAlgebra({{{names}}} over {self.owner.name!r})"
 
 
-class _Record:
-    """A value whose __init__ sets its fields in __dict__, once: == and hash read the type and _compared (by default
-    _fields), repr is Name(field=value, ...) over _fields, and assigning or deleting raises AttributeError."""
-
-    _fields: tuple = ()
-
-    def __init_subclass__(cls):
-        cls._key = attrgetter("__class__", *getattr(cls, "_compared", cls._fields))
-
-    def __eq__(self, other):
-        return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key(self))
-
-    def __repr__(self):
-        return f"{self.__class__.__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class LawReport(_Record):
-    """Outcome of one law check; witness maps variable names to element indices."""
-
-    _fields = ("name", "holds", "witness", "note")
-
-    def __init__(self, name: str, holds: bool, witness: Optional[dict] = None, note: str = ""):
-        self.__dict__.update(name=name, holds=holds, witness=witness, note=note)
-
-    def __str__(self):
-        if self.holds:
-            tag = "holds" if not self.note else f"holds ({self.note})"
-            return f"{self.name}: {tag}"
-        w = "" if not self.witness else " at " + ", ".join(f"{k}={v}" for k, v in self.witness.items())
-        return f"{self.name}: FAILS{w}"
-
-
-class Verdict(_Record):
-    """A boolean outcome carrying an optional counterexample."""
-
-    _fields = ("holds", "witness", "note")
-
-    def __init__(self, holds: bool, witness: object = None, note: str = ""):
-        self.__dict__.update(holds=holds, witness=witness, note=note)
-
-    def __bool__(self):
-        return self.holds
-
-
-def all_hold(reports: Iterable[LawReport]) -> bool:
-    return all(r.holds for r in reports)
-
-
-def failures(reports: Iterable[LawReport]) -> list[LawReport]:
-    return [r for r in reports if not r.holds]
-
-
 def format_witness(S: FiniteSemiring, witness) -> str:
     """The witness values in parentheses, element indices of S by name ("power" stays a number)."""
     if witness is None:
@@ -479,87 +398,6 @@ def opposite(S: FiniteSemiring) -> FiniteSemiring:
     """Same carrier with multiplication arguments swapped; star/conv carry over."""
     name = S.name[:-3] if S.name.endswith("^op") else S.name + "^op"
     return FiniteSemiring(S.carrier, S.add, S.mul.T, S.zero, S.one, star=S.star, conv=S.conv, name=name)
-
-
-# ---------------------------------------------------------------------------
-# term language
-
-
-class Term(_Record):
-    """Small term AST over semiring signature plus tests, domain and converse.
-
-    op is one of: var, zero, one, top, add, mul, star, conv, dom, cod, not;
-    the atoms of a Law are eq and leq between two terms and iff among two
-    or more atoms.
-    Variables whose name starts with p, q or r range over test members by
-    default in check_equation; others range over the whole carrier.
-    """
-
-    _fields = ("op", "args", "name")
-
-    def __init__(self, op: str, args: tuple = (), name: str = ""):
-        self.__dict__.update(op=op, args=args, name=name)
-
-    def __add__(self, other):
-        return Term("add", (self, _coerce(other)))
-
-    def __mul__(self, other):
-        return Term("mul", (self, _coerce(other)))
-
-    def __str__(self):
-        if self.op == "var":
-            return self.name
-        form = _TERM_FORMS.get(self.op)
-        return f"{self.op}{self.args}" if form is None else form.format(*self.args)
-
-
-_TERM_FORMS = {
-    **{"zero": "0", "one": "1", "top": "top", "add": "({} + {})", "mul": "({}{})"},
-    **{"star": "{}*", "conv": "{}^", "dom": "dom({})", "cod": "cod({})", "not": "{}'"},
-}
-
-
-def _coerce(x):
-    if isinstance(x, Term):
-        return x
-    raise TypeError(f"expected Term, got {type(x).__name__}")
-
-
-def var(name: str) -> Term:
-    return Term("var", (), name)
-
-
-zero_term = Term("zero")
-one_term = Term("one")
-top_term = Term("top")
-
-
-def add(l: Term, r: Term) -> Term:
-    return Term("add", (l, r))
-
-
-def mul(l: Term, r: Term) -> Term:
-    return Term("mul", (l, r))
-
-
-def star(t: Term) -> Term:
-    return Term("star", (t,))
-
-
-def conv(t: Term) -> Term:
-    return Term("conv", (t,))
-
-
-def dom(t: Term) -> Term:
-    return Term("dom", (t,))
-
-
-def cod(t: Term) -> Term:
-    return Term("cod", (t,))
-
-
-def compl(t: Term) -> Term:
-    return Term("not", (t,))
 
 
 def eval_term(t: Term, env: Mapping[str, int], S: FiniteSemiring, T: Optional[TestAlgebra] = None, D=None) -> int:
@@ -707,40 +545,6 @@ class _Scalar:
             return lambda env: g(f(env))
         fl, fr = fs
         return lambda env: g(fl(env), fr(env))
-
-
-# ---------------------------------------------------------------------------
-# laws as data
-
-
-def eq(l: Term, r: Term) -> Term:
-    return Term("eq", (l, r))
-
-
-def leq(l: Term, r: Term) -> Term:
-    return Term("leq", (l, r))
-
-
-def iff(*atoms: Term) -> Term:
-    """All the atoms have the same truth value."""
-    return Term("iff", atoms)
-
-
-class Law(_Record):
-    """A universally quantified law: the premises imply the conclusion.
-
-    vars lists the quantified variables in scan order; the ones also named
-    in tests range over the test members, the others over the carrier
-    (both accept a space-separated string).  A law whose requires (top, or
-    names in the model's laws) are not all met is reported not applicable.
-    """
-
-    _fields = ("name", "vars", "concl", "premises", "tests", "requires")
-
-    def __init__(self, name: str, vars: tuple, concl: Term, premises: tuple = (), tests: tuple = (), requires: tuple = ()):
-        premises = (premises,) if isinstance(premises, Term) else premises
-        vars, tests = (tuple(x.split()) if isinstance(x, str) else x for x in (vars, tests))
-        self.__dict__.update(name=name, vars=vars, concl=concl, premises=premises, tests=tests, requires=requires)
 
 
 _NOT_APPLICABLE = {"dloc": "no locality", "cdloc": "no locality", "top": "no greatest element"}
@@ -1010,89 +814,6 @@ def check_equation(
 
 
 # ---------------------------------------------------------------------------
-# law tables and checkers
-
-
-def _law_tables():
-    a, b, c, p, q = var("a"), var("b"), var("c"), var("p"), var("q")
-    zero, one = zero_term, one_term
-    isemiring = (
-        Law("add-commutative", "a b", eq(a + b, b + a)),
-        Law("add-associative", "a b c", eq((a + b) + c, a + (b + c))),
-        Law("add-left-identity", "a", eq(zero + a, a)),
-        Law("add-right-identity", "a", eq(a + zero, a)),
-        Law("add-idempotent", "a", eq(a + a, a)),
-        Law("mul-associative", "a b c", eq((a * b) * c, a * (b * c))),
-        Law("mul-left-identity", "a", eq(one * a, a)),
-        Law("mul-right-identity", "a", eq(a * one, a)),
-        Law("left-distributive", "a b c", eq(a * (b + c), a * b + a * c)),
-        Law("right-distributive", "a b c", eq((a + b) * c, a * c + b * c)),
-        Law("left-annihilation", "a", eq(zero * a, zero)),
-        Law("right-annihilation", "a", eq(a * zero, zero)),
-        "zero-not-one",
-    )
-    kleene = (
-        Law("star-left-unfold", "a", leq(one + a * star(a), star(a))),
-        Law("star-right-unfold", "a", leq(one + star(a) * a, star(a))),
-        Law("star-left-induction", "a b c", leq(star(a) * b, c), leq(b + a * c, c)),
-        Law("star-right-induction", "a b c", leq(b * star(a), c), leq(b + c * a, c)),
-        # derived laws, kept as regression checks
-        Law("one-below-star", "a", leq(one, star(a))),
-        Law("star-mul-star", "a", eq(star(a) * star(a), star(a))),
-        "powers-below-star",
-        Law("star-of-star", "a", eq(star(star(a)), star(a))),
-        Law("star-slide", "a b", eq(star(a * b) * a, a * star(b * a))),
-        Law("star-denesting", "a b", eq(star(a + b), star(a) * star(b * star(a)))),
-        Law("star-unfold-right-product", "a b", eq(star(a) * b, b + (star(a) * a) * b)),
-        Law("star-unfold-left-product", "a b", eq(star(a) * b, b + (a * star(a)) * b)),
-        Law("subidentity-star", "a", eq(star(a), one), leq(a, one)),
-        Law("star-monotone", "a b", leq(star(a), star(b)), leq(a, b)),
-        Law("star-left-simulation", "a c b", leq(star(a) * c, c * star(b)), leq(a * c, c * b)),
-        Law("star-right-simulation", "a c b", leq(c * star(a), star(b) * c), leq(c * a, b * c)),
-    )
-    tests = (
-        Law("members-below-one", "p", leq(p, one), tests="p"),
-        "zero-is-member",
-        "one-is-member",
-        "closed-under-join",
-        "closed-under-meet",
-        Law("complement-involutive", "p", eq(compl(compl(p)), p), tests="p"),
-        Law("complement-join-full", "p", eq(p + compl(p), one), tests="p"),
-        Law("complement-meet-empty", "p", eq(p * compl(p), zero), tests="p"),
-        Law("meet-commutative", "p q", eq(p * q, q * p), tests="p q"),
-        Law("meet-idempotent", "p", eq(p * p, p), tests="p"),
-        "meet-is-greatest-lower-bound",
-        # four equivalent ways of saying "a maps p-states into q-states"
-        Law(
-            "shunting-right",
-            "p q a",
-            iff(
-                leq(p * a, a * q),
-                leq(a * compl(q), compl(p) * a),
-                eq((p * a) * compl(q), zero),
-                eq((p * a) * q, p * a),
-            ),
-            tests="p q",
-        ),
-        Law(
-            "shunting-left",
-            "p q a",
-            iff(
-                leq(a * p, q * a),
-                leq(compl(q) * a, a * compl(p)),
-                eq((compl(q) * a) * p, zero),
-                eq(q * (a * p), a * p),
-            ),
-            tests="p q",
-        ),
-    )
-    return isemiring, kleene, tests
-
-
-ISEMIRING_LAWS, KLEENE_LAWS, TEST_LAWS = _law_tables()
-
-
-# ---------------------------------------------------------------------------
 # laws decided by reduction or through the rewrite step
 
 
@@ -1228,8 +949,6 @@ def _monotone(t: Term, v: str) -> bool:
     return all(u.op in _ADDITIVE_OPS for u in _walk(t) if u.args and _occurs(u, v))
 
 
-_ISEMIRING_NAMES = tuple(law if isinstance(law, str) else law.name for law in ISEMIRING_LAWS)
-
 # law: (the laws that must have held first, the reduction)
 _REDUCTIONS = {
     "add-commutative": ((), lambda S: S._add_in_powerset or np.array_equal(S.add, S.add.T)),
@@ -1244,45 +963,6 @@ _REDUCTIONS = {
 # With these + is a join and the operations of _ADDITIVE_OPS preserve binary
 # joins; cod-additive is dom-additive's mirror, checked outside the printed calculus.
 _REWRITE_GUARDS = _ISEMIRING_NAMES + ("dom-additive", "cod-additive")
-
-_ISR = _ISEMIRING_NAMES
-
-# the unfold and induction axioms, left and right
-_STAR_AXIOMS = tuple(law.name for law in KLEENE_LAWS[:4])
-
-# name: law, for every law of a table (domain, reach and hoare add theirs); a certificate
-# speaks of, and a held name stands for, the law of that name here and no other
-_TABLE_LAWS = {law.name: law for law in ISEMIRING_LAWS + KLEENE_LAWS + TEST_LAWS if isinstance(law, Law)}
-
-# law: (the law that certifies it, the other laws that must have held); domain,
-# reach and hoare add the entries of their own laws
-_CERTIFICATES = {
-    # theorems of the star axioms (Kozen 1994); "induction at b, c" is
-    # star-left-induction's b + ac <= c => a*b <= c for those b and c
-    # 1 <= 1 + a a* <= a*
-    "one-below-star": ("star-left-unfold", _ISR),
-    # a*a* <= a*: induction at b = c = a*; a* = a* 1 <= a*a*
-    "star-mul-star": ("star-left-induction", (*_ISR, "star-left-unfold")),
-    # (a*)* <= a*: induction with a* for a at b = 1, c = a*, as 1 + a*a* <= a*; a* <= (a*)* by the unfold
-    "star-of-star": ("star-left-induction", (*_ISR, "star-left-unfold")),
-    # (ab)*a <= a(ba)*: induction at b = a, c = a(ba)*; a(ba)* <= (ab)*a: star-right-induction
-    # with ba for a at b = a, c = (ab)*a
-    "star-slide": ("star-left-induction", (*_ISR, "star-left-unfold", "star-right-unfold", "star-right-induction")),
-    # (a+b)* <= a*(ba*)*: induction with a + b for a at b = 1; the converse from
-    # star-monotone, star-of-star and star-mul-star, which need only the left laws
-    "star-denesting": ("star-left-induction", (*_ISR, "star-left-unfold")),
-    # a* = 1 + a*a: star-right-induction at b = 1, c = 1 + a*a
-    "star-unfold-right-product": ("star-right-induction", (*_ISR, "star-right-unfold")),
-    # a* = 1 + aa*: induction at b = 1, c = 1 + aa*
-    "star-unfold-left-product": ("star-left-induction", (*_ISR, "star-left-unfold")),
-    # a <= 1: a* <= 1 by induction at b = c = 1; 1 <= a*
-    "subidentity-star": ("star-left-induction", (*_ISR, "star-left-unfold")),
-    # a <= b: a* <= b* by induction at b = 1, c = b*, as 1 + ab* <= 1 + bb* <= b*
-    "star-monotone": ("star-left-induction", (*_ISR, "star-left-unfold")),
-    # from ac <= cb, induction at c, c b* gives a*c <= c b*; the right law is its mirror
-    "star-left-simulation": ("star-left-induction", (*_ISR, "star-left-unfold")),
-    "star-right-simulation": ("star-right-induction", (*_ISR, "star-right-unfold")),
-}
 
 
 def _certified(law: Law, held) -> Optional[str]:

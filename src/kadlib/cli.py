@@ -38,41 +38,12 @@ import re
 import sys
 from typing import Optional
 
-from .algebra import (
-    FiniteSemiring,
-    TestAlgebra,
-    _Record,
-    check_isemiring,
-    check_kleene,
-    check_test_algebra,
-    format_witness,
-)
-from .domain import (
-    check_converse,
-    check_domain_axioms,
-    check_domain_calculus,
-    compute_predomain,
-    converse_duality_check,
-)
 from .hoare import (
-    Cond,
-    HoareTriple,
-    Prim,
-    ProofTree,
-    Seq,
-    TAnd,
-    TFalse,
-    TNot,
-    TOr,
-    TRef,
-    TStates,
-    TTrue,
-    While,
-    _preorder,
-    check_triple,
-    validate_proof,
+    Cond, HoareTriple, Prim, ProofTree, Seq, TAnd, TFalse, TNot, TOr, TRef, TStates, TTrue, While,
+    _preorder, check_triple, validate_proof,
 )
-from .models import Relation, conway_model, rel_model, rel_semiring, rel_tests
+from .laws import _Record
+from .models import Relation, rel_model, rel_semiring, rel_tests
 from .reach import reach_efficient, reach_naive
 from .termination import termination_report
 
@@ -92,6 +63,32 @@ __all__ = [
     "cmd_termination",
     "main",
 ]
+
+
+def _table_layer() -> None:
+    """Bind kad check's names from the table layer here, importing it: each one not bound yet, so a wrapper set on a
+    name here is what kad check calls.  The other commands never call this, and so never load the table layer."""
+    from .algebra import FiniteSemiring, TestAlgebra, check_isemiring, check_kleene, check_test_algebra, format_witness
+    from .domain import check_converse, check_domain_axioms, check_domain_calculus, compute_predomain, converse_duality_check
+    from .zoo import conway_model
+
+    for name, value in locals().items():
+        globals().setdefault(name, value)
+
+
+# the names _table_layer binds
+_TABLE_NAMES = frozenset(
+    "FiniteSemiring TestAlgebra check_isemiring check_kleene check_test_algebra format_witness check_converse"
+    " check_domain_axioms check_domain_calculus compute_predomain converse_duality_check conway_model".split()
+)
+
+
+def __getattr__(name):
+    # a name of the table layer, bound on its first read (PEP 562)
+    if name not in _TABLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _table_layer()
+    return globals()[name]
 
 
 class CliParseError(Exception):
@@ -346,6 +343,7 @@ def _expect(value, kind: type, what: str):
 
 
 def semiring_from_doc(doc: dict) -> tuple[FiniteSemiring, TestAlgebra]:
+    _table_layer()
     spec = doc.get("semiring")
     if spec is None:
         raise CliParseError("workspace declares no semiring")
@@ -505,6 +503,7 @@ def load_workspace(path: str) -> Workspace:
 
 def _load_algebra(path: str) -> tuple[FiniteSemiring, TestAlgebra]:
     """Resolve builtin:NAME, rel:N, or a workspace file to tables."""
+    _table_layer()
     if path.startswith("builtin:"):
         name = path[len("builtin:") :]
         try:
@@ -561,6 +560,7 @@ _LAW_CHOICES = ("isemiring", "kleene", "tests", "domain", "converse", "all")
 
 
 def cmd_check(path: str, laws: str = "all") -> int:
+    _table_layer()
     S, T = _load_algebra(path)
     explicit = laws != "all"
     wanted = [laws] if explicit else ["isemiring", "kleene", "tests", "domain", "converse"]

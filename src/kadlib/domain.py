@@ -13,78 +13,24 @@ the axioms (independence proofs, locality counterexamples) are data here.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from typing import Optional
 
 from .algebra import (
-    FiniteSemiring,
-    Law,
-    LawReport,
-    TEST_LAWS,
-    TestAlgebra,
-    Verdict,
-    _CERTIFICATES,
-    _ISEMIRING_NAMES,
-    _ISR,
-    _certified,
-    _check,
-    _commuting,
-    _decided,
-    _not_applicable,
-    _orbit_least,
-    _rewrite,
-    _Scalar,
-    _Scanner,
-    _TABLE_LAWS,
-    _Tables,
-    _walk,
-    check_laws,
-    cod,
-    compl,
-    conv,
-    dom,
-    eq,
-    iff,
-    leq,
-    np,
-    one_term,
-    top_term,
-    var,
-    zero_term,
+    FiniteSemiring, TestAlgebra, _certified, _check, _commuting, _decided, _not_applicable, _orbit_least, _rewrite, _Scalar,
+    _Scanner, _Tables, _walk, check_laws, np,
+)
+from .laws import (
+    Law, LawReport, Verdict, _CERTIFICATES, _ISEMIRING_NAMES, _ISR, _TABLE_LAWS, _TEST_NAMES, _instances, _require_tests,
+    _sizes, _with_atomic, cod, compl, conv, dom, eq, iff, leq, one_term, top_term, var, zero_term,
 )
 
 __all__ = [
-    "DomainStructure",
-    "compute_predomain",
-    "compute_precodomain",
-    "check_domain_axioms",
-    "check_domain_calculus",
-    "check_converse",
-    "converse_duality_check",
-    "is_integral",
-    "run_laws",
-    "DOMAIN_AXIOMS",
-    "DOMAIN_CALCULUS",
-    "CONVERSE_LAWS",
-    "CONVERSE_DUALITY",
+    "DomainStructure", "compute_predomain", "compute_precodomain", "check_domain_axioms", "check_domain_calculus",
+    "check_converse", "converse_duality_check", "is_integral", "run_laws", "DOMAIN_AXIOMS", "DOMAIN_CALCULUS",
+    "CONVERSE_LAWS", "CONVERSE_DUALITY",
 ]
-
-# When atom rows decide a:p (atomic-preimage): a:p = dom(a (t1 + ... + tr)) for the atoms t below p
-# (atomic-tests) is dom(a t1 + ... + a tr) = a:t1 + ... + a:tr (distributivity, dom-additive), and for
-# p = 0, dom(a 0) = dom(0 0) <= 0 (annihilation, d2).  So a:_ is additive and fixed by its rows (Jonsson
-# and Tarski, "Boolean algebras with operators", 1951), as is every pointwise join and composite of such
-# maps.  p:a (atomic-image) is the mirror, by cd2 and cod-additive.
-_ATOMIC = (
-    ("atomic-preimage", frozenset({*_ISEMIRING_NAMES, "d2", "dom-additive", "atomic-tests"})),
-    ("atomic-image", frozenset({*_ISEMIRING_NAMES, "cd2", "cod-additive", "atomic-tests"})),
-)
-
-
-def _with_atomic(held) -> frozenset:
-    """held, plus each _ATOMIC fact whose laws are all in held."""
-    return frozenset(held).union(fact for fact, needs in _ATOMIC if needs <= held)
 
 
 class DomainStructure(_Tables):
@@ -94,7 +40,7 @@ class DomainStructure(_Tables):
     axioms are checked, not assumed).  laws names the laws known to hold on
     every instance: the guards of _decide_axioms, the DOMAIN_AXIOMS that
     held and the owner's star axioms that held (its _star_axiom_reports), all
-    decided on construction, and the _ATOMIC facts they give.  Its element
+    decided on construction, and the laws._ATOMIC facts they give.  Its element
     surface (zero, one, add, mul, leq, star and conv, which raise where the
     owner has no column) and test operations are _Tables' over owner and tests.
     """
@@ -356,11 +302,10 @@ _ADDITIVITY = (
 
 _TABLE_LAWS.update((law.name, law) for law in DOMAIN_AXIOMS + DOMAIN_CALCULUS + _ADDITIVITY)
 
-_TEST_NAMES = tuple(law if isinstance(law, str) else law.name for law in TEST_LAWS)
 # what gla's derivation uses besides d1 and d2, as in dom-monotone below
 _GLA = ("complement-join-full", "complement-meet-empty", "meet-commutative")
 
-# the certificates of the domain laws, as in algebra._CERTIFICATES.  Tests are p, q;
+# the certificates of the domain laws, as in laws._CERTIFICATES.  Tests are p, q;
 # dom(a) and cod(a) are tests by construction, and so is the complement of one.
 _CERTIFICATES.update({
     # the equivalent axiom forms of the paper's basic calculus: if dom(a) <= p
@@ -515,54 +460,17 @@ def converse_duality_check(D: DomainStructure) -> list[LawReport]:
 # laws over the domain surface, exhaustive or sampled
 
 
-def _require_tests(D, needs) -> None:
-    """Raise ValueError if model D has no test algebra and needs, the names of what would read one, is not empty."""
-    if not hasattr(D, "test_members") and (what := next(iter(needs), None)) is not None:
-        raise ValueError(f"{D.name} has no test algebra, which {what} needs")
-
-
 def _uses_tests(law: Law) -> bool:
     """Whether law quantifies over tests or applies dom, cod or complement."""
     return bool(law.tests) or any(u.op in ("dom", "cod", "not") for t in (law.concl, *law.premises) for u in _walk(t))
-
-
-def _sizes(D, is_test, ranges=None) -> list:
-    """The number of values of each variable: its range's, else D.test_count() per test and D.size() per element."""
-    return [len(r) if r is not None else D.test_count() if t else D.size() for t, r in zip(is_test, ranges or [None] * len(is_test))]
-
-
-def _instances(D, is_test, budget: int, samples: int, rng, ranges=None):
-    """(assignments, exhaustive) for variables that are tests where is_test says so.
-
-    ranges gives, per variable, the values it ranges over, or None for all
-    of them: test_members() for a test, elements() for an element.  While
-    the variables have at most budget joint values (see _sizes) and the
-    model can list them, every assignment is listed in lexicographic order
-    over those.  Past the budget, over an infinite carrier, or where the
-    model refuses to list its tests or elements (a RelModel lists at most
-    2^16 of each), `samples` assignments are drawn from rng, one sample_test
-    or sample per variable in declared order (rng defaults to one seeded 0).
-    """
-    sizes = _sizes(D, is_test, ranges)
-    if None not in sizes and math.prod(sizes) <= budget:
-        ranges = ranges or [None] * len(is_test)
-        try:
-            # product lists its factors here, so a model's refusal raises now
-            listed = (r if r is not None else D.test_members() if t else D.elements() for t, r in zip(is_test, ranges))
-            return itertools.product(*listed), True
-        except ValueError:
-            pass
-    rng = rng or random.Random(0)
-    draws = [D.sample_test if t else D.sample for t in is_test]
-    return (tuple(draw(rng) for draw in draws) for _ in range(samples)), False
 
 
 def run_laws(laws, D, budget: int, samples: int, rng=None) -> list[LawReport]:
     """One report per law, for any model with the domain surface.
 
     The laws held are those the model is known to satisfy (its laws) and
-    the table laws (algebra._TABLE_LAWS) decided exactly earlier in the run.
-    A table law whose certificate's laws (algebra._CERTIFICATES) have held
+    the table laws (laws._TABLE_LAWS) decided exactly earlier in the run.
+    A table law whose certificate's laws (laws._CERTIFICATES) have held
     is certified before any instance is listed.  Otherwise its instances
     come from _instances: when they are all listed, a DomainStructure is
     scanned by check_laws' scanner and any other model is checked through

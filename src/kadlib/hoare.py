@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .algebra import _CERTIFICATES, _ISR, Law, LawReport, Verdict, _Record, _TABLE_LAWS, cod, compl, leq, star, var
-from .domain import _require_tests, run_laws
+from .laws import _CERTIFICATES, _ISR, Law, LawReport, Verdict, _Record, _TABLE_LAWS, _require_tests, cod, compl, leq, star, var
 
 __all__ = [
     "Prim",
@@ -396,7 +395,7 @@ def _hoare_rules():
 HOARE_RULES = _hoare_rules()
 _TABLE_LAWS.update((law.name, law) for law in HOARE_RULES)
 
-# the certificates of the rules, as in algebra._CERTIFICATES (Kozen, "On Hoare logic and Kleene
+# the certificates of the rules, as in laws._CERTIFICATES (Kozen, "On Hoare logic and Kleene
 # algebra with tests", 2000; Möller and Struth 2004).  Tests are p, q, r; p:a is cod(pa), and cod
 # is monotone (cod-additive).
 _CERTIFICATES.update({
@@ -426,4 +425,6 @@ def check_hoare_rules(D, budget: int = 300_000, samples: int = 1000, rng=None) -
     satisfies the laws that uses, as every relation model and rel(n)
     predomain does; elsewhere it is scanned, rewritten or sampled.
     """
+    from .domain import run_laws
+
     return run_laws(HOARE_RULES, D, budget, samples, rng)

@@ -23,8 +23,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Sequence
 
-from .algebra import _CERTIFICATES, _ISR, Law, LawReport, _Record, _TABLE_LAWS, compl, dom, eq, leq, one_term, star, var
-from .domain import _require_tests, run_laws
+from .laws import _CERTIFICATES, _ISR, Law, LawReport, _Record, _TABLE_LAWS, _require_tests, compl, dom, eq, leq, one_term, star, var
 
 __all__ = ["ReachResult", "reach_naive", "reach_efficient", "check_star_preimage_laws", "STAR_PREIMAGE_LAWS"]
 
@@ -165,7 +164,7 @@ def _star_preimage_laws():
 STAR_PREIMAGE_LAWS = _star_preimage_laws()
 _TABLE_LAWS.update((law.name, law) for law in STAR_PREIMAGE_LAWS)
 
-# the certificates of these laws, as in algebra._CERTIFICATES (Möller and Struth, "Modal Kleene
+# the certificates of these laws, as in laws._CERTIFICATES (Möller and Struth, "Modal Kleene
 # algebra and partial correctness", 2004).  Tests are p, q, a:p is dom(ap), and r = a:p.  A test
 # is below 1 (members-below-one), so s <= dom(s)s <= dom(s) by d1; dom is monotone (dom-additive)
 # and 1 <= a* (star-left-unfold), so a test s lies below a*:s.
@@ -209,4 +208,6 @@ def check_star_preimage_laws(D, samples: int = 1000, rng=None, budget: int = 200
     relation model and rel(n) predomain does; elsewhere it is scanned,
     rewritten or sampled.
     """
+    from .domain import run_laws
+
     return run_laws(STAR_PREIMAGE_LAWS, D, budget, samples, rng)

@@ -10,7 +10,7 @@ already-reached part, here p - q means p q'.
 How a verdict is decided:
 
 - Past the budget, Noethericity is decided exactly on every model whose
-  laws name atomic-preimage (domain._ATOMIC; every relation model has it):
+  laws name atomic-preimage (laws._ATOMIC; every relation model has it):
   the greatest test p with p <= a:p, the stuck set, is the complement of
   what reach's counting worklist grows from the atoms that step nowhere,
   and a is Noetherian iff it is 0; otherwise it is the witness.
@@ -19,7 +19,7 @@ How a verdict is decided:
   a is Löbian iff it is transitive and Noetherian, and the Noetherian
   verdict supplies the stuck set.
 - Every other verdict is one search for the first failing test over
-  domain._instances, the enumerate-or-sample rule that run_laws also
+  laws._instances, the enumerate-or-sample rule that run_laws also
   uses: while the test algebra has at most `budget` members all of them
   are tried in order, and a failing verdict names the first failing
   test; past it, `samples` random tests are tried, and a verdict that
@@ -30,8 +30,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .algebra import FiniteSemiring, Verdict, _Record
-from .domain import _instances, _require_tests
+from .laws import Verdict, _Record, _instances, _require_tests
 from .models import RelModel
 from .reach import _grow
 
@@ -94,7 +93,7 @@ def _verdict(D, bad_p, exhaustive: bool, what: str) -> Verdict:
 
 
 def _search(D, bad, budget: int, samples: int, rng, what: str) -> Verdict:
-    """The verdict of the first test p with bad(p), over domain._instances."""
+    """The verdict of the first test p with bad(p), over laws._instances."""
     pool, exhaustive = _instances(D, (True,), budget, samples, rng)
     return _verdict(D, next((p for (p,) in pool if bad(p)), None), exhaustive, what)
 
@@ -176,6 +175,8 @@ def is_loebian(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None) -
 
 def transitive_closure(D, a):
     """a+ = a a*, the least transitive element above a."""
+    from .algebra import FiniteSemiring
+
     if not isinstance(D, FiniteSemiring):
         return D.mul(a, D.star(a))
     if D.star is None:

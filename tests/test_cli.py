@@ -612,14 +612,18 @@ def test_one_parser_serves_every_call_and_keeps_nothing(capsys):
     assert kadlib.cli._parser.cache_info().misses == 1
 
 
-# -- numpy only for the table layer, dataclasses and inspect for none ------------------------------
+# -- numpy and the table layer only for kad check, dataclasses and inspect for none -----------------
+
+TABLE_LAYER = {"kadlib.algebra", "kadlib.domain", "kadlib.zoo"}
 
 
 def kad_fresh(argv):
-    """kad in a fresh interpreter: exit code, stdout, and which of numpy, dataclasses and inspect it imported."""
+    """kad in a fresh interpreter: exit code, stdout, and which of numpy, dataclasses, inspect and the table layer's
+    modules it imported."""
     probe = (
         "import sys; from kadlib.cli import main; code = main(sys.argv[1:]); "
-        "print(*sorted({'numpy', 'dataclasses', 'inspect'} & sys.modules.keys()), file=sys.stderr); sys.exit(code)"
+        f"print(*sorted({{'numpy', 'dataclasses', 'inspect', *{sorted(TABLE_LAYER)}}} & sys.modules.keys()), file=sys.stderr); "
+        "sys.exit(code)"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(kadlib.cli.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env)
@@ -638,7 +642,8 @@ CHAIN_2000_RUNS = {
 
 @pytest.mark.parametrize("case", [*sorted(GOLDEN_CASES), *CHAIN_2000_RUNS])
 def test_reach_termination_and_hoare_never_load_numpy(case, tmp_path, capsys):
-    """Nor dataclasses or inspect: the same exit code and stdout as in this process, with none of the three imported."""
+    """Nor dataclasses, inspect or the table layer: the same exit code and stdout as in this process, with none of them
+    imported."""
     if case in GOLDEN_CASES:
         where, spec = GOLDEN_CASES[case]
         argv = [spec["argv"][0], str(where / spec["argv"][1]), *spec["argv"][2:]]
@@ -652,7 +657,7 @@ def test_kad_check_loads_numpy_for_its_tables():
     # numpy imports inspect itself, so only dataclasses is kadlib's to leave out here
     code, out, imported = kad_fresh(["check", "rel:1"])
     assert (code, out) == (0, (DATA / "check" / "rel_1.stdout").read_text())
-    assert "numpy" in imported and "dataclasses" not in imported
+    assert {"numpy", *TABLE_LAYER} <= imported and "dataclasses" not in imported
 
 
 # -- hoare command ------------------------------------------------------------------------------

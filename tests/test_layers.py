@@ -1,0 +1,132 @@
+"""The split between the value layer and the table layer, as the package, the benchmark and users see it.
+
+kadlib's value layer (laws, models' relations, reach, termination, hoare and
+cli) loads on import; the table layer (algebra, domain, zoo) loads where a
+name of it is first read.  These tests pin what that must not change: every
+public name, the names cli and the benchmark read, and where the caches live.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import kadlib
+
+ROOT = Path(kadlib.__file__).parents[2]
+
+# every name kadlib/__init__.py imported, by the module it imported it from, before the table layer loaded lazily
+PUBLIC = {
+    "algebra": "FiniteSemiring TestAlgebra LawReport Verdict Term var check_isemiring check_kleene check_test_algebra"
+    " check_equation eval_term opposite all_hold failures",
+    "models": "StarUnsupportedError ModelHandle Relation RelModel conway_model conway_names rel_model rel_semiring"
+    " tropical_model maxplus_model bounded_language_model bounded_path_model matrix_semiring matrix_star"
+    " predicate_transformer_model materialize",
+    "domain": "DomainStructure compute_predomain compute_precodomain check_domain_axioms check_domain_calculus"
+    " check_converse converse_duality_check is_integral",
+    "reach": "ReachResult reach_naive reach_efficient check_star_preimage_laws",
+    "termination": "TerminationReport is_noetherian is_well_founded is_loebian transitive_closure termination_report",
+    "hoare": "Prim Seq Cond While HoareTriple ProofTree denote check_triple validate_proof wlp check_hoare_rules",
+}
+
+# the names the tests, demos and the benchmark read from models and algebra, and every name cli imported
+OLD_HOMES = {
+    "cli": "FiniteSemiring TestAlgebra _Record check_isemiring check_kleene check_test_algebra format_witness"
+    " check_converse check_domain_axioms check_domain_calculus compute_predomain converse_duality_check Cond HoareTriple"
+    " Prim ProofTree Seq TAnd TFalse TNot TOr TRef TStates TTrue While _preorder check_triple validate_proof Relation"
+    " conway_model rel_model rel_semiring rel_tests reach_efficient reach_naive termination_report",
+    "models": "ModelHandle Relation RelModel StarUnsupportedError bounded_language_model bounded_path_model"
+    " check_sampled_laws conway_model conway_names materialize matrix_semiring matrix_star maxplus_model"
+    " predicate_transformer_model rel_model rel_semiring rel_tests tropical_model _bit_positions _power_sums _relations"
+    " _rel_materialized",
+    "algebra": "FiniteSemiring Law LawReport TestAlgebra Term Verdict all_hold check_equation check_isemiring check_kleene"
+    " check_test_algebra eval_term failures one_term zero_term top_term opposite star var ISEMIRING_LAWS KLEENE_LAWS"
+    " TEST_LAWS check_laws compl conv cod dom eq leq format_witness _Scanner _Scalar _generators _associative _CHUNK"
+    " _CERTIFICATES _TABLE_LAWS _ISEMIRING_NAMES _REDUCTIONS _rewrite _certified _powers_below_star _induction",
+}
+
+
+def test_every_public_name_is_reachable_four_ways():
+    star: dict = {}
+    exec("from kadlib import *", star)
+    listed = dir(kadlib)
+    for module, names in PUBLIC.items():
+        for name in names.split():
+            value = getattr(kadlib, name)
+            exec(f"from kadlib import {name} as imported", star)
+            assert star.pop("imported") is value, name
+            assert getattr(importlib.import_module(f"kadlib.{module}"), name) is value, name
+            assert getattr(sys.modules[value.__module__], name) is value, name
+            assert star.get(name) is value, name
+            assert name in listed, name
+
+
+def test_names_read_from_models_algebra_and_cli_still_import():
+    for module, names in OLD_HOMES.items():
+        home = importlib.import_module(f"kadlib.{module}")
+        for name in names.split():
+            exec(f"from kadlib.{module} import {name} as imported", {})
+            assert getattr(home, name) is not None, (module, name)
+
+
+def test_the_moved_names_are_their_defining_modules_objects():
+    # algebra re-exports the value layer, models the table models: the same objects, so patching one patches both
+    import kadlib.algebra
+    import kadlib.laws
+    import kadlib.models
+    import kadlib.zoo
+
+    assert kadlib.algebra._CERTIFICATES is kadlib.laws._CERTIFICATES
+    assert kadlib.algebra._TABLE_LAWS is kadlib.laws._TABLE_LAWS
+    assert kadlib.models.materialize is kadlib.zoo.materialize
+    assert kadlib.models.conway_model is kadlib.zoo.conway_model
+
+
+def fresh(code: str):
+    """The JSON that code prints in a fresh interpreter that imports kadlib from this checkout and the bench's modules."""
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+BENCH_PROBE = """
+import json, sys
+import kadlib, kadlib.cli
+loaded = sorted(name for name in sys.modules if name.startswith("kadlib"))
+import tracing, worker
+
+def caches():
+    return sorted(f"{c.__module__.rpartition('.')[2]}.{c.__qualname__}" for c in worker.kadlib_caches(kadlib))
+
+first = caches()
+walked = sorted(name for name in sys.modules if name.startswith(("kadlib", "numpy")))
+checkers = {}
+for name in worker.CAPTURED:
+    fn = getattr(kadlib.cli, name)
+    checkers[name] = [fn.__module__, fn.__name__, getattr(sys.modules[fn.__module__], name) is fn]
+layers = {layer: getattr(kadlib, layer) is sys.modules[f"kadlib.{layer}"] for layer in tracing.TARGETS}
+print(json.dumps({"loaded": loaded, "walked": walked, "caches": first, "checkers": checkers, "layers": layers, "all_caches": caches()}))
+"""
+
+
+def test_the_benchmark_finds_its_caches_checkers_and_layers():
+    """The worker clears the caches it finds right after import, before it reads a checker through cli; so every cache
+    lives in a module that import kadlib, kadlib.cli loads, and every checker and traced layer resolves from there."""
+    found = fresh(BENCH_PROBE)
+    assert found["loaded"] == [f"kadlib{m}" for m in ("", ".cli", ".hoare", ".laws", ".models", ".reach", ".termination")]
+    # the walk reads every value of every kadlib module and loads nothing, numpy included: no module of the value
+    # layer holds numpy or its stand-in, so the table layer compiles before numpy loads, as at a kad check start
+    assert found["walked"] == found["loaded"]
+    caches = ["cli._parser", "models._rel_materialized", "models._relations"]
+    assert found["caches"] == caches
+    # nothing the checkers loaded holds a cache the worker would not clear
+    assert found["all_caches"] == caches
+    homes = {"algebra": "check_isemiring check_kleene check_test_algebra", "reach": "reach_naive reach_efficient",
+             "domain": "check_domain_axioms check_domain_calculus check_converse converse_duality_check",
+             "termination": "termination_report", "hoare": "check_triple validate_proof"}
+    want = {name: [f"kadlib.{module}", name, True] for module, names in homes.items() for name in names.split()}
+    assert found["checkers"] == want
+    assert found["layers"] == dict.fromkeys(["cli", "models", "algebra", "domain", "reach", "termination", "hoare"], True)
