@@ -41,18 +41,27 @@ the same tables:
   1994), certified (_CERTIFICATES); guard: the axioms and isemiring laws
   their derivations use.
 
-Every other law is certified (_certified) once the laws its derivation
-uses have held (_CERTIFICATES: the star theorems above, the domain
-calculus and the axiom forms llp, gla, lrp and gra, added by domain, the
-star/preimage laws, added by reach, and the Hoare rules, added by hoare),
-which domain.run_laws tries before listing any instance.  Failing that,
-_rewrite, the one law-rewrite step, which run_laws uses too, rewrites it
-to an equivalent law with fewer instances:
-Horn elimination and join-irreducible ranges (the join-irreducibles read
-off the generators of +), behind guard laws that held on every instance
-(the isemiring laws and dom- and cod-additivity).  A law whose guard has
-not held, or that its reduction or rewrite refutes, is scanned, so every
-report and witness is the scanner's.
+One ladder (_decide) decides every law but check_laws', which scans each
+in full; the first of its rungs that decides a law gives its report:
+1. not applicable: a requirement of the law (top, locality) is unmet;
+2. reduction: on tables, for the table's own law, once the laws it needs
+   have held, a _REDUCTIONS entry: those above, and dom- and cod-additive
+   as decided when the domain was built;
+3. certified by <law>: _certified, once the laws its derivation uses have
+   held (_CERTIFICATES: the star theorems above, the domain calculus and
+   the axiom forms llp, gla, lrp and gra, added by domain, the
+   star/preimage laws, added by reach, and the Hoare rules, added by hoare);
+4. exhaustive: every instance, where they fit the budget;
+5. reduced (k): past the budget, _rewrite, the one law-rewrite step, makes
+   an equivalent law of k instances by Horn elimination and
+   join-irreducible ranges (read off the generators of +), behind guard
+   laws that held on every instance (the isemiring laws and dom- and
+   cod-additivity); a failure there is lifted to an instance of the law;
+6. sampled (n): n instances drawn from the caller's rng.
+The table checkers ask for exact decisions: they rewrite at budget 0, scan
+the law in full where the rewritten law fails or none applies, so every
+witness is the scanner's, and print a bare "holds" for what the ladder
+decides.
 
 Every law is built from +, ·, *, converse, dom, cod and test complement,
 so it fails at (a, b, ...) iff it fails at (pa, pb, ...) for each
@@ -91,8 +100,8 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .laws import (  # the value layer, re-exported here under its old names
     ISEMIRING_LAWS, KLEENE_LAWS, TEST_LAWS, Law, LawReport, Term, Verdict, _CERTIFICATES, _ISEMIRING_NAMES, _STAR_AXIOMS,
-    _TABLE_LAWS, _TERM_FORMS, add, all_hold, cod, compl, conv, dom, eq, failures, iff, leq, mul, one_term, star,
-    top_term, var, zero_term,
+    _TABLE_LAWS, _TERM_FORMS, _instances, _sizes, add, all_hold, cod, compl, conv, dom, eq, failures, iff, leq, mul,
+    one_term, star, top_term, var, zero_term,
 )
 
 
@@ -120,9 +129,14 @@ __all__ = [
 
 def _as_table(values, n, what, unary=False):
     """values as a read-only n x n table of element indices (length n when unary)."""
-    t = np.asarray(values, dtype=np.int32)
+    size = f"have length {n}" if unary else f"be {n}x{n}"
+    try:
+        t = np.asarray(values, dtype=np.int32)
+    except ValueError:
+        if unary or len({np.size(row) for row in values}) < 2:
+            raise
+        raise ValueError(f"{what} table must {size}") from None  # rows of unequal lengths have no shape to report
     if t.shape != ((n,) if unary else (n, n)):
-        size = f"have length {n}" if unary else f"be {n}x{n}"
         raise ValueError(f"{what} table must {size}, got {t.shape}")
     if t.min() < 0 or t.max() >= n:
         raise ValueError(f"{what} table entries must be element indices < {n}")
@@ -178,20 +192,20 @@ class FiniteSemiring:
         """check_isemiring's reports, decided once: the tables are read-only.  They are scanned without
         symmetries, whose verification rests on them."""
         zero_not_one = _report("zero-not-one", None if self.zero != self.one else {})
-        return tuple(_check(ISEMIRING_LAWS, _Scanner(self, symmetric=False), [zero_not_one], _decided))
+        return tuple(_exact(ISEMIRING_LAWS, _Scanner(self, symmetric=False), [zero_not_one]))
 
     @functools.cached_property
     def _star_axiom_reports(self) -> tuple:
         """The reports of the star axioms, check_kleene's first four, decided once; DomainStructure reads them."""
         held = [r.name for r in self._isemiring_reports if r.holds]
-        return tuple(_check(KLEENE_LAWS[: len(_STAR_AXIOMS)], _Scanner(self), [], _decided, held))
+        return tuple(_exact(KLEENE_LAWS[: len(_STAR_AXIOMS)], _Scanner(self), [], held))
 
     @functools.cached_property
     def _kleene_reports(self) -> tuple:
         """check_kleene's reports, decided once, as _isemiring_reports are: the star axioms', then the laws after them."""
         powers = _report("powers-below-star", _powers_below_star(self), note=f"powers up to {self.n}")
         held = [r.name for r in (*self._isemiring_reports, *self._star_axiom_reports) if r.holds]
-        rest = _check(KLEENE_LAWS[len(_STAR_AXIOMS) :], _Scanner(self), [powers], _decided, held)
+        rest = _exact(KLEENE_LAWS[len(_STAR_AXIOMS) :], _Scanner(self), [powers], held)
         return (*self._star_axiom_reports, *rest)
 
     @functools.cached_property
@@ -759,31 +773,11 @@ def check_laws(laws, S: FiniteSemiring, T: Optional[TestAlgebra] = None, D=None,
     the domain structure D where its terms need them).  A plain name stands
     for a law kept hand-written; its report is taken from hand.
     """
-    return _check(laws, _Scanner(S, T, D), hand)
-
-
-def _check(laws, scanner: _Scanner, hand, decided=None, held=()) -> list[LawReport]:
-    """check_laws' loop, where a law for which decided(scanner, law, held) is true holds unscanned.
-
-    held holds the names of the laws that have held so far, starting from
-    the given ones.
-    """
-    given = {r.name: r for r in hand}
-    held = set(held)
-    reports = []
-    for law in laws:
-        if isinstance(law, str):
-            report = given[law]
-        else:
-            report = _not_applicable(law, lambda: scanner.top, scanner.D)
-            if report is None and decided is not None and decided(scanner, law, held):
-                report = LawReport(law.name, True)
-            if report is None:
-                report = _report(law.name, scanner.first_failure(law))
-        reports.append(report)
-        if report.holds:
-            held.add(report.name)
-    return reports
+    scanner, given = _Scanner(S, T, D), {r.name: r for r in hand}
+    return [
+        given[law] if isinstance(law, str) else _not_applicable(law, lambda: scanner.top, D) or
+        _report(law.name, scanner.first_failure(law)) for law in laws
+    ]
 
 
 def check_equation(
@@ -949,15 +943,17 @@ def _monotone(t: Term, v: str) -> bool:
     return all(u.op in _ADDITIVE_OPS for u in _walk(t) if u.args and _occurs(u, v))
 
 
-# law: (the laws that must have held first, the reduction)
+# law: (the laws that must have held first, the reduction over the semiring S and the domain structure D)
 _REDUCTIONS = {
-    "add-commutative": ((), lambda S: S._add_in_powerset or np.array_equal(S.add, S.add.T)),
-    "add-associative": ((), lambda S: S._add_in_powerset or _associative(S.add, S._gens["add"])),
-    "mul-associative": ((), lambda S: _associative(S.mul, S._gens["mul"])),
-    "left-distributive": (("add-associative", "mul-associative"), lambda S: _distributive(S, True)),
-    "right-distributive": (("add-associative", "mul-associative"), lambda S: _distributive(S, False)),
-    "star-left-induction": (_ISEMIRING_NAMES, lambda S: _induction(S, True)),
-    "star-right-induction": (_ISEMIRING_NAMES, lambda S: _induction(S, False)),
+    "add-commutative": ((), lambda S, D: S._add_in_powerset or np.array_equal(S.add, S.add.T)),
+    "add-associative": ((), lambda S, D: S._add_in_powerset or _associative(S.add, S._gens["add"])),
+    "mul-associative": ((), lambda S, D: _associative(S.mul, S._gens["mul"])),
+    "left-distributive": (("add-associative", "mul-associative"), lambda S, D: _distributive(S, True)),
+    "right-distributive": (("add-associative", "mul-associative"), lambda S, D: _distributive(S, False)),
+    "star-left-induction": (_ISEMIRING_NAMES, lambda S, D: _induction(S, True)),
+    "star-right-induction": (_ISEMIRING_NAMES, lambda S, D: _induction(S, False)),
+    # the verdicts the domain structure took when it was built, with b over the join-irreducibles (its _decide_axioms)
+    **{name: (_ISEMIRING_NAMES, lambda S, D, name=name: name in D.laws) for name in ("dom-additive", "cod-additive")},
 }
 
 # With these + is a join and the operations of _ADDITIVE_OPS preserve binary
@@ -1085,23 +1081,73 @@ def _narrowed(law: Law, model, held, size) -> Optional[tuple]:
     return tuple(ranges) if any(r is not None for r in ranges) else None
 
 
-def _decided(scanner: _Scanner, law: Law, held: set) -> bool:
-    """Whether law is found true without its own scan.
+def _decide(laws, model, scanner: Optional[_Scanner], held, hand=(), budget: int = 0, samples: Optional[int] = None,
+            rng=None) -> list[LawReport]:
+    """One report per entry of laws, in order, from the first rung of the ladder that decides each (see the module
+    docstring); a plain name stands for a hand-written report, taken from hand.
 
-    A law in held holds.  A law with a reduction holds if the laws the
-    reduction needs have held and the reduction finds it true.  Any other
-    law holds if it is certified (_certified), or _rewrite rewrites it to an
-    equivalent law that the scanner finds no failure of.
+    model has the domain surface, or is None for tables without a domain;
+    scanner scans its tables, None where _Scalar reads model's methods.
+    _instances lists or draws instances by budget, samples and rng;
+    samples=None asks for an exact decision.  held names the laws known to
+    hold on every instance, and grows by the hand reports and the table
+    laws (_TABLE_LAWS) that held unsampled.  Witnesses map variables to values.
     """
-    if law.name in held:
-        return True
-    if law.name in _REDUCTIONS:
-        needs, holds = _REDUCTIONS[law.name]
-        return held.issuperset(needs) and holds(scanner.S)
-    if _certified(law, held) is not None:
-        return True
-    rw = _rewrite(law, scanner.D, held)
-    return rw is not None and scanner.first_failure(rw.law, rw.ranges) is None
+    given, held, reports, exact = {r.name: r for r in hand}, set(held), [], samples is None
+    top = (lambda: scanner.top) if scanner is not None else (lambda: model.top)
+
+    def first(law: Law, envs) -> Optional[dict]:
+        holds = _Scalar(model, law.vars, law.tests).compile(law)
+        return next((dict(zip(law.vars, env)) for env in envs if not holds(env)), None)
+
+    for law in laws:
+        table_law = not isinstance(law, str) and _TABLE_LAWS.get(law.name) == law
+        needs, reduction = _REDUCTIONS.get(law.name, ((), None)) if table_law and scanner is not None else ((), None)
+        report = given[law] if isinstance(law, str) else _not_applicable(law, top, model)
+        if report is None and reduction is not None and held.issuperset(needs) and reduction(scanner.S, scanner.D):
+            report = LawReport(law.name, True, None, "reduction")
+        if report is None and (note := _certified(law, held)) is not None:
+            report = LawReport(law.name, True, None, note)
+        if report is None:
+            is_test = [v in law.tests for v in law.vars]
+            envs, listed = ((), False) if exact else _instances(model, is_test, budget, samples, rng)
+            rw = None if listed else _rewrite(law, model, held, budget)
+            if rw is not None:
+                rw_test = [v in rw.law.tests for v in rw.law.vars]
+                rw_envs, fits = ((), True) if exact else _instances(model, rw_test, budget, 0, None, rw.ranges)
+                if fits:
+                    found = scanner.first_failure(rw.law, rw.ranges) if scanner is not None else first(rw.law, rw_envs)
+                    if found is None or not exact and (found := _lift(law, rw, model, found)) is not None:
+                        report = _report(law.name, found, f"reduced ({math.prod(_sizes(model, rw_test, rw.ranges))})")
+            if report is None:
+                whole = listed or exact
+                found = scanner.first_failure(law) if scanner is not None and whole else first(law, envs)
+                report = _report(law.name, found, "exhaustive" if whole else f"sampled ({samples})")
+        reports.append(report)
+        if report.holds and (isinstance(law, str) or table_law and not report.note.startswith("sampled")):
+            held.add(report.name)
+    return reports
+
+
+def _lift(law: Law, rw: _Rewrite, model, found: dict) -> Optional[dict]:
+    """The instance of law for found, a failing instance of rw.law, if law fails there; else None."""
+    scalar = _Scalar(model, law.vars, law.tests)
+    env = [found.get(v) for v in law.vars]
+    try:
+        # a bound reads only variables that were still there when it was taken
+        for v, t in reversed(rw.bounds):
+            env[scalar.pos[v]] = scalar.term(t, True)(env)
+        return None if scalar.compile(law)(env) else dict(zip(law.vars, env))
+    except ValueError:
+        return None
+
+
+def _exact(laws, scanner: _Scanner, hand=(), held=()) -> list[LawReport]:
+    """_decide's exact reports over scanner's tables, with a bare note for each law the ladder decided, as the table
+    checkers print them."""
+    reports = _decide(laws, scanner.D, scanner, held, hand)
+    kept = [isinstance(law, str) or r.note.startswith("not applicable") for law, r in zip(laws, reports)]
+    return [r if keep else LawReport(r.name, r.holds, r.witness) for r, keep in zip(reports, kept)]
 
 
 def check_isemiring(S: FiniteSemiring) -> list[LawReport]:

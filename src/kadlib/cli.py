@@ -342,12 +342,20 @@ def _expect(value, kind: type, what: str):
     return value
 
 
+def _require_keys(spec: dict, what: str, keys) -> None:
+    """Raise CliParseError naming the first of keys missing from spec, so that it is not taken for an unknown name."""
+    missing = next((k for k in keys if k not in spec), None)
+    if missing is not None:
+        raise CliParseError(f"{what} no {missing!r}")
+
+
 def semiring_from_doc(doc: dict) -> tuple[FiniteSemiring, TestAlgebra]:
     _table_layer()
     spec = doc.get("semiring")
     if spec is None:
         raise CliParseError("workspace declares no semiring")
     _expect(spec, dict, '"semiring"')
+    _require_keys(spec, "semiring declares", ("carrier", "add", "mul", "zero", "one"))
     try:
         carrier = _expect(spec["carrier"], list, "the carrier")
         idx = {nm: i for i, nm in enumerate(carrier)}
@@ -376,6 +384,7 @@ def semiring_from_doc(doc: dict) -> tuple[FiniteSemiring, TestAlgebra]:
         T = TestAlgebra.discrete(S)
     else:
         _expect(tdoc, dict, '"tests"')
+        _require_keys(tdoc, "tests declare", ("members", "compl"))
         try:
             members = [idx[x] for x in _expect(tdoc["members"], list, "the test members")]
             compl = {idx[k]: idx[v] for k, v in _expect(tdoc["compl"], dict, "the test complement").items()}

@@ -13,17 +13,13 @@ the axioms (independence proofs, locality counterexamples) are data here.
 from __future__ import annotations
 
 import functools
-import math
 import random
 from typing import Optional
 
-from .algebra import (
-    FiniteSemiring, TestAlgebra, _certified, _check, _commuting, _decided, _not_applicable, _orbit_least, _rewrite, _Scalar,
-    _Scanner, _Tables, _walk, check_laws, np,
-)
+from .algebra import FiniteSemiring, TestAlgebra, _commuting, _decide, _exact, _orbit_least, _Scanner, _Tables, _walk, check_laws, np
 from .laws import (
-    Law, LawReport, Verdict, _CERTIFICATES, _ISEMIRING_NAMES, _ISR, _TABLE_LAWS, _TEST_NAMES, _instances, _require_tests,
-    _sizes, _with_atomic, cod, compl, conv, dom, eq, iff, leq, one_term, top_term, var, zero_term,
+    Law, LawReport, Verdict, _CERTIFICATES, _ISEMIRING_NAMES, _ISR, _TABLE_LAWS, _TEST_NAMES, _require_tests, _with_atomic,
+    cod, compl, conv, dom, eq, iff, leq, one_term, top_term, var, zero_term,
 )
 
 __all__ = [
@@ -77,7 +73,8 @@ class DomainStructure(_Tables):
         join of the atoms below it.  Once the isemiring laws hold every element is a join of
         join-irreducibles, so a map d is additive iff d(a + j) = d(a) + d(j)
         for every a and every join-irreducible j: the additivity laws are
-        scanned with b over those.  The axioms llp, gla, lrp and gra are
+        scanned with b over those, and the ladder's reductions of dom- and
+        cod-additive read these verdicts.  The axioms llp, gla, lrp and gra are
         certified once d1 and d2 (cd1 and cd2) and the laws their
         derivations use have held (their _CERTIFICATES entries below).
         """
@@ -91,7 +88,7 @@ class DomainStructure(_Tables):
         if all(self.test_from_positions(self.atom_positions(p)) == p for p in self.tests.members):
             held.add("atomic-tests")
         guards = frozenset(held)
-        return guards, _check(DOMAIN_AXIOMS, scanner, (), _decided, guards)
+        return guards, _exact(DOMAIN_AXIOMS, scanner, (), guards)
 
     @functools.cached_property
     def _symmetries(self) -> tuple:
@@ -365,12 +362,11 @@ def check_domain_axioms(D: DomainStructure) -> list[LawReport]:
     dloc: dom(a dom(b)) <= dom(a b)   and cdloc dually
     llp/gla (lrp/gra): dom (cod) is the least preserver / the complement of
     the greatest annihilator, stated as equivalences over all (a, p).
-    They are decided once per structure, on construction, and the reports
-    are kept.  Behind the guards that held there, a law that
-    algebra._rewrite rewrites (d1, d2, dloc and their mirrors, with a and b
-    over 0 and the join-irreducibles and p over 0 and the atoms) is decided
-    in that equivalent form first, and scanned only if that fails, so every
-    witness is the scanner's.
+    They are decided once per structure, on construction, by the exact
+    ladder (see the algebra module docstring) behind the guards that held
+    there, and the reports are kept: d1, d2, dloc and their mirrors are
+    rewritten, a and b over 0 and the join-irreducibles and p over 0 and
+    the atoms, and llp, gla, lrp and gra certified.
     """
     return list(D._axiom_reports)
 
@@ -382,17 +378,13 @@ def check_domain_calculus(D: DomainStructure) -> list[LawReport]:
     complement commutation, the top-element Galois connection, and the
     preimage exchange/decomposition laws.  Laws that need locality are
     checked only when dloc and cdloc are in D.laws and reported as not
-    applicable otherwise.  Behind the laws D is known to satisfy (its
-    laws), a law that algebra._rewrite rewrites is first decided in
-    that equivalent form (image-compose-bound and -exact with p over 0 and
-    the atoms, a and b over 0 and the join-irreducibles), and scanned only
-    if that fails, so every witness is the scanner's.  Every law but
-    dom-additive is certified once the axioms, isemiring and test-algebra
-    laws its derivation uses have held (the _CERTIFICATES entries above);
-    dom-additive holds where it is in D.laws, decided on construction, and
-    is scanned only where it is not.
+    applicable otherwise.  They are decided by the exact ladder (see the
+    algebra module docstring) behind D.laws: every law but dom-additive is
+    certified once the laws its derivation uses have held (the
+    _CERTIFICATES entries above), and dom-additive is reduced to the
+    verdict taken on construction.
     """
-    return _check(DOMAIN_CALCULUS, _Scanner(D.owner, D=D), (), _decided, D.laws)
+    return _exact(DOMAIN_CALCULUS, _Scanner(D.owner, D=D), (), D.laws)
 
 
 def is_integral(S: FiniteSemiring) -> Verdict:
@@ -466,96 +458,19 @@ def _uses_tests(law: Law) -> bool:
 
 
 def run_laws(laws, D, budget: int, samples: int, rng=None) -> list[LawReport]:
-    """One report per law, for any model with the domain surface.
+    """One report per law, for any model with the domain surface, from algebra._decide's ladder (see the algebra module
+    docstring): not applicable, reduction, certified by <law>, exhaustive, reduced (k) or sampled (n).
 
-    The laws held are those the model is known to satisfy (its laws) and
-    the table laws (laws._TABLE_LAWS) decided exactly earlier in the run.
-    A table law whose certificate's laws (laws._CERTIFICATES) have held
-    is certified before any instance is listed.  Otherwise its instances
-    come from _instances: when they are all listed, a DomainStructure is
-    scanned by check_laws' scanner and any other model is checked through
-    its methods.  Where they are not, the law is first rewritten through
-    algebra._rewrite to an equivalent law behind the laws held
-    (_by_rewrite); failing that, sampled instances are drawn from rng
-    (default: seeded 0).  The note says which: certified by <law>,
-    exhaustive, reduced (k) for k instances of the rewritten law, or
-    sampled (n).  Witnesses hold element and test names.
+    The laws held at the start are the model's laws.  A DomainStructure's
+    instances are scanned by check_laws' scanner, any other model's are
+    checked through its methods, and samples are drawn from rng (default:
+    seeded 0).  Witnesses hold element and test names.
     """
     _require_tests(D, (law.name for law in laws if _uses_tests(law)))
-    rng = rng or random.Random(0)
-    scanner = functools.cache(lambda: _Scanner(D.owner, D=D))
-    exact = set()
-    reports = []
-    for law in laws:
-        report = _not_applicable(law, lambda: D.top, D)
-        if report is None:
-            held = exact.union(D.laws)
-            if (mode := _certified(law, held)) is not None:
-                report = LawReport(law.name, True, None, mode)
-            else:
-                envs, exhaustive = _instances(D, [v in law.tests for v in law.vars], budget, samples, rng)
-                if not exhaustive:
-                    report = _by_rewrite(law, D, held, budget, scanner)
-                if report is None:
-                    values = _first_failure(law, D, scanner if exhaustive else None, envs)
-                    report = _named_report(law, D, values, "exhaustive" if exhaustive else f"sampled ({samples})")
-            if report.holds and not report.note.startswith("sampled") and _TABLE_LAWS.get(law.name) == law:
-                exact.add(law.name)
-        reports.append(report)
-    return reports
+    scanner = _Scanner(D.owner, D=D) if isinstance(D, DomainStructure) else None
+    reports = _decide(laws, D, scanner, D.laws, (), budget, samples, rng or random.Random(0))
 
+    def named(law: Law, witness: dict) -> dict:
+        return {v: D.test_name(x) if v in law.tests else D.el_name(x) for v, x in witness.items()}
 
-def _first_failure(law: Law, D, scanner, envs, ranges=None) -> Optional[tuple]:
-    """The values of law's first failing instance among envs, or None; a DomainStructure given a scanner is scanned."""
-    if scanner is not None and isinstance(D, DomainStructure):
-        found = scanner().first_failure(law, ranges)
-        return None if found is None else tuple(found.values())
-    holds = _Scalar(D, law.vars, law.tests).compile(law)
-    return next((env for env in envs if not holds(env)), None)
-
-
-def _named_report(law: Law, D, values, note: str) -> LawReport:
-    """law's report, failing at values (in law.vars order) unless they are None, with their names as its witness."""
-    witness = None
-    if values is not None:
-        witness = {v: D.test_name(x) if v in law.tests else D.el_name(x) for v, x in zip(law.vars, values)}
-    return LawReport(law.name, witness is None, witness, note)
-
-
-def _by_rewrite(law: Law, D, held, budget: int, scanner) -> Optional[LawReport]:
-    """law decided through the rewrite algebra._rewrite(law, D, held, budget) makes of it, or None.
-
-    The rewritten law is decided by an exhaustive scan of its instances
-    when they fit the budget: if they all hold, so does law; the first
-    that fails is lifted to an instance of law, each eliminated variable
-    taking its bound's value, and reported once the scalar evaluator
-    confirms that law fails there.  None where there is no rewrite, the rewritten law does not
-    fit, or its failure does not lift to one of law.
-    """
-    rw = _rewrite(law, D, held, budget)
-    if rw is None:
-        return None
-    is_test = [v in rw.law.tests for v in rw.law.vars]
-    envs, exhaustive = _instances(D, is_test, budget, 0, None, rw.ranges)
-    if not exhaustive:
-        return None
-    values = _first_failure(rw.law, D, scanner, envs, rw.ranges)
-    if values is not None:
-        values = _lift(law, rw, D, values)
-        if values is None:
-            return None
-    return _named_report(law, D, values, f"reduced ({math.prod(_sizes(D, is_test, rw.ranges))})")
-
-
-def _lift(law: Law, rw, D, values) -> Optional[tuple]:
-    """The instance of law for the failing instance values of rw.law, if law fails there; else None."""
-    scalar = _Scalar(D, law.vars, law.tests)
-    found = dict(zip(rw.law.vars, values))
-    env = [found.get(v) for v in law.vars]
-    try:
-        # a bound reads only variables that were still there when it was taken
-        for v, t in reversed(rw.bounds):
-            env[scalar.pos[v]] = scalar.term(t, True)(env)
-        return None if scalar.compile(law)(env) else tuple(env)
-    except ValueError:
-        return None
+    return [r if r.holds else LawReport(r.name, False, named(law, r.witness), r.note) for law, r in zip(laws, reports)]

@@ -395,6 +395,13 @@ ONE_LINE_ERRORS = {
     "test-outside-the-carrier": (
         {**A2_DOC, "tests": {"members": ["0", "x"], "compl": {"0": "x", "x": "0"}}}, ["check"], 2, "tests reference unknown name 'x'",
     ),
+    "semiring-without-mul": (
+        {"semiring": {k: v for k, v in A2_DOC["semiring"].items() if k != "mul"}}, ["check"], 2, "semiring declares no 'mul'",
+    ),
+    "tests-without-members": ({**A2_DOC, "tests": {"compl": {"0": "1", "1": "0"}}}, ["check"], 2, "tests declare no 'members'"),
+    "add-row-ragged": (
+        {"semiring": {**A2_DOC["semiring"], "add": [["0", "1"], ["1"]]}}, ["check"], 2, "bad semiring tables: add table must be 2x2",
+    ),
     "complement-not-total": (
         {**A2_DOC, "tests": {"members": ["0", "1"], "compl": {"0": "1"}}},
         ["check"],

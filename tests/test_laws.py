@@ -1277,14 +1277,14 @@ def test_kad_check_scans_the_domain_axioms_once(monkeypatch, capsys):
     # from cold caches: a predomain built by an earlier test is kept on its semiring
     kadlib.models._rel_materialized.cache_clear()
     scans = []
-    scan = kadlib.domain._check
+    scan = kadlib.domain._exact
 
     def counting(laws, *args, **kwargs):
         scans.append(laws is DOMAIN_AXIOMS)
         return scan(laws, *args, **kwargs)
 
-    # the axioms are decided by the law loop behind the rewrite step, as the calculus is
-    monkeypatch.setattr(kadlib.domain, "_check", counting)
+    # the axioms are decided by the exact ladder, as the calculus is
+    monkeypatch.setattr(kadlib.domain, "_exact", counting)
     assert main(["check", "rel:2"]) == 0
     assert "d1 holds" in capsys.readouterr().out
     assert sum(scans) == 1
@@ -1570,10 +1570,12 @@ def test_rewrites_give_the_full_scans_verdicts(monkeypatch):
     """Each Hoare rule and star/preimage law that algebra._rewrite rewrites (with no
     budget, so with every rewrite that applies) has the verdict of its full scan, and a
     failure it finds is lifted to an instance at which the law itself fails.  The full
-    scans take every law uncertified; a law whose certificate applies holds by its full scan."""
+    scans take every law uncertified; a law whose certificate applies holds by its full scan.
+    The rewrites are decided by algebra._decide at the budget that just fits the rewritten
+    law, with no samples, so that a failure that does not lift leaves the law "sampled (0)"."""
     seen = collections.Counter()
     for name, D in rewrite_targets():
-        scanner = functools.cache(lambda D=D: kadlib.algebra._Scanner(D.owner, D=D))
+        scanner = kadlib.algebra._Scanner(D.owner, D=D) if isinstance(D, DomainStructure) else None
         for suite in (HOARE_RULES, STAR_PREIMAGE_LAWS):
             with monkeypatch.context() as scan_only:
                 uncertified(scan_only, [law.name for law in SUITES])
@@ -1591,17 +1593,17 @@ def test_rewrites_give_the_full_scans_verdicts(monkeypatch):
                 if rw is None:
                     continue
                 is_test = [v in rw.law.tests for v in rw.law.vars]
-                k = math.prod(kadlib.domain._sizes(D, is_test, rw.ranges))
-                got = kadlib.domain._by_rewrite(law, D, held, k, scanner)
-                if got is None:
-                    # only a failure that does not lift falls back to the scan
+                k = math.prod(kadlib.algebra._sizes(D, is_test, rw.ranges))
+                got = kadlib.algebra._decide([law], D, scanner, held, (), k, 0, random.Random(0))[0]
+                if got.note == "sampled (0)":
+                    # only a failure that does not lift falls back to the samples
                     assert not want.holds, (name, law.name)
                     seen["fallback"] += 1
                     continue
                 assert got.holds == want.holds, (name, law.name, got, want)
                 assert got.note == f"reduced ({k})"
                 if not got.holds:
-                    assert fails_at(D, law, witness_values(D, law, got.witness)), (name, got)
+                    assert fails_at(D, law, [got.witness[v] for v in law.vars]), (name, got)
                 seen["reduced", got.holds] += 1
     assert seen["reduced", True] and seen["reduced", False] and seen["certified", True], seen
 
@@ -1625,6 +1627,71 @@ def test_a_rewritten_law_takes_no_draws(monkeypatch):
     assert got[1:3] == run_laws(HOARE_RULES[1:3], D, budget=100, samples=40, rng=random.Random(1))
     sampled_all = reference_hoare_rules(D, budget=100, samples=40, rng=random.Random(1))
     assert sampled_all[2].witness == {"a": "{(2,1)}", "p": "{(2,2)}", "q": "{(1,1),(2,2)}"}
+
+
+def test_each_rung_of_the_ladder_gives_its_note(monkeypatch):
+    """algebra._decide takes each law to the first rung that decides it: not applicable,
+    reduction (on tables only, for the table's own law), certified, exhaustive, reduced (k),
+    holding or lifted from a failure of the rewritten law, and sampled (n).  The rel(2)
+    predomain is scanned; rel_model(2) and rel_model(5) are read through _Scalar."""
+    a, b = var("a"), var("b")
+    # dom(a + b) = dom(a) + dom(b) under another name, which the rewrite narrows to a and b over 0 and the single pairs
+    additive = Law("dom-of-a-sum", "a b", eq(dom(a + b), dom(a) + dom(b)))
+    crossed = Law("dom-of-a-sum-by-cods", "a b", eq(dom(a + b), cod(a) + cod(b)))
+    # narrowed in a alone
+    below = Law("dom-below-a-sum", "a b", leq(dom(a), dom(a + b)))
+    local = Law("reflexive-where-local", "a", leq(a, a), requires=("dloc",))
+    table = {name: kadlib.algebra._TABLE_LAWS[name] for name in ("mul-associative", "dom-additive", "dom-strict")}
+    D = compute_predomain(rel_semiring(2), rel_tests(2))
+    models = [(D, kadlib.algebra._Scanner(D.owner, D=D)), (rel_model(2), None), (rel_model(5), None)]
+
+    def decide(law, M, scanner, budget, samples=5):
+        (report,) = kadlib.algebra._decide([law], M, scanner, M.laws, (), budget, samples, random.Random(0))
+        # a failure's witness, lifted or found, is an instance at which law itself fails
+        assert report.holds == (report.witness is None)
+        assert report.holds or fails_at(M, law, [report.witness[v] for v in law.vars])
+        return report.holds, report.note
+
+    for M, scanner in models:
+        n, on_tables = M.size(), scanner is not None
+        k = (1 + n.bit_length() - 1) ** 2  # 0 and the single pairs, for a and for b
+        assert decide(table["dom-strict"], M, scanner, 0) == (True, "certified by d2")
+        listed = "exhaustive" if n <= 256 else "sampled (5)"
+        assert decide(table["mul-associative"], M, scanner, 1 << 16) == (True, "reduction" if on_tables else listed)
+        assert decide(table["dom-additive"], M, scanner, 0) == (True, "reduction" if on_tables else "sampled (5)")
+        assert decide(additive, M, scanner, k) == (True, f"reduced ({k})")
+        assert decide(crossed, M, scanner, k) == (False, f"reduced ({k})")
+        assert decide(below, M, scanner, k) == (True, "sampled (5)")
+        if n <= 256:
+            assert decide(additive, M, scanner, n * n) == (True, "exhaustive")
+            assert decide(crossed, M, scanner, n * n) == (False, "exhaustive")
+        # a user law under a name of the tables' gets neither that law's reduction nor its certificate
+        commutes, below_one = Law("mul-associative", "a b", eq(a * b, b * a)), Law("dom-strict", "a", leq(dom(a), one_term))
+        assert not decide(commutes, M, scanner, 1 << 16)[0] and decide(below_one, M, scanner, 1 << 16)[0]
+        assert {decide(law, M, scanner, 1 << 16)[1] for law in (commutes, below_one)}.isdisjoint({"reduction", "certified by d2"})
+        with monkeypatch.context() as unlocal:
+            unlocal.setattr(M, "laws", M.laws - {"dloc"})
+            assert decide(local, M, scanner, 0) == (True, "not applicable: no locality")
+    # exact, as the table checkers ask: the rewritten law first, then where it fails the plain scan's witness
+    scanner = models[0][1]
+    exact = kadlib.algebra._decide([additive, crossed], D, scanner, D.laws)
+    assert [(r.holds, r.note) for r in exact] == [(True, "reduced (25)"), (False, "exhaustive")]
+    assert exact[1].witness == check_laws([crossed], D.owner, D=D)[0].witness
+
+
+def test_run_laws_and_the_table_checkers_give_the_same_verdicts():
+    """run_laws and check_domain_axioms with check_domain_calculus share one ladder: on every
+    structure where laws that certificates list fail, they agree on each law's verdict and witness."""
+    seen = 0
+    for name, _, D in prerequisite_cases():
+        if D is None:
+            continue
+        got = run_laws(DOMAIN_AXIOMS + DOMAIN_CALCULUS, D, 10**9, 0)
+        want = check_domain_axioms(D) + check_domain_calculus(D)
+        named = [r.witness and {v: D.owner.element_name(x) for v, x in r.witness.items()} for r in want]
+        assert [(r.name, r.holds, r.witness) for r in got] == [(r.name, r.holds, w) for r, w in zip(want, named)], name
+        seen += not all_hold(want)
+    assert seen
 
 
 def test_an_equation_is_narrowed_only_where_both_sides_are_additive():
