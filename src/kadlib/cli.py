@@ -312,10 +312,9 @@ def semiring_to_doc(S: FiniteSemiring, T: Optional[TestAlgebra] = None) -> dict:
             "one": nm(S.one),
         }
     }
-    if S.star is not None:
-        doc["semiring"]["star"] = [nm(int(v)) for v in S.star]
-    if S.conv is not None:
-        doc["semiring"]["conv"] = [nm(int(v)) for v in S.conv]
+    for column in ("star", "conv"):
+        if getattr(S, column) is not None:
+            doc["semiring"][column] = [nm(int(v)) for v in getattr(S, column)]
     if T is not None:
         doc["tests"] = {
             "members": [nm(p) for p in T.members],
@@ -371,8 +370,7 @@ def semiring_from_doc(doc: dict) -> tuple[FiniteSemiring, TestAlgebra]:
             [row(r) for r in _expect(spec["mul"], list, "the mul table")],
             idx[spec["zero"]],
             idx[spec["one"]],
-            star=row(spec["star"]) if spec.get("star") is not None else None,
-            conv=row(spec["conv"]) if spec.get("conv") is not None else None,
+            **{column: row(spec[column]) for column in ("star", "conv") if spec.get(column) is not None},
             name=spec.get("name", ""),
         )
     except KeyError as e:
@@ -431,6 +429,8 @@ def workspace_from_doc(doc: dict) -> Workspace:
     for name, edges in section.get("relations", {}).items():
         ws.relations[name] = _relation_from_doc(ws.n, name, edges)
     for name, states in section.get("sets", {}).items():
+        if name in _KEYWORDS:
+            raise CliParseError(f"set {name!r} is a keyword")
         if not all(type(s) is int for s in _expect(states, list, f"set {name!r}")):
             raise CliParseError(f"set {name!r} must list state numbers")
         try:
@@ -440,6 +440,8 @@ def workspace_from_doc(doc: dict) -> Workspace:
     for name, text in section.get("programs", {}).items():
         ws.programs[name] = parse_program(_expect(text, str, f"program {name!r}"))
     for prim, rel in section.get("env", {}).items():
+        if prim in _KEYWORDS:
+            raise CliParseError(f"env entry {prim!r} is a keyword")
         if _expect(rel, str, f"env entry {prim!r}") not in ws.relations:
             raise CliParseError(f"env binds {prim!r} to unknown relation {rel!r}")
         ws.env[prim] = ws.relations[rel]
@@ -565,54 +567,50 @@ def _print_reports(S: FiniteSemiring, reports) -> bool:
     return ok
 
 
-_LAW_CHOICES = ("isemiring", "kleene", "tests", "domain", "converse", "all")
+# kad check's law families in --laws order: name -> (what the model lacks for the family, as its skip reason and its
+# exit-3 message, or None; the call that makes its reports), both functions of S, T and D, where D() is the predomain of
+# S or the ValueError that prevents one.  Checkers are read from this module's names at call time, for their wrappers.
+_FAMILIES = {
+    "isemiring": (lambda S, T, D: None, lambda S, T, D: check_isemiring(S)),
+    "kleene": (
+        lambda S, T, D: ("no star table", "no star table declared") if S.star is None else None,
+        lambda S, T, D: check_kleene(S),
+    ),
+    "tests": (lambda S, T, D: None, lambda S, T, D: check_test_algebra(T)),
+    "domain": (
+        lambda S, T, D: (str(D()), str(D())) if isinstance(D(), ValueError) else None,
+        lambda S, T, D: [*check_domain_axioms(D()), *check_domain_calculus(D())],
+    ),
+    "converse": (
+        lambda S, T, D: ("no converse table", "no converse table declared") if S.conv is None else None,
+        lambda S, T, D: [*check_converse(S), *([] if isinstance(D(), ValueError) else converse_duality_check(D()))],
+    ),
+}
 
 
 def cmd_check(path: str, laws: str = "all") -> int:
     _table_layer()
     S, T = _load_algebra(path)
-    explicit = laws != "all"
-    wanted = [laws] if explicit else ["isemiring", "kleene", "tests", "domain", "converse"]
-    ok = True
 
-    def domain_structure():
+    @functools.cache
+    def D():
         """The predomain of S (built once and kept on S), or the ValueError that prevents one."""
         try:
             return compute_predomain(S, T)
         except ValueError as e:
             return e
 
-    for kind in wanted:
-        if kind == "isemiring":
-            ok &= _print_reports(S, check_isemiring(S))
-        elif kind == "kleene":
-            if S.star is None:
-                if explicit:
-                    raise MissingCapability("no star table declared")
-                print("skipping kleene laws: no star table", file=sys.stderr)
-                continue
-            ok &= _print_reports(S, check_kleene(S))
-        elif kind == "tests":
-            ok &= _print_reports(S, check_test_algebra(T))
-        elif kind == "domain":
-            D = domain_structure()
-            if isinstance(D, ValueError):
-                if explicit:
-                    raise MissingCapability(str(D)) from D
-                print(f"skipping domain laws: {D}", file=sys.stderr)
-                continue
-            ok &= _print_reports(S, check_domain_axioms(D))
-            ok &= _print_reports(S, check_domain_calculus(D))
-        elif kind == "converse":
-            if S.conv is None:
-                if explicit:
-                    raise MissingCapability("no converse table declared")
-                print("skipping converse laws: no converse table", file=sys.stderr)
-                continue
-            ok &= _print_reports(S, check_converse(S))
-            D = domain_structure()
-            if not isinstance(D, ValueError):
-                ok &= _print_reports(S, converse_duality_check(D))
+    ok = True
+    for family, (lacks, reports) in _FAMILIES.items():
+        if laws not in (family, "all"):
+            continue
+        missing = lacks(S, T, D)
+        if missing is None:
+            ok &= _print_reports(S, reports(S, T, D))
+        elif laws == family:
+            raise MissingCapability(missing[1])
+        else:
+            print(f"skipping {family} laws: {missing[0]}", file=sys.stderr)
     return 0 if ok else 1
 
 
@@ -641,36 +639,28 @@ def cmd_reach(path: str, relation: str, targets: str = "", algo: str = "both") -
             continue
         r = results[kind] = (reach_naive if kind == "naive" else reach_efficient)(D, a, p)
         print(f"{kind}: {D.test_name(r.result)} (iterations={r.iterations}, preimage-evals={r.preimage_evals})")
-    if algo == "both":
-        if results["naive"].result == results["efficient"].result:
-            print("agree")
-        else:
-            print("DISAGREE: the two algorithms returned different sets")
-            return 1
-    return 0
+    if algo != "both":
+        return 0
+    agree = results["naive"].result == results["efficient"].result
+    print("agree" if agree else "DISAGREE: the two algorithms returned different sets")
+    return 0 if agree else 1
 
 
 def cmd_hoare(path: str, triple: Optional[str] = None, proof: Optional[str] = None) -> int:
     ws, D, _ = _load_relational(path)
-    if triple is not None:
-        if triple not in ws.triples:
-            raise CliParseError(f"unknown triple {triple!r}")
-        v = check_triple(ws.triples[triple], ws.env, D, ws.sets)
-        if v:
-            print(f"triple {triple} holds")
-            return 0
-        print(f"triple {triple} FAILS: {v.note}")
-        return 1
-    if proof is not None:
-        if proof not in ws.proofs:
-            raise CliParseError(f"unknown proof {proof!r}")
-        v = validate_proof(ws.proofs[proof], ws.env, D, ws.sets)
-        if v:
-            print(f"proof {proof} is valid")
-            return 0
-        print(f"proof {proof} INVALID: {v.note}")
-        return 1
-    raise CliParseError("hoare needs --triple or --proof")
+    # the kind asked for, its name, the section naming it, its checker, and the words of a verdict that holds or fails
+    kind, name, named, check, holds, fails = (
+        ("triple", triple, ws.triples, check_triple, "holds", "FAILS")
+        if triple is not None
+        else ("proof", proof, ws.proofs, validate_proof, "is valid", "INVALID")
+    )
+    if name is None:
+        raise CliParseError("hoare needs --triple or --proof")
+    if name not in named:
+        raise CliParseError(f"unknown {kind} {name!r}")
+    v = check(named[name], ws.env, D, ws.sets)
+    print(f"{kind} {name} {holds}" if v else f"{kind} {name} {fails}: {v.note}")
+    return 0 if v else 1
 
 
 def _has_cycle(D, rel) -> bool:
@@ -720,7 +710,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run equational law checkers on a model")
     p.add_argument("path", help="workspace file, builtin:NAME, or rel:N")
-    p.add_argument("--laws", choices=_LAW_CHOICES, default="all")
+    p.add_argument("--laws", choices=(*_FAMILIES, "all"), default="all")
 
     p = sub.add_parser("reach", help="backward reachability over a workspace relation")
     p.add_argument("path")
@@ -741,23 +731,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = vars(_parser().parse_args(argv))
     try:
-        if args.cmd == "check":
-            return cmd_check(args.path, args.laws)
-        if args.cmd == "reach":
-            return cmd_reach(args.path, args.relation, args.targets, args.algo)
-        if args.cmd == "hoare":
-            return cmd_hoare(args.path, args.triple, args.proof)
-        if args.cmd == "termination":
-            return cmd_termination(args.path, args.relation)
-    except CliParseError as e:
+        # each subcommand's options are the parameters of its cmd_ function, read here at call time
+        return globals()[f"cmd_{args.pop('cmd')}"](**args)
+    except (CliParseError, MissingCapability) as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except MissingCapability as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
-    raise AssertionError("unreachable")
+        return 2 if isinstance(e, CliParseError) else 3
 
 
 if __name__ == "__main__":

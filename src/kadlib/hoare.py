@@ -195,7 +195,7 @@ def _evaluate(root, D, env: dict, tenv: Optional[dict]):
         if isinstance(node, Prim):
             if args[0] not in env and args[0] not in ("skip", "abort"):
                 raise ValueError(f"unresolved primitive action {args[0]!r}")
-            return env[args[0]] if args[0] in env else D.one if args[0] == "skip" else D.zero
+            return D.one if args[0] == "skip" else D.zero if args[0] == "abort" else env[args[0]]
         if isinstance(node, Seq):
             return D.mul(*args)
         if isinstance(node, Cond):

@@ -1,5 +1,7 @@
 """Core algebra layer: dense-table semirings, law checkers, term evaluation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,8 @@ from kadlib.algebra import (
     var,
 )
 from kadlib.cli import Workspace
-from kadlib.domain import compute_predomain
+from kadlib.domain import DomainStructure, compute_predomain, run_laws
+from kadlib.laws import eq
 from kadlib.models import conway_model, conway_names, materialize, rel_model, rel_semiring, rel_tests
 from kadlib.termination import termination_report
 
@@ -125,6 +128,36 @@ def test_table_validation():
         FiniteSemiring(("0", "1"), [[0, 5], [1, 1]], [[0, 0], [0, 1]], 0, 1)  # range
     with pytest.raises(ValueError):
         FiniteSemiring(("0", "0"), [[0, 1], [1, 1]], [[0, 0], [0, 1]], 0, 1)  # dup names
+
+
+A2 = conway_model("A2")
+# A2 without its star table
+NO_STAR = FiniteSemiring(("0", "1"), [[0, 1], [1, 1]], [[0, 0], [0, 1]], 0, 1, name="nostar")
+REFUSED = {
+    # name: (a call with an argument out of its domain, the ValueError's whole message)
+    "carrier-of-one": (lambda: FiniteSemiring(("0",), [[0]], [[0]], 0, 0), "carrier needs at least the two constants 0 and 1"),
+    "one-outside-the-carrier": (lambda: FiniteSemiring(("0", "1"), A2.add, A2.mul, 0, 2), "zero/one must be carrier indices"),
+    "no-test": (lambda: TestAlgebra(A2, [], {}), "a test algebra needs at least one member"),
+    "test-outside-the-carrier": (lambda: TestAlgebra(A2, [0, 5], {0: 5, 5: 0}), "member 5 is not a carrier index"),
+    "complement-outside-the-tests": (lambda: TestAlgebra(A2, [0], {0: 1}), "compl must map members to members"),
+    "relation-neither-eq-nor-leq": (lambda: check_equation(var("a"), var("a"), "lt", S=A2), "rel must be 'eq' or 'leq'"),
+    "equation-without-a-semiring": (lambda: check_equation(var("a"), var("a")), "a semiring is required"),
+    "kleene-without-a-star-table": (lambda: check_kleene(NO_STAR), "nostar declares no star table"),
+    "tests-of-another-semiring": (
+        lambda: DomainStructure(conway_model("A3_1"), TestAlgebra.discrete(A2), [0, 2, 2], [0, 2, 2]),
+        "test algebra belongs to a different semiring",
+    ),
+    # laws checked through a model's own methods
+    "unbound-variable": (lambda: run_laws([Law("x", "a", eq(var("b"), var("a")))], rel_model(2), 10**6, 0), "unbound variable 'b'"),
+    "unknown-term-op": (lambda: run_laws([Law("x", "a", eq(Term("foo", (var("a"),)), var("a")))], rel_model(2), 10**6, 0), "unknown term op 'foo'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_arguments_out_of_their_domain_are_refused_by_name(case):
+    call, message = REFUSED[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_tables_are_frozen():

@@ -26,6 +26,7 @@ from kadlib.cli import (
     parse_program,
     parse_test,
     semiring_to_doc,
+    workspace_from_doc,
 )
 from kadlib.hoare import Cond, Prim, Seq, TAnd, TFalse, TNot, TOr, TRef, TStates, TTrue, While
 from kadlib.models import Relation, conway_model, conway_names, rel_semiring, rel_tests
@@ -334,6 +335,24 @@ def test_json_nested_too_deeply_is_a_one_line_parse_error(tmp_path, capsys):
     assert (out, err) == ("", "error: workspace nests too deeply to read\n")
 
 
+# in a plain interpreter the recursive-descent parser loads a program nested in up to 495 parentheses, a test in up to
+# 247 and a chain of up to 988 not; these depths, a fifth below each, load under pytest's deeper stack too
+NESTINGS = {
+    "program-parentheses": (400, lambda k: {"programs": {"p": "(" * k + "skip" + ")" * k}}),
+    "test-parentheses": (200, lambda k: {"triples": {"t": {"pre": "(" * k + "true" + ")" * k, "prog": "skip", "post": "true"}}}),
+    "not-chain": (800, lambda k: {"triples": {"t": {"pre": "not " * k + "true", "prog": "skip", "post": "true"}}}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTINGS))
+def test_the_parser_keeps_its_nesting_capacity(kind, tmp_path, capsys):
+    depth, nest = NESTINGS[kind]
+    ws = workspace_from_doc({**REL, **nest(depth)})
+    assert len(ws.programs) + len(ws.triples) == 1
+    assert main(["termination", write_ws(tmp_path, {**REL, **nest(3000)}), "--relation", "R"]) == 2
+    assert capsys.readouterr() == ("", "error: workspace nests too deeply to read\n")
+
+
 # -- check command -------------------------------------------------------------------
 
 
@@ -428,6 +447,22 @@ ONE_LINE_ERRORS = {
     ),
     "unreadable-path": (None, ["check"], 2, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
     "no-predomain": (NO_PREDOMAIN, ["check", "--laws", "domain"], 3, "'1' has no left-preserving test; the test algebra is too small or the laws fail"),
+    "workspace-not-an-object": ([], ["check"], 2, "workspace must be a JSON object"),
+    "zero-not-in-the-carrier": ({"semiring": {**A2_DOC["semiring"], "zero": "z"}}, ["check"], 2, "semiring table references unknown name 'z'"),
+    "set-of-names": ({**REL, "sets": {"p": ["1"]}}, ["check"], 2, "set 'p' must list state numbers"),
+    "if-without-else": ({**REL, "programs": {"p": "if true then skip fi"}}, ["check"], 2, "expected 'else', got 'fi' in 'if true then skip fi'"),
+    "program-ends-in-a-semicolon": ({**REL, "programs": {"p": "skip;"}}, ["check"], 2, "unexpected end of input in 'skip;'"),
+    "action-a-number": ({**REL, "programs": {"p": "3"}}, ["check"], 2, "expected an action name, got '3'"),
+    "test-a-comma": ({**REL, "programs": {"p": "while , do skip od"}}, ["check"], 2, "expected a test, got ',' in 'while , do skip od'"),
+    # skip and abort are the constants 1 and 0, and a set named by a keyword could never be referenced
+    "env-binds-skip": (
+        {"n": 3, "relations": {"Z": []}, "env": {"skip": "Z"}, "triples": {"t": {"pre": "{1}", "prog": "skip", "post": "false"}}},
+        ["hoare", "--triple", "t"],
+        2,
+        "env entry 'skip' is a keyword",
+    ),
+    "env-binds-abort": ({**STEP, "env": {"abort": "R"}}, ["termination", "--relation", "R"], 2, "env entry 'abort' is a keyword"),
+    "set-named-true": ({**REL, "sets": {"true": [1]}}, ["check"], 2, "set 'true' is a keyword"),
 }
 
 
@@ -459,6 +494,31 @@ def test_check_missing_star_is_a_capability_error(tmp_path, capsys):
     assert main(["check", path]) == 0
     _, err = capsys.readouterr()
     assert "skipping kleene laws" in err
+
+
+# each law family named with --laws and run under all, on builtin:A2 (no converse table), A2 without its star table
+# and NO_PREDOMAIN: the pinned stdout, stderr and exit code of each
+FAMILIES = Path(__file__).parent / "data" / "families"
+FAMILY_CASES = json.loads((FAMILIES / "cases.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(FAMILY_CASES))
+def test_each_law_family_reports_skips_or_exits_3_as_pinned(case, capsys):
+    spec = FAMILY_CASES[case]
+    target = spec["target"] if spec["target"].startswith("builtin:") else str(FAMILIES / spec["target"])
+    assert main(["check", target, "--laws", spec["laws"]]) == spec["exit"]
+    out, err = capsys.readouterr()
+    assert (out.encode(), err) == ((FAMILIES / f"{case}.stdout").read_bytes(), spec["stderr"])
+
+
+@pytest.mark.parametrize("case", ["kad_help", "kad_check_help"])
+def test_help_text_is_unchanged(case, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"] if case == "kad_help" else ["check", "--help"])
+    assert exit_.value.code == 0
+    out, err = capsys.readouterr()
+    assert (out.encode(), err) == ((FAMILIES / f"{case}.stdout").read_bytes(), "")
 
 
 def test_assignment_is_rejected_at_load_time(tmp_path, capsys):
@@ -521,6 +581,19 @@ def test_reach_error_paths(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_reach_both_reports_when_the_two_algorithms_disagree(tmp_path, monkeypatch, capsys):
+    # an efficient search that ignores its targets
+    efficient = kadlib.cli.reach_efficient
+    monkeypatch.setattr(kadlib.cli, "reach_efficient", lambda D, a, p: efficient(D, a, D.test_zero))
+    assert main(["reach", write_ws(tmp_path, CHAIN), "--relation", "R", "--targets", "3"]) == 1
+    assert capsys.readouterr() == (
+        "naive: {1,2,3} (iterations=3, preimage-evals=6)\n"
+        "efficient: {} (iterations=0, preimage-evals=0)\n"
+        "DISAGREE: the two algorithms returned different sets\n",
+        "",
+    )
+
+
 # -- termination command -------------------------------------------------------------------
 
 
@@ -547,6 +620,14 @@ def test_termination_unknown_relation(tmp_path, capsys):
     path = write_ws(tmp_path, CHAIN)
     assert main(["termination", path, "--relation", "zzz"]) == 2
     capsys.readouterr()
+
+
+def test_termination_reports_when_the_cycle_search_disagrees(tmp_path, monkeypatch, capsys):
+    # a cycle search that finds a cycle in the acyclic chain R
+    monkeypatch.setattr(kadlib.cli, "_has_cycle", lambda D, rel: True)
+    assert main(["termination", write_ws(tmp_path, CHAIN), "--relation", "R"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == ["ORACLE DISAGREEMENT: noetherian=true but cycle search says acyclic=false"] and err == ""
 
 
 def test_termination_past_the_budget_is_exact(tmp_path, capsys):
@@ -706,6 +787,12 @@ def test_hoare_unknown_names(tmp_path, capsys):
     assert main(["hoare", path, "--triple", "zzz"]) == 2
     assert main(["hoare", path, "--proof", "zzz"]) == 2
     capsys.readouterr()
+
+
+def test_hoare_without_a_triple_or_a_proof_is_a_parse_error(tmp_path):
+    # the parser requires one of the two, but a library call may name neither: exit 2 under main
+    with pytest.raises(CliParseError, match="^hoare needs --triple or --proof$"):
+        kadlib.cli.cmd_hoare(write_ws(tmp_path, CHAIN))
 
 
 UNRESOLVED = {

@@ -85,6 +85,14 @@ def test_denote_primitives(chain3):
         denote(Prim("jump"), env, D)
 
 
+def test_skip_and_abort_are_1_and_0_whatever_env_binds(chain3):
+    D, env = chain3
+    rebound = {**env, "skip": env["step"], "abort": env["step"]}
+    assert denote(Prim("skip"), rebound, D) == D.one
+    assert denote(Prim("abort"), rebound, D) == D.zero
+    assert denote(Seq(Prim("step"), Prim("skip")), rebound, D) == env["step"]
+
+
 def test_denote_composite_forms(chain3):
     D, env = chain3
     two_steps = denote(Seq(Prim("step"), Prim("step")), env, D)
@@ -354,6 +362,10 @@ def bad_proofs():
         "premise precondition is not (test and invariant)": (loop_rule(loop, HoareTriple(TTrue(), step, TTrue())), "root"),
         "conclusion postcondition is not (not test and invariant)": (loop_rule(loop, body_t, TTrue()), "root"),
         "premise postcondition is not below the conclusion's": (composition(s1, Seq(step, step), s3, narrowing), "root.premise[0]"),
+        "weakening does not change the program": (
+            ProofTree("weakening", HoareTriple(s1, step, s2), (ProofTree("axiom", HoareTriple(s1, Seq(step, skip), s2)),)),
+            "root",
+        ),
     }
 
 

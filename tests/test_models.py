@@ -4,6 +4,7 @@ predicate transformers, and the materialization bridge."""
 import itertools
 import math
 import random
+import re
 
 import hypothesis
 import hypothesis.strategies as strat
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from kadlib.algebra import (
+    FiniteSemiring,
     TestAlgebra,
     all_hold,
     check_isemiring,
@@ -515,6 +517,32 @@ def test_a_model_without_tests_is_refused_by_what_reads_them(make, entry):
     M = make()
     with pytest.raises(ValueError, match=f"^{M.name} has no test algebra, which "):
         NEEDS_TESTS[entry](M)
+
+
+# A2 without its star table
+NO_STAR = FiniteSemiring(("0", "1"), [[0, 1], [1, 1]], [[0, 0], [0, 1]], 0, 1, name="nostar")
+REFUSED = {
+    # name: (a call with an argument out of its domain, the ValueError's whole message)
+    "split-past-the-matrix": (lambda: matrix_star(conway_model("A2"), [[0, 0], [0, 0]], split=2), "split must be in 1..1"),
+    "matrices-of-no-rows": (lambda: matrix_semiring(conway_model("A2"), 0), "need at least 1x1 matrices"),
+    "letter-of-two-characters": (lambda: bounded_language_model(["ab"], 1), "alphabet must consist of single characters"),
+    "letter-repeated": (lambda: bounded_language_model("aa", 1), "alphabet letters must be distinct"),
+    "words-of-negative-length": (lambda: bounded_language_model("ab", -1), "maxlen must be >= 0"),
+    "vertex-repeated": (lambda: bounded_path_model("xx", 2), "vertices must be distinct"),
+    "no-vertex": (lambda: bounded_path_model("", 2), "need at least one vertex"),
+    "paths-of-no-vertex": (lambda: bounded_path_model("xy", 0), "maxlen must allow single-vertex paths"),
+    "transformers-without-a-star": (
+        lambda: predicate_transformer_model(compute_predomain(NO_STAR, TestAlgebra.discrete(NO_STAR))),
+        "predicate transformers need a star on the source",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_model_arguments_out_of_their_domain_are_refused_by_name(case):
+    call, message = REFUSED[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_maxplus_has_no_star():
