@@ -48,9 +48,9 @@ in full; the first of its rungs that decides a law gives its report:
    have held, a _REDUCTIONS entry: those above, and dom- and cod-additive
    as decided when the domain was built;
 3. certified by <law>: _certified, once the laws its derivation uses have
-   held (_CERTIFICATES: the star theorems above, the domain calculus and
-   the axiom forms llp, gla, lrp and gra, added by domain, the
-   star/preimage laws, added by reach, and the Hoare rules, added by hoare);
+   held (catalogue._CERTIFICATES: the star theorems above, the domain
+   calculus and the axiom forms llp, gla, lrp and gra, the star/preimage
+   laws and the Hoare rules);
 4. exhaustive: every instance, where they fit the budget;
 5. reduced (k): past the budget, _rewrite, the one law-rewrite step, makes
    an equivalent law of k instances by Horn elimination and
@@ -83,11 +83,11 @@ here.  A module __getattr__ never sees a module's own global lookups, so the
 first attribute read imports numpy and rebinds np to it in each kadlib module
 that holds the stand-in: the table kernels then pay no indirection.  The value
 layer (the record base _Record with LawReport and Verdict, Term and its
-builders, Law, the law lists, and _TABLE_LAWS and _CERTIFICATES, the very
-dicts that domain, reach and hoare extend) is in laws, which holds no numpy
-stand-in, so that reach, termination, hoare, relations and the kad front end
-load without this module; it is imported here and re-exported under its old
-names.
+builders, Law and the law lists) is in laws, which holds no numpy stand-in,
+so that reach, termination, hoare, relations and the kad front end load
+without this module; it is imported here and re-exported under its old
+names, as are _TABLE_LAWS and _CERTIFICATES from catalogue, which states
+every other law suite.
 """
 
 from __future__ import annotations
@@ -98,10 +98,11 @@ import math
 import sys
 from typing import Iterable, Mapping, NamedTuple, Optional
 
+from .catalogue import _CERTIFICATES, _TABLE_LAWS
 from .laws import (  # the value layer, re-exported here under its old names
-    ISEMIRING_LAWS, KLEENE_LAWS, TEST_LAWS, Law, LawReport, Term, Verdict, _CERTIFICATES, _ISEMIRING_NAMES, _STAR_AXIOMS,
-    _TABLE_LAWS, _TERM_FORMS, _instances, _sizes, add, all_hold, cod, compl, conv, dom, eq, failures, iff, leq, mul,
-    one_term, star, top_term, var, zero_term,
+    ISEMIRING_LAWS, KLEENE_LAWS, TEST_LAWS, Law, LawReport, Term, Verdict, _ISEMIRING_NAMES, _STAR_AXIOMS, _TERM_FORMS,
+    _instances, _sizes, add, all_hold, cod, compl, conv, dom, eq, failures, iff, leq, mul, one_term, star, top_term, var,
+    zero_term,
 )
 
 
@@ -635,6 +636,8 @@ class _Scanner:
         """(fn, deps): fn(env) evaluates the term or atom t; deps holds the variable positions it reads."""
         op = t.op
         if op == "var":
+            if t.name not in self._pos:
+                raise ValueError(f"unbound variable {t.name!r}")
             i = self._pos[t.name]
             return (lambda env: env[i]), {i}
         if op in ("zero", "one", "top"):

@@ -589,6 +589,8 @@ _FAMILIES = {
 
 
 def cmd_check(path: str, laws: str = "all") -> int:
+    if laws not in (*_FAMILIES, "all"):
+        raise CliParseError(f"unknown law family {laws!r} (choose from {', '.join(_FAMILIES)} or all)")
     _table_layer()
     S, T = _load_algebra(path)
 

@@ -8,6 +8,8 @@ image and preimage operators and the laws known to hold (d1, d2, locality,
 
 As in algebra, checkers report rather than raise: structures that violate
 the axioms (independence proofs, locality counterexamples) are data here.
+The laws they check (DOMAIN_AXIOMS, DOMAIN_CALCULUS, CONVERSE_LAWS and
+CONVERSE_DUALITY) are stated in catalogue and re-exported here.
 """
 
 from __future__ import annotations
@@ -17,10 +19,8 @@ import random
 from typing import Optional
 
 from .algebra import FiniteSemiring, TestAlgebra, _commuting, _decide, _exact, _orbit_least, _Scanner, _Tables, _walk, check_laws, np
-from .laws import (
-    Law, LawReport, Verdict, _CERTIFICATES, _ISEMIRING_NAMES, _ISR, _TABLE_LAWS, _TEST_NAMES, _require_tests, _with_atomic,
-    cod, compl, conv, dom, eq, iff, leq, one_term, top_term, var, zero_term,
-)
+from .catalogue import _ADDITIVITY, CONVERSE_DUALITY, CONVERSE_LAWS, DOMAIN_AXIOMS, DOMAIN_CALCULUS
+from .laws import Law, LawReport, Verdict, _ISEMIRING_NAMES, _require_tests, _with_atomic
 
 __all__ = [
     "DomainStructure", "compute_predomain", "compute_precodomain", "check_domain_axioms", "check_domain_calculus",
@@ -76,7 +76,7 @@ class DomainStructure(_Tables):
         scanned with b over those, and the ladder's reductions of dom- and
         cod-additive read these verdicts.  The axioms llp, gla, lrp and gra are
         certified once d1 and d2 (cd1 and cd2) and the laws their
-        derivations use have held (their _CERTIFICATES entries below).
+        derivations use have held (their catalogue._CERTIFICATES entries).
         """
         held = {r.name for r in (*self.owner._isemiring_reports, *self.tests._reports) if r.holds}
         if self.owner.star is not None:
@@ -241,119 +241,6 @@ def compute_precodomain(S: FiniteSemiring, T: TestAlgebra) -> list[int]:
 # axiom and calculus checkers
 
 
-def _domain_law_tables():
-    a, b, p, q = var("a"), var("b"), var("p"), var("q")
-    zero, one = zero_term, one_term
-    local = ("dloc", "cdloc")
-    axioms = (
-        Law("d1", "a", leq(a, dom(a) * a)),
-        Law("d2", "p a", leq(dom(p * a), p), tests="p"),
-        Law("dloc", "a b", leq(dom(a * dom(b)), dom(a * b))),
-        Law("llp", "p a", iff(leq(dom(a), p), leq(a, p * a)), tests="p"),
-        Law("gla", "p a", iff(leq(dom(a), p), eq(compl(p) * a, zero)), tests="p"),
-        Law("cd1", "a", leq(a, a * cod(a))),
-        Law("cd2", "p a", leq(cod(a * p), p), tests="p"),
-        Law("cdloc", "a b", leq(cod(cod(a) * b), cod(a * b))),
-        Law("lrp", "p a", iff(leq(cod(a), p), leq(a, a * p)), tests="p"),
-        Law("gra", "p a", iff(leq(cod(a), p), eq(a * compl(p), zero)), tests="p"),
-    )
-    calculus = (
-        Law("dom-strict", "a", iff(leq(dom(a), zero), leq(a, zero))),
-        Law("dom-additive", "a b", eq(dom(a + b), dom(a) + dom(b))),
-        Law("dom-monotone", "a b", leq(dom(a), dom(b)), leq(a, b)),
-        Law("dom-stable-on-tests", "p", eq(dom(p), p), tests="p"),
-        Law("dom-idempotent", "a", eq(dom(dom(a)), dom(a))),
-        # the equational strengthening of d1
-        Law("dom-left-invariant", "a", eq(dom(a) * a, a)),
-        Law("dom-export", "p a", eq(dom(p * a), p * dom(a)), tests="p"),
-        Law("dom-decompose", "a b", leq(dom(a * b), dom(a * dom(b)))),
-        Law("dom-complement", "p", eq(compl(dom(p)), dom(compl(p))), tests="p"),
-        Law("dom-top-galois", "p a", iff(leq(dom(a), p), leq(a, p * top_term)), tests="p", requires=("top",)),
-        Law("preimage-of-one", "a", eq(dom(a * one), dom(a))),
-        Law("image-of-one", "a", eq(cod(one * a), cod(a))),
-        # (51)-(55); a:p is dom(a p) and p:a is cod(p a)
-        Law("preimage-vs-commutation", "p q a", iff(leq(dom(a * p), q), leq(a * p, q * a)), tests="p q"),
-        Law("preimage-vs-annihilation", "p q a", iff(leq(dom(a * p), q), eq((compl(q) * a) * p, zero)), tests="p q"),
-        Law("preimage-import-export", "p q a", eq(p * dom(a * q), dom((p * a) * q)), tests="p q"),
-        Law("preimage-exchange", "p q a", iff(leq(dom(a * p), q), leq(cod(compl(q) * a), compl(p))), tests="p q"),
-        Law("image-preimage-annihilation", "p q a", iff(eq(cod(p * a) * q, zero), eq(p * dom(a * q), zero)), tests="p q"),
-        # (56) p:(a b) <= (p:a):b, with equality under locality
-        Law("image-compose-bound", "p a b", leq(cod((p * a) * b), cod(cod(p * a) * b)), tests="p"),
-        Law("image-compose-exact", "p a b", eq(cod((p * a) * b), cod(cod(p * a) * b)), tests="p", requires=local),
-        # (57)/(58): dom(a b) = a:dom(b); cod(a b) = cod(a):b
-        Law("dom-compose-local", "a b", eq(dom(a * b), dom(a * dom(b))), requires=local),
-        Law("cod-compose-local", "a b", eq(cod(a * b), cod(cod(a) * b)), requires=local),
-        # zero-divisor exchange, locality in equational clothing
-        Law("annihilation-via-dom-cod", "a b", iff(eq(a * b, zero), eq(cod(a) * dom(b), zero)), requires=local),
-    )
-    return axioms, calculus
-
-
-DOMAIN_AXIOMS, DOMAIN_CALCULUS = _domain_law_tables()
-
-# guards of algebra._rewrite; cod-additive stays out of the printed calculus
-_ADDITIVITY = (
-    next(law for law in DOMAIN_CALCULUS if law.name == "dom-additive"),
-    Law("cod-additive", "a b", eq(cod(var("a") + var("b")), cod(var("a")) + cod(var("b")))),
-)
-
-_TABLE_LAWS.update((law.name, law) for law in DOMAIN_AXIOMS + DOMAIN_CALCULUS + _ADDITIVITY)
-
-# what gla's derivation uses besides d1 and d2, as in dom-monotone below
-_GLA = ("complement-join-full", "complement-meet-empty", "meet-commutative")
-
-# the certificates of the domain laws, as in laws._CERTIFICATES.  Tests are p, q;
-# dom(a) and cod(a) are tests by construction, and so is the complement of one.
-_CERTIFICATES.update({
-    # the equivalent axiom forms of the paper's basic calculus: if dom(a) <= p
-    # then a <= dom(a)a <= pa; if a <= pa then a = pa, as p <= 1, and dom(a) = dom(pa) <= p
-    "llp": ("d2", ("d1", *_ISR, "members-below-one")),
-    # if dom(a) <= p then p'a <= p'dom(a)a <= p'pa = 0; if p'a = 0 then a = (p + p')a = pa, and llp
-    "gla": ("d2", ("d1", *_ISR, *_GLA)),
-    # the mirrors of llp and gla, where ap' = 0 needs no commuted meet
-    "lrp": ("cd2", ("cd1", *_ISR, "members-below-one")),
-    "gra": ("cd2", ("cd1", *_ISR, "complement-join-full", "complement-meet-empty")),
-    # the laws of the paper's basic calculus, each from the axioms its derivation uses
-    # dom(0) = dom(0 0) <= 0; if dom(a) = 0 then a <= dom(a)a = 0
-    "dom-strict": ("d2", ("d1", *_ISR, "zero-is-member")),
-    # a <= b: with p = dom(b), p'a <= p'b = 0 by gla, so dom(a) <= p by gla
-    "dom-monotone": ("d2", ("d1", *_ISR, *_GLA)),
-    # dom(p) = dom(p 1) <= p; p <= dom(p)p <= dom(p)
-    "dom-stable-on-tests": ("d2", ("d1", *_ISR, "members-below-one")),
-    # dom-stable-on-tests at p = dom(a)
-    "dom-idempotent": ("d2", ("d1", *_ISR, "members-below-one")),
-    # dom(a)a <= a as dom(a) <= 1, and d1
-    "dom-left-invariant": ("d1", (*_ISR, "members-below-one")),
-    # dom(pa) <= p dom(a) by d2, monotone dom and meets; with q = dom(pa), q'pa = 0 by
-    # gla, so dom(a) <= (q'p)' = q + p' by gla, and p dom(a) <= pq <= q
-    "dom-export": ("d2", ("d1", *_ISR, *_TEST_NAMES)),
-    # with p = dom(a dom(b)): ab <= a dom(b)b <= p a dom(b)b <= pab, so dom(ab) <= p by llp
-    "dom-decompose": ("d2", ("d1", *_ISR, "members-below-one")),
-    # dom-stable-on-tests at p and p'
-    "dom-complement": ("d2", ("d1", *_ISR, "members-below-one")),
-    # a <= dom(a)a <= pa <= p top; if a <= p top then p'a <= p'p top = 0, and gla
-    "dom-top-galois": ("d2", ("d1", *_ISR, *_GLA)),
-    # a 1 = a and 1 a = a
-    "preimage-of-one": ("mul-right-identity", ()),
-    "image-of-one": ("mul-left-identity", ()),
-    # (51)-(55): llp at ap, with ap = app <= qap; gla at ap; dom-export at aq; gla and gra;
-    # both sides say paq = 0, by gra and gla, as rq = 0 iff r <= q' for tests
-    "preimage-vs-commutation": ("d2", ("d1", *_ISR, "members-below-one", "meet-idempotent")),
-    "preimage-vs-annihilation": ("d2", ("d1", *_ISR, *_GLA)),
-    "preimage-import-export": ("d2", ("d1", *_ISR, *_TEST_NAMES)),
-    "preimage-exchange": ("d2", ("d1", "cd1", "cd2", *_ISR, *_GLA, "complement-involutive")),
-    "image-preimage-annihilation": ("cd2", ("cd1", "d1", "d2", *_ISR, *_TEST_NAMES)),
-    # (56)-(58): dom-decompose and its mirror at pa, equalities by dloc and cdloc
-    "image-compose-bound": ("cd2", ("cd1", *_ISR, "members-below-one")),
-    "image-compose-exact": ("cdloc", ("cd1", "cd2", *_ISR, "members-below-one")),
-    "dom-compose-local": ("dloc", ("d1", "d2", *_ISR, "members-below-one")),
-    "cod-compose-local": ("cdloc", ("cd1", "cd2", *_ISR, "members-below-one")),
-    # ab = 0 => dom(a dom(b)) <= dom(ab) = 0 => a dom(b) = 0 => cod(cod(a)dom(b)) <= cod(a dom(b)) = 0
-    # => cod(a)dom(b) = 0, by dom-strict and its mirror; conversely ab <= a cod(a)dom(b)b
-    "annihilation-via-dom-cod": ("dloc", ("d1", "d2", "cd1", "cd2", "cdloc", *_ISR, "zero-is-member")),
-})
-
-
 def check_domain_axioms(D: DomainStructure) -> list[LawReport]:
     """The domain/codomain axioms and their least/greatest characterizations.
 
@@ -381,7 +268,7 @@ def check_domain_calculus(D: DomainStructure) -> list[LawReport]:
     applicable otherwise.  They are decided by the exact ladder (see the
     algebra module docstring) behind D.laws: every law but dom-additive is
     certified once the laws its derivation uses have held (the
-    _CERTIFICATES entries above), and dom-additive is reduced to the
+    catalogue._CERTIFICATES entries), and dom-additive is reduced to the
     verdict taken on construction.
     """
     return _exact(DOMAIN_CALCULUS, _Scanner(D.owner, D=D), (), D.laws)
@@ -405,32 +292,6 @@ def is_integral(S: FiniteSemiring) -> Verdict:
 
 # ---------------------------------------------------------------------------
 # converse
-
-
-def _converse_law_tables():
-    a, b, p = var("a"), var("b"), var("p")
-    zero, one = zero_term, one_term
-    converse = (
-        Law("conv-involutive", "a", eq(conv(conv(a)), a)),
-        Law("conv-additive", "a b", eq(conv(a + b), conv(a) + conv(b))),
-        Law("conv-contravariant", "a b", eq(conv(a * b), conv(b) * conv(a))),
-        Law("conv-shrinks-subidentities", "p", leq(conv(p), p), leq(p, one)),
-        Law("conv-self-embedding", "a", leq(a, (a * conv(a)) * a)),
-        Law("conv-fixes-one", "a", eq(conv(a), a), eq(a, one)),
-        Law("conv-fixes-zero", "a", eq(conv(a), a), eq(a, zero)),
-        Law("conv-order-embedding", "a b", iff(leq(a, b), leq(conv(a), conv(b)))),
-        Law("conv-fixes-subidentities", "p", eq(conv(p), p), leq(p, one)),
-    )
-    duality = (
-        Law("dom-of-converse", "a", eq(dom(conv(a)), cod(a))),
-        Law("cod-of-converse", "a", eq(cod(conv(a)), dom(a))),
-        Law("preimage-via-converse", "p a", eq(dom(conv(a) * p), cod(p * a)), tests="p"),
-        Law("image-via-converse", "p a", eq(cod(conv(a) * p), dom(p * a)), tests="p"),
-    )
-    return converse, duality
-
-
-CONVERSE_LAWS, CONVERSE_DUALITY = _converse_law_tables()
 
 
 def check_converse(S: FiniteSemiring) -> list[LawReport]:

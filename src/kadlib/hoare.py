@@ -10,6 +10,9 @@ environment.
 
 Proof trees for the encoded rules (composition, conditional, while,
 weakening, plus semantically checked axioms) are validated node by node.
+check_hoare_rules decides the rules themselves, read as implications
+between triples, which catalogue states with their certificates; it loads
+the table layer only when it is called.
 
 Programs, tests, triples and proofs are walked only by _preorder, an explicit
 stack: their ==, hash and repr read it, programs and tests are evaluated in one
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .laws import _CERTIFICATES, _ISR, Law, LawReport, Verdict, _Record, _TABLE_LAWS, _require_tests, cod, compl, leq, star, var
+from .laws import LawReport, Verdict, _Record, _require_tests
 
 __all__ = [
     "Prim",
@@ -42,7 +45,6 @@ __all__ = [
     "validate_proof",
     "wlp",
     "check_hoare_rules",
-    "HOARE_RULES",
 ]
 
 
@@ -365,54 +367,6 @@ def wlp(D, a, p):
 # -- the encoded rules as algebraic Horn implications ------------------------
 
 
-def _hoare_rules():
-    a, b, p, q, r, p1, q1 = (var(v) for v in ("a", "b", "p", "q", "r", "p1", "q1"))
-
-    def img(t, x):
-        """t:x, the states x reaches from t"""
-        return cod(t * x)
-
-    return (
-        Law("rule-composition", "a b p q r", leq(img(p, a * b), r), (leq(img(p, a), q), leq(img(q, b), r)), tests="p q r"),
-        Law(
-            "rule-conditional",
-            "a b p q r",
-            leq(img(q, p * a + compl(p) * b), r),
-            (leq(img(p * q, a), r), leq(img(compl(p) * q, b), r)),
-            tests="p q r",
-        ),
-        Law("rule-while", "a p q", leq(img(q, star(p * a) * compl(p)), compl(p) * q), leq(img(p * q, a), q), tests="p q"),
-        Law(
-            "rule-weakening",
-            "a p1 p q q1",
-            leq(img(p1, a), q1),
-            (leq(p1, p), leq(img(p, a), q), leq(q, q1)),
-            tests="p1 p q q1",
-        ),
-    )
-
-
-HOARE_RULES = _hoare_rules()
-_TABLE_LAWS.update((law.name, law) for law in HOARE_RULES)
-
-# the certificates of the rules, as in laws._CERTIFICATES (Kozen, "On Hoare logic and Kleene
-# algebra with tests", 2000; Möller and Struth 2004).  Tests are p, q, r; p:a is cod(pa), and cod
-# is monotone (cod-additive).
-_CERTIFICATES.update({
-    # p:(ab) <= (p:a):b by image-compose-bound's derivation, and (p:a):b <= q:b <= r
-    "rule-composition": ("cd2", (*_ISR, "cd1", "cod-additive", "members-below-one")),
-    # q(pa + p'b) = (pq)a + (p'q)b, and cod is additive
-    "rule-conditional": ("cod-additive", (*_ISR, "meet-commutative")),
-    # with x = pa, qx <= qx cod(qx) <= qxq by cd1, as cod(qx) = (pq):a <= q, so q + x*qx <= q + x*xq <= x*q
-    # by the right unfold, and star-right-induction gives qx* <= x*q; then q:(x*p') <= cod(x*qp') <= qp'
-    # by cd2 at the test qp', and qp' = p'q
-    "rule-while": ("star-right-induction", (*_ISR, "star-right-unfold", "cd1", "cd2", "cod-additive",
-                                            "members-below-one", "closed-under-meet", "meet-commutative")),
-    # cod(p1 a) <= cod(pa) <= q <= q1
-    "rule-weakening": ("cod-additive", _ISR),
-})
-
-
 def check_hoare_rules(D, budget: int = 300_000, samples: int = 1000, rng=None) -> list[LawReport]:
     """Each inference rule, read as an implication between triples.
 
@@ -421,10 +375,11 @@ def check_hoare_rules(D, budget: int = 300_000, samples: int = 1000, rng=None) -
     while:       (pq):a <= q implies q:((pa)* p') <= p'q
     weakening:   p1 <= p, p:a <= q, q <= q1 imply p1:a <= q1
 
-    Each rule is certified by its derivation (_CERTIFICATES above) where D
-    satisfies the laws that uses, as every relation model and rel(n)
-    predomain does; elsewhere it is scanned, rewritten or sampled.
+    The rules are catalogue.HOARE_RULES.  Each is certified by its
+    derivation (catalogue._CERTIFICATES) where D satisfies the laws that
+    uses, as every relation model and rel(n) predomain does; elsewhere it is
+    scanned, rewritten or sampled.
     """
-    from .domain import run_laws
+    from . import catalogue, domain
 
-    return run_laws(HOARE_RULES, D, budget, samples, rng)
+    return domain.run_laws(catalogue.HOARE_RULES, D, budget, samples, rng)

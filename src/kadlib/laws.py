@@ -2,15 +2,14 @@
 
 Everything here is plain Python, so reach, termination, hoare, the
 relation half of models and cli import it without the table layer
-(algebra, domain and zoo, which load where kad check or a table model
-first needs them).  It holds the records every layer returns (LawReport,
-Verdict, built on _Record), the term language and Law, the isemiring,
-Kleene and test-algebra law lists, and what a law's decision may rest on:
-_TABLE_LAWS, the one law of each name, and _CERTIFICATES, the derivation
-each certified law uses, which domain, reach and hoare extend with their
-own laws.  _with_atomic names when atom rows decide a:p and p:a, and
-_instances is the enumerate-or-sample rule that run_laws and termination
-share.
+(algebra, domain, zoo and catalogue, which load where kad check or a table
+model first needs them).  It holds the records every layer returns
+(LawReport, Verdict, built on _Record), the term language and Law, and the
+isemiring, Kleene and test-algebra law lists with the names the relation
+models claim at start-up; every other law suite, and the certificates,
+are in catalogue.  _with_atomic names when atom rows decide a:p and p:a,
+and _instances is the enumerate-or-sample rule that run_laws and
+termination share.
 
 kadlib's value classes are _Record subclasses, not dataclasses: importing
 dataclasses and generating their methods was the largest start-up cost left
@@ -287,45 +286,10 @@ def _law_tables():
 ISEMIRING_LAWS, KLEENE_LAWS, TEST_LAWS = _law_tables()
 
 _ISEMIRING_NAMES = tuple(law if isinstance(law, str) else law.name for law in ISEMIRING_LAWS)
-_ISR = _ISEMIRING_NAMES
 _TEST_NAMES = tuple(law if isinstance(law, str) else law.name for law in TEST_LAWS)
 
 # the unfold and induction axioms, left and right
 _STAR_AXIOMS = tuple(law.name for law in KLEENE_LAWS[:4])
-
-# name: law, for every law of a table (domain, reach and hoare add theirs); a certificate
-# speaks of, and a held name stands for, the law of that name here and no other
-_TABLE_LAWS = {law.name: law for law in ISEMIRING_LAWS + KLEENE_LAWS + TEST_LAWS if isinstance(law, Law)}
-
-# law: (the law that certifies it, the other laws that must have held); domain,
-# reach and hoare add the entries of their own laws
-_CERTIFICATES = {
-    # theorems of the star axioms (Kozen 1994); "induction at b, c" is
-    # star-left-induction's b + ac <= c => a*b <= c for those b and c
-    # 1 <= 1 + a a* <= a*
-    "one-below-star": ("star-left-unfold", _ISR),
-    # a*a* <= a*: induction at b = c = a*; a* = a* 1 <= a*a*
-    "star-mul-star": ("star-left-induction", (*_ISR, "star-left-unfold")),
-    # (a*)* <= a*: induction with a* for a at b = 1, c = a*, as 1 + a*a* <= a*; a* <= (a*)* by the unfold
-    "star-of-star": ("star-left-induction", (*_ISR, "star-left-unfold")),
-    # (ab)*a <= a(ba)*: induction at b = a, c = a(ba)*; a(ba)* <= (ab)*a: star-right-induction
-    # with ba for a at b = a, c = (ab)*a
-    "star-slide": ("star-left-induction", (*_ISR, "star-left-unfold", "star-right-unfold", "star-right-induction")),
-    # (a+b)* <= a*(ba*)*: induction with a + b for a at b = 1; the converse from
-    # star-monotone, star-of-star and star-mul-star, which need only the left laws
-    "star-denesting": ("star-left-induction", (*_ISR, "star-left-unfold")),
-    # a* = 1 + a*a: star-right-induction at b = 1, c = 1 + a*a
-    "star-unfold-right-product": ("star-right-induction", (*_ISR, "star-right-unfold")),
-    # a* = 1 + aa*: induction at b = 1, c = 1 + aa*
-    "star-unfold-left-product": ("star-left-induction", (*_ISR, "star-left-unfold")),
-    # a <= 1: a* <= 1 by induction at b = c = 1; 1 <= a*
-    "subidentity-star": ("star-left-induction", (*_ISR, "star-left-unfold")),
-    # a <= b: a* <= b* by induction at b = 1, c = b*, as 1 + ab* <= 1 + bb* <= b*
-    "star-monotone": ("star-left-induction", (*_ISR, "star-left-unfold")),
-    # from ac <= cb, induction at c, c b* gives a*c <= c b*; the right law is its mirror
-    "star-left-simulation": ("star-left-induction", (*_ISR, "star-left-unfold")),
-    "star-right-simulation": ("star-right-induction", (*_ISR, "star-right-unfold")),
-}
 
 # When atom rows decide a:p (atomic-preimage): a:p = dom(a (t1 + ... + tr)) for the atoms t below p
 # (atomic-tests) is dom(a t1 + ... + a tr) = a:t1 + ... + a:tr (distributivity, dom-additive), and for

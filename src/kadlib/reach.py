@@ -16,6 +16,10 @@ has joined".
 Works over any object exposing the atom surface (atom_positions,
 test_from_positions, preimage_rows, whose row k holds the atoms below a:t
 for the k-th atom t) whose laws name atomic-preimage: a relational model or a DomainStructure.
+
+check_star_preimage_laws decides the star/preimage laws behind these
+algorithms, which catalogue states with their certificates; it loads the
+table layer only when it is called.
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Sequence
 
-from .laws import _CERTIFICATES, _ISR, Law, LawReport, _Record, _TABLE_LAWS, _require_tests, compl, dom, eq, leq, one_term, star, var
+from .laws import LawReport, _Record, _require_tests
 
-__all__ = ["ReachResult", "reach_naive", "reach_efficient", "check_star_preimage_laws", "STAR_PREIMAGE_LAWS"]
+__all__ = ["ReachResult", "reach_naive", "reach_efficient", "check_star_preimage_laws"]
 
 
 class ReachResult(_Record):
@@ -122,79 +126,6 @@ def reach_efficient(D, a, p) -> ReachResult:
 # the star-preimage law suite
 
 
-def _star_preimage_laws():
-    a, b, c, p, q = var("a"), var("b"), var("c"), var("p"), var("q")
-    local = ("dloc",)
-
-    def pre(x, t):
-        """x:t, the states from which x can enter t"""
-        return dom(x * t)
-
-    return (
-        # star of a domain element collapses to the unit
-        Law("star-of-domain", "a", eq(star(dom(a)), one_term)),
-        # every starred element is total
-        Law("domain-of-star", "a", eq(dom(star(a)), one_term)),
-        # an invariant of a is an invariant of a*
-        Law("invariant-star", "a p", leq(pre(star(a), p), p), leq(pre(a, p), p), tests="p"),
-        # b + ac <= c for preimages: a:p + q <= p  =>  a*:q <= p
-        Law("preimage-star-induction", "a p q", leq(pre(star(a), q), p), leq(pre(a, p) + q, p), tests="p q", requires=local),
-        # a*:p <= p + a*:(p' (a:p))
-        Law("frontier-bound", "a p", leq(pre(star(a), p), p + pre(star(a), compl(p) * pre(a, p))), tests="p", requires=local),
-        # a*:p = p + (a p')*:(a:p), the worklist decomposition
-        Law(
-            "frontier-decomposition",
-            "a p",
-            eq(pre(star(a), p), p + pre(star(a * compl(p)), pre(a, p))),
-            tests="p",
-            requires=local,
-        ),
-        # (ac):p + b:q <= c:p  =>  (a*b):q <= c:p
-        Law(
-            "preimage-horn-induction",
-            "a b c p q",
-            leq(pre(star(a) * b, q), pre(c, p)),
-            leq(pre(a * c, p) + pre(b, q), pre(c, p)),
-            tests="p q",
-            requires=local,
-        ),
-    )
-
-
-STAR_PREIMAGE_LAWS = _star_preimage_laws()
-_TABLE_LAWS.update((law.name, law) for law in STAR_PREIMAGE_LAWS)
-
-# the certificates of these laws, as in laws._CERTIFICATES (Möller and Struth, "Modal Kleene
-# algebra and partial correctness", 2004).  Tests are p, q, a:p is dom(ap), and r = a:p.  A test
-# is below 1 (members-below-one), so s <= dom(s)s <= dom(s) by d1; dom is monotone (dom-additive)
-# and 1 <= a* (star-left-unfold), so a test s lies below a*:s.
-_STAR_DOMAIN = (*_ISR, "star-left-unfold", "d1", "d2", "dom-additive", "members-below-one")
-# what the frontier laws use besides: p + p' = 1, and a join of tests is a test
-_FRONTIER = (*_STAR_DOMAIN, "dloc", "complement-join-full", "closed-under-join")
-_CERTIFICATES.update({
-    # subidentity-star's derivation at the test dom(a): dom(a)* <= 1 by induction at b = c = 1
-    "star-of-domain": ("star-left-induction", (*_ISR, "star-left-unfold", "members-below-one")),
-    # 1 <= a*, so 1 <= dom(1) <= dom(a*) <= 1
-    "domain-of-star": ("d1", (*_ISR, "star-left-unfold", "dom-additive", "members-below-one")),
-    # from r <= p, ap <= dom(ap)ap <= pap by d1, so p + a(pa*) <= p + pap a* <= p(1 + aa*) <= pa*;
-    # induction gives a*p <= pa*, and a*:p <= dom(pa*) <= p by d2
-    "invariant-star": ("star-left-induction", _STAR_DOMAIN),
-    # r + q <= p gives r <= p and q <= p, so a*:q <= a*:p <= p
-    "preimage-star-induction": ("invariant-star", (*_ISR, "dom-additive")),
-    # X = p + a*:(p'r) is a test with p <= X and a:X <= X, so a*:p <= X by preimage-star-induction:
-    # r = pr + p'r <= p + a*:(p'r), and a:(a*:(p'r)) <= (aa*):(p'r) <= a*:(p'r) by dloc
-    "frontier-bound": ("preimage-star-induction", _FRONTIER),
-    # <=: with Y = (ap')*:r, X = p + Y is a test with p <= X and r <= Y, and
-    # a:Y = a:(pY) + a:(p'Y) <= r + (ap'(ap')*):r <= Y by dloc, so a*:p <= X as above;
-    # >=: p <= a*:p, and (ap')*:r <= a*:r <= (a*a):p <= a*:p by dloc, as (ap')* <= a* by
-    # star-monotone's derivation and a*a <= a* by induction at b = a, c = a*
-    "frontier-decomposition": ("preimage-star-induction", (*_FRONTIER, "star-left-induction")),
-    # (ac):p + b:q <= c:p => (a*b):q <= c:p is preimage-star-induction at p := c:p and q := b:q:
-    # a:(c:p) <= (ac):p by dloc and associativity, and (a*b):q <= a*:(b:q) by d1, d2 and monotone dom
-    "preimage-horn-induction": ("preimage-star-induction", ("dloc", "d1", "d2", "dom-additive", *_ISR)),
-})
-
-
 def check_star_preimage_laws(D, samples: int = 1000, rng=None, budget: int = 200_000) -> list[LawReport]:
     """Star/domain interaction laws: certified, or exhaustive if the space fits the budget.
 
@@ -203,11 +134,11 @@ def check_star_preimage_laws(D, samples: int = 1000, rng=None, budget: int = 200
     star-induction form for preimages, the frontier decompositions used by
     reach_efficient, and the preimage analogue of star induction.  The laws
     past the invariant rule are stated for local models and are skipped
-    without locality.  Each law is certified by its derivation
-    (_CERTIFICATES above) where D satisfies the laws that uses, as every
-    relation model and rel(n) predomain does; elsewhere it is scanned,
-    rewritten or sampled.
+    without locality.  The laws are catalogue.STAR_PREIMAGE_LAWS.  Each is
+    certified by its derivation (catalogue._CERTIFICATES) where D satisfies
+    the laws that uses, as every relation model and rel(n) predomain does;
+    elsewhere it is scanned, rewritten or sampled.
     """
-    from .domain import run_laws
+    from . import catalogue, domain
 
-    return run_laws(STAR_PREIMAGE_LAWS, D, budget, samples, rng)
+    return domain.run_laws(catalogue.STAR_PREIMAGE_LAWS, D, budget, samples, rng)

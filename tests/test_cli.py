@@ -21,6 +21,7 @@ from kadlib.cli import (
     _ASSIGN_MSG,
     CliParseError,
     _load_algebra,
+    cmd_check,
     load_workspace,
     main,
     parse_program,
@@ -511,6 +512,13 @@ def test_each_law_family_reports_skips_or_exits_3_as_pinned(case, capsys):
     assert (out.encode(), err) == ((FAMILIES / f"{case}.stdout").read_bytes(), spec["stderr"])
 
 
+def test_cmd_check_refuses_a_name_that_is_no_law_family(capsys):
+    # argparse's --laws choices keep the CLI from it; a library caller gets the same choices named
+    with pytest.raises(CliParseError, match=r"^unknown law family 'bogus' \(choose from isemiring, kleene, tests, domain, converse or all\)$"):
+        cmd_check("builtin:A2", "bogus")
+    assert capsys.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("case", ["kad_help", "kad_check_help"])
 def test_help_text_is_unchanged(case, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "80")
@@ -702,7 +710,7 @@ def test_one_parser_serves_every_call_and_keeps_nothing(capsys):
 
 # -- numpy and the table layer only for kad check, dataclasses and inspect for none -----------------
 
-TABLE_LAYER = {"kadlib.algebra", "kadlib.domain", "kadlib.zoo"}
+TABLE_LAYER = {"kadlib.algebra", "kadlib.catalogue", "kadlib.domain", "kadlib.zoo"}
 
 
 def kad_fresh(argv):

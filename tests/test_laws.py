@@ -87,6 +87,7 @@ import kadlib.algebra
 import kadlib.domain
 import kadlib.models
 from kadlib.cli import load_workspace, main
+from kadlib.laws import _ATOMIC
 from kadlib.domain import (
     CONVERSE_DUALITY,
     CONVERSE_LAWS,
@@ -101,7 +102,8 @@ from kadlib.domain import (
     run_laws,
 )
 from kadlib.algebra import check_isemiring, check_kleene
-from kadlib.hoare import HOARE_RULES, check_hoare_rules
+from kadlib.catalogue import HOARE_RULES, STAR_PREIMAGE_LAWS
+from kadlib.hoare import check_hoare_rules
 from kadlib.models import (
     ModelHandle,
     Relation,
@@ -116,7 +118,7 @@ from kadlib.models import (
     rel_semiring,
     rel_tests,
 )
-from kadlib.reach import STAR_PREIMAGE_LAWS, check_star_preimage_laws
+from kadlib.reach import check_star_preimage_laws
 
 NOT_APPLICABLE = {"dloc": "no locality", "cdloc": "no locality", "top": "no greatest element"}
 
@@ -1026,6 +1028,17 @@ AXIOMS_HOLD = {
 
 SUITES = STAR_PREIMAGE_LAWS + HOARE_RULES
 CERTIFIED_FAMILIES = {law.name for law in KLEENE_LAWS + DOMAIN_AXIOMS + DOMAIN_CALCULUS + SUITES if isinstance(law, Law)}
+
+
+def test_every_name_a_certificate_lists_is_one_the_ladder_can_hold():
+    """A certificate fires only for a table law, and only once every law it lists is held: a misspelt name would
+    withhold it silently, and the table checkers would still print a bare "holds" from the scan.  A name can be held as
+    a table law, a hand-checked report of the three base tables, atomic-tests or an _ATOMIC fact."""
+    reported = {law for law in ISEMIRING_LAWS + KLEENE_LAWS + TEST_LAWS if isinstance(law, str)}
+    holdable = {*kadlib.algebra._TABLE_LAWS, *reported, "atomic-tests", *(fact for fact, _ in _ATOMIC)}
+    assert set(kadlib.algebra._CERTIFICATES) <= set(kadlib.algebra._TABLE_LAWS)
+    unknown = {law: {by, *needs} - holdable for law, (by, needs) in kadlib.algebra._CERTIFICATES.items()}
+    assert {law: names for law, names in unknown.items() if names} == {}
 
 
 def test_a_certificate_whose_prerequisite_failed_leaves_its_law_to_the_scanner(monkeypatch):

@@ -6,6 +6,7 @@ name of it is first read.  These tests pin what that must not change: every
 public name, the names cli and the benchmark read, and where the caches live.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -72,16 +73,53 @@ def test_names_read_from_models_algebra_and_cli_still_import():
 
 
 def test_the_moved_names_are_their_defining_modules_objects():
-    # algebra re-exports the value layer, models the table models: the same objects, so patching one patches both
+    # algebra re-exports the catalogue's registries and models the table models: the same objects, so patching one
+    # patches both
     import kadlib.algebra
-    import kadlib.laws
+    import kadlib.catalogue
     import kadlib.models
     import kadlib.zoo
 
-    assert kadlib.algebra._CERTIFICATES is kadlib.laws._CERTIFICATES
-    assert kadlib.algebra._TABLE_LAWS is kadlib.laws._TABLE_LAWS
+    assert kadlib.algebra._CERTIFICATES is kadlib.catalogue._CERTIFICATES
+    assert kadlib.algebra._TABLE_LAWS is kadlib.catalogue._TABLE_LAWS
     assert kadlib.models.materialize is kadlib.zoo.materialize
     assert kadlib.models.conway_model is kadlib.zoo.conway_model
+
+
+REGISTRIES = {"_TABLE_LAWS", "_CERTIFICATES"}
+MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def registry_writes(source: str) -> list[int]:
+    """The lines of source that bind, item-assign, delete from or call a mutating method of _TABLE_LAWS or
+    _CERTIFICATES (a bare name or an attribute), or import either from elsewhere than catalogue."""
+
+    def registry(node) -> bool:
+        return (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None) in REGISTRIES
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        stored = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
+        written = stored and (registry(node) or isinstance(node, ast.Subscript) and registry(node.value))
+        written |= isinstance(node, ast.Attribute) and node.attr in MUTATORS and registry(node.value)
+        imported = {alias.asname or alias.name for alias in node.names} if isinstance(node, ast.ImportFrom) else set()
+        written |= bool(imported & REGISTRIES) and node.module not in ("catalogue", "kadlib.catalogue")
+        if written:
+            found.append(node.lineno)
+    return found
+
+
+def test_only_the_catalogue_writes_the_law_registries():
+    """Each registry is bound once, in catalogue.py, so which certificates exist never depends on which modules loaded;
+    the CI step "Only the catalogue writes the law registries" makes the same check."""
+    sources = {path.name: path.read_text() for path in (ROOT / "src" / "kadlib").glob("*.py") if path.name != "catalogue.py"}
+    assert {name: lines for name, source in sources.items() if (lines := registry_writes(source))} == {}
+    planted = [
+        "_CERTIFICATES.update({})", "_TABLE_LAWS['x'] = 1", "del _CERTIFICATES['x']", "_TABLE_LAWS = {}",
+        "_CERTIFICATES |= {}", "kadlib.algebra._TABLE_LAWS.setdefault('x', 1)", "from .laws import _CERTIFICATES",
+    ]
+    assert [line for line in planted if not registry_writes(line)] == []
+    assert registry_writes("from .catalogue import _CERTIFICATES\n_CERTIFICATES.get('x')") == []
 
 
 def fresh(code: str):

@@ -20,6 +20,7 @@ from kadlib.algebra import (
     check_test_algebra,
     failures,
 )
+from kadlib.catalogue import STAR_PREIMAGE_LAWS
 from kadlib.domain import DomainStructure, compute_predomain, run_laws
 from kadlib.hoare import HoareTriple, Prim, ProofTree, check_hoare_rules, check_triple, validate_proof, wlp
 from kadlib.models import (
@@ -43,7 +44,7 @@ from kadlib.models import (
     rel_tests,
     tropical_model,
 )
-from kadlib.reach import STAR_PREIMAGE_LAWS, check_star_preimage_laws, reach_efficient, reach_naive
+from kadlib.reach import check_star_preimage_laws, reach_efficient, reach_naive
 from kadlib.termination import is_loebian, is_noetherian, is_well_founded, termination_report
 
 
