@@ -42,7 +42,7 @@ from .hoare import (
     Cond, HoareTriple, Prim, ProofTree, Seq, TAnd, TFalse, TNot, TOr, TRef, TStates, TTrue, While,
     _preorder, check_triple, validate_proof,
 )
-from .laws import _Record
+from .laws import TABLE_NAMES, _Record, table_getattr
 from .models import Relation, rel_model, rel_semiring, rel_tests
 from .reach import reach_efficient, reach_naive
 from .termination import termination_report
@@ -63,32 +63,14 @@ __all__ = [
     "cmd_termination",
     "main",
 ]
+__getattr__ = table_getattr(__name__)
 
 
 def _table_layer() -> None:
-    """Bind kad check's names from the table layer here, importing it: each one not bound yet, so a wrapper set on a
-    name here is what kad check calls.  The other commands never call this, and so never load the table layer."""
-    from .algebra import FiniteSemiring, TestAlgebra, check_isemiring, check_kleene, check_test_algebra, format_witness
-    from .domain import check_converse, check_domain_axioms, check_domain_calculus, compute_predomain, converse_duality_check
-    from .zoo import conway_model
-
-    for name, value in locals().items():
-        globals().setdefault(name, value)
-
-
-# the names _table_layer binds
-_TABLE_NAMES = frozenset(
-    "FiniteSemiring TestAlgebra check_isemiring check_kleene check_test_algebra format_witness check_converse"
-    " check_domain_axioms check_domain_calculus compute_predomain converse_duality_check conway_model".split()
-)
-
-
-def __getattr__(name):
-    # a name of the table layer, bound on its first read (PEP 562)
-    if name not in _TABLE_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _table_layer()
-    return globals()[name]
+    """Bind every name of the table layer here, importing it: each one not bound yet, so a wrapper set on a name here is
+    what kad check calls.  The other commands never call this, and so never load the table layer."""
+    for name in TABLE_NAMES.keys() - globals().keys():
+        globals()[name] = __getattr__(name)
 
 
 class CliParseError(Exception):
@@ -119,13 +101,19 @@ _KEYWORDS = {
 }
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>\d+)|(?P<assign>:=)|(?P<sym>[;(){},])|(?P<bad>\S))"
+    r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<num>[0-9]+)|(?P<assign>:=)|(?P<sym>[;(){},])|(?P<bad>\S))"
 )
 
 _ASSIGN_MSG = (
     "assignment is not part of propositional Hoare logic; "
     "model state change as a primitive action"
 )
+
+
+def _is_number(text: str) -> bool:
+    """Whether text is a state number: the digits 0-9, between spaces (int also reads a sign, '_' and every script's
+    digits)."""
+    return text.strip().isascii() and text.strip().isdigit()
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -262,7 +250,7 @@ class _Parser:
 
     def _state(self) -> int:
         tok = self.next()
-        if not tok.isdigit():
+        if not _is_number(tok):
             raise CliParseError(f"expected a state number, got {tok!r}")
         return int(tok)
 
@@ -523,12 +511,10 @@ def _load_algebra(path: str) -> tuple[FiniteSemiring, TestAlgebra]:
             raise CliParseError(str(e)) from e
         return S, TestAlgebra.discrete(S)
     if path.startswith("rel:"):
-        try:
-            n = int(path[len("rel:") :])
-        except ValueError:
-            n = 0
-        if n < 1:
+        spec = path[len("rel:") :]
+        if not _is_number(spec) or int(spec) < 1:
             raise CliParseError(f"bad relation model spec {path!r}")
+        n = int(spec)
     else:
         ws = load_workspace(path)
         if ws.semiring is not None:
@@ -591,7 +577,6 @@ _FAMILIES = {
 def cmd_check(path: str, laws: str = "all") -> int:
     if laws not in (*_FAMILIES, "all"):
         raise CliParseError(f"unknown law family {laws!r} (choose from {', '.join(_FAMILIES)} or all)")
-    _table_layer()
     S, T = _load_algebra(path)
 
     @functools.cache
@@ -622,12 +607,12 @@ def _parse_targets(D, text: str) -> int:
         body = body[1:-1]
     if not body.strip():
         return D.test_zero
+    states = body.split(",")
+    bad = next((s for s in states if not _is_number(s)), None)
+    if bad is not None:
+        raise CliParseError(f"bad target list {text!r}: invalid literal for int() with base 10: {bad!r}")
     try:
-        states = [int(s) for s in body.split(",")]
-    except ValueError as e:
-        raise CliParseError(f"bad target list {text!r}: {e}") from e
-    try:
-        return D.test_from_states(states)
+        return D.test_from_states(map(int, states))
     except ValueError as e:
         raise CliParseError(str(e)) from e
 

@@ -8,8 +8,9 @@ model first needs them).  It holds the records every layer returns
 isemiring, Kleene and test-algebra law lists with the names the relation
 models claim at start-up; every other law suite, and the certificates,
 are in catalogue.  _with_atomic names when atom rows decide a:p and p:a,
-and _instances is the enumerate-or-sample rule that run_laws and
-termination share.
+_instances is the enumerate-or-sample rule that run_laws and termination
+share, and TABLE_NAMES lists the table layer's public names once, for the
+one hook (table_getattr) through which kadlib, models and cli read them.
 
 kadlib's value classes are _Record subclasses, not dataclasses: importing
 dataclasses and generating their methods was the largest start-up cost left
@@ -346,3 +347,44 @@ def _instances(D, is_test, budget: int, samples: int, rng, ranges=None):
     rng = rng or random.Random(0)
     draws = [D.sample_test if t else D.sample for t in is_test]
     return (tuple(draw(rng) for draw in draws) for _ in range(samples)), False
+
+
+# ---------------------------------------------------------------------------
+# the table layer's public names
+
+
+# home module: (the names kadlib exports, the names it only resolves); kadlib, kadlib.models and kadlib.cli read each
+# one from its home on first use (table_getattr), so importing them loads no module of the table layer
+_TABLE_LAYER = {
+    "algebra": ("FiniteSemiring TestAlgebra check_isemiring check_kleene check_test_algebra check_equation eval_term"
+                " opposite", "format_witness"),
+    "domain": ("DomainStructure compute_predomain compute_precodomain check_domain_axioms check_domain_calculus"
+               " check_converse converse_duality_check is_integral", ""),
+    "zoo": ("conway_model conway_names tropical_model maxplus_model bounded_language_model bounded_path_model"
+            " matrix_semiring matrix_star predicate_transformer_model materialize",
+            "MaterializedModel check_sampled_laws MatrixModel TropicalModel MaxPlusModel LanguageModel PathModel"
+            " TransformerModel"),
+}
+# name: its home module
+TABLE_NAMES = {name: home for home, names in _TABLE_LAYER.items() for name in " ".join(names).split()}
+# the names kadlib lists in __all__
+TABLE_EXPORTS = [name for exported, _ in _TABLE_LAYER.values() for name in exported.split()]
+
+
+def table_getattr(module: str):
+    """The __getattr__ (PEP 562) of module, kadlib or one of its modules: a name of TABLE_NAMES loads the table layer
+    and is read from its home, and on kadlib a home's own name imports that home; any other name raises AttributeError
+    and loads nothing."""
+
+    # every home at once, as kad check loads them, so that whatever walks the loaded modules after a first read (the
+    # bench's tracer does) finds the whole layer; by __import__, as an import statement, which -X importtime reports
+    def __getattr__(name):
+        if module == __package__ and name in _TABLE_LAYER:
+            return __import__(f"{__package__}.{name}", fromlist=[name])
+        if name not in TABLE_NAMES:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        for home in _TABLE_LAYER:
+            __import__(f"{__package__}.{home}")
+        return getattr(__import__(f"{__package__}.{TABLE_NAMES[name]}", fromlist=[name]), name)
+
+    return __getattr__

@@ -17,30 +17,14 @@ import operator
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .laws import _ISEMIRING_NAMES, _Record, _STAR_AXIOMS, _TEST_NAMES, _with_atomic
+from .laws import TABLE_NAMES, _ISEMIRING_NAMES, _Record, _STAR_AXIOMS, _TEST_NAMES, _with_atomic, table_getattr
 from .reach import _grow
 
 __all__ = [
-    "StarUnsupportedError", "ModelHandle", "Relation", "RelModel", "conway_model", "conway_names", "rel_model",
-    "rel_semiring", "rel_tests", "tropical_model", "maxplus_model", "bounded_language_model", "bounded_path_model",
-    "matrix_semiring", "matrix_star", "predicate_transformer_model", "materialize", "MaterializedModel",
-    "check_sampled_laws",
+    "StarUnsupportedError", "ModelHandle", "Relation", "RelModel", "rel_model", "rel_semiring", "rel_tests",
+    *(name for name, home in TABLE_NAMES.items() if home == "zoo"),
 ]
-
-# the names zoo defines, read from there on first use (PEP 562)
-_ZOO = frozenset(
-    "conway_model conway_names tropical_model maxplus_model bounded_language_model bounded_path_model matrix_semiring"
-    " matrix_star predicate_transformer_model materialize MaterializedModel check_sampled_laws MatrixModel TropicalModel"
-    " MaxPlusModel LanguageModel PathModel TransformerModel".split()
-)
-
-
-def __getattr__(name):
-    if name not in _ZOO:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import zoo
-
-    return getattr(zoo, name)
+__getattr__ = table_getattr(__name__)
 
 
 class StarUnsupportedError(ValueError):
@@ -205,6 +189,8 @@ class Relation(_Record):
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
         rows: list[list[int]] = [[] for _ in range(n)]
         for i, j in pairs:
+            if not all(hasattr(s, "__index__") and type(s) is not bool for s in (i, j)):
+                raise ValueError(f"pair ({i!r},{j!r}) has a state that is not an integer")
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"pair ({i},{j}) outside 1..{n}")
             rows[i - 1].append(j - 1)
@@ -383,6 +369,8 @@ class RelModel(ModelHandle):
         return [1 << k for k in _bit_positions(p)]
 
     def atom_positions(self, p: int) -> list[int]:
+        if p < 0 or p.bit_length() > self.n:  # O(1), where p >> n would copy p
+            raise ValueError(f"test mask {p} has states outside 1..{self.n}")
         return _bit_positions(p)
 
     def test_from_positions(self, ks: Iterable[int]) -> int:
@@ -442,21 +430,27 @@ class RelModel(ModelHandle):
 
     def preimage(self, a: Relation, p: int) -> int:
         """States with at least one a-edge into p."""
-        pred = a.predecessors
-        return self.test_from_positions(i for k in _bit_positions(p) for i in pred[k])
+        pred = self.preimage_rows(a)
+        return self.test_from_positions(i for k in self.atom_positions(p) for i in pred[k])
 
     def image(self, p: int, a: Relation) -> int:
         """States reachable from p by one a-edge."""
-        succ = a.succ
-        return self.test_from_positions(j for k in _bit_positions(p) for j in succ[k])
+        succ = self.image_rows(a)
+        return self.test_from_positions(j for k in self.atom_positions(p) for j in succ[k])
 
     def preimage_rows(self, a: Relation) -> Sequence[Sequence[int]]:
         """Row k: the states with an a-edge into state k + 1, as ascending positions; a's own lists, not to be changed."""
-        return a.predecessors
+        return self._own(a).predecessors
 
     def image_rows(self, a: Relation) -> tuple[tuple[int, ...], ...]:
         """Row k: the states state k + 1 has an a-edge to, as ascending positions; a's own rows."""
-        return a.succ
+        return self._own(a).succ
+
+    def _own(self, a: Relation) -> Relation:
+        """a, refused where it is a relation over another base set."""
+        if a.n != self.n:
+            raise ValueError(f"relation over 1..{a.n} given to {self.name}")
+        return a
 
     def intransitive_step(self, a: Relation) -> Optional[int]:
         """A test {j,k} for the first i -> j -> k (least i, then j, then k) without i -> k, or None."""

@@ -174,10 +174,8 @@ def is_loebian(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None) -
 
 
 def transitive_closure(D, a):
-    """a+ = a a*, the least transitive element above a."""
-    from .algebra import FiniteSemiring
-
-    if not isinstance(D, FiniteSemiring):
+    """a+ = a a*, the least transitive element above a: by D's tables where mul is one (a FiniteSemiring)."""
+    if callable(D.mul):
         return D.mul(a, D.star(a))
     if D.star is None:
         raise ValueError(f"{D.name} has no star operation")

@@ -464,6 +464,19 @@ ONE_LINE_ERRORS = {
     ),
     "env-binds-abort": ({**STEP, "env": {"abort": "R"}}, ["termination", "--relation", "R"], 2, "env entry 'abort' is a keyword"),
     "set-named-true": ({**REL, "sets": {"true": [1]}}, ["check"], 2, "set 'true' is a keyword"),
+    # a state number or rel:N is the digits 0-9, between spaces: no other script's digits, no sign and no '_'
+    "state-in-devanagari-digits": ({**REL, "programs": {"p": "while {२} do skip od"}}, ["check"], 2, "unexpected character '२'"),
+    "target-in-fullwidth-digits": (
+        REL, ["reach", "--relation", "R", "--targets", "３"], 2, "bad target list '３': invalid literal for int() with base 10: '３'",
+    ),
+    "target-with-an-underscore": (
+        REL, ["reach", "--relation", "R", "--targets", "1_0"], 2, "bad target list '1_0': invalid literal for int() with base 10: '1_0'",
+    ),
+    "target-with-a-sign": (
+        REL, ["reach", "--relation", "R", "--targets", "1, +2"], 2, "bad target list '1, +2': invalid literal for int() with base 10: ' +2'",
+    ),
+    "rel-in-arabic-indic-digits": ("rel:٣", ["check"], 2, "bad relation model spec 'rel:٣'"),
+    "rel-with-an-underscore": ("rel:0_1", ["check"], 2, "bad relation model spec 'rel:0_1'"),
 }
 
 

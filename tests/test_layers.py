@@ -72,6 +72,89 @@ def test_names_read_from_models_algebra_and_cli_still_import():
             assert getattr(home, name) is not None, (module, name)
 
 
+# kadlib.__all__, pinned in order: where the table layer's names are listed must not change what kadlib exports
+PARENT_ALL = (
+    "LawReport Term Verdict all_hold failures var ModelHandle Relation RelModel StarUnsupportedError rel_model rel_semiring"
+    " ReachResult check_star_preimage_laws reach_efficient reach_naive TerminationReport is_loebian is_noetherian"
+    " is_well_founded termination_report transitive_closure Cond HoareTriple Prim ProofTree Seq While check_hoare_rules"
+    " check_triple denote validate_proof wlp FiniteSemiring TestAlgebra check_isemiring check_kleene check_test_algebra"
+    " check_equation eval_term opposite DomainStructure compute_predomain compute_precodomain check_domain_axioms"
+    " check_domain_calculus check_converse converse_duality_check is_integral conway_model conway_names tropical_model"
+    " maxplus_model bounded_language_model bounded_path_model matrix_semiring matrix_star predicate_transformer_model"
+    " materialize"
+).split()
+TABLE_MODULES = ("kadlib.algebra", "kadlib.catalogue", "kadlib.domain", "kadlib.zoo")
+
+
+def test_every_table_name_reads_as_its_home_modules_object():
+    import kadlib.cli
+    import kadlib.models
+    from kadlib.laws import TABLE_NAMES
+
+    for name, home in TABLE_NAMES.items():
+        value = getattr(importlib.import_module(f"kadlib.{home}"), name)
+        assert value.__module__ == f"kadlib.{home}", name
+        for module in (kadlib, kadlib.models, kadlib.cli):
+            assert getattr(module, name) is value, (module.__name__, name)
+    for home in set(TABLE_NAMES.values()):
+        assert getattr(kadlib, home) is sys.modules[f"kadlib.{home}"]
+
+
+def test_kadlibs_listed_names_are_unchanged():
+    assert kadlib.__all__ == PARENT_ALL
+    # dir also names the value layer's modules, which import kadlib binds; nothing else
+    listed = fresh("import json, kadlib; print(json.dumps(dir(kadlib)))")
+    assert [name for name in listed if not name.startswith("_")] == sorted(
+        [*PARENT_ALL, "hoare", "laws", "models", "reach", "termination"]
+    )
+
+
+def test_a_table_module_read_on_kadlib_loads_on_first_read():
+    found = fresh("import json, sys, kadlib; print(json.dumps([kadlib.zoo is sys.modules['kadlib.zoo'], kadlib.domain.__name__]))")
+    assert found == [True, "kadlib.domain"]
+
+
+UNLISTED_PROBE = """
+import json, sys
+import kadlib, kadlib.cli, kadlib.models
+refused = []
+for module in (kadlib, kadlib.models, kadlib.cli):
+    for name in ("no_such_name", "catalogue", "np", "cache_clear", "__wrapped__", "zoo", "run_laws", "_CERTIFICATES"):
+        if module is kadlib and name == "zoo":
+            continue
+        try:
+            getattr(module, name)
+        except AttributeError as e:
+            refused.append(str(e))
+def loaded():
+    return sorted(name for name in sys.modules if name in {*TABLE_MODULES, "numpy"})
+before = loaded()
+kadlib.FiniteSemiring
+print(json.dumps({"refused": refused, "loaded": before, "after_a_listed_name": loaded()}))
+"""
+
+
+def test_a_name_outside_the_table_layers_list_is_refused_and_loads_nothing():
+    found = fresh(f"TABLE_MODULES = {TABLE_MODULES!r}" + UNLISTED_PROBE)
+    assert found["loaded"] == []
+    # a listed name loads the whole layer, as kad check does, so the bench's tracer finds zoo's functions to wrap
+    assert found["after_a_listed_name"] == sorted(TABLE_MODULES)
+    assert len(found["refused"]) == 3 * 8 - 1
+    assert "module 'kadlib.models' has no attribute 'zoo'" in found["refused"]
+    assert "module 'kadlib.cli' has no attribute 'no_such_name'" in found["refused"]
+
+
+def test_the_transitive_closure_of_a_relation_loads_no_table_module():
+    code = (
+        "import json, sys\n"
+        "from kadlib.models import Relation, rel_model\n"
+        "from kadlib.termination import transitive_closure\n"
+        "plus = transitive_closure(rel_model(3), Relation.from_pairs(3, [(1, 2), (2, 3)]))\n"
+        f"print(json.dumps([sorted(plus.pairs()), sorted(set(sys.modules) & {{*{TABLE_MODULES!r}, 'numpy'}})]))"
+    )
+    assert fresh(code) == [[[1, 2], [1, 3], [2, 3]], []]
+
+
 def test_the_moved_names_are_their_defining_modules_objects():
     # algebra re-exports the catalogue's registries and models the table models: the same objects, so patching one
     # patches both

@@ -22,7 +22,7 @@ from kadlib.algebra import (
 )
 from kadlib.catalogue import STAR_PREIMAGE_LAWS
 from kadlib.domain import DomainStructure, compute_predomain, run_laws
-from kadlib.hoare import HoareTriple, Prim, ProofTree, check_hoare_rules, check_triple, validate_proof, wlp
+from kadlib.hoare import HoareTriple, Prim, ProofTree, TStates, check_hoare_rules, check_triple, validate_proof, wlp
 from kadlib.models import (
     Relation,
     _bit_positions,
@@ -45,7 +45,7 @@ from kadlib.models import (
     tropical_model,
 )
 from kadlib.reach import check_star_preimage_laws, reach_efficient, reach_naive
-from kadlib.termination import is_loebian, is_noetherian, is_well_founded, termination_report
+from kadlib.termination import is_loebian, is_noetherian, is_well_founded, termination_report, transitive_closure
 
 
 def _rel_mask(r):
@@ -536,6 +536,29 @@ REFUSED = {
         lambda: predicate_transformer_model(compute_predomain(NO_STAR, TestAlgebra.discrete(NO_STAR))),
         "predicate transformers need a star on the source",
     ),
+    "closure-without-a-star": (lambda: transitive_closure(NO_STAR, 1), "nostar has no star operation"),
+    # a relation over another base set, or a test with a state past n, is refused by each reader of rel(3)
+    "triple-over-another-base-set": (
+        lambda: check_triple(HoareTriple(TStates((1,)), Prim("a"), TStates((2,))), {"a": Relation.from_pairs(2, [(1, 2)])}, rel_model(3)),
+        "relation over 1..2 given to rel(3)",
+    ),
+    "termination-over-another-base-set": (
+        lambda: termination_report(rel_model(3), Relation.from_pairs(4, [(1, 2)])), "relation over 1..4 given to rel(3)",
+    ),
+    "reach-from-a-state-past-n": (
+        lambda: reach_efficient(rel_model(3), Relation.from_pairs(3, [(1, 2)]), 8), "test mask 8 has states outside 1..3",
+    ),
+    "preimage-of-another-base-set": (lambda: rel_model(3).preimage(Relation.empty(2), 1), "relation over 1..2 given to rel(3)"),
+    "preimage-of-a-state-past-n": (lambda: rel_model(3).preimage(Relation.empty(3), 1 << 70), f"test mask {1 << 70} has states outside 1..3"),
+    "image-of-a-negative-mask": (lambda: rel_model(3).image(-1, Relation.empty(3)), "test mask -1 has states outside 1..3"),
+    "preimage-rows-of-another-base-set": (lambda: rel_model(3).preimage_rows(Relation.empty(4)), "relation over 1..4 given to rel(3)"),
+    "image-rows-of-another-base-set": (lambda: rel_model(3).image_rows(Relation.empty(1)), "relation over 1..1 given to rel(3)"),
+    "atoms-of-a-state-past-n": (lambda: rel_model(3).atom_positions(8), "test mask 8 has states outside 1..3"),
+    # a state is an integer: not a float, a string or a bool
+    "pair-of-a-float-state": (lambda: Relation.from_pairs(3, [(1, 2.0)]), "pair (1,2.0) has a state that is not an integer"),
+    "pair-of-a-fractional-state": (lambda: Relation.from_pairs(3, [(1.5, 2)]), "pair (1.5,2) has a state that is not an integer"),
+    "pair-of-a-string-state": (lambda: Relation.from_pairs(3, [("1", 2)]), "pair ('1',2) has a state that is not an integer"),
+    "pair-of-a-bool-state": (lambda: Relation.from_pairs(3, [(1, 2), (True, 2)]), "pair (True,2) has a state that is not an integer"),
 }
 
 

@@ -127,6 +127,13 @@ def test_identity_is_not_loebian():
     assert v.note == "a:p not below a:(p - a:p) at p = {1}"
 
 
+def test_the_closure_on_a_table_semiring_is_read_off_its_tables():
+    # a FiniteSemiring's mul and star are tables, not functions: a+ is the entry mul[a, star[a]]
+    S, D = rel_semiring(3), rel_model(3)
+    for r in (Relation.from_pairs(3, [(1, 2), (2, 3)]), Relation.from_pairs(3, [(3, 1), (1, 3)]), D.one, D.zero):
+        assert transitive_closure(S, _rel_mask(r)) == _rel_mask(transitive_closure(D, r))
+
+
 def test_chain_and_its_closure():
     D = rel_model(3)
     chain = Relation.from_pairs(3, [(1, 2), (2, 3)])
