@@ -163,6 +163,8 @@ class DomainStructure(_Tables):
         return [k for k, t in enumerate(self._atoms) if self.owner.leq(t, p)]
 
     def test_from_positions(self, ks) -> int:
+        if outside := set(ks := list(ks)).difference(range(len(self._atoms))):
+            raise ValueError(f"{self.name} has no atom at position {min(outside)}")
         return functools.reduce(self.test_join, (self._atoms[k] for k in ks), self.test_zero)
 
     def preimage_rows(self, a: int) -> list[list[int]]:
@@ -205,14 +207,14 @@ def _least_preservers(S: FiniteSemiring, T: TestAlgebra, M) -> list[int]:
     Pm = M[meet, ar]
     bad = (meet != first) | ~np.isin(meet, members) | (S.add[ar, Pm] != Pm)
     if bad.any():
-        a = int(np.argmax(bad))
+        a, side = int(np.argmax(bad)), "left" if M is S.mul else "right"
         if meet[a] < 0:
             raise ValueError(
-                f"{S.element_name(a)!r} has no left-preserving test; "
+                f"{S.element_name(a)!r} has no {side}-preserving test; "
                 "the test algebra is too small or the laws fail"
             )
         raise ValueError(
-            f"left preservers of {S.element_name(a)!r} have no least element; "
+            f"{side} preservers of {S.element_name(a)!r} have no least element; "
             "the declared tests do not form a lattice under the semiring order"
         )
     return meet.tolist()

@@ -193,7 +193,7 @@ class Relation(_Record):
                 raise ValueError(f"pair ({i!r},{j!r}) has a state that is not an integer")
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"pair ({i},{j}) outside 1..{n}")
-            rows[i - 1].append(j - 1)
+            rows[i - 1].append(operator.index(j) - 1)
         return cls._from_rows(n, rows, pairs if isinstance(pairs, (list, tuple)) else None)
 
     @classmethod
@@ -366,12 +366,15 @@ class RelModel(ModelHandle):
         return rng.randrange(1 << self.n)
 
     def atoms_below(self, p: int) -> list[int]:
-        return [1 << k for k in _bit_positions(p)]
+        return [1 << k for k in self.atom_positions(p)]
 
     def atom_positions(self, p: int) -> list[int]:
+        return _bit_positions(self._mask(p))
+
+    def _mask(self, p: int) -> int:
         if p < 0 or p.bit_length() > self.n:  # O(1), where p >> n would copy p
             raise ValueError(f"test mask {p} has states outside 1..{self.n}")
-        return _bit_positions(p)
+        return p
 
     def test_from_positions(self, ks: Iterable[int]) -> int:
         """The test of the states at positions ks (repeats allowed), in time linear in n and the number of ks.
@@ -379,13 +382,17 @@ class RelModel(ModelHandle):
         Or-ing 1 << k into a mask copies the mask, so past a machine word the
         digits are set in one buffer of n characters, read as one int.
         """
-        if self.n <= 64:
+        if (n := self.n) <= 64:
             mask = 0
             for k in ks:
+                if not 0 <= k < n:
+                    raise ValueError(f"state {k + 1} outside 1..{n}")
                 mask |= 1 << k
             return mask
-        bits = bytearray(b"0" * self.n)
+        bits = bytearray(b"0" * n)
         for k in ks:
+            if not 0 <= k < n:
+                raise ValueError(f"state {k + 1} outside 1..{n}")
             bits[~k] = 49  # ord("1"); position k is the k-th digit from the right
         return int(bits, 2)
 
@@ -396,28 +403,23 @@ class RelModel(ModelHandle):
         return p & q
 
     def test_compl(self, p: int) -> int:
-        return p ^ self._full_mask
+        return self._mask(p) ^ self._full_mask
 
     def test_leq(self, p: int, q: int) -> bool:
         return p | q == q
 
     def test_name(self, p: int) -> str:
-        return "{" + ",".join(str(i + 1) for i in _bit_positions(p)) + "}"
+        return "{" + ",".join(str(i + 1) for i in self.atom_positions(p)) + "}"
 
     def test_from_states(self, states: Iterable[int]) -> int:
-        mask = 0
-        for s in states:
-            if not 1 <= s <= self.n:
-                raise ValueError(f"state {s} outside 1..{self.n}")
-            mask |= 1 << (s - 1)
-        return mask
+        return self.test_from_positions(s - 1 for s in states)  # which refuses a state outside 1..n by name
 
     def test_states(self, p: int) -> list[int]:
-        return [i + 1 for i in _bit_positions(p)]
+        return [i + 1 for i in self.atom_positions(p)]
 
     def embed(self, p: int) -> Relation:
         """The subidentity relation {(i,i) : i in p}."""
-        members = set(_bit_positions(p))
+        members = set(self.atom_positions(p))
         return Relation(self.n, tuple((i,) if i in members else () for i in range(self.n)))
 
     # -- domain surface --------------------------------------------------
@@ -460,7 +462,7 @@ class RelModel(ModelHandle):
             for j in row:
                 for k in succ[j]:
                     if k not in have:
-                        return (1 << j) | (1 << k)
+                        return self.test_from_positions((j, k))
         return None
 
     def declared_tests(self):

@@ -511,7 +511,8 @@ def test_check_missing_star_is_a_capability_error(tmp_path, capsys):
 
 
 # each law family named with --laws and run under all, on builtin:A2 (no converse table), A2 without its star table
-# and NO_PREDOMAIN: the pinned stdout, stderr and exit code of each
+# and NO_PREDOMAIN, and the domain laws on a semiring whose codomain pass finds no right-preserving test (a·1 = 0 but
+# 1·a = a): the pinned stdout, stderr and exit code of each
 FAMILIES = Path(__file__).parent / "data" / "families"
 FAMILY_CASES = json.loads((FAMILIES / "cases.json").read_text())
 

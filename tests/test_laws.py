@@ -270,12 +270,13 @@ def test_scanner_matches_brute_force_on_corrupted_domain_tables(name):
 # -- the least-preserver pass against a per-element search ----------------------------
 
 
-def least_preserver(S, T, a, ordered):
-    """The smallest-first least preserver of a, cross-checked by the meet of all preservers."""
+def least_preserver(S, T, a, ordered, side):
+    """The smallest-first least preserver of a, cross-checked by the meet of all preservers; side names the product
+    (left for the domain, right for the codomain) in the errors."""
     preservers = [p for p in T.members if S.leq(a, int(S.mul[p, a]))]
     if not preservers:
         raise ValueError(
-            f"{S.element_name(a)!r} has no left-preserving test; "
+            f"{S.element_name(a)!r} has no {side}-preserving test; "
             "the test algebra is too small or the laws fail"
         )
     first = next(p for p in ordered if S.leq(a, int(S.mul[p, a])))
@@ -284,7 +285,7 @@ def least_preserver(S, T, a, ordered):
         m = T.meet(m, p)
     if m != first or m not in T.compl or not S.leq(a, int(S.mul[m, a])):
         raise ValueError(
-            f"left preservers of {S.element_name(a)!r} have no least element; "
+            f"{side} preservers of {S.element_name(a)!r} have no least element; "
             "the declared tests do not form a lattice under the semiring order"
         )
     return m
@@ -293,12 +294,12 @@ def least_preserver(S, T, a, ordered):
 def reference_predomain(S, T):
     """delta, then rho as the predomain of opposite(S), element by element."""
 
-    def least(S, T):
+    def least(S, T, side):
         ordered = sorted(T.members, key=lambda p: (sum(T.leq(q, p) for q in T.members), p))
-        return [least_preserver(S, T, a, ordered) for a in range(S.n)]
+        return [least_preserver(S, T, a, ordered, side) for a in range(S.n)]
 
     So = opposite(S)
-    return least(S, T), least(So, TestAlgebra(So, T.members, T.compl))
+    return least(S, T, "left"), least(So, TestAlgebra(So, T.members, T.compl), "right")
 
 
 def predomain_or_error(find, S, T):
@@ -1039,6 +1040,70 @@ def test_every_name_a_certificate_lists_is_one_the_ladder_can_hold():
     assert set(kadlib.algebra._CERTIFICATES) <= set(kadlib.algebra._TABLE_LAWS)
     unknown = {law: {by, *needs} - holdable for law, (by, needs) in kadlib.algebra._CERTIFICATES.items()}
     assert {law: names for law, names in unknown.items() if names} == {}
+
+
+# -- the domain/codomain duality, law by law ------------------------------------------
+
+# each domain law with its codomain twin, and each left isemiring law with its right twin: the mirror swaps the names of
+# a pair, and every other name is its own mirror
+DUAL_TWINS = {
+    "d1": "cd1", "d2": "cd2", "dloc": "cdloc", "llp": "lrp", "gla": "gra", "dom-additive": "cod-additive",
+    "preimage-of-one": "image-of-one", "dom-compose-local": "cod-compose-local",
+}
+SIDES = {f"{op}-left-identity": f"{op}-right-identity" for op in ("add", "mul")} | {
+    f"left-{law}": f"right-{law}" for law in ("distributive", "annihilation")
+}
+TWINS = {**DUAL_TWINS, **SIDES}
+MIRRORED = TWINS | {right: left for left, right in TWINS.items()}
+
+
+def mirror_name(name: str) -> str:
+    return MIRRORED.get(name, name)
+
+
+def mirror(law: Law) -> Law:
+    """law read in the opposite semiring: every product and sum reversed, dom and cod swapped, and the element variables
+    renamed in reverse order, so that the mirror of a law over a and b is stated over a and b again.  Its name and the
+    names it requires are mirrored, the requirements in reverse order, so that locality (dloc and cdloc) is itself."""
+    elements = [v for v in law.vars if v not in law.tests]
+    rename = dict(zip(elements, reversed(elements)))
+
+    def term(t: Term) -> Term:
+        args = tuple(map(term, t.args))
+        op = {"dom": "cod", "cod": "dom"}.get(t.op, t.op)
+        return Term(op, args[::-1] if op in ("add", "mul") else args, rename.get(t.name, t.name))
+
+    requires = tuple(map(mirror_name, reversed(law.requires)))
+    return Law(mirror_name(law.name), law.vars, term(law.concl), tuple(map(term, law.premises)), law.tests, requires)
+
+
+@pytest.mark.parametrize("name", TWINS)
+def test_each_codomain_or_right_law_is_the_mirror_of_its_twin(name):
+    laws = kadlib.algebra._TABLE_LAWS
+    assert mirror(laws[name]) == laws[TWINS[name]]
+    assert mirror(laws[TWINS[name]]) == laws[name]
+
+
+def test_the_mirror_is_an_involution_on_every_table_law():
+    assert [law.name for law in kadlib.algebra._TABLE_LAWS.values() if mirror(mirror(law)) != law] == []
+
+
+def mirrored_certificate(name: str) -> tuple:
+    by, needs = kadlib.algebra._CERTIFICATES[name]
+    return mirror_name(by), {*map(mirror_name, needs)}
+
+
+@pytest.mark.parametrize("name", ["lrp", "image-of-one", "cod-compose-local"])
+def test_a_codomain_certificate_is_its_twins_mirrored(name):
+    by, needs = kadlib.algebra._CERTIFICATES[name]
+    assert mirrored_certificate(MIRRORED[name]) == (by, set(needs))
+
+
+def test_gras_certificate_is_glas_mirrored_without_meet_commutative():
+    # ap' = 0 needs no commuted meet, where p'a = 0 does
+    by, needs = mirrored_certificate("gla")
+    gra_by, gra_needs = kadlib.algebra._CERTIFICATES["gra"]
+    assert "meet-commutative" in needs and (by, needs - {"meet-commutative"}) == (gra_by, set(gra_needs))
 
 
 def test_a_certificate_whose_prerequisite_failed_leaves_its_law_to_the_scanner(monkeypatch):

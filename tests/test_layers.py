@@ -205,6 +205,37 @@ def test_only_the_catalogue_writes_the_law_registries():
     assert registry_writes("from .catalogue import _CERTIFICATES\n_CERTIFICATES.get('x')") == []
 
 
+# the functions of models.py that may read the bit walker: atom_positions, the checked decoder of a test, and the two
+# that walk a relation's mask
+WALKER_READERS = {"atom_positions", "_from_mask", "_relations"}
+
+
+def walker_reads(source: str) -> list[int]:
+    """The lines of source that read _bit_positions (a bare name or an attribute) outside the WALKER_READERS."""
+    tree = ast.parse(source)
+    allowed = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in WALKER_READERS for node in ast.walk(fn)}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if id(node) not in allowed and "_bit_positions" in (getattr(node, "id", None), getattr(node, "attr", None))
+        and isinstance(getattr(node, "ctx", None), ast.Load)
+    )
+
+
+def test_every_test_mask_is_decoded_through_atom_positions():
+    """Inside models.py only atom_positions, _from_mask and _relations read the bit walker, so every reader of a test
+    mask decodes it through atom_positions and its range check; the CI step "The bit walker and row fields stay inside
+    models" makes the same check."""
+    assert walker_reads((ROOT / "src" / "kadlib" / "models.py").read_text()) == []
+    planted = [
+        "def test_name(self, p):\n    return _bit_positions(p)",
+        "class RelModel:\n    def embed(self, p):\n        return set(_bit_positions(p))",
+        "def atoms_below(self, p):\n    return [1 << k for k in models._bit_positions(p)]",
+        "walk = _bit_positions",
+    ]
+    assert [source for source in planted if not walker_reads(source)] == []
+    assert walker_reads("def atom_positions(self, p):\n    return _bit_positions(self._mask(p))\ndef _bit_positions(mask): pass") == []
+
+
 def fresh(code: str):
     """The JSON that code prints in a fresh interpreter that imports kadlib from this checkout and the bench's modules."""
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])

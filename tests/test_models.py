@@ -2,6 +2,7 @@
 predicate transformers, and the materialization bridge."""
 
 import itertools
+import json
 import math
 import random
 import re
@@ -264,6 +265,24 @@ def test_rel_test_algebra_atoms():
     ]
 
 
+def bit_loop_test(states):
+    """The mask of a set of 1-based states, or-ed in one state at a time."""
+    mask = 0
+    for s in states:
+        mask |= 1 << (s - 1)
+    return mask
+
+
+@pytest.mark.parametrize("n", [3, 64, 65, 100])
+def test_positions_of_a_test_encode_back_to_it(n):
+    # n = 64 is the last of the or-loop, 65 the first of the buffer
+    D, rng = rel_model(n), random.Random(n)
+    for p in (0, D.test_one, 1, 1 << (n - 1), *(rng.getrandbits(n) for _ in range(50))):
+        assert D.test_from_positions(D.atom_positions(p)) == p
+        states = D.test_states(p)
+        assert D.test_from_states(states) == D.test_from_states(reversed(states + states)) == bit_loop_test(states) == p
+
+
 def per_bit_images(a, p):
     """(a:p, p:a) built one bit at a time from a's pairs."""
     pre = img = 0
@@ -305,6 +324,13 @@ def test_from_pairs_rows_are_ascending_without_repeats(pairs):
     r = Relation.from_pairs(3, pairs)
     assert r.succ == want and r == Relation(3, want) and hash(r) == hash(Relation(3, want))
     assert r.pairs() == frozenset(pairs)
+
+
+def test_from_pairs_stores_numpy_states_as_python_ints():
+    r = Relation.from_pairs(3, np.array([[1, 2], [2, 3]]))
+    assert {type(s) for pair in r.pairs() for s in pair} == {int}
+    assert json.dumps(sorted(r.pairs())) == "[[1, 2], [2, 3]]"
+    assert r == Relation.from_pairs(3, [(1, 2), (2, 3)])
 
 
 def test_predecessors_leave_equality_hash_and_repr_alone():
@@ -554,6 +580,21 @@ REFUSED = {
     "preimage-rows-of-another-base-set": (lambda: rel_model(3).preimage_rows(Relation.empty(4)), "relation over 1..4 given to rel(3)"),
     "image-rows-of-another-base-set": (lambda: rel_model(3).image_rows(Relation.empty(1)), "relation over 1..1 given to rel(3)"),
     "atoms-of-a-state-past-n": (lambda: rel_model(3).atom_positions(8), "test mask 8 has states outside 1..3"),
+    # every other reader of a test decodes through atom_positions, or its mask check, and every writer refuses a
+    # position past the atoms: rel(n) names its state, a table the position
+    **{
+        f"{reader}-of-a-state-past-n": (lambda reader=reader: getattr(rel_model(3), reader)(8), "test mask 8 has states outside 1..3")
+        for reader in ("test_name", "atoms_below", "test_states", "embed", "test_compl")
+    },
+    "test-from-a-position-past-n": (lambda: rel_model(3).test_from_positions([5]), "state 6 outside 1..3"),
+    "test-from-a-negative-position-in-a-buffer": (lambda: rel_model(100).test_from_positions([3, -1]), "state 0 outside 1..100"),
+    "test-from-a-position-past-n-in-a-buffer": (lambda: rel_model(100).test_from_positions([100]), "state 101 outside 1..100"),
+    "table-test-from-a-negative-position": (
+        lambda: compute_predomain(rel_semiring(2), rel_tests(2)).test_from_positions([-1]), "rel(2) has no atom at position -1",
+    ),
+    "table-test-from-a-position-past-the-atoms": (
+        lambda: compute_predomain(rel_semiring(2), rel_tests(2)).test_from_positions([0, 2]), "rel(2) has no atom at position 2",
+    ),
     # a state is an integer: not a float, a string or a bool
     "pair-of-a-float-state": (lambda: Relation.from_pairs(3, [(1, 2.0)]), "pair (1,2.0) has a state that is not an integer"),
     "pair-of-a-fractional-state": (lambda: Relation.from_pairs(3, [(1.5, 2)]), "pair (1.5,2) has a state that is not an integer"),
