@@ -51,12 +51,12 @@ in full; the first of its rungs that decides a law gives its report:
    held (catalogue._CERTIFICATES: the star theorems above, the domain
    calculus and the axiom forms llp, gla, lrp and gra, the star/preimage
    laws and the Hoare rules);
-4. exhaustive: every instance, where they fit the budget;
-5. reduced (k): past the budget, _rewrite, the one law-rewrite step, makes
-   an equivalent law of k instances by Horn elimination and
-   join-irreducible ranges (read off the generators of +), behind guard
-   laws that held on every instance (the isemiring laws and dom- and
-   cod-additivity); a failure there is lifted to an instance of the law;
+4. exhaustive: every instance, where they fit the budget and are listed;
+5. reduced (k): past the budget or what the model lists, _rewrite, the
+   one law-rewrite step, makes an equivalent law of k instances by Horn
+   elimination and join-irreducible ranges (read off the generators of
+   +), behind guard laws that held on every instance (the isemiring laws
+   and dom- and cod-additivity); a failure there lifts to the law;
 6. sampled (n): n instances drawn from the caller's rng.
 The table checkers ask for exact decisions: they rewrite at budget 0, scan
 the law in full where the rewritten law fails or none applies, so every
@@ -1114,7 +1114,9 @@ def _decide(laws, model, scanner: Optional[_Scanner], held, hand=(), budget: int
         if report is None:
             is_test = [v in law.tests for v in law.vars]
             envs, listed = ((), False) if exact else _instances(model, is_test, budget, samples, rng)
-            rw = None if listed else _rewrite(law, model, held, budget)
+            # a listing the model refused, of instances within the budget, is rewritten as one past the budget is
+            refused = not (listed or exact) and None not in (sizes := _sizes(model, is_test)) and math.prod(sizes) <= budget
+            rw = None if listed else _rewrite(law, model, held, 0 if refused else budget)
             if rw is not None:
                 rw_test = [v in rw.law.tests for v in rw.law.vars]
                 rw_envs, fits = ((), True) if exact else _instances(model, rw_test, budget, 0, None, rw.ranges)

@@ -344,9 +344,11 @@ def _instances(D, is_test, budget: int, samples: int, rng, ranges=None):
             return itertools.product(*listed), True
         except ValueError:
             pass
-    rng = rng or random.Random(0)
     draws = [D.sample_test if t else D.sample for t in is_test]
-    return (tuple(draw(rng) for draw in draws) for _ in range(samples)), False
+    def drawn(rng):  # a generator, so that it makes rng at its first draw
+        rng = rng or random.Random(0)
+        yield from (tuple(draw(rng) for draw in draws) for _ in range(samples))
+    return drawn(rng), False
 
 
 # ---------------------------------------------------------------------------

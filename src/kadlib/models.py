@@ -397,16 +397,16 @@ class RelModel(ModelHandle):
         return int(bits, 2)
 
     def test_join(self, p: int, q: int) -> int:
-        return p | q
+        return self._mask(p) | self._mask(q)
 
     def test_meet(self, p: int, q: int) -> int:
-        return p & q
+        return self._mask(p) & self._mask(q)
 
     def test_compl(self, p: int) -> int:
         return self._mask(p) ^ self._full_mask
 
     def test_leq(self, p: int, q: int) -> bool:
-        return p | q == q
+        return self._mask(p) | self._mask(q) == q
 
     def test_name(self, p: int) -> str:
         return "{" + ",".join(str(i + 1) for i in self.atom_positions(p)) + "}"

@@ -7,23 +7,22 @@ Noethericity of the converse.  The Löb property is the preimage form of
 the modal axiom: every step lands in states whose further steps leave the
 already-reached part, here p - q means p q'.
 
-How a verdict is decided:
+A verdict comes from the first rung of one ladder (_search) that applies:
 
-- Past the budget, Noethericity is decided exactly on every model whose
-  laws name atomic-preimage (laws._ATOMIC; every relation model has it):
-  the greatest test p with p <= a:p, the stuck set, is the complement of
-  what reach's counting worklist grows from the atoms that step nowhere,
-  and a is Noetherian iff it is 0; otherwise it is the witness.
-  Well-foundedness is the same with image in place of preimage, where the
-  laws name atomic-image.  On relations,
-  a is Löbian iff it is transitive and Noetherian, and the Noetherian
-  verdict supplies the stuck set.
-- Every other verdict is one search for the first failing test over
-  laws._instances, the enumerate-or-sample rule that run_laws also
-  uses: while the test algebra has at most `budget` members all of them
-  are tried in order, and a failing verdict names the first failing
-  test; past it, `samples` random tests are tried, and a verdict that
-  holds says "sampled".
+- Where laws._instances lists the tests (at most `budget` of them; a
+  RelModel lists at most 2^16), they are tried in order, and a failing
+  verdict names the first failing test.
+- Else an exact rung decides, where the verdict has one.  Noethericity
+  has one wherever the laws name atomic-preimage (laws._ATOMIC; every
+  relation model does): the greatest test p with p <= a:p, the stuck
+  set, is the complement of what reach's counting worklist grows from
+  the atoms that step nowhere, and a is Noetherian iff it is 0;
+  otherwise it is the witness.  Well-foundedness is the same with image
+  for preimage, where the laws name atomic-image.  On relations, a is
+  Löbian iff it is transitive and Noetherian, and the Noetherian verdict
+  supplies the stuck set.
+- Else `samples` random tests are tried, and a verdict that holds says
+  "sampled".
 """
 
 from __future__ import annotations
@@ -85,17 +84,14 @@ class TerminationReport(_Record):
         )
 
 
-def _verdict(D, bad_p, exhaustive: bool, what: str) -> Verdict:
+def _search(D, bad, exact, budget: int, samples: int, rng, what: str) -> Verdict:
+    """The verdict of the first test p with bad(p) where laws._instances lists the tests; else exact(), a failing
+    test or None, where exact is given (not None); else that of the first sampled test p with bad(p)."""
+    pool, listed = _instances(D, (True,), budget, samples, rng)
+    bad_p = exact() if not listed and exact is not None else next((p for (p,) in pool if bad(p)), None)
     if bad_p is None:
-        note = "" if exhaustive else "sampled"
-        return Verdict(True, note=note)
+        return Verdict(True, note="" if listed or exact is not None else "sampled")
     return Verdict(False, witness=bad_p, note=f"{what} at p = {D.test_name(bad_p)}")
-
-
-def _search(D, bad, budget: int, samples: int, rng, what: str) -> Verdict:
-    """The verdict of the first test p with bad(p), over laws._instances."""
-    pool, exhaustive = _instances(D, (True,), budget, samples, rng)
-    return _verdict(D, next((p for (p,) in pool if bad(p)), None), exhaustive, what)
 
 
 def stuck_set(D, a, forward: bool = False):
@@ -121,11 +117,11 @@ def _terminates(D, a, forward: bool, budget: int, samples: int, rng) -> Verdict:
     """No nonzero test p satisfies p <= a:p (p <= p:a when forward)."""
     _require_tests(D, ["is_well_founded" if forward else "is_noetherian"])
     what = "p <= p:a" if forward else "p <= a:p"
-    if D.test_count() > budget and ("atomic-image" if forward else "atomic-preimage") in D.laws:
-        stuck = stuck_set(D, a, forward)
-        return _verdict(D, None if stuck == D.test_zero else stuck, True, what)
     step = (lambda p: D.image(p, a)) if forward else (lambda p: D.preimage(a, p))
-    return _search(D, lambda p: p != D.test_zero and D.test_leq(p, step(p)), budget, samples, rng, what)
+    atomic = ("atomic-image" if forward else "atomic-preimage") in D.laws
+    # where the atom rows decide the step, the stuck set is the greatest failing test
+    exact = (lambda: None if (p := stuck_set(D, a, forward)) == D.test_zero else p) if atomic else None
+    return _search(D, lambda p: p != D.test_zero and D.test_leq(p, step(p)), exact, budget, samples, rng, what)
 
 
 def is_noetherian(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None) -> Verdict:
@@ -144,31 +140,32 @@ _LOEB_FAILS = "a:p not below a:(p - a:p)"
 def _loeb(D, a, noetherian: Optional[Verdict], budget: int, samples: int, rng) -> Verdict:
     """a:p <= a:(p - a:p) for all tests p, given a's Noetherian verdict if known.
 
-    Past the budget a relation is Löbian iff it is transitive and
-    Noetherian, and its Noetherian verdict is exact there, its witness the
-    stuck set.  A nonzero stuck set p fails the law (a:p >= p and
-    p - a:p = 0); on an acyclic relation so does p = {j,k} for a step
-    i -> j -> k without i -> k (p - a:p = {k}, and i lies in a:p but not
-    in a:{k}).
+    Where _instances does not list the tests, a relation is Löbian iff it
+    is transitive and Noetherian, and its Noetherian verdict is exact there,
+    its witness the stuck set.  A nonzero stuck set p fails the law
+    (a:p >= p and p - a:p = 0); on an acyclic relation so does p = {j,k}
+    for a step i -> j -> k without i -> k (p - a:p = {k}, and i lies in
+    a:p but not in a:{k}).
     """
     _require_tests(D, ["is_loebian"])
-    if isinstance(D, RelModel) and D.test_count() > budget:
-        if noetherian is None:
-            noetherian = is_noetherian(D, a, budget, samples, rng)
-        return _verdict(D, noetherian.witness if not noetherian.holds else D.intransitive_step(a), True, _LOEB_FAILS)
 
     def bad(p):
         pre = D.preimage(a, p)
         return not D.test_leq(pre, D.preimage(a, D.test_meet(p, D.test_compl(pre))))
 
-    return _search(D, bad, budget, samples, rng, _LOEB_FAILS)
+    def exact():  # on relations: transitive and Noetherian
+        v = is_noetherian(D, a, budget, samples, rng) if noetherian is None else noetherian
+        return v.witness if not v.holds else D.intransitive_step(a)
+
+    return _search(D, bad, exact if isinstance(D, RelModel) else None, budget, samples, rng, _LOEB_FAILS)
 
 
 def is_loebian(D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None) -> Verdict:
     """a:p <= a:(p - a:p) for all tests p, with p - q meaning p q'.
 
-    Past the budget a relation is decided exactly, as transitive and
-    Noetherian.
+    Where _instances does not list the tests (past the budget, or past
+    the 2^16 a RelModel lists), a relation is decided exactly, as
+    transitive and Noetherian.
     """
     return _loeb(D, a, None, budget, samples, rng)
 
@@ -186,7 +183,7 @@ def termination_report(
     D, a, budget: int = ENUM_BUDGET, samples: int = 2000, rng=None, subject: Optional[str] = None
 ) -> TerminationReport:
     """The three verdicts on a, reported under subject (default: a's element name, formatted when first read)."""
-    # past the budget on a relation, the Noetherian witness is the stuck set the Löb verdict needs
+    # where the tests are not listed, a relation's Noetherian witness is the stuck set the Löb verdict needs
     noetherian = is_noetherian(D, a, budget, samples, rng)
     return TerminationReport(
         subject=(lambda: D.el_name(a)) if subject is None else subject,

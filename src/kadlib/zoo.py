@@ -466,7 +466,6 @@ class TransformerModel(ModelHandle):
         members = self.members = list(D.test_members())
         pos = self._pos = {p: i for i, p in enumerate(members)}
         t = len(members)
-        self._joinpos = tuple(tuple(pos[D.test_join(p, q)] for q in members) for p in members)
         # the column of each atom where atom-keyed, else None
         self._atoms = None
         if "atomic-preimage" in D.laws:
@@ -479,6 +478,8 @@ class TransformerModel(ModelHandle):
         first: dict[tuple[int, ...], object] = {}
         for a in D.elements():
             first.setdefault(self._values(a), a)
+        # after the elements, so that a source that refuses to list them is refused before t^2 test joins
+        self._joinpos = tuple(tuple(pos[D.test_join(p, q)] for q in members) for p in members)
         self.source = tuple(first.values())
         F = np.array(list(first), dtype=np.min_scalar_type(t - 1)).reshape(len(first), -1)
         self._by_values = {v: i for i, v in enumerate(first)}

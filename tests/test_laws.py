@@ -1757,6 +1757,15 @@ def test_each_rung_of_the_ladder_gives_its_note(monkeypatch):
     assert exact[1].witness == check_laws([crossed], D.owner, D=D)[0].witness
 
 
+def test_a_law_whose_listing_a_model_refuses_is_rewritten_as_one_past_the_budget():
+    """rel(17)'s 2^17 tests fit a budget of 200,000, but a RelModel lists at most 2^16: the law is narrowed to 0 and
+    the 17 atoms, as a law past the budget is, and not sampled."""
+    p = var("p")
+    law = Law("t", "p", leq(dom(p), one_term), tests="p")
+    for budget in (100_000, 200_000):
+        assert run_laws([law], rel_model(17), budget, 1000) == [LawReport("t", True, None, "reduced (18)")]
+
+
 def test_run_laws_and_the_table_checkers_give_the_same_verdicts():
     """run_laws and check_domain_axioms with check_domain_calculus share one ladder: on every
     structure where laws that certificates list fail, they agree on each law's verdict and witness."""

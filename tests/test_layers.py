@@ -236,6 +236,31 @@ def test_every_test_mask_is_decoded_through_atom_positions():
     assert walker_reads("def atom_positions(self, p):\n    return _bit_positions(self._mask(p))\ndef _bit_positions(mask): pass") == []
 
 
+def listing_decisions(source: str) -> list[int]:
+    """The lines of source that read test_count (a bare name or an attribute) or compare anything with budget."""
+
+    def named(node, name) -> bool:
+        return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if named(node, "test_count")
+        or isinstance(node, ast.Compare) and any(named(sub, "budget") for side in (node.left, *node.comparators) for sub in ast.walk(side))
+    )
+
+
+def test_termination_leaves_listing_to_instances():
+    """termination.py reads no test_count and compares nothing with budget, so laws._instances alone decides whether a
+    verdict searches the listed tests; the CI step "Termination leaves listing to _instances" makes the same check."""
+    assert listing_decisions((ROOT / "src" / "kadlib" / "termination.py").read_text()) == []
+    planted = [
+        "if D.test_count() > budget:\n    pass", "big = budget < D.test_count()", "fits = 1 << D.n <= budget",
+        "exact = self.budget == 0", "count = D.test_count",
+    ]
+    assert [source for source in planted if not listing_decisions(source)] == []
+    assert listing_decisions("pool, listed = _instances(D, (True,), budget, samples, rng)") == []
+
+
 def fresh(code: str):
     """The JSON that code prints in a fresh interpreter that imports kadlib from this checkout and the bench's modules."""
     path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])

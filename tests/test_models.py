@@ -26,6 +26,7 @@ from kadlib.domain import DomainStructure, compute_predomain, run_laws
 from kadlib.hoare import HoareTriple, Prim, ProofTree, TStates, check_hoare_rules, check_triple, validate_proof, wlp
 from kadlib.models import (
     Relation,
+    RelModel,
     _bit_positions,
     _power_sums,
     _relations,
@@ -580,6 +581,9 @@ REFUSED = {
     "preimage-rows-of-another-base-set": (lambda: rel_model(3).preimage_rows(Relation.empty(4)), "relation over 1..4 given to rel(3)"),
     "image-rows-of-another-base-set": (lambda: rel_model(3).image_rows(Relation.empty(1)), "relation over 1..1 given to rel(3)"),
     "atoms-of-a-state-past-n": (lambda: rel_model(3).atom_positions(8), "test mask 8 has states outside 1..3"),
+    "test-leq-of-a-state-past-n": (lambda: rel_model(3).test_leq(8, 15), "test mask 8 has states outside 1..3"),
+    "test-join-of-a-state-past-n": (lambda: rel_model(3).test_join(8, 1), "test mask 8 has states outside 1..3"),
+    "test-meet-of-a-negative-mask": (lambda: rel_model(3).test_meet(-1, 5), "test mask -1 has states outside 1..3"),
     # every other reader of a test decodes through atom_positions, or its mask check, and every writer refuses a
     # position past the atoms: rel(n) names its state, a table the position
     **{
@@ -761,6 +765,16 @@ def materialized(handle):
         "one": S.one,
         "tests": None if mat.tests is None else (list(mat.tests.members), mat.tests.compl),
     }
+
+
+def test_transformers_of_a_source_too_big_to_list_are_refused_before_any_test_join(monkeypatch):
+    """rel(9) lists its 512 tests but not its 2^81 elements: the refusal comes before the 512^2 joins of the join table."""
+    joins = []
+    join = RelModel.test_join
+    monkeypatch.setattr(RelModel, "test_join", lambda self, p, q: joins.append((p, q)) or join(self, p, q))
+    with pytest.raises(ValueError, match=r"^rel\(9\) has 2\^81 elements"):
+        predicate_transformer_model(rel_model(9))
+    assert joins == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

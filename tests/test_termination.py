@@ -457,11 +457,26 @@ def test_report_equals_its_three_verdicts(make, budget):
         assert rep == TerminationReport(D.el_name(a), *verdicts)
 
 
-def test_within_the_budget_but_past_what_a_relation_model_lists_samples():
-    # 2^17 tests fit the budget, but RelModel lists at most 2^16
+def test_within_the_budget_but_past_what_a_relation_model_lists_is_exact():
+    # 2^17 tests fit the budget, but RelModel lists at most 2^16, so the exact rung decides
     D = rel_model(17)
     v = is_loebian(D, D.zero, budget=200_000)
-    assert v.holds and v.note == "sampled"
+    assert v.holds and v.note == ""
+
+
+def test_verdicts_past_what_a_relation_model_lists_do_not_depend_on_the_budget():
+    """On the chain 1 -> ... -> 17 with a loop at 17, budgets that the 2^17 tests fit give the verdicts, witnesses and
+    notes of the default budget, which they exceed: neither lists the tests, so the exact rung decides both."""
+    D = rel_model(17)
+    a = Relation.from_pairs(17, [*((i, i + 1) for i in range(1, 17)), (17, 17)])
+    want = [check(D, a) for check in (is_noetherian, is_well_founded, is_loebian)]
+    assert [v.note for v in want] == [
+        "p <= a:p at p = {1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17}", "p <= p:a at p = {17}",
+        "a:p not below a:(p - a:p) at p = {1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17}",
+    ]
+    for budget in (2**17, 2**20):
+        assert [check(D, a, budget=budget) for check in (is_noetherian, is_well_founded, is_loebian)] == want
+        assert termination_report(D, a, budget=budget) == termination_report(D, a)
 
 
 def test_past_the_budget_relations_are_decided_exactly():
