@@ -618,6 +618,8 @@ def _parse_targets(D, text: str) -> int:
 
 
 def cmd_reach(path: str, relation: str, targets: str = "", algo: str = "both") -> int:
+    if relation is None or algo not in ("naive", "efficient", "both"):
+        raise CliParseError("reach needs --relation" if relation is None else f"unknown --algo {algo!r} (naive, efficient or both)")
     _, D, a = _load_relational(path, relation)
     p = _parse_targets(D, targets)
     results = {}
@@ -634,6 +636,8 @@ def cmd_reach(path: str, relation: str, targets: str = "", algo: str = "both") -
 
 
 def cmd_hoare(path: str, triple: Optional[str] = None, proof: Optional[str] = None) -> int:
+    if triple is not None and proof is not None:
+        raise CliParseError("hoare takes --triple or --proof, not both")
     ws, D, _ = _load_relational(path)
     # the kind asked for, its name, the section naming it, its checker, and the words of a verdict that holds or fails
     kind, name, named, check, holds, fails = (
@@ -669,6 +673,8 @@ def _has_cycle(D, rel) -> bool:
 
 
 def cmd_termination(path: str, relation: str) -> int:
+    if relation is None:
+        raise CliParseError("termination needs --relation")
     _, D, a = _load_relational(path, relation)
     rep = termination_report(D, a, subject=relation)
     print(rep)

@@ -412,7 +412,11 @@ class RelModel(ModelHandle):
         return "{" + ",".join(str(i + 1) for i in self.atom_positions(p)) + "}"
 
     def test_from_states(self, states: Iterable[int]) -> int:
-        return self.test_from_positions(s - 1 for s in states)  # which refuses a state outside 1..n by name
+        # refuses by name a state that is not an integer or is a bool, as Relation.from_pairs does, and one outside 1..n
+        for s in (states := list(states)):
+            if not hasattr(s, "__index__") or type(s) is bool:
+                raise ValueError(f"state {s!r} is not an integer")
+        return self.test_from_positions(operator.index(s) - 1 for s in states)
 
     def test_states(self, p: int) -> list[int]:
         return [i + 1 for i in self.atom_positions(p)]

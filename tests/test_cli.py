@@ -7,6 +7,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -770,6 +771,13 @@ def test_kad_check_loads_numpy_for_its_tables():
     assert {"numpy", *TABLE_LAYER} <= imported and "dataclasses" not in imported
 
 
+def test_the_naive_sweep_on_a_2000_state_chain_reads_each_collected_row_once_per_sweep(tmp_path, capsys):
+    # sweep i reads the i rows collected so far and adds one state, 1 + 2 + ... + 2000 rows in all
+    assert main(["reach", write_ws(tmp_path, CHAIN_2000), "--relation", "R", "--targets", "2000", "--algo", "naive"]) == 0
+    reached = ",".join(map(str, range(1, 2001)))
+    assert capsys.readouterr().out == f"naive: {{{reached}}} (iterations=2000, preimage-evals=2001000)\n"
+
+
 # -- hoare command ------------------------------------------------------------------------------
 
 
@@ -815,6 +823,27 @@ def test_hoare_without_a_triple_or_a_proof_is_a_parse_error(tmp_path):
     # the parser requires one of the two, but a library call may name neither: exit 2 under main
     with pytest.raises(CliParseError, match="^hoare needs --triple or --proof$"):
         kadlib.cli.cmd_hoare(write_ws(tmp_path, CHAIN))
+
+
+# library calls that argparse would refuse before the command ran: each is refused before it reads the workspace or
+# prints anything, with one line, so exit 2 under main
+LIBRARY_CALLS = {
+    "reach-with-an-unknown-algorithm": (lambda path: kadlib.cli.cmd_reach(path, "R", "3", "bogus"), "unknown --algo 'bogus' (naive, efficient or both)"),
+    "reach-without-a-relation": (lambda path: kadlib.cli.cmd_reach(path, None, "1"), "reach needs --relation"),
+    "termination-without-a-relation": (lambda path: kadlib.cli.cmd_termination(path, None), "termination needs --relation"),
+    "hoare-with-a-triple-and-a-proof": (
+        lambda path: kadlib.cli.cmd_hoare(path, triple="good", proof="pfbad"), "hoare takes --triple or --proof, not both"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_CALLS))
+def test_library_calls_argparse_would_refuse_are_parse_errors(case, tmp_path, capsys):
+    call, message = LIBRARY_CALLS[case]
+    for path in (write_ws(tmp_path, CHAIN), str(tmp_path / "missing.json")):
+        with pytest.raises(CliParseError, match=f"^{re.escape(message)}$"):
+            call(path)
+    assert capsys.readouterr() == ("", "")
 
 
 UNRESOLVED = {

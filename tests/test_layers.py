@@ -4,6 +4,10 @@ kadlib's value layer (laws, models' relations, reach, termination, hoare and
 cli) loads on import; the table layer (algebra, domain, zoo) loads where a
 name of it is first read.  These tests pin what that must not change: every
 public name, the names cli and the benchmark read, and where the caches live.
+The structural checks read the sources themselves: one ladder decides every
+law, only the catalogue writes the law registries, only models.py reads row
+masks, termination leaves listing to laws._instances, and no module imports a
+name it never uses.  Each is also shown to flag the violations planted in it.
 """
 
 import ast
@@ -169,6 +173,76 @@ def test_the_moved_names_are_their_defining_modules_objects():
     assert kadlib.models.conway_model is kadlib.zoo.conway_model
 
 
+# -- structural checks: each reads the library's sources, and flags every violation planted in it --------------------
+
+SRC = ROOT / "src" / "kadlib"
+
+
+def sources(*skip: str) -> dict[str, str]:
+    """The source of every library module, by file name, but those named in skip."""
+    return {path.name: path.read_text() for path in sorted(SRC.glob("*.py")) if path.name not in skip}
+
+
+def name_of(node) -> str | None:
+    """The name a bare-name or an attribute node stands for; None for any other node."""
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def reads(source: str, names: set, inside=()) -> list[int]:
+    """The lines of source that read one of names (a bare name or an attribute) or import it, outside the functions
+    named in inside.  A def, a binding, a docstring and a comment are not reads."""
+    tree = ast.parse(source)
+    allowed = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in inside for node in ast.walk(fn)}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if id(node) not in allowed
+        and (isinstance(getattr(node, "ctx", None), ast.Load) and name_of(node) in names
+             or isinstance(node, (ast.Import, ast.ImportFrom)) and any(alias.name in names for alias in node.names))
+    )
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names source imports (the first part of a dotted import) that it never reads nor lists in __all__."""
+    tree = ast.parse(source)
+    imported = {
+        (alias.asname or alias.name).split(".")[0]: node.lineno
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {
+        const.value for node in ast.walk(tree) if isinstance(node, ast.Assign) and "__all__" in map(name_of, node.targets)
+        for const in ast.walk(node.value) if isinstance(const, ast.Constant)
+    }
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_no_library_module_imports_a_name_it_never_uses():
+    """An unused import is a leftover of removed code; __init__.py imports only to re-export."""
+    assert {name: found for name, source in sources("__init__.py").items() if (found := unused_imports(source))} == {}
+    planted = ["import math", "import os.path", "from .laws import Law as L\nLaw = 1", "from typing import Optional\n__all__ = ['Iterable']"]
+    assert [source for source in planted if not unused_imports(source)] == []
+    used = "from __future__ import annotations\nimport os.path\nfrom typing import Optional as O\nx: O[int] = os.sep\nfrom . import y\n__all__ = ['y']"
+    assert unused_imports(used) == []
+
+
+RUNGS = {"_certified", "_rewrite", "_REDUCTIONS"}
+
+
+def test_one_ladder_decides_every_law():
+    """The rungs _certified, _rewrite and _REDUCTIONS are read only inside algebra._decide, so that no caller decides a
+    law by a ladder of its own."""
+    assert {name: lines for name, source in sources().items() if (lines := reads(source, RUNGS, {"_decide"}))} == {}
+    planted = [
+        "def check(law, model, held):\n    return _rewrite(law, model, held)", "note = algebra._certified(law, held)",
+        "needs, reduction = _REDUCTIONS[law.name]", "from .algebra import _REDUCTIONS as reductions",
+        "def _decide_again(law):\n    return _certified(law, {})",
+    ]
+    assert [source for source in planted if not reads(source, RUNGS, {"_decide"})] == []
+    ladder = "_REDUCTIONS = {}\ndef _rewrite(law):\n    'not _certified'  # nor _REDUCTIONS\ndef _decide(law):\n    return _rewrite(law) or _REDUCTIONS"
+    assert reads(ladder, RUNGS, {"_decide"}) == []
+
+
 REGISTRIES = {"_TABLE_LAWS", "_CERTIFICATES"}
 MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
 
@@ -176,15 +250,11 @@ MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "_
 def registry_writes(source: str) -> list[int]:
     """The lines of source that bind, item-assign, delete from or call a mutating method of _TABLE_LAWS or
     _CERTIFICATES (a bare name or an attribute), or import either from elsewhere than catalogue."""
-
-    def registry(node) -> bool:
-        return (node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None) in REGISTRIES
-
     found = []
     for node in ast.walk(ast.parse(source)):
         stored = isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del))
-        written = stored and (registry(node) or isinstance(node, ast.Subscript) and registry(node.value))
-        written |= isinstance(node, ast.Attribute) and node.attr in MUTATORS and registry(node.value)
+        written = stored and (name_of(node) in REGISTRIES or isinstance(node, ast.Subscript) and name_of(node.value) in REGISTRIES)
+        written |= isinstance(node, ast.Attribute) and node.attr in MUTATORS and name_of(node.value) in REGISTRIES
         imported = {alias.asname or alias.name for alias in node.names} if isinstance(node, ast.ImportFrom) else set()
         written |= bool(imported & REGISTRIES) and node.module not in ("catalogue", "kadlib.catalogue")
         if written:
@@ -193,10 +263,9 @@ def registry_writes(source: str) -> list[int]:
 
 
 def test_only_the_catalogue_writes_the_law_registries():
-    """Each registry is bound once, in catalogue.py, so which certificates exist never depends on which modules loaded;
-    the CI step "Only the catalogue writes the law registries" makes the same check."""
-    sources = {path.name: path.read_text() for path in (ROOT / "src" / "kadlib").glob("*.py") if path.name != "catalogue.py"}
-    assert {name: lines for name, source in sources.items() if (lines := registry_writes(source))} == {}
+    """Each registry is bound once, in catalogue.py, so which certificates exist never depends on which modules
+    loaded; elsewhere they are imported from there and read."""
+    assert {name: lines for name, source in sources("catalogue.py").items() if (lines := registry_writes(source))} == {}
     planted = [
         "_CERTIFICATES.update({})", "_TABLE_LAWS['x'] = 1", "del _CERTIFICATES['x']", "_TABLE_LAWS = {}",
         "_CERTIFICATES |= {}", "kadlib.algebra._TABLE_LAWS.setdefault('x', 1)", "from .laws import _CERTIFICATES",
@@ -210,49 +279,48 @@ def test_only_the_catalogue_writes_the_law_registries():
 WALKER_READERS = {"atom_positions", "_from_mask", "_relations"}
 
 
-def walker_reads(source: str) -> list[int]:
-    """The lines of source that read _bit_positions (a bare name or an attribute) outside the WALKER_READERS."""
-    tree = ast.parse(source)
-    allowed = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef) and fn.name in WALKER_READERS for node in ast.walk(fn)}
-    return sorted(
-        node.lineno for node in ast.walk(tree)
-        if id(node) not in allowed and "_bit_positions" in (getattr(node, "id", None), getattr(node, "attr", None))
-        and isinstance(getattr(node, "ctx", None), ast.Load)
-    )
+def row_reads(source: str) -> list[int]:
+    """The lines of source that read the bit walker _bit_positions or touch a .rows field."""
+    fields = [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute) and node.attr == "rows"]
+    return sorted({*reads(source, {"_bit_positions"}), *fields})
 
 
 def test_every_test_mask_is_decoded_through_atom_positions():
-    """Inside models.py only atom_positions, _from_mask and _relations read the bit walker, so every reader of a test
-    mask decodes it through atom_positions and its range check; the CI step "The bit walker and row fields stay inside
-    models" makes the same check."""
-    assert walker_reads((ROOT / "src" / "kadlib" / "models.py").read_text()) == []
+    """No module but models.py reads the bit walker or a .rows field, so relations and tests can change representation
+    there alone; inside it only atom_positions, _from_mask and _relations read the walker, so every reader of a test
+    mask decodes it through atom_positions and its range check."""
+    assert {name: lines for name, source in sources("models.py").items() if (lines := row_reads(source))} == {}
+    assert reads(sources()["models.py"], {"_bit_positions"}, WALKER_READERS) == []
     planted = [
         "def test_name(self, p):\n    return _bit_positions(p)",
         "class RelModel:\n    def embed(self, p):\n        return set(_bit_positions(p))",
         "def atoms_below(self, p):\n    return [1 << k for k in models._bit_positions(p)]",
         "walk = _bit_positions",
     ]
-    assert [source for source in planted if not walker_reads(source)] == []
-    assert walker_reads("def atom_positions(self, p):\n    return _bit_positions(self._mask(p))\ndef _bit_positions(mask): pass") == []
+    assert [source for source in planted if not reads(source, {"_bit_positions"}, WALKER_READERS)] == []
+    walker = "def atom_positions(self, p):\n    return _bit_positions(self._mask(p))\ndef _bit_positions(mask): pass"
+    assert reads(walker, {"_bit_positions"}, WALKER_READERS) == []
+    elsewhere = [
+        "succ = [list(row) for row in a.rows]", "a.rows = ()", "from .models import _bit_positions",
+        "from . import models\nstates = models._bit_positions(p)",
+    ]
+    assert [source for source in elsewhere if not row_reads(source)] == []
+    assert row_reads("rows = D.preimage_rows(a)\nfor j in rows[k]:\n    pass") == []
 
 
 def listing_decisions(source: str) -> list[int]:
     """The lines of source that read test_count (a bare name or an attribute) or compare anything with budget."""
-
-    def named(node, name) -> bool:
-        return name in (getattr(node, "id", None), getattr(node, "attr", None))
-
     return sorted(
         node.lineno for node in ast.walk(ast.parse(source))
-        if named(node, "test_count")
-        or isinstance(node, ast.Compare) and any(named(sub, "budget") for side in (node.left, *node.comparators) for sub in ast.walk(side))
+        if name_of(node) == "test_count"
+        or isinstance(node, ast.Compare) and any(name_of(sub) == "budget" for side in (node.left, *node.comparators) for sub in ast.walk(side))
     )
 
 
 def test_termination_leaves_listing_to_instances():
     """termination.py reads no test_count and compares nothing with budget, so laws._instances alone decides whether a
-    verdict searches the listed tests; the CI step "Termination leaves listing to _instances" makes the same check."""
-    assert listing_decisions((ROOT / "src" / "kadlib" / "termination.py").read_text()) == []
+    verdict searches the listed tests."""
+    assert listing_decisions(sources()["termination.py"]) == []
     planted = [
         "if D.test_count() > budget:\n    pass", "big = budget < D.test_count()", "fits = 1 << D.n <= budget",
         "exact = self.budget == 0", "count = D.test_count",

@@ -231,6 +231,8 @@ def test_rel_model_surfaces():
     assert D.test_name(D.image(D.test_from_states([1]), r)) == "{2}"
     assert pairs_of(D.embed(D.test_from_states([1, 3]))) == {(1, 1), (3, 3)}
     assert D.test_states(D.test_from_states([2, 3])) == [2, 3]
+    # any integer that is not a bool is a state number, as in Relation.from_pairs
+    assert D.test_from_states(iter([np.int64(1), 3])) == D.test_from_states([1, 3]) == 0b101
     with pytest.raises(ValueError):
         D.test_from_states([4])
 
@@ -604,6 +606,8 @@ REFUSED = {
     "pair-of-a-fractional-state": (lambda: Relation.from_pairs(3, [(1.5, 2)]), "pair (1.5,2) has a state that is not an integer"),
     "pair-of-a-string-state": (lambda: Relation.from_pairs(3, [("1", 2)]), "pair ('1',2) has a state that is not an integer"),
     "pair-of-a-bool-state": (lambda: Relation.from_pairs(3, [(1, 2), (True, 2)]), "pair (True,2) has a state that is not an integer"),
+    "test-from-a-bool-state": (lambda: rel_model(3).test_from_states([True]), "state True is not an integer"),
+    "test-from-a-float-state": (lambda: rel_model(3).test_from_states([2, 1.0]), "state 1.0 is not an integer"),
 }
 
 
